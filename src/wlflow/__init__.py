@@ -11,7 +11,6 @@ from .core import (
     SubjectMask,
     Vec2,
     validate_pairing,
-    worker_count,
 )
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "SubjectMask",
     "Vec2",
     "validate_pairing",
-    "worker_count",
 ]
 
 __version__ = "0.1.0"

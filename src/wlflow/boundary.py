@@ -14,15 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import EPS_VEC, FlowMap, Hyperparams, PointSet
+from .core import EPS_VEC, FlowMap, Hyperparams, PointSet, _sigmoid, armijo_descent
 from .errors import EmptyPointSet, ValidationError
 
 # 8-neighborhood offsets as (dy, dx).
 _NEIGHBORS = tuple((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0))
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
 
 
 @dataclass(frozen=True)
@@ -205,26 +201,16 @@ def multiscale_patch_distance(
     scales,
     width: int,
     height: int,
-    normalize: str = "cooccupied",
 ) -> BoundaryResult:
     """Average the per-scale patch-centroid distances.
 
-    normalize="cooccupied" divides each scale's sum by the number of cells
-    where both curves are present; "all" divides by the total cell count.
+    Each scale's distance is the mean over cells where both curves are
+    present.
     """
-    if normalize not in ("cooccupied", "all"):
-        raise ValidationError(f"unknown normalization {normalize!r}")
     per_scale = []
     fractions = []
     for scale in scales:
-        grid = build_patch_grid(s, e, int(scale), width, height)
-        res = patch_centroid_distance(grid)
-        if normalize == "all" and res.cooccupied_cells:
-            res = PatchDistanceResult(
-                res.value * res.cooccupied_cells / res.total_cells,
-                res.cooccupied_cells,
-                res.total_cells,
-            )
+        res = patch_centroid_distance(build_patch_grid(s, e, int(scale), width, height))
         per_scale.append(res)
         fractions.append(res.cooccupied_fraction)
     value = float(np.mean([r.value for r in per_scale])) if per_scale else 0.0
@@ -235,7 +221,6 @@ def boundary_constraint(
     flow: FlowMap,
     boundary: PointSet,
     hp: Hyperparams,
-    normalize: str = "cooccupied",
 ) -> BoundaryResult:
     """Extract flow edges and score them against the boundary curve.
 
@@ -246,9 +231,7 @@ def boundary_constraint(
     edges = extract_flow_edges(flow, hp)
     if len(edges.union) == 0:
         return BoundaryResult(0.0, (), (), edges_empty=True)
-    return multiscale_patch_distance(
-        edges.union, boundary, hp.scales, flow.width, flow.height, normalize=normalize
-    )
+    return multiscale_patch_distance(edges.union, boundary, hp.scales, flow.width, flow.height)
 
 
 # ---------------------------------------------------------------------------
@@ -633,32 +616,9 @@ def morph_curve_fit(moving: PointSet, target: PointSet, opts: MorphOptions = Mor
 
     value, grad = loss_and_grid_grad(disp)
     trace = [value]
-    eta = opts.step_size
-    converged = False
-    for _ in range(opts.max_iters):
-        gnorm2 = float((grad ** 2).sum())
-        if gnorm2 == 0.0:
-            converged = True
-            break
-        step = eta
-        accepted = False
-        for _ in range(40):
-            cand = disp - step * grad
-            v_new, g_new = loss_and_grid_grad(cand)
-            if v_new <= value - 1e-4 * step * gnorm2:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            converged = True
-            break
-        delta = float(np.abs(cand - disp).max())
-        disp, value, grad = cand, v_new, g_new
-        trace.append(value)
-        eta = step * 2.0
-        if delta < opts.tolerance:
-            converged = True
-            break
-
+    disp, converged = armijo_descent(
+        loss_and_grid_grad, disp, value, grad, opts.step_size, opts.max_iters, opts.tolerance,
+        lambda d, v, step: trace.append(v),
+    )
     moved = PointSet(pts + field_at_points(disp))
     return MorphResult(disp.reshape(gh, gw, 2), moved, tuple(trace), converged)

@@ -100,13 +100,18 @@ def _scene_spec_from_json(doc: dict, path: str) -> synth.SceneSpec:
         raise io.SchemaError(f"{path}: {exc}") from exc
 
 
-def _build_priors(args, mask: SubjectMask, align_key: str | None):
-    frames = io.read_keypoints(args.keypoints)
+def _read_frame_pair(path):
+    frames = io.read_keypoints(path)
     if len(frames) < 2:
         raise ValidationError("keypoints file must contain two frames (t and t+1)")
+    return frames[0], frames[1]
+
+
+def _build_priors(args, mask: SubjectMask, align_key: str | None):
+    frame_t, frame_t1 = _read_frame_pair(args.keypoints)
     boundary = io.read_points(args.boundary)
     method = _ALIGN_METHODS[align_key] if align_key else None
-    return flows.Priors.build(frames[0], frames[1], mask, boundary, align_method=method)
+    return flows.Priors.build(frame_t, frame_t1, mask, boundary, align_method=method)
 
 
 def _cmd_eval(args) -> int:
@@ -166,9 +171,7 @@ def _cmd_edges(args) -> int:
         img = io.flow_to_rgb(flow)
         pts = edges.union.points.astype(int)
         img[pts[:, 1], pts[:, 0]] = (0, 0, 0)
-        with open(args.overlay, "wb") as f:
-            f.write(f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
-            f.write(img.tobytes())
+        io.write_rgb(args.overlay, img)
     return 0
 
 
@@ -177,7 +180,12 @@ def _cmd_chamfer(args) -> int:
     e = io.read_points(args.e)
     doc: dict = {}
     if args.patch:
-        scales = tuple(int(x) for x in args.scales.split(","))
+        try:
+            scales = tuple(int(x) for x in args.scales.split(","))
+        except ValueError as exc:
+            raise ValidationError(
+                f"--scales must be comma-separated integers, got {args.scales!r}"
+            ) from exc
         all_pts = np.vstack([s.points, e.points])
         if args.width and args.height:
             width, height = args.width, args.height
@@ -216,11 +224,11 @@ def _cmd_solve(args) -> int:
         unknown = set(doc) - allowed
         if unknown:
             raise io.SchemaError(f"{args.opts}: unknown solver options {sorted(unknown)}")
-        if "tau_schedule" in doc:
-            doc["tau_schedule"] = tuple(doc["tau_schedule"])
         try:
             opts = flows.SolverOptions(**doc)
-        except TypeError as exc:
+        except ValidationError:
+            raise
+        except (TypeError, ValueError) as exc:
             raise io.SchemaError(f"{args.opts}: {exc}") from exc
     result = flows.solve_world_flow(init, priors, hp, opts)
     io.write_flo(args.out, result.flow)
@@ -251,21 +259,14 @@ def _cmd_decompose(args) -> int:
     start = time.perf_counter()
     world = io.read_flo(args.world)
     mask = io.read_mask(args.mask)
-    frames = io.read_keypoints(args.keypoints)
-    if len(frames) < 2:
-        raise ValidationError("keypoints file must contain two frames (t and t+1)")
-    assignment = skel.assign_subjects(frames[0], mask)
-    maps_t = {}
-    maps_t1 = {}
-    for label in mask.subject_ids:
-        person = assignment[label]
-        maps_t[label] = skel.interpolate_skeleton(frames[0].persons[person])
-        maps_t1[label] = skel.interpolate_skeleton(frames[1].persons[person])
     if args.method == "mask-mean":
         motions = flows.estimate_subject_motion(world, mask, method="mask_mean")
     else:
+        pairs = skel.subject_skeletons(*_read_frame_pair(args.keypoints), mask)
         motions = flows.estimate_subject_motion(
-            world, mask, maps_t, maps_t1,
+            world, mask,
+            {label: k_t for label, (k_t, _) in pairs.items()},
+            {label: k_t1 for label, (_, k_t1) in pairs.items()},
             method="alignment_field", align=_ALIGN_METHODS[args.method],
         )
     deco = flows.decompose_local(world, motions, mask)

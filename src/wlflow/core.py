@@ -7,7 +7,6 @@ indexed ``[y, x]``; displacement channels are ordered ``(dx, dy)``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,22 +23,41 @@ EPS_VEC = 1e-6
 N_JOINTS = 17
 
 
-def worker_count() -> int:
-    """Worker cap for internally parallel operations.
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
 
-    Reads the HMORE_THREADS environment variable; defaults to the hardware
-    parallelism. Results of parallel operations never depend on this value.
+
+def armijo_descent(fn, x, value, grad, eta, max_steps, tolerance, on_step):
+    """Backtracking gradient descent under the Armijo sufficient-decrease rule.
+
+    `fn(x)` returns (value, gradient); `value` and `grad` are its result at
+    the start point and `eta` the first trial step. A rejected step is
+    halved, up to 40 times; an accepted step doubles into the next trial
+    step, so accepted values never increase. `on_step(x, value, step)` sees
+    every accepted iterate. Stops after `max_steps` accepted steps, or
+    converged on a zero gradient, an exhausted line search, or a largest
+    per-entry move below `tolerance`. Returns (x, converged).
     """
-    raw = os.environ.get("HMORE_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ValidationError(f"HMORE_THREADS must be an integer, got {raw!r}") from exc
-        if n < 1:
-            raise ValidationError("HMORE_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
+    for _ in range(max_steps):
+        gnorm2 = float((grad ** 2).sum())
+        if gnorm2 == 0.0:
+            return x, True
+        step = eta
+        for _ in range(40):
+            cand = x - step * grad
+            v_new, g_new = fn(cand)
+            if v_new <= value - 1e-4 * step * gnorm2:
+                break
+            step *= 0.5
+        else:
+            return x, True
+        delta = float(np.abs(cand - x).max())
+        x, value, grad = cand, v_new, g_new
+        on_step(x, value, step)
+        eta = step * 2.0
+        if delta < tolerance:
+            return x, True
+    return x, False
 
 
 def _as_readonly(arr: np.ndarray) -> np.ndarray:

@@ -18,7 +18,16 @@ import numpy as np
 from . import boundary as bnd
 from . import kinematics as kin
 from . import skeleton as skel
-from .core import FlowMap, Hyperparams, KeypointFrame, PointSet, SubjectMask, Vec2, validate_pairing
+from .core import (
+    FlowMap,
+    Hyperparams,
+    KeypointFrame,
+    PointSet,
+    SubjectMask,
+    Vec2,
+    armijo_descent,
+    validate_pairing,
+)
 from .errors import DimensionMismatch, EmptySubject, ValidationError
 
 
@@ -42,7 +51,6 @@ class SolverOptions:
     smoothness_weight: float = 0.05
     background_weight: float = 0.05
     tolerance: float = 1e-3
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -82,25 +90,15 @@ class Priors:
         (the later skeleton is aligned onto the earlier one first), which
         yields the subject-relative constraint used for local flow.
         """
-        if len(frame_t) != len(frame_t1):
-            raise ValidationError("keypoint frames list different person counts")
-        assignment = skel.assign_subjects(frame_t, mask)
-        maps_t: dict[int, skel.SkeletonMap] = {}
+        pairs = skel.subject_skeletons(frame_t, frame_t1, mask, topology)
         offsets_by_label: dict[int, skel.SkeletonOffsets] = {}
-        for label in mask.subject_ids:
-            if label not in assignment:
-                raise ValidationError(f"no person assigned to subject {label}")
-            person = assignment[label]
-            k_t = skel.interpolate_skeleton(frame_t.persons[person], topology)
-            k_t1 = skel.interpolate_skeleton(frame_t1.persons[person], topology)
-            maps_t[label] = k_t
+        for label, (k_t, k_t1) in pairs.items():
             if align_method is None:
                 offsets_by_label[label] = skel.skeleton_offsets(k_t, k_t1)
             else:
                 transform = skel.fit_alignment(k_t, k_t1, align_method)
                 offsets_by_label[label] = skel.aligned_offsets(k_t, k_t1, transform)
-        h, w = mask.height, mask.width
-        matches = skel.match_all(FlowMap.zeros(w, h), maps_t, mask)
+        matches = skel.match_all({label: k_t for label, (k_t, _) in pairs.items()}, mask)
         return cls(matches, skel.concat_offsets(offsets_by_label), boundary, mask)
 
 
@@ -111,11 +109,6 @@ def joint_objective(flow: FlowMap, priors: Priors, hp: Hyperparams) -> Objective
     g_res = bnd.boundary_constraint(flow, priors.boundary, hp)
     total = f_rep.f_value + hp.alpha * g_res.value
     return ObjectiveBreakdown(total, f_rep.f_value, g_res.value, hp.alpha, f_rep, g_res)
-
-
-def local_constraint_objective(local: FlowMap, priors: Priors, hp: Hyperparams) -> ObjectiveBreakdown:
-    """Subject-relative objective; priors must carry aligned offsets."""
-    return joint_objective(local, priors, hp)
 
 
 @dataclass(frozen=True)
@@ -185,51 +178,27 @@ def solve_world_flow(
     Deterministic: same inputs and options give bitwise-identical output.
     """
     validate_pairing(init, priors.mask)
-    x = init.vectors.copy()
+    x = init.vectors
     trace: list[TraceEntry] = []
     iters_per_phase = -(-opts.max_iters // len(opts.tau_schedule))
-    iteration = 0
-    converged = False
-
     for tau in opts.tau_schedule:
-        value, grad = _surrogate(x, priors, hp, opts, tau)
-        gmax = float(np.abs(grad).max())
-        eta = opts.step_size / gmax if gmax > 0 else opts.step_size
-        phase_converged = False
-        for _ in range(iters_per_phase):
-            if iteration >= opts.max_iters:
-                break
-            gnorm2 = float((grad ** 2).sum())
-            if gnorm2 == 0.0:
-                phase_converged = True
-                break
-            step = eta
-            accepted = False
-            for _ in range(40):
-                cand = x - step * grad
-                v_new, g_new = _surrogate(cand, priors, hp, opts, tau)
-                if v_new <= value - 1e-4 * step * gnorm2:
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                phase_converged = True
-                break
-            delta = float(np.abs(cand - x).max())
-            x, value, grad = cand, v_new, g_new
-            iteration += 1
+        def surrogate(arr, tau=tau):
+            return _surrogate(arr, priors, hp, opts, tau)
+
+        def record(arr, value, step, tau=tau):
             trace.append(TraceEntry(
-                iteration=iteration,
+                iteration=len(trace) + 1,
                 tau=tau,
                 step=step,
                 surrogate=value,
-                hard=joint_objective(FlowMap(x), priors, hp),
+                hard=joint_objective(FlowMap(arr), priors, hp),
             ))
-            eta = step * 2.0
-            if delta < opts.tolerance:
-                phase_converged = True
-                break
-        converged = phase_converged
+
+        value, grad = surrogate(x)
+        gmax = float(np.abs(grad).max())
+        eta = opts.step_size / gmax if gmax > 0 else opts.step_size
+        budget = min(iters_per_phase, opts.max_iters - len(trace))
+        x, converged = armijo_descent(surrogate, x, value, grad, eta, budget, opts.tolerance, record)
     return SolveResult(FlowMap(x), tuple(trace), converged)
 
 

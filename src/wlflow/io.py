@@ -270,7 +270,11 @@ def flow_to_rgb(flow: FlowMap, max_norm: float | None = None) -> np.ndarray:
 
 def render_flow(flow: FlowMap, path, max_norm: float | None = None) -> None:
     """Write the color-coded flow as a binary PPM (P6)."""
-    img = flow_to_rgb(flow, max_norm)
+    write_rgb(path, flow_to_rgb(flow, max_norm))
+
+
+def write_rgb(path, img: np.ndarray) -> None:
+    """Binary PPM (P6) for an (h, w, 3) uint8 image."""
     try:
         with open(path, "wb") as f:
             f.write(f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode())

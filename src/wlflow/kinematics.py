@@ -12,13 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_VEC, FlowMap, Hyperparams, SubjectMask, validate_pairing
+from .core import EPS_VEC, FlowMap, Hyperparams, SubjectMask, _sigmoid, validate_pairing
 from .errors import DimensionMismatch, ValidationError
 from .skeleton import SkeletonOffsets
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
 
 
 @dataclass(frozen=True)
@@ -31,7 +27,6 @@ class ConstraintReport:
     matched_pixels: int
     total_pixels: int
     f_matched_normalized: float
-    per_pixel: np.ndarray | None = None
 
     def __post_init__(self):
         if self.f_value < 0:
@@ -108,23 +103,17 @@ def skeleton_constraint(
     matches: np.ndarray,
     mask: SubjectMask,
     hp: Hyperparams,
-    keep_per_pixel: bool = False,
 ) -> ConstraintReport:
     """Evaluate the hard constraint: mean over the raster of F_A + beta * F_I.
 
     Background (unmatched) pixels contribute zero; the normalizer is the
     total pixel count of the raster.
     """
-    valid, u, k = _gather(flow, offsets, matches, mask)
+    _, u, k = _gather(flow, offsets, matches, mask)
     fa, fi = _terms(u, k, hp)
     total = flow.height * flow.width
     n = len(u)
     f = float((fa.sum() + hp.beta * fi.sum()) / total)
-    per_pixel = None
-    if keep_per_pixel:
-        per_pixel = np.zeros((flow.height, flow.width, 2))
-        per_pixel[valid, 0] = fa
-        per_pixel[valid, 1] = fi
     return ConstraintReport(
         f_value=f,
         angular_violation_fraction=float(fa.mean()) if n else 0.0,
@@ -132,7 +121,6 @@ def skeleton_constraint(
         matched_pixels=n,
         total_pixels=total,
         f_matched_normalized=float((fa.sum() + hp.beta * fi.sum()) / n) if n else 0.0,
-        per_pixel=per_pixel,
     )
 
 

@@ -9,13 +9,12 @@ subject's own frame.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .core import EPS_CONF, FlowMap, KeypointFrame, SubjectMask, validate_pairing, worker_count
+from .core import EPS_CONF, KeypointFrame, SubjectMask
 from .errors import (
     DegenerateConfiguration,
     InsufficientHeadPoints,
@@ -36,6 +35,10 @@ DEFAULT_BONES = (
 DEFAULT_SAMPLES_PER_BONE = 15
 
 HEAD_JOINTS = (0, 1, 2, 3, 4)
+
+# match_all scores subject pixels in chunks of this many, which bounds its
+# temporaries at _MATCH_CHUNK x (skeleton points) floats.
+_MATCH_CHUNK = 1024
 
 # Homography fits fall back to a similarity when the DLT system is this
 # ill-conditioned (near-collinear skeletons).
@@ -63,10 +66,6 @@ class BoneTopology:
     @property
     def n_points(self) -> int:
         return len(self.edges) * self.samples_per_bone
-
-    def bone_of_point(self, index: int) -> int:
-        """Bone owning skeleton point `index` (edge-major ordering)."""
-        return index // self.samples_per_bone
 
 
 @dataclass(frozen=True)
@@ -152,13 +151,16 @@ class AlignTransform:
 
     def apply(self, xy: np.ndarray) -> np.ndarray:
         """Transform an (n, 2) array of points."""
-        pts = np.asarray(xy, dtype=np.float64)
-        ones = np.ones((pts.shape[0], 1))
-        h = np.hstack([pts, ones]) @ self.matrix.T
-        return h[:, :2] / h[:, 2:3]
+        return _apply_homogeneous(self.matrix, np.asarray(xy, dtype=np.float64))
 
     def inverse(self) -> "AlignTransform":
         return AlignTransform(self.kind, np.linalg.inv(self.matrix))
+
+
+def _apply_homogeneous(matrix: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Map (n, 2) points through a 3x3 homogeneous matrix."""
+    h = np.hstack([pts, np.ones((pts.shape[0], 1))]) @ matrix.T
+    return h[:, :2] / h[:, 2:3]
 
 
 def interpolate_skeleton(frame: np.ndarray, topology: BoneTopology = BoneTopology()) -> SkeletonMap:
@@ -218,60 +220,33 @@ def match_body_point(p, skeleton: SkeletonMap, mask: SubjectMask) -> int:
     return int(np.argmin(score))
 
 
-def _match_rows(rows, labels, xs, table, out):
-    """Fill match indices for a band of rows; writes only its own slice."""
-    for iy in rows:
-        row_labels = labels[iy]
-        for lab, (xy, conf, base) in table.items():
-            cols = np.nonzero(row_labels == lab)[0]
-            if cols.size == 0:
-                continue
-            dx = xy[:, 0][None, :] - xs[cols][:, None]
-            dy = xy[:, 1][None, :] - float(iy)
-            score = np.hypot(dx, dy) / conf[None, :]
-            out[iy, cols] = base + np.argmin(score, axis=1)
-    return None
-
-
-def match_all(flow: FlowMap, skeletons: Mapping[int, SkeletonMap], mask: SubjectMask) -> np.ndarray:
+def match_all(skeletons: Mapping[int, SkeletonMap], mask: SubjectMask) -> np.ndarray:
     """Per-pixel skeleton match table.
 
     Returns an (h, w) int32 array of indices into the concatenation of
     `skeletons[label].points` in ascending label order; background pixels
-    hold -1. Rows are processed in parallel bands but each band writes a
-    disjoint slice, so the result is independent of the worker count.
+    hold -1. Each subject pixel gets the match_body_point index against its
+    own subject's skeleton.
     """
-    validate_pairing(flow, mask)
-    labels = mask.labels
     out = np.full((mask.height, mask.width), -1, dtype=np.int32)
-    present = mask.subject_ids
-    for lab in present:
+    for lab in mask.subject_ids:
         if lab not in skeletons:
             raise NoCandidates(f"no skeleton supplied for subject {lab}")
         if len(skeletons[lab].points) == 0:
             raise NoCandidates(f"subject {lab} has no skeleton points")
 
-    table = {}
     base = 0
     for lab in sorted(skeletons):
         sk = skeletons[lab]
-        table[lab] = (sk.xy, np.maximum(sk.confidences, EPS_CONF), base)
+        ys, xs = np.nonzero(mask.labels == lab)
+        qx, qy = sk.xy[:, 0][None, :], sk.xy[:, 1][None, :]
+        conf = np.maximum(sk.confidences, EPS_CONF)[None, :]
+        for lo in range(0, ys.size, _MATCH_CHUNK):
+            py = ys[lo:lo + _MATCH_CHUNK]
+            px = xs[lo:lo + _MATCH_CHUNK]
+            score = np.hypot(qx - px[:, None], qy - py[:, None]) / conf
+            out[py, px] = base + np.argmin(score, axis=1)
         base += sk.points.shape[0]
-
-    xs = np.arange(mask.width, dtype=np.float64)
-    rows = np.arange(mask.height)
-    n_workers = min(worker_count(), mask.height)
-    if n_workers <= 1:
-        _match_rows(rows, labels, xs, table, out)
-    else:
-        bands = np.array_split(rows, n_workers)
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [
-                pool.submit(_match_rows, band, labels, xs, table, out)
-                for band in bands if band.size
-            ]
-            for f in futures:
-                f.result()
     return out
 
 
@@ -310,6 +285,32 @@ def assign_subjects(frame: KeypointFrame, mask: SubjectMask) -> dict[int, int]:
     return assignment
 
 
+def subject_skeletons(
+    frame_t: KeypointFrame,
+    frame_t1: KeypointFrame,
+    mask: SubjectMask,
+    topology: BoneTopology = BoneTopology(),
+) -> dict[int, tuple[SkeletonMap, SkeletonMap]]:
+    """Each subject's skeleton maps in both frames, as {label: (k_t, k_t1)}.
+
+    Persons are assigned to subjects in frame t (assign_subjects) and keep
+    their index in frame t+1, so both frames must list the same persons.
+    """
+    if len(frame_t) != len(frame_t1):
+        raise ValidationError("keypoint frames list different person counts")
+    assignment = assign_subjects(frame_t, mask)
+    pairs = {}
+    for label in mask.subject_ids:
+        if label not in assignment:
+            raise ValidationError(f"no person assigned to subject {label}")
+        person = assignment[label]
+        pairs[label] = (
+            interpolate_skeleton(frame_t.persons[person], topology),
+            interpolate_skeleton(frame_t1.persons[person], topology),
+        )
+    return pairs
+
+
 def _hartley_normalization(pts: np.ndarray) -> np.ndarray:
     centroid = pts.mean(axis=0)
     d = np.hypot(pts[:, 0] - centroid[0], pts[:, 1] - centroid[1]).mean()
@@ -319,11 +320,6 @@ def _hartley_normalization(pts: np.ndarray) -> np.ndarray:
     return np.array([[s, 0.0, -s * centroid[0]],
                      [0.0, s, -s * centroid[1]],
                      [0.0, 0.0, 1.0]])
-
-
-def _apply_h(matrix: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    h = np.hstack([pts, np.ones((pts.shape[0], 1))]) @ matrix.T
-    return h[:, :2] / h[:, 2:3]
 
 
 def _fit_similarity(src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -361,8 +357,8 @@ def _fit_homography(src: np.ndarray, dst: np.ndarray, w: np.ndarray):
         raise DegenerateConfiguration("homography needs at least 4 point pairs")
     t_src = _hartley_normalization(src)
     t_dst = _hartley_normalization(dst)
-    sn = _apply_h(t_src, src)
-    dn = _apply_h(t_dst, dst)
+    sn = _apply_homogeneous(t_src, src)
+    dn = _apply_homogeneous(t_dst, dst)
     sw = np.sqrt(w)
     n = src.shape[0]
     a = np.zeros((2 * n, 9))

@@ -163,7 +163,7 @@ def test_criterion_5_solver_efficacy(reference_truth, reference_priors, monkeypa
         h, w = reference_truth.mask_t.height, reference_truth.mask_t.width
         zero = FlowMap.zeros(w, h)
         baseline, _ = flows.endpoint_error(zero, reference_truth.gt_world, reference_truth.mask_t)
-        opts = flows.SolverOptions(max_iters=500, seed=0)
+        opts = flows.SolverOptions(max_iters=500)
 
         results = []
         for threads in ("1", "2", "8"):
@@ -229,8 +229,8 @@ def test_criterion_6_alignment_recovery():
         raw = flows.Priors.build(
             truth.keypoints[0], truth.keypoints[1], truth.mask_t, truth.boundary_t
         )
-        f_aligned = flows.local_constraint_objective(truth.gt_local, aligned, hp).f
-        f_raw = flows.local_constraint_objective(truth.gt_local, raw, hp).f
+        f_aligned = flows.joint_objective(truth.gt_local, aligned, hp).f
+        f_raw = flows.joint_objective(truth.gt_local, raw, hp).f
         assert f_aligned <= f_raw
     print(f"\n[acceptance 6] alignment: reproj {reproj:.1e}px, rotation exact, "
           f"F'({f_aligned:.4f}) <= F({f_raw:.4f}), {b.elapsed:.1f}s")

@@ -3,7 +3,7 @@ import pytest
 
 from wlflow import boundary as bnd
 from wlflow.core import FlowMap, Hyperparams, PointSet, Vec2
-from wlflow.errors import EmptyPointSet, ValidationError
+from wlflow.errors import EmptyPointSet
 
 from conftest import make_circle
 
@@ -259,13 +259,8 @@ def test_multiscale_normalization_variants():
     ys = np.arange(8.0, 24.0)
     s = PointSet(np.stack([np.full(16, 12.0), ys], axis=1))
     e = PointSet(np.stack([np.full(16, 15.0), ys], axis=1))
-    co = bnd.multiscale_patch_distance(s, e, (8,), 32, 32, normalize="cooccupied")
-    al = bnd.multiscale_patch_distance(s, e, (8,), 32, 32, normalize="all")
+    co = bnd.multiscale_patch_distance(s, e, (8,), 32, 32)
     assert co.value == pytest.approx(3.0)
-    # 2 co-occupied cells of 16 total at scale 8
-    assert al.value == pytest.approx(3.0 * 2 / 16)
-    with pytest.raises(ValidationError):
-        bnd.multiscale_patch_distance(s, e, (8,), 32, 32, normalize="bogus")
 
 
 def test_boundary_constraint_matching_edges_is_zero(hp):

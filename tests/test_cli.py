@@ -218,3 +218,56 @@ def test_report_metrics_reproducible(scene_dir, capsys):
     m2 = json.loads(out2)
     assert m1["metrics"] == m2["metrics"]
     assert m1["inputs"] == m2["inputs"]
+
+
+def test_decompose_without_persons(scene_dir, tmp_path, capsys):
+    """Alignment methods reject a keypoints file with no persons; mask-mean never reads it."""
+    empty = tmp_path / "empty_keypoints.json"
+    empty.write_text(json.dumps({"frames": [{"persons": []}, {"persons": []}]}))
+    argv = [
+        "decompose", "--world", str(scene_dir / "gt_world.flo"),
+        "--mask", str(scene_dir / "mask_t.pgm"),
+        "--keypoints", str(empty),
+        "--out-local", str(tmp_path / "local.flo"),
+    ]
+    code, _, err = _run(capsys, argv + ["--method", "homography"])
+    assert code == 1
+    assert err == "error: no person assigned to subject 1\n"
+    code, out, err = _run(capsys, argv + ["--method", "mask-mean"])
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["metrics"]["method"] == "mask-mean"
+
+
+def _solve_argv(scene_dir, tmp_path, opts_doc):
+    opts = tmp_path / "opts.json"
+    opts.write_text(json.dumps(opts_doc))
+    return [
+        "solve", "--keypoints", str(scene_dir / "keypoints.json"),
+        "--mask", str(scene_dir / "mask_t.pgm"),
+        "--boundary", str(scene_dir / "boundary.json"),
+        "--opts", str(opts), "--out", str(tmp_path / "solved.flo"),
+    ]
+
+
+def _chamfer_argv(scene_dir, tmp_path, scales):
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps({"points": [[1.0, 1.0], [4.0, 2.0]]}))
+    return ["chamfer", "--s", str(pts), "--e", str(pts), "--patch", "--scales", scales]
+
+
+@pytest.mark.parametrize("build, arg, code, message", [
+    (_chamfer_argv, "8,,16", 1, "--scales must be comma-separated integers"),
+    (_chamfer_argv, "8,x", 1, "--scales must be comma-separated integers"),
+    (_solve_argv, {"tau_schedule": 5}, 2, "opts.json"),
+    (_solve_argv, {"tau_schedule": ["fast"]}, 2, "opts.json"),
+    (_solve_argv, {"max_iters": "many"}, 2, "opts.json"),
+    (_solve_argv, {"seed": 0}, 2, "unknown solver options ['seed']"),
+    (_solve_argv, {"max_iters": 0}, 1, "max_iters must be >= 1"),
+])
+def test_bad_arguments_exit_with_one_line_error(scene_dir, tmp_path, capsys, build, arg, code, message):
+    got, _, err = _run(capsys, build(scene_dir, tmp_path, arg))
+    assert got == code
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert "Traceback" not in err

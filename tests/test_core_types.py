@@ -11,7 +11,6 @@ from wlflow.core import (
     SubjectMask,
     Vec2,
     validate_pairing,
-    worker_count,
 )
 from wlflow.errors import DimensionMismatch, ValidationError
 
@@ -117,16 +116,6 @@ def test_hyperparams_defaults():
 def test_hyperparams_invariants(kwargs):
     with pytest.raises(ValidationError):
         Hyperparams(**kwargs)
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("HMORE_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("HMORE_THREADS", "0")
-    with pytest.raises(ValidationError):
-        worker_count()
-    monkeypatch.delenv("HMORE_THREADS")
-    assert worker_count() >= 1
 
 
 def test_confidence_floor_constant():

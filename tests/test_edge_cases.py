@@ -41,7 +41,7 @@ def test_concat_points_matches_match_all_indexing():
     labels[2, 2] = 1
     labels[8, 8] = 2
     mask = SubjectMask(labels)
-    table = skel.match_all(FlowMap.zeros(12, 12), {1: sk1, 2: sk2}, mask)
+    table = skel.match_all({1: sk1, 2: sk2}, mask)
     pts = skel.concat_points({1: sk1, 2: sk2})
     assert np.allclose(pts[table[2, 2], :2], (2.0, 2.0))
     assert np.allclose(pts[table[8, 8], :2], (8.0, 8.0))

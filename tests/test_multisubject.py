@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from wlflow import flows, skeleton as skel, synth
-from wlflow.core import FlowMap
 
 
 @pytest.fixture(scope="module")
@@ -30,9 +29,7 @@ def test_matching_respects_subject_restriction(two_subject_truth):
     skeletons = {
         lab: skel.interpolate_skeleton(frame.persons[pi]) for lab, pi in assignment.items()
     }
-    table = skel.match_all(
-        FlowMap.zeros(truth.mask_t.width, truth.mask_t.height), skeletons, truth.mask_t
-    )
+    table = skel.match_all(skeletons, truth.mask_t)
     n1 = skeletons[1].points.shape[0]
     sel1 = truth.mask_t.labels == 1
     sel2 = truth.mask_t.labels == 2

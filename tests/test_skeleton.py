@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wlflow import skeleton as skel
-from wlflow.core import EPS_CONF, FlowMap, KeypointFrame, SubjectMask
+from wlflow.core import EPS_CONF, KeypointFrame, SubjectMask
 from wlflow.errors import (
     DegenerateConfiguration,
     InsufficientHeadPoints,
@@ -144,7 +144,7 @@ def test_match_against_bruteforce_oracle():
 
 def test_match_all_background_is_none():
     mask = SubjectMask(np.zeros((8, 8), dtype=np.int32))
-    table = skel.match_all(FlowMap.zeros(8, 8), {}, mask)
+    table = skel.match_all({}, mask)
     assert np.all(table == -1)
 
 
@@ -154,7 +154,7 @@ def test_match_all_single_pixel_subject():
     mask = SubjectMask(labels)
     topo = skel.BoneTopology(edges=((0, 1),), samples_per_bone=2)
     sk = skel.SkeletonMap(np.array([[4.0, 3.0, 1.0], [7.0, 7.0, 1.0]]), topo)
-    table = skel.match_all(FlowMap.zeros(8, 8), {1: sk}, mask)
+    table = skel.match_all({1: sk}, mask)
     assert table[3, 4] == 0
     assert (table >= 0).sum() == 1
 
@@ -166,7 +166,7 @@ def test_match_all_equals_per_pixel_oracle(small_truth):
     skeletons = {
         lab: skel.interpolate_skeleton(frame.persons[pi]) for lab, pi in assignment.items()
     }
-    table = skel.match_all(FlowMap.zeros(mask.width, mask.height), skeletons, mask)
+    table = skel.match_all(skeletons, mask)
     ys, xs = np.nonzero(mask.labels)
     for y, x in zip(ys[::7], xs[::7]):  # stride keeps the oracle loop fast
         lab = int(mask.labels[y, x])
@@ -179,22 +179,30 @@ def test_match_all_missing_skeleton_raises():
     labels = np.zeros((8, 8), dtype=np.int32)
     labels[1, 1] = 1
     with pytest.raises(NoCandidates):
-        skel.match_all(FlowMap.zeros(8, 8), {}, SubjectMask(labels))
+        skel.match_all({}, SubjectMask(labels))
 
 
-def test_match_all_thread_count_invariance(small_truth, monkeypatch):
-    mask = small_truth.mask_t
-    frame = small_truth.keypoints[0]
-    assignment = skel.assign_subjects(frame, mask)
-    skeletons = {
-        lab: skel.interpolate_skeleton(frame.persons[pi]) for lab, pi in assignment.items()
-    }
-    tables = []
-    for n in ("1", "2", "8"):
-        monkeypatch.setenv("HMORE_THREADS", n)
-        tables.append(skel.match_all(FlowMap.zeros(mask.width, mask.height), skeletons, mask))
-    assert np.array_equal(tables[0], tables[1])
-    assert np.array_equal(tables[0], tables[2])
+def test_match_all_across_chunks_equals_oracle_everywhere():
+    """Subjects larger than one scoring chunk match the oracle on every pixel."""
+    rng = np.random.default_rng(4)
+    labels = np.zeros((64, 96), dtype=np.int32)
+    labels[8:52, 4:44] = 1
+    labels[10:56, 50:90] = 2
+    mask = SubjectMask(labels)
+    assert min((labels == 1).sum(), (labels == 2).sum()) > skel._MATCH_CHUNK
+    skeletons = {}
+    for lab in (1, 2):
+        joints = _joints(rng)
+        joints[:, 2] = rng.uniform(0.0, 1.0, 17)
+        joints[7, 2] = 0.0  # an elbow the detector missed
+        skeletons[lab] = skel.interpolate_skeleton(joints)
+    table = skel.match_all(skeletons, mask)
+    n1 = skeletons[1].points.shape[0]
+    for y, x in zip(*np.nonzero(labels)):
+        lab = int(labels[y, x])
+        expect = skel.match_body_point((float(x), float(y)), skeletons[lab], mask)
+        assert table[y, x] == expect + (n1 if lab == 2 else 0)
+    assert np.all(table[labels == 0] == -1)
 
 
 def test_fit_translation_exact():
