@@ -2,6 +2,8 @@
 
 Edges of a flow field are pixels whose displacement differs from some
 8-neighbor in magnitude (intensity edges) or direction (angular edges).
+Both tests are symmetric in the pair, so the hard and the soft detector
+score each neighbor pair once, over 4 offsets, and mark both of its pixels.
 The boundary constraint measures how far those edges sit from a reference
 boundary curve, using a per-patch centroid distance that approximates the
 Chamfer distance when points are smoothly distributed.
@@ -70,13 +72,16 @@ class BoundaryResult:
     edges_empty: bool = False
 
 
-def _neighbor_views(arr: np.ndarray, fill: float) -> list[np.ndarray]:
-    """For each 8-neighbor offset, the neighbor's value at every pixel."""
-    h, w = arr.shape[:2]
-    pad_shape = (h + 2, w + 2) + arr.shape[2:]
-    padded = np.full(pad_shape, fill, dtype=arr.dtype)
-    padded[1:h + 1, 1:w + 1] = arr
-    return [padded[1 + dy:1 + dy + h, 1 + dx:1 + dx + w] for dy, dx in _NEIGHBORS]
+def _pair_slices(dy: int, dx: int, h: int, w: int):
+    """Slices (at_i, at_j) selecting every in-raster pixel pair (i, i + (dy, dx)).
+
+    `arr[at_i]` holds the first pixel of each pair and `arr[at_j]` the second,
+    so off-raster neighbors never enter either slice.
+    """
+    def span(d: int, n: int) -> slice:
+        return slice(max(0, -d), n - max(0, d))
+
+    return (span(dy, h), span(dx, w)), (span(-dy, h), span(-dx, w))
 
 
 def extract_flow_edges(flow: FlowMap, hp: Hyperparams) -> EdgeMap:
@@ -85,28 +90,26 @@ def extract_flow_edges(flow: FlowMap, hp: Hyperparams) -> EdgeMap:
     A pixel is an intensity edge when some neighbor differs in displacement
     norm by at least hp.edge_theta_i; an angular edge when some neighbor
     (both displacements non-static) differs in direction by at least
-    hp.edge_theta_a degrees.
+    hp.edge_theta_a degrees. Both tests are symmetric, so each neighbor
+    pair is scored once and a hit marks both of its pixels.
     """
     m = flow.vectors
     h, w = m.shape[:2]
     r = np.hypot(m[..., 0], m[..., 1])
-    r_pad = _neighbor_views(r, np.nan)
-    m_pad = _neighbor_views(m, np.nan)
 
     intensity = np.zeros((h, w), dtype=bool)
     angular = np.zeros((h, w), dtype=bool)
     cos_lim = np.cos(np.deg2rad(hp.edge_theta_a))
     moving = r >= EPS_VEC
-    for rj, mj in zip(r_pad, m_pad):
-        valid = ~np.isnan(rj)
-        diff = np.abs(r - rj)
-        intensity |= valid & (diff >= hp.edge_theta_i)
-        both = valid & moving & (rj >= EPS_VEC)
-        if both.any():
-            dot = (m * mj).sum(axis=-1)
-            with np.errstate(invalid="ignore"):
-                cos = dot / (r * rj)
-            angular |= both & (cos <= cos_lim)
+    for dy, dx in _NEIGHBORS[:4]:
+        i, j = _pair_slices(dy, dx, h, w)
+        hit_i = np.abs(r[i] - r[j]) >= hp.edge_theta_i
+        with np.errstate(invalid="ignore"):
+            cos = (m[i] * m[j]).sum(axis=-1) / (r[i] * r[j])
+        hit_a = moving[i] & moving[j] & (cos <= cos_lim)
+        for at in (i, j):
+            intensity[at] |= hit_i
+            angular[at] |= hit_a
 
     def to_points(mask2d: np.ndarray) -> PointSet:
         ys, xs = np.nonzero(mask2d)
@@ -120,14 +123,19 @@ def extract_flow_edges(flow: FlowMap, hp: Hyperparams) -> EdgeMap:
 
 
 def auto_intensity_threshold(flow: FlowMap, percentile: float = 90.0) -> float:
-    """Adaptive intensity-edge threshold: percentile of neighbor norm differences."""
+    """Adaptive intensity-edge threshold: percentile of neighbor norm differences.
+
+    Each in-raster neighbor pair is counted twice, once from each of its
+    pixels, as the per-pixel 8-neighbor definition does.
+    """
     m = flow.vectors
+    h, w = m.shape[:2]
     r = np.hypot(m[..., 0], m[..., 1])
     diffs = []
-    for rj in _neighbor_views(r, np.nan):
-        d = np.abs(r - rj)
-        diffs.append(d[~np.isnan(d)])
-    alldiff = np.concatenate(diffs) if diffs else np.zeros(1)
+    for dy, dx in _NEIGHBORS[:4]:
+        i, j = _pair_slices(dy, dx, h, w)
+        diffs.append(np.abs(r[i] - r[j]).ravel())
+    alldiff = np.concatenate(diffs * 2)
     if alldiff.size == 0:
         return EPS_VEC
     return float(max(np.percentile(alldiff, percentile), EPS_VEC))
@@ -245,8 +253,17 @@ _MASS_FLOOR = 0.5  # cells with less soft edge mass than this are skipped
 def _soft_edge_weights(m: np.ndarray, hp: Hyperparams, tau: float):
     """Forward pass of the soft edge detector.
 
-    Returns (w, cache) where w is the per-pixel edge weight in [0, 1] and
-    cache holds the intermediates the backward pass needs.
+    Each neighbor pair (i, j) is scored once, over the 4 forward offsets,
+    and the score goes to both pixels: under offset n at i and under the
+    reverse offset 7 - n at j. Off-raster slots stay 0: intensity weights
+    are positive, so such a slot never wins that argmax, and it wins the
+    angular one only where every in-raster angular weight is 0.
+
+    Returns (w, r, s2, du, wu, ni, na, wi, wa, siga, cosfac): the per-pixel
+    edge weight w in [0, 1]; the flow norm r, the squared smoothing scale s2
+    and the smoothed norm du and moving weight wu; the neighbor offsets ni
+    and na whose intensity and angular weights wi and wa are largest; and,
+    stacked by offset, the angular sigmoid siga and d(siga)/d(cos) cosfac.
     """
     h, wd = m.shape[:2]
     r = np.hypot(m[..., 0], m[..., 1])
@@ -256,53 +273,33 @@ def _soft_edge_weights(m: np.ndarray, hp: Hyperparams, tau: float):
     wu = (r * r) / (r * r + s2)
     theta_lim = np.deg2rad(hp.edge_theta_a)
 
-    r_nb = _neighbor_views(r, np.nan)
-    m_nb = _neighbor_views(m, np.nan)
-    du_nb = _neighbor_views(du, np.nan)
-    wu_nb = _neighbor_views(wu, np.nan)
-
-    b_stack = np.full((8, h, wd), -np.inf)
-    a_stack = np.full((8, h, wd), -np.inf)
-    sign_stack = np.zeros((8, h, wd))
+    b_stack = np.zeros((8, h, wd))
+    a_stack = np.zeros((8, h, wd))
     siga_stack = np.zeros((8, h, wd))
-    g_stack = np.zeros((8, h, wd))
     cosfac_stack = np.zeros((8, h, wd))
 
-    for n in range(8):
-        rj, mj, duj, wuj = r_nb[n], m_nb[n], du_nb[n], wu_nb[n]
-        valid = ~np.isnan(rj)
-        diff = np.where(valid, np.abs(r - rj), 0.0)
-        b = _sigmoid((diff - hp.edge_theta_i) / tau)
-        b_stack[n] = np.where(valid, b, -np.inf)
-        sign_stack[n] = np.where(valid, np.sign(r - rj), 0.0)
-
-        dot = np.where(valid, (m * np.nan_to_num(mj)).sum(axis=-1), 0.0)
-        denom = np.where(valid, du * np.nan_to_num(duj, nan=1.0), 1.0)
-        cos = dot / denom
+    for n, (dy, dx) in enumerate(_NEIGHBORS[:4]):
+        i, j = _pair_slices(dy, dx, h, wd)
+        b = _sigmoid((np.abs(r[i] - r[j]) - hp.edge_theta_i) / tau)
+        cos = (m[i] * m[j]).sum(axis=-1) / (du[i] * du[j])
         theta = np.arccos(np.clip(cos, -1.0, 1.0))
         siga = _sigmoid((theta - theta_lim) / tau)
-        g = np.where(valid, wu * np.nan_to_num(wuj), 0.0)
-        a_stack[n] = np.where(valid, g * siga, -np.inf)
-        siga_stack[n] = siga
-        g_stack[n] = g
+        a = wu[i] * wu[j] * siga
         # d(siga)/d(cos) = siga' / tau * dtheta/dcos (negative)
         dtheta_dcos = -1.0 / np.sqrt(np.maximum(1.0 - cos ** 2, 1e-12))
-        cosfac_stack[n] = np.where(valid, siga * (1.0 - siga) / tau * dtheta_dcos, 0.0)
+        cosfac = siga * (1.0 - siga) / tau * dtheta_dcos
+        for k, at in ((n, i), (7 - n, j)):
+            b_stack[k][at] = b
+            a_stack[k][at] = a
+            siga_stack[k][at] = siga
+            cosfac_stack[k][at] = cosfac
 
     ni = np.argmax(b_stack, axis=0)
     na = np.argmax(a_stack, axis=0)
-    wi = np.take_along_axis(b_stack, ni[None], axis=0)[0]
-    wa = np.take_along_axis(a_stack, na[None], axis=0)[0]
-    wi = np.where(np.isfinite(wi), wi, 0.0)
-    wa = np.where(np.isfinite(wa), wa, 0.0)
+    wi = b_stack.max(axis=0)
+    wa = a_stack.max(axis=0)
     w = 1.0 - (1.0 - wi) * (1.0 - wa)
-
-    cache = dict(
-        r=r, s2=s2, du=du, wu=wu, ni=ni, na=na, wi=wi, wa=wa,
-        b_stack=b_stack, a_stack=a_stack, sign_stack=sign_stack,
-        siga_stack=siga_stack, g_stack=g_stack, cosfac_stack=cosfac_stack,
-    )
-    return w, cache
+    return w, r, s2, du, wu, ni, na, wi, wa, siga_stack, cosfac_stack
 
 
 def _soft_cell_value(w: np.ndarray, e_counts, e_centroids, scale: int, width: int, height: int):
@@ -330,8 +327,8 @@ def _soft_cell_value(w: np.ndarray, e_counts, e_centroids, scale: int, width: in
     cy = np.zeros(n_cells)
     cx[include] = sx_c[include] / m_c[include]
     cy[include] = sy_c[include] / m_c[include]
-    ex = np.where(include, cx - np.nan_to_num(ce[:, 0]), 0.0)
-    ey = np.where(include, cy - np.nan_to_num(ce[:, 1]), 0.0)
+    ex = np.where(include, cx - ce[:, 0], 0.0)
+    ey = np.where(include, cy - ce[:, 1], 0.0)
     d = np.hypot(ex, ey)
     value = float(d[include].mean())
 
@@ -367,7 +364,7 @@ def soft_boundary_constraint(
     if h * wd == 1:
         return 0.0, grad
 
-    w, cache = _soft_edge_weights(m, hp, tau)
+    w, r, s2, du, wu, ni, na, wi, wa, siga, cosfac = _soft_edge_weights(m, hp, tau)
 
     dvdw_total = np.zeros((h, wd))
     value = 0.0
@@ -379,62 +376,38 @@ def soft_boundary_constraint(
         dvdw_total += dvdw / len(scales)
 
     # Backward through w = 1 - (1 - wi)(1 - wa) and the neighbor sigmoids.
-    r = cache["r"]
-    s2 = cache["s2"]
-    du = cache["du"]
-    wu = cache["wu"]
-    wi, wa = cache["wi"], cache["wa"]
-    ni, na = cache["ni"], cache["na"]
-    b_stack = cache["b_stack"]
-    a_stack = cache["a_stack"]
-    sign_stack = cache["sign_stack"]
-    siga_stack = cache["siga_stack"]
-    g_stack = cache["g_stack"]
-    cosfac_stack = cache["cosfac_stack"]
-
     grad_r = np.zeros((h, wd))
     dwdwi = dvdw_total * (1.0 - wa)
     dwdwa = dvdw_total * (1.0 - wi)
-    ys, xs = np.mgrid[0:h, 0:wd]
     dwu_dr = 2.0 * r * s2 / (r * r + s2) ** 2
 
     for n, (dy, dx) in enumerate(_NEIGHBORS):
-        jy, jx = ys + dy, xs + dx
-        inb = (jy >= 0) & (jy < h) & (jx >= 0) & (jx < wd)
+        i, j = _pair_slices(dy, dx, h, wd)
 
         # intensity path through the argmax neighbor
-        sel = (ni == n) & inb & np.isfinite(b_stack[n])
-        if sel.any():
-            b = b_stack[n][sel]
-            common = dwdwi[sel] * b * (1.0 - b) / tau * sign_stack[n][sel]
-            np.add.at(grad_r, (ys[sel], xs[sel]), common)
-            np.add.at(grad_r, (jy[sel], jx[sel]), -common)
+        sel = ni[i] == n
+        b = wi[i][sel]  # the argmax neighbor's intensity weight
+        common = dwdwi[i][sel] * b * (1.0 - b) / tau * np.sign(r[i][sel] - r[j][sel])
+        grad_r[i][sel] += common
+        grad_r[j][sel] -= common
 
         # angular path through the argmax neighbor
-        sel = (na == n) & inb & np.isfinite(a_stack[n]) & (g_stack[n] > 0)
-        if sel.any():
-            iy_s, ix_s = ys[sel], xs[sel]
-            jy_s, jx_s = jy[sel], jx[sel]
-            mi = m[iy_s, ix_s]
-            mj = m[jy_s, jx_s]
-            dui = du[iy_s, ix_s]
-            duj = du[jy_s, jx_s]
-            wui = wu[iy_s, ix_s]
-            wuj = wu[jy_s, jx_s]
-            siga = siga_stack[n][sel]
-            g = g_stack[n][sel]
-            cosfac = cosfac_stack[n][sel]
-            common = dwdwa[sel]
+        g = wu[i] * wu[j]
+        sel = (na[i] == n) & (g > 0)
+        mi, mj = m[i][sel], m[j][sel]
+        dui, duj = du[i][sel], du[j][sel]
+        wui, wuj = wu[i][sel], wu[j][sel]
+        siga_n = siga[n][i][sel]
+        common = dwdwa[i][sel]
+        grad_r[i][sel] += common * siga_n * wuj * dwu_dr[i][sel]
+        grad_r[j][sel] += common * siga_n * wui * dwu_dr[j][sel]
 
-            np.add.at(grad_r, (iy_s, ix_s), common * siga * wuj * dwu_dr[iy_s, ix_s])
-            np.add.at(grad_r, (jy_s, jx_s), common * siga * wui * dwu_dr[jy_s, jx_s])
-
-            dot = (mi * mj).sum(axis=1)
-            factor = common * g * cosfac
-            dcos_di = mj / (dui * duj)[:, None] - (dot / (dui ** 3 * duj))[:, None] * mi
-            dcos_dj = mi / (dui * duj)[:, None] - (dot / (duj ** 3 * dui))[:, None] * mj
-            np.add.at(grad, (iy_s, ix_s), factor[:, None] * dcos_di)
-            np.add.at(grad, (jy_s, jx_s), factor[:, None] * dcos_dj)
+        dot = (mi * mj).sum(axis=1)
+        factor = common * g[sel] * cosfac[n][i][sel]
+        dcos_di = mj / (dui * duj)[:, None] - (dot / (dui ** 3 * duj))[:, None] * mi
+        dcos_dj = mi / (dui * duj)[:, None] - (dot / (duj ** 3 * dui))[:, None] * mj
+        grad[i][sel] += factor[:, None] * dcos_di
+        grad[j][sel] += factor[:, None] * dcos_dj
 
     safe_r = np.where(r > 0, r, 1.0)
     grad += (grad_r / safe_r)[..., None] * m

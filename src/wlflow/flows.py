@@ -173,8 +173,10 @@ def solve_world_flow(
     """Minimize the smooth surrogate objective by backtracking gradient descent.
 
     The tau schedule splits the iteration budget into phases of decreasing
-    surrogate sharpness. Accepted steps never increase the surrogate within
-    a phase. The trace records the hard objective at every accepted step.
+    surrogate sharpness; once the budget is spent, the remaining phases are
+    skipped and the result is not converged. Accepted steps never increase
+    the surrogate within a phase. The trace records the hard objective at
+    every accepted step.
     Deterministic: same inputs and options give bitwise-identical output.
     """
     validate_pairing(init, priors.mask)
@@ -182,6 +184,11 @@ def solve_world_flow(
     trace: list[TraceEntry] = []
     iters_per_phase = -(-opts.max_iters // len(opts.tau_schedule))
     for tau in opts.tau_schedule:
+        budget = min(iters_per_phase, opts.max_iters - len(trace))
+        if budget == 0:
+            converged = False
+            break
+
         def surrogate(arr, tau=tau):
             return _surrogate(arr, priors, hp, opts, tau)
 
@@ -197,7 +204,6 @@ def solve_world_flow(
         value, grad = surrogate(x)
         gmax = float(np.abs(grad).max())
         eta = opts.step_size / gmax if gmax > 0 else opts.step_size
-        budget = min(iters_per_phase, opts.max_iters - len(trace))
         x, converged = armijo_descent(surrogate, x, value, grad, eta, budget, opts.tolerance, record)
     return SolveResult(FlowMap(x), tuple(trace), converged)
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wlflow import boundary as bnd
-from wlflow.core import FlowMap, Hyperparams, PointSet, Vec2
+from wlflow.core import EPS_VEC, FlowMap, Hyperparams, PointSet, Vec2
 from wlflow.errors import EmptyPointSet
 
 from conftest import make_circle
@@ -91,6 +93,67 @@ def test_angular_edges_invariant_to_global_translation(hp):
         return out
     assert {tuple(p) for p in e2.angular_edges.points} == angular_set(shifted)
     assert s1 == angular_set(arr)
+
+
+@st.composite
+def _small_integer_flows(draw):
+    h = draw(st.integers(1, 6))
+    w = draw(st.integers(1, 6))
+    values = draw(st.lists(st.integers(-3, 3), min_size=h * w * 2, max_size=h * w * 2))
+    return np.array(values, dtype=np.float64).reshape(h, w, 2)
+
+
+def _brute_force_edges(arr, hp):
+    """Per-pixel loop over the in-raster 8-neighbors: edge pixel sets and every
+    (pixel, neighbor) norm difference. The tests themselves are the
+    detector's, so only the enumeration of neighbors differs."""
+    h, w = arr.shape[:2]
+    r = np.hypot(arr[..., 0], arr[..., 1])
+    cos_lim = np.cos(np.deg2rad(hp.edge_theta_a))
+    intensity, angular, diffs = set(), set(), []
+    for y in range(h):
+        for x in range(w):
+            for dy in (-1, 0, 1):
+                for dx in (-1, 0, 1):
+                    ny, nx = y + dy, x + dx
+                    if (dy, dx) == (0, 0) or not (0 <= ny < h and 0 <= nx < w):
+                        continue
+                    diff = abs(r[y, x] - r[ny, nx])
+                    diffs.append(diff)
+                    if diff >= hp.edge_theta_i:
+                        intensity.add((x, y))
+                    if r[y, x] >= EPS_VEC and r[ny, nx] >= EPS_VEC:
+                        u, v = arr[y, x], arr[ny, nx]
+                        if (u[0] * v[0] + u[1] * v[1]) / (r[y, x] * r[ny, nx]) <= cos_lim:
+                            angular.add((x, y))
+    return intensity, angular, diffs
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    arr=_small_integer_flows(),
+    theta_i=st.sampled_from([0.5, 1.0, 2.0]),
+    theta_a=st.sampled_from([30.0, 45.0, 90.0]),
+    percentile=st.sampled_from([0.0, 50.0, 90.0, 100.0]),
+)
+@example(arr=np.zeros((1, 1, 2)), theta_i=1.0, theta_a=90.0, percentile=90.0)
+@example(arr=np.arange(12.0).reshape(1, 6, 2) % 3, theta_i=1.0, theta_a=90.0, percentile=90.0)
+@example(arr=np.arange(12.0).reshape(6, 1, 2) % 3, theta_i=1.0, theta_a=45.0, percentile=50.0)
+def test_edges_and_threshold_equal_brute_force(arr, theta_i, theta_a, percentile):
+    """Small integer flows make ties, static pixels and exact thresholds
+    common; 1xN and Nx1 rasters have no interior pixels at all."""
+    hp = Hyperparams(edge_theta_i=theta_i, edge_theta_a=theta_a)
+    intensity, angular, diffs = _brute_force_edges(arr, hp)
+    edges = bnd.extract_flow_edges(FlowMap(arr), hp)
+
+    def as_set(ps):
+        return {(int(x), int(y)) for x, y in ps.points}
+
+    assert as_set(edges.intensity_edges) == intensity
+    assert as_set(edges.angular_edges) == angular
+    assert as_set(edges.union) == intensity | angular
+    expect = max(np.percentile(diffs, percentile), EPS_VEC) if diffs else EPS_VEC
+    assert bnd.auto_intensity_threshold(FlowMap(arr), percentile) == expect
 
 
 def test_exact_chamfer_identical_sets():
@@ -318,7 +381,12 @@ def test_soft_boundary_gradient_finite_differences(small_truth, small_priors, hp
     h = 1e-4
     n = base.shape[0]
     worst = 0.0
-    for y, x, c in zip(rng.integers(0, n, 20), rng.integers(0, n, 20), rng.integers(0, 2, 20)):
+    samples = list(zip(rng.integers(0, n, 20), rng.integers(0, n, 20), rng.integers(0, 2, 20)))
+    # corners and edge midpoints, whose neighbor pairs are cut by the border
+    mid, last = n // 2, n - 1
+    border = [(0, 0), (0, last), (last, 0), (last, last), (0, mid), (mid, 0), (last, mid), (mid, last)]
+    samples += [(y, x, c) for y, x in border for c in (0, 1)]
+    for y, x, c in samples:
         plus = base.copy()
         plus[y, x, c] += h
         minus = base.copy()

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,30 @@ def test_solver_deterministic_same_options(small_truth, small_priors, hp):
     r1 = flows.solve_world_flow(FlowMap.zeros(w, h), small_priors, hp, opts)
     r2 = flows.solve_world_flow(FlowMap.zeros(w, h), small_priors, hp, opts)
     assert np.array_equal(r1.flow.vectors, r2.flow.vectors)
+
+
+def test_solver_skips_phase_without_budget(small_truth, small_priors, hp, monkeypatch):
+    """max_iters=4 over three phases gives budgets 2/2/0: the last phase
+    must not evaluate the surrogate, and the result matches two phases."""
+    calls = Counter()
+    soft = flows.bnd.soft_boundary_constraint
+
+    def counting(flow, boundary, hp, tau):
+        calls[tau] += 1
+        return soft(flow, boundary, hp, tau)
+
+    monkeypatch.setattr(flows.bnd, "soft_boundary_constraint", counting)
+    zero = FlowMap.zeros(small_truth.mask_t.width, small_truth.mask_t.height)
+    res = flows.solve_world_flow(zero, small_priors, hp, flows.SolverOptions(max_iters=4))
+    assert calls[0.02] == 0
+    assert calls[0.5] > 0 and calls[0.1] > 0
+    two = flows.solve_world_flow(
+        zero, small_priors, hp, flows.SolverOptions(max_iters=4, tau_schedule=(0.5, 0.1))
+    )
+    assert np.array_equal(res.flow.vectors, two.flow.vectors)
+    assert res.trace == two.trace
+    assert [t.tau for t in res.trace] == [0.5, 0.5, 0.1, 0.1]
+    assert not res.converged
 
 
 def test_solver_near_stationary_from_gt(reference_truth, reference_priors, hp):
