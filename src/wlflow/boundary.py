@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import EPS_VEC, FlowMap, Hyperparams, PointSet, _sigmoid, armijo_descent
+from .core import EPS_VEC, FlowMap, Hyperparams, PointSet, _dcos, _sigmoid, _soft_angle, armijo_descent
 from .errors import EmptyPointSet, ValidationError
 
 # 8-neighborhood offsets as (dy, dx).
@@ -150,18 +150,13 @@ def exact_chamfer(s: PointSet, e: PointSet) -> float:
     return float(np.mean(d))
 
 
-def _cell_ids(points: np.ndarray, scale: int, gw: int) -> np.ndarray:
-    cx = np.floor(points[:, 0] / scale).astype(np.int64)
-    cy = np.floor(points[:, 1] / scale).astype(np.int64)
-    return cy * gw + cx
-
-
 def _bin_points(points: np.ndarray, scale: int, gh: int, gw: int):
     n_cells = gh * gw
     counts = np.zeros(n_cells, dtype=np.int64)
     centroids = np.full((n_cells, 2), np.nan)
     if points.shape[0]:
-        ids = _cell_ids(points, scale, gw)
+        cx, cy = np.floor(points / scale).astype(np.int64).T
+        ids = cy * gw + cx
         counts = np.bincount(ids, minlength=n_cells)
         sx = np.bincount(ids, weights=points[:, 0], minlength=n_cells)
         sy = np.bincount(ids, weights=points[:, 1], minlength=n_cells)
@@ -171,19 +166,19 @@ def _bin_points(points: np.ndarray, scale: int, gh: int, gw: int):
     return counts.reshape(gh, gw), centroids.reshape(gh, gw, 2)
 
 
+def _check_in_raster(name: str, pts: np.ndarray, width: int, height: int) -> None:
+    if (pts < 0).any() or (pts[:, 0] >= width).any() or (pts[:, 1] >= height).any():
+        raise ValidationError(f"curve {name} has points outside the {width}x{height} raster")
+
+
 def build_patch_grid(s: PointSet, e: PointSet, scale: int, width: int, height: int) -> PatchGrid:
     """Tile the raster into scale-sized cells and bin both curves into them."""
     if scale < 2:
         raise ValidationError("patch scale must be >= 2")
     if width < 1 or height < 1:
         raise ValidationError("raster dimensions must be positive")
-    for name, ps in (("s", s), ("e", e)):
-        pts = ps.points
-        if pts.shape[0] and (
-            (pts[:, 0] < 0).any() or (pts[:, 0] >= width).any()
-            or (pts[:, 1] < 0).any() or (pts[:, 1] >= height).any()
-        ):
-            raise ValidationError(f"curve {name} has points outside the {width}x{height} raster")
+    _check_in_raster("s", s.points, width, height)
+    _check_in_raster("e", e.points, width, height)
     gw = -(-width // scale)
     gh = -(-height // scale)
     counts_s, centroids_s = _bin_points(s.points, scale, gh, gw)
@@ -250,64 +245,12 @@ def boundary_constraint(
 _MASS_FLOOR = 0.5  # cells with less soft edge mass than this are skipped
 
 
-def _soft_edge_weights(m: np.ndarray, hp: Hyperparams, tau: float):
-    """Forward pass of the soft edge detector.
-
-    Each neighbor pair (i, j) is scored once, over the 4 forward offsets,
-    and the score goes to both pixels: under offset n at i and under the
-    reverse offset 7 - n at j. Off-raster slots stay 0: intensity weights
-    are positive, so such a slot never wins that argmax, and it wins the
-    angular one only where every in-raster angular weight is 0.
-
-    Returns (w, r, s2, du, wu, ni, na, wi, wa, siga, cosfac): the per-pixel
-    edge weight w in [0, 1]; the flow norm r, the squared smoothing scale s2
-    and the smoothed norm du and moving weight wu; the neighbor offsets ni
-    and na whose intensity and angular weights wi and wa are largest; and,
-    stacked by offset, the angular sigmoid siga and d(siga)/d(cos) cosfac.
-    """
-    h, wd = m.shape[:2]
-    r = np.hypot(m[..., 0], m[..., 1])
-    s = EPS_VEC + tau
-    s2 = s * s
-    du = np.sqrt(r * r + s2)
-    wu = (r * r) / (r * r + s2)
-    theta_lim = np.deg2rad(hp.edge_theta_a)
-
-    b_stack = np.zeros((8, h, wd))
-    a_stack = np.zeros((8, h, wd))
-    siga_stack = np.zeros((8, h, wd))
-    cosfac_stack = np.zeros((8, h, wd))
-
-    for n, (dy, dx) in enumerate(_NEIGHBORS[:4]):
-        i, j = _pair_slices(dy, dx, h, wd)
-        b = _sigmoid((np.abs(r[i] - r[j]) - hp.edge_theta_i) / tau)
-        cos = (m[i] * m[j]).sum(axis=-1) / (du[i] * du[j])
-        theta = np.arccos(np.clip(cos, -1.0, 1.0))
-        siga = _sigmoid((theta - theta_lim) / tau)
-        a = wu[i] * wu[j] * siga
-        # d(siga)/d(cos) = siga' / tau * dtheta/dcos (negative)
-        dtheta_dcos = -1.0 / np.sqrt(np.maximum(1.0 - cos ** 2, 1e-12))
-        cosfac = siga * (1.0 - siga) / tau * dtheta_dcos
-        for k, at in ((n, i), (7 - n, j)):
-            b_stack[k][at] = b
-            a_stack[k][at] = a
-            siga_stack[k][at] = siga
-            cosfac_stack[k][at] = cosfac
-
-    ni = np.argmax(b_stack, axis=0)
-    na = np.argmax(a_stack, axis=0)
-    wi = b_stack.max(axis=0)
-    wa = a_stack.max(axis=0)
-    w = 1.0 - (1.0 - wi) * (1.0 - wa)
-    return w, r, s2, du, wu, ni, na, wi, wa, siga_stack, cosfac_stack
-
-
-def _soft_cell_value(w: np.ndarray, e_counts, e_centroids, scale: int, width: int, height: int):
-    """Soft patch-centroid distance at one scale and its d(value)/d(w) field."""
+def _soft_cell_value(w: np.ndarray, ys, xs, boundary_points: np.ndarray, scale: int):
+    """Soft patch-centroid distance at one scale and its d(value)/d(w) field;
+    `ys, xs` are the pixel coordinates of w."""
     h, wd = w.shape
-    gw = -(-width // scale)
-    gh = -(-height // scale)
-    ys, xs = np.mgrid[0:h, 0:wd]
+    gh, gw = -(-h // scale), -(-wd // scale)
+    e_counts, e_centroids = _bin_points(boundary_points, scale, gh, gw)
     cid = (ys // scale) * gw + (xs // scale)
     cid_flat = cid.ravel()
     n_cells = gh * gw
@@ -319,9 +262,8 @@ def _soft_cell_value(w: np.ndarray, e_counts, e_centroids, scale: int, width: in
     ce = e_centroids.reshape(-1, 2)
     include = (m_c > _MASS_FLOOR) & (e_c > 0)
     n_inc = int(include.sum())
-    dvdw = np.zeros((h, wd))
     if n_inc == 0:
-        return 0.0, dvdw
+        return 0.0, np.zeros((h, wd))
 
     cx = np.zeros(n_cells)
     cy = np.zeros(n_cells)
@@ -335,10 +277,7 @@ def _soft_cell_value(w: np.ndarray, e_counts, e_centroids, scale: int, width: in
     # d(d_c)/d(w_i) = ((x_i - cx) ex + (y_i - cy) ey) / (d m), mean over cells
     safe_d = np.where(d > 1e-12, d, 1.0)
     coeff = np.where(include & (d > 1e-12), 1.0 / (n_inc * safe_d * np.where(include, m_c, 1.0)), 0.0)
-    dvdw = (
-        coeff[cid] * ((xs - cx[cid]) * ex[cid] + (ys - cy[cid]) * ey[cid])
-    )
-    return value, dvdw
+    return value, coeff[cid] * ((xs - cx[cid]) * ex[cid] + (ys - cy[cid]) * ey[cid])
 
 
 def soft_boundary_constraint(
@@ -353,6 +292,12 @@ def soft_boundary_constraint(
     discontinuities (the two measures are combined by a smooth union), cell
     centroids become weight-weighted means, and the returned gradient is
     analytic in every flow vector.
+
+    Each neighbor pair (i, j) is scored once, over the 4 forward offsets.
+    A pixel's intensity and angular weights are the largest of its 8
+    neighbor slots, where slot n holds the pair with neighbor _NEIGHBORS[n]
+    and an off-raster slot counts as 0. The gradient flows through the
+    lowest slot that attains the largest weight.
     """
     if tau <= 0:
         raise ValidationError("tau must be positive")
@@ -360,54 +305,81 @@ def soft_boundary_constraint(
         raise EmptyPointSet("boundary curve is empty")
     m = flow.vectors
     h, wd = m.shape[:2]
-    grad = np.zeros((h, wd, 2))
-    if h * wd == 1:
-        return 0.0, grad
+    _check_in_raster("e", boundary.points, wd, h)
 
-    w, r, s2, du, wu, ni, na, wi, wa, siga, cosfac = _soft_edge_weights(m, hp, tau)
+    # Forward: per pair, the intensity weight b, the angular weight a = g siga
+    # with moving gate g, and d(siga)/d(cos).
+    r = np.hypot(m[..., 0], m[..., 1])
+    s = EPS_VEC + tau
+    s2 = s * s
+    du = np.sqrt(r * r + s2)
+    wu = (r * r) / (r * r + s2)
+    pairs = []
+    for dy, dx in _NEIGHBORS[:4]:
+        i, j = _pair_slices(dy, dx, h, wd)
+        b = _sigmoid((np.abs(r[i] - r[j]) - hp.edge_theta_i) / tau)
+        siga, cosfac = _soft_angle((m[i] * m[j]).sum(axis=-1) / (du[i] * du[j]), hp.edge_theta_a, tau)
+        g = wu[i] * wu[j]
+        pairs.append((b, g * siga, g, siga, cosfac))
+
+    # Running max over the slots in order; a strict > keeps the lowest slot on ties.
+    # Slot n >= 4 is pair 7 - n seen from its second pixel.
+    ni = np.zeros((h, wd), dtype=np.intp)
+    na = np.zeros((h, wd), dtype=np.intp)
+    wi = np.zeros((h, wd))
+    wa = np.zeros((h, wd))
+    for n, (dy, dx) in enumerate(_NEIGHBORS):
+        at = _pair_slices(dy, dx, h, wd)[0]
+        b, a = pairs[min(n, 7 - n)][:2]
+        for best, arg, val in ((wi, ni, b), (wa, na, a)):
+            win = val > best[at]
+            best[at][win] = val[win]
+            arg[at][win] = n
+    w = 1.0 - (1.0 - wi) * (1.0 - wa)
 
     dvdw_total = np.zeros((h, wd))
     value = 0.0
     scales = hp.scales
+    ys, xs = np.mgrid[0:h, 0:wd]
     for scale in scales:
-        grid = build_patch_grid(PointSet(np.zeros((0, 2))), boundary, int(scale), wd, h)
-        v_s, dvdw = _soft_cell_value(w, grid.counts_e, grid.centroids_e, int(scale), wd, h)
+        v_s, dvdw = _soft_cell_value(w, ys, xs, boundary.points, int(scale))
         value += v_s / len(scales)
         dvdw_total += dvdw / len(scales)
 
     # Backward through w = 1 - (1 - wi)(1 - wa) and the neighbor sigmoids.
+    grad = np.zeros((h, wd, 2))
     grad_r = np.zeros((h, wd))
     dwdwi = dvdw_total * (1.0 - wa)
     dwdwa = dvdw_total * (1.0 - wi)
     dwu_dr = 2.0 * r * s2 / (r * r + s2) ** 2
+    # Terms at dvdw == 0 are +-0 and the sums start at +0, so skipping them keeps every bit.
+    live = dvdw_total != 0
 
     for n, (dy, dx) in enumerate(_NEIGHBORS):
         i, j = _pair_slices(dy, dx, h, wd)
+        _, _, g, siga, cosfac = pairs[min(n, 7 - n)]
 
         # intensity path through the argmax neighbor
-        sel = ni[i] == n
+        sel = live[i] & (ni[i] == n)
         b = wi[i][sel]  # the argmax neighbor's intensity weight
         common = dwdwi[i][sel] * b * (1.0 - b) / tau * np.sign(r[i][sel] - r[j][sel])
         grad_r[i][sel] += common
         grad_r[j][sel] -= common
 
         # angular path through the argmax neighbor
-        g = wu[i] * wu[j]
-        sel = (na[i] == n) & (g > 0)
+        sel = live[i] & (na[i] == n) & (g > 0)
         mi, mj = m[i][sel], m[j][sel]
         dui, duj = du[i][sel], du[j][sel]
         wui, wuj = wu[i][sel], wu[j][sel]
-        siga_n = siga[n][i][sel]
+        siga_n = siga[sel]
         common = dwdwa[i][sel]
         grad_r[i][sel] += common * siga_n * wuj * dwu_dr[i][sel]
         grad_r[j][sel] += common * siga_n * wui * dwu_dr[j][sel]
 
         dot = (mi * mj).sum(axis=1)
-        factor = common * g[sel] * cosfac[n][i][sel]
-        dcos_di = mj / (dui * duj)[:, None] - (dot / (dui ** 3 * duj))[:, None] * mi
-        dcos_dj = mi / (dui * duj)[:, None] - (dot / (duj ** 3 * dui))[:, None] * mj
-        grad[i][sel] += factor[:, None] * dcos_di
-        grad[j][sel] += factor[:, None] * dcos_dj
+        factor = common * g[sel] * cosfac[sel]
+        grad[i][sel] += factor[:, None] * _dcos(mi, mj, dui, duj, dot)
+        grad[j][sel] += factor[:, None] * _dcos(mj, mi, duj, dui, dot)
 
     safe_r = np.where(r > 0, r, 1.0)
     grad += (grad_r / safe_r)[..., None] * m
@@ -419,12 +391,15 @@ def soft_boundary_constraint(
 # ---------------------------------------------------------------------------
 
 
+# Control grid rows x columns, patch scales and first trial step of the curve morph.
+_MORPH_GRID_SHAPE = (10, 10)
+_MORPH_SCALES = (4, 8, 16, 32)
+_MORPH_STEP_SIZE = 4.0
+
+
 @dataclass(frozen=True)
 class MorphOptions:
-    grid_shape: tuple = (10, 10)
-    scales: tuple = (4, 8, 16, 32)
     max_iters: int = 400
-    step_size: float = 4.0
     tolerance: float = 1e-4
     width: int | None = None
     height: int | None = None
@@ -499,7 +474,26 @@ def _soft_bin(points: np.ndarray, scale: int, gw: int, gh: int):
             np.stack(dwdx, axis=1), np.stack(dwdy, axis=1))
 
 
-def _morph_loss_and_grad(moved: np.ndarray, target_grids, scales, width, height):
+def _morph_target_grids(points: np.ndarray, scales, width: int, height: int):
+    """Per scale, the target's soft cell mass, its cell centroids (0 where the
+    mass is below the floor) and the grid width and height."""
+    grids = []
+    for scale in scales:
+        gh, gw = -(-height // scale), -(-width // scale)
+        cells, tw, _, _ = _soft_bin(points, scale, gw, gh)
+        n_cells = gh * gw
+        flat = cells.ravel()
+        me = np.bincount(flat, weights=tw.ravel(), minlength=n_cells)
+        tsx = np.bincount(flat, weights=(tw * points[:, 0:1]).ravel(), minlength=n_cells)
+        tsy = np.bincount(flat, weights=(tw * points[:, 1:2]).ravel(), minlength=n_cells)
+        occupied = me > _MORPH_MASS_FLOOR
+        ce_x = np.where(occupied, tsx / np.where(occupied, me, 1.0), 0.0)
+        ce_y = np.where(occupied, tsy / np.where(occupied, me, 1.0), 0.0)
+        grids.append((me, ce_x, ce_y, gw, gh))
+    return grids
+
+
+def _morph_loss_and_grad(moved: np.ndarray, target_grids, scales):
     """Multiscale patch-centroid distance of moved vs target with soft cell
     assignment; returns the loss and its gradient on the moved points."""
     n_pts = moved.shape[0]
@@ -552,26 +546,10 @@ def morph_curve_fit(moving: PointSet, target: PointSet, opts: MorphOptions = Mor
     pts = moving.points
     width = opts.width or int(np.ceil(max(pts[:, 0].max(), target.points[:, 0].max()) + 2))
     height = opts.height or int(np.ceil(max(pts[:, 1].max(), target.points[:, 1].max()) + 2))
-    gh, gw = opts.grid_shape
-    if gh < 2 or gw < 2:
-        raise ValidationError("control grid must be at least 2x2")
+    gh, gw = _MORPH_GRID_SHAPE
     # a whole-raster cell supplies the global centroid pull (translation mode)
-    scales = tuple(int(s) for s in opts.scales) + (max(width, height),)
-
-    target_grids = []
-    for scale in scales:
-        cgw = -(-width // scale)
-        cgh = -(-height // scale)
-        cells, tw, _, _ = _soft_bin(target.points, scale, cgw, cgh)
-        n_cells = cgh * cgw
-        flat = cells.ravel()
-        me = np.bincount(flat, weights=tw.ravel(), minlength=n_cells)
-        tsx = np.bincount(flat, weights=(tw * target.points[:, 0:1]).ravel(), minlength=n_cells)
-        tsy = np.bincount(flat, weights=(tw * target.points[:, 1:2]).ravel(), minlength=n_cells)
-        occupied = me > _MORPH_MASS_FLOOR
-        ce_x = np.where(occupied, tsx / np.where(occupied, me, 1.0), 0.0)
-        ce_y = np.where(occupied, tsy / np.where(occupied, me, 1.0), 0.0)
-        target_grids.append((me, ce_x, ce_y, cgw, cgh))
+    scales = _MORPH_SCALES + (max(width, height),)
+    target_grids = _morph_target_grids(target.points, scales, width, height)
 
     corners, weights = _bilinear_weights(pts, gh, gw, width, height)
     disp = np.zeros((gh * gw, 2))
@@ -581,7 +559,7 @@ def morph_curve_fit(moving: PointSet, target: PointSet, opts: MorphOptions = Mor
 
     def loss_and_grid_grad(d):
         moved = pts + field_at_points(d)
-        value, gpts = _morph_loss_and_grad(moved, target_grids, scales, width, height)
+        value, gpts = _morph_loss_and_grad(moved, target_grids, scales)
         gd = np.zeros_like(d)
         np.add.at(gd, corners.ravel(),
                   (weights[..., None] * gpts[:, None, :]).reshape(-1, 2))
@@ -590,7 +568,7 @@ def morph_curve_fit(moving: PointSet, target: PointSet, opts: MorphOptions = Mor
     value, grad = loss_and_grid_grad(disp)
     trace = [value]
     disp, converged = armijo_descent(
-        loss_and_grid_grad, disp, value, grad, opts.step_size, opts.max_iters, opts.tolerance,
+        loss_and_grid_grad, disp, value, grad, _MORPH_STEP_SIZE, opts.max_iters, opts.tolerance,
         lambda d, v, step: trace.append(v),
     )
     moved = PointSet(pts + field_at_points(disp))

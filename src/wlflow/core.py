@@ -27,6 +27,19 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
 
 
+def _soft_angle(cos, theta_lim_deg: float, tau: float):
+    """(sigmoid((arccos(cos) - theta_lim) / tau), its derivative in cos)."""
+    theta = np.arccos(np.clip(cos, -1.0, 1.0))
+    sig = _sigmoid((theta - np.deg2rad(theta_lim_deg)) / tau)
+    dtheta_dcos = -1.0 / np.sqrt(np.maximum(1.0 - cos ** 2, 1e-12))
+    return sig, sig * (1.0 - sig) / tau * dtheta_dcos
+
+
+def _dcos(u, v, du, dv, dot):
+    """d(cos)/du of cos = dot / (du dv), with du = sqrt(|u|^2 + s^2), per (n, 2) row."""
+    return v / (du * dv)[:, None] - (dot / (du ** 3 * dv))[:, None] * u
+
+
 def armijo_descent(fn, x, value, grad, eta, max_steps, tolerance, on_step):
     """Backtracking gradient descent under the Armijo sufficient-decrease rule.
 

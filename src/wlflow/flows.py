@@ -53,6 +53,8 @@ class SolverOptions:
     tolerance: float = 1e-3
 
     def __post_init__(self):
+        if isinstance(self.max_iters, (bool, float)):
+            raise ValidationError("max_iters must be an integer")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
         if self.step_size <= 0:
@@ -81,7 +83,6 @@ class Priors:
         frame_t1: KeypointFrame,
         mask: SubjectMask,
         boundary: PointSet,
-        topology: skel.BoneTopology = skel.BoneTopology(),
         align_method: str | None = None,
     ) -> "Priors":
         """Assemble per-subject skeletons, matches, and offsets.
@@ -90,7 +91,7 @@ class Priors:
         (the later skeleton is aligned onto the earlier one first), which
         yields the subject-relative constraint used for local flow.
         """
-        pairs = skel.subject_skeletons(frame_t, frame_t1, mask, topology)
+        pairs = skel.subject_skeletons(frame_t, frame_t1, mask)
         offsets_by_label: dict[int, skel.SkeletonOffsets] = {}
         for label, (k_t, k_t1) in pairs.items():
             if align_method is None:

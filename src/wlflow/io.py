@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, is_dataclass
 
@@ -72,6 +73,14 @@ def write_keypoints(path, frames) -> None:
         json.dump(doc, f, sort_keys=True)
 
 
+def _finite_number(v) -> bool:
+    """True for a JSON number (not a bool) that is finite as a float."""
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _load_json(path):
     with open(path, "rb") as f:
         raw = f.read()
@@ -103,10 +112,8 @@ def read_keypoints(path) -> list:
             for ki, kp in enumerate(person):
                 if not isinstance(kp, list) or len(kp) != 3:
                     raise SchemaError(f"{path}: {loc}[{ki}] must be [x, y, c]")
-                if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in kp):
-                    raise SchemaError(f"{path}: {loc}[{ki}] has non-numeric entries")
-                if not all(np.isfinite(v) for v in kp):
-                    raise SchemaError(f"{path}: {loc}[{ki}] has non-finite entries")
+                if not all(_finite_number(v) for v in kp):
+                    raise SchemaError(f"{path}: {loc}[{ki}] has entries that are not finite numbers")
                 if not 0.0 <= kp[2] <= 1.0:
                     raise SchemaError(f"{path}: {loc}[{ki}] confidence {kp[2]} outside [0, 1]")
             persons.append(np.asarray(person, dtype=np.float64))
@@ -197,8 +204,8 @@ def read_points(path) -> PointSet:
     for i, item in enumerate(doc["points"]):
         if not isinstance(item, list) or len(item) != 2:
             raise SchemaError(f"{path}: $.points[{i}] must be [x, y]")
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v) for v in item):
-            raise SchemaError(f"{path}: $.points[{i}] has non-finite entries")
+        if not all(_finite_number(v) for v in item):
+            raise SchemaError(f"{path}: $.points[{i}] has entries that are not finite numbers")
         pts.append(item)
     return PointSet(np.asarray(pts, dtype=np.float64).reshape(-1, 2))
 
@@ -347,9 +354,13 @@ def hyperparams_from_json(path) -> Hyperparams:
     unknown = set(doc) - allowed
     if unknown:
         raise SchemaError(f"{path}: unknown hyperparameter fields {sorted(unknown)}")
-    if "scales" in doc:
-        doc["scales"] = tuple(doc["scales"])
+    for name, value in doc.items():
+        entries = value if name == "scales" and isinstance(value, list) else [value]
+        if not all(_finite_number(v) for v in entries):
+            raise SchemaError(f"{path}: {name} must hold finite numbers")
     try:
+        if "scales" in doc:
+            doc["scales"] = tuple(doc["scales"])
         return Hyperparams(**doc)
     except (TypeError, ValidationError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc

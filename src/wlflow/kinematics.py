@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_VEC, FlowMap, Hyperparams, SubjectMask, _sigmoid, validate_pairing
+from .core import EPS_VEC, FlowMap, Hyperparams, SubjectMask, _dcos, _soft_angle, validate_pairing
 from .errors import DimensionMismatch, ValidationError
 from .skeleton import SkeletonOffsets
 
@@ -155,19 +155,14 @@ def smooth_skeleton_constraint(
     du = np.sqrt(ru2 + s2)
     dk = np.sqrt(rk2 + s2)
     dot = (u * k).sum(axis=1)
-    cos = dot / (du * dk)
-    theta = np.arccos(np.clip(cos, -1.0, 1.0))
-    z = theta - np.deg2rad(hp.theta_a)
-    sig = _sigmoid(z / tau)
+    sig, dsig_dcos = _soft_angle(dot / (du * dk), hp.theta_a, tau)
     wu = ru2 / (ru2 + s2)
     wk = rk2 / (rk2 + s2)
     q = 1.0 - (1.0 - wu) * (1.0 - wk)
     ang = q * sig
 
-    # d(ang)/du = dq * sig + q * dsig; dtheta/dcos = -1/sqrt(1 - cos^2)
-    dcos_du = k / (du * dk)[:, None] - (dot / (du ** 3 * dk))[:, None] * u
-    dtheta_dcos = -1.0 / np.sqrt(np.maximum(1.0 - cos ** 2, 1e-12))
-    dsig_du = (sig * (1.0 - sig) / tau * dtheta_dcos)[:, None] * dcos_du
+    # d(ang)/du = dq * sig + q * dsig
+    dsig_du = dsig_dcos[:, None] * _dcos(u, k, du, dk, dot)
     dwu_du = 2.0 * u * (s2 / (ru2 + s2) ** 2)[:, None]
     dq_du = (1.0 - wk)[:, None] * dwu_du
     dang_du = dq_du * sig[:, None] + q[:, None] * dsig_du

@@ -289,7 +289,6 @@ def subject_skeletons(
     frame_t: KeypointFrame,
     frame_t1: KeypointFrame,
     mask: SubjectMask,
-    topology: BoneTopology = BoneTopology(),
 ) -> dict[int, tuple[SkeletonMap, SkeletonMap]]:
     """Each subject's skeleton maps in both frames, as {label: (k_t, k_t1)}.
 
@@ -305,8 +304,8 @@ def subject_skeletons(
             raise ValidationError(f"no person assigned to subject {label}")
         person = assignment[label]
         pairs[label] = (
-            interpolate_skeleton(frame_t.persons[person], topology),
-            interpolate_skeleton(frame_t1.persons[person], topology),
+            interpolate_skeleton(frame_t.persons[person]),
+            interpolate_skeleton(frame_t1.persons[person]),
         )
     return pairs
 

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from wlflow import flows, synth
 from wlflow.core import Hyperparams
+
+# Property tests draw the same examples on every run and have no time limit.
+settings.register_profile("wlflow", derandomize=True, deadline=None)
+settings.load_profile("wlflow")
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wlflow import boundary as bnd
-from wlflow.core import EPS_VEC, FlowMap, Hyperparams, PointSet, Vec2
-from wlflow.errors import EmptyPointSet
+from wlflow.core import EPS_VEC, FlowMap, Hyperparams, PointSet, Vec2, _sigmoid
+from wlflow.errors import EmptyPointSet, ValidationError
 
 from conftest import make_circle
 
@@ -129,7 +129,6 @@ def _brute_force_edges(arr, hp):
     return intensity, angular, diffs
 
 
-@settings(derandomize=True, deadline=None)
 @given(
     arr=_small_integer_flows(),
     theta_i=st.sampled_from([0.5, 1.0, 2.0]),
@@ -397,6 +396,104 @@ def test_soft_boundary_gradient_finite_differences(small_truth, small_priors, hp
         denom = max(abs(fd), abs(grad[y, x, c]), 1e-8)
         worst = max(worst, abs(fd - grad[y, x, c]) / denom)
     assert worst < 1e-3
+
+
+def _brute_force_soft_value(arr, boundary, hp, tau):
+    """Soft boundary value from a per-pixel loop: the largest intensity and
+    angular weight over the in-raster 8-neighbors, then per-cell weighted
+    centroids against the boundary's centroids, averaged over cells and scales."""
+    h, w = arr.shape[:2]
+    s2 = (EPS_VEC + tau) ** 2
+    r = np.hypot(arr[..., 0], arr[..., 1])
+    wgt = np.zeros((h, w))
+    for y in range(h):
+        for x in range(w):
+            wi = wa = 0.0
+            for dy in (-1, 0, 1):
+                for dx in (-1, 0, 1):
+                    ny, nx = y + dy, x + dx
+                    if (dy, dx) == (0, 0) or not (0 <= ny < h and 0 <= nx < w):
+                        continue
+                    ri, rj = r[y, x], r[ny, nx]
+                    wi = max(wi, _sigmoid((abs(ri - rj) - hp.edge_theta_i) / tau))
+                    cos = arr[y, x] @ arr[ny, nx] / np.sqrt((ri * ri + s2) * (rj * rj + s2))
+                    theta = np.arccos(np.clip(cos, -1.0, 1.0))
+                    gate = ri * ri / (ri * ri + s2) * (rj * rj / (rj * rj + s2))
+                    wa = max(wa, gate * _sigmoid((theta - np.deg2rad(hp.edge_theta_a)) / tau))
+            wgt[y, x] = 1.0 - (1.0 - wi) * (1.0 - wa)
+    per_scale = []
+    for scale in hp.scales:
+        dists = []
+        for cy in range(0, h, scale):
+            for cx in range(0, w, scale):
+                cell = wgt[cy:cy + scale, cx:cx + scale]
+                inside = [p for p in boundary
+                          if cx <= p[0] < cx + scale and cy <= p[1] < cy + scale]
+                if cell.sum() <= 0.5 or not inside:
+                    continue
+                yy, xx = np.mgrid[cy:cy + cell.shape[0], cx:cx + cell.shape[1]]
+                centroid = np.array([(cell * xx).sum(), (cell * yy).sum()]) / cell.sum()
+                dists.append(np.hypot(*(centroid - np.mean(inside, axis=0))))
+        per_scale.append(np.mean(dists) if dists else 0.0)
+    return float(np.mean(per_scale))
+
+
+@st.composite
+def _boundaries(draw, h, w):
+    n = draw(st.integers(1, 6))
+    xs = draw(st.lists(st.integers(0, w - 1), min_size=n, max_size=n))
+    ys = draw(st.lists(st.integers(0, h - 1), min_size=n, max_size=n))
+    return np.stack([xs, ys], axis=1).astype(np.float64) + 0.25
+
+
+@given(
+    data=st.data(),
+    arr=_small_integer_flows(),
+    tau=st.sampled_from([0.5, 0.1, 0.02]),
+    scales=st.sampled_from([(2,), (2, 3), (8, 16, 32)]),
+    theta_a=st.sampled_from([30.0, 90.0]),
+)
+def test_soft_boundary_value_equals_brute_force(data, arr, tau, scales, theta_a):
+    """Integer flows make tied neighbor weights and static pixels common."""
+    boundary = data.draw(_boundaries(*arr.shape[:2]))
+    hp = Hyperparams(edge_theta_a=theta_a, scales=scales)
+    value, grad = bnd.soft_boundary_constraint(FlowMap(arr), PointSet(boundary), hp, tau)
+    assert value == pytest.approx(_brute_force_soft_value(arr, boundary, hp, tau), rel=1e-12)
+    assert grad.shape == arr.shape and np.isfinite(grad).all()
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (5, 1), (4, 3)])
+def test_soft_boundary_gradient_every_coordinate(shape):
+    """Central differences at every coordinate of rasters cut by the border on
+    most sides, with cells small enough to hold soft edge mass."""
+    rng = np.random.default_rng(sum(shape))
+    base = rng.normal(0.0, 1.5, shape + (2,))
+    h, w = shape
+    boundary = PointSet(np.array([[0.3, 0.2], [w - 0.6, h - 0.7], [w / 2, h / 2]]))
+    hp = Hyperparams(scales=(2, 3))
+    tau = 0.5
+    _, grad = bnd.soft_boundary_constraint(FlowMap(base), boundary, hp, tau)
+    assert (np.abs(grad) > 1e-5).mean() > 0.5
+    step = 1e-6
+    for idx in np.ndindex(base.shape):
+        plus, minus = base.copy(), base.copy()
+        plus[idx] += step
+        minus[idx] -= step
+        vp, _ = bnd.soft_boundary_constraint(FlowMap(plus), boundary, hp, tau)
+        vm, _ = bnd.soft_boundary_constraint(FlowMap(minus), boundary, hp, tau)
+        fd = (vp - vm) / (2 * step)
+        assert abs(fd - grad[idx]) <= 1e-6 * max(abs(fd), abs(grad[idx])) + 1e-9, idx
+
+
+@pytest.mark.parametrize("point", [(-0.5, 1.0), (1.0, -0.1), (4.0, 1.0), (1.0, 3.0)])
+def test_boundary_outside_raster_raises(hp, point):
+    outside = PointSet(np.array([[1.0, 1.0], point]))
+    with pytest.raises(ValidationError, match="curve e has points outside the 4x3 raster"):
+        bnd.build_patch_grid(PointSet(np.zeros((0, 2))), outside, 2, 4, 3)
+    with pytest.raises(ValidationError, match="curve e has points outside the 4x3 raster"):
+        bnd.soft_boundary_constraint(FlowMap.zeros(4, 3), outside, hp, 0.1)
+    with pytest.raises(ValidationError, match="outside the 1x1 raster"):
+        bnd.soft_boundary_constraint(FlowMap.zeros(1, 1), outside, hp, 0.1)
 
 
 def test_auto_intensity_threshold_percentile():

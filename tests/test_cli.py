@@ -256,6 +256,38 @@ def _chamfer_argv(scene_dir, tmp_path, scales):
     return ["chamfer", "--s", str(pts), "--e", str(pts), "--patch", "--scales", scales]
 
 
+def _points_argv(scene_dir, tmp_path, x):
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps({"points": [[x, 1.0]]}))
+    return ["chamfer", "--s", str(pts), "--e", str(scene_dir / "boundary.json")]
+
+
+def _keypoints_argv(scene_dir, tmp_path, x):
+    doc = json.loads((scene_dir / "keypoints.json").read_text())
+    doc["frames"][1]["persons"][0][3][0] = x
+    keypoints = tmp_path / "keypoints.json"
+    keypoints.write_text(json.dumps(doc))
+    return [
+        "decompose", "--world", str(scene_dir / "gt_world.flo"),
+        "--mask", str(scene_dir / "mask_t.pgm"), "--keypoints", str(keypoints),
+        "--method", "homography", "--out-local", str(tmp_path / "local.flo"),
+    ]
+
+
+def _config_argv(scene_dir, tmp_path, config_doc):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(config_doc))
+    return [
+        "eval", "--flow", str(scene_dir / "gt_world.flo"),
+        "--keypoints", str(scene_dir / "keypoints.json"),
+        "--mask", str(scene_dir / "mask_t.pgm"),
+        "--boundary", str(scene_dir / "boundary.json"), "--config", str(config),
+    ]
+
+
+_HUGE = 10 ** 400  # a valid JSON integer beyond the float range
+
+
 @pytest.mark.parametrize("build, arg, code, message", [
     (_chamfer_argv, "8,,16", 1, "--scales must be comma-separated integers"),
     (_chamfer_argv, "8,x", 1, "--scales must be comma-separated integers"),
@@ -264,6 +296,15 @@ def _chamfer_argv(scene_dir, tmp_path, scales):
     (_solve_argv, {"max_iters": "many"}, 2, "opts.json"),
     (_solve_argv, {"seed": 0}, 2, "unknown solver options ['seed']"),
     (_solve_argv, {"max_iters": 0}, 1, "max_iters must be >= 1"),
+    (_solve_argv, {"max_iters": 2.5}, 1, "max_iters must be an integer"),
+    (_solve_argv, {"max_iters": True}, 1, "max_iters must be an integer"),
+    pytest.param(_points_argv, _HUGE, 2, "$.points[0] has entries that are not finite numbers",
+                 id="huge-point"),
+    pytest.param(_keypoints_argv, _HUGE, 2,
+                 "$.frames[1].persons[0][3] has entries that are not finite numbers", id="huge-keypoint"),
+    pytest.param(_config_argv, {"alpha": _HUGE}, 2, "alpha must hold finite numbers", id="huge-alpha"),
+    pytest.param(_config_argv, {"scales": [8, _HUGE]}, 2, "scales must hold finite numbers",
+                 id="huge-scale"),
 ])
 def test_bad_arguments_exit_with_one_line_error(scene_dir, tmp_path, capsys, build, arg, code, message):
     got, _, err = _run(capsys, build(scene_dir, tmp_path, arg))

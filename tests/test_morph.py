@@ -50,29 +50,16 @@ def test_morph_point_gradient_matches_finite_differences():
     moving = make_circle(n=120)
     target = make_square(side=30.0, n=120)
     scales = (8, 16, 32)
-    grids = []
-    for scale in scales:
-        gw = -(-96 // scale)
-        gh = -(-96 // scale)
-        cells, tw, _, _ = bnd._soft_bin(target, scale, gw, gh)
-        n_cells = gh * gw
-        flat = cells.ravel()
-        me = np.bincount(flat, weights=tw.ravel(), minlength=n_cells)
-        tsx = np.bincount(flat, weights=(tw * target[:, 0:1]).ravel(), minlength=n_cells)
-        tsy = np.bincount(flat, weights=(tw * target[:, 1:2]).ravel(), minlength=n_cells)
-        occ = me > bnd._MORPH_MASS_FLOOR
-        ce_x = np.where(occ, tsx / np.where(occ, me, 1.0), 0.0)
-        ce_y = np.where(occ, tsy / np.where(occ, me, 1.0), 0.0)
-        grids.append((me, ce_x, ce_y, gw, gh))
-    _, grad = bnd._morph_loss_and_grad(moving, grids, scales, 96, 96)
+    grids = bnd._morph_target_grids(target, scales, 96, 96)
+    _, grad = bnd._morph_loss_and_grad(moving, grids, scales)
     h = 1e-6
     worst = 0.0
     for i, c in zip(rng.integers(0, len(moving), 40), rng.integers(0, 2, 40)):
         plus, minus = moving.copy(), moving.copy()
         plus[i, c] += h
         minus[i, c] -= h
-        vp, _ = bnd._morph_loss_and_grad(plus, grids, scales, 96, 96)
-        vm, _ = bnd._morph_loss_and_grad(minus, grids, scales, 96, 96)
+        vp, _ = bnd._morph_loss_and_grad(plus, grids, scales)
+        vm, _ = bnd._morph_loss_and_grad(minus, grids, scales)
         fd = (vp - vm) / (2 * h)
         denom = max(abs(fd), abs(grad[i, c]), 1e-8)
         worst = max(worst, abs(fd - grad[i, c]) / denom)
