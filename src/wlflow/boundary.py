@@ -150,19 +150,31 @@ def exact_chamfer(s: PointSet, e: PointSet) -> float:
     return float(np.mean(d))
 
 
+def _cell_sums(cells: np.ndarray, x, y, n_cells: int, w: np.ndarray | None = None):
+    """Per flat cell id: the mass (sum of w) and the sums of w x and w y.
+
+    `x`, `y` and `w` broadcast against `cells`. Without `w` every point
+    weighs 1 and the mass is an int64 count.
+    """
+    flat = cells.ravel()
+    if w is None:
+        mass = np.bincount(flat, minlength=n_cells)
+    else:
+        mass = np.bincount(flat, weights=w.ravel(), minlength=n_cells)
+        x, y = w * x, w * y
+    sx = np.bincount(flat, weights=np.ravel(x), minlength=n_cells)
+    sy = np.bincount(flat, weights=np.ravel(y), minlength=n_cells)
+    return mass, sx, sy
+
+
 def _bin_points(points: np.ndarray, scale: int, gh: int, gw: int):
-    n_cells = gh * gw
-    counts = np.zeros(n_cells, dtype=np.int64)
-    centroids = np.full((n_cells, 2), np.nan)
-    if points.shape[0]:
-        cx, cy = np.floor(points / scale).astype(np.int64).T
-        ids = cy * gw + cx
-        counts = np.bincount(ids, minlength=n_cells)
-        sx = np.bincount(ids, weights=points[:, 0], minlength=n_cells)
-        sy = np.bincount(ids, weights=points[:, 1], minlength=n_cells)
-        occ = counts > 0
-        centroids[occ, 0] = sx[occ] / counts[occ]
-        centroids[occ, 1] = sy[occ] / counts[occ]
+    """Per-cell point counts and centroids (NaN in empty cells) on a gh x gw tiling."""
+    cx, cy = np.floor(points / scale).astype(np.int64).T
+    counts, sx, sy = _cell_sums(cy * gw + cx, points[:, 0], points[:, 1], gh * gw)
+    occ = counts > 0
+    centroids = np.full((gh * gw, 2), np.nan)
+    centroids[occ, 0] = sx[occ] / counts[occ]
+    centroids[occ, 1] = sy[occ] / counts[occ]
     return counts.reshape(gh, gw), centroids.reshape(gh, gw, 2)
 
 
@@ -252,11 +264,8 @@ def _soft_cell_value(w: np.ndarray, ys, xs, boundary_points: np.ndarray, scale: 
     gh, gw = -(-h // scale), -(-wd // scale)
     e_counts, e_centroids = _bin_points(boundary_points, scale, gh, gw)
     cid = (ys // scale) * gw + (xs // scale)
-    cid_flat = cid.ravel()
     n_cells = gh * gw
-    m_c = np.bincount(cid_flat, weights=w.ravel(), minlength=n_cells)
-    sx_c = np.bincount(cid_flat, weights=(w * xs).ravel(), minlength=n_cells)
-    sy_c = np.bincount(cid_flat, weights=(w * ys).ravel(), minlength=n_cells)
+    m_c, sx_c, sy_c = _cell_sums(cid, xs, ys, n_cells, w)
 
     e_c = e_counts.ravel()
     ce = e_centroids.reshape(-1, 2)
@@ -413,65 +422,43 @@ class MorphResult:
     converged: bool
 
 
+def _bilinear_corners(u: np.ndarray, v: np.ndarray, gw: int, gh: int, du: float = 1.0):
+    """Bilinear assignment of fractional grid positions (u, v) to their 2x2
+    surrounding nodes of a gw x gh grid.
+
+    Returns (nodes, weights, dw/dx, dw/dy), each (n, 4), where `du` is
+    du/dx = dv/dy; off-grid nodes carry zero weight and point at node 0.
+    """
+    i0 = np.floor(u).astype(np.int64)
+    j0 = np.floor(v).astype(np.int64)
+    tx = u - i0
+    ty = v - j0
+    corners = []
+    for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        ci, cj = i0 + di, j0 + dj
+        wx, gx = (tx, du) if di else (1.0 - tx, -du)
+        wy, gy = (ty, du) if dj else (1.0 - ty, -du)
+        ok = (ci >= 0) & (ci < gw) & (cj >= 0) & (cj < gh)
+        corners.append((np.where(ok, cj * gw + ci, 0), np.where(ok, wx * wy, 0.0),
+                        np.where(ok, gx * wy, 0.0), np.where(ok, wx * gy, 0.0)))
+    return tuple(np.stack(column, axis=1) for column in zip(*corners))
+
+
 def _bilinear_weights(points: np.ndarray, gh: int, gw: int, width: int, height: int):
     """Control-grid corner indices and weights for each point."""
     fx = points[:, 0] / max(width - 1, 1) * (gw - 1)
     fy = points[:, 1] / max(height - 1, 1) * (gh - 1)
     fx = np.clip(fx, 0.0, gw - 1 - 1e-9)
     fy = np.clip(fy, 0.0, gh - 1 - 1e-9)
-    x0 = np.floor(fx).astype(np.int64)
-    y0 = np.floor(fy).astype(np.int64)
-    tx = fx - x0
-    ty = fy - y0
-    corners = np.stack([
-        y0 * gw + x0,
-        y0 * gw + (x0 + 1),
-        (y0 + 1) * gw + x0,
-        (y0 + 1) * gw + (x0 + 1),
-    ], axis=1)
-    weights = np.stack([
-        (1 - tx) * (1 - ty),
-        tx * (1 - ty),
-        (1 - tx) * ty,
-        tx * ty,
-    ], axis=1)
-    return corners, weights
+    return _bilinear_corners(fx, fy, gw, gh)[:2]
 
 
 _MORPH_MASS_FLOOR = 0.25
 
 
 def _soft_bin(points: np.ndarray, scale: int, gw: int, gh: int):
-    """Bilinear assignment of points to the 2x2 nearest cells of a tiling.
-
-    Returns (cells, weights, dwdx, dwdy), each (n, 4); entries for cells
-    outside the grid carry zero weight and point at cell 0.
-    """
-    u = points[:, 0] / scale - 0.5
-    v = points[:, 1] / scale - 0.5
-    i0 = np.floor(u).astype(np.int64)
-    j0 = np.floor(v).astype(np.int64)
-    tx = u - i0
-    ty = v - j0
-    inv = 1.0 / scale
-    cells = []
-    weights = []
-    dwdx = []
-    dwdy = []
-    for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        ci = i0 + di
-        cj = j0 + dj
-        wx = tx if di else 1.0 - tx
-        wy = ty if dj else 1.0 - ty
-        gx = inv if di else -inv
-        gy = inv if dj else -inv
-        ok = (ci >= 0) & (ci < gw) & (cj >= 0) & (cj < gh)
-        cells.append(np.where(ok, cj * gw + ci, 0))
-        weights.append(np.where(ok, wx * wy, 0.0))
-        dwdx.append(np.where(ok, gx * wy, 0.0))
-        dwdy.append(np.where(ok, wx * gy, 0.0))
-    return (np.stack(cells, axis=1), np.stack(weights, axis=1),
-            np.stack(dwdx, axis=1), np.stack(dwdy, axis=1))
+    """`_bilinear_corners` of points over the centers of the scale-sized cells of a tiling."""
+    return _bilinear_corners(points[:, 0] / scale - 0.5, points[:, 1] / scale - 0.5, gw, gh, 1.0 / scale)
 
 
 def _morph_target_grids(points: np.ndarray, scales, width: int, height: int):
@@ -481,11 +468,7 @@ def _morph_target_grids(points: np.ndarray, scales, width: int, height: int):
     for scale in scales:
         gh, gw = -(-height // scale), -(-width // scale)
         cells, tw, _, _ = _soft_bin(points, scale, gw, gh)
-        n_cells = gh * gw
-        flat = cells.ravel()
-        me = np.bincount(flat, weights=tw.ravel(), minlength=n_cells)
-        tsx = np.bincount(flat, weights=(tw * points[:, 0:1]).ravel(), minlength=n_cells)
-        tsy = np.bincount(flat, weights=(tw * points[:, 1:2]).ravel(), minlength=n_cells)
+        me, tsx, tsy = _cell_sums(cells, points[:, 0:1], points[:, 1:2], gh * gw, tw)
         occupied = me > _MORPH_MASS_FLOOR
         ce_x = np.where(occupied, tsx / np.where(occupied, me, 1.0), 0.0)
         ce_y = np.where(occupied, tsy / np.where(occupied, me, 1.0), 0.0)
@@ -501,11 +484,7 @@ def _morph_loss_and_grad(moved: np.ndarray, target_grids, scales):
     value = 0.0
     for scale, (me, ce_x, ce_y, gw, gh) in zip(scales, target_grids):
         cells, w, dwdx, dwdy = _soft_bin(moved, int(scale), gw, gh)
-        n_cells = gh * gw
-        flat = cells.ravel()
-        m = np.bincount(flat, weights=w.ravel(), minlength=n_cells)
-        sx = np.bincount(flat, weights=(w * moved[:, 0:1]).ravel(), minlength=n_cells)
-        sy = np.bincount(flat, weights=(w * moved[:, 1:2]).ravel(), minlength=n_cells)
+        m, sx, sy = _cell_sums(cells, moved[:, 0:1], moved[:, 1:2], gh * gw, w)
         include = (m > _MORPH_MASS_FLOOR) & (me > _MORPH_MASS_FLOOR)
         n_inc = int(include.sum())
         if n_inc == 0:

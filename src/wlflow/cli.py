@@ -17,7 +17,7 @@ import numpy as np
 
 from . import boundary as bnd
 from . import flows, io, skeleton as skel, synth
-from .core import FlowMap, Hyperparams, SubjectMask, Vec2
+from .core import FlowMap, Hyperparams, SubjectMask, Vec2, _finite_number
 from .errors import FileFormatError, ValidationError, WlflowError
 
 _ALIGN_METHODS = {
@@ -70,33 +70,54 @@ def _cmd_synth(args) -> int:
 def _scene_spec_from_json(doc: dict, path: str) -> synth.SceneSpec:
     if not isinstance(doc, dict):
         raise io.SchemaError(f"{path}: expected a JSON object")
+
+    def numbers(loc: str, value, n: int | None = None) -> tuple:
+        """A list of finite numbers (exactly n of them, if n is given), as floats."""
+        if not (isinstance(value, list) and n in (None, len(value))
+                and all(_finite_number(v) for v in value)):
+            size = f"{n} " if n else ""
+            raise io.SchemaError(f"{path}: {loc} must be a list of {size}finite numbers")
+        return tuple(float(v) for v in value)
+
+    def named_numbers(loc: str, value) -> dict:
+        if not (isinstance(value, dict) and all(_finite_number(v) for v in value.values())):
+            raise io.SchemaError(f"{path}: {loc} must map names to finite numbers")
+        return {k: float(v) for k, v in value.items()}
+
+    subjects_doc = doc.get("subjects", [])
+    if not isinstance(subjects_doc, list):
+        raise io.SchemaError(f"{path}: $.subjects must be a list")
     subjects = []
-    for si, sub in enumerate(doc.get("subjects", [])):
+    for si, sub in enumerate(subjects_doc):
         loc = f"$.subjects[{si}]"
         if not isinstance(sub, dict):
             raise io.SchemaError(f"{path}: {loc} must be an object")
+        sub_fields = {}
+        for key, n in (("root_t", 2), ("root_t1", 2), ("capsule_radii", None)):
+            if key in sub:
+                sub_fields[key] = numbers(f"{loc}.{key}", sub[key], n)
+        for key in ("lengths", "angles_t", "angles_t1"):
+            if key in sub:
+                sub_fields[key] = named_numbers(f"{loc}.{key}", sub[key])
         try:
-            subjects.append(synth.SubjectSpec(
-                root_t=tuple(sub.get("root_t", (64.0, 64.0))),
-                root_t1=tuple(sub.get("root_t1", (64.0, 64.0))),
-                lengths=dict(sub.get("lengths", {})),
-                angles_t=dict(sub.get("angles_t", {})),
-                angles_t1=dict(sub.get("angles_t1", {})),
-                capsule_radii=tuple(sub.get("capsule_radii", synth.DEFAULT_RADII)),
-            ))
-        except (TypeError, ValidationError) as exc:
+            subjects.append(synth.SubjectSpec(**sub_fields))
+        except ValidationError as exc:
             raise io.SchemaError(f"{path}: {loc} invalid ({exc})") from exc
-    camera = doc.get("camera_motion", (0.0, 0.0))
+    fields = {key: doc[key] for key in ("width", "height", "seed") if key in doc}
+    for key, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise io.SchemaError(f"{path}: $.{key} must be an integer")
+    if "noise_sigma" in doc:
+        if not _finite_number(doc["noise_sigma"]):
+            raise io.SchemaError(f"{path}: $.noise_sigma must be a finite number")
+        fields["noise_sigma"] = float(doc["noise_sigma"])
+    if "camera_motion" in doc:
+        fields["camera_motion"] = Vec2(*numbers("$.camera_motion", doc["camera_motion"], 2))
+    if subjects:
+        fields["subjects"] = tuple(subjects)
     try:
-        return synth.SceneSpec(
-            width=int(doc.get("width", 128)),
-            height=int(doc.get("height", 128)),
-            subjects=tuple(subjects) or (synth.SubjectSpec(),),
-            camera_motion=Vec2(float(camera[0]), float(camera[1])),
-            noise_sigma=float(doc.get("noise_sigma", 0.0)),
-            seed=int(doc.get("seed", 0)),
-        )
-    except (TypeError, ValidationError) as exc:
+        return synth.SceneSpec(**fields)
+    except ValidationError as exc:
         raise io.SchemaError(f"{path}: {exc}") from exc
 
 

@@ -7,6 +7,7 @@ indexed ``[y, x]``; displacement channels are ordered ``(dx, dy)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,14 @@ def armijo_descent(fn, x, value, grad, eta, max_steps, tolerance, on_step):
         if delta < tolerance:
             return x, True
     return x, False
+
+
+def _finite_number(v) -> bool:
+    """True for a number (not a bool) that is finite as a float."""
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _as_readonly(arr: np.ndarray) -> np.ndarray:
@@ -265,7 +274,10 @@ class Hyperparams:
             raise ValidationError("theta_a must lie in (0, 90) degrees")
         if not (self.edge_theta_i > 0 and self.edge_theta_a > 0):
             raise ValidationError("edge thresholds must be positive")
-        scales = tuple(int(s) for s in self.scales)
+        given = tuple(self.scales)
+        scales = tuple(int(s) for s in given)
+        if scales != given:
+            raise ValidationError(f"scales must be integers, got {list(given)}")
         if not scales or any(s < 2 for s in scales):
             raise ValidationError("scales must be nonempty with every entry >= 2")
         object.__setattr__(self, "scales", scales)

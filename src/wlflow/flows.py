@@ -25,6 +25,7 @@ from .core import (
     PointSet,
     SubjectMask,
     Vec2,
+    _finite_number,
     armijo_descent,
     validate_pairing,
 )
@@ -43,6 +44,13 @@ class ObjectiveBreakdown:
     g_result: bnd.BoundaryResult | None = None
 
 
+def _check_number(name: str, value) -> None:
+    """Refuse a bool or a non-finite number; other non-numbers are left to fail
+    the caller's comparisons with a TypeError or ValueError."""
+    if isinstance(value, (int, float)) and not _finite_number(value):
+        raise ValidationError(f"{name} must be a finite number")
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     max_iters: int = 500
@@ -57,10 +65,16 @@ class SolverOptions:
             raise ValidationError("max_iters must be an integer")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
+        for name in ("step_size", "smoothness_weight", "background_weight", "tolerance"):
+            _check_number(name, getattr(self, name))
         if self.step_size <= 0:
             raise ValidationError("step_size must be positive")
         if self.tolerance <= 0:
             raise ValidationError("tolerance must be positive")
+        if self.smoothness_weight < 0 or self.background_weight < 0:
+            raise ValidationError("smoothness_weight and background_weight must be >= 0")
+        for t in self.tau_schedule:
+            _check_number("each tau_schedule entry", t)
         schedule = tuple(float(t) for t in self.tau_schedule)
         if not schedule or any(t <= 0 for t in schedule):
             raise ValidationError("tau_schedule must be nonempty and positive")

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import struct
 from dataclasses import asdict, dataclass, is_dataclass
 
 import numpy as np
 
-from .core import FlowMap, Hyperparams, KeypointFrame, PointSet, SubjectMask, N_JOINTS
+from .core import FlowMap, Hyperparams, KeypointFrame, PointSet, SubjectMask, N_JOINTS, _finite_number
 from .errors import (
     BadMagic,
     FormatError,
@@ -73,14 +72,6 @@ def write_keypoints(path, frames) -> None:
         json.dump(doc, f, sort_keys=True)
 
 
-def _finite_number(v) -> bool:
-    """True for a JSON number (not a bool) that is finite as a float."""
-    try:
-        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
 def _load_json(path):
     with open(path, "rb") as f:
         raw = f.read()
@@ -128,9 +119,7 @@ def write_mask(path, mask: SubjectMask) -> None:
     """8-bit binary PGM; pixel value is the subject label."""
     if mask.labels.max(initial=0) > 255:
         raise FormatError("PGM masks support at most 255 subject labels")
-    with open(path, "wb") as f:
-        f.write(f"P5\n{mask.width} {mask.height}\n255\n".encode())
-        f.write(mask.labels.astype(np.uint8).tobytes())
+    write_grayscale(path, mask.labels)
 
 
 def _read_pgm_header(raw: bytes, path) -> tuple:
@@ -183,7 +172,7 @@ def read_mask(path) -> SubjectMask:
 
 
 def write_grayscale(path, image: np.ndarray) -> None:
-    """Binary PGM for plain grayscale rasters (synthetic frames)."""
+    """Binary 8-bit PGM (P5) of an (h, w) raster: synthetic frames and label masks."""
     arr = np.asarray(image, dtype=np.uint8)
     with open(path, "wb") as f:
         f.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode())

@@ -88,6 +88,8 @@ class SceneSpec:
             raise ValidationError("scene dimensions must be at least 32 pixels")
         if not self.subjects:
             raise ValidationError("scene needs at least one subject")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
         object.__setattr__(self, "subjects", tuple(self.subjects))
 
 
@@ -96,7 +98,6 @@ class SceneTruth:
     keypoints: tuple
     mask_t: SubjectMask
     boundary_t: PointSet
-    boundaries_by_subject: dict
     gt_world: FlowMap
     gt_local: FlowMap
     gt_subject: dict
@@ -258,11 +259,8 @@ def generate_scene(spec: SceneSpec) -> SceneTruth:
                 arr[:, 2] = conf
 
     mask = SubjectMask(labels)
-    boundaries = {lab: trace_boundary(mask, lab) for lab in mask.subject_ids}
-    if boundaries:
-        union = np.concatenate([boundaries[lab].points for lab in sorted(boundaries)], axis=0)
-    else:
-        union = np.zeros((0, 2))
+    boundaries = [trace_boundary(mask, lab).points for lab in mask.subject_ids]
+    union = np.concatenate(boundaries) if boundaries else np.zeros((0, 2))
 
     local = world - subject_field
     exact_subject = world - local
@@ -273,7 +271,6 @@ def generate_scene(spec: SceneSpec) -> SceneTruth:
         keypoints=(KeypointFrame(tuple(persons_t)), KeypointFrame(tuple(persons_t1))),
         mask_t=mask,
         boundary_t=PointSet(union),
-        boundaries_by_subject=boundaries,
         gt_world=FlowMap(world),
         gt_local=FlowMap(local),
         gt_subject=gt_subject,
@@ -282,45 +279,10 @@ def generate_scene(spec: SceneSpec) -> SceneTruth:
     )
 
 
-# Clockwise Moore neighborhood in screen coordinates (y down), as (dy, dx).
-_MOORE = ((0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0), (-1, 1))
-
-
-def _moore_trace(sel: np.ndarray, start: tuple, backtrack: tuple) -> list:
-    """Ordered Moore-neighbor contour walk from start; backtrack is background."""
-    h, w = sel.shape
-
-    def fg(y, x):
-        return 0 <= y < h and 0 <= x < w and sel[y, x]
-
-    contour = []
-    seen_states = set()
-    current = start
-    b = backtrack
-    while (current, b) not in seen_states:
-        seen_states.add((current, b))
-        contour.append(current)
-        rel = (b[0] - current[0], b[1] - current[1])
-        i0 = _MOORE.index(rel)
-        nxt = None
-        for k in range(1, 9):
-            idx = (i0 + k) % 8
-            ny, nx = current[0] + _MOORE[idx][0], current[1] + _MOORE[idx][1]
-            if fg(ny, nx):
-                prev = (i0 + k - 1) % 8
-                b = (current[0] + _MOORE[prev][0], current[1] + _MOORE[prev][1])
-                nxt = (ny, nx)
-                break
-        if nxt is None:
-            break  # isolated pixel
-        current = nxt
-    return contour
-
-
 def trace_boundary(mask: SubjectMask, subject_id: int) -> PointSet:
-    """Ordered outline of one subject: every pixel returned is subject-labeled
-    and 8-adjacent to a non-subject pixel. Hole contours are appended after
-    the outer contour."""
+    """Boundary pixels of one subject, in raster order (row by row, then by
+    column): every subject-labeled pixel that is 8-adjacent to a non-subject
+    pixel or to the raster edge."""
     sel = mask.labels == subject_id
     if not sel.any():
         raise EmptySubject(f"subject {subject_id} not present in mask")
@@ -331,31 +293,8 @@ def trace_boundary(mask: SubjectMask, subject_id: int) -> PointSet:
         & padded[1:-1, :-2] & padded[1:-1, 2:]
         & padded[2:, :-2] & padded[2:, 1:-1] & padded[2:, 2:]
     )
-    boundary_set = sel & ~interior
-
-    remaining = boundary_set.copy()
-    ordered: list[tuple] = []
-    seen = set()
-    h, w = sel.shape
-    while remaining.any():
-        ys, xs = np.nonzero(remaining)
-        seed = (int(ys[0]), int(xs[0]))
-        back = None
-        for dy, dx in _MOORE:
-            ny, nx = seed[0] + dy, seed[1] + dx
-            if not (0 <= ny < h and 0 <= nx < w) or not sel[ny, nx]:
-                back = (ny, nx)
-                break
-        loop = _moore_trace(sel, seed, back)
-        for pix in loop:
-            remaining[pix] = False
-            if pix not in seen:
-                seen.add(pix)
-                ordered.append(pix)
-        remaining[seed] = False
-
-    pts = np.array([(x, y) for y, x in ordered], dtype=np.float64)
-    return PointSet(pts)
+    ys, xs = np.nonzero(sel & ~interior)
+    return PointSet(np.stack([xs, ys], axis=1).astype(np.float64))
 
 
 def scaled_lengths(factor: float) -> dict:

@@ -439,11 +439,11 @@ def _brute_force_soft_value(arr, boundary, hp, tau):
 
 
 @st.composite
-def _boundaries(draw, h, w):
-    n = draw(st.integers(1, 6))
+def _integer_points(draw, h, w, max_size):
+    n = draw(st.integers(1, max_size))
     xs = draw(st.lists(st.integers(0, w - 1), min_size=n, max_size=n))
     ys = draw(st.lists(st.integers(0, h - 1), min_size=n, max_size=n))
-    return np.stack([xs, ys], axis=1).astype(np.float64) + 0.25
+    return np.stack([xs, ys], axis=1).astype(np.float64)
 
 
 @given(
@@ -455,11 +455,40 @@ def _boundaries(draw, h, w):
 )
 def test_soft_boundary_value_equals_brute_force(data, arr, tau, scales, theta_a):
     """Integer flows make tied neighbor weights and static pixels common."""
-    boundary = data.draw(_boundaries(*arr.shape[:2]))
+    boundary = data.draw(_integer_points(*arr.shape[:2], 6)) + 0.25
     hp = Hyperparams(edge_theta_a=theta_a, scales=scales)
     value, grad = bnd.soft_boundary_constraint(FlowMap(arr), PointSet(boundary), hp, tau)
     assert value == pytest.approx(_brute_force_soft_value(arr, boundary, hp, tau), rel=1e-12)
     assert grad.shape == arr.shape and np.isfinite(grad).all()
+
+
+@given(
+    data=st.data(),
+    arr=_small_integer_flows(),
+    tau=st.sampled_from([0.5, 0.02]),
+    scales=st.sampled_from([(2,), (2, 3), (8, 16, 32)]),
+)
+def test_boundary_terms_ignore_point_order(data, arr, tau, scales):
+    """Sums of integer coordinates are exact in any order, so permuting the
+    points of an integer boundary leaves every term that reads it bitwise
+    unchanged."""
+    h, w = arr.shape[:2]
+    points = data.draw(_integer_points(h, w, 30))
+    perm = data.draw(st.permutations(range(len(points))))
+    s_points = data.draw(_integer_points(h, w, 30))
+    s_perm = data.draw(st.permutations(range(len(s_points))))
+    e, e_permuted = PointSet(points), PointSet(points[list(perm)])
+    s, s_permuted = PointSet(s_points), PointSet(s_points[list(s_perm)])
+    flow = FlowMap(arr)
+    hp = Hyperparams(scales=scales)
+
+    assert (bnd.multiscale_patch_distance(s, e, scales, w, h)
+            == bnd.multiscale_patch_distance(s_permuted, e_permuted, scales, w, h))
+    assert bnd.boundary_constraint(flow, e, hp) == bnd.boundary_constraint(flow, e_permuted, hp)
+    value, grad = bnd.soft_boundary_constraint(flow, e, hp, tau)
+    value_p, grad_p = bnd.soft_boundary_constraint(flow, e_permuted, hp, tau)
+    assert value == value_p and grad.tobytes() == grad_p.tobytes()
+    assert bnd.exact_chamfer(s, e) == bnd.exact_chamfer(s, e_permuted)
 
 
 @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (4, 3)])

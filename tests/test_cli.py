@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from wlflow import io
+from wlflow import io, synth
 from wlflow.cli import main
-from wlflow.core import FlowMap
+from wlflow.core import FlowMap, Vec2
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +205,36 @@ def test_synth_with_custom_spec(tmp_path, capsys):
     assert flow.width == 96
 
 
+def test_synth_spec_with_every_field_matches_in_process(tmp_path, capsys):
+    """A spec naming every field, with integer and float numbers, gives the scene built in-process."""
+    doc = {
+        "width": 96, "height": 80, "seed": 3, "noise_sigma": 0.5, "camera_motion": [1, -0.5],
+        "subjects": [{
+            "root_t": [44, 44.5], "root_t1": [46.0, 45.0],
+            "lengths": {"torso": 18, "thigh": 12.5},
+            "angles_t": {"neck": -1.4}, "angles_t1": {"forearm_l": 1.9},
+            "capsule_radii": list(synth.DEFAULT_RADII),
+        }],
+    }
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    code, _, _ = _run(capsys, ["synth", "--spec", str(spec), "--out-dir", str(tmp_path / "scene")])
+    assert code == 0
+    sub = doc["subjects"][0]
+    truth = synth.generate_scene(synth.SceneSpec(
+        width=96, height=80, seed=3, noise_sigma=0.5, camera_motion=Vec2(1.0, -0.5),
+        subjects=(synth.SubjectSpec(
+            root_t=(44.0, 44.5), root_t1=(46.0, 45.0), lengths=sub["lengths"],
+            angles_t=sub["angles_t"], angles_t1=sub["angles_t1"],
+        ),),
+    ))
+    assert np.array_equal(io.read_flo(tmp_path / "scene" / "gt_world.flo").vectors,
+                          truth.gt_world.vectors.astype(np.float32))
+    assert np.array_equal(io.read_mask(tmp_path / "scene" / "mask_t.pgm").labels, truth.mask_t.labels)
+    persons = io.read_keypoints(tmp_path / "scene" / "keypoints.json")[1].persons[0]
+    assert np.array_equal(persons, truth.keypoints[1].persons[0])
+
+
 def test_report_metrics_reproducible(scene_dir, capsys):
     argv = [
         "eval", "--flow", str(scene_dir / "gt_world.flo"),
@@ -285,6 +315,12 @@ def _config_argv(scene_dir, tmp_path, config_doc):
     ]
 
 
+def _synth_argv(scene_dir, tmp_path, spec_text):
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_text)
+    return ["synth", "--spec", str(spec), "--out-dir", str(tmp_path / "scene")]
+
+
 _HUGE = 10 ** 400  # a valid JSON integer beyond the float range
 
 
@@ -305,6 +341,26 @@ _HUGE = 10 ** 400  # a valid JSON integer beyond the float range
     pytest.param(_config_argv, {"alpha": _HUGE}, 2, "alpha must hold finite numbers", id="huge-alpha"),
     pytest.param(_config_argv, {"scales": [8, _HUGE]}, 2, "scales must hold finite numbers",
                  id="huge-scale"),
+    pytest.param(_config_argv, {"scales": [2.5]}, 2, "scales must be integers", id="fractional-scale"),
+    pytest.param(_synth_argv, '{"width": 1e400}', 2, "$.width must be an integer", id="synth-inf-width"),
+    pytest.param(_synth_argv, '{"subjects": [{"root_t": "ab"}]}', 2,
+                 "$.subjects[0].root_t must be a list of 2 finite numbers", id="synth-root"),
+    pytest.param(_synth_argv, '{"camera_motion": [1]}', 2, "$.camera_motion must be a list of 2 finite numbers",
+                 id="synth-camera"),
+    pytest.param(_synth_argv, '{"noise_sigma": "x"}', 2, "$.noise_sigma must be a finite number",
+                 id="synth-noise"),
+    pytest.param(_synth_argv, '{"subjects": [{"angles_t": {"neck": "a"}}]}', 2,
+                 "$.subjects[0].angles_t must map names to finite numbers", id="synth-angle"),
+    pytest.param(_synth_argv, '{"seed": -1, "noise_sigma": 0.5}', 2, "seed must be non-negative",
+                 id="synth-seed"),
+    pytest.param(_solve_argv, {"tolerance": True}, 1, "tolerance must be a finite number", id="bool-tolerance"),
+    pytest.param(_solve_argv, {"tolerance": float("nan")}, 1, "tolerance must be a finite number",
+                 id="nan-tolerance"),
+    pytest.param(_solve_argv, {"step_size": _HUGE}, 1, "step_size must be a finite number", id="huge-step"),
+    pytest.param(_solve_argv, {"smoothness_weight": -0.1}, 1,
+                 "smoothness_weight and background_weight must be >= 0", id="negative-weight"),
+    pytest.param(_solve_argv, {"tau_schedule": [0.5, True]}, 1,
+                 "each tau_schedule entry must be a finite number", id="bool-tau"),
 ])
 def test_bad_arguments_exit_with_one_line_error(scene_dir, tmp_path, capsys, build, arg, code, message):
     got, _, err = _run(capsys, build(scene_dir, tmp_path, arg))

@@ -112,10 +112,17 @@ def test_hyperparams_defaults():
     {"theta_a": 95.0},
     {"scales": ()},
     {"scales": (1,)},
+    {"scales": (2.5, 8.9)},
 ])
 def test_hyperparams_invariants(kwargs):
     with pytest.raises(ValidationError):
         Hyperparams(**kwargs)
+
+
+def test_hyperparams_integral_float_scales_become_ints():
+    scales = Hyperparams(scales=(8.0, 16)).scales
+    assert scales == (8, 16)
+    assert all(type(s) is int for s in scales)
 
 
 def test_confidence_floor_constant():
