@@ -232,6 +232,23 @@ def multiscale_patch_distance(
     return BoundaryResult(value, tuple(per_scale), tuple(fractions))
 
 
+def _boundary_window(points: np.ndarray, scales, h: int, w: int) -> tuple[slice, slice]:
+    """Rows and columns of the boundary-cell window of an h x w raster.
+
+    At each scale, take the scale-aligned bounding box of the patch cells that
+    hold a boundary point; the window is the union of those boxes, widened by
+    a 1 px halo (an edge test reads a pixel's 8 neighbors) and clipped to the
+    raster. Only those cells enter either boundary term.
+    """
+    lo, hi = np.array([w, h]), np.array([0, 0])
+    for scale in scales:
+        cells = np.floor(points / scale).astype(np.int64)
+        lo = np.minimum(lo, cells.min(axis=0) * scale)
+        hi = np.maximum(hi, (cells.max(axis=0) + 1) * scale)
+    (x0, y0), (x1, y1) = np.maximum(lo - 1, 0), np.minimum(hi + 1, (w, h))
+    return slice(int(y0), int(y1)), slice(int(x0), int(x1))
+
+
 def boundary_constraint(
     flow: FlowMap,
     boundary: PointSet,
@@ -239,14 +256,24 @@ def boundary_constraint(
 ) -> BoundaryResult:
     """Extract flow edges and score them against the boundary curve.
 
-    Returns value 0 with edges_empty set when the flow has no edges at all.
+    Only patch cells that hold a boundary point are scored, so edges are
+    extracted on the boundary-cell window alone (see `_boundary_window`) and
+    the cost follows the boundary's extent, not the raster. Every pixel of
+    those cells has its full neighbor set inside the window, so the result
+    equals the full-raster evaluation bitwise. Returns value 0 with
+    edges_empty set when the flow has no edges at all, inside the window or
+    not.
     """
     if len(boundary) == 0:
         raise EmptyPointSet("boundary curve is empty")
-    edges = extract_flow_edges(flow, hp)
-    if len(edges.union) == 0:
+    _check_in_raster("e", boundary.points, flow.width, flow.height)
+    rows, cols = _boundary_window(boundary.points, hp.scales, flow.height, flow.width)
+    # The public extractor, so that a per-layer trace of it still sees this work.
+    edges = extract_flow_edges(FlowMap(flow.vectors[rows, cols]), hp).union
+    if len(edges) == 0 and len(extract_flow_edges(flow, hp).union) == 0:
         return BoundaryResult(0.0, (), (), edges_empty=True)
-    return multiscale_patch_distance(edges.union, boundary, hp.scales, flow.width, flow.height)
+    edges = PointSet(edges.points + (cols.start, rows.start))
+    return multiscale_patch_distance(edges, boundary, hp.scales, flow.width, flow.height)
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +284,10 @@ def boundary_constraint(
 _MASS_FLOOR = 0.5  # cells with less soft edge mass than this are skipped
 
 
-def _soft_cell_value(w: np.ndarray, ys, xs, boundary_points: np.ndarray, scale: int):
+def _soft_cell_value(w: np.ndarray, ys, xs, boundary_points: np.ndarray, scale: int, h: int, wd: int):
     """Soft patch-centroid distance at one scale and its d(value)/d(w) field;
-    `ys, xs` are the pixel coordinates of w."""
-    h, wd = w.shape
+    `ys, xs` are the pixel coordinates of w on the h x wd raster, whose cell grid
+    is the one scored."""
     gh, gw = -(-h // scale), -(-wd // scale)
     e_counts, e_centroids = _bin_points(boundary_points, scale, gh, gw)
     cid = (ys // scale) * gw + (xs // scale)
@@ -272,7 +299,7 @@ def _soft_cell_value(w: np.ndarray, ys, xs, boundary_points: np.ndarray, scale: 
     include = (m_c > _MASS_FLOOR) & (e_c > 0)
     n_inc = int(include.sum())
     if n_inc == 0:
-        return 0.0, np.zeros((h, wd))
+        return 0.0, np.zeros(w.shape)
 
     cx = np.zeros(n_cells)
     cy = np.zeros(n_cells)
@@ -307,14 +334,27 @@ def soft_boundary_constraint(
     neighbor slots, where slot n holds the pair with neighbor _NEIGHBORS[n]
     and an off-raster slot counts as 0. The gradient flows through the
     lowest slot that attains the largest weight.
+
+    Only patch cells that hold a boundary point enter the value, so the
+    forward and backward passes run on the boundary-cell window alone (see
+    `_boundary_window`) and the cost follows the boundary's extent, not the
+    raster. The gradient is exactly 0 outside that window, and value and
+    gradient equal the full-raster evaluation bitwise: the scored cells lie
+    inside the window with their full neighbor sets, each cell sums its
+    pixels in the same row-major order, and each pixel's gradient adds run in
+    the same slot order.
     """
     if tau <= 0:
         raise ValidationError("tau must be positive")
     if len(boundary) == 0:
         raise EmptyPointSet("boundary curve is empty")
-    m = flow.vectors
+    _check_in_raster("e", boundary.points, flow.width, flow.height)
+    rows, cols = _boundary_window(boundary.points, hp.scales, flow.height, flow.width)
+    # h x wd is the window. Halo pixels miss some neighbor slots, so their
+    # weights are off, but they lie in no scored cell; cell ids stay on the
+    # grid of the whole raster.
+    m = flow.vectors[rows, cols]
     h, wd = m.shape[:2]
-    _check_in_raster("e", boundary.points, wd, h)
 
     # Forward: per pair, the intensity weight b, the angular weight a = g siga
     # with moving gate g, and d(siga)/d(cos).
@@ -349,14 +389,15 @@ def soft_boundary_constraint(
     dvdw_total = np.zeros((h, wd))
     value = 0.0
     scales = hp.scales
-    ys, xs = np.mgrid[0:h, 0:wd]
+    ys, xs = np.mgrid[rows, cols]
     for scale in scales:
-        v_s, dvdw = _soft_cell_value(w, ys, xs, boundary.points, int(scale))
+        v_s, dvdw = _soft_cell_value(w, ys, xs, boundary.points, int(scale), flow.height, flow.width)
         value += v_s / len(scales)
         dvdw_total += dvdw / len(scales)
 
     # Backward through w = 1 - (1 - wi)(1 - wa) and the neighbor sigmoids.
-    grad = np.zeros((h, wd, 2))
+    grad_full = np.zeros(flow.vectors.shape)
+    grad = grad_full[rows, cols]
     grad_r = np.zeros((h, wd))
     dwdwi = dvdw_total * (1.0 - wa)
     dwdwa = dvdw_total * (1.0 - wi)
@@ -392,7 +433,7 @@ def soft_boundary_constraint(
 
     safe_r = np.where(r > 0, r, 1.0)
     grad += (grad_r / safe_r)[..., None] * m
-    return value, grad
+    return value, grad_full
 
 
 # ---------------------------------------------------------------------------

@@ -491,6 +491,76 @@ def test_boundary_terms_ignore_point_order(data, arr, tau, scales):
     assert bnd.exact_chamfer(s, e) == bnd.exact_chamfer(s, e_permuted)
 
 
+def _halo_window(points, scales, h, w):
+    """Mask of the pixels either boundary term may read: the bounding box of
+    every pixel whose patch cell, at some scale, holds a boundary point,
+    widened by 1 px and clipped to the raster."""
+    held = np.zeros((h, w), dtype=bool)
+    for scale in scales:
+        cells = {(int(x // scale), int(y // scale)) for x, y in points}
+        held |= np.array([[(x // scale, y // scale) in cells for x in range(w)] for y in range(h)])
+    rows, cols = np.nonzero(held.any(axis=1))[0], np.nonzero(held.any(axis=0))[0]
+    inside = np.zeros((h, w), dtype=bool)
+    inside[max(rows[0] - 1, 0):rows[-1] + 2, max(cols[0] - 1, 0):cols[-1] + 2] = True
+    return inside
+
+
+@given(
+    data=st.data(),
+    h=st.integers(6, 36),
+    w=st.integers(6, 36),
+    integer_flow=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    far=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6),
+    tau=st.sampled_from([0.5, 0.1, 0.02]),
+    scales=st.sampled_from([(2,), (2, 3), (4, 8), (8, 16, 32)]),
+    offset=st.sampled_from([0.0, 0.25]),
+)
+def test_boundary_terms_read_only_the_halo_window(data, h, w, integer_flow, seed, far, tau, scales, offset):
+    """Only patch cells holding a boundary point enter either term, and an edge
+    test reads a pixel's 8 neighbours, so any finite flow outside the window
+    of those cells plus a 1 px halo leaves both terms bitwise unchanged, and
+    the soft gradient there is exactly 0."""
+    y0, x0 = data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1))
+    box_h, box_w = data.draw(st.integers(1, h - y0)), data.draw(st.integers(1, w - x0))
+    points = data.draw(_integer_points(box_h, box_w, 12)) + (x0 + offset, y0 + offset)
+    rng = np.random.default_rng(seed)
+    arr = rng.integers(-3, 4, (h, w, 2)).astype(np.float64) if integer_flow else rng.normal(0.0, 1.5, (h, w, 2))
+    outside = ~_halo_window(points, scales, h, w)
+    perturbed = arr.copy()
+    perturbed[outside] = rng.choice(np.array(far), (int(outside.sum()), 2))
+    boundary, hp = PointSet(points), Hyperparams(scales=scales)
+
+    with np.errstate(all="ignore"):  # far values may overflow the norms outside the window
+        (value, grad), (value_p, grad_p) = (
+            bnd.soft_boundary_constraint(FlowMap(a), boundary, hp, tau) for a in (arr, perturbed))
+        hard, hard_p = (bnd.boundary_constraint(FlowMap(a), boundary, hp) for a in (arr, perturbed))
+    assert value == value_p and grad.tobytes() == grad_p.tobytes()
+    assert np.all(grad[outside] == 0.0)
+    if hard.edges_empty or hard_p.edges_empty:
+        # only edges outside the window can appear or vanish, and they score nothing
+        for res in (hard, hard_p):
+            assert res.value == 0.0 and all(r.cooccupied_cells == 0 for r in res.per_scale)
+    else:
+        assert hard == hard_p
+    full_edges = bnd.extract_flow_edges(FlowMap(arr), hp).union
+    if len(full_edges):  # the hard term scores the full raster's edges
+        assert hard == bnd.multiscale_patch_distance(full_edges, boundary, scales, w, h)
+
+
+def test_boundary_constraint_edges_only_outside_the_window(hp):
+    """Edges far from the boundary's cells score nothing but still count as edges."""
+    arr = np.zeros((96, 96, 2))
+    arr[:, 64:, 0] = 5.0
+    boundary = PointSet(np.array([[3.0, 4.0], [10.0, 12.0]]))
+    res = bnd.boundary_constraint(FlowMap(arr), boundary, hp)
+    assert not res.edges_empty
+    assert res.value == 0.0
+    assert len(res.per_scale) == len(hp.scales)
+    assert all(r.cooccupied_cells == 0 for r in res.per_scale)
+    assert bnd.boundary_constraint(FlowMap.zeros(96, 96), boundary, hp).edges_empty
+
+
 @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (4, 3)])
 def test_soft_boundary_gradient_every_coordinate(shape):
     """Central differences at every coordinate of rasters cut by the border on
@@ -523,6 +593,10 @@ def test_boundary_outside_raster_raises(hp, point):
         bnd.soft_boundary_constraint(FlowMap.zeros(4, 3), outside, hp, 0.1)
     with pytest.raises(ValidationError, match="outside the 1x1 raster"):
         bnd.soft_boundary_constraint(FlowMap.zeros(1, 1), outside, hp, 0.1)
+    # checked before any edge test, so a flow without edges raises too
+    for flow in (FlowMap.zeros(4, 3), FlowMap(np.arange(24.0).reshape(3, 4, 2))):
+        with pytest.raises(ValidationError, match="curve e has points outside the 4x3 raster"):
+            bnd.boundary_constraint(flow, outside, hp)
 
 
 def test_auto_intensity_threshold_percentile():

@@ -353,6 +353,8 @@ _HUGE = 10 ** 400  # a valid JSON integer beyond the float range
                  "$.subjects[0].angles_t must map names to finite numbers", id="synth-angle"),
     pytest.param(_synth_argv, '{"seed": -1, "noise_sigma": 0.5}', 2, "seed must be non-negative",
                  id="synth-seed"),
+    pytest.param(_synth_argv, f'{{"width": {_HUGE}}}', 2, "at most 16777216 pixels", id="synth-huge-width"),
+    pytest.param(_synth_argv, '{"width": 100000000000}', 2, "at most 16777216 pixels", id="synth-wide"),
     pytest.param(_solve_argv, {"tolerance": True}, 1, "tolerance must be a finite number", id="bool-tolerance"),
     pytest.param(_solve_argv, {"tolerance": float("nan")}, 1, "tolerance must be a finite number",
                  id="nan-tolerance"),

@@ -175,3 +175,10 @@ def test_camera_motion_fills_background():
 def test_unknown_bone_parameter_rejected():
     with pytest.raises(ValidationError):
         synth.SubjectSpec(angles_t1={"tail": 0.3})
+
+
+def test_scene_pixel_cap():
+    assert synth.SceneSpec(width=4096, height=4096).width == 4096
+    for width, height in ((4097, 4096), (32, 2**19 + 1), (10**400, 32)):
+        with pytest.raises(ValidationError, match="at most 16777216 pixels"):
+            synth.SceneSpec(width=width, height=height)
