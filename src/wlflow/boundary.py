@@ -14,9 +14,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .core import EPS_VEC, FlowMap, Hyperparams, PointSet, _dcos, _sigmoid, _soft_angle, armijo_descent
+from .core import (
+    EPS_VEC,
+    MAX_PIXELS,
+    FlowMap,
+    Hyperparams,
+    PointSet,
+    _check_number,
+    _dcos,
+    _sigmoid,
+    _soft_angle,
+    armijo_descent,
+)
 from .errors import EmptyPointSet, ValidationError
 
 # 8-neighborhood offsets as (dy, dx).
@@ -142,9 +152,16 @@ def auto_intensity_threshold(flow: FlowMap, percentile: float = 90.0) -> float:
 
 
 def exact_chamfer(s: PointSet, e: PointSet) -> float:
-    """Mean nearest-neighbor distance from each point of s to the set e."""
+    """Mean nearest-neighbor distance from each point of s to the set e.
+
+    This is wlflow's only use of scipy. Its k-d tree is imported here, on the
+    first call, so that importing the package (and every CLI command but
+    exact `chamfer`) never loads scipy, which would double its start-up time.
+    """
     if len(s) == 0 or len(e) == 0:
         raise EmptyPointSet("exact_chamfer requires two nonempty point sets")
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(e.points)
     d, _ = tree.query(s.points)
     return float(np.mean(d))
@@ -185,10 +202,13 @@ def _check_in_raster(name: str, pts: np.ndarray, width: int, height: int) -> Non
 
 def build_patch_grid(s: PointSet, e: PointSet, scale: int, width: int, height: int) -> PatchGrid:
     """Tile the raster into scale-sized cells and bin both curves into them."""
+    _check_number("patch scale", scale)
     if scale < 2:
         raise ValidationError("patch scale must be >= 2")
     if width < 1 or height < 1:
         raise ValidationError("raster dimensions must be positive")
+    if int(width) * int(height) > MAX_PIXELS:
+        raise ValidationError(f"raster width x height must be at most {MAX_PIXELS} pixels (4096x4096)")
     _check_in_raster("s", s.points, width, height)
     _check_in_raster("e", e.points, width, height)
     gw = -(-width // scale)

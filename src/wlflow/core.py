@@ -23,6 +23,10 @@ EPS_VEC = 1e-6
 
 N_JOINTS = 17
 
+# Largest raster, in pixels (4096 x 4096), that a scene or a patch grid may
+# cover; both allocate several float64 arrays of this size.
+MAX_PIXELS = 2**24
+
 
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
@@ -80,6 +84,13 @@ def _finite_number(v) -> bool:
         return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
     except OverflowError:  # an integer beyond the float range
         return False
+
+
+def _check_number(name: str, value) -> None:
+    """Refuse a bool or a non-finite number; other non-numbers are left to fail
+    the caller's comparisons with a TypeError or ValueError."""
+    if isinstance(value, (int, float)) and not _finite_number(value):
+        raise ValidationError(f"{name} must be a finite number")
 
 
 def _as_readonly(arr: np.ndarray) -> np.ndarray:
@@ -266,6 +277,8 @@ class Hyperparams:
     scales: tuple = (8, 16, 32)
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "theta_a", "theta_il", "theta_ih", "edge_theta_i", "edge_theta_a"):
+            _check_number(name, getattr(self, name))
         if not (self.alpha > 0 and self.beta > 0):
             raise ValidationError("alpha and beta must be positive")
         if not 0 < self.theta_il < self.theta_ih:
@@ -274,7 +287,11 @@ class Hyperparams:
             raise ValidationError("theta_a must lie in (0, 90) degrees")
         if not (self.edge_theta_i > 0 and self.edge_theta_a > 0):
             raise ValidationError("edge thresholds must be positive")
+        if self.edge_theta_a > 180:
+            raise ValidationError("edge_theta_a must be at most 180 degrees")
         given = tuple(self.scales)
+        for s in given:
+            _check_number("each scales entry", s)
         scales = tuple(int(s) for s in given)
         if scales != given:
             raise ValidationError(f"scales must be integers, got {list(given)}")

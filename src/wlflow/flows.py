@@ -25,7 +25,7 @@ from .core import (
     PointSet,
     SubjectMask,
     Vec2,
-    _finite_number,
+    _check_number,
     armijo_descent,
     validate_pairing,
 )
@@ -42,13 +42,6 @@ class ObjectiveBreakdown:
     alpha: float
     f_report: kin.ConstraintReport | None = None
     g_result: bnd.BoundaryResult | None = None
-
-
-def _check_number(name: str, value) -> None:
-    """Refuse a bool or a non-finite number; other non-numbers are left to fail
-    the caller's comparisons with a TypeError or ValueError."""
-    if isinstance(value, (int, float)) and not _finite_number(value):
-        raise ValidationError(f"{name} must be a finite number")
 
 
 @dataclass(frozen=True)

@@ -233,13 +233,16 @@ def flow_to_rgb(flow: FlowMap, max_norm: float | None = None) -> np.ndarray:
     """Color-code a flow field: hue from direction, saturation from magnitude.
 
     Zero flow renders white. max_norm defaults to the 99th percentile of the
-    magnitudes (or 1 if the field is everywhere static).
+    magnitudes (or 1 if the field is everywhere static); a max_norm <= 0
+    also means 1, and a non-finite one raises ValidationError.
     """
     u = flow.vectors[..., 0]
     v = flow.vectors[..., 1]
     rad = np.hypot(u, v)
     if max_norm is None:
         max_norm = float(np.percentile(rad, 99.0))
+    elif not np.isfinite(max_norm):
+        raise ValidationError(f"max_norm must be a finite number, got {max_norm}")
     if max_norm <= 0:
         max_norm = 1.0
     un = u / max_norm

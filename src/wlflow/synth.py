@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FlowMap, KeypointFrame, PointSet, SubjectMask, Vec2
+from .core import MAX_PIXELS, FlowMap, KeypointFrame, PointSet, SubjectMask, Vec2
 from .errors import EmptySubject, SpecOutOfBounds, ValidationError
 from .skeleton import DEFAULT_BONES
 
@@ -52,9 +52,6 @@ DEFAULT_RADII = (2.5, 2.5, 2.5, 2.5, 2.5, 2.5, 2.5, 2.5, 3.0, 3.0, 4.0, 4.0, 2.5
 
 _MARGIN = 2.0
 
-# Largest scene raster (4096 x 4096); a scene allocates several float64 arrays of this size.
-_MAX_PIXELS = 2**24
-
 
 @dataclass(frozen=True)
 class SubjectSpec:
@@ -89,8 +86,8 @@ class SceneSpec:
     def __post_init__(self):
         if self.width < 32 or self.height < 32:
             raise ValidationError("scene dimensions must be at least 32 pixels")
-        if self.width * self.height > _MAX_PIXELS:
-            raise ValidationError(f"scene width x height must be at most {_MAX_PIXELS} pixels (4096x4096)")
+        if self.width * self.height > MAX_PIXELS:
+            raise ValidationError(f"scene width x height must be at most {MAX_PIXELS} pixels (4096x4096)")
         if not self.subjects:
             raise ValidationError("scene needs at least one subject")
         if self.seed < 0:

@@ -222,6 +222,17 @@ def test_patch_grid_empty_region():
     assert grid.counts_s.sum() == 1
 
 
+def test_patch_grid_pixel_cap():
+    """Rasters up to 4096x4096 are tiled; larger ones are refused before any allocation."""
+    s = PointSet(np.array([[3.0, 4.0]]))
+    assert bnd.build_patch_grid(s, s, 64, 4096, 4096).grid_shape == (64, 64)
+    for width, height in ((4097, 4096), (10**6, 10**6), (99999999999, 99999999999)):
+        with pytest.raises(ValidationError, match="at most 16777216 pixels"):
+            bnd.build_patch_grid(s, s, 8, width, height)
+    with pytest.raises(ValidationError, match="patch scale must be a finite number"):
+        bnd.build_patch_grid(s, s, 10**400, 32, 32)
+
+
 def test_patch_grid_membership_floor_division_oracle():
     rng = np.random.default_rng(2)
     s = rng.uniform(0, 64, (200, 2))

@@ -1,11 +1,21 @@
+import contextlib
 import json
+import os
+import subprocess
+import sys
+from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import wlflow
+from wlflow import boundary as bnd
 from wlflow import io, synth
 from wlflow.cli import main
-from wlflow.core import FlowMap, Vec2
+from wlflow.core import FlowMap, PointSet, Vec2
 
 
 @pytest.fixture(scope="module")
@@ -321,6 +331,19 @@ def _synth_argv(scene_dir, tmp_path, spec_text):
     return ["synth", "--spec", str(spec), "--out-dir", str(tmp_path / "scene")]
 
 
+def _render_argv(scene_dir, tmp_path, max_norm):
+    return ["render", "--flow", str(scene_dir / "gt_world.flo"), "--out", str(tmp_path / "flow.ppm"),
+            f"--max-norm={max_norm}"]
+
+
+def _edges_argv(scene_dir, tmp_path, flags):
+    return ["edges", "--flow", str(scene_dir / "gt_world.flo"), *flags]
+
+
+def _patch_raster_argv(scene_dir, tmp_path, size):
+    return _chamfer_argv(scene_dir, tmp_path, "8") + ["--width", size, "--height", size]
+
+
 _HUGE = 10 ** 400  # a valid JSON integer beyond the float range
 
 
@@ -363,6 +386,14 @@ _HUGE = 10 ** 400  # a valid JSON integer beyond the float range
                  "smoothness_weight and background_weight must be >= 0", id="negative-weight"),
     pytest.param(_solve_argv, {"tau_schedule": [0.5, True]}, 1,
                  "each tau_schedule entry must be a finite number", id="bool-tau"),
+    pytest.param(_render_argv, "nan", 1, "max_norm must be a finite number", id="nan-max-norm"),
+    pytest.param(_render_argv, "-inf", 1, "max_norm must be a finite number", id="inf-max-norm"),
+    pytest.param(_edges_argv, ["--theta-i", "inf"], 1, "edge_theta_i must be a finite number",
+                 id="inf-theta-i"),
+    pytest.param(_edges_argv, ["--theta-a", "inf"], 1, "edge_theta_a must be a finite number",
+                 id="inf-theta-a"),
+    pytest.param(_patch_raster_argv, "99999999999", 1, "at most 16777216 pixels", id="patch-huge-raster"),
+    pytest.param(_chamfer_argv, str(_HUGE), 1, "patch scale must be a finite number", id="patch-huge-scale"),
 ])
 def test_bad_arguments_exit_with_one_line_error(scene_dir, tmp_path, capsys, build, arg, code, message):
     got, _, err = _run(capsys, build(scene_dir, tmp_path, arg))
@@ -370,3 +401,83 @@ def test_bad_arguments_exit_with_one_line_error(scene_dir, tmp_path, capsys, bui
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert "Traceback" not in err
+
+
+def _one_error_line(err: str, argparse_exit: bool) -> bool:
+    """True when stderr holds exactly one error line: argparse prints its usage
+    first, every other failure is a single `error: ...` line."""
+    if argparse_exit:
+        return sum("error: " in line for line in err.splitlines()) == 1
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+# NaN, infinities, negatives, zero, integers far beyond any raster, and ordinary values.
+_NUMBER_TEXT = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e400", "99999999999", str(_HUGE), "2.5"]),
+    st.integers(-(10 ** 20), 10 ** 20).map(str),
+    st.integers(1, 96).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A small flow with edges and a curve file, so every accepted call is fast."""
+    root = tmp_path_factory.mktemp("fuzz")
+    arr = np.zeros((12, 16, 2))
+    arr[3:9, 4:10] = (1.5, -0.5)
+    io.write_flo(root / "flow.flo", FlowMap(arr))
+    (root / "pts.json").write_text(json.dumps({"points": [[1.0, 1.0], [4.0, 2.0], [30.0, 20.0]]}))
+    return root
+
+
+@settings(max_examples=120)
+@given(flag=st.sampled_from(["render --max-norm", "edges --theta-i", "edges --theta-a",
+                             "chamfer --width", "chamfer --height", "chamfer --scales"]),
+       value=_NUMBER_TEXT, other=st.sampled_from(["8", "31", "64", "99999999999"]))
+def test_fuzz_numeric_flags_exit_cleanly(fuzz_inputs, flag, value, other):
+    """Every value of a numeric flag ends in exit 0, 1 or 2 with one error line and no traceback.
+
+    Rasters above the 2**24-pixel cap are refused before anything is allocated,
+    so no drawn value can build a larger one.
+    """
+    command, option = flag.split()
+    flow, pts = str(fuzz_inputs / "flow.flo"), str(fuzz_inputs / "pts.json")
+    argv = {
+        "render": ["render", "--flow", flow, "--out", str(fuzz_inputs / "out.ppm")],
+        "edges": ["edges", "--flow", flow],
+        "chamfer": ["chamfer", "--s", pts, "--e", pts, "--patch", "--scales", "8,16",
+                    "--width", other, "--height", other],
+    }[command] + [f"{option}={value}"]
+    out, err = StringIO(), StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+            argparse_exit = False
+        except SystemExit as exc:
+            code, argparse_exit = exc.code, True
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code:
+        assert _one_error_line(err, argparse_exit), err
+
+
+def test_cli_entry_point_imports_no_scipy_until_exact_chamfer(tmp_path):
+    """`import wlflow.cli` loads no scipy module; `chamfer --exact` still runs the k-d tree."""
+    env = dict(os.environ, PYTHONPATH=str(Path(wlflow.__file__).resolve().parents[1]))
+    probe = "import sys, wlflow.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+    rng = np.random.default_rng(7)
+    s, e = PointSet(rng.uniform(0, 50, (40, 2))), PointSet(rng.uniform(0, 50, (30, 2)))
+    io.write_points(tmp_path / "s.json", s)
+    io.write_points(tmp_path / "e.json", e)
+    done = subprocess.run(
+        [sys.executable, "-m", "wlflow.cli", "chamfer", "--exact",
+         "--s", str(tmp_path / "s.json"), "--e", str(tmp_path / "e.json")],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["exact"] == io._format_floats(bnd.exact_chamfer(s, e))

@@ -113,6 +113,15 @@ def test_hyperparams_defaults():
     {"scales": ()},
     {"scales": (1,)},
     {"scales": (2.5, 8.9)},
+    {"alpha": float("inf")},
+    {"beta": float("nan")},
+    {"theta_ih": float("inf")},
+    {"edge_theta_i": float("inf")},
+    {"edge_theta_a": float("inf")},
+    {"edge_theta_a": 360.0},
+    {"alpha": True},
+    {"scales": (8, float("inf"))},
+    {"scales": (float("nan"),)},
 ])
 def test_hyperparams_invariants(kwargs):
     with pytest.raises(ValidationError):

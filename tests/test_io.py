@@ -14,6 +14,7 @@ from wlflow.errors import (
     NonFiniteValue,
     SchemaError,
     TruncatedFile,
+    ValidationError,
     WlflowError,
 )
 
@@ -150,6 +151,12 @@ def test_render_constant_flow_single_hue(tmp_path):
     pixels = np.frombuffer(raw[header_end:], dtype=np.uint8).reshape(-1, 3)
     assert (pixels == pixels[0]).all()
     assert not (pixels[0] == (255, 255, 255)).all()
+
+
+@pytest.mark.parametrize("max_norm", [float("nan"), float("inf"), -float("inf")])
+def test_render_rejects_non_finite_max_norm(max_norm):
+    with pytest.raises(ValidationError, match="max_norm must be a finite number"):
+        io.flow_to_rgb(FlowMap.constant(4, 4, Vec2(1.0, 0.0)), max_norm)
 
 
 def test_render_golden_hash(tmp_path):
