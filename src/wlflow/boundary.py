@@ -11,6 +11,7 @@ Chamfer distance when points are smoothly distributed.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -341,13 +342,19 @@ def soft_boundary_constraint(
     boundary: PointSet,
     hp: Hyperparams,
     tau: float,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, Callable[[], np.ndarray]]:
     """Differentiable relaxation of the boundary constraint.
 
     Edge membership becomes a per-pixel sigmoid weight on the neighbor
     discontinuities (the two measures are combined by a smooth union), cell
-    centroids become weight-weighted means, and the returned gradient is
-    analytic in every flow vector.
+    centroids become weight-weighted means, and the gradient is analytic in
+    every flow vector.
+
+    Runs the forward pass and returns (value, backward): `backward()` runs
+    the backward pass over the forward intermediates it holds and returns
+    the gradient, so a caller that needs only the value (a line-search trial
+    that is rejected) skips that work. Value and gradient are bitwise those
+    of a single combined pass.
 
     Each neighbor pair (i, j) is scored once, over the 4 forward offsets.
     A pixel's intensity and angular weights are the largest of its 8
@@ -402,8 +409,8 @@ def soft_boundary_constraint(
         b, a = pairs[min(n, 7 - n)][:2]
         for best, arg, val in ((wi, ni, b), (wa, na, a)):
             win = val > best[at]
-            best[at][win] = val[win]
-            arg[at][win] = n
+            np.copyto(best[at], val, where=win)
+            np.copyto(arg[at], n, where=win)
     w = 1.0 - (1.0 - wi) * (1.0 - wa)
 
     dvdw_total = np.zeros((h, wd))
@@ -415,45 +422,48 @@ def soft_boundary_constraint(
         value += v_s / len(scales)
         dvdw_total += dvdw / len(scales)
 
-    # Backward through w = 1 - (1 - wi)(1 - wa) and the neighbor sigmoids.
-    grad_full = np.zeros(flow.vectors.shape)
-    grad = grad_full[rows, cols]
-    grad_r = np.zeros((h, wd))
-    dwdwi = dvdw_total * (1.0 - wa)
-    dwdwa = dvdw_total * (1.0 - wi)
-    dwu_dr = 2.0 * r * s2 / (r * r + s2) ** 2
-    # Terms at dvdw == 0 are +-0 and the sums start at +0, so skipping them keeps every bit.
-    live = dvdw_total != 0
+    def backward() -> np.ndarray:
+        # Backward through w = 1 - (1 - wi)(1 - wa) and the neighbor sigmoids.
+        grad_full = np.zeros(flow.vectors.shape)
+        grad = grad_full[rows, cols]
+        grad_r = np.zeros((h, wd))
+        dwdwi = dvdw_total * (1.0 - wa)
+        dwdwa = dvdw_total * (1.0 - wi)
+        dwu_dr = 2.0 * r * s2 / (r * r + s2) ** 2
+        # Terms at dvdw == 0 are +-0 and the sums start at +0, so skipping them keeps every bit.
+        live = dvdw_total != 0
 
-    for n, (dy, dx) in enumerate(_NEIGHBORS):
-        i, j = _pair_slices(dy, dx, h, wd)
-        _, _, g, siga, cosfac = pairs[min(n, 7 - n)]
+        for n, (dy, dx) in enumerate(_NEIGHBORS):
+            i, j = _pair_slices(dy, dx, h, wd)
+            _, _, g, siga, cosfac = pairs[min(n, 7 - n)]
 
-        # intensity path through the argmax neighbor
-        sel = live[i] & (ni[i] == n)
-        b = wi[i][sel]  # the argmax neighbor's intensity weight
-        common = dwdwi[i][sel] * b * (1.0 - b) / tau * np.sign(r[i][sel] - r[j][sel])
-        grad_r[i][sel] += common
-        grad_r[j][sel] -= common
+            # intensity path through the argmax neighbor
+            sel = live[i] & (ni[i] == n)
+            b = wi[i][sel]  # the argmax neighbor's intensity weight
+            common = dwdwi[i][sel] * b * (1.0 - b) / tau * np.sign(r[i][sel] - r[j][sel])
+            grad_r[i][sel] += common
+            grad_r[j][sel] -= common
 
-        # angular path through the argmax neighbor
-        sel = live[i] & (na[i] == n) & (g > 0)
-        mi, mj = m[i][sel], m[j][sel]
-        dui, duj = du[i][sel], du[j][sel]
-        wui, wuj = wu[i][sel], wu[j][sel]
-        siga_n = siga[sel]
-        common = dwdwa[i][sel]
-        grad_r[i][sel] += common * siga_n * wuj * dwu_dr[i][sel]
-        grad_r[j][sel] += common * siga_n * wui * dwu_dr[j][sel]
+            # angular path through the argmax neighbor
+            sel = live[i] & (na[i] == n) & (g > 0)
+            mi, mj = m[i][sel], m[j][sel]
+            dui, duj = du[i][sel], du[j][sel]
+            wui, wuj = wu[i][sel], wu[j][sel]
+            siga_n = siga[sel]
+            common = dwdwa[i][sel]
+            grad_r[i][sel] += common * siga_n * wuj * dwu_dr[i][sel]
+            grad_r[j][sel] += common * siga_n * wui * dwu_dr[j][sel]
 
-        dot = (mi * mj).sum(axis=1)
-        factor = common * g[sel] * cosfac[sel]
-        grad[i][sel] += factor[:, None] * _dcos(mi, mj, dui, duj, dot)
-        grad[j][sel] += factor[:, None] * _dcos(mj, mi, duj, dui, dot)
+            dot = (mi * mj).sum(axis=1)
+            factor = common * g[sel] * cosfac[sel]
+            grad[i][sel] += factor[:, None] * _dcos(mi, mj, dui, duj, dot)
+            grad[j][sel] += factor[:, None] * _dcos(mj, mi, duj, dui, dot)
 
-    safe_r = np.where(r > 0, r, 1.0)
-    grad += (grad_r / safe_r)[..., None] * m
-    return value, grad_full
+        safe_r = np.where(r > 0, r, 1.0)
+        grad += (grad_r / safe_r)[..., None] * m
+        return grad_full
+
+    return value, backward
 
 
 # ---------------------------------------------------------------------------
@@ -537,12 +547,12 @@ def _morph_target_grids(points: np.ndarray, scales, width: int, height: int):
     return grids
 
 
-def _morph_loss_and_grad(moved: np.ndarray, target_grids, scales):
+def _morph_loss(moved: np.ndarray, target_grids, scales):
     """Multiscale patch-centroid distance of moved vs target with soft cell
-    assignment; returns the loss and its gradient on the moved points."""
-    n_pts = moved.shape[0]
-    grad = np.zeros((n_pts, 2))
+    assignment; returns the loss and a callable giving its gradient on the
+    moved points."""
     value = 0.0
+    kept = []  # per scale with an included cell, what its gradient needs
     for scale, (me, ce_x, ce_y, gw, gh) in zip(scales, target_grids):
         cells, w, dwdx, dwdy = _soft_bin(moved, int(scale), gw, gh)
         m, sx, sy = _cell_sums(cells, moved[:, 0:1], moved[:, 1:2], gh * gw, w)
@@ -557,20 +567,26 @@ def _morph_loss_and_grad(moved: np.ndarray, target_grids, scales):
         ey = np.where(include, cmy - ce_y, 0.0)
         d = np.hypot(ex, ey)
         value += float(d[include].mean()) / len(scales)
+        kept.append((cells, w, dwdx, dwdy, include, n_inc, safe_m, cmx, cmy, ex, ey, d))
 
-        safe_d = np.where(d > 1e-12, d, 1.0)
-        live = include & (d > 1e-12)
-        ux = np.where(live, ex / safe_d, 0.0) / (len(scales) * n_inc)
-        uy = np.where(live, ey / safe_d, 0.0) / (len(scales) * n_inc)
-        # d(cm_x)/dx_i = (w + dw/dx (x_i - cm_x)) / m ; d(cm_y)/dx_i = dw/dx (y_i - cm_y) / m
-        mx = safe_m[cells]
-        rx = moved[:, 0:1] - cmx[cells]
-        ry = moved[:, 1:2] - cmy[cells]
-        gx = ux[cells] * (w + dwdx * rx) / mx + uy[cells] * (dwdx * ry) / mx
-        gy = ux[cells] * (dwdy * rx) / mx + uy[cells] * (w + dwdy * ry) / mx
-        grad[:, 0] += gx.sum(axis=1)
-        grad[:, 1] += gy.sum(axis=1)
-    return value, grad
+    def gradient() -> np.ndarray:
+        grad = np.zeros((moved.shape[0], 2))
+        for cells, w, dwdx, dwdy, include, n_inc, safe_m, cmx, cmy, ex, ey, d in kept:
+            safe_d = np.where(d > 1e-12, d, 1.0)
+            live = include & (d > 1e-12)
+            ux = np.where(live, ex / safe_d, 0.0) / (len(scales) * n_inc)
+            uy = np.where(live, ey / safe_d, 0.0) / (len(scales) * n_inc)
+            # d(cm_x)/dx_i = (w + dw/dx (x_i - cm_x)) / m ; d(cm_y)/dx_i = dw/dx (y_i - cm_y) / m
+            mx = safe_m[cells]
+            rx = moved[:, 0:1] - cmx[cells]
+            ry = moved[:, 1:2] - cmy[cells]
+            gx = ux[cells] * (w + dwdx * rx) / mx + uy[cells] * (dwdx * ry) / mx
+            gy = ux[cells] * (dwdy * rx) / mx + uy[cells] * (w + dwdy * ry) / mx
+            grad[:, 0] += gx.sum(axis=1)
+            grad[:, 1] += gy.sum(axis=1)
+        return grad
+
+    return value, gradient
 
 
 def morph_curve_fit(moving: PointSet, target: PointSet, opts: MorphOptions = MorphOptions()) -> MorphResult:
@@ -597,18 +613,23 @@ def morph_curve_fit(moving: PointSet, target: PointSet, opts: MorphOptions = Mor
     def field_at_points(d):
         return (weights[..., None] * d[corners]).sum(axis=1)
 
-    def loss_and_grid_grad(d):
-        moved = pts + field_at_points(d)
-        value, gpts = _morph_loss_and_grad(moved, target_grids, scales)
-        gd = np.zeros_like(d)
-        np.add.at(gd, corners.ravel(),
-                  (weights[..., None] * gpts[:, None, :]).reshape(-1, 2))
-        return value, gd
+    def loss(d):
+        value, point_gradient = _morph_loss(pts + field_at_points(d), target_grids, scales)
 
-    value, grad = loss_and_grid_grad(disp)
+        def grid_gradient():
+            gd = np.zeros_like(d)
+            np.add.at(gd, corners.ravel(),
+                      (weights[..., None] * point_gradient()[:, None, :]).reshape(-1, 2))
+            return gd
+
+        return value, grid_gradient
+
+    value, gradient = loss(disp)
+    grad = gradient()
+    del gradient  # its forward state is not needed during the descent
     trace = [value]
     disp, converged = armijo_descent(
-        loss_and_grid_grad, disp, value, grad, _MORPH_STEP_SIZE, opts.max_iters, opts.tolerance,
+        loss, disp, value, grad, _MORPH_STEP_SIZE, opts.max_iters, opts.tolerance,
         lambda d, v, step: trace.append(v),
     )
     moved = PointSet(pts + field_at_points(disp))

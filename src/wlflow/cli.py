@@ -208,13 +208,13 @@ def _cmd_chamfer(args) -> int:
                 f"--scales must be comma-separated integers, got {args.scales!r}"
             ) from exc
         all_pts = np.vstack([s.points, e.points])
-        if args.width and args.height:
-            width, height = args.width, args.height
-        elif len(all_pts):
-            width = args.width or int(np.ceil(all_pts[:, 0].max() + 1))
-            height = args.height or int(np.ceil(all_pts[:, 1].max() + 1))
-        else:
-            width, height = args.width or 1, args.height or 1
+
+        def fitted(axis: int) -> int:
+            return int(np.ceil(all_pts[:, axis].max() + 1)) if len(all_pts) else 1
+
+        # A side that is given, 0 included, goes to build_patch_grid's checks as it is.
+        width = fitted(0) if args.width is None else args.width
+        height = fitted(1) if args.height is None else args.height
         res = bnd.multiscale_patch_distance(s, e, scales, width, height)
         doc["patch_centroid"] = res.value
         doc["per_scale"] = {

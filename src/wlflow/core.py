@@ -48,13 +48,18 @@ def _dcos(u, v, du, dv, dot):
 def armijo_descent(fn, x, value, grad, eta, max_steps, tolerance, on_step):
     """Backtracking gradient descent under the Armijo sufficient-decrease rule.
 
-    `fn(x)` returns (value, gradient); `value` and `grad` are its result at
-    the start point and `eta` the first trial step. A rejected step is
-    halved, up to 40 times; an accepted step doubles into the next trial
-    step, so accepted values never increase. `on_step(x, value, step)` sees
-    every accepted iterate. Stops after `max_steps` accepted steps, or
-    converged on a zero gradient, an exhausted line search, or a largest
-    per-entry move below `tolerance`. Returns (x, converged).
+    `fn(x)` returns (value, gradient), where `gradient` is a zero-argument
+    callable; `value` and `grad` are the value and gradient array at the
+    start point and `eta` the first trial step. The Armijo test needs only
+    the trial value, so the gradient is computed at accepted steps alone: a
+    rejected trial's callable is dropped, with the state it holds, before
+    the next trial. Results are bitwise those of calling it at every trial.
+    A rejected step is halved, up to 40 times; an accepted step doubles into
+    the next trial step, so accepted values never increase. `on_step(x,
+    value, step)` sees every accepted iterate. Stops after `max_steps`
+    accepted steps, or converged on a zero gradient, an exhausted line
+    search, or a largest per-entry move below `tolerance`. Returns (x,
+    converged).
     """
     for _ in range(max_steps):
         gnorm2 = float((grad ** 2).sum())
@@ -63,14 +68,16 @@ def armijo_descent(fn, x, value, grad, eta, max_steps, tolerance, on_step):
         step = eta
         for _ in range(40):
             cand = x - step * grad
-            v_new, g_new = fn(cand)
+            v_new, gradient = fn(cand)
             if v_new <= value - 1e-4 * step * gnorm2:
                 break
+            gradient = None
             step *= 0.5
         else:
             return x, True
         delta = float(np.abs(cand - x).max())
-        x, value, grad = cand, v_new, g_new
+        x, value, grad = cand, v_new, gradient()
+        gradient = None
         on_step(x, value, step)
         eta = step * 2.0
         if delta < tolerance:

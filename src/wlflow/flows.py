@@ -136,40 +136,55 @@ class SolveResult:
 
 
 def _smoothness(arr: np.ndarray, labels: np.ndarray):
-    """Mean squared forward difference of the field and its gradient.
+    """Mean squared forward difference of the field, and a callable giving its
+    gradient.
 
     Differences across region boundaries (label changes) are excluded:
     motion is expected to be discontinuous at the silhouette, and smoothing
     across it would drag subject flow toward the static background.
     """
     h, w = arr.shape[:2]
-    grad = np.zeros_like(arr)
     same_x = (labels[:, 1:] == labels[:, :-1])[..., None]
     same_y = (labels[1:, :] == labels[:-1, :])[..., None]
     dx = (arr[:, 1:, :] - arr[:, :-1, :]) * same_x
     dy = (arr[1:, :, :] - arr[:-1, :, :]) * same_y
     value = float((dx ** 2).sum() + (dy ** 2).sum()) / (h * w)
-    grad[:, 1:, :] += 2.0 * dx
-    grad[:, :-1, :] -= 2.0 * dx
-    grad[1:, :, :] += 2.0 * dy
-    grad[:-1, :, :] -= 2.0 * dy
-    return value, grad / (h * w)
+
+    def gradient() -> np.ndarray:
+        grad = np.zeros_like(arr)
+        grad[:, 1:, :] += 2.0 * dx
+        grad[:, :-1, :] -= 2.0 * dx
+        grad[1:, :, :] += 2.0 * dy
+        grad[:-1, :, :] -= 2.0 * dy
+        return grad / (h * w)
+
+    return value, gradient
 
 
 def _surrogate(arr: np.ndarray, priors: Priors, hp: Hyperparams, opts: SolverOptions, tau: float):
+    """Surrogate objective at `arr` and a callable giving its gradient.
+
+    Every term's value is computed here; the gradients that cost most to
+    build wait for the callable, which a rejected line-search trial never
+    calls (see `armijo_descent`).
+    """
     flow = FlowMap(arr)
     f_val, f_grad = kin.smooth_skeleton_constraint(
         flow, priors.offsets, priors.matches, priors.mask, hp, tau
     )
-    g_val, g_grad = bnd.soft_boundary_constraint(flow, priors.boundary, hp, tau)
-    s_val, s_grad = _smoothness(arr, priors.mask.labels)
+    g_val, g_backward = bnd.soft_boundary_constraint(flow, priors.boundary, hp, tau)
+    s_val, s_gradient = _smoothness(arr, priors.mask.labels)
     h, w = arr.shape[:2]
     background = (priors.mask.labels == 0)[..., None]
     b_val = float((arr ** 2 * background).sum()) / (h * w)
-    b_grad = 2.0 * arr * background / (h * w)
     value = f_val + hp.alpha * g_val + opts.smoothness_weight * s_val + opts.background_weight * b_val
-    grad = f_grad + hp.alpha * g_grad + opts.smoothness_weight * s_grad + opts.background_weight * b_grad
-    return value, grad
+
+    def gradient() -> np.ndarray:
+        # Each deferred gradient is built only when the sum reaches it, so no two are alive at once.
+        return (f_grad + hp.alpha * g_backward() + opts.smoothness_weight * s_gradient()
+                + opts.background_weight * (2.0 * arr * background / (h * w)))
+
+    return value, gradient
 
 
 def solve_world_flow(
@@ -209,7 +224,9 @@ def solve_world_flow(
                 hard=joint_objective(FlowMap(arr), priors, hp),
             ))
 
-        value, grad = surrogate(x)
+        value, gradient = surrogate(x)
+        grad = gradient()
+        del gradient  # its forward state is not needed during the descent
         gmax = float(np.abs(grad).max())
         eta = opts.step_size / gmax if gmax > 0 else opts.step_size
         x, converged = armijo_descent(surrogate, x, value, grad, eta, budget, opts.tolerance, record)

@@ -234,7 +234,8 @@ def flow_to_rgb(flow: FlowMap, max_norm: float | None = None) -> np.ndarray:
 
     Zero flow renders white. max_norm defaults to the 99th percentile of the
     magnitudes (or 1 if the field is everywhere static); a max_norm <= 0
-    also means 1, and a non-finite one raises ValidationError.
+    also means 1. A non-finite max_norm, or one so small that the normalised
+    flow overflows, raises ValidationError.
     """
     u = flow.vectors[..., 0]
     v = flow.vectors[..., 1]
@@ -245,9 +246,12 @@ def flow_to_rgb(flow: FlowMap, max_norm: float | None = None) -> np.ndarray:
         raise ValidationError(f"max_norm must be a finite number, got {max_norm}")
     if max_norm <= 0:
         max_norm = 1.0
-    un = u / max_norm
-    vn = v / max_norm
-    rad = np.hypot(un, vn)
+    with np.errstate(over="ignore"):
+        un = u / max_norm
+        vn = v / max_norm
+        rad = np.hypot(un, vn)
+    if not np.isfinite(rad).all():
+        raise ValidationError(f"max_norm {max_norm} is too small: the normalised flow overflows")
 
     wheel = _make_colorwheel()
     ncols = wheel.shape[0]

@@ -62,3 +62,83 @@ def make_square(center=(48.0, 48.0), side=10.0, n=400):
             p = (-half, half - f * side)
         pts.append((center[0] + p[0], center[1] + p[1]))
     return np.asarray(pts)
+
+
+def eager_armijo_descent(fn, x, value, grad, eta, max_steps, tolerance, on_step):
+    """Reference copy of `core.armijo_descent` as it ran before gradients were
+    deferred: every trial builds its gradient, accepted or not."""
+    for _ in range(max_steps):
+        gnorm2 = float((grad ** 2).sum())
+        if gnorm2 == 0.0:
+            return x, True
+        step = eta
+        for _ in range(40):
+            cand = x - step * grad
+            v_new, gradient = fn(cand)
+            g_new = gradient()
+            if v_new <= value - 1e-4 * step * gnorm2:
+                break
+            step *= 0.5
+        else:
+            return x, True
+        delta = float(np.abs(cand - x).max())
+        x, value, grad = cand, v_new, g_new
+        on_step(x, value, step)
+        eta = step * 2.0
+        if delta < tolerance:
+            return x, True
+    return x, False
+
+
+class GradientLedger:
+    """Spies on `module.evaluator`, which returns (value, gradient callable),
+    and on `module.armijo_descent`: counts every gradient call, and records
+    per line-search trial its candidate and gradient calls, and the
+    candidates the line search accepted."""
+
+    def __init__(self, monkeypatch, module, evaluator: str):
+        self.calls = 0
+        self.descents = 0
+        self.trials = []  # [candidate, gradient calls] per trial
+        self.accepted = []
+        real_eval, real_descent = getattr(module, evaluator), module.armijo_descent
+
+        def counting(*args):
+            value, gradient = real_eval(*args)
+
+            def counted():
+                self.calls += 1
+                return gradient()
+
+            return value, counted
+
+        def spied_descent(fn, x, value, grad, eta, max_steps, tolerance, on_step):
+            self.descents += 1
+
+            def trial(cand):
+                value, gradient = fn(cand)
+                record = [cand, 0]
+                self.trials.append(record)
+
+                def counted():
+                    record[1] += 1
+                    return gradient()
+
+                return value, counted
+
+            def accept(x, value, step):
+                self.accepted.append(x)
+                on_step(x, value, step)
+
+            return real_descent(trial, x, value, grad, eta, max_steps, tolerance, accept)
+
+        monkeypatch.setattr(module, evaluator, counting)
+        monkeypatch.setattr(module, "armijo_descent", spied_descent)
+
+    def check(self) -> None:
+        """Each accepted trial called its gradient once and no rejected one did;
+        all gradient calls are those plus one at the start of each descent."""
+        was_accepted = [any(cand is x for x in self.accepted) for cand, _ in self.trials]
+        assert 0 < sum(was_accepted) < len(self.trials)
+        assert [calls for _, calls in self.trials] == [int(a) for a in was_accepted]
+        assert self.calls == len(self.accepted) + self.descents

@@ -123,7 +123,8 @@ def test_criterion_3_gradient_checks(small_truth, small_priors):
             worst_f = max(worst_f, abs(fd - f_grad[y, x, c]) / denom)
         assert worst_f < 1e-4
 
-        _, g_grad = bnd.soft_boundary_constraint(FlowMap(base), small_priors.boundary, hp, tau)
+        _, g_backward = bnd.soft_boundary_constraint(FlowMap(base), small_priors.boundary, hp, tau)
+        g_grad = g_backward()
         worst_g = 0.0
         for y, x, c in coords:
             plus, minus = base.copy(), base.copy()

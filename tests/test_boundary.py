@@ -378,7 +378,8 @@ def test_soft_boundary_tau_limit_on_step_edge(hp):
 def test_soft_boundary_constant_field_zero(hp):
     flow = FlowMap.constant(32, 32, Vec2(1.0, 1.0))
     e = PointSet(np.array([[5.0, 5.0], [6.0, 5.0]]))
-    value, grad = bnd.soft_boundary_constraint(flow, e, hp, tau=0.02)
+    value, backward = bnd.soft_boundary_constraint(flow, e, hp, tau=0.02)
+    grad = backward()
     assert value == 0.0
     assert np.all(grad == 0.0)
 
@@ -387,7 +388,8 @@ def test_soft_boundary_gradient_finite_differences(small_truth, small_priors, hp
     rng = np.random.default_rng(0)
     base = small_truth.gt_world.vectors + rng.normal(0, 0.7, small_truth.gt_world.vectors.shape)
     tau = 0.1
-    _, grad = bnd.soft_boundary_constraint(FlowMap(base), small_priors.boundary, hp, tau)
+    _, backward = bnd.soft_boundary_constraint(FlowMap(base), small_priors.boundary, hp, tau)
+    grad = backward()
     h = 1e-4
     n = base.shape[0]
     worst = 0.0
@@ -468,7 +470,8 @@ def test_soft_boundary_value_equals_brute_force(data, arr, tau, scales, theta_a)
     """Integer flows make tied neighbor weights and static pixels common."""
     boundary = data.draw(_integer_points(*arr.shape[:2], 6)) + 0.25
     hp = Hyperparams(edge_theta_a=theta_a, scales=scales)
-    value, grad = bnd.soft_boundary_constraint(FlowMap(arr), PointSet(boundary), hp, tau)
+    value, backward = bnd.soft_boundary_constraint(FlowMap(arr), PointSet(boundary), hp, tau)
+    grad = backward()
     assert value == pytest.approx(_brute_force_soft_value(arr, boundary, hp, tau), rel=1e-12)
     assert grad.shape == arr.shape and np.isfinite(grad).all()
 
@@ -496,8 +499,9 @@ def test_boundary_terms_ignore_point_order(data, arr, tau, scales):
     assert (bnd.multiscale_patch_distance(s, e, scales, w, h)
             == bnd.multiscale_patch_distance(s_permuted, e_permuted, scales, w, h))
     assert bnd.boundary_constraint(flow, e, hp) == bnd.boundary_constraint(flow, e_permuted, hp)
-    value, grad = bnd.soft_boundary_constraint(flow, e, hp, tau)
-    value_p, grad_p = bnd.soft_boundary_constraint(flow, e_permuted, hp, tau)
+    value, backward = bnd.soft_boundary_constraint(flow, e, hp, tau)
+    value_p, backward_p = bnd.soft_boundary_constraint(flow, e_permuted, hp, tau)
+    grad, grad_p = backward(), backward_p()
     assert value == value_p and grad.tobytes() == grad_p.tobytes()
     assert bnd.exact_chamfer(s, e) == bnd.exact_chamfer(s, e_permuted)
 
@@ -543,8 +547,9 @@ def test_boundary_terms_read_only_the_halo_window(data, h, w, integer_flow, seed
     boundary, hp = PointSet(points), Hyperparams(scales=scales)
 
     with np.errstate(all="ignore"):  # far values may overflow the norms outside the window
-        (value, grad), (value_p, grad_p) = (
+        (value, backward), (value_p, backward_p) = (
             bnd.soft_boundary_constraint(FlowMap(a), boundary, hp, tau) for a in (arr, perturbed))
+        grad, grad_p = backward(), backward_p()
         hard, hard_p = (bnd.boundary_constraint(FlowMap(a), boundary, hp) for a in (arr, perturbed))
     assert value == value_p and grad.tobytes() == grad_p.tobytes()
     assert np.all(grad[outside] == 0.0)
@@ -582,7 +587,8 @@ def test_soft_boundary_gradient_every_coordinate(shape):
     boundary = PointSet(np.array([[0.3, 0.2], [w - 0.6, h - 0.7], [w / 2, h / 2]]))
     hp = Hyperparams(scales=(2, 3))
     tau = 0.5
-    _, grad = bnd.soft_boundary_constraint(FlowMap(base), boundary, hp, tau)
+    _, backward = bnd.soft_boundary_constraint(FlowMap(base), boundary, hp, tau)
+    grad = backward()
     assert (np.abs(grad) > 1e-5).mean() > 0.5
     step = 1e-6
     for idx in np.ndindex(base.shape):

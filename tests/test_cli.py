@@ -344,6 +344,10 @@ def _patch_raster_argv(scene_dir, tmp_path, size):
     return _chamfer_argv(scene_dir, tmp_path, "8") + ["--width", size, "--height", size]
 
 
+def _patch_side_argv(scene_dir, tmp_path, flags):
+    return _chamfer_argv(scene_dir, tmp_path, "8") + flags
+
+
 _HUGE = 10 ** 400  # a valid JSON integer beyond the float range
 
 
@@ -388,13 +392,20 @@ _HUGE = 10 ** 400  # a valid JSON integer beyond the float range
                  "each tau_schedule entry must be a finite number", id="bool-tau"),
     pytest.param(_render_argv, "nan", 1, "max_norm must be a finite number", id="nan-max-norm"),
     pytest.param(_render_argv, "-inf", 1, "max_norm must be a finite number", id="inf-max-norm"),
+    pytest.param(_render_argv, "5e-324", 1, "the normalised flow overflows", id="subnormal-max-norm"),
     pytest.param(_edges_argv, ["--theta-i", "inf"], 1, "edge_theta_i must be a finite number",
                  id="inf-theta-i"),
     pytest.param(_edges_argv, ["--theta-a", "inf"], 1, "edge_theta_a must be a finite number",
                  id="inf-theta-a"),
     pytest.param(_patch_raster_argv, "99999999999", 1, "at most 16777216 pixels", id="patch-huge-raster"),
+    pytest.param(_patch_side_argv, ["--width", "0"], 1, "raster dimensions must be positive",
+                 id="patch-zero-width"),
+    pytest.param(_patch_side_argv, ["--height", "0"], 1, "raster dimensions must be positive",
+                 id="patch-zero-height"),
+    pytest.param(_patch_raster_argv, "0", 1, "raster dimensions must be positive", id="patch-zero-raster"),
     pytest.param(_chamfer_argv, str(_HUGE), 1, "patch scale must be a finite number", id="patch-huge-scale"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_bad_arguments_exit_with_one_line_error(scene_dir, tmp_path, capsys, build, arg, code, message):
     got, _, err = _run(capsys, build(scene_dir, tmp_path, arg))
     assert got == code

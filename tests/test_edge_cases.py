@@ -64,9 +64,10 @@ def test_smooth_surrogate_stable_at_extreme_tau(small_truth, small_priors, hp):
 
 def test_soft_boundary_stable_at_extreme_tau(small_truth, small_priors, hp):
     with np.errstate(over="raise", invalid="raise"):
-        value, grad = bnd.soft_boundary_constraint(
+        value, backward = bnd.soft_boundary_constraint(
             small_truth.gt_world, small_priors.boundary, hp, 1e-6
         )
+        grad = backward()
     assert np.isfinite(value)
     assert np.isfinite(grad).all()
 

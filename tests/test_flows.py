@@ -7,6 +7,8 @@ from wlflow import flows, skeleton as skel, synth
 from wlflow.core import FlowMap, Hyperparams, SubjectMask, Vec2
 from wlflow.errors import DimensionMismatch, EmptySubject, ValidationError
 
+from conftest import GradientLedger, eager_armijo_descent
+
 
 def test_objective_breakdown_identity(small_truth, small_priors, hp):
     ob = flows.joint_objective(small_truth.gt_world, small_priors, hp)
@@ -235,6 +237,23 @@ def test_solver_surrogate_monotone_within_phases(small_truth, small_priors, hp):
     for a, b in zip(res.trace, res.trace[1:]):
         if a.tau == b.tau:
             assert b.surrogate <= a.surrogate + 1e-12
+
+
+def test_solver_equals_eager_line_search(small_truth, small_priors, hp, monkeypatch):
+    """Gradients only at accepted steps give bitwise the result of a line
+    search that builds one at every trial, over all three tau phases."""
+    zero = FlowMap.zeros(small_truth.mask_t.width, small_truth.mask_t.height)
+    opts = flows.SolverOptions(max_iters=60)
+    with monkeypatch.context() as m:
+        m.setattr(flows, "armijo_descent", eager_armijo_descent)
+        eager = flows.solve_world_flow(zero, small_priors, hp, opts)
+    ledger = GradientLedger(monkeypatch, flows, "_surrogate")
+    res = flows.solve_world_flow(zero, small_priors, hp, opts)
+    assert res.flow.vectors.tobytes() == eager.flow.vectors.tobytes()
+    assert res.trace == eager.trace
+    assert res.converged == eager.converged
+    assert {t.tau for t in res.trace} == set(opts.tau_schedule) and ledger.descents == 3
+    ledger.check()
 
 
 def test_solver_deterministic_same_options(small_truth, small_priors, hp):

@@ -5,7 +5,7 @@ from wlflow import boundary as bnd
 from wlflow.core import PointSet
 from wlflow.errors import EmptyPointSet
 
-from conftest import make_circle, make_square
+from conftest import GradientLedger, eager_armijo_descent, make_circle, make_square
 
 
 def test_identity_morph_is_zero_at_start():
@@ -45,21 +45,41 @@ def test_morph_trace_is_monotone():
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
 
+def test_morph_equals_eager_line_search(monkeypatch):
+    """Gradients only at accepted steps give bitwise the fit of a line search
+    that builds one at every trial."""
+    moving = PointSet(make_circle(radius=20.0))
+    target = PointSet(make_square(side=np.pi * 20.0 / 2))
+    opts = bnd.MorphOptions(width=96, height=96)
+    with monkeypatch.context() as m:
+        m.setattr(bnd, "armijo_descent", eager_armijo_descent)
+        eager = bnd.morph_curve_fit(moving, target, opts)
+    ledger = GradientLedger(monkeypatch, bnd, "_morph_loss")
+    res = bnd.morph_curve_fit(moving, target, opts)
+    assert res.moved.points.tobytes() == eager.moved.points.tobytes()
+    assert res.displacement.tobytes() == eager.displacement.tobytes()
+    assert res.objective_trace == eager.objective_trace
+    assert res.converged == eager.converged
+    assert ledger.descents == 1
+    ledger.check()
+
+
 def test_morph_point_gradient_matches_finite_differences():
     rng = np.random.default_rng(4)
     moving = make_circle(n=120)
     target = make_square(side=30.0, n=120)
     scales = (8, 16, 32)
     grids = bnd._morph_target_grids(target, scales, 96, 96)
-    _, grad = bnd._morph_loss_and_grad(moving, grids, scales)
+    _, gradient = bnd._morph_loss(moving, grids, scales)
+    grad = gradient()
     h = 1e-6
     worst = 0.0
     for i, c in zip(rng.integers(0, len(moving), 40), rng.integers(0, 2, 40)):
         plus, minus = moving.copy(), moving.copy()
         plus[i, c] += h
         minus[i, c] -= h
-        vp, _ = bnd._morph_loss_and_grad(plus, grids, scales)
-        vm, _ = bnd._morph_loss_and_grad(minus, grids, scales)
+        vp, _ = bnd._morph_loss(plus, grids, scales)
+        vm, _ = bnd._morph_loss(minus, grids, scales)
         fd = (vp - vm) / (2 * h)
         denom = max(abs(fd), abs(grad[i, c]), 1e-8)
         worst = max(worst, abs(fd - grad[i, c]) / denom)
