@@ -5,7 +5,6 @@ from .core import (
     EPS_VEC,
     FlowMap,
     Hyperparams,
-    Keypoint,
     KeypointFrame,
     PointSet,
     SubjectMask,
@@ -18,7 +17,6 @@ __all__ = [
     "EPS_VEC",
     "FlowMap",
     "Hyperparams",
-    "Keypoint",
     "KeypointFrame",
     "PointSet",
     "SubjectMask",

@@ -285,10 +285,7 @@ def _cmd_decompose(args) -> int:
     else:
         pairs = skel.subject_skeletons(*_read_frame_pair(args.keypoints), mask)
         motions = flows.estimate_subject_motion(
-            world, mask,
-            {label: k_t for label, (k_t, _) in pairs.items()},
-            {label: k_t1 for label, (_, k_t1) in pairs.items()},
-            method="alignment_field", align=_ALIGN_METHODS[args.method],
+            world, mask, pairs, method="alignment_field", align=_ALIGN_METHODS[args.method],
         )
     deco = flows.decompose_local(world, motions, mask)
     io.write_flo(args.out_local, deco.local)

@@ -168,21 +168,6 @@ class FlowMap:
 
 
 @dataclass(frozen=True)
-class Keypoint:
-    """A joint detection: image position plus visibility/confidence in [0, 1]."""
-
-    x: float
-    y: float
-    c: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.x) and np.isfinite(self.y) and np.isfinite(self.c)):
-            raise ValidationError("Keypoint fields must be finite")
-        if not 0.0 <= self.c <= 1.0:
-            raise ValidationError(f"keypoint confidence must lie in [0, 1], got {self.c}")
-
-
-@dataclass(frozen=True)
 class KeypointFrame:
     """Per-person arrays of exactly 17 COCO-ordered keypoints, rows (x, y, c)."""
 

@@ -10,15 +10,11 @@ class ValidationError(WlflowError, ValueError):
 
 
 class DimensionMismatch(ValidationError):
-    """Paired rasters have incompatible shapes."""
-
-
-class TopologyMismatch(ValidationError):
-    """Skeleton maps built from different bone topologies."""
+    """Paired rasters or skeleton maps have incompatible shapes."""
 
 
 class NoCandidates(WlflowError):
-    """A subject has no skeleton points to match against."""
+    """A subject has no skeleton to match against."""
 
 
 class DegenerateConfiguration(WlflowError):

@@ -29,7 +29,7 @@ from .core import (
     armijo_descent,
     validate_pairing,
 )
-from .errors import DimensionMismatch, EmptySubject, ValidationError
+from .errors import DegenerateConfiguration, DimensionMismatch, EmptySubject, ValidationError
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,6 @@ class ObjectiveBreakdown:
 @dataclass(frozen=True)
 class SolverOptions:
     max_iters: int = 500
-    step_size: float = 1.0
     tau_schedule: tuple = (0.5, 0.1, 0.02)
     smoothness_weight: float = 0.05
     background_weight: float = 0.05
@@ -58,10 +57,8 @@ class SolverOptions:
             raise ValidationError("max_iters must be an integer")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
-        for name in ("step_size", "smoothness_weight", "background_weight", "tolerance"):
+        for name in ("smoothness_weight", "background_weight", "tolerance"):
             _check_number(name, getattr(self, name))
-        if self.step_size <= 0:
-            raise ValidationError("step_size must be positive")
         if self.tolerance <= 0:
             raise ValidationError("tolerance must be positive")
         if self.smoothness_weight < 0 or self.background_weight < 0:
@@ -180,9 +177,14 @@ def _surrogate(arr: np.ndarray, priors: Priors, hp: Hyperparams, opts: SolverOpt
     value = f_val + hp.alpha * g_val + opts.smoothness_weight * s_val + opts.background_weight * b_val
 
     def gradient() -> np.ndarray:
-        # Each deferred gradient is built only when the sum reaches it, so no two are alive at once.
-        return (f_grad + hp.alpha * g_backward() + opts.smoothness_weight * s_gradient()
-                + opts.background_weight * (2.0 * arr * background / (h * w)))
+        # Each deferred gradient is built only when the sum reaches it, so no two are alive at
+        # once; the soft term's forward state is released before the others are built.
+        nonlocal g_backward
+        total = f_grad + hp.alpha * g_backward()
+        g_backward = None
+        total += opts.smoothness_weight * s_gradient()
+        total += opts.background_weight * (2.0 * arr * background / (h * w))
+        return total
 
     return value, gradient
 
@@ -228,7 +230,7 @@ def solve_world_flow(
         grad = gradient()
         del gradient  # its forward state is not needed during the descent
         gmax = float(np.abs(grad).max())
-        eta = opts.step_size / gmax if gmax > 0 else opts.step_size
+        eta = 1.0 / gmax if gmax > 0 else 1.0
         x, converged = armijo_descent(surrogate, x, value, grad, eta, budget, opts.tolerance, record)
     return SolveResult(FlowMap(x), tuple(trace), converged)
 
@@ -246,8 +248,7 @@ class SubjectMotion:
 def estimate_subject_motion(
     flow: FlowMap,
     mask: SubjectMask,
-    skeletons_t: Mapping[int, skel.SkeletonMap] | None = None,
-    skeletons_t1: Mapping[int, skel.SkeletonMap] | None = None,
+    skeletons: Mapping[int, tuple[skel.SkeletonMap, skel.SkeletonMap]] | None = None,
     method: str = "mask_mean",
     align: str = "full_body_homography",
 ) -> dict[int, SubjectMotion]:
@@ -255,7 +256,8 @@ def estimate_subject_motion(
 
     "mask_mean" averages the flow over the subject's pixels into a single
     vector. "alignment_field" fits a skeleton alignment transform and turns
-    its inverse into a dense displacement field evaluated per pixel.
+    its inverse into a dense displacement field evaluated per pixel; it needs
+    `skeletons` as {label: (k_t, k_t1)}, the form subject_skeletons returns.
     """
     validate_pairing(flow, mask)
     out: dict[int, SubjectMotion] = {}
@@ -269,9 +271,9 @@ def estimate_subject_motion(
             mean = flow.vectors[sel].mean(axis=0)
             out[label] = SubjectMotion(label, method, vector=Vec2(mean[0], mean[1]))
         elif method == "alignment_field":
-            if skeletons_t is None or skeletons_t1 is None:
+            if skeletons is None:
                 raise ValidationError("alignment_field needs skeleton maps for both frames")
-            t = skel.fit_alignment(skeletons_t[label], skeletons_t1[label], align)
+            t = skel.fit_alignment(*skeletons[label], align)
             out[label] = SubjectMotion(label, method, transform=t)
         else:
             raise ValidationError(f"unknown subject motion method {method!r}")
@@ -292,8 +294,10 @@ def subject_motion_field(motions: Mapping[int, SubjectMotion], mask: SubjectMask
         elif motion.transform is not None:
             ys, xs = np.nonzero(sel)
             pts = np.stack([xs, ys], axis=1).astype(np.float64)
-            moved = motion.transform.inverse().apply(pts)
-            field[ys, xs] = moved - pts
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                field[ys, xs] = motion.transform.inverse().apply(pts) - pts
+            if not np.isfinite(field[ys, xs]).all():
+                raise DegenerateConfiguration(f"subject {label} motion leaves the float range")
         else:
             raise ValidationError(f"subject {label} motion carries neither vector nor transform")
     return field

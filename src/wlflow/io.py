@@ -31,7 +31,8 @@ FLO_MAGIC = 202021.25
 
 def write_flo(path, flow: FlowMap) -> None:
     """Middlebury .flo: float32 tag, int32 width/height, row-major (dx, dy)."""
-    data = flow.vectors.astype(np.float32)
+    with np.errstate(over="ignore"):  # values beyond the float32 range become inf and are refused
+        data = flow.vectors.astype(np.float32)
     if not np.isfinite(data).all():
         raise NonFiniteValue("flow contains values not representable in the file")
     with open(path, "wb") as f:

@@ -17,9 +17,9 @@ import numpy as np
 from .core import EPS_CONF, KeypointFrame, SubjectMask
 from .errors import (
     DegenerateConfiguration,
+    DimensionMismatch,
     InsufficientHeadPoints,
     NoCandidates,
-    TopologyMismatch,
     ValidationError,
 )
 
@@ -40,54 +40,30 @@ HEAD_JOINTS = (0, 1, 2, 3, 4)
 # temporaries at _MATCH_CHUNK x (skeleton points) floats.
 _MATCH_CHUNK = 1024
 
+# Skeleton offsets must stay below this many pixels: the skeleton terms multiply
+# offset magnitudes together, and 1e150 squared stays inside the float range.
+_MAX_OFFSET = 1e150
+
 # Homography fits fall back to a similarity when the DLT system is this
 # ill-conditioned (near-collinear skeletons).
 _DLT_CONDITION_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
-class BoneTopology:
-    edges: tuple = DEFAULT_BONES
-    samples_per_bone: int = DEFAULT_SAMPLES_PER_BONE
-
-    def __post_init__(self):
-        edges = tuple((int(a), int(b)) for a, b in self.edges)
-        if not edges:
-            raise ValidationError("topology needs at least one bone")
-        if len(set(edges)) != len(edges):
-            raise ValidationError("bone list contains duplicates")
-        for a, b in edges:
-            if not (0 <= a <= 16 and 0 <= b <= 16):
-                raise ValidationError(f"bone ({a}, {b}) uses joint index outside 0..16")
-        if self.samples_per_bone < 2:
-            raise ValidationError("samples_per_bone must be >= 2")
-        object.__setattr__(self, "edges", edges)
-
-    @property
-    def n_points(self) -> int:
-        return len(self.edges) * self.samples_per_bone
-
-
-@dataclass(frozen=True)
 class SkeletonMap:
-    """Interpolated skeleton points, rows (x, y, c), edge-major ordering.
+    """Skeleton points, rows (x, y, c): any nonempty, finite (n, 3) array.
 
-    `joints` keeps the source 17x3 joint array when the map was built by
-    interpolate_skeleton; head-anchor alignment needs it.
+    interpolate_skeleton fills it bone by bone over DEFAULT_BONES and keeps
+    the source 17x3 joint array in `joints`; head-anchor alignment needs it.
     """
 
     points: np.ndarray
-    topology: BoneTopology
     joints: np.ndarray | None = None
 
     def __post_init__(self):
         arr = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise ValidationError(f"skeleton points must have shape (n, 3), got {arr.shape}")
-        if arr.shape[0] != self.topology.n_points:
-            raise ValidationError(
-                f"skeleton has {arr.shape[0]} points but topology implies {self.topology.n_points}"
-            )
+        if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] == 0:
+            raise ValidationError(f"skeleton points must have shape (n, 3) with n >= 1, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValidationError("skeleton points contain non-finite values")
         arr.setflags(write=False)
@@ -108,7 +84,7 @@ class SkeletonMap:
 
 @dataclass(frozen=True)
 class SkeletonOffsets:
-    """Per-point displacement between two skeleton maps of the same topology."""
+    """Per-point displacement between two skeleton maps of the same length."""
 
     vectors: np.ndarray
     confidences: np.ndarray
@@ -118,6 +94,8 @@ class SkeletonOffsets:
         c = np.ascontiguousarray(np.asarray(self.confidences, dtype=np.float64))
         if v.ndim != 2 or v.shape[1] != 2 or c.shape != (v.shape[0],):
             raise ValidationError("offsets need (n, 2) vectors and (n,) confidences")
+        if not (np.abs(v) < _MAX_OFFSET).all():  # NaN fails too
+            raise ValidationError(f"skeleton offsets must be finite and below {_MAX_OFFSET:g} px")
         v.setflags(write=False)
         c.setflags(write=False)
         object.__setattr__(self, "vectors", v)
@@ -163,8 +141,8 @@ def _apply_homogeneous(matrix: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return h[:, :2] / h[:, 2:3]
 
 
-def interpolate_skeleton(frame: np.ndarray, topology: BoneTopology = BoneTopology()) -> SkeletonMap:
-    """Sample each bone uniformly into samples_per_bone points.
+def interpolate_skeleton(frame: np.ndarray) -> SkeletonMap:
+    """Sample each of the DEFAULT_BONES uniformly into DEFAULT_SAMPLES_PER_BONE points.
 
     `frame` is a (17, 3) array of (x, y, c). A sampled point's confidence is
     the smaller endpoint confidence, floored at EPS_CONF. The t=0 and t=1
@@ -173,10 +151,10 @@ def interpolate_skeleton(frame: np.ndarray, topology: BoneTopology = BoneTopolog
     joints = np.asarray(frame, dtype=np.float64)
     if joints.shape != (17, 3):
         raise ValidationError(f"expected a (17, 3) joint array, got {joints.shape}")
-    m = topology.samples_per_bone
+    m = DEFAULT_SAMPLES_PER_BONE
     t = np.linspace(0.0, 1.0, m)[:, None]
-    out = np.empty((topology.n_points, 3), dtype=np.float64)
-    for i, (a, b) in enumerate(topology.edges):
+    out = np.empty((len(DEFAULT_BONES) * m, 3), dtype=np.float64)
+    for i, (a, b) in enumerate(DEFAULT_BONES):
         pa, pb = joints[a, :2], joints[b, :2]
         seg = (1.0 - t) * pa[None, :] + t * pb[None, :]
         seg[0] = pa
@@ -184,22 +162,22 @@ def interpolate_skeleton(frame: np.ndarray, topology: BoneTopology = BoneTopolog
         conf = max(min(joints[a, 2], joints[b, 2]), EPS_CONF)
         out[i * m:(i + 1) * m, :2] = seg
         out[i * m:(i + 1) * m, 2] = conf
-    return SkeletonMap(out, topology, joints=joints)
+    return SkeletonMap(out, joints=joints)
 
 
-def _check_same_topology(k_t: SkeletonMap, k_t1: SkeletonMap) -> None:
-    if (k_t.topology.edges != k_t1.topology.edges
-            or k_t.topology.samples_per_bone != k_t1.topology.samples_per_bone):
-        raise TopologyMismatch("skeleton maps use different bone topologies")
+def _check_same_length(k_t: SkeletonMap, k_t1: SkeletonMap) -> None:
+    if k_t.points.shape != k_t1.points.shape:
+        raise DimensionMismatch(
+            f"skeleton maps hold {k_t.points.shape[0]} and {k_t1.points.shape[0]} points"
+        )
 
 
 def skeleton_offsets(k_t: SkeletonMap, k_t1: SkeletonMap) -> SkeletonOffsets:
     """Per-point offsets later-minus-earlier, confidences min of the pair."""
-    _check_same_topology(k_t, k_t1)
-    return SkeletonOffsets(
-        k_t1.xy - k_t.xy,
-        np.minimum(k_t.confidences, k_t1.confidences),
-    )
+    _check_same_length(k_t, k_t1)
+    with np.errstate(over="ignore", invalid="ignore"):  # SkeletonOffsets refuses what overflows
+        vectors = k_t1.xy - k_t.xy
+    return SkeletonOffsets(vectors, np.minimum(k_t.confidences, k_t1.confidences))
 
 
 def match_body_point(p, skeleton: SkeletonMap, mask: SubjectMask) -> int:
@@ -213,8 +191,6 @@ def match_body_point(p, skeleton: SkeletonMap, mask: SubjectMask) -> int:
     if not (0 <= iy < mask.height and 0 <= ix < mask.width) or mask.labels[iy, ix] == 0:
         raise ValidationError(f"point ({x}, {y}) is not on a subject")
     pts = skeleton.xy
-    if pts.shape[0] == 0:
-        raise NoCandidates("subject has no skeleton points")
     d = np.hypot(pts[:, 0] - x, pts[:, 1] - y)
     score = d / np.maximum(skeleton.confidences, EPS_CONF)
     return int(np.argmin(score))
@@ -232,8 +208,6 @@ def match_all(skeletons: Mapping[int, SkeletonMap], mask: SubjectMask) -> np.nda
     for lab in mask.subject_ids:
         if lab not in skeletons:
             raise NoCandidates(f"no skeleton supplied for subject {lab}")
-        if len(skeletons[lab].points) == 0:
-            raise NoCandidates(f"subject {lab} has no skeleton points")
 
     base = 0
     for lab in sorted(skeletons):
@@ -276,9 +250,13 @@ def assign_subjects(frame: KeypointFrame, mask: SubjectMask) -> dict[int, int]:
     labels_flat = mask.labels[ys, xs]
     assignment: dict[int, int] = {}
     for pi, person in enumerate(frame.persons):
-        hip_mid = 0.5 * (person[11, :2] + person[12, :2])
-        d2 = (xs - hip_mid[0]) ** 2 + (ys - hip_mid[1]) ** 2
-        lab = int(labels_flat[np.argmin(d2)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            hip_mid = 0.5 * (person[11, :2] + person[12, :2])
+            d2 = (xs - hip_mid[0]) ** 2 + (ys - hip_mid[1]) ** 2
+        nearest = int(np.argmin(d2))
+        if not np.isfinite(d2[nearest]):
+            raise ValidationError(f"person {pi} lies too far from every subject")
+        lab = int(labels_flat[nearest])
         if lab in assignment:
             raise ValidationError(f"persons {assignment[lab]} and {pi} both map to subject {lab}")
         assignment[lab] = pi
@@ -332,9 +310,10 @@ def _fit_similarity(src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> np.ndarr
     cs = src - mu_s
     cd = dst - mu_d
     var_s = float((wn * (cs ** 2).sum(axis=1)).sum())
+    cov = (cd * wn[:, None]).T @ cs
+    _require_finite_fit(var_s, cov)
     if var_s < 1e-12:
         raise DegenerateConfiguration("source points are coincident")
-    cov = (cd * wn[:, None]).T @ cs
     u, d, vt = np.linalg.svd(cov)
     sign = np.sign(np.linalg.det(u @ vt))
     if sign == 0:
@@ -375,6 +354,7 @@ def _fit_homography(src: np.ndarray, dst: np.ndarray, w: np.ndarray):
     a[1::2, 6] = -xp * x * sw
     a[1::2, 7] = -xp * y * sw
     a[1::2, 8] = -xp * sw
+    _require_finite_fit(a)
     _, s, vt = np.linalg.svd(a)
     cond = s[0] / max(s[-2], 1e-300)
     hn = vt[-1].reshape(3, 3)
@@ -384,6 +364,11 @@ def _fit_homography(src: np.ndarray, dst: np.ndarray, w: np.ndarray):
     return h, cond
 
 
+def _require_finite_fit(*values) -> None:
+    if not all(np.isfinite(v).all() for v in values):
+        raise DegenerateConfiguration("coordinates too large: the fit overflows")
+
+
 def fit_alignment(k_t: SkeletonMap, k_t1: SkeletonMap, method: str) -> AlignTransform:
     """Fit a transform mapping k_t1 coordinates onto k_t.
 
@@ -391,8 +376,17 @@ def fit_alignment(k_t: SkeletonMap, k_t1: SkeletonMap, method: str) -> AlignTran
     all skeleton points, similarity fallback on ill conditioning),
     "head_anchor_similarity" (weighted Procrustes over head joints 0..4),
     "translation" (confidence-weighted mean offset, negated).
+    Coordinates so large that the fit overflows raise DegenerateConfiguration
+    without a floating-point warning.
     """
-    _check_same_topology(k_t, k_t1)
+    _check_same_length(k_t, k_t1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        kind, m = _fit_matrix(k_t, k_t1, method)
+        _require_finite_fit(m)
+        return AlignTransform(kind, m)
+
+
+def _fit_matrix(k_t: SkeletonMap, k_t1: SkeletonMap, method: str) -> tuple[str, np.ndarray]:
     w = np.maximum(np.minimum(k_t.confidences, k_t1.confidences), EPS_CONF)
     src = k_t1.xy
     dst = k_t.xy
@@ -402,7 +396,7 @@ def fit_alignment(k_t: SkeletonMap, k_t1: SkeletonMap, method: str) -> AlignTran
         shift = wn @ (dst - src)
         m = np.eye(3)
         m[:2, 2] = shift
-        return AlignTransform("translation", m)
+        return "translation", m
 
     if method == "head_anchor_similarity":
         if k_t.joints is None or k_t1.joints is None:
@@ -416,24 +410,20 @@ def fit_alignment(k_t: SkeletonMap, k_t1: SkeletonMap, method: str) -> AlignTran
             )
         hs = k_t1.joints[idx[usable], :2]
         hd = k_t.joints[idx[usable], :2]
-        m = _fit_similarity(hs, hd, c[usable])
-        return AlignTransform("similarity", m)
+        return "similarity", _fit_similarity(hs, hd, c[usable])
 
     if method == "full_body_homography":
         h, cond = _fit_homography(src, dst, w)
         if cond > _DLT_CONDITION_LIMIT or abs(np.linalg.det(h)) < 1e-12:
-            m = _fit_similarity(src, dst, w)
-            return AlignTransform("similarity", m)
-        return AlignTransform("homography", h)
+            return "similarity", _fit_similarity(src, dst, w)
+        return "homography", h
 
     raise ValidationError(f"unknown alignment method {method!r}")
 
 
 def aligned_offsets(k_t: SkeletonMap, k_t1: SkeletonMap, t: AlignTransform) -> SkeletonOffsets:
     """Offsets after mapping k_t1 into k_t's frame: apply(t, k_t1) - k_t."""
-    _check_same_topology(k_t, k_t1)
-    moved = t.apply(k_t1.xy)
-    return SkeletonOffsets(
-        moved - k_t.xy,
-        np.minimum(k_t.confidences, k_t1.confidences),
-    )
+    _check_same_length(k_t, k_t1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused below
+        vectors = t.apply(k_t1.xy) - k_t.xy
+    return SkeletonOffsets(vectors, np.minimum(k_t.confidences, k_t1.confidences))

@@ -195,7 +195,7 @@ def test_criterion_6_alignment_recovery():
         hp_pts = np.hstack([k_t.xy, np.ones((210, 1))]) @ np.linalg.inv(h_true).T
         warped = np.ones((210, 3))
         warped[:, :2] = hp_pts[:, :2] / hp_pts[:, 2:3]
-        k_t1 = skel.SkeletonMap(warped, k_t.topology)
+        k_t1 = skel.SkeletonMap(warped)
         t = skel.fit_alignment(k_t, k_t1, "full_body_homography")
         reproj = np.hypot(*(t.apply(k_t1.xy) - k_t.xy).T).max()
         assert reproj < 1e-3

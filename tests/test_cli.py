@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from io import StringIO
 from pathlib import Path
 
@@ -314,6 +315,27 @@ def _keypoints_argv(scene_dir, tmp_path, x):
     ]
 
 
+def _keypoints_command(scene_dir, out_dir, command, keypoints_doc):
+    """`command` (decompose or eval, with its flags) on the scene, reading `keypoints_doc`."""
+    keypoints = out_dir / "keypoints.json"
+    keypoints.write_text(json.dumps(keypoints_doc))
+    inputs = {
+        "decompose": ["--world", str(scene_dir / "gt_world.flo"), "--out-local", str(out_dir / "local.flo")],
+        "eval": ["--flow", str(scene_dir / "gt_world.flo"), "--boundary", str(scene_dir / "boundary.json")],
+    }[command[0]]
+    return [*command, "--mask", str(scene_dir / "mask_t.pgm"), "--keypoints", str(keypoints), *inputs]
+
+
+def _far_keypoints_argv(scene_dir, tmp_path, command):
+    """`command` on a keypoints file whose frame t+1 is scaled by 1e300: huge but finite."""
+    doc = json.loads((scene_dir / "keypoints.json").read_text())
+    for person in doc["frames"][1]["persons"]:
+        for joint in person:
+            joint[0] *= 1e300
+            joint[1] *= 1e300
+    return _keypoints_command(scene_dir, tmp_path, command, doc)
+
+
 def _config_argv(scene_dir, tmp_path, config_doc):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(config_doc))
@@ -385,7 +407,18 @@ _HUGE = 10 ** 400  # a valid JSON integer beyond the float range
     pytest.param(_solve_argv, {"tolerance": True}, 1, "tolerance must be a finite number", id="bool-tolerance"),
     pytest.param(_solve_argv, {"tolerance": float("nan")}, 1, "tolerance must be a finite number",
                  id="nan-tolerance"),
-    pytest.param(_solve_argv, {"step_size": _HUGE}, 1, "step_size must be a finite number", id="huge-step"),
+    pytest.param(_solve_argv, {"step_size": 1.0}, 2, "unknown solver options ['step_size']", id="step-size"),
+    pytest.param(_far_keypoints_argv, ["decompose", "--method", "homography"], 1, "the fit overflows",
+                 id="far-keypoints-homography"),
+    pytest.param(_far_keypoints_argv, ["decompose", "--method", "head"], 1, "the fit overflows",
+                 id="far-keypoints-head"),
+    pytest.param(_far_keypoints_argv, ["decompose", "--method", "translation"], 2,
+                 "flow contains values not representable in the file", id="far-keypoints-translation"),
+    pytest.param(_far_keypoints_argv, ["eval", "--local"], 1, "the fit overflows", id="far-keypoints-eval-local"),
+    pytest.param(_far_keypoints_argv, ["eval", "--local", "--align", "translation"], 1,
+                 "skeleton offsets must be finite and below 1e+150 px", id="far-keypoints-eval-local-translation"),
+    pytest.param(_far_keypoints_argv, ["eval"], 1, "skeleton offsets must be finite and below 1e+150 px",
+                 id="far-keypoints-eval"),
     pytest.param(_solve_argv, {"smoothness_weight": -0.1}, 1,
                  "smoothness_weight and background_weight must be >= 0", id="negative-weight"),
     pytest.param(_solve_argv, {"tau_schedule": [0.5, True]}, 1,
@@ -472,6 +505,69 @@ def test_fuzz_numeric_flags_exit_cleanly(fuzz_inputs, flag, value, other):
     assert "Traceback" not in err
     if code:
         assert _one_error_line(err, argparse_exit), err
+
+
+@pytest.fixture(scope="module")
+def fuzz_out(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz_keypoints")
+
+
+# Coordinate scales from far below to near the top of the float range.
+_COORD_SCALES = st.sampled_from([1.0, -1.0, 1e-300, 1e-8, 1e8, 1e150, 1e300, -1e300])
+
+
+@st.composite
+def _person(draw, joints):
+    """A person at `joints` scaled, collapsed to one point, or laid on a line;
+    confidences kept or zeroed."""
+    out = np.array(joints, dtype=np.float64)
+    scale = draw(_COORD_SCALES)
+    shape = draw(st.sampled_from(["scaled", "coincident", "collinear"]))
+    if shape == "scaled":
+        out[:, :2] *= scale
+    elif shape == "coincident":
+        out[:, :2] = out[11, :2] * scale
+    else:
+        out[:, 0] = np.linspace(0.0, 100.0, 17) * scale
+        out[:, 1] = 0.5 * out[:, 0]
+    if draw(st.booleans()):
+        out[:, 2] = 0.0
+    return out.tolist()
+
+
+@st.composite
+def _keypoint_doc(draw, frames):
+    """Two frames built from the scene's persons; frame t is left as it is half
+    the time, so persons still reach the subject and the fits run."""
+    (person_t,), (person_t1,) = frames
+    first = [person_t.tolist()] if draw(st.booleans()) else [draw(_person(person_t))]
+    count = draw(st.sampled_from([1, 1, 1, 0, 2]))  # mostly the same person count as frame t
+    second = [draw(_person(person_t1)) for _ in range(count)]
+    return {"frames": [{"persons": first}, {"persons": second}]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), command=st.sampled_from([
+    ["decompose", "--method", "mask-mean"], ["decompose", "--method", "homography"],
+    ["decompose", "--method", "head"], ["decompose", "--method", "translation"],
+    ["eval", "--local", "--align", "homography"], ["eval", "--local", "--align", "head"],
+    ["eval", "--local", "--align", "translation"],
+]))
+def test_fuzz_keypoint_files_exit_cleanly(scene_dir, fuzz_out, data, command):
+    """Any keypoints file ends decompose and eval --local in exit 0, 1 or 2 with
+    at most one error line, no traceback and no warning."""
+    frames = [frame.persons for frame in io.read_keypoints(scene_dir / "keypoints.json")]
+    argv = _keypoints_command(scene_dir, fuzz_out, command, data.draw(_keypoint_doc(frames)))
+    out, err = StringIO(), StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = err.getvalue()
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert err.count("error: ") <= 1 and (code == 0) == (err == ""), err
 
 
 def test_cli_entry_point_imports_no_scipy_until_exact_chamfer(tmp_path):

@@ -5,7 +5,6 @@ from wlflow.core import (
     EPS_CONF,
     FlowMap,
     Hyperparams,
-    Keypoint,
     KeypointFrame,
     PointSet,
     SubjectMask,
@@ -63,14 +62,6 @@ def test_pointset_may_be_empty():
     assert len(PointSet(np.zeros((0, 2)))) == 0
 
 
-def test_keypoint_confidence_range():
-    Keypoint(1.0, 2.0, 0.5)
-    with pytest.raises(ValidationError):
-        Keypoint(1.0, 2.0, 1.5)
-    with pytest.raises(ValidationError):
-        Keypoint(1.0, 2.0, -0.1)
-
-
 def test_keypoint_frame_needs_17_joints():
     with pytest.raises(ValidationError):
         KeypointFrame((np.ones((16, 3)),))
@@ -78,10 +69,11 @@ def test_keypoint_frame_needs_17_joints():
 
 
 def test_keypoint_frame_rejects_bad_confidence():
-    arr = np.ones((17, 3))
-    arr[4, 2] = 1.5
-    with pytest.raises(ValidationError):
-        KeypointFrame((arr,))
+    for bad in (1.5, -0.1):
+        arr = np.ones((17, 3))
+        arr[4, 2] = bad
+        with pytest.raises(ValidationError):
+            KeypointFrame((arr,))
 
 
 def test_mask_labels_must_be_contiguous():

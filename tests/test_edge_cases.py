@@ -34,9 +34,8 @@ def test_flo_implausible_dimensions_rejected(tmp_path):
 
 
 def test_concat_points_matches_match_all_indexing():
-    topo = skel.BoneTopology(edges=((0, 1),), samples_per_bone=3)
-    sk1 = skel.SkeletonMap(np.array([[2.0, 2.0, 1.0], [3.0, 2.0, 1.0], [4.0, 2.0, 1.0]]), topo)
-    sk2 = skel.SkeletonMap(np.array([[8.0, 8.0, 1.0], [9.0, 8.0, 1.0], [9.0, 9.0, 1.0]]), topo)
+    sk1 = skel.SkeletonMap(np.array([[2.0, 2.0, 1.0], [3.0, 2.0, 1.0], [4.0, 2.0, 1.0]]))
+    sk2 = skel.SkeletonMap(np.array([[8.0, 8.0, 1.0], [9.0, 8.0, 1.0], [9.0, 9.0, 1.0]]))
     labels = np.zeros((12, 12), dtype=np.int32)
     labels[2, 2] = 1
     labels[8, 8] = 2

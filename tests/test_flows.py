@@ -129,7 +129,7 @@ def test_alignment_field_rotating_figure():
     k_t = skel.interpolate_skeleton(j0c)
     k_t1 = skel.interpolate_skeleton(j1)
     motions = flows.estimate_subject_motion(
-        world_map, mask, {1: k_t}, {1: k_t1},
+        world_map, mask, {1: (k_t, k_t1)},
         method="alignment_field", align="head_anchor_similarity",
     )
     deco = flows.decompose_local(world_map, motions, mask)
@@ -311,8 +311,6 @@ def test_solver_near_stationary_from_gt(reference_truth, reference_priors, hp):
 def test_solver_rejects_bad_options():
     with pytest.raises(ValidationError):
         flows.SolverOptions(max_iters=0)
-    with pytest.raises(ValidationError):
-        flows.SolverOptions(step_size=0.0)
     with pytest.raises(ValidationError):
         flows.SolverOptions(tau_schedule=())
     with pytest.raises(ValidationError):

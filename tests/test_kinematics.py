@@ -3,7 +3,7 @@ import pytest
 
 from wlflow import kinematics as kin
 from wlflow.core import FlowMap, Hyperparams, SubjectMask
-from wlflow.skeleton import BoneTopology, SkeletonMap, SkeletonOffsets, match_all
+from wlflow.skeleton import SkeletonMap, SkeletonOffsets, match_all
 
 
 def test_angular_parallel_is_normal():
@@ -64,17 +64,16 @@ def test_intensity_quadratic_scaling():
 
 
 def _instance(rng, n=16):
-    """Random matched instance on an n x n raster with a 2-bone skeleton."""
+    """Random matched instance on an n x n raster with a 16-point skeleton."""
     labels = np.zeros((n, n), dtype=np.int32)
     labels[2:-2, 2:-2] = 1
     mask = SubjectMask(labels)
-    topo = BoneTopology(edges=((0, 1), (1, 2)), samples_per_bone=8)
     pts = np.column_stack([
         rng.uniform(2, n - 2, 16),
         rng.uniform(2, n - 2, 16),
         rng.uniform(0.2, 1.0, 16),
     ])
-    sk = SkeletonMap(pts, topo)
+    sk = SkeletonMap(pts)
     matches = match_all({1: sk}, mask)
     offsets = SkeletonOffsets(rng.normal(0, 2, (16, 2)), pts[:, 2])
     flow = FlowMap(rng.normal(0, 2, (n, n, 2)))
@@ -125,8 +124,7 @@ def test_constraint_matches_pixel_loop_oracle(hp):
 
 
 def test_smooth_deep_satisfaction_is_tiny(hp):
-    topo = BoneTopology(edges=((0, 1),), samples_per_bone=2)
-    sk = SkeletonMap(np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 1.0]]), topo)
+    sk = SkeletonMap(np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 1.0]]))
     labels = np.zeros((4, 4), dtype=np.int32)
     labels[1, 1] = 1
     mask = SubjectMask(labels)
@@ -183,8 +181,7 @@ def test_smooth_approaches_hard_constraint(small_truth, small_priors, hp):
 
 
 def test_smooth_surrogate_monotone_in_angle(hp):
-    topo = BoneTopology(edges=((0, 1),), samples_per_bone=2)
-    sk = SkeletonMap(np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 1.0]]), topo)
+    sk = SkeletonMap(np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 1.0]]))
     labels = np.zeros((3, 3), dtype=np.int32)
     labels[1, 1] = 1
     mask = SubjectMask(labels)

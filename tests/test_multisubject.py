@@ -64,11 +64,8 @@ def test_homography_alignment_field_on_translation():
     sub = synth.SubjectSpec(root_t=(58.0, 64.0), root_t1=(63.0, 64.0))
     truth = synth.generate_scene(synth.SceneSpec(subjects=(sub,)))
     frame_t, frame_t1 = truth.keypoints
-    assignment = skel.assign_subjects(frame_t, truth.mask_t)
-    maps_t = {1: skel.interpolate_skeleton(frame_t.persons[assignment[1]])}
-    maps_t1 = {1: skel.interpolate_skeleton(frame_t1.persons[assignment[1]])}
     motions = flows.estimate_subject_motion(
-        truth.gt_world, truth.mask_t, maps_t, maps_t1,
+        truth.gt_world, truth.mask_t, skel.subject_skeletons(frame_t, frame_t1, truth.mask_t),
         method="alignment_field", align="full_body_homography",
     )
     deco = flows.decompose_local(truth.gt_world, motions, truth.mask_t)

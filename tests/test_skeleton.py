@@ -5,9 +5,9 @@ from wlflow import skeleton as skel
 from wlflow.core import EPS_CONF, KeypointFrame, SubjectMask
 from wlflow.errors import (
     DegenerateConfiguration,
+    DimensionMismatch,
     InsufficientHeadPoints,
     NoCandidates,
-    TopologyMismatch,
     ValidationError,
 )
 
@@ -20,47 +20,47 @@ def _joints(rng=None, conf=1.0):
     return j
 
 
+# Bone 0 of the default layout runs from the left shoulder (5) to the left elbow (7).
+_BONE0 = slice(0, skel.DEFAULT_SAMPLES_PER_BONE)
+
+
 def test_single_bone_interpolation():
-    topo = skel.BoneTopology(edges=((0, 1),), samples_per_bone=11)
     j = np.zeros((17, 3))
     j[:, 2] = 1.0
-    j[1, 0] = 10.0
-    sk = skel.interpolate_skeleton(j, topo)
-    assert np.allclose(sk.xy[:, 0], np.arange(11.0))
-    assert np.all(sk.xy[:, 1] == 0.0)
-    assert np.all(sk.confidences == 1.0)
+    j[7, 0] = 14.0
+    sk = skel.interpolate_skeleton(j)
+    assert np.allclose(sk.xy[_BONE0, 0], np.arange(15.0))
+    assert np.all(sk.xy[_BONE0, 1] == 0.0)
+    assert np.all(sk.confidences[_BONE0] == 1.0)
 
 
 def test_default_topology_yields_210_points():
     sk = skel.interpolate_skeleton(_joints())
     assert len(sk.points) == 210
-    assert sk.topology.n_points == 14 * 15
+    assert len(skel.DEFAULT_BONES) * skel.DEFAULT_SAMPLES_PER_BONE == 14 * 15
 
 
 def test_endpoint_samples_bit_exact():
     j = _joints(np.random.default_rng(5))
-    topo = skel.BoneTopology()
-    sk = skel.interpolate_skeleton(j, topo)
-    m = topo.samples_per_bone
-    for bi, (a, b) in enumerate(topo.edges):
+    sk = skel.interpolate_skeleton(j)
+    m = skel.DEFAULT_SAMPLES_PER_BONE
+    for bi, (a, b) in enumerate(skel.DEFAULT_BONES):
         assert np.array_equal(sk.xy[bi * m], j[a, :2])
         assert np.array_equal(sk.xy[bi * m + m - 1], j[b, :2])
 
 
 def test_interpolated_confidence_is_min_of_endpoints():
-    topo = skel.BoneTopology(edges=((0, 1),), samples_per_bone=5)
     j = np.zeros((17, 3))
-    j[0, 2] = 0.9
-    j[1, 2] = 0.4
-    sk = skel.interpolate_skeleton(j, topo)
-    assert np.all(sk.confidences == 0.4)
+    j[5, 2] = 0.9
+    j[7, 2] = 0.4
+    sk = skel.interpolate_skeleton(j)
+    assert np.all(sk.confidences[_BONE0] == 0.4)
 
 
 def test_confidence_clamped_at_floor():
-    topo = skel.BoneTopology(edges=((0, 1),), samples_per_bone=3)
     j = np.zeros((17, 3))
-    sk = skel.interpolate_skeleton(j, topo)
-    assert np.all(sk.confidences == EPS_CONF)
+    sk = skel.interpolate_skeleton(j)
+    assert np.all(sk.confidences[_BONE0] == EPS_CONF)
 
 
 def test_offsets_identical_maps_are_zero():
@@ -79,21 +79,26 @@ def test_offsets_translation():
 
 
 def test_offsets_single_moved_point():
-    topo = skel.BoneTopology(edges=((0, 1),), samples_per_bone=2)
     j = np.zeros((17, 3))
     j2 = j.copy()
-    j2[0, :2] = (1.0, 1.0)
-    off = skel.skeleton_offsets(
-        skel.interpolate_skeleton(j, topo), skel.interpolate_skeleton(j2, topo)
-    )
+    j2[5, :2] = (1.0, 1.0)
+    off = skel.skeleton_offsets(skel.interpolate_skeleton(j), skel.interpolate_skeleton(j2))
     assert np.allclose(off.vectors[0], (1.0, 1.0))
 
 
-def test_topology_mismatch_raises():
+def test_point_count_mismatch_raises():
     a = skel.interpolate_skeleton(_joints())
-    b = skel.interpolate_skeleton(_joints(), skel.BoneTopology(samples_per_bone=10))
-    with pytest.raises(TopologyMismatch):
-        skel.skeleton_offsets(a, b)
+    b = skel.SkeletonMap(a.points[:200])
+    transform = skel.AlignTransform("translation", np.eye(3))
+    for call in (lambda: skel.skeleton_offsets(a, b), lambda: skel.fit_alignment(a, b, "translation"),
+                 lambda: skel.aligned_offsets(a, b, transform)):
+        with pytest.raises(DimensionMismatch):
+            call()
+
+
+def test_skeleton_map_needs_points():
+    with pytest.raises(ValidationError):
+        skel.SkeletonMap(np.zeros((0, 3)))
 
 
 def _mask_all_subject(n=100):
@@ -101,16 +106,14 @@ def _mask_all_subject(n=100):
 
 
 def test_match_coincident_point_wins():
-    topo = skel.BoneTopology(edges=((0, 1),), samples_per_bone=4)
     pts = np.array([[10.0, 10.0, 0.9], [20.0, 10.0, 1.0], [30.0, 10.0, 1.0], [40.0, 10.0, 1.0]])
-    sk = skel.SkeletonMap(pts, topo)
+    sk = skel.SkeletonMap(pts)
     assert skel.match_body_point((10.0, 10.0), sk, _mask_all_subject()) == 0
 
 
 def test_match_prefers_higher_confidence_at_equal_distance():
-    topo = skel.BoneTopology(edges=((0, 1),), samples_per_bone=2)
     pts = np.array([[8.0, 10.0, 1.0], [12.0, 10.0, 0.5]])
-    sk = skel.SkeletonMap(pts, topo)
+    sk = skel.SkeletonMap(pts)
     # scores: 2/1.0 = 2 vs 2/0.5 = 4
     assert skel.match_body_point((10.0, 10.0), sk, _mask_all_subject()) == 0
 
@@ -124,13 +127,12 @@ def test_match_requires_subject_pixel():
 
 def test_match_against_bruteforce_oracle():
     rng = np.random.default_rng(42)
-    topo = skel.BoneTopology(edges=((0, 1),), samples_per_bone=50)
     pts = np.column_stack([
         rng.uniform(0, 99, 50),
         rng.uniform(0, 99, 50),
         rng.uniform(0.05, 1.0, 50),
     ])
-    sk = skel.SkeletonMap(pts, topo)
+    sk = skel.SkeletonMap(pts)
     mask = _mask_all_subject()
     for _ in range(100):
         p = rng.uniform(0, 99, 2)
@@ -152,8 +154,7 @@ def test_match_all_single_pixel_subject():
     labels = np.zeros((8, 8), dtype=np.int32)
     labels[3, 4] = 1
     mask = SubjectMask(labels)
-    topo = skel.BoneTopology(edges=((0, 1),), samples_per_bone=2)
-    sk = skel.SkeletonMap(np.array([[4.0, 3.0, 1.0], [7.0, 7.0, 1.0]]), topo)
+    sk = skel.SkeletonMap(np.array([[4.0, 3.0, 1.0], [7.0, 7.0, 1.0]]))
     table = skel.match_all({1: sk}, mask)
     assert table[3, 4] == 0
     assert (table >= 0).sum() == 1
@@ -270,7 +271,7 @@ def test_homography_recovery_max_reprojection():
     ])
     warped = np.ones((210, 3))
     warped[:, :2] = _warp(k_t.xy, np.linalg.inv(h_true))
-    k_t1 = skel.SkeletonMap(warped, k_t.topology)
+    k_t1 = skel.SkeletonMap(warped)
     t = skel.fit_alignment(k_t, k_t1, "full_body_homography")
     assert t.kind == "homography"
     err = np.hypot(*(t.apply(k_t1.xy) - k_t.xy).T)
@@ -287,37 +288,57 @@ def test_homography_scale_invariance():
     ])
     warped = np.ones((210, 3))
     warped[:, :2] = _warp(k_t.xy, np.linalg.inv(h_true))
-    k_t1 = skel.SkeletonMap(warped, k_t.topology)
+    k_t1 = skel.SkeletonMap(warped)
 
     def reproj_error(k_a, k_b):
         t = skel.fit_alignment(k_a, k_b, "full_body_homography")
         return np.hypot(*(t.apply(k_b.xy) - k_a.xy).T).max()
 
     e1 = reproj_error(k_t, k_t1)
-    scaled_t = skel.SkeletonMap(k_t.points * (10.0, 10.0, 1.0), k_t.topology)
-    scaled_t1 = skel.SkeletonMap(k_t1.points * (10.0, 10.0, 1.0), k_t1.topology)
+    scaled_t = skel.SkeletonMap(k_t.points * (10.0, 10.0, 1.0))
+    scaled_t1 = skel.SkeletonMap(k_t1.points * (10.0, 10.0, 1.0))
     e10 = reproj_error(scaled_t, scaled_t1)
     assert abs(e10 - 10.0 * e1) <= 1e-9 * max(e10, 10.0 * e1, 1e-12) + 1e-12
 
 
 def test_homography_coincident_points_degenerate():
-    topo = skel.BoneTopology(edges=((0, 1),), samples_per_bone=5)
     pts = np.ones((5, 3))
     pts[:, :2] = (10.0, 10.0)
-    sk = skel.SkeletonMap(pts, topo)
+    sk = skel.SkeletonMap(pts)
     with pytest.raises(DegenerateConfiguration):
         skel.fit_alignment(sk, sk, "full_body_homography")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["full_body_homography", "head_anchor_similarity"])
+def test_fit_that_overflows_is_degenerate_without_warning(method):
+    j = _joints()
+    far = j.copy()
+    far[:, :2] *= 1e300
+    with pytest.raises(DegenerateConfiguration):
+        skel.fit_alignment(skel.interpolate_skeleton(j), skel.interpolate_skeleton(far), method)
+
+
+@pytest.mark.filterwarnings("error")
+def test_offsets_beyond_the_float_range_refused_without_warning():
+    j = _joints()
+    near, far = j.copy(), j.copy()
+    near[:, 0] = -1.5e308
+    far[:, 0] = 1.5e308  # the difference overflows
+    with pytest.raises(ValidationError):
+        skel.skeleton_offsets(skel.interpolate_skeleton(near), skel.interpolate_skeleton(far))
+    with pytest.raises(ValidationError):
+        skel.SkeletonOffsets(np.array([[1e150, 0.0]]), np.ones(1))
+
+
 def test_homography_collinear_falls_back_to_similarity():
-    topo = skel.BoneTopology(edges=((0, 1),), samples_per_bone=50)
     pts = np.ones((50, 3))
     pts[:, 0] = np.linspace(10, 60, 50)
     pts[:, 1] = 20.0
-    sk_a = skel.SkeletonMap(pts, topo)
+    sk_a = skel.SkeletonMap(pts)
     moved = pts.copy()
     moved[:, 0] += 4.0
-    sk_b = skel.SkeletonMap(moved, topo)
+    sk_b = skel.SkeletonMap(moved)
     t = skel.fit_alignment(sk_a, sk_b, "full_body_homography")
     assert t.kind == "similarity"
 
@@ -337,7 +358,6 @@ def test_aligned_offsets_rotating_figure_closed_form():
     """Global rotation about the head plus an extra forearm swing: alignment
     removes the global part, leaving exactly the local limb motion."""
     j = _joints(np.random.default_rng(21))
-    topo = skel.BoneTopology()
     elbow = j[7, :2]
     swing = np.deg2rad(25)
     rs = np.array([[np.cos(swing), -np.sin(swing)], [np.sin(swing), np.cos(swing)]])
@@ -350,11 +370,11 @@ def test_aligned_offsets_rotating_figure_closed_form():
     j_global = j_local.copy()
     j_global[:, :2] = (j_local[:, :2] - head) @ rg.T + head
 
-    k_t = skel.interpolate_skeleton(j, topo)
-    k_t1 = skel.interpolate_skeleton(j_global, topo)
+    k_t = skel.interpolate_skeleton(j)
+    k_t1 = skel.interpolate_skeleton(j_global)
     t = skel.fit_alignment(k_t, k_t1, "head_anchor_similarity")
     got = skel.aligned_offsets(k_t, k_t1, t)
-    expected = skel.skeleton_offsets(k_t, skel.interpolate_skeleton(j_local, topo))
+    expected = skel.skeleton_offsets(k_t, skel.interpolate_skeleton(j_local))
     assert np.abs(got.vectors - expected.vectors).max() < 1e-9
 
 
