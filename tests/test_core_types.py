@@ -62,6 +62,18 @@ def test_pointset_may_be_empty():
     assert len(PointSet(np.zeros((0, 2)))) == 0
 
 
+def test_keypoint_confidence_range():
+    for ok in (0.0, 0.5, 1.0):
+        arr = np.ones((17, 3))
+        arr[0, 2] = ok
+        KeypointFrame((arr,))
+    for bad in (1.5, -0.1):
+        arr = np.ones((17, 3))
+        arr[0, 2] = bad
+        with pytest.raises(ValidationError):
+            KeypointFrame((arr,))
+
+
 def test_keypoint_frame_needs_17_joints():
     with pytest.raises(ValidationError):
         KeypointFrame((np.ones((16, 3)),))
@@ -69,11 +81,10 @@ def test_keypoint_frame_needs_17_joints():
 
 
 def test_keypoint_frame_rejects_bad_confidence():
-    for bad in (1.5, -0.1):
-        arr = np.ones((17, 3))
-        arr[4, 2] = bad
-        with pytest.raises(ValidationError):
-            KeypointFrame((arr,))
+    arr = np.ones((17, 3))
+    arr[4, 2] = 1.5
+    with pytest.raises(ValidationError):
+        KeypointFrame((arr,))
 
 
 def test_mask_labels_must_be_contiguous():
