@@ -95,6 +95,8 @@ class Priors:
         (the later skeleton is aligned onto the earlier one first), which
         yields the subject-relative constraint used for local flow.
         """
+        if not mask.subject_ids:
+            raise EmptySubject("mask contains no subjects")
         pairs = skel.subject_skeletons(frame_t, frame_t1, mask)
         offsets_by_label: dict[int, skel.SkeletonOffsets] = {}
         for label, (k_t, k_t1) in pairs.items():
@@ -132,20 +134,72 @@ class SolveResult:
     converged: bool
 
 
-def _smoothness(arr: np.ndarray, labels: np.ndarray):
-    """Mean squared forward difference of the field, and a callable giving its
-    gradient.
+@dataclass(frozen=True)
+class _ActiveBox:
+    """The window of the raster on which a solve evaluates smoothness and the
+    background term, with the per-solve masks those terms need there.
+
+    `index` selects the window; `same_x` and `same_y` mark the neighbor pairs
+    inside it whose labels agree, `background` its label-0 pixels, and
+    `pixels` is the h * w of the whole raster, which stays the normalizer.
+    """
+
+    index: tuple[slice, slice]
+    same_x: np.ndarray
+    same_y: np.ndarray
+    background: np.ndarray
+    pixels: int
+
+
+def _active_box(init: np.ndarray, priors: Priors) -> _ActiveBox:
+    """The bounding box of the pixels a solve from `init` can move, plus a
+    1 px halo, clipped to the raster.
+
+    Off the subject, at a pixel that no skeleton point matches, a flow of 0
+    gets a surrogate gradient of exactly +0: smoothness drops pairs whose
+    labels differ, the background gradient is 2 x, the soft boundary term
+    differentiates through |x| and the skeleton term writes matched pixels
+    only. So from an init that is 0 on the background no iterate and no
+    line-search trial moves a pixel outside the subject, the matched pixels
+    and the nonzero init, and the halo puts every neighbor pair that touches
+    them inside the box. Nonzero background flow does spread: smoothness
+    pulls its background neighbors along, one pixel per step. So an init
+    that moves any background pixel gets the whole raster.
+    """
+    labels = priors.mask.labels
+    moving = (init != 0).any(axis=2)
+    active = (labels > 0) | (priors.matches >= 0) | moving
+    active |= (moving & (labels == 0)).any()
+    h, w = labels.shape
+    ys, xs = np.flatnonzero(active.any(axis=1)), np.flatnonzero(active.any(axis=0))
+    # With nothing active the bounds cross and the box is empty (or one row or column).
+    index = (slice(max(int(ys.min(initial=h)) - 1, 0), min(int(ys.max(initial=-1)) + 2, h)),
+             slice(max(int(xs.min(initial=w)) - 1, 0), min(int(xs.max(initial=-1)) + 2, w)))
+    inner = labels[index]
+    return _ActiveBox(
+        index=index,
+        same_x=(inner[:, 1:] == inner[:, :-1])[..., None],
+        same_y=(inner[1:, :] == inner[:-1, :])[..., None],
+        background=(inner == 0)[..., None],
+        pixels=h * w,
+    )
+
+
+def _smoothness(arr: np.ndarray, box: _ActiveBox):
+    """Squared forward differences of the field over the active box, summed
+    and divided by the pixel count of the whole raster, and a callable giving
+    their gradient on the box.
 
     Differences across region boundaries (label changes) are excluded:
     motion is expected to be discontinuous at the silhouette, and smoothing
     across it would drag subject flow toward the static background.
+    `arr` is the flow on the box (see `_active_box`). Every pair outside it
+    joins two pixels of flow 0, so the gradient is bitwise that of the whole
+    raster; the value sums fewer zeros and may differ in the last bits.
     """
-    h, w = arr.shape[:2]
-    same_x = (labels[:, 1:] == labels[:, :-1])[..., None]
-    same_y = (labels[1:, :] == labels[:-1, :])[..., None]
-    dx = (arr[:, 1:, :] - arr[:, :-1, :]) * same_x
-    dy = (arr[1:, :, :] - arr[:-1, :, :]) * same_y
-    value = float((dx ** 2).sum() + (dy ** 2).sum()) / (h * w)
+    dx = (arr[:, 1:, :] - arr[:, :-1, :]) * box.same_x
+    dy = (arr[1:, :, :] - arr[:-1, :, :]) * box.same_y
+    value = float((dx ** 2).sum() + (dy ** 2).sum()) / box.pixels
 
     def gradient() -> np.ndarray:
         grad = np.zeros_like(arr)
@@ -153,27 +207,28 @@ def _smoothness(arr: np.ndarray, labels: np.ndarray):
         grad[:, :-1, :] -= 2.0 * dx
         grad[1:, :, :] += 2.0 * dy
         grad[:-1, :, :] -= 2.0 * dy
-        return grad / (h * w)
+        return grad / box.pixels
 
     return value, gradient
 
 
-def _surrogate(arr: np.ndarray, priors: Priors, hp: Hyperparams, opts: SolverOptions, tau: float):
+def _surrogate(arr: np.ndarray, priors: Priors, hp: Hyperparams, opts: SolverOptions, tau: float,
+               box: _ActiveBox):
     """Surrogate objective at `arr` and a callable giving its gradient.
 
     Every term's value is computed here; the gradients that cost most to
     build wait for the callable, which a rejected line-search trial never
-    calls (see `armijo_descent`).
+    calls (see `armijo_descent`). Smoothness and the background term run on
+    `box` alone: outside it they add +-0 to a gradient that is +0 there.
     """
     flow = FlowMap(arr)
     f_val, f_grad = kin.smooth_skeleton_constraint(
         flow, priors.offsets, priors.matches, priors.mask, hp, tau
     )
     g_val, g_backward = bnd.soft_boundary_constraint(flow, priors.boundary, hp, tau)
-    s_val, s_gradient = _smoothness(arr, priors.mask.labels)
-    h, w = arr.shape[:2]
-    background = (priors.mask.labels == 0)[..., None]
-    b_val = float((arr ** 2 * background).sum()) / (h * w)
+    inner = arr[box.index]
+    s_val, s_gradient = _smoothness(inner, box)
+    b_val = float((inner ** 2 * box.background).sum()) / box.pixels
     value = f_val + hp.alpha * g_val + opts.smoothness_weight * s_val + opts.background_weight * b_val
 
     def gradient() -> np.ndarray:
@@ -182,8 +237,9 @@ def _surrogate(arr: np.ndarray, priors: Priors, hp: Hyperparams, opts: SolverOpt
         nonlocal g_backward
         total = f_grad + hp.alpha * g_backward()
         g_backward = None
-        total += opts.smoothness_weight * s_gradient()
-        total += opts.background_weight * (2.0 * arr * background / (h * w))
+        window = total[box.index]
+        window += opts.smoothness_weight * s_gradient()
+        window += opts.background_weight * (2.0 * inner * box.background / box.pixels)
         return total
 
     return value, gradient
@@ -202,10 +258,18 @@ def solve_world_flow(
     skipped and the result is not converged. Accepted steps never increase
     the surrogate within a phase. The trace records the hard objective at
     every accepted step.
+
+    Smoothness and the background term are evaluated on one active box per
+    solve (`_active_box`): the bounding box of the subject, the matched
+    pixels and the nonzero init, plus a 1 px halo. It is the whole raster
+    when the init moves any background pixel. Gradients, iterates and the
+    result are bitwise those of a whole-raster evaluation; the two terms'
+    values sum fewer zeros and may differ in the last bits.
     Deterministic: same inputs and options give bitwise-identical output.
     """
     validate_pairing(init, priors.mask)
     x = init.vectors
+    box = _active_box(x, priors)
     trace: list[TraceEntry] = []
     iters_per_phase = -(-opts.max_iters // len(opts.tau_schedule))
     for tau in opts.tau_schedule:
@@ -215,7 +279,7 @@ def solve_world_flow(
             break
 
         def surrogate(arr, tau=tau):
-            return _surrogate(arr, priors, hp, opts, tau)
+            return _surrogate(arr, priors, hp, opts, tau, box)
 
         def record(arr, value, step, tau=tau):
             trace.append(TraceEntry(

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from wlflow import flows, synth
-from wlflow.core import Hyperparams
+from wlflow.core import FlowMap, Hyperparams
 
 # Property tests draw the same examples on every run and have no time limit.
 settings.register_profile("wlflow", derandomize=True, deadline=None)
@@ -88,6 +88,40 @@ def eager_armijo_descent(fn, x, value, grad, eta, max_steps, tolerance, on_step)
         if delta < tolerance:
             return x, True
     return x, False
+
+
+def full_raster_surrogate(arr, priors, hp, opts, tau):
+    """Reference copy of `flows._surrogate` as it ran before smoothness and the
+    background term moved onto the active box: both run on the whole raster
+    and rebuild their masks at every evaluation."""
+    flow = FlowMap(arr)
+    f_val, f_grad = flows.kin.smooth_skeleton_constraint(
+        flow, priors.offsets, priors.matches, priors.mask, hp, tau
+    )
+    g_val, g_backward = flows.bnd.soft_boundary_constraint(flow, priors.boundary, hp, tau)
+    labels = priors.mask.labels
+    h, w = arr.shape[:2]
+    same_x = (labels[:, 1:] == labels[:, :-1])[..., None]
+    same_y = (labels[1:, :] == labels[:-1, :])[..., None]
+    dx = (arr[:, 1:, :] - arr[:, :-1, :]) * same_x
+    dy = (arr[1:, :, :] - arr[:-1, :, :]) * same_y
+    s_val = float((dx ** 2).sum() + (dy ** 2).sum()) / (h * w)
+    background = (labels == 0)[..., None]
+    b_val = float((arr ** 2 * background).sum()) / (h * w)
+    value = f_val + hp.alpha * g_val + opts.smoothness_weight * s_val + opts.background_weight * b_val
+
+    def gradient():
+        s_grad = np.zeros_like(arr)
+        s_grad[:, 1:, :] += 2.0 * dx
+        s_grad[:, :-1, :] -= 2.0 * dx
+        s_grad[1:, :, :] += 2.0 * dy
+        s_grad[:-1, :, :] -= 2.0 * dy
+        total = f_grad + hp.alpha * g_backward()
+        total += opts.smoothness_weight * (s_grad / (h * w))
+        total += opts.background_weight * (2.0 * arr * background / (h * w))
+        return total
+
+    return value, gradient
 
 
 class GradientLedger:

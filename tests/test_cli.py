@@ -16,7 +16,7 @@ import wlflow
 from wlflow import boundary as bnd
 from wlflow import io, synth
 from wlflow.cli import main
-from wlflow.core import FlowMap, PointSet, Vec2
+from wlflow.core import FlowMap, PointSet, SubjectMask, Vec2
 
 
 @pytest.fixture(scope="module")
@@ -370,6 +370,19 @@ def _patch_side_argv(scene_dir, tmp_path, flags):
     return _chamfer_argv(scene_dir, tmp_path, "8") + flags
 
 
+def _empty_mask_argv(scene_dir, tmp_path, command):
+    """`command` on the scene with an all-zero mask of the scene's size."""
+    labels = io.read_mask(scene_dir / "mask_t.pgm").labels
+    mask = tmp_path / "empty_mask.pgm"
+    io.write_mask(mask, SubjectMask(np.zeros_like(labels)))
+    if command[0] == "solve":
+        argv = _solve_argv(scene_dir, tmp_path, {"max_iters": 6})
+    else:
+        doc = json.loads((scene_dir / "keypoints.json").read_text())
+        argv = _keypoints_command(scene_dir, tmp_path, command, doc)
+    return [str(mask) if arg == str(scene_dir / "mask_t.pgm") else arg for arg in argv]
+
+
 _HUGE = 10 ** 400  # a valid JSON integer beyond the float range
 
 
@@ -437,6 +450,10 @@ _HUGE = 10 ** 400  # a valid JSON integer beyond the float range
                  id="patch-zero-height"),
     pytest.param(_patch_raster_argv, "0", 1, "raster dimensions must be positive", id="patch-zero-raster"),
     pytest.param(_chamfer_argv, str(_HUGE), 1, "patch scale must be a finite number", id="patch-huge-scale"),
+    pytest.param(_empty_mask_argv, ["solve"], 1, "mask contains no subjects", id="solve-empty-mask"),
+    pytest.param(_empty_mask_argv, ["eval"], 1, "mask contains no subjects", id="eval-empty-mask"),
+    pytest.param(_empty_mask_argv, ["eval", "--local"], 1, "mask contains no subjects",
+                 id="eval-local-empty-mask"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_bad_arguments_exit_with_one_line_error(scene_dir, tmp_path, capsys, build, arg, code, message):
@@ -588,3 +605,88 @@ def test_cli_entry_point_imports_no_scipy_until_exact_chamfer(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["exact"] == io._format_floats(bnd.exact_chamfer(s, e))
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz_files")
+
+
+def _rect_labels(h: int, w: int) -> np.ndarray:
+    labels = np.zeros((h, w), dtype=np.int32)
+    labels[h // 4:h - h // 4, w // 4:w - w // 4] = 1
+    return labels
+
+
+# Float32 values at the edges of the .flo payload's range: extremes, subnormals, signed zeros.
+_FLO_VALUES = st.sampled_from([3e38, -3e38, 3.4028235e38, 1e-45, -1e-45, 1e-40, 0.0, -0.0, 1.5, -2.0])
+
+
+@st.composite
+def _file_inputs(draw):
+    """Mask, flow, boundary and keypoints files for an 8-24 px raster, each
+    valid or broken in one of the ways a user's files can be."""
+    h, w = draw(st.integers(8, 24)), draw(st.integers(8, 24))
+    labels = {
+        "ok": lambda: _rect_labels(h, w),
+        "subjectless": lambda: np.zeros((h, w), dtype=np.int32),
+        "1x1": lambda: np.full((1, 1), draw(st.sampled_from([0, 1])), dtype=np.int32),
+        "mismatched": lambda: _rect_labels(h + draw(st.integers(1, 5)), w),
+    }[draw(st.sampled_from(["ok", "ok", "ok", "subjectless", "1x1", "mismatched"]))]()
+    fh, fw = (h, w) if draw(st.integers(0, 3)) else (draw(st.integers(1, 24)), draw(st.integers(1, 24)))
+    flow = {
+        "small": lambda: np.random.default_rng(draw(st.integers(0, 9))).normal(0.0, 1.5, (fh, fw, 2)),
+        "extreme": lambda: np.full((fh, fw, 2), draw(_FLO_VALUES)),
+        "mixed": lambda: np.array(draw(st.lists(_FLO_VALUES, min_size=2 * fh * fw, max_size=2 * fh * fw)))
+        .reshape(fh, fw, 2),
+    }[draw(st.sampled_from(["small", "extreme", "mixed"]))]()
+    boundary = {
+        "outline": [[w / 4, h / 4], [3 * w / 4, h / 4], [3 * w / 4, 3 * h / 4], [w / 4, 3 * h / 4]],
+        "empty": [],
+        "off-raster": [[w / 2, h / 2], [w + 3.0, -1.0]],
+        "single": [[w / 2, h / 2]],
+    }[draw(st.sampled_from(["outline", "outline", "outline", "empty", "off-raster", "single"]))]
+    # One person whose joints lie along the subject's diagonal; frame t+1 shifted by 1 px.
+    joints = np.stack([np.linspace(w / 4, 3 * w / 4, 17), np.linspace(h / 4, 3 * h / 4, 17), np.ones(17)],
+                      axis=1)
+    moved = joints + (1.0, 0.5, 0.0)
+    return labels, flow, boundary, [joints.tolist(), moved.tolist()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(inputs=_file_inputs(),
+       command=st.sampled_from(["solve", "solve --init", "eval", "eval --local", "decompose"]),
+       method=st.sampled_from(["mask-mean", "homography", "head", "translation"]))
+def test_fuzz_file_inputs_exit_cleanly(fuzz_files, inputs, command, method):
+    """Any mask, .flo and boundary file ends solve, eval and decompose in exit
+    0, 1 or 2 with at most one error line, no traceback and no warning."""
+    labels, flow, boundary, (person_t, person_t1) = inputs
+    d = fuzz_files
+    io.write_mask(d / "mask.pgm", SubjectMask(labels))
+    io.write_flo(d / "flow.flo", FlowMap(flow))
+    (d / "boundary.json").write_text(json.dumps({"points": boundary}))
+    frames = [{"persons": [person_t]}, {"persons": [person_t1]}]
+    (d / "keypoints.json").write_text(json.dumps({"frames": frames}))
+    (d / "opts.json").write_text(json.dumps({"max_iters": 2}))
+    common = ["--mask", str(d / "mask.pgm"), "--keypoints", str(d / "keypoints.json")]
+    if command.startswith("solve"):
+        argv = ["solve", *common, "--boundary", str(d / "boundary.json"), "--opts", str(d / "opts.json"),
+                "--out", str(d / "solved.flo")]
+        if command.endswith("--init"):
+            argv += ["--init", str(d / "flow.flo")]
+    elif command.startswith("eval"):
+        argv = [*command.split(), *common, "--flow", str(d / "flow.flo"),
+                "--boundary", str(d / "boundary.json")]
+    else:
+        argv = ["decompose", "--method", method, *common, "--world", str(d / "flow.flo"),
+                "--out-local", str(d / "local.flo")]
+    out, err = StringIO(), StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = err.getvalue()
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert err.count("error: ") <= 1 and (code == 0) == (err == ""), err

@@ -1,13 +1,17 @@
+import tracemalloc
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wlflow import flows, skeleton as skel, synth
 from wlflow.core import FlowMap, Hyperparams, SubjectMask, Vec2
 from wlflow.errors import DimensionMismatch, EmptySubject, ValidationError
 
-from conftest import GradientLedger, eager_armijo_descent
+from conftest import GradientLedger, eager_armijo_descent, full_raster_surrogate
 
 
 def test_objective_breakdown_identity(small_truth, small_priors, hp):
@@ -328,3 +332,131 @@ def test_priors_build_with_alignment(small_truth):
     )
     assert aligned.matches.shape == raw.matches.shape
     assert not np.allclose(aligned.offsets.vectors, raw.offsets.vectors)
+
+
+@lru_cache(maxsize=None)
+def _scene(seed):
+    """`random_scene(seed)` at 64x64, or the 128x128 reference scene for seed None, with priors."""
+    if seed is None:
+        spec = synth.single_figure_scene()
+    else:
+        spec = synth.random_scene(seed, 64, 64, length_scale=0.55)
+    truth = synth.generate_scene(spec)
+    return truth, flows.Priors.build(truth.keypoints[0], truth.keypoints[1], truth.mask_t, truth.boundary_t)
+
+
+def _is_plus_zero(a: np.ndarray) -> bool:
+    return bool((a == 0).all() and not np.signbit(a).any())
+
+
+@settings(max_examples=12)
+@given(seed=st.one_of(st.none(), st.integers(0, 40)), tau=st.sampled_from([0.5, 0.1, 0.02]),
+       data=st.data())
+def test_gradient_is_plus_zero_on_still_background(seed, tau, data):
+    """The invariant the active box rests on: with flow random on the subject
+    and 0 elsewhere, the whole-raster surrogate gradient is +0.0 on every
+    background pixel, bytes included, and so is the solver's."""
+    truth, priors = _scene(seed)
+    hp, opts = Hyperparams(), flows.SolverOptions()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    scale = data.draw(st.sampled_from([1e-3, 0.5, 3.0, 40.0]))
+    subject = truth.mask_t.labels > 0
+    arr = np.zeros((truth.mask_t.height, truth.mask_t.width, 2))
+    arr[subject] = rng.normal(0.0, scale, (int(subject.sum()), 2))
+    for value, gradient in (full_raster_surrogate(arr, priors, hp, opts, tau),
+                            flows._surrogate(arr, priors, hp, opts, tau, flows._active_box(arr, priors))):
+        assert _is_plus_zero(gradient()[~subject])
+
+
+@pytest.mark.parametrize("seed", [None, 5, 17])
+def test_zero_init_solve_stays_zero_off_the_subject(seed, hp):
+    truth, priors = _scene(seed)
+    zero = FlowMap.zeros(truth.mask_t.width, truth.mask_t.height)
+    res = flows.solve_world_flow(zero, priors, hp, flows.SolverOptions(max_iters=20))
+    subject = truth.mask_t.labels > 0
+    assert _is_plus_zero(res.flow.vectors[~subject])
+    assert np.abs(res.flow.vectors[subject]).max() > 0
+
+
+def _corner_scene():
+    """A 256x256 raster with the figure in its top-left corner."""
+    truth = synth.generate_scene(synth.single_figure_scene(256, 256, root=(40.0, 60.0), length_scale=0.8))
+    return truth, flows.Priors.build(truth.keypoints[0], truth.keypoints[1], truth.mask_t, truth.boundary_t)
+
+
+def _solve_recording(monkeypatch, evaluator, init, priors, hp, opts):
+    """Solve with `evaluator` standing in for `flows._surrogate`; also return every gradient it built."""
+    grads = []
+
+    def recording(arr, priors, hp, opts, tau, box):
+        value, gradient = evaluator(arr, priors, hp, opts, tau, box)
+
+        def recorded():
+            grads.append(gradient())
+            return grads[-1]
+
+        return value, recorded
+
+    with monkeypatch.context() as m:
+        m.setattr(flows, "_surrogate", recording)
+        return flows.solve_world_flow(init, priors, hp, opts), grads
+
+
+@pytest.mark.parametrize("case", ["reference-zero", "corner-256", "refine", "background-patch"])
+def test_active_box_solve_equals_full_raster(case, hp, monkeypatch):
+    """Smoothness and the background term on the active box give bitwise the
+    gradients, iterates and flow of the whole-raster terms; the surrogate
+    values agree to 1e-12. A -0.0 on the still background of a zero init
+    stays -0.0. An init that moves background pixels, everywhere (refine) or
+    in one small patch that smoothness spreads, gets the whole raster."""
+    if case == "corner-256":
+        truth, priors = _corner_scene()
+    else:
+        truth, priors = _scene(None if case == "reference-zero" else 7)
+    h, w = truth.mask_t.height, truth.mask_t.width
+    init = np.zeros((h, w, 2))
+    if case == "refine":
+        init = truth.gt_world.vectors + np.random.default_rng(3).normal(0.0, 0.5, (h, w, 2))
+    elif case == "background-patch":
+        init[3:6, w - 6:w - 3] = (2.0, -1.0)
+        assert (truth.mask_t.labels[3:6, w - 6:w - 3] == 0).all()
+    else:
+        init[h - 1, 0, 1] = -0.0
+    box = flows._active_box(init, priors)
+    covered = (box.index[0].stop - box.index[0].start) * (box.index[1].stop - box.index[1].start)
+    if case in ("refine", "background-patch"):
+        assert covered == h * w
+    else:
+        assert covered < h * w / (4 if case == "corner-256" else 2)
+
+    opts = flows.SolverOptions(max_iters=30)
+    res, grads = _solve_recording(monkeypatch, flows._surrogate, FlowMap(init), priors, hp, opts)
+    ref, ref_grads = _solve_recording(
+        monkeypatch, lambda *args: full_raster_surrogate(*args[:5]), FlowMap(init), priors, hp, opts,
+    )
+    assert res.flow.vectors.tobytes() == ref.flow.vectors.tobytes()
+    assert len(grads) == len(ref_grads) > 3
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(grads, ref_grads))
+    assert [t.hard for t in res.trace] == [t.hard for t in ref.trace]
+    assert [t.surrogate for t in res.trace] == pytest.approx([t.surrogate for t in ref.trace], rel=1e-12)
+    assert np.signbit(res.flow.vectors[h - 1, 0, 1]) == np.signbit(init[h - 1, 0, 1])
+
+
+def test_surrogate_value_allocates_under_two_flows(hp):
+    """On the 512x512 raster of the sparse benchmark scene, one value-only
+    surrogate evaluation at zero flow allocates at most twice one (h, w, 2)
+    flow: no term may build whole-raster temporaries beyond the skeleton
+    term's gradient."""
+    truth = synth.generate_scene(synth.single_figure_scene(512, 512, root=(128 * 0.45, 128 * 0.55)))
+    priors = flows.Priors.build(truth.keypoints[0], truth.keypoints[1], truth.mask_t, truth.boundary_t)
+    arr = np.zeros((512, 512, 2))
+    box = flows._active_box(arr, priors)
+    opts = flows.SolverOptions()
+    flows._surrogate(arr, priors, hp, opts, 0.5, box)  # first call: lazy set-up outside the measure
+    tracemalloc.start()
+    try:
+        flows._surrogate(arr, priors, hp, opts, 0.5, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * arr.nbytes, f"{peak / 1e6:.1f} MB"
