@@ -254,8 +254,7 @@ def _cmd_solve(args) -> int:
     result = flows.solve_world_flow(init, priors, hp, opts)
     io.write_flo(args.out, result.flow)
     trace = [
-        {"iteration": t.iteration, "tau": t.tau, "step": t.step,
-         "surrogate": t.surrogate, "total": t.hard.total, "f": t.hard.f, "g": t.hard.g}
+        {"iteration": t.iteration, "tau": t.tau, "step": t.step, "surrogate": t.surrogate}
         for t in result.trace
     ]
     _emit(io.Report(
@@ -267,7 +266,7 @@ def _cmd_solve(args) -> int:
         metrics={
             "converged": result.converged,
             "iterations": len(result.trace),
-            "final_total": result.trace[-1].hard.total if result.trace else None,
+            "final_total": result.objective.total,
             "out": str(args.out),
         },
         trace=trace,

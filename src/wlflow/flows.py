@@ -44,8 +44,19 @@ class ObjectiveBreakdown:
     g_result: bnd.BoundaryResult | None = None
 
 
+# The tau values a schedule may hold. Within it the surrogates' arithmetic stays
+# finite for flows within the float32 range: (tau + 1e-6)^4 below 1e200 and
+# x / tau below 1e139.
+TAU_RANGE = (1e-100, 1e50)
+
+
 @dataclass(frozen=True)
 class SolverOptions:
+    """Budget, annealing schedule and regularizer weights of `solve_world_flow`.
+
+    Every `tau_schedule` entry must lie in `TAU_RANGE`.
+    """
+
     max_iters: int = 500
     tau_schedule: tuple = (0.5, 0.1, 0.02)
     smoothness_weight: float = 0.05
@@ -66,8 +77,11 @@ class SolverOptions:
         for t in self.tau_schedule:
             _check_number("each tau_schedule entry", t)
         schedule = tuple(float(t) for t in self.tau_schedule)
-        if not schedule or any(t <= 0 for t in schedule):
-            raise ValidationError("tau_schedule must be nonempty and positive")
+        if not schedule:
+            raise ValidationError("tau_schedule must be nonempty")
+        lo, hi = TAU_RANGE
+        if any(not lo <= t <= hi for t in schedule):
+            raise ValidationError(f"each tau_schedule entry must lie in [{lo:g}, {hi:g}]")
         object.__setattr__(self, "tau_schedule", schedule)
 
 
@@ -120,18 +134,24 @@ def joint_objective(flow: FlowMap, priors: Priors, hp: Hyperparams) -> Objective
 
 @dataclass(frozen=True)
 class TraceEntry:
+    """One accepted descent step: its 1-based index over the whole solve, the
+    phase's tau, the accepted step length and the surrogate value there."""
+
     iteration: int
     tau: float
     step: float
     surrogate: float
-    hard: ObjectiveBreakdown
 
 
 @dataclass(frozen=True)
 class SolveResult:
+    """The solved flow, one `TraceEntry` per accepted step, whether the last
+    phase converged, and `objective`, the hard `joint_objective` of `flow`."""
+
     flow: FlowMap
     trace: tuple
     converged: bool
+    objective: ObjectiveBreakdown
 
 
 @dataclass(frozen=True)
@@ -216,10 +236,11 @@ def _surrogate(arr: np.ndarray, priors: Priors, hp: Hyperparams, opts: SolverOpt
                box: _ActiveBox):
     """Surrogate objective at `arr` and a callable giving its gradient.
 
-    Every term's value is computed here; the gradients that cost most to
-    build wait for the callable, which a rejected line-search trial never
-    calls (see `armijo_descent`). Smoothness and the background term run on
-    `box` alone: outside it they add +-0 to a gradient that is +0 there.
+    Every term's value is computed here; every term's gradient waits for
+    the callable, which a rejected line-search trial never calls (see
+    `armijo_descent`), so a value-only call builds no (h, w, 2) array.
+    Smoothness and the background term run on `box` alone: outside it they
+    add +-0 to a gradient that is +0 there.
     """
     flow = FlowMap(arr)
     f_val, f_grad = kin.smooth_skeleton_constraint(
@@ -235,7 +256,7 @@ def _surrogate(arr: np.ndarray, priors: Priors, hp: Hyperparams, opts: SolverOpt
         # Each deferred gradient is built only when the sum reaches it, so no two are alive at
         # once; the soft term's forward state is released before the others are built.
         nonlocal g_backward
-        total = f_grad + hp.alpha * g_backward()
+        total = f_grad() + hp.alpha * g_backward()
         g_backward = None
         window = total[box.index]
         window += opts.smoothness_weight * s_gradient()
@@ -256,8 +277,9 @@ def solve_world_flow(
     The tau schedule splits the iteration budget into phases of decreasing
     surrogate sharpness; once the budget is spent, the remaining phases are
     skipped and the result is not converged. Accepted steps never increase
-    the surrogate within a phase. The trace records the hard objective at
-    every accepted step.
+    the surrogate within a phase. The trace records the surrogate at every
+    accepted step; the hard objective is scored once, on the returned flow
+    (`SolveResult.objective`).
 
     Smoothness and the background term are evaluated on one active box per
     solve (`_active_box`): the bounding box of the subject, the matched
@@ -282,13 +304,7 @@ def solve_world_flow(
             return _surrogate(arr, priors, hp, opts, tau, box)
 
         def record(arr, value, step, tau=tau):
-            trace.append(TraceEntry(
-                iteration=len(trace) + 1,
-                tau=tau,
-                step=step,
-                surrogate=value,
-                hard=joint_objective(FlowMap(arr), priors, hp),
-            ))
+            trace.append(TraceEntry(iteration=len(trace) + 1, tau=tau, step=step, surrogate=value))
 
         value, gradient = surrogate(x)
         grad = gradient()
@@ -296,7 +312,8 @@ def solve_world_flow(
         gmax = float(np.abs(grad).max())
         eta = 1.0 / gmax if gmax > 0 else 1.0
         x, converged = armijo_descent(surrogate, x, value, grad, eta, budget, opts.tolerance, record)
-    return SolveResult(FlowMap(x), tuple(trace), converged)
+    flow = FlowMap(x)
+    return SolveResult(flow, tuple(trace), converged, joint_objective(flow, priors, hp))
 
 
 @dataclass(frozen=True)

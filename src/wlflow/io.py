@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -308,8 +308,6 @@ def _format_floats(obj):
         return {k: _format_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_format_floats(v) for v in obj]
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return _format_floats(asdict(obj))
     if isinstance(obj, np.ndarray):
         return _format_floats(obj.tolist())
     if isinstance(obj, (np.floating,)):

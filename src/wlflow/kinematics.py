@@ -8,6 +8,7 @@ aggregated over matched pixels and normalized by the full pixel count.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,22 +132,26 @@ def smooth_skeleton_constraint(
     mask: SubjectMask,
     hp: Hyperparams,
     tau: float,
-) -> tuple[float, np.ndarray]:
-    """Differentiable surrogate of the constraint and its flow gradient.
+) -> tuple[float, Callable[[], np.ndarray]]:
+    """Differentiable surrogate of the constraint and a callable giving its
+    flow gradient.
 
     The angular indicator becomes sigmoid((angle(u, k) - theta_a) / tau) on
     a stabilized cosine, gated so that jointly static pairs contribute
     nothing; the surrogate approaches the hard term as tau -> 0. The
     intensity term is kept as-is (piecewise smooth, subgradient 0 at its
-    kinks). Returns (value, (h, w, 2) gradient).
+    kinks). Returns (value, gradient), where `gradient()` builds the
+    (h, w, 2) gradient only when called, as `soft_boundary_constraint`'s
+    backward pass does, so a caller that needs the value alone never
+    allocates it.
     """
     if tau <= 0:
         raise ValidationError("tau must be positive")
     valid, u, k = _gather(flow, offsets, matches, mask)
     total = flow.height * flow.width
-    grad = np.zeros((flow.height, flow.width, 2))
+    shape = (flow.height, flow.width, 2)
     if len(u) == 0:
-        return 0.0, grad
+        return 0.0, lambda: np.zeros(shape)
 
     s = EPS_VEC + tau  # stabilizer; shrinks with tau so the hard terms are recovered
     s2 = s * s
@@ -161,22 +166,27 @@ def smooth_skeleton_constraint(
     q = 1.0 - (1.0 - wu) * (1.0 - wk)
     ang = q * sig
 
-    # d(ang)/du = dq * sig + q * dsig
-    dsig_du = dsig_dcos[:, None] * _dcos(u, k, du, dk, dot)
-    dwu_du = 2.0 * u * (s2 / (ru2 + s2) ** 2)[:, None]
-    dq_du = (1.0 - wk)[:, None] * dwu_du
-    dang_du = dq_du * sig[:, None] + q[:, None] * dsig_du
-
     ru = np.sqrt(ru2)
     rk = np.sqrt(rk2)
     g = (ru - hp.theta_il * rk) * (ru - hp.theta_ih * rk)
     fi = np.maximum(g, 0.0)
-    active = g > 0
-    u_hat = np.zeros_like(u)
-    nz = ru > 0
-    u_hat[nz] = u[nz] / ru[nz, None]
-    dfi_du = np.where(active[:, None], (2.0 * ru - (hp.theta_il + hp.theta_ih) * rk)[:, None] * u_hat, 0.0)
-
     value = float((ang.sum() + hp.beta * fi.sum()) / total)
-    grad[valid] = (dang_du + hp.beta * dfi_du) / total
-    return value, grad
+
+    def gradient() -> np.ndarray:
+        # d(ang)/du = dq * sig + q * dsig
+        dsig_du = dsig_dcos[:, None] * _dcos(u, k, du, dk, dot)
+        dwu_du = 2.0 * u * (s2 / (ru2 + s2) ** 2)[:, None]
+        dq_du = (1.0 - wk)[:, None] * dwu_du
+        dang_du = dq_du * sig[:, None] + q[:, None] * dsig_du
+
+        active = g > 0
+        u_hat = np.zeros_like(u)
+        nz = ru > 0
+        u_hat[nz] = u[nz] / ru[nz, None]
+        dfi_du = np.where(active[:, None], (2.0 * ru - (hp.theta_il + hp.theta_ih) * rk)[:, None] * u_hat, 0.0)
+
+        grad = np.zeros(shape)
+        grad[valid] = (dang_du + hp.beta * dfi_du) / total
+        return grad
+
+    return value, gradient

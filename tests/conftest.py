@@ -116,7 +116,7 @@ def full_raster_surrogate(arr, priors, hp, opts, tau):
         s_grad[:, :-1, :] -= 2.0 * dx
         s_grad[1:, :, :] += 2.0 * dy
         s_grad[:-1, :, :] -= 2.0 * dy
-        total = f_grad + hp.alpha * g_backward()
+        total = f_grad() + hp.alpha * g_backward()
         total += opts.smoothness_weight * (s_grad / (h * w))
         total += opts.background_weight * (2.0 * arr * background / (h * w))
         return total

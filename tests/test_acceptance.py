@@ -102,10 +102,11 @@ def test_criterion_3_gradient_checks(small_truth, small_priors):
         h = 1e-4
         n = base.shape[0]
 
-        _, f_grad = kin.smooth_skeleton_constraint(
+        _, f_gradient = kin.smooth_skeleton_constraint(
             FlowMap(base), small_priors.offsets, small_priors.matches,
             small_truth.mask_t, hp, tau,
         )
+        f_grad = f_gradient()
         worst_f = 0.0
         coords = list(zip(rng.integers(0, n, 200), rng.integers(0, n, 200), rng.integers(0, 2, 200)))
         for y, x, c in coords:

@@ -9,12 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wlflow
 from wlflow import boundary as bnd
-from wlflow import io, synth
+from wlflow import flows, io, synth
 from wlflow.cli import main
 from wlflow.core import FlowMap, PointSet, SubjectMask, Vec2
 
@@ -159,6 +159,7 @@ def test_solve_pipeline_reduces_epe(scene_dir, tmp_path, capsys):
     doc = json.loads(out)
     assert doc["metrics"]["iterations"] >= 1
     assert len(doc["trace"]) == doc["metrics"]["iterations"]
+    assert all(set(t) == {"iteration", "tau", "step", "surrogate"} for t in doc["trace"])
 
     code, out, _ = _run(capsys, [
         "metrics", "--pred", str(solved), "--gt", str(scene_dir / "gt_world.flo"),
@@ -384,6 +385,7 @@ def _empty_mask_argv(scene_dir, tmp_path, command):
 
 
 _HUGE = 10 ** 400  # a valid JSON integer beyond the float range
+_TAU_RANGE_MESSAGE = "each tau_schedule entry must lie in [1e-100, 1e+50]"
 
 
 @pytest.mark.parametrize("build, arg, code, message", [
@@ -454,6 +456,9 @@ _HUGE = 10 ** 400  # a valid JSON integer beyond the float range
     pytest.param(_empty_mask_argv, ["eval"], 1, "mask contains no subjects", id="eval-empty-mask"),
     pytest.param(_empty_mask_argv, ["eval", "--local"], 1, "mask contains no subjects",
                  id="eval-local-empty-mask"),
+    pytest.param(_solve_argv, {"tau_schedule": [1e300]}, 1, _TAU_RANGE_MESSAGE, id="tau-1e300"),
+    pytest.param(_solve_argv, {"tau_schedule": [0.5, 1e100]}, 1, _TAU_RANGE_MESSAGE, id="tau-1e100"),
+    pytest.param(_solve_argv, {"tau_schedule": [5e-324]}, 1, _TAU_RANGE_MESSAGE, id="tau-subnormal"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_bad_arguments_exit_with_one_line_error(scene_dir, tmp_path, capsys, build, arg, code, message):
@@ -462,6 +467,46 @@ def test_bad_arguments_exit_with_one_line_error(scene_dir, tmp_path, capsys, bui
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert "Traceback" not in err
+
+
+def test_solve_without_accepted_steps_reports_the_written_flows_objective(scene_dir, tmp_path, capsys):
+    """A solve whose every trial step is rejected still writes its flow, and
+    `final_total` is that flow's hard objective, as `eval` gives it."""
+    code, out, _ = _run(capsys, _solve_argv(scene_dir, tmp_path, {"smoothness_weight": 1e308, "max_iters": 3}))
+    assert code == 0
+    metrics = json.loads(out)["metrics"]
+    assert metrics["iterations"] == 0
+    code, out, _ = _run(capsys, [
+        "eval", "--flow", str(tmp_path / "solved.flo"),
+        "--keypoints", str(scene_dir / "keypoints.json"),
+        "--mask", str(scene_dir / "mask_t.pgm"),
+        "--boundary", str(scene_dir / "boundary.json"),
+    ])
+    assert code == 0
+    assert isinstance(metrics["final_total"], float)
+    assert metrics["final_total"] == json.loads(out)["metrics"]["total"]
+
+
+@settings(max_examples=25, deadline=None)
+@example(where=0.0, init=False).via("lower end of the tau range")
+@example(where=1.0, init=True).via("upper end of the tau range")
+@given(where=st.floats(0.0, 1.0), init=st.booleans())
+def test_solve_accepts_every_tau_in_range_without_warning(scene_dir, fuzz_out, where, init):
+    """Any tau in the documented range, drawn log-uniform, solves from zero or
+    from the true flow with exit 0 and no floating-point warning."""
+    lo, hi = flows.TAU_RANGE
+    exponent = np.log10(lo) + where * (np.log10(hi) - np.log10(lo))
+    tau = min(max(10.0 ** float(exponent), lo), hi)
+    argv = _solve_argv(scene_dir, fuzz_out, {"tau_schedule": [tau], "max_iters": 3})
+    if init:
+        argv += ["--init", str(scene_dir / "gt_world.flo")]
+    out, err = StringIO(), StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    assert code == 0, err.getvalue()
 
 
 def _one_error_line(err: str, argparse_exit: bool) -> bool:

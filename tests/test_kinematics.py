@@ -140,9 +140,10 @@ def test_smooth_gradient_matches_finite_differences(small_truth, small_priors, h
     rng = np.random.default_rng(0)
     base = small_truth.gt_world.vectors + rng.normal(0, 0.7, small_truth.gt_world.vectors.shape)
     tau = 0.1
-    _, grad = kin.smooth_skeleton_constraint(
+    _, gradient = kin.smooth_skeleton_constraint(
         FlowMap(base), small_priors.offsets, small_priors.matches, small_truth.mask_t, hp, tau
     )
+    grad = gradient()
     h = 1e-4
     n = small_truth.mask_t.height
     worst = 0.0
