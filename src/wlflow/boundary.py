@@ -305,36 +305,28 @@ def boundary_constraint(
 _MASS_FLOOR = 0.5  # cells with less soft edge mass than this are skipped
 
 
-def _soft_cell_value(w: np.ndarray, ys, xs, boundary_points: np.ndarray, scale: int, h: int, wd: int):
-    """Soft patch-centroid distance at one scale and its d(value)/d(w) field;
-    `ys, xs` are the pixel coordinates of w on the h x wd raster, whose cell grid
-    is the one scored."""
-    gh, gw = -(-h // scale), -(-wd // scale)
-    e_counts, e_centroids = _bin_points(boundary_points, scale, gh, gw)
-    cid = (ys // scale) * gw + (xs // scale)
-    n_cells = gh * gw
-    m_c, sx_c, sy_c = _cell_sums(cid, xs, ys, n_cells, w)
+def _soft_centroids(mass, sx, sy, present, tx, ty, floor: float):
+    """Soft patch-centroid distance of one scale from the per-cell sums
+    `(mass, sx, sy)` and the target's `present` cells and centroids `(tx, ty)`.
 
-    e_c = e_counts.ravel()
-    ce = e_centroids.reshape(-1, 2)
-    include = (m_c > _MASS_FLOOR) & (e_c > 0)
+    Cells with mass above `floor` where the target is present enter. Returns
+    None if none does, else the mean distance and per-cell arrays `coeff, cx,
+    cy, ex, ey` (0 off the entered cells): centroid c, offset e = c - t and
+    1 / (n_inc |e| m), so d(value)/d(w_i) = coeff ((x_i - cx) ex + (y_i - cy) ey).
+    """
+    include = (mass > floor) & present
     n_inc = int(include.sum())
     if n_inc == 0:
-        return 0.0, np.zeros(w.shape)
-
-    cx = np.zeros(n_cells)
-    cy = np.zeros(n_cells)
-    cx[include] = sx_c[include] / m_c[include]
-    cy[include] = sy_c[include] / m_c[include]
-    ex = np.where(include, cx - ce[:, 0], 0.0)
-    ey = np.where(include, cy - ce[:, 1], 0.0)
+        return None
+    safe_m = np.where(include, mass, 1.0)
+    cx = np.where(include, sx / safe_m, 0.0)
+    cy = np.where(include, sy / safe_m, 0.0)
+    ex = np.where(include, cx - tx, 0.0)
+    ey = np.where(include, cy - ty, 0.0)
     d = np.hypot(ex, ey)
-    value = float(d[include].mean())
-
-    # d(d_c)/d(w_i) = ((x_i - cx) ex + (y_i - cy) ey) / (d m), mean over cells
     safe_d = np.where(d > 1e-12, d, 1.0)
-    coeff = np.where(include & (d > 1e-12), 1.0 / (n_inc * safe_d * np.where(include, m_c, 1.0)), 0.0)
-    return value, coeff[cid] * ((xs - cx[cid]) * ex[cid] + (ys - cy[cid]) * ey[cid])
+    coeff = np.where(include & (d > 1e-12), 1.0 / (n_inc * safe_d * safe_m), 0.0)
+    return float(d[include].mean()), coeff, cx, cy, ex, ey
 
 
 def soft_boundary_constraint(
@@ -417,10 +409,17 @@ def soft_boundary_constraint(
     value = 0.0
     scales = hp.scales
     ys, xs = np.mgrid[rows, cols]
-    for scale in scales:
-        v_s, dvdw = _soft_cell_value(w, ys, xs, boundary.points, int(scale), flow.height, flow.width)
+    for scale in map(int, scales):
+        gh, gw = -(-flow.height // scale), -(-flow.width // scale)
+        e_counts, e_centroids = _bin_points(boundary.points, scale, gh, gw)
+        cid = (ys // scale) * gw + (xs // scale)
+        core = _soft_centroids(*_cell_sums(cid, xs, ys, gh * gw, w), e_counts.ravel() > 0,
+                               e_centroids[..., 0].ravel(), e_centroids[..., 1].ravel(), _MASS_FLOOR)
+        if core is None:
+            continue  # its d(value)/dw is +0, and dvdw_total holds no -0 for it to flip
+        v_s, coeff, cx, cy, ex, ey = core
         value += v_s / len(scales)
-        dvdw_total += dvdw / len(scales)
+        dvdw_total += coeff[cid] * ((xs - cx[cid]) * ex[cid] + (ys - cy[cid]) * ey[cid]) / len(scales)
 
     def backward() -> np.ndarray:
         # Backward through w = 1 - (1 - wi)(1 - wa) and the neighbor sigmoids.
@@ -479,10 +478,24 @@ _MORPH_STEP_SIZE = 4.0
 
 @dataclass(frozen=True)
 class MorphOptions:
+    """Budget and stopping tolerance of `morph_curve_fit`, and its raster size;
+    a `width` or `height` of None fits the raster to the curves."""
+
     max_iters: int = 400
     tolerance: float = 1e-4
     width: int | None = None
     height: int | None = None
+
+    def __post_init__(self):
+        sides = [(name, getattr(self, name)) for name in ("width", "height") if getattr(self, name) is not None]
+        for name, value in [("max_iters", self.max_iters), *sides]:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer")
+            if value < 1:
+                raise ValidationError(f"{name} must be >= 1")
+        _check_number("tolerance", self.tolerance)
+        if not self.tolerance > 0:
+            raise ValidationError("tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -556,35 +569,22 @@ def _morph_loss(moved: np.ndarray, target_grids, scales):
     for scale, (me, ce_x, ce_y, gw, gh) in zip(scales, target_grids):
         cells, w, dwdx, dwdy = _soft_bin(moved, int(scale), gw, gh)
         m, sx, sy = _cell_sums(cells, moved[:, 0:1], moved[:, 1:2], gh * gw, w)
-        include = (m > _MORPH_MASS_FLOOR) & (me > _MORPH_MASS_FLOOR)
-        n_inc = int(include.sum())
-        if n_inc == 0:
+        core = _soft_centroids(m, sx, sy, me > _MORPH_MASS_FLOOR, ce_x, ce_y, _MORPH_MASS_FLOOR)
+        if core is None:
             continue
-        safe_m = np.where(include, m, 1.0)
-        cmx = np.where(include, sx / safe_m, 0.0)
-        cmy = np.where(include, sy / safe_m, 0.0)
-        ex = np.where(include, cmx - ce_x, 0.0)
-        ey = np.where(include, cmy - ce_y, 0.0)
-        d = np.hypot(ex, ey)
-        value += float(d[include].mean()) / len(scales)
-        kept.append((cells, w, dwdx, dwdy, include, n_inc, safe_m, cmx, cmy, ex, ey, d))
+        value += core[0] / len(scales)
+        kept.append(((cells, w, dwdx, dwdy), core[1:]))
 
     def gradient() -> np.ndarray:
+        # Point i reaches cell c through its weight w and through the centroid's
+        # x_i term: d(d_c)/dx_i = coeff (w ex + dw/dx pull), pull = (x_i - cx) ex + (y_i - cy) ey.
         grad = np.zeros((moved.shape[0], 2))
-        for cells, w, dwdx, dwdy, include, n_inc, safe_m, cmx, cmy, ex, ey, d in kept:
-            safe_d = np.where(d > 1e-12, d, 1.0)
-            live = include & (d > 1e-12)
-            ux = np.where(live, ex / safe_d, 0.0) / (len(scales) * n_inc)
-            uy = np.where(live, ey / safe_d, 0.0) / (len(scales) * n_inc)
-            # d(cm_x)/dx_i = (w + dw/dx (x_i - cm_x)) / m ; d(cm_y)/dx_i = dw/dx (y_i - cm_y) / m
-            mx = safe_m[cells]
-            rx = moved[:, 0:1] - cmx[cells]
-            ry = moved[:, 1:2] - cmy[cells]
-            gx = ux[cells] * (w + dwdx * rx) / mx + uy[cells] * (dwdx * ry) / mx
-            gy = ux[cells] * (dwdy * rx) / mx + uy[cells] * (w + dwdy * ry) / mx
-            grad[:, 0] += gx.sum(axis=1)
-            grad[:, 1] += gy.sum(axis=1)
-        return grad
+        for (cells, w, dwdx, dwdy), (coeff, cx, cy, ex, ey) in kept:
+            c, ex_c, ey_c = coeff[cells], ex[cells], ey[cells]
+            pull = (moved[:, 0:1] - cx[cells]) * ex_c + (moved[:, 1:2] - cy[cells]) * ey_c
+            grad[:, 0] += (c * (w * ex_c + dwdx * pull)).sum(axis=1)
+            grad[:, 1] += (c * (w * ey_c + dwdy * pull)).sum(axis=1)
+        return grad / len(scales)
 
     return value, gradient
 

@@ -60,7 +60,6 @@ class SolverOptions:
     max_iters: int = 500
     tau_schedule: tuple = (0.5, 0.1, 0.02)
     smoothness_weight: float = 0.05
-    background_weight: float = 0.05
     tolerance: float = 1e-3
 
     def __post_init__(self):
@@ -68,12 +67,12 @@ class SolverOptions:
             raise ValidationError("max_iters must be an integer")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
-        for name in ("smoothness_weight", "background_weight", "tolerance"):
+        for name in ("smoothness_weight", "tolerance"):
             _check_number(name, getattr(self, name))
         if self.tolerance <= 0:
             raise ValidationError("tolerance must be positive")
-        if self.smoothness_weight < 0 or self.background_weight < 0:
-            raise ValidationError("smoothness_weight and background_weight must be >= 0")
+        if self.smoothness_weight < 0:
+            raise ValidationError("smoothness_weight must be >= 0")
         for t in self.tau_schedule:
             _check_number("each tau_schedule entry", t)
         schedule = tuple(float(t) for t in self.tau_schedule)
@@ -156,18 +155,17 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class _ActiveBox:
-    """The window of the raster on which a solve evaluates smoothness and the
-    background term, with the per-solve masks those terms need there.
+    """The window of the raster on which a solve evaluates smoothness, with the
+    per-solve masks it needs there.
 
     `index` selects the window; `same_x` and `same_y` mark the neighbor pairs
-    inside it whose labels agree, `background` its label-0 pixels, and
-    `pixels` is the h * w of the whole raster, which stays the normalizer.
+    inside it whose labels agree, and `pixels` is the h * w of the whole
+    raster, which stays the normalizer.
     """
 
     index: tuple[slice, slice]
     same_x: np.ndarray
     same_y: np.ndarray
-    background: np.ndarray
     pixels: int
 
 
@@ -177,14 +175,14 @@ def _active_box(init: np.ndarray, priors: Priors) -> _ActiveBox:
 
     Off the subject, at a pixel that no skeleton point matches, a flow of 0
     gets a surrogate gradient of exactly +0: smoothness drops pairs whose
-    labels differ, the background gradient is 2 x, the soft boundary term
-    differentiates through |x| and the skeleton term writes matched pixels
-    only. So from an init that is 0 on the background no iterate and no
-    line-search trial moves a pixel outside the subject, the matched pixels
-    and the nonzero init, and the halo puts every neighbor pair that touches
-    them inside the box. Nonzero background flow does spread: smoothness
-    pulls its background neighbors along, one pixel per step. So an init
-    that moves any background pixel gets the whole raster.
+    labels differ, the soft boundary term differentiates through |x| and the
+    skeleton term writes matched pixels only. So from an init that is 0 on
+    the background no iterate and no line-search trial moves a pixel outside
+    the subject, the matched pixels and the nonzero init, and the halo puts
+    every neighbor pair that touches them inside the box. Nonzero background
+    flow does spread: smoothness pulls its background neighbors along, one
+    pixel per step. So an init that moves any background pixel gets the
+    whole raster.
     """
     labels = priors.mask.labels
     moving = (init != 0).any(axis=2)
@@ -200,7 +198,6 @@ def _active_box(init: np.ndarray, priors: Priors) -> _ActiveBox:
         index=index,
         same_x=(inner[:, 1:] == inner[:, :-1])[..., None],
         same_y=(inner[1:, :] == inner[:-1, :])[..., None],
-        background=(inner == 0)[..., None],
         pixels=h * w,
     )
 
@@ -239,18 +236,16 @@ def _surrogate(arr: np.ndarray, priors: Priors, hp: Hyperparams, opts: SolverOpt
     Every term's value is computed here; every term's gradient waits for
     the callable, which a rejected line-search trial never calls (see
     `armijo_descent`), so a value-only call builds no (h, w, 2) array.
-    Smoothness and the background term run on `box` alone: outside it they
-    add +-0 to a gradient that is +0 there.
+    Smoothness runs on `box` alone: outside it, it adds +-0 to a gradient
+    that is +0 there.
     """
     flow = FlowMap(arr)
     f_val, f_grad = kin.smooth_skeleton_constraint(
         flow, priors.offsets, priors.matches, priors.mask, hp, tau
     )
     g_val, g_backward = bnd.soft_boundary_constraint(flow, priors.boundary, hp, tau)
-    inner = arr[box.index]
-    s_val, s_gradient = _smoothness(inner, box)
-    b_val = float((inner ** 2 * box.background).sum()) / box.pixels
-    value = f_val + hp.alpha * g_val + opts.smoothness_weight * s_val + opts.background_weight * b_val
+    s_val, s_gradient = _smoothness(arr[box.index], box)
+    value = f_val + hp.alpha * g_val + opts.smoothness_weight * s_val
 
     def gradient() -> np.ndarray:
         # Each deferred gradient is built only when the sum reaches it, so no two are alive at
@@ -258,9 +253,7 @@ def _surrogate(arr: np.ndarray, priors: Priors, hp: Hyperparams, opts: SolverOpt
         nonlocal g_backward
         total = f_grad() + hp.alpha * g_backward()
         g_backward = None
-        window = total[box.index]
-        window += opts.smoothness_weight * s_gradient()
-        window += opts.background_weight * (2.0 * inner * box.background / box.pixels)
+        total[box.index] += opts.smoothness_weight * s_gradient()
         return total
 
     return value, gradient
@@ -281,12 +274,12 @@ def solve_world_flow(
     accepted step; the hard objective is scored once, on the returned flow
     (`SolveResult.objective`).
 
-    Smoothness and the background term are evaluated on one active box per
-    solve (`_active_box`): the bounding box of the subject, the matched
-    pixels and the nonzero init, plus a 1 px halo. It is the whole raster
-    when the init moves any background pixel. Gradients, iterates and the
-    result are bitwise those of a whole-raster evaluation; the two terms'
-    values sum fewer zeros and may differ in the last bits.
+    Smoothness is evaluated on one active box per solve (`_active_box`): the
+    bounding box of the subject, the matched pixels and the nonzero init,
+    plus a 1 px halo. It is the whole raster when the init moves any
+    background pixel. Gradients, iterates and the result are bitwise those
+    of a whole-raster evaluation; the smoothness value sums fewer zeros and
+    may differ in the last bits.
     Deterministic: same inputs and options give bitwise-identical output.
     """
     validate_pairing(init, priors.mask)

@@ -91,9 +91,9 @@ def eager_armijo_descent(fn, x, value, grad, eta, max_steps, tolerance, on_step)
 
 
 def full_raster_surrogate(arr, priors, hp, opts, tau):
-    """Reference copy of `flows._surrogate` as it ran before smoothness and the
-    background term moved onto the active box: both run on the whole raster
-    and rebuild their masks at every evaluation."""
+    """Reference copy of `flows._surrogate` as it ran before smoothness moved
+    onto the active box: it runs on the whole raster and rebuilds its masks at
+    every evaluation."""
     flow = FlowMap(arr)
     f_val, f_grad = flows.kin.smooth_skeleton_constraint(
         flow, priors.offsets, priors.matches, priors.mask, hp, tau
@@ -106,9 +106,7 @@ def full_raster_surrogate(arr, priors, hp, opts, tau):
     dx = (arr[:, 1:, :] - arr[:, :-1, :]) * same_x
     dy = (arr[1:, :, :] - arr[:-1, :, :]) * same_y
     s_val = float((dx ** 2).sum() + (dy ** 2).sum()) / (h * w)
-    background = (labels == 0)[..., None]
-    b_val = float((arr ** 2 * background).sum()) / (h * w)
-    value = f_val + hp.alpha * g_val + opts.smoothness_weight * s_val + opts.background_weight * b_val
+    value = f_val + hp.alpha * g_val + opts.smoothness_weight * s_val
 
     def gradient():
         s_grad = np.zeros_like(arr)
@@ -118,7 +116,6 @@ def full_raster_surrogate(arr, priors, hp, opts, tau):
         s_grad[:-1, :, :] -= 2.0 * dy
         total = f_grad() + hp.alpha * g_backward()
         total += opts.smoothness_weight * (s_grad / (h * w))
-        total += opts.background_weight * (2.0 * arr * background / (h * w))
         return total
 
     return value, gradient

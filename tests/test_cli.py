@@ -435,7 +435,9 @@ _TAU_RANGE_MESSAGE = "each tau_schedule entry must lie in [1e-100, 1e+50]"
     pytest.param(_far_keypoints_argv, ["eval"], 1, "skeleton offsets must be finite and below 1e+150 px",
                  id="far-keypoints-eval"),
     pytest.param(_solve_argv, {"smoothness_weight": -0.1}, 1,
-                 "smoothness_weight and background_weight must be >= 0", id="negative-weight"),
+                 "smoothness_weight must be >= 0", id="negative-weight"),
+    pytest.param(_solve_argv, {"background_weight": 0.05}, 2, "unknown solver options ['background_weight']",
+                 id="background-weight"),
     pytest.param(_solve_argv, {"tau_schedule": [0.5, True]}, 1,
                  "each tau_schedule entry must be a finite number", id="bool-tau"),
     pytest.param(_render_argv, "nan", 1, "max_norm must be a finite number", id="nan-max-norm"),

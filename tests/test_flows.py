@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -401,6 +402,19 @@ def test_zero_init_solve_stays_zero_off_the_subject(seed, hp):
     assert np.abs(res.flow.vectors[subject]).max() > 0
 
 
+def test_solve_from_truth_keeps_camera_motion(hp):
+    """The objective assumes no static camera: solving from the ground truth of
+    a scene whose camera moves by (-3, 2) px keeps the background's motion and
+    leaves the subject near its truth. A penalty on background flow once pulled
+    all-pixel EPE to 2.9 and subject EPE to 0.67."""
+    spec = replace(synth.single_figure_scene(), camera_motion=Vec2(-3.0, 2.0))
+    truth = synth.generate_scene(spec)
+    priors = flows.Priors.build(truth.keypoints[0], truth.keypoints[1], truth.mask_t, truth.boundary_t)
+    res = flows.solve_world_flow(truth.gt_world, priors, hp, flows.SolverOptions(max_iters=30))
+    assert flows.endpoint_error(res.flow, truth.gt_world)[0] < 0.05
+    assert flows.endpoint_error(res.flow, truth.gt_world, truth.mask_t)[0] < 0.3
+
+
 def _corner_scene():
     """A 256x256 raster with the figure in its top-left corner."""
     truth = synth.generate_scene(synth.single_figure_scene(256, 256, root=(40.0, 60.0), length_scale=0.8))
@@ -427,8 +441,8 @@ def _solve_recording(monkeypatch, evaluator, init, priors, hp, opts):
 
 @pytest.mark.parametrize("case", ["reference-zero", "corner-256", "refine", "background-patch"])
 def test_active_box_solve_equals_full_raster(case, hp, monkeypatch):
-    """Smoothness and the background term on the active box give bitwise the
-    gradients, iterates and flow of the whole-raster terms; the surrogate
+    """Smoothness on the active box gives bitwise the gradients, iterates and
+    flow of the whole-raster term; the surrogate
     values agree to 1e-12. A -0.0 on the still background of a zero init
     stays -0.0. An init that moves background pixels, everywhere (refine) or
     in one small patch that smoothness spreads, gets the whole raster."""
@@ -462,7 +476,8 @@ def test_active_box_solve_equals_full_raster(case, hp, monkeypatch):
     assert all(a.tobytes() == b.tobytes() for a, b in zip(grads, ref_grads))
     assert res.objective == ref.objective
     assert [t.surrogate for t in res.trace] == pytest.approx([t.surrogate for t in ref.trace], rel=1e-12)
-    assert np.signbit(res.flow.vectors[h - 1, 0, 1]) == np.signbit(init[h - 1, 0, 1])
+    if case in ("reference-zero", "corner-256"):  # the zero inits, with their -0.0
+        assert np.signbit(res.flow.vectors[h - 1, 0, 1])
 
 
 def test_surrogate_value_allocates_under_one_flow(hp):

@@ -3,7 +3,7 @@ import pytest
 
 from wlflow import boundary as bnd
 from wlflow.core import PointSet
-from wlflow.errors import EmptyPointSet
+from wlflow.errors import EmptyPointSet, ValidationError
 
 from conftest import GradientLedger, eager_armijo_descent, make_circle, make_square
 
@@ -92,6 +92,26 @@ def test_morph_empty_inputs_raise():
         bnd.morph_curve_fit(PointSet(np.zeros((0, 2))), curve)
     with pytest.raises(EmptyPointSet):
         bnd.morph_curve_fit(curve, PointSet(np.zeros((0, 2))))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"max_iters": True}, "max_iters must be an integer"),
+    ({"max_iters": 2.5}, "max_iters must be an integer"),
+    ({"max_iters": 0}, "max_iters must be >= 1"),
+    ({"tolerance": float("nan")}, "tolerance must be a finite number"),
+    ({"tolerance": float("inf")}, "tolerance must be a finite number"),
+    ({"tolerance": True}, "tolerance must be a finite number"),
+    ({"tolerance": 0.0}, "tolerance must be positive"),
+    ({"tolerance": -1e-4}, "tolerance must be positive"),
+    ({"width": -5}, "width must be >= 1"),
+    ({"width": 0}, "width must be >= 1"),
+    ({"width": 96.5}, "width must be an integer"),
+    ({"height": True}, "height must be an integer"),
+    ({"height": -1}, "height must be >= 1"),
+])
+def test_morph_options_refuse_bad_values(kwargs, message):
+    with pytest.raises(ValidationError, match=message):
+        bnd.MorphOptions(**kwargs)
 
 
 def test_morph_reports_best_iterate_when_budget_exhausted():
