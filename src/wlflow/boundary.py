@@ -22,6 +22,7 @@ from .core import (
     FlowMap,
     Hyperparams,
     PointSet,
+    _check_count,
     _check_number,
     _dcos,
     _sigmoid,
@@ -487,15 +488,13 @@ class MorphOptions:
     height: int | None = None
 
     def __post_init__(self):
-        sides = [(name, getattr(self, name)) for name in ("width", "height") if getattr(self, name) is not None]
-        for name, value in [("max_iters", self.max_iters), *sides]:
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer")
-            if value < 1:
-                raise ValidationError(f"{name} must be >= 1")
+        _check_count("max_iters", self.max_iters)
         _check_number("tolerance", self.tolerance)
         if not self.tolerance > 0:
             raise ValidationError("tolerance must be positive")
+        for name in ("width", "height"):
+            if getattr(self, name) is not None:
+                _check_count(name, getattr(self, name))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -98,6 +99,14 @@ def _check_number(name: str, value) -> None:
     the caller's comparisons with a TypeError or ValueError."""
     if isinstance(value, (int, float)) and not _finite_number(value):
         raise ValidationError(f"{name} must be a finite number")
+
+
+def _check_count(name: str, value) -> None:
+    """Refuse a bool, a non-integral number or one below 1; a non-number fails the `<`."""
+    if isinstance(value, bool) or (isinstance(value, Real) and not isinstance(value, Integral)):
+        raise ValidationError(f"{name} must be an integer")
+    if value < 1:
+        raise ValidationError(f"{name} must be >= 1")
 
 
 def _as_readonly(arr: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from .core import (
     PointSet,
     SubjectMask,
     Vec2,
+    _check_count,
     _check_number,
     armijo_descent,
     validate_pairing,
@@ -63,14 +64,11 @@ class SolverOptions:
     tolerance: float = 1e-3
 
     def __post_init__(self):
-        if isinstance(self.max_iters, (bool, float)):
-            raise ValidationError("max_iters must be an integer")
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be >= 1")
-        for name in ("smoothness_weight", "tolerance"):
-            _check_number(name, getattr(self, name))
-        if self.tolerance <= 0:
+        _check_count("max_iters", self.max_iters)
+        _check_number("tolerance", self.tolerance)
+        if not self.tolerance > 0:
             raise ValidationError("tolerance must be positive")
+        _check_number("smoothness_weight", self.smoothness_weight)
         if self.smoothness_weight < 0:
             raise ValidationError("smoothness_weight must be >= 0")
         for t in self.tau_schedule:

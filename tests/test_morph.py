@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wlflow import boundary as bnd
+from wlflow import flows
 from wlflow.core import PointSet
 from wlflow.errors import EmptyPointSet, ValidationError
 
@@ -112,6 +113,22 @@ def test_morph_empty_inputs_raise():
 def test_morph_options_refuse_bad_values(kwargs, message):
     with pytest.raises(ValidationError, match=message):
         bnd.MorphOptions(**kwargs)
+
+
+@pytest.mark.parametrize("cls", [bnd.MorphOptions, flows.SolverOptions])
+@pytest.mark.parametrize("kwargs, message", [
+    ({"max_iters": np.float32(2.5)}, "max_iters must be an integer"),
+    ({"max_iters": np.float64(3.0)}, "max_iters must be an integer"),
+    ({"max_iters": np.int64(0)}, "max_iters must be >= 1"),
+    ({"tolerance": np.float64("nan")}, "tolerance must be a finite number"),
+    ({"tolerance": -1}, "tolerance must be positive"),
+])
+def test_morph_and_solver_options_share_budget_rules(cls, kwargs, message):
+    """Both option classes refuse a bad budget or tolerance with the same message,
+    numpy scalars included; a numpy integer budget is accepted."""
+    with pytest.raises(ValidationError, match=message):
+        cls(**kwargs)
+    assert cls(max_iters=np.int64(3)).max_iters == 3
 
 
 def test_morph_reports_best_iterate_when_budget_exhausted():
