@@ -22,6 +22,7 @@ from .core import (
     FlowMap,
     Hyperparams,
     PointSet,
+    _angle_gate,
     _check_count,
     _check_number,
     _dcos,
@@ -305,6 +306,14 @@ def boundary_constraint(
 
 _MASS_FLOOR = 0.5  # cells with less soft edge mass than this are skipped
 
+# (dy, dx) of each neighbor slot, indexed by slot.
+_SLOT_DY, _SLOT_DX = np.array(_NEIGHBORS).T
+
+
+def _ordered_sum(at: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
+    """Per index below n, the float sum from +0 of its terms, added in input order."""
+    return np.bincount(at, terms, n).astype(np.float64, copy=False)  # int64 when empty
+
 
 def _soft_centroids(mass, sx, sy, present, tx, ty, floor: float):
     """Soft patch-centroid distance of one scale from the per-cell sums
@@ -344,16 +353,25 @@ def soft_boundary_constraint(
     every flow vector.
 
     Runs the forward pass and returns (value, backward): `backward()` runs
-    the backward pass over the forward intermediates it holds and returns
-    the gradient, so a caller that needs only the value (a line-search trial
-    that is rejected) skips that work. Value and gradient are bitwise those
-    of a single combined pass.
+    the backward pass and returns the gradient, so a caller that needs only
+    the value (a line-search trial that is rejected) skips that work. Value
+    and gradient are bitwise those of a single combined pass.
 
-    Each neighbor pair (i, j) is scored once, over the 4 forward offsets.
-    A pixel's intensity and angular weights are the largest of its 8
-    neighbor slots, where slot n holds the pair with neighbor _NEIGHBORS[n]
-    and an off-raster slot counts as 0. The gradient flows through the
-    lowest slot that attains the largest weight.
+    Each neighbor pair (i, j) is scored once, over the 4 forward offsets,
+    and its intensity weight b and angular weight a are written into a slot
+    table: slot n of a pixel holds its pair with neighbor _NEIGHBORS[n]
+    (pair min(n, 7 - n), seen from its first pixel when n < 4) and an
+    off-raster slot holds 0. A pixel's weights are the largest of its 8
+    slots, and the gradient flows through the lowest slot that attains it.
+
+    The backward pass keeps only the maxima and their slots. It gathers,
+    at the pixels with a nonzero d(value)/dw whose argmax slot is on the
+    raster, both pixels of the argmax pair, recomputes that pair's angular
+    gate, sigmoid and cosine factor there (each symmetric in the pair, so
+    bitwise the forward values), and sums every pixel's terms with one
+    `np.bincount` per output after a stable sort by slot and term. So each
+    pixel adds its terms in the order of a loop over its slots, term by
+    term, from +0, and the gradient is bitwise that of such a loop.
 
     Only patch cells that hold a boundary point enter the value, so the
     forward and backward passes run on the boundary-cell window alone (see
@@ -376,34 +394,27 @@ def soft_boundary_constraint(
     m = flow.vectors[rows, cols]
     h, wd = m.shape[:2]
 
-    # Forward: per pair, the intensity weight b, the angular weight a = g siga
-    # with moving gate g, and d(siga)/d(cos).
+    # Forward: per pair, the intensity weight b and the angular weight
+    # a = g siga with moving gate g, into the slot table of both pixels.
     r = np.hypot(m[..., 0], m[..., 1])
     s = EPS_VEC + tau
     s2 = s * s
     du = np.sqrt(r * r + s2)
     wu = (r * r) / (r * r + s2)
-    pairs = []
-    for dy, dx in _NEIGHBORS[:4]:
+    slots = np.zeros((2, 8, h, wd))
+    for k, (dy, dx) in enumerate(_NEIGHBORS[:4]):
         i, j = _pair_slices(dy, dx, h, wd)
         b = _sigmoid((np.abs(r[i] - r[j]) - hp.edge_theta_i) / tau)
-        siga, cosfac = _soft_angle((m[i] * m[j]).sum(axis=-1) / (du[i] * du[j]), hp.edge_theta_a, tau)
-        g = wu[i] * wu[j]
-        pairs.append((b, g * siga, g, siga, cosfac))
+        a = wu[i] * wu[j] * _angle_gate((m[i] * m[j]).sum(axis=-1) / (du[i] * du[j]), hp.edge_theta_a, tau)
+        for n, at in ((k, i), (7 - k, j)):
+            slots[0, n][at] = b
+            slots[1, n][at] = a
 
-    # Running max over the slots in order; a strict > keeps the lowest slot on ties.
-    # Slot n >= 4 is pair 7 - n seen from its second pixel.
-    ni = np.zeros((h, wd), dtype=np.intp)
-    na = np.zeros((h, wd), dtype=np.intp)
-    wi = np.zeros((h, wd))
-    wa = np.zeros((h, wd))
-    for n, (dy, dx) in enumerate(_NEIGHBORS):
-        at = _pair_slices(dy, dx, h, wd)[0]
-        b, a = pairs[min(n, 7 - n)][:2]
-        for best, arg, val in ((wi, ni, b), (wa, na, a)):
-            win = val > best[at]
-            np.copyto(best[at], val, where=win)
-            np.copyto(arg[at], n, where=win)
+    # Every weight is >= +0, so the first slot equal to the max is the one a
+    # running max with a strict > keeps: the lowest on ties, slot 0 if all are 0.
+    wi, wa = slots.max(axis=1)
+    ni, na = ((table == best).argmax(axis=0).astype(np.uint8) for table, best in zip(slots, (wi, wa)))
+    del slots
     w = 1.0 - (1.0 - wi) * (1.0 - wa)
 
     dvdw_total = np.zeros((h, wd))
@@ -423,44 +434,62 @@ def soft_boundary_constraint(
         dvdw_total += coeff[cid] * ((xs - cx[cid]) * ex[cid] + (ys - cy[cid]) * ey[cid]) / len(scales)
 
     def backward() -> np.ndarray:
-        # Backward through w = 1 - (1 - wi)(1 - wa) and the neighbor sigmoids.
-        grad_full = np.zeros(flow.vectors.shape)
-        grad = grad_full[rows, cols]
-        grad_r = np.zeros((h, wd))
-        dwdwi = dvdw_total * (1.0 - wa)
-        dwdwa = dvdw_total * (1.0 - wi)
-        dwu_dr = 2.0 * r * s2 / (r * r + s2) ** 2
-        # Terms at dvdw == 0 are +-0 and the sums start at +0, so skipping them keeps every bit.
-        live = dvdw_total != 0
+        # Backward through w = 1 - (1 - wi)(1 - wa) and the argmax pair's
+        # sigmoids, at the pixels p with dvdw != 0 (a term at dvdw == 0 is
+        # +-0 and every sum starts at +0, so skipping it keeps every bit).
+        rf, duf, wuf, mf = r.ravel(), du.ravel(), wu.ravel(), m.reshape(-1, 2)
+        live = np.flatnonzero(dvdw_total)
+        dvdw = dvdw_total.ravel()[live]
+        py, px = np.divmod(live, wd)
 
-        for n, (dy, dx) in enumerate(_NEIGHBORS):
-            i, j = _pair_slices(dy, dx, h, wd)
-            _, _, g, siga, cosfac = pairs[min(n, 7 - n)]
+        def argmax_pairs(slot_of):
+            """(sel, slot, q): the positions in `live` of the pixels whose argmax
+            slot is on the raster, that slot, and the flat index of the neighbor
+            q it names."""
+            slot = slot_of.ravel()[live]
+            qy, qx = py + _SLOT_DY[slot], px + _SLOT_DX[slot]
+            on = np.flatnonzero((qy >= 0) & (qy < h) & (qx >= 0) & (qx < wd))
+            return on, slot[on], qy[on] * wd + qx[on]
 
-            # intensity path through the argmax neighbor
-            sel = live[i] & (ni[i] == n)
-            b = wi[i][sel]  # the argmax neighbor's intensity weight
-            common = dwdwi[i][sel] * b * (1.0 - b) / tau * np.sign(r[i][sel] - r[j][sel])
-            grad_r[i][sel] += common
-            grad_r[j][sel] -= common
+        # intensity path: b = wi(p), with d(b)/d(r_p) = -d(b)/d(r_q)
+        sel, slot_i, q = argmax_pairs(ni)
+        p = live[sel]
+        b = wi.ravel()[p]
+        common_i = dvdw[sel] * (1.0 - wa.ravel()[p]) * b * (1.0 - b) / tau * np.sign(rf[p] - rf[q])
 
-            # angular path through the argmax neighbor
-            sel = live[i] & (na[i] == n) & (g > 0)
-            mi, mj = m[i][sel], m[j][sel]
-            dui, duj = du[i][sel], du[j][sel]
-            wui, wuj = wu[i][sel], wu[j][sel]
-            siga_n = siga[sel]
-            common = dwdwa[i][sel]
-            grad_r[i][sel] += common * siga_n * wuj * dwu_dr[i][sel]
-            grad_r[j][sel] += common * siga_n * wui * dwu_dr[j][sel]
+        # angular path, for the pairs whose moving gate g is > 0: a = g siga
+        # through wu and the stabilized cosine
+        sel, slot_a, qa = argmax_pairs(na)
+        moving = wuf[live[sel]] * wuf[qa] > 0
+        sel, slot_a, qa = sel[moving], slot_a[moving], qa[moving]
+        pa = live[sel]
+        wui, wuj = wuf[pa], wuf[qa]
+        g = wui * wuj
+        common_a = dvdw[sel] * (1.0 - wi.ravel()[pa])
+        mi, mj, dui, duj = mf[pa], mf[qa], duf[pa], duf[qa]
+        dot = (mi * mj).sum(axis=1)
+        siga, cosfac = _soft_angle(dot / (dui * duj), hp.edge_theta_a, tau)
+        ri, rj = rf[pa], rf[qa]
+        ang_i = common_a * siga * wuj * (2.0 * ri * s2 / (ri * ri + s2) ** 2)
+        ang_j = common_a * siga * wui * (2.0 * rj * s2 / (rj * rj + s2) ** 2)
+        factor = (common_a * g * cosfac)[:, None]
+        flow_terms = np.concatenate([factor * _dcos(mi, mj, dui, duj, dot), factor * _dcos(mj, mi, duj, dui, dot)])
 
-            dot = (mi * mj).sum(axis=1)
-            factor = common * g[sel] * cosfac[sel]
-            grad[i][sel] += factor[:, None] * _dcos(mi, mj, dui, duj, dot)
-            grad[j][sel] += factor[:, None] * _dcos(mj, mi, duj, dui, dot)
+        # Terms in the order of a loop over slots: per slot, intensity at p,
+        # intensity at q, angular at p, angular at q. uint8 keys sort by radix.
+        key = np.concatenate([slot_i * 4, slot_i * 4 + 1, slot_a * 4 + 2, slot_a * 4 + 3])
+        order = np.argsort(key, kind="stable")
+        to = np.concatenate([p, q, pa, qa])[order]
+        n_px = h * wd
+        grad_r = _ordered_sum(to, np.concatenate([common_i, -common_i, ang_i, ang_j])[order], n_px)
+        angular = order >= 2 * p.size
+        to, terms = to[angular], flow_terms[order[angular] - 2 * p.size]
+        grad = np.stack([_ordered_sum(to, terms[:, c], n_px) for c in (0, 1)], axis=-1).reshape(h, wd, 2)
 
         safe_r = np.where(r > 0, r, 1.0)
-        grad += (grad_r / safe_r)[..., None] * m
+        grad += (grad_r.reshape(h, wd) / safe_r)[..., None] * m
+        grad_full = np.zeros(flow.vectors.shape)
+        grad_full[rows, cols] = grad
         return grad_full
 
     return value, backward

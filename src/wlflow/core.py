@@ -33,10 +33,14 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
 
 
+def _angle_gate(cos, theta_lim_deg: float, tau: float):
+    """sigmoid((arccos(cos) - theta_lim) / tau)."""
+    return _sigmoid((np.arccos(np.clip(cos, -1.0, 1.0)) - np.deg2rad(theta_lim_deg)) / tau)
+
+
 def _soft_angle(cos, theta_lim_deg: float, tau: float):
-    """(sigmoid((arccos(cos) - theta_lim) / tau), its derivative in cos)."""
-    theta = np.arccos(np.clip(cos, -1.0, 1.0))
-    sig = _sigmoid((theta - np.deg2rad(theta_lim_deg)) / tau)
+    """(_angle_gate(cos, theta_lim, tau), its derivative in cos)."""
+    sig = _angle_gate(cos, theta_lim_deg, tau)
     dtheta_dcos = -1.0 / np.sqrt(np.maximum(1.0 - cos ** 2, 1e-12))
     return sig, sig * (1.0 - sig) / tau * dtheta_dcos
 
@@ -59,8 +63,10 @@ def armijo_descent(fn, x, value, grad, eta, max_steps, tolerance, on_step):
     the next trial step, so accepted values never increase. `on_step(x,
     value, step)` sees every accepted iterate. Stops after `max_steps`
     accepted steps, or converged on a zero gradient, an exhausted line
-    search, or a largest per-entry move below `tolerance`. Returns (x,
-    converged).
+    search whose last trial value is finite, or a largest per-entry move
+    below `tolerance`. A line search exhausted on a non-finite value (the
+    objective overflows at every trial) stops without converging. Returns
+    (x, converged).
     """
     for _ in range(max_steps):
         gnorm2 = float((grad ** 2).sum())
@@ -75,7 +81,7 @@ def armijo_descent(fn, x, value, grad, eta, max_steps, tolerance, on_step):
             gradient = None
             step *= 0.5
         else:
-            return x, True
+            return x, math.isfinite(v_new)
         delta = float(np.abs(cand - x).max())
         x, value, grad = cand, v_new, gradient()
         gradient = None

@@ -146,11 +146,11 @@ def _figure_joints(spec: SubjectSpec, frame: int) -> np.ndarray:
     return j
 
 
-def _segment_distances(joints: np.ndarray, width: int, height: int) -> np.ndarray:
-    """Distance of every pixel to each bone segment; shape (n_bones, h, w)."""
-    ys, xs = np.mgrid[0:height, 0:width]
+def _segment_distances(joints: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    """Distance of every pixel of a box to each bone segment; shape (n_bones, rows, cols)."""
+    ys, xs = np.mgrid[rows, cols]
     p = np.stack([xs, ys], axis=-1).astype(np.float64)
-    out = np.empty((len(DEFAULT_BONES), height, width))
+    out = np.empty((len(DEFAULT_BONES),) + ys.shape)
     for bi, (a_idx, b_idx) in enumerate(DEFAULT_BONES):
         a = joints[a_idx]
         b = joints[b_idx]
@@ -207,45 +207,53 @@ def generate_scene(spec: SceneSpec) -> SceneTruth:
         j0 = _figure_joints(sub, 0)
         j1 = _figure_joints(sub, 1)
         radii = np.asarray(sub.capsule_radii)
+        reach = radii.max()
         for joints in (j0, j1):
-            lo = joints.min(axis=0) - radii.max()
-            hi = joints.max(axis=0) + radii.max()
+            lo = joints.min(axis=0) - reach
+            hi = joints.max(axis=0) + reach
             if lo[0] < _MARGIN or lo[1] < _MARGIN or hi[0] > w - 1 - _MARGIN or hi[1] > h - 1 - _MARGIN:
                 raise SpecOutOfBounds(
                     f"subject {label} leaves the raster (extent {lo} .. {hi})"
                 )
+        # Every capsule pixel of either frame lies within `reach` of the joints'
+        # bounding box, so both frames are rasterized on that box, 1 px wider
+        # against rounding; the margin check above keeps it on the raster.
+        both = np.concatenate([j0, j1])
+        x0, y0 = np.floor(both.min(axis=0) - reach).astype(int) - 1
+        x1, y1 = np.ceil(both.max(axis=0) + reach).astype(int) + 2
+        box = (slice(y0, y1), slice(x0, x1))
 
-        dists = _segment_distances(j0, w, h)
+        dists = _segment_distances(j0, *box)
         inside = dists <= radii[:, None, None]
         body = inside.any(axis=0)
-        if (labels[body] != 0).any():
+        if (labels[box][body] != 0).any():
             raise SpecOutOfBounds(f"subject {label} overlaps an earlier subject")
-        labels[body] = label
+        labels[box][body] = label
 
         governing = np.argmin(np.where(inside, dists, np.inf), axis=0)
         ys, xs = np.nonzero(body)
-        p = np.stack([xs, ys], axis=1).astype(np.float64)
+        p = np.stack([xs + x0, ys + y0], axis=1).astype(np.float64)
         motions = [_bone_motion(j0, j1, bone) for bone in DEFAULT_BONES]
         for bi, (a0, a1, rot) in enumerate(motions):
             sel = governing[ys, xs] == bi
             if not sel.any():
                 continue
             moved = (p[sel] - a0) @ rot.T + a1
-            world[ys[sel], xs[sel]] = moved - p[sel]
-        frame0[body] = (70 + 12 * governing[body]).astype(np.uint8)
+            world[box][ys[sel], xs[sel]] = moved - p[sel]
+        frame0[box][body] = (70 + 12 * governing[body]).astype(np.uint8)
 
-        dists1 = _segment_distances(j1, w, h)
+        dists1 = _segment_distances(j1, *box)
         inside1 = dists1 <= radii[:, None, None]
         body1 = inside1.any(axis=0)
-        if (labels1[body1] != 0).any():
+        if (labels1[box][body1] != 0).any():
             raise SpecOutOfBounds(f"subject {label} overlaps an earlier subject at t+1")
-        labels1[body1] = label
+        labels1[box][body1] = label
         governing1 = np.argmin(np.where(inside1, dists1, np.inf), axis=0)
-        frame1[body1] = (70 + 12 * governing1[body1]).astype(np.uint8)
+        frame1[box][body1] = (70 + 12 * governing1[body1]).astype(np.uint8)
 
         root_delta = np.asarray(sub.root_t1) - np.asarray(sub.root_t)
         gt_subject[label] = Vec2(root_delta[0], root_delta[1])
-        subject_field[body] = root_delta
+        subject_field[box][body] = root_delta
 
         for joints, plist in ((j0, persons_t), (j1, persons_t1)):
             arr = np.ones((17, 3))

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from wlflow import boundary as bnd
 from wlflow import flows, synth
-from wlflow.core import FlowMap, Hyperparams
+from wlflow.core import EPS_VEC, FlowMap, Hyperparams, _dcos, _sigmoid, _soft_angle
 
 # Property tests draw the same examples on every run and have no time limit.
 settings.register_profile("wlflow", derandomize=True, deadline=None)
@@ -39,6 +42,16 @@ def hp():
     return Hyperparams()
 
 
+def two_figure_spec():
+    """Two smaller figures side by side on a 128x96 raster, moving apart."""
+    w, h, scale = 128, 96, 0.7
+    left = synth.single_figure_scene(w, h, translation=(3.0, 1.0), root=(0.3 * w, 0.55 * h),
+                                     length_scale=scale).subjects[0]
+    right = synth.single_figure_scene(w, h, translation=(-2.5, 0.5), arm_swing=-0.2, leg_swing=0.15,
+                                      root=(0.7 * w, 0.55 * h), length_scale=scale).subjects[0]
+    return synth.SceneSpec(width=w, height=h, subjects=(left, right))
+
+
 def make_circle(center=(48.0, 48.0), radius=20.0, n=400):
     theta = np.linspace(0, 2 * np.pi, n, endpoint=False)
     return np.stack([center[0] + radius * np.cos(theta),
@@ -66,7 +79,8 @@ def make_square(center=(48.0, 48.0), side=10.0, n=400):
 
 def eager_armijo_descent(fn, x, value, grad, eta, max_steps, tolerance, on_step):
     """Reference copy of `core.armijo_descent` as it ran before gradients were
-    deferred: every trial builds its gradient, accepted or not."""
+    deferred: every trial builds its gradient, accepted or not. Its stopping
+    rules are `armijo_descent`'s."""
     for _ in range(max_steps):
         gnorm2 = float((grad ** 2).sum())
         if gnorm2 == 0.0:
@@ -80,7 +94,7 @@ def eager_armijo_descent(fn, x, value, grad, eta, max_steps, tolerance, on_step)
                 break
             step *= 0.5
         else:
-            return x, True
+            return x, math.isfinite(v_new)
         delta = float(np.abs(cand - x).max())
         x, value, grad = cand, v_new, g_new
         on_step(x, value, step)
@@ -88,6 +102,37 @@ def eager_armijo_descent(fn, x, value, grad, eta, max_steps, tolerance, on_step)
         if delta < tolerance:
             return x, True
     return x, False
+
+
+def full_raster_rasterize(spec):
+    """Reference copy of `synth.generate_scene`'s per-subject rasterization as
+    it ran on the whole raster. Returns the labels at t, both frames and the
+    ground-truth world flow."""
+    w, h = spec.width, spec.height
+    labels = np.zeros((h, w), dtype=np.int32)
+    frames = np.zeros((2, h, w), dtype=np.uint8)
+    world = np.zeros((h, w, 2))
+    world[..., 0] = spec.camera_motion.dx
+    world[..., 1] = spec.camera_motion.dy
+    for label, sub in enumerate(spec.subjects, start=1):
+        j0, j1 = synth._figure_joints(sub, 0), synth._figure_joints(sub, 1)
+        radii = np.asarray(sub.capsule_radii)
+        for frame, joints in enumerate((j0, j1)):
+            dists = synth._segment_distances(joints, slice(0, h), slice(0, w))
+            inside = dists <= radii[:, None, None]
+            body = inside.any(axis=0)
+            governing = np.argmin(np.where(inside, dists, np.inf), axis=0)
+            frames[frame][body] = (70 + 12 * governing[body]).astype(np.uint8)
+            if frame == 1:
+                continue
+            labels[body] = label
+            ys, xs = np.nonzero(body)
+            p = np.stack([xs, ys], axis=1).astype(np.float64)
+            for bi, bone in enumerate(synth.DEFAULT_BONES):
+                a0, a1, rot = synth._bone_motion(j0, j1, bone)
+                sel = governing[ys, xs] == bi
+                world[ys[sel], xs[sel]] = (p[sel] - a0) @ rot.T + a1 - p[sel]
+    return labels, frames, world
 
 
 def full_raster_surrogate(arr, priors, hp, opts, tau):
@@ -119,6 +164,96 @@ def full_raster_surrogate(arr, priors, hp, opts, tau):
         return total
 
     return value, gradient
+
+
+def per_slot_soft_boundary(flow, boundary, hp, tau):
+    """Reference copy of `boundary.soft_boundary_constraint` as it ran with a
+    loop over the 8 neighbor slots: a running max with a strict > picks each
+    pixel's slot, and the backward pass adds each slot's terms with masked
+    in-place adds. Returns (value, backward); inputs are not validated."""
+    rows, cols = bnd._boundary_window(boundary.points, hp.scales, flow.height, flow.width)
+    m = flow.vectors[rows, cols]
+    h, wd = m.shape[:2]
+
+    r = np.hypot(m[..., 0], m[..., 1])
+    s = EPS_VEC + tau
+    s2 = s * s
+    du = np.sqrt(r * r + s2)
+    wu = (r * r) / (r * r + s2)
+    pairs = []
+    for dy, dx in bnd._NEIGHBORS[:4]:
+        i, j = bnd._pair_slices(dy, dx, h, wd)
+        b = _sigmoid((np.abs(r[i] - r[j]) - hp.edge_theta_i) / tau)
+        siga, cosfac = _soft_angle((m[i] * m[j]).sum(axis=-1) / (du[i] * du[j]), hp.edge_theta_a, tau)
+        g = wu[i] * wu[j]
+        pairs.append((b, g * siga, g, siga, cosfac))
+
+    ni = np.zeros((h, wd), dtype=np.intp)
+    na = np.zeros((h, wd), dtype=np.intp)
+    wi = np.zeros((h, wd))
+    wa = np.zeros((h, wd))
+    for n, (dy, dx) in enumerate(bnd._NEIGHBORS):
+        at = bnd._pair_slices(dy, dx, h, wd)[0]
+        b, a = pairs[min(n, 7 - n)][:2]
+        for best, arg, val in ((wi, ni, b), (wa, na, a)):
+            win = val > best[at]
+            np.copyto(best[at], val, where=win)
+            np.copyto(arg[at], n, where=win)
+    w = 1.0 - (1.0 - wi) * (1.0 - wa)
+
+    dvdw_total = np.zeros((h, wd))
+    value = 0.0
+    scales = hp.scales
+    ys, xs = np.mgrid[rows, cols]
+    for scale in map(int, scales):
+        gh, gw = -(-flow.height // scale), -(-flow.width // scale)
+        e_counts, e_centroids = bnd._bin_points(boundary.points, scale, gh, gw)
+        cid = (ys // scale) * gw + (xs // scale)
+        core = bnd._soft_centroids(*bnd._cell_sums(cid, xs, ys, gh * gw, w), e_counts.ravel() > 0,
+                                   e_centroids[..., 0].ravel(), e_centroids[..., 1].ravel(), bnd._MASS_FLOOR)
+        if core is None:
+            continue
+        v_s, coeff, cx, cy, ex, ey = core
+        value += v_s / len(scales)
+        dvdw_total += coeff[cid] * ((xs - cx[cid]) * ex[cid] + (ys - cy[cid]) * ey[cid]) / len(scales)
+
+    def backward():
+        grad_full = np.zeros(flow.vectors.shape)
+        grad = grad_full[rows, cols]
+        grad_r = np.zeros((h, wd))
+        dwdwi = dvdw_total * (1.0 - wa)
+        dwdwa = dvdw_total * (1.0 - wi)
+        dwu_dr = 2.0 * r * s2 / (r * r + s2) ** 2
+        live = dvdw_total != 0
+        for n, (dy, dx) in enumerate(bnd._NEIGHBORS):
+            i, j = bnd._pair_slices(dy, dx, h, wd)
+            _, _, g, siga, cosfac = pairs[min(n, 7 - n)]
+
+            sel = live[i] & (ni[i] == n)
+            b = wi[i][sel]
+            common = dwdwi[i][sel] * b * (1.0 - b) / tau * np.sign(r[i][sel] - r[j][sel])
+            grad_r[i][sel] += common
+            grad_r[j][sel] -= common
+
+            sel = live[i] & (na[i] == n) & (g > 0)
+            mi, mj = m[i][sel], m[j][sel]
+            dui, duj = du[i][sel], du[j][sel]
+            wui, wuj = wu[i][sel], wu[j][sel]
+            siga_n = siga[sel]
+            common = dwdwa[i][sel]
+            grad_r[i][sel] += common * siga_n * wuj * dwu_dr[i][sel]
+            grad_r[j][sel] += common * siga_n * wui * dwu_dr[j][sel]
+
+            dot = (mi * mj).sum(axis=1)
+            factor = common * g[sel] * cosfac[sel]
+            grad[i][sel] += factor[:, None] * _dcos(mi, mj, dui, duj, dot)
+            grad[j][sel] += factor[:, None] * _dcos(mj, mi, duj, dui, dot)
+
+        safe_r = np.where(r > 0, r, 1.0)
+        grad += (grad_r / safe_r)[..., None] * m
+        return grad_full
+
+    return value, backward
 
 
 class GradientLedger:

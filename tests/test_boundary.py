@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wlflow import boundary as bnd
+from wlflow import synth
 from wlflow.core import EPS_VEC, FlowMap, Hyperparams, PointSet, Vec2, _sigmoid
 from wlflow.errors import EmptyPointSet, ValidationError
 
-from conftest import make_circle
+from conftest import make_circle, per_slot_soft_boundary, two_figure_spec
 
 
 def test_uniform_flow_has_no_edges(hp):
@@ -504,6 +507,75 @@ def test_boundary_terms_ignore_point_order(data, arr, tau, scales):
     grad, grad_p = backward(), backward_p()
     assert value == value_p and grad.tobytes() == grad_p.tobytes()
     assert bnd.exact_chamfer(s, e) == bnd.exact_chamfer(s, e_permuted)
+
+
+@st.composite
+def _slot_table_cases(draw):
+    """A flow on a 1x1 to 12x12 raster, integer (tied slots), Gaussian with
+    static pixels of either zero sign, or Gaussian, and 1-6 boundary points."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["integer", "static", "gaussian"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "integer":
+        arr = rng.integers(-2, 3, (h, w, 2)).astype(np.float64)
+    else:
+        arr = rng.normal(0.0, draw(st.sampled_from([0.3, 1.5])), (h, w, 2))
+    if kind == "static":
+        still = rng.random((h, w)) < 0.5
+        arr[still] = np.copysign(0.0, rng.choice([-1.0, 1.0], (int(still.sum()), 2)))
+    points = draw(_integer_points(h, w, 6)) + draw(st.sampled_from([0.0, 0.25, 0.5]))
+    return arr, points
+
+
+def _corner_case():
+    """Pixel (y, x) = (0, 2) moves and its in-raster neighbors are still, so all its
+    angular weights are 0 and its argmax slot, 0, is off the raster; read as a
+    flat offset, that slot would wrap onto the moving pixel (3, 1). Its 5 tied
+    intensity weights make its argmax slot the lowest of them."""
+    arr = np.zeros((4, 4, 2))
+    arr[0, 2] = (1.0, 0.0)
+    arr[3, 1] = (0.0, 1.0)
+    return arr, np.array([[2.0, 0.0], [0.0, 3.0]])
+
+
+@given(
+    case=_slot_table_cases(),
+    tau=st.sampled_from([0.5, 0.1, 0.02, 1e-3]),
+    scales=st.sampled_from([(2,), (2, 3), (8, 16, 32)]),
+)
+@example(case=_corner_case(), tau=0.1, scales=(2,))
+@example(case=(np.arange(18.0).reshape(1, 9, 2) % 4 - 1.5, np.array([[0.0, 0.0], [6.5, 0.0]])),
+         tau=0.5, scales=(2, 3))
+@example(case=(np.arange(18.0).reshape(9, 1, 2) % 3 - 1.0, np.array([[0.25, 8.0]])), tau=0.02, scales=(2,))
+def test_soft_boundary_equals_per_slot_loop_bitwise(case, tau, scales):
+    """The slot-table forward pass and the gather-and-bincount backward pass
+    give the per-slot loop's value and gradient bytes: ties go to the lowest
+    slot, an off-raster argmax slot adds nothing, and each pixel adds its terms
+    in slot order."""
+    arr, points = case
+    flow, boundary, hp = FlowMap(arr), PointSet(points), Hyperparams(scales=scales)
+    value, backward = bnd.soft_boundary_constraint(flow, boundary, hp, tau)
+    ref_value, ref_backward = per_slot_soft_boundary(flow, boundary, hp, tau)
+    assert value == ref_value
+    assert backward().tobytes() == ref_backward().tobytes()
+
+
+def test_soft_boundary_peak_memory_on_two_figures(hp):
+    """One soft evaluation and its backward pass on a two-figure 128x96 scene
+    refined from noisy ground truth (every pixel moves, dense edges) peak at
+    no more than 6 MB: the backward pass keeps the per-pixel maxima and their
+    slots, not per-pair or per-slot arrays."""
+    truth = synth.generate_scene(two_figure_spec())
+    gt = truth.gt_world.vectors
+    flow = FlowMap(gt + np.random.default_rng(1).normal(0.0, 0.5, gt.shape))
+    tracemalloc.start()
+    try:
+        _, backward = bnd.soft_boundary_constraint(flow, truth.boundary_t, hp, 0.5)
+        backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20, f"{peak / 2**20:.2f} MB"
 
 
 def _halo_window(points, scales, h, w):

@@ -9,6 +9,7 @@ from wlflow.core import (
     PointSet,
     SubjectMask,
     Vec2,
+    armijo_descent,
     validate_pairing,
 )
 from wlflow.errors import DimensionMismatch, ValidationError
@@ -139,3 +140,23 @@ def test_hyperparams_integral_float_scales_become_ints():
 
 def test_confidence_floor_constant():
     assert EPS_CONF == 1e-3
+
+
+@pytest.mark.parametrize("trial_value, converged", [(np.inf, False), (2.0, True)])
+def test_armijo_exhausted_line_search_converges_only_on_a_finite_value(trial_value, converged):
+    """Every trial is rejected, so all 40 halvings run and the start point is
+    returned. A search exhausted on finite values has converged; one whose
+    trial values overflow to inf has not."""
+    x = np.array([1.0, -2.0])
+    trials = []
+
+    def fn(cand):
+        trials.append(cand)
+        return trial_value, lambda: pytest.fail("a rejected trial built its gradient")
+
+    def on_step(*_):
+        pytest.fail("a step was accepted")
+
+    out, done = armijo_descent(fn, x, 1.0, np.array([0.5, 0.5]), 1.0, 3, 1e-9, on_step)
+    assert out is x and done is converged
+    assert len(trials) == 40

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from wlflow import flows, synth
 from wlflow.core import SubjectMask, Vec2
 from wlflow.errors import EmptySubject, SpecOutOfBounds, ValidationError
+
+from conftest import full_raster_rasterize, two_figure_spec
 
 
 def test_static_figure_has_zero_flow_and_nonempty_boundary(hp):
@@ -182,3 +186,36 @@ def test_scene_pixel_cap():
     for width, height in ((4097, 4096), (32, 2**19 + 1), (10**400, 32)):
         with pytest.raises(ValidationError, match="at most 16777216 pixels"):
             synth.SceneSpec(width=width, height=height)
+
+
+def _touching(side: str) -> synth.SceneSpec:
+    """A walking figure with thick limbs (radius 4.5) and thin nose struts
+    (1.5), moved so that its capsule extent over both frames ends 1e-9 px
+    inside the margin on one side of a 96x80 raster."""
+    w, h = 96, 80
+    radii = (4.5,) * 8 + (3.0, 3.0, 4.0, 4.0, 1.5, 1.5)
+    sub = replace(synth.single_figure_scene(w, h, length_scale=0.8).subjects[0], capsule_radii=radii)
+    joints = np.concatenate([synth._figure_joints(sub, 0), synth._figure_joints(sub, 1)])
+    lo, hi = joints.min(axis=0) - max(radii), joints.max(axis=0) + max(radii)
+    edge = synth._MARGIN + 1e-9
+    shift = {"left": (edge - lo[0], 0.0), "top": (0.0, edge - lo[1]),
+             "right": (w - 1 - edge - hi[0], 0.0), "bottom": (0.0, h - 1 - edge - hi[1])}[side]
+    moved = replace(sub, root_t=tuple(np.add(sub.root_t, shift)), root_t1=tuple(np.add(sub.root_t1, shift)))
+    return synth.SceneSpec(width=w, height=h, subjects=(moved,))
+
+
+@pytest.mark.parametrize("spec", [
+    *(pytest.param(_touching(side), id=side) for side in ("left", "top", "right", "bottom")),
+    pytest.param(two_figure_spec(), id="two-figures"),
+    pytest.param(replace(synth.single_figure_scene(), camera_motion=Vec2(-3.0, 2.0)), id="camera-motion"),
+])
+def test_scene_rasterizes_on_the_subject_box_as_on_the_raster(spec):
+    """Each subject is rasterized on its joints' box widened by the largest
+    capsule radius; labels, frames and world flow equal a whole-raster
+    rasterization bitwise, for figures at the margin on each side too."""
+    truth = synth.generate_scene(spec)
+    labels, frames, world = full_raster_rasterize(spec)
+    assert truth.mask_t.labels.tobytes() == labels.tobytes()
+    assert truth.frames[0].tobytes() == frames[0].tobytes()
+    assert truth.frames[1].tobytes() == frames[1].tobytes()
+    assert truth.gt_world.vectors.tobytes() == world.tobytes()
