@@ -25,7 +25,6 @@ from .core import (
     _angle_gate,
     _check_count,
     _check_number,
-    _dcos,
     _sigmoid,
     _soft_angle,
     armijo_descent,
@@ -108,7 +107,8 @@ def extract_flow_edges(flow: FlowMap, hp: Hyperparams) -> EdgeMap:
     """
     m = flow.vectors
     h, w = m.shape[:2]
-    r = np.hypot(m[..., 0], m[..., 1])
+    mx, my = m[..., 0], m[..., 1]
+    r = np.hypot(mx, my)
 
     intensity = np.zeros((h, w), dtype=bool)
     angular = np.zeros((h, w), dtype=bool)
@@ -118,7 +118,7 @@ def extract_flow_edges(flow: FlowMap, hp: Hyperparams) -> EdgeMap:
         i, j = _pair_slices(dy, dx, h, w)
         hit_i = np.abs(r[i] - r[j]) >= hp.edge_theta_i
         with np.errstate(invalid="ignore"):
-            cos = (m[i] * m[j]).sum(axis=-1) / (r[i] * r[j])
+            cos = (mx[i] * mx[j] + my[i] * my[j]) / (r[i] * r[j])
         hit_a = moving[i] & moving[j] & (cos <= cos_lim)
         for at in (i, j):
             intensity[at] |= hit_i
@@ -309,6 +309,21 @@ _MASS_FLOOR = 0.5  # cells with less soft edge mass than this are skipped
 # (dy, dx) of each neighbor slot, indexed by slot.
 _SLOT_DY, _SLOT_DX = np.array(_NEIGHBORS).T
 
+# Per 8-bit set of slots, its lowest slot; 0 for the empty set, as argmax gives.
+_LOWEST_SLOT = np.array([(b & -b).bit_length() - 1 if b else 0 for b in range(256)], dtype=np.uint8)
+
+
+def _first_max_slots(slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per pixel of each (8, h, w) table in `slots`: the largest of its 8
+    slots and, as uint8, the lowest slot that equals it, as
+    `(table == max).argmax(axis=0)` picks. Bit n of a pixel's tie mask marks
+    slot n as equal to the max, and `_LOWEST_SLOT` reads the lowest set bit."""
+    top = slots.max(axis=1)
+    ties = np.zeros(top.shape, dtype=np.uint8)
+    for n in range(8):
+        ties |= (slots[:, n] == top).view(np.uint8) << n
+    return top, _LOWEST_SLOT[ties]
+
 
 def _ordered_sum(at: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
     """Per index below n, the float sum from +0 of its terms, added in input order."""
@@ -362,7 +377,16 @@ def soft_boundary_constraint(
     table: slot n of a pixel holds its pair with neighbor _NEIGHBORS[n]
     (pair min(n, 7 - n), seen from its first pixel when n < 4) and an
     off-raster slot holds 0. A pixel's weights are the largest of its 8
-    slots, and the gradient flows through the lowest slot that attains it.
+    slots, and the gradient flows through the lowest slot that attains it
+    (slot 0 when all 8 are 0), read from an 8-bit mask of the slots equal to
+    the max (`_first_max_slots`).
+
+    Pair dot products are written out, x_i x_j + y_i y_j. Where both
+    products are -0 this gives -0 and numpy's 2-element `sum` gives +0, but
+    the sign of a zero reaches neither the value nor the gradient: the cosine
+    enters only arccos and cos^2, which ignore it, and each gradient term
+    enters a bincount sum that starts at +0, which adding a zero of either
+    sign leaves unchanged. So no `+ 0.0` is needed to stay bitwise equal.
 
     The backward pass keeps only the maxima and their slots. It gathers,
     at the pixels with a nonzero d(value)/dw whose argmax slot is on the
@@ -396,7 +420,8 @@ def soft_boundary_constraint(
 
     # Forward: per pair, the intensity weight b and the angular weight
     # a = g siga with moving gate g, into the slot table of both pixels.
-    r = np.hypot(m[..., 0], m[..., 1])
+    mx, my = m[..., 0], m[..., 1]
+    r = np.hypot(mx, my)
     s = EPS_VEC + tau
     s2 = s * s
     du = np.sqrt(r * r + s2)
@@ -405,27 +430,30 @@ def soft_boundary_constraint(
     for k, (dy, dx) in enumerate(_NEIGHBORS[:4]):
         i, j = _pair_slices(dy, dx, h, wd)
         b = _sigmoid((np.abs(r[i] - r[j]) - hp.edge_theta_i) / tau)
-        a = wu[i] * wu[j] * _angle_gate((m[i] * m[j]).sum(axis=-1) / (du[i] * du[j]), hp.edge_theta_a, tau)
+        dot = mx[i] * mx[j] + my[i] * my[j]
+        a = wu[i] * wu[j] * _angle_gate(dot / (du[i] * du[j]), hp.edge_theta_a, tau)
         for n, at in ((k, i), (7 - k, j)):
             slots[0, n][at] = b
             slots[1, n][at] = a
 
     # Every weight is >= +0, so the first slot equal to the max is the one a
     # running max with a strict > keeps: the lowest on ties, slot 0 if all are 0.
-    wi, wa = slots.max(axis=1)
-    ni, na = ((table == best).argmax(axis=0).astype(np.uint8) for table, best in zip(slots, (wi, wa)))
+    (wi, wa), (ni, na) = _first_max_slots(slots)
     del slots
     w = 1.0 - (1.0 - wi) * (1.0 - wa)
 
     dvdw_total = np.zeros((h, wd))
     value = 0.0
     scales = hp.scales
-    ys, xs = np.mgrid[rows, cols]
+    ys, xs = np.arange(rows.start, rows.stop)[:, None], np.arange(cols.start, cols.stop)
+    wx, wy = (w * xs).ravel(), (w * ys).ravel()
     for scale in map(int, scales):
         gh, gw = -(-flow.height // scale), -(-flow.width // scale)
         e_counts, e_centroids = _bin_points(boundary.points, scale, gh, gw)
         cid = (ys // scale) * gw + (xs // scale)
-        core = _soft_centroids(*_cell_sums(cid, xs, ys, gh * gw, w), e_counts.ravel() > 0,
+        flat = cid.ravel()
+        sums = (np.bincount(flat, weights, gh * gw) for weights in (w.ravel(), wx, wy))
+        core = _soft_centroids(*sums, e_counts.ravel() > 0,
                                e_centroids[..., 0].ravel(), e_centroids[..., 1].ravel(), _MASS_FLOOR)
         if core is None:
             continue  # its d(value)/dw is +0, and dvdw_total holds no -0 for it to flip
@@ -437,7 +465,7 @@ def soft_boundary_constraint(
         # Backward through w = 1 - (1 - wi)(1 - wa) and the argmax pair's
         # sigmoids, at the pixels p with dvdw != 0 (a term at dvdw == 0 is
         # +-0 and every sum starts at +0, so skipping it keeps every bit).
-        rf, duf, wuf, mf = r.ravel(), du.ravel(), wu.ravel(), m.reshape(-1, 2)
+        rf, duf, wuf, mxf, myf = r.ravel(), du.ravel(), wu.ravel(), mx.ravel(), my.ravel()
         live = np.flatnonzero(dvdw_total)
         dvdw = dvdw_total.ravel()[live]
         py, px = np.divmod(live, wd)
@@ -466,14 +494,18 @@ def soft_boundary_constraint(
         wui, wuj = wuf[pa], wuf[qa]
         g = wui * wuj
         common_a = dvdw[sel] * (1.0 - wi.ravel()[pa])
-        mi, mj, dui, duj = mf[pa], mf[qa], duf[pa], duf[qa]
-        dot = (mi * mj).sum(axis=1)
-        siga, cosfac = _soft_angle(dot / (dui * duj), hp.edge_theta_a, tau)
+        xi, yi, xj, yj, dui, duj = mxf[pa], myf[pa], mxf[qa], myf[qa], duf[pa], duf[qa]
+        dot = xi * xj + yi * yj
+        dij = dui * duj
+        siga, cosfac = _soft_angle(dot / dij, hp.edge_theta_a, tau)
         ri, rj = rf[pa], rf[qa]
         ang_i = common_a * siga * wuj * (2.0 * ri * s2 / (ri * ri + s2) ** 2)
         ang_j = common_a * siga * wui * (2.0 * rj * s2 / (rj * rj + s2) ** 2)
-        factor = (common_a * g * cosfac)[:, None]
-        flow_terms = np.concatenate([factor * _dcos(mi, mj, dui, duj, dot), factor * _dcos(mj, mi, duj, dui, dot)])
+        # factor d(cos)/d(m_p) and factor d(cos)/d(m_q), per channel, by `core._dcos`'s operations
+        factor = common_a * g * cosfac
+        ci, cj = dot / (dui ** 3 * duj), dot / (duj ** 3 * dui)
+        flow_terms = [np.concatenate([factor * (vj / dij - ci * vi), factor * (vi / dij - cj * vj)])
+                      for vi, vj in ((xi, xj), (yi, yj))]
 
         # Terms in the order of a loop over slots: per slot, intensity at p,
         # intensity at q, angular at p, angular at q. uint8 keys sort by radix.
@@ -483,13 +515,14 @@ def soft_boundary_constraint(
         n_px = h * wd
         grad_r = _ordered_sum(to, np.concatenate([common_i, -common_i, ang_i, ang_j])[order], n_px)
         angular = order >= 2 * p.size
-        to, terms = to[angular], flow_terms[order[angular] - 2 * p.size]
-        grad = np.stack([_ordered_sum(to, terms[:, c], n_px) for c in (0, 1)], axis=-1).reshape(h, wd, 2)
+        to, at = to[angular], order[angular] - 2 * p.size
+        grad_full = np.zeros(flow.vectors.shape)
+        grad = grad_full[rows, cols]
+        for c, terms in enumerate(flow_terms):
+            grad[..., c] = _ordered_sum(to, terms[at], n_px).reshape(h, wd)
 
         safe_r = np.where(r > 0, r, 1.0)
         grad += (grad_r.reshape(h, wd) / safe_r)[..., None] * m
-        grad_full = np.zeros(flow.vectors.shape)
-        grad_full[rows, cols] = grad
         return grad_full
 
     return value, backward

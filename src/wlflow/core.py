@@ -67,6 +67,13 @@ def armijo_descent(fn, x, value, grad, eta, max_steps, tolerance, on_step):
     below `tolerance`. A line search exhausted on a non-finite value (the
     objective overflows at every trial) stops without converging. Returns
     (x, converged).
+
+    Neither `x` nor `grad` is written to; each iterate is a new array. Per
+    iteration, besides what `fn` allocates, it holds one x-sized temporary
+    for `grad ** 2`, one per trial (`x - step * grad`, built in place in
+    the trial array) and one for the largest move at the accepted step. It
+    drops its references to the previous iterate and gradient before it
+    builds the new gradient, so that they need not be alive at its peak.
     """
     for _ in range(max_steps):
         gnorm2 = float((grad ** 2).sum())
@@ -74,7 +81,8 @@ def armijo_descent(fn, x, value, grad, eta, max_steps, tolerance, on_step):
             return x, True
         step = eta
         for _ in range(40):
-            cand = x - step * grad
+            cand = step * grad
+            np.subtract(x, cand, out=cand)
             v_new, gradient = fn(cand)
             if v_new <= value - 1e-4 * step * gnorm2:
                 break
@@ -82,8 +90,10 @@ def armijo_descent(fn, x, value, grad, eta, max_steps, tolerance, on_step):
             step *= 0.5
         else:
             return x, math.isfinite(v_new)
-        delta = float(np.abs(cand - x).max())
-        x, value, grad = cand, v_new, gradient()
+        move = cand - x
+        delta = float(np.abs(move, out=move).max())
+        x, value, grad = cand, v_new, None
+        grad = gradient()
         gradient = None
         on_step(x, value, step)
         eta = step * 2.0

@@ -246,11 +246,15 @@ def _surrogate(arr: np.ndarray, priors: Priors, hp: Hyperparams, opts: SolverOpt
     value = f_val + hp.alpha * g_val + opts.smoothness_weight * s_val
 
     def gradient() -> np.ndarray:
-        # Each deferred gradient is built only when the sum reaches it, so no two are alive at
-        # once; the soft term's forward state is released before the others are built.
+        # Each deferred gradient is built only when the sum reaches it; the soft term's forward
+        # state is released before the others are built, and its gradient is scaled and added
+        # in place, so no third (h, w, 2) array is allocated.
         nonlocal g_backward
-        total = f_grad() + hp.alpha * g_backward()
+        total = f_grad()
+        g = g_backward()
         g_backward = None
+        g *= hp.alpha
+        total += g
         total[box.index] += opts.smoothness_weight * s_gradient()
         return total
 

@@ -155,11 +155,17 @@ def smooth_skeleton_constraint(
 
     s = EPS_VEC + tau  # stabilizer; shrinks with tau so the hard terms are recovered
     s2 = s * s
-    ru2 = (u ** 2).sum(axis=1)
-    rk2 = (k ** 2).sum(axis=1)
+    # Written-out 2-element sums: bitwise numpy's `sum` but for (-0) + (-0), which `sum`
+    # (adding from +0) makes +0. A sum of squares is never -0. A -0 dot product changes no
+    # byte of value or gradient: the cosine enters only arccos and cos^2, and the sign of a
+    # zero d(cos)/du_c shows only beside a -0 d(q)/du_c sig, which takes a sign bit on u_c and
+    # k_c / (du dk) = -0, so u_c k_c = +0 and the dot product is not -0.
+    (ux, uy), (kx, ky) = u.T, k.T
+    ru2 = ux ** 2 + uy ** 2
+    rk2 = kx ** 2 + ky ** 2
     du = np.sqrt(ru2 + s2)
     dk = np.sqrt(rk2 + s2)
-    dot = (u * k).sum(axis=1)
+    dot = ux * kx + uy * ky
     sig, dsig_dcos = _soft_angle(dot / (du * dk), hp.theta_a, tau)
     wu = ru2 / (ru2 + s2)
     wk = rk2 / (rk2 + s2)

@@ -560,6 +560,24 @@ def test_soft_boundary_equals_per_slot_loop_bitwise(case, tau, scales):
     assert backward().tobytes() == ref_backward().tobytes()
 
 
+def test_first_max_slot_for_every_tie_pattern():
+    """For each of the 255 nonempty sets of slots that tie at the max, and for
+    the all-zero table, the chosen slot is the one `argmax` picks on the
+    equality planes: the lowest slot of the set, and slot 0 when all are 0."""
+    rng = np.random.default_rng(0)
+    patterns = np.arange(256)
+    on = (patterns[None, :] >> np.arange(8)[:, None]) & 1 == 1  # (8 slots, 256 patterns)
+    top = rng.uniform(0.5, 1.0, 256)
+    table = np.where(on, top, rng.uniform(0.0, 1.0, (8, 256)) * top)
+    table[:, 0] = 0.0  # pattern 0 has no slot at the max: the all-zero table
+    best, slot = bnd._first_max_slots(table[None, :, None, :])
+    assert slot.dtype == np.uint8
+    assert (best[0, 0] == table.max(axis=0)).all()
+    expected = (table == table.max(axis=0)).argmax(axis=0)
+    assert (slot[0, 0] == expected).all()
+    assert slot[0, 0, 0] == 0
+
+
 def test_soft_boundary_peak_memory_on_two_figures(hp):
     """One soft evaluation and its backward pass on a two-figure 128x96 scene
     refined from noisy ground truth (every pixel moves, dense edges) peak at

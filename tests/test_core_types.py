@@ -160,3 +160,27 @@ def test_armijo_exhausted_line_search_converges_only_on_a_finite_value(trial_val
     out, done = armijo_descent(fn, x, 1.0, np.array([0.5, 0.5]), 1.0, 3, 1e-9, on_step)
     assert out is x and done is converged
     assert len(trials) == 40
+
+
+def test_armijo_writes_neither_its_start_point_nor_its_gradient():
+    """Read-only start point and gradient keep their bytes, and each accepted
+    iterate keeps its own: no trial or move is built in an array that the
+    caller or an earlier step holds."""
+    x = np.array([[1.0, -2.0], [0.5, 3.0]])
+    grad = 2.0 * x
+    for arr in (x, grad):
+        arr.setflags(write=False)
+    start = x.tobytes(), grad.tobytes()
+    seen = []
+
+    def fn(cand):
+        return float((cand ** 2).sum()), lambda: 2.0 * cand
+
+    def on_step(it, value, step):
+        seen.append((it, it.tobytes()))
+
+    out, done = armijo_descent(fn, x, float((x ** 2).sum()), grad, 0.125, 3, 1e-12, on_step)
+    assert (x.tobytes(), grad.tobytes()) == start
+    assert len(seen) == 3 and not done and out is seen[-1][0]
+    assert all(it.tobytes() == saved for it, saved in seen)
+    assert seen[0][1] == (x - 0.125 * grad).tobytes()
