@@ -272,6 +272,14 @@ def _boundary_window(points: np.ndarray, scales, h: int, w: int) -> tuple[slice,
     return slice(int(y0), int(y1)), slice(int(x0), int(x1))
 
 
+def _checked_boundary_window(boundary: PointSet, scales, h: int, w: int) -> tuple[slice, slice]:
+    """`_boundary_window` of a boundary curve, which must be nonempty and lie on the h x w raster."""
+    if len(boundary) == 0:
+        raise EmptyPointSet("boundary curve is empty")
+    _check_in_raster("e", boundary.points, w, h)
+    return _boundary_window(boundary.points, scales, h, w)
+
+
 def boundary_constraint(
     flow: FlowMap,
     boundary: PointSet,
@@ -287,10 +295,7 @@ def boundary_constraint(
     edges_empty set when the flow has no edges at all, inside the window or
     not.
     """
-    if len(boundary) == 0:
-        raise EmptyPointSet("boundary curve is empty")
-    _check_in_raster("e", boundary.points, flow.width, flow.height)
-    rows, cols = _boundary_window(boundary.points, hp.scales, flow.height, flow.width)
+    rows, cols = _checked_boundary_window(boundary, hp.scales, flow.height, flow.width)
     # The public extractor, so that a per-layer trace of it still sees this work.
     edges = extract_flow_edges(FlowMap(flow.vectors[rows, cols]), hp).union
     if len(edges) == 0 and len(extract_flow_edges(flow, hp).union) == 0:
@@ -359,6 +364,8 @@ def soft_boundary_constraint(
     boundary: PointSet,
     hp: Hyperparams,
     tau: float,
+    *,
+    window: tuple[slice, slice] | None = None,
 ) -> tuple[float, Callable[[], np.ndarray]]:
     """Differentiable relaxation of the boundary constraint.
 
@@ -405,17 +412,49 @@ def soft_boundary_constraint(
     inside the window with their full neighbor sets, each cell sums its
     pixels in the same row-major order, and each pixel's gradient adds run in
     the same slot order.
+
+    `window` gives the rows and columns of the raster that `flow` covers;
+    None, the default, means the whole raster. With a window, the passes run
+    on all of `flow` and the gradient has its shape. Every boundary point
+    must lie in the window, and for the value and gradient to be bitwise the
+    whole raster's (cropped to the window) it must hold the boundary-cell
+    window, as the solver's solve box does: a larger window only adds
+    unscored cells, whose pixels get a gradient of +0.
     """
     if tau <= 0:
         raise ValidationError("tau must be positive")
+    if window is None:
+        rows, cols = _checked_boundary_window(boundary, hp.scales, flow.height, flow.width)
+        value, backward = _soft_boundary(flow.vectors[rows, cols], rows.start, cols.start,
+                                         boundary.points, hp, tau)
+
+        def pasted() -> np.ndarray:
+            grad = np.zeros(flow.vectors.shape)
+            grad[rows, cols] = backward()
+            return grad
+
+        return value, pasted
     if len(boundary) == 0:
         raise EmptyPointSet("boundary curve is empty")
-    _check_in_raster("e", boundary.points, flow.width, flow.height)
-    rows, cols = _boundary_window(boundary.points, hp.scales, flow.height, flow.width)
-    # h x wd is the window. Halo pixels miss some neighbor slots, so their
-    # weights are off, but they lie in no scored cell; cell ids stay on the
-    # grid of the whole raster.
-    m = flow.vectors[rows, cols]
+    y0, x0 = window[0].start, window[1].start
+    pts = boundary.points
+    if ((pts < (x0, y0)) | (pts >= (x0 + flow.width, y0 + flow.height))).any():
+        raise ValidationError("curve e has points outside the window of the flow")
+    return _soft_boundary(flow.vectors, y0, x0, pts, hp, tau)
+
+
+def _soft_boundary(m: np.ndarray, y0: int, x0: int, points: np.ndarray, hp: Hyperparams, tau: float):
+    """`soft_boundary_constraint` of the flow `m`, which sits at row y0 and
+    column x0 of the raster, as (value, backward); `backward()` returns the
+    gradient on `m`.
+
+    Pixel coordinates stay global. Cell ids are row-major on the grid of
+    the raster's top-left (y0 + h) x (x0 + w) part, which holds every scored
+    cell and orders them as the whole raster's grid does, so every per-cell
+    sum and the mean over cells add in the same order. Pixels at the edge of
+    `m` miss some neighbor slots, so their weights are off, but the caller
+    keeps them out of every scored cell (the 1 px halo of `_boundary_window`).
+    """
     h, wd = m.shape[:2]
 
     # Forward: per pair, the intensity weight b and the angular weight
@@ -445,11 +484,11 @@ def soft_boundary_constraint(
     dvdw_total = np.zeros((h, wd))
     value = 0.0
     scales = hp.scales
-    ys, xs = np.arange(rows.start, rows.stop)[:, None], np.arange(cols.start, cols.stop)
+    ys, xs = np.arange(y0, y0 + h)[:, None], np.arange(x0, x0 + wd)
     wx, wy = (w * xs).ravel(), (w * ys).ravel()
     for scale in map(int, scales):
-        gh, gw = -(-flow.height // scale), -(-flow.width // scale)
-        e_counts, e_centroids = _bin_points(boundary.points, scale, gh, gw)
+        gh, gw = -(-(y0 + h) // scale), -(-(x0 + wd) // scale)
+        e_counts, e_centroids = _bin_points(points, scale, gh, gw)
         cid = (ys // scale) * gw + (xs // scale)
         flat = cid.ravel()
         sums = (np.bincount(flat, weights, gh * gw) for weights in (w.ravel(), wx, wy))
@@ -516,14 +555,13 @@ def soft_boundary_constraint(
         grad_r = _ordered_sum(to, np.concatenate([common_i, -common_i, ang_i, ang_j])[order], n_px)
         angular = order >= 2 * p.size
         to, at = to[angular], order[angular] - 2 * p.size
-        grad_full = np.zeros(flow.vectors.shape)
-        grad = grad_full[rows, cols]
+        grad = np.empty(m.shape)
         for c, terms in enumerate(flow_terms):
             grad[..., c] = _ordered_sum(to, terms[at], n_px).reshape(h, wd)
 
         safe_r = np.where(r > 0, r, 1.0)
         grad += (grad_r.reshape(h, wd) / safe_r)[..., None] * m
-        return grad_full
+        return grad
 
     return value, backward
 
@@ -567,26 +605,38 @@ class MorphResult:
     converged: bool
 
 
+# The (di, dj) node offset of each corner of a grid cell, one row per corner.
+_CORNER_DI = np.array([0, 1, 0, 1])[:, None]
+_CORNER_DJ = np.array([0, 0, 1, 1])[:, None]
+
+
 def _bilinear_corners(u: np.ndarray, v: np.ndarray, gw: int, gh: int, du: float = 1.0):
     """Bilinear assignment of fractional grid positions (u, v) to their 2x2
     surrounding nodes of a gw x gh grid.
 
-    Returns (nodes, weights, dw/dx, dw/dy), each (n, 4), where `du` is
-    du/dx = dv/dy; off-grid nodes carry zero weight and point at node 0.
+    Returns (nodes, weights, slopes): nodes and weights are (n, 4), and
+    off-grid nodes carry zero weight and point at node 0. `slopes()` returns
+    dw/dx and dw/dy, each (n, 4), where `du` is du/dx = dv/dy; only a
+    gradient needs them, so they are not built until it asks. The work runs
+    on (4, n) arrays, whose long axis is the inner one, and each result is
+    copied out as a contiguous (n, 4) array.
     """
     i0 = np.floor(u).astype(np.int64)
     j0 = np.floor(v).astype(np.int64)
     tx = u - i0
     ty = v - j0
-    corners = []
-    for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        ci, cj = i0 + di, j0 + dj
-        wx, gx = (tx, du) if di else (1.0 - tx, -du)
-        wy, gy = (ty, du) if dj else (1.0 - ty, -du)
-        ok = (ci >= 0) & (ci < gw) & (cj >= 0) & (cj < gh)
-        corners.append((np.where(ok, cj * gw + ci, 0), np.where(ok, wx * wy, 0.0),
-                        np.where(ok, gx * wy, 0.0), np.where(ok, wx * gy, 0.0)))
-    return tuple(np.stack(column, axis=1) for column in zip(*corners))
+    ci, cj = i0 + _CORNER_DI, j0 + _CORNER_DJ
+    wx = np.where(_CORNER_DI == 1, tx, 1.0 - tx)
+    wy = np.where(_CORNER_DJ == 1, ty, 1.0 - ty)
+    # A negative index seen as unsigned is far above any grid size.
+    ok = (ci.view(np.uint64) < gw) & (cj.view(np.uint64) < gh)
+
+    def slopes():
+        gx = np.where(_CORNER_DI == 1, du, -du)
+        gy = np.where(_CORNER_DJ == 1, du, -du)
+        return np.where(ok, gx * wy, 0.0).T.copy(), np.where(ok, wx * gy, 0.0).T.copy()
+
+    return np.where(ok, cj * gw + ci, 0).T.copy(), np.where(ok, wx * wy, 0.0).T.copy(), slopes
 
 
 def _bilinear_weights(points: np.ndarray, gh: int, gw: int, width: int, height: int):
@@ -596,6 +646,16 @@ def _bilinear_weights(points: np.ndarray, gh: int, gw: int, width: int, height: 
     fx = np.clip(fx, 0.0, gw - 1 - 1e-9)
     fy = np.clip(fy, 0.0, gh - 1 - 1e-9)
     return _bilinear_corners(fx, fy, gw, gh)[:2]
+
+
+def _to_nodes(nodes: np.ndarray, weights: np.ndarray, point_grad: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Per grid node, the sum of weight * point gradient over the (point,
+    corner) pairs that name it, as an (n_nodes, 2) array. Each node adds its
+    terms in point order from +0, one `np.bincount` per channel, so the sums
+    are bitwise those of `np.add.at`."""
+    at = nodes.ravel()
+    return np.stack([_ordered_sum(at, (weights * point_grad[:, c:c + 1]).ravel(), n_nodes)
+                     for c in range(2)], axis=1)
 
 
 _MORPH_MASS_FLOOR = 0.25
@@ -612,7 +672,7 @@ def _morph_target_grids(points: np.ndarray, scales, width: int, height: int):
     grids = []
     for scale in scales:
         gh, gw = -(-height // scale), -(-width // scale)
-        cells, tw, _, _ = _soft_bin(points, scale, gw, gh)
+        cells, tw, _ = _soft_bin(points, scale, gw, gh)
         me, tsx, tsy = _cell_sums(cells, points[:, 0:1], points[:, 1:2], gh * gw, tw)
         occupied = me > _MORPH_MASS_FLOOR
         ce_x = np.where(occupied, tsx / np.where(occupied, me, 1.0), 0.0)
@@ -628,19 +688,20 @@ def _morph_loss(moved: np.ndarray, target_grids, scales):
     value = 0.0
     kept = []  # per scale with an included cell, what its gradient needs
     for scale, (me, ce_x, ce_y, gw, gh) in zip(scales, target_grids):
-        cells, w, dwdx, dwdy = _soft_bin(moved, int(scale), gw, gh)
+        cells, w, slopes = _soft_bin(moved, int(scale), gw, gh)
         m, sx, sy = _cell_sums(cells, moved[:, 0:1], moved[:, 1:2], gh * gw, w)
         core = _soft_centroids(m, sx, sy, me > _MORPH_MASS_FLOOR, ce_x, ce_y, _MORPH_MASS_FLOOR)
         if core is None:
             continue
         value += core[0] / len(scales)
-        kept.append(((cells, w, dwdx, dwdy), core[1:]))
+        kept.append(((cells, w, slopes), core[1:]))
 
     def gradient() -> np.ndarray:
         # Point i reaches cell c through its weight w and through the centroid's
         # x_i term: d(d_c)/dx_i = coeff (w ex + dw/dx pull), pull = (x_i - cx) ex + (y_i - cy) ey.
         grad = np.zeros((moved.shape[0], 2))
-        for (cells, w, dwdx, dwdy), (coeff, cx, cy, ex, ey) in kept:
+        for (cells, w, slopes), (coeff, cx, cy, ex, ey) in kept:
+            dwdx, dwdy = slopes()
             c, ex_c, ey_c = coeff[cells], ex[cells], ey[cells]
             pull = (moved[:, 0:1] - cx[cells]) * ex_c + (moved[:, 1:2] - cy[cells]) * ey_c
             grad[:, 0] += (c * (w * ex_c + dwdx * pull)).sum(axis=1)
@@ -678,10 +739,7 @@ def morph_curve_fit(moving: PointSet, target: PointSet, opts: MorphOptions = Mor
         value, point_gradient = _morph_loss(pts + field_at_points(d), target_grids, scales)
 
         def grid_gradient():
-            gd = np.zeros_like(d)
-            np.add.at(gd, corners.ravel(),
-                      (weights[..., None] * point_gradient()[:, None, :]).reshape(-1, 2))
-            return gd
+            return _to_nodes(corners, weights, point_gradient(), len(d))
 
         return value, grid_gradient
 

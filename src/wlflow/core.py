@@ -74,6 +74,9 @@ def armijo_descent(fn, x, value, grad, eta, max_steps, tolerance, on_step):
     the trial array) and one for the largest move at the accepted step. It
     drops its references to the previous iterate and gradient before it
     builds the new gradient, so that they need not be alive at its peak.
+    Every array is the size of `x`, so a caller that descends on part of
+    its data (the solver passes the flow on its solve box) pays for that
+    part alone.
     """
     for _ in range(max_steps):
         gnorm2 = float((grad ** 2).sum())

@@ -151,25 +151,9 @@ class SolveResult:
     objective: ObjectiveBreakdown
 
 
-@dataclass(frozen=True)
-class _ActiveBox:
-    """The window of the raster on which a solve evaluates smoothness, with the
-    per-solve masks it needs there.
-
-    `index` selects the window; `same_x` and `same_y` mark the neighbor pairs
-    inside it whose labels agree, and `pixels` is the h * w of the whole
-    raster, which stays the normalizer.
-    """
-
-    index: tuple[slice, slice]
-    same_x: np.ndarray
-    same_y: np.ndarray
-    pixels: int
-
-
-def _active_box(init: np.ndarray, priors: Priors) -> _ActiveBox:
-    """The bounding box of the pixels a solve from `init` can move, plus a
-    1 px halo, clipped to the raster.
+def _active_box(init: np.ndarray, priors: Priors) -> tuple[slice, slice]:
+    """Rows and columns of the bounding box of the pixels a solve from `init`
+    can move, plus a 1 px halo, clipped to the raster.
 
     Off the subject, at a pixel that no skeleton point matches, a flow of 0
     gets a surrogate gradient of exactly +0: smoothness drops pairs whose
@@ -189,28 +173,67 @@ def _active_box(init: np.ndarray, priors: Priors) -> _ActiveBox:
     h, w = labels.shape
     ys, xs = np.flatnonzero(active.any(axis=1)), np.flatnonzero(active.any(axis=0))
     # With nothing active the bounds cross and the box is empty (or one row or column).
-    index = (slice(max(int(ys.min(initial=h)) - 1, 0), min(int(ys.max(initial=-1)) + 2, h)),
-             slice(max(int(xs.min(initial=w)) - 1, 0), min(int(xs.max(initial=-1)) + 2, w)))
-    inner = labels[index]
-    return _ActiveBox(
+    return (slice(max(int(ys.min(initial=h)) - 1, 0), min(int(ys.max(initial=-1)) + 2, h)),
+            slice(max(int(xs.min(initial=w)) - 1, 0), min(int(xs.max(initial=-1)) + 2, w)))
+
+
+@dataclass(frozen=True)
+class _SolveBox:
+    """The window of the raster a solve runs on, with what smoothness needs.
+
+    `index` selects the solve box from the raster. `active` selects the
+    active box (`_active_box`) from the solve box; smoothness is evaluated
+    there, where `same_x` and `same_y` mark the neighbor pairs whose labels
+    agree, and `pixels`, the h * w of the whole raster, stays the normalizer.
+    """
+
+    index: tuple[slice, slice]
+    active: tuple[slice, slice]
+    same_x: np.ndarray
+    same_y: np.ndarray
+    pixels: int
+
+
+def _solve_box(init: np.ndarray, priors: Priors, hp: Hyperparams) -> _SolveBox:
+    """The solve box of a solve from `init`: the smallest box that holds the
+    active box (`_active_box`) and the boundary-cell window
+    (`boundary._boundary_window`).
+
+    Outside it the flow stays `init` and the surrogate gradient is +0, and
+    inside it each term's value and gradient are bitwise the whole raster's:
+    the skeleton term sees every matched pixel and the soft boundary term
+    every scored cell with its neighbors. Raises as the soft boundary term
+    does on an empty boundary or one off the raster.
+    """
+    h, w = priors.mask.labels.shape
+    active = _active_box(init, priors)
+    window = bnd._checked_boundary_window(priors.boundary, hp.scales, h, w)
+    if active[0].start >= active[0].stop or active[1].start >= active[1].stop:
+        active = window  # nothing can move; smoothness sums zeros either way
+    index = tuple(slice(min(a.start, b.start), max(a.stop, b.stop)) for a, b in zip(active, window))
+    rows, cols = (slice(a.start - i.start, a.stop - i.start) for a, i in zip(active, index))
+    inner = priors.mask.labels[active]
+    return _SolveBox(
         index=index,
+        active=(rows, cols),
         same_x=(inner[:, 1:] == inner[:, :-1])[..., None],
         same_y=(inner[1:, :] == inner[:-1, :])[..., None],
         pixels=h * w,
     )
 
 
-def _smoothness(arr: np.ndarray, box: _ActiveBox):
+def _smoothness(arr: np.ndarray, box: _SolveBox):
     """Squared forward differences of the field over the active box, summed
     and divided by the pixel count of the whole raster, and a callable giving
-    their gradient on the box.
+    their gradient on the active box.
 
     Differences across region boundaries (label changes) are excluded:
     motion is expected to be discontinuous at the silhouette, and smoothing
     across it would drag subject flow toward the static background.
-    `arr` is the flow on the box (see `_active_box`). Every pair outside it
-    joins two pixels of flow 0, so the gradient is bitwise that of the whole
-    raster; the value sums fewer zeros and may differ in the last bits.
+    `arr` is the flow on the active box (see `_active_box`). Every pair
+    outside it joins two pixels of flow 0, so the gradient is bitwise that of
+    the whole raster; the value sums fewer zeros and may differ in the last
+    bits.
     """
     dx = (arr[:, 1:, :] - arr[:, :-1, :]) * box.same_x
     dy = (arr[1:, :, :] - arr[:-1, :, :]) * box.same_y
@@ -228,34 +251,37 @@ def _smoothness(arr: np.ndarray, box: _ActiveBox):
 
 
 def _surrogate(arr: np.ndarray, priors: Priors, hp: Hyperparams, opts: SolverOptions, tau: float,
-               box: _ActiveBox):
-    """Surrogate objective at `arr` and a callable giving its gradient.
+               box: _SolveBox):
+    """Surrogate objective at `arr`, the flow on the solve box `box.index`,
+    and a callable giving its gradient there.
 
+    Both constraint terms run on the solve box through their `window`
+    argument, and smoothness on the active box within it; each value and
+    each gradient is bitwise the whole raster's, cropped to the solve box,
+    for a flow that equals the solve's init outside it (see `_solve_box`).
     Every term's value is computed here; every term's gradient waits for
     the callable, which a rejected line-search trial never calls (see
-    `armijo_descent`), so a value-only call builds no (h, w, 2) array.
-    Smoothness runs on `box` alone: outside it, it adds +-0 to a gradient
-    that is +0 there.
+    `armijo_descent`), so a value-only call builds no gradient array.
     """
     flow = FlowMap(arr)
     f_val, f_grad = kin.smooth_skeleton_constraint(
-        flow, priors.offsets, priors.matches, priors.mask, hp, tau
+        flow, priors.offsets, priors.matches, priors.mask, hp, tau, window=box.index
     )
-    g_val, g_backward = bnd.soft_boundary_constraint(flow, priors.boundary, hp, tau)
-    s_val, s_gradient = _smoothness(arr[box.index], box)
+    g_val, g_backward = bnd.soft_boundary_constraint(flow, priors.boundary, hp, tau, window=box.index)
+    s_val, s_gradient = _smoothness(arr[box.active], box)
     value = f_val + hp.alpha * g_val + opts.smoothness_weight * s_val
 
     def gradient() -> np.ndarray:
         # Each deferred gradient is built only when the sum reaches it; the soft term's forward
         # state is released before the others are built, and its gradient is scaled and added
-        # in place, so no third (h, w, 2) array is allocated.
+        # in place, so no third solve-box array is allocated.
         nonlocal g_backward
         total = f_grad()
         g = g_backward()
         g_backward = None
         g *= hp.alpha
         total += g
-        total[box.index] += opts.smoothness_weight * s_gradient()
+        total[box.active] += opts.smoothness_weight * s_gradient()
         return total
 
     return value, gradient
@@ -276,17 +302,21 @@ def solve_world_flow(
     accepted step; the hard objective is scored once, on the returned flow
     (`SolveResult.objective`).
 
-    Smoothness is evaluated on one active box per solve (`_active_box`): the
-    bounding box of the subject, the matched pixels and the nonzero init,
-    plus a 1 px halo. It is the whole raster when the init moves any
-    background pixel. Gradients, iterates and the result are bitwise those
-    of a whole-raster evaluation; the smoothness value sums fewer zeros and
-    may differ in the last bits.
+    The descent runs on one solve box per solve (`_solve_box`): the bounding
+    box of the subject, the matched pixels, the nonzero init and the
+    boundary-cell window, plus a 1 px halo. It is the whole raster when the
+    init moves any background pixel. Outside it the result is `init`, and
+    the whole-raster result is written once, at the end. Surrogate values
+    and gradients are bitwise those of the terms on the whole raster (the
+    smoothness value sums the active box, see `_smoothness`). The line
+    search's squared gradient norm sums the box alone, so its last bits may
+    differ from a whole-raster sum, and with them, in principle, an Armijo
+    decision on a knife edge.
     Deterministic: same inputs and options give bitwise-identical output.
     """
     validate_pairing(init, priors.mask)
-    x = init.vectors
-    box = _active_box(x, priors)
+    box = _solve_box(init.vectors, priors, hp)
+    x = init.vectors[box.index]
     trace: list[TraceEntry] = []
     iters_per_phase = -(-opts.max_iters // len(opts.tau_schedule))
     for tau in opts.tau_schedule:
@@ -307,7 +337,9 @@ def solve_world_flow(
         gmax = float(np.abs(grad).max())
         eta = 1.0 / gmax if gmax > 0 else 1.0
         x, converged = armijo_descent(surrogate, x, value, grad, eta, budget, opts.tolerance, record)
-    flow = FlowMap(x)
+    solved = init.vectors.copy()
+    solved[box.index] = x
+    flow = FlowMap(solved)
     return SolveResult(flow, tuple(trace), converged, joint_objective(flow, priors, hp))
 
 

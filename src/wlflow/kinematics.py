@@ -68,13 +68,24 @@ def intensity_term(u, k, theta_il: float, theta_ih: float) -> float:
     return max((ru - theta_il * rk) * (ru - theta_ih * rk), 0.0)
 
 
-def _gather(flow: FlowMap, offsets: SkeletonOffsets, matches: np.ndarray, mask: SubjectMask):
-    validate_pairing(flow, mask)
-    matches = np.asarray(matches)
-    if matches.shape != (flow.height, flow.width):
+def _gather(flow: FlowMap, offsets: SkeletonOffsets, matches: np.ndarray, mask: SubjectMask,
+            window: tuple[slice, slice] | None = None):
+    """The matched pixels of `flow` (a mask of its shape), their flow vectors
+    and their skeleton offsets. `flow` covers the `window` of the mask's
+    raster, or all of it when `window` is None."""
+    if window is None:
+        validate_pairing(flow, mask)
+    elif mask.labels[window].shape != flow.vectors.shape[:2]:
         raise DimensionMismatch(
-            f"match table shape {matches.shape} does not cover {flow.height}x{flow.width}"
+            f"flow {flow.width}x{flow.height} does not fill its window of the {mask.width}x{mask.height} mask"
         )
+    matches = np.asarray(matches)
+    if matches.shape != mask.labels.shape:
+        raise DimensionMismatch(
+            f"match table shape {matches.shape} does not cover {mask.height}x{mask.width}"
+        )
+    if window is not None:
+        matches = matches[window]
     valid = matches >= 0
     u = flow.vectors[valid]
     k = offsets.vectors[matches[valid]]
@@ -132,6 +143,8 @@ def smooth_skeleton_constraint(
     mask: SubjectMask,
     hp: Hyperparams,
     tau: float,
+    *,
+    window: tuple[slice, slice] | None = None,
 ) -> tuple[float, Callable[[], np.ndarray]]:
     """Differentiable surrogate of the constraint and a callable giving its
     flow gradient.
@@ -144,12 +157,19 @@ def smooth_skeleton_constraint(
     (h, w, 2) gradient only when called, as `soft_boundary_constraint`'s
     backward pass does, so a caller that needs the value alone never
     allocates it.
+
+    `window` gives the rows and columns of the mask's raster that `flow`
+    covers; None, the default, means the whole raster. With a window the
+    gradient has `flow`'s shape, the normalizer is still the pixel count of
+    the whole raster, and pixels outside the window count as unmatched: if
+    the window holds every matched pixel, as the solver's solve box does,
+    value and gradient are bitwise the whole raster's, cropped.
     """
     if tau <= 0:
         raise ValidationError("tau must be positive")
-    valid, u, k = _gather(flow, offsets, matches, mask)
-    total = flow.height * flow.width
-    shape = (flow.height, flow.width, 2)
+    valid, u, k = _gather(flow, offsets, matches, mask, window)
+    total = mask.height * mask.width
+    shape = flow.vectors.shape
     if len(u) == 0:
         return 0.0, lambda: np.zeros(shape)
 

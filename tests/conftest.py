@@ -6,7 +6,7 @@ from hypothesis import settings
 
 from wlflow import boundary as bnd
 from wlflow import flows, synth
-from wlflow.core import EPS_VEC, FlowMap, Hyperparams, _dcos, _sigmoid, _soft_angle
+from wlflow.core import EPS_VEC, FlowMap, Hyperparams, _dcos, _sigmoid, _soft_angle, armijo_descent
 
 # Property tests draw the same examples on every run and have no time limit.
 settings.register_profile("wlflow", derandomize=True, deadline=None)
@@ -135,10 +135,15 @@ def full_raster_rasterize(spec):
     return labels, frames, world
 
 
-def full_raster_surrogate(arr, priors, hp, opts, tau):
+def full_raster_surrogate(arr, priors, hp, opts, tau, active=None):
     """Reference copy of `flows._surrogate` as it ran before smoothness moved
     onto the active box: it runs on the whole raster and rebuilds its masks at
-    every evaluation."""
+    every evaluation.
+
+    With `active`, the rows and columns of the active box, the smoothness
+    value sums only the pairs inside it, in the order the solver sums them
+    (a whole-raster sum adds more zeros in another grouping and can differ
+    in the last bit); every gradient is still the whole raster's."""
     flow = FlowMap(arr)
     f_val, f_grad = flows.kin.smooth_skeleton_constraint(
         flow, priors.offsets, priors.matches, priors.mask, hp, tau
@@ -150,7 +155,12 @@ def full_raster_surrogate(arr, priors, hp, opts, tau):
     same_y = (labels[1:, :] == labels[:-1, :])[..., None]
     dx = (arr[:, 1:, :] - arr[:, :-1, :]) * same_x
     dy = (arr[1:, :, :] - arr[:-1, :, :]) * same_y
-    s_val = float((dx ** 2).sum() + (dy ** 2).sum()) / (h * w)
+    s_dx, s_dy = dx, dy
+    if active is not None:
+        rows, cols = active
+        s_dx = np.ascontiguousarray(dx[rows, cols.start:cols.stop - 1])
+        s_dy = np.ascontiguousarray(dy[rows.start:rows.stop - 1, cols])
+    s_val = float((s_dx ** 2).sum() + (s_dy ** 2).sum()) / (h * w)
     value = f_val + hp.alpha * g_val + opts.smoothness_weight * s_val
 
     def gradient():
@@ -164,6 +174,60 @@ def full_raster_surrogate(arr, priors, hp, opts, tau):
         return total
 
     return value, gradient
+
+
+def full_raster_descent(init, priors, hp, opts):
+    """Reference copy of `flows.solve_world_flow`'s descent as it ran on the
+    whole raster: `armijo_descent` on `full_raster_surrogate` from the whole
+    init, phase by phase, with smoothness values summed over the init's
+    active box. Returns the flow, the trace as (iteration, tau, step,
+    surrogate) tuples, whether the last phase converged, and every gradient
+    built."""
+    x, trace, grads = init, [], []
+    active = flows._active_box(init, priors)
+    iters_per_phase = -(-opts.max_iters // len(opts.tau_schedule))
+    for tau in opts.tau_schedule:
+        budget = min(iters_per_phase, opts.max_iters - len(trace))
+        if budget == 0:
+            converged = False
+            break
+
+        def surrogate(arr, tau=tau):
+            value, gradient = full_raster_surrogate(arr, priors, hp, opts, tau, active)
+
+            def recorded():
+                grads.append(gradient())
+                return grads[-1]
+
+            return value, recorded
+
+        def record(arr, value, step, tau=tau):
+            trace.append((len(trace) + 1, tau, step, value))
+
+        value, gradient = surrogate(x)
+        grad = gradient()
+        gmax = float(np.abs(grad).max())
+        eta = 1.0 / gmax if gmax > 0 else 1.0
+        x, converged = armijo_descent(surrogate, x, value, grad, eta, budget, opts.tolerance, record)
+    return x, trace, converged, grads
+
+
+def loop_bilinear_corners(u, v, gw, gh, du=1.0):
+    """Reference copy of `boundary._bilinear_corners` as it ran with a loop
+    over the 4 corners. Returns (nodes, weights, dw/dx, dw/dy), each (n, 4)."""
+    i0 = np.floor(u).astype(np.int64)
+    j0 = np.floor(v).astype(np.int64)
+    tx = u - i0
+    ty = v - j0
+    corners = []
+    for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        ci, cj = i0 + di, j0 + dj
+        wx, gx = (tx, du) if di else (1.0 - tx, -du)
+        wy, gy = (ty, du) if dj else (1.0 - ty, -du)
+        ok = (ci >= 0) & (ci < gw) & (cj >= 0) & (cj < gh)
+        corners.append((np.where(ok, cj * gw + ci, 0), np.where(ok, wx * wy, 0.0),
+                        np.where(ok, gx * wy, 0.0), np.where(ok, wx * gy, 0.0)))
+    return tuple(np.stack(column, axis=1) for column in zip(*corners))
 
 
 def per_slot_soft_boundary(flow, boundary, hp, tau):

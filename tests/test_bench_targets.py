@@ -1,14 +1,22 @@
-"""Every library name the traced benchmark wraps still exists.
+"""Every library name the traced benchmark wraps still exists, and the solver
+still calls the ones it counts.
 
 perfbench/tracer.py lists the public functions it wraps in TARGETS and raises
 MissingTarget at bench time when one is gone. This test reads that list from
 the file's source, without running it, and resolves each name the same way,
-so a deletion or rename fails here first.
+so a deletion or rename fails here first. The traced bench wraps names by
+swapping module attributes and reads the solver's evaluation count from the
+calls to `kinematics.smooth_skeleton_constraint`, so the solver must reach
+both surrogate terms through those attributes, once per evaluation.
 """
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
+
+from wlflow import boundary, flows, kinematics
+from wlflow.core import FlowMap, Hyperparams
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -30,3 +38,22 @@ def test_every_traced_target_resolves():
             if owner is None or attr not in vars(owner) or not callable(getattr(owner, attr)):
                 missing.append(f"{mod_name}.{dotted}")
     assert missing == []
+
+
+def test_solver_calls_each_surrogate_term_through_its_module_once_per_evaluation(
+        small_truth, small_priors, monkeypatch):
+    """A 30-iteration zero-init solve of the 64x64 scene makes 64 evaluations,
+    as before the descent moved onto the solve box, and each calls both
+    public surrogate terms once, through their module attributes."""
+    calls = Counter()
+    for module, name in ((kinematics, "smooth_skeleton_constraint"), (boundary, "soft_boundary_constraint"),
+                         (flows, "_surrogate")):
+        def counting(*args, real=getattr(module, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    zero = FlowMap.zeros(small_truth.mask_t.width, small_truth.mask_t.height)
+    res = flows.solve_world_flow(zero, small_priors, Hyperparams(), flows.SolverOptions(max_iters=30))
+    assert len(res.trace) == 30
+    assert calls == {"_surrogate": 64, "smooth_skeleton_constraint": 64, "soft_boundary_constraint": 64}

@@ -10,7 +10,7 @@ from wlflow import synth
 from wlflow.core import EPS_VEC, FlowMap, Hyperparams, PointSet, Vec2, _sigmoid
 from wlflow.errors import EmptyPointSet, ValidationError
 
-from conftest import make_circle, per_slot_soft_boundary, two_figure_spec
+from conftest import loop_bilinear_corners, make_circle, per_slot_soft_boundary, two_figure_spec
 
 
 def test_uniform_flow_has_no_edges(hp):
@@ -704,6 +704,50 @@ def test_boundary_outside_raster_raises(hp, point):
     for flow in (FlowMap.zeros(4, 3), FlowMap(np.arange(24.0).reshape(3, 4, 2))):
         with pytest.raises(ValidationError, match="curve e has points outside the 4x3 raster"):
             bnd.boundary_constraint(flow, outside, hp)
+    # a flow on a window of the raster takes only points inside that window
+    window = (slice(1, 3), slice(1, 4))
+    with pytest.raises(ValidationError, match="curve e has points outside the window of the flow"):
+        bnd.soft_boundary_constraint(FlowMap.zeros(3, 2), PointSet(np.array([[2.0, 1.5], point])), hp, 0.1,
+                                     window=window)
+    with pytest.raises(EmptyPointSet):
+        bnd.soft_boundary_constraint(FlowMap.zeros(3, 2), PointSet(np.zeros((0, 2))), hp, 0.1, window=window)
+
+
+@given(
+    n=st.integers(0, 30),
+    n_nodes=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.sampled_from([0.0, 0.5]),
+)
+def test_grid_gradient_equals_add_at(n, n_nodes, seed, zeros):
+    """The morph's grid gradient, one bincount per channel, gives `np.add.at`'s
+    bytes: each node adds its terms in point order, from +0, signed zeros included."""
+    rng = np.random.default_rng(seed)
+    nodes = rng.integers(0, n_nodes, (n, 4))
+    weights = rng.uniform(0.0, 1.0, (n, 4))
+    point_grad = rng.normal(0.0, 3.0, (n, 2))
+    point_grad[rng.random((n, 2)) < zeros] = -0.0
+    weights[rng.random((n, 4)) < zeros] = 0.0
+    ref = np.zeros((n_nodes, 2))
+    np.add.at(ref, nodes.ravel(), (weights[..., None] * point_grad[:, None, :]).reshape(-1, 2))
+    got = bnd._to_nodes(nodes, weights, point_grad, n_nodes)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+@given(
+    uv=st.lists(st.tuples(*[st.floats(-3.0, 15.0, allow_nan=False)] * 2), max_size=40),
+    gw=st.integers(1, 12),
+    gh=st.integers(1, 12),
+    du=st.sampled_from([1.0, 0.25, 1.0 / 3.0, 1.0 / 32.0]),
+)
+def test_bilinear_corners_equal_the_corner_loop(uv, gw, gh, du):
+    """The broadcast over the corner axis gives the loop over the 4 corners'
+    nodes, weights and slopes, bytes and shapes included, on and off the grid."""
+    u, v = np.array(uv, dtype=np.float64).reshape(-1, 2).T
+    nodes, weights, slopes = bnd._bilinear_corners(u, v, gw, gh, du)
+    for got, ref in zip((nodes, weights, *slopes()), loop_bilinear_corners(u, v, gw, gh, du)):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_auto_intensity_threshold_percentile():
