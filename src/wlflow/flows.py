@@ -179,15 +179,20 @@ def _active_box(init: np.ndarray, priors: Priors) -> tuple[slice, slice]:
 
 @dataclass(frozen=True)
 class _SolveBox:
-    """The window of the raster a solve runs on, with what smoothness needs.
+    """The window of the raster a solve runs on, with what its terms need.
 
-    `index` selects the solve box from the raster. `active` selects the
-    active box (`_active_box`) from the solve box; smoothness is evaluated
-    there, where `same_x` and `same_y` mark the neighbor pairs whose labels
-    agree, and `pixels`, the h * w of the whole raster, stays the normalizer.
+    `index` selects the solve box from the raster. `window` is the
+    boundary-cell window (`boundary._boundary_window`) on the raster, and
+    `boundary` selects it from the solve box; the soft boundary term runs
+    there. `active` selects the active box (`_active_box`) from the solve
+    box; smoothness is evaluated there, where `same_x` and `same_y` mark the
+    neighbor pairs whose labels agree, and `pixels`, the h * w of the whole
+    raster, stays the normalizer.
     """
 
     index: tuple[slice, slice]
+    window: tuple[slice, slice]
+    boundary: tuple[slice, slice]
     active: tuple[slice, slice]
     same_x: np.ndarray
     same_y: np.ndarray
@@ -211,11 +216,16 @@ def _solve_box(init: np.ndarray, priors: Priors, hp: Hyperparams) -> _SolveBox:
     if active[0].start >= active[0].stop or active[1].start >= active[1].stop:
         active = window  # nothing can move; smoothness sums zeros either way
     index = tuple(slice(min(a.start, b.start), max(a.stop, b.stop)) for a, b in zip(active, window))
-    rows, cols = (slice(a.start - i.start, a.stop - i.start) for a, i in zip(active, index))
+
+    def within(part):
+        return tuple(slice(p.start - i.start, p.stop - i.start) for p, i in zip(part, index))
+
     inner = priors.mask.labels[active]
     return _SolveBox(
         index=index,
-        active=(rows, cols),
+        window=window,
+        boundary=within(window),
+        active=within(active),
         same_x=(inner[:, 1:] == inner[:, :-1])[..., None],
         same_y=(inner[1:, :] == inner[:-1, :])[..., None],
         pixels=h * w,
@@ -255,10 +265,12 @@ def _surrogate(arr: np.ndarray, priors: Priors, hp: Hyperparams, opts: SolverOpt
     """Surrogate objective at `arr`, the flow on the solve box `box.index`,
     and a callable giving its gradient there.
 
-    Both constraint terms run on the solve box through their `window`
-    argument, and smoothness on the active box within it; each value and
-    each gradient is bitwise the whole raster's, cropped to the solve box,
-    for a flow that equals the solve's init outside it (see `_solve_box`).
+    The skeleton term runs on the solve box, the soft boundary term on the
+    boundary-cell window within it (both through their `window` argument)
+    and smoothness on the active box within it, so each term's cost follows
+    the subject at any box size. Each value and each gradient is bitwise
+    the whole raster's, cropped, for a flow that equals the solve's init
+    outside the solve box (see `_solve_box`).
     Every term's value is computed here; every term's gradient waits for
     the callable, which a rejected line-search trial never calls (see
     `armijo_descent`), so a value-only call builds no gradient array.
@@ -267,20 +279,23 @@ def _surrogate(arr: np.ndarray, priors: Priors, hp: Hyperparams, opts: SolverOpt
     f_val, f_grad = kin.smooth_skeleton_constraint(
         flow, priors.offsets, priors.matches, priors.mask, hp, tau, window=box.index
     )
-    g_val, g_backward = bnd.soft_boundary_constraint(flow, priors.boundary, hp, tau, window=box.index)
+    g_val, g_backward = bnd.soft_boundary_constraint(FlowMap(arr[box.boundary]), priors.boundary, hp, tau,
+                                                     window=box.window)
     s_val, s_gradient = _smoothness(arr[box.active], box)
     value = f_val + hp.alpha * g_val + opts.smoothness_weight * s_val
 
     def gradient() -> np.ndarray:
         # Each deferred gradient is built only when the sum reaches it; the soft term's forward
         # state is released before the others are built, and its gradient is scaled and added
-        # in place, so no third solve-box array is allocated.
+        # in place, so no third solve-box array is allocated. Outside the boundary-cell window
+        # the whole raster's soft gradient is +0 and adding it would only turn a -0 skeleton
+        # entry into +0; those entries are at matched pixels, where smoothness then adds a term.
         nonlocal g_backward
         total = f_grad()
         g = g_backward()
         g_backward = None
         g *= hp.alpha
-        total += g
+        total[box.boundary] += g
         total[box.active] += opts.smoothness_weight * s_gradient()
         return total
 

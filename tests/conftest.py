@@ -181,9 +181,10 @@ def full_raster_descent(init, priors, hp, opts):
     whole raster: `armijo_descent` on `full_raster_surrogate` from the whole
     init, phase by phase, with smoothness values summed over the init's
     active box. Returns the flow, the trace as (iteration, tau, step,
-    surrogate) tuples, whether the last phase converged, and every gradient
-    built."""
-    x, trace, grads = init, [], []
+    surrogate) tuples, whether the last phase converged, every gradient
+    built, and the surrogate at each accepted iterate with smoothness summed
+    over the whole raster, which does not go through the active box."""
+    x, trace, grads, whole_values = init, [], [], []
     active = flows._active_box(init, priors)
     iters_per_phase = -(-opts.max_iters // len(opts.tau_schedule))
     for tau in opts.tau_schedule:
@@ -203,13 +204,14 @@ def full_raster_descent(init, priors, hp, opts):
 
         def record(arr, value, step, tau=tau):
             trace.append((len(trace) + 1, tau, step, value))
+            whole_values.append(full_raster_surrogate(arr, priors, hp, opts, tau)[0])
 
         value, gradient = surrogate(x)
         grad = gradient()
         gmax = float(np.abs(grad).max())
         eta = 1.0 / gmax if gmax > 0 else 1.0
         x, converged = armijo_descent(surrogate, x, value, grad, eta, budget, opts.tolerance, record)
-    return x, trace, converged, grads
+    return x, trace, converged, grads, whole_values
 
 
 def loop_bilinear_corners(u, v, gw, gh, du=1.0):

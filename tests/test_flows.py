@@ -456,7 +456,7 @@ def _sparse_scene():
     return truth, flows.Priors.build(truth.keypoints[0], truth.keypoints[1], truth.mask_t, truth.boundary_t)
 
 
-@pytest.mark.parametrize("case", ["reference-zero", "corner-256", "refine", "background-patch",
+@pytest.mark.parametrize("case", ["reference-zero", "corner-256", "refine", "refine-256", "background-patch",
                                   "sparse-512", "scales-5-12", "scales-64"])
 def test_active_box_solve_equals_full_raster(case, monkeypatch):
     """A descent on the solve box gives bitwise the flow, the accepted steps,
@@ -464,9 +464,10 @@ def test_active_box_solve_equals_full_raster(case, monkeypatch):
     raster; those whole-raster gradients are +0 outside the box. A signed
     zero on the still background keeps its sign, outside the solve box and
     inside it. An init that moves background pixels, everywhere (refine) or
-    in one small patch that smoothness spreads, gets the whole raster."""
+    in one small patch that smoothness spreads, gets the whole raster; on
+    the 256x256 raster its boundary-cell window is a small part of it."""
     hp = Hyperparams(scales={"scales-5-12": (5, 12), "scales-64": (64,)}.get(case, Hyperparams().scales))
-    if case == "corner-256":
+    if case in ("corner-256", "refine-256"):
         truth, priors = _corner_scene()
     elif case == "sparse-512":
         truth, priors = _sparse_scene()
@@ -474,7 +475,7 @@ def test_active_box_solve_equals_full_raster(case, monkeypatch):
         truth, priors = _scene(7 if case in ("refine", "background-patch") else None)
     h, w = truth.mask_t.height, truth.mask_t.width
     init = np.zeros((h, w, 2))
-    if case == "refine":
+    if case in ("refine", "refine-256"):
         init = truth.gt_world.vectors + np.random.default_rng(3).normal(0.0, 0.5, (h, w, 2))
     elif case == "background-patch":
         init[3:6, w - 6:w - 3] = (2.0, -1.0)
@@ -483,7 +484,7 @@ def test_active_box_solve_equals_full_raster(case, monkeypatch):
     rows, cols = box.index
     covered = (rows.stop - rows.start) * (cols.stop - cols.start)
     signed_zeros = [(h - 1, 0), (rows.stop - 1, cols.start)]
-    if case in ("refine", "background-patch"):
+    if case in ("refine", "refine-256", "background-patch"):
         assert covered == h * w
     else:
         assert covered <= h * w / {"corner-256": 4, "sparse-512": 20, "scales-64": 1}.get(case, 2)
@@ -492,12 +493,16 @@ def test_active_box_solve_equals_full_raster(case, monkeypatch):
             init[y, x, 1] = -0.0
         assert box.active != (slice(0, rows.stop - rows.start), slice(0, cols.stop - cols.start))
 
-    opts = flows.SolverOptions(max_iters=12 if case == "sparse-512" else 30)
+    if case == "refine-256":
+        rows, cols = box.window
+        assert (rows.stop - rows.start) * (cols.stop - cols.start) <= h * w / 10
+    opts = flows.SolverOptions(max_iters=12 if case in ("sparse-512", "refine-256") else 30)
     res, grads, solve_box = _solve_recording(monkeypatch, FlowMap(init), priors, hp, opts)
-    ref, ref_trace, ref_converged, ref_grads = full_raster_descent(init, priors, hp, opts)
+    ref, ref_trace, ref_converged, ref_grads, whole_values = full_raster_descent(init, priors, hp, opts)
     assert solve_box.index == box.index
     assert res.flow.vectors.tobytes() == ref.tobytes()
     assert _bits((t.iteration, t.tau, t.step, t.surrogate) for t in res.trace) == _bits(ref_trace)
+    assert [t.surrogate for t in res.trace] == pytest.approx(whole_values, rel=1e-12)
     assert res.converged == ref_converged
     assert res.objective == flows.joint_objective(FlowMap(ref), priors, hp)
     outside = np.ones((h, w), dtype=bool)
@@ -506,9 +511,33 @@ def test_active_box_solve_equals_full_raster(case, monkeypatch):
     for grad, ref_grad in zip(grads, ref_grads):
         assert grad.tobytes() == ref_grad[box.index].tobytes()
         assert _is_plus_zero(ref_grad[outside])
-    if case not in ("refine", "background-patch"):
+    if case not in ("refine", "refine-256", "background-patch"):
         for y, x in signed_zeros:
             assert np.signbit(res.flow.vectors[y, x, 1])
+
+
+def test_soft_term_runs_on_the_boundary_window_when_the_box_is_the_whole_raster(monkeypatch):
+    """A refinement init moves the background, so its solve box is the whole
+    raster; the soft boundary term still runs on the boundary-cell window
+    alone, a tenth of the 256x256 raster here, at every evaluation."""
+    truth, priors = _corner_scene()
+    hp = Hyperparams()
+    init = truth.gt_world.vectors + np.random.default_rng(5).normal(0.0, 0.5, truth.gt_world.vectors.shape)
+    box = flows._solve_box(init, priors, hp)
+    assert box.index == (slice(0, 256), slice(0, 256))
+    rows, cols = box.window
+    assert (rows.stop - rows.start) * (cols.stop - cols.start) <= 256 * 256 / 10
+    seen = []
+
+    def recording(flow, *args, window=None):
+        seen.append((flow.vectors.shape[:2], window))
+        return soft(flow, *args, window=window)
+
+    soft = bnd.soft_boundary_constraint
+    monkeypatch.setattr(bnd, "soft_boundary_constraint", recording)
+    res = flows.solve_world_flow(FlowMap(init), priors, hp, flows.SolverOptions(max_iters=4))
+    assert len(seen) > len(res.trace) > 0
+    assert seen == [((rows.stop - rows.start, cols.stop - cols.start), box.window)] * len(seen)
 
 
 @settings(max_examples=25)
