@@ -29,7 +29,7 @@ from .core import (
     _soft_angle,
     armijo_descent,
 )
-from .errors import EmptyPointSet, ValidationError
+from .errors import DimensionMismatch, EmptyPointSet, ValidationError
 
 # 8-neighborhood offsets as (dy, dx).
 _NEIGHBORS = tuple((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0))
@@ -317,17 +317,19 @@ _SLOT_DY, _SLOT_DX = np.array(_NEIGHBORS).T
 # Per 8-bit set of slots, its lowest slot; 0 for the empty set, as argmax gives.
 _LOWEST_SLOT = np.array([(b & -b).bit_length() - 1 if b else 0 for b in range(256)], dtype=np.uint8)
 
+# Bit n of a tie mask, per slot n, against the slot axis of an (8, h, w) table.
+_SLOT_BITS = (1 << np.arange(8, dtype=np.uint8))[:, None, None]
 
-def _first_max_slots(slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per pixel of each (8, h, w) table in `slots`: the largest of its 8
-    slots and, as uint8, the lowest slot that equals it, as
-    `(table == max).argmax(axis=0)` picks. Bit n of a pixel's tie mask marks
-    slot n as equal to the max, and `_LOWEST_SLOT` reads the lowest set bit."""
-    top = slots.max(axis=1)
-    ties = np.zeros(top.shape, dtype=np.uint8)
-    for n in range(8):
-        ties |= (slots[:, n] == top).view(np.uint8) << n
-    return top, _LOWEST_SLOT[ties]
+
+def _tie_masks(slots: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Per pixel of each (8, h, w) table in `slots`, whose largest slot is
+    `top`: a uint8 mask whose bit n marks slot n as equal to the max. Its
+    `_LOWEST_SLOT` entry is the lowest such slot, as `(table ==
+    max).argmax(axis=0)` picks. The bits are distinct, so their uint8 sum is
+    their union."""
+    bits = (slots == top[:, None]).view(np.uint8)
+    bits *= _SLOT_BITS
+    return bits.sum(axis=1, dtype=np.uint8)
 
 
 def _ordered_sum(at: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
@@ -359,13 +361,62 @@ def _soft_centroids(mass, sx, sy, present, tx, ty, floor: float):
     return float(d[include].mean()), coeff, cx, cy, ex, ey
 
 
+@dataclass(frozen=True)
+class _ScaleCells:
+    """One patch scale of a `SoftLayout`: the cell count of its grid, the flat
+    cell id of each pixel of the window, and per cell whether the boundary
+    is present there and its centroid (NaN where it is not)."""
+
+    n_cells: int
+    cid: np.ndarray
+    present: np.ndarray
+    tx: np.ndarray
+    ty: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class SoftLayout:
+    """What the soft boundary term reads of a boundary curve besides the
+    flow, built once by `soft_layout`: the boundary-cell `window` (rows,
+    columns) of the raster, the global rows `ys` (a column) and columns `xs`
+    of its pixels, and per patch scale a `_ScaleCells`.
+
+    Cell ids are row-major on the grid of the raster's top-left part that
+    ends with the window, which holds every scored cell and orders them as
+    the whole raster's grid does, so every per-cell sum and the mean over
+    cells add in the same order. Its arrays are read-only.
+    """
+
+    window: tuple[slice, slice]
+    ys: np.ndarray
+    xs: np.ndarray
+    scales: tuple
+
+
+def soft_layout(boundary: PointSet, hp: Hyperparams, height: int, width: int) -> SoftLayout:
+    """The `SoftLayout` of `boundary` at the patch scales `hp.scales` on a
+    height x width raster. Raises as the soft boundary term does on an empty
+    boundary or one off the raster."""
+    rows, cols = _checked_boundary_window(boundary, hp.scales, height, width)
+    ys, xs = np.arange(rows.start, rows.stop)[:, None], np.arange(cols.start, cols.stop)
+    scales = []
+    for scale in map(int, hp.scales):
+        gh, gw = -(-rows.stop // scale), -(-cols.stop // scale)
+        counts, centroids = _bin_points(boundary.points, scale, gh, gw)
+        scales.append(_ScaleCells(gh * gw, (ys // scale) * gw + (xs // scale), counts.ravel() > 0,
+                                  centroids[..., 0].ravel(), centroids[..., 1].ravel()))
+    for arr in (ys, xs, *(a for cells in scales for a in (cells.cid, cells.present, cells.tx, cells.ty))):
+        arr.setflags(write=False)
+    return SoftLayout((rows, cols), ys, xs, tuple(scales))
+
+
 def soft_boundary_constraint(
     flow: FlowMap,
     boundary: PointSet,
     hp: Hyperparams,
     tau: float,
     *,
-    window: tuple[slice, slice] | None = None,
+    window: SoftLayout | None = None,
 ) -> tuple[float, Callable[[], np.ndarray]]:
     """Differentiable relaxation of the boundary constraint.
 
@@ -376,8 +427,13 @@ def soft_boundary_constraint(
 
     Runs the forward pass and returns (value, backward): `backward()` runs
     the backward pass and returns the gradient, so a caller that needs only
-    the value (a line-search trial that is rejected) skips that work. Value
-    and gradient are bitwise those of a single combined pass.
+    the value (a line-search trial that is rejected) skips that work. The
+    forward pass computes what the value needs and no more: the pair
+    weights, each pixel's largest weights and the mask of the slots that
+    attain them, and per scale the cell sums and the per-cell arrays of
+    `_soft_centroids`. The backward pass builds the per-pixel d(value)/dw
+    plane and reads the argmax slots where it is nonzero. Value and gradient
+    are bitwise those of a single combined pass.
 
     Each neighbor pair (i, j) is scored once, over the 4 forward offsets,
     and its intensity weight b and angular weight a are written into a slot
@@ -386,7 +442,7 @@ def soft_boundary_constraint(
     off-raster slot holds 0. A pixel's weights are the largest of its 8
     slots, and the gradient flows through the lowest slot that attains it
     (slot 0 when all 8 are 0), read from an 8-bit mask of the slots equal to
-    the max (`_first_max_slots`).
+    the max (`_tie_masks`).
 
     Pair dot products are written out, x_i x_j + y_i y_j. Where both
     products are -0 this gives -0 and numpy's 2-element `sum` gives +0, but
@@ -395,14 +451,14 @@ def soft_boundary_constraint(
     enters a bincount sum that starts at +0, which adding a zero of either
     sign leaves unchanged. So no `+ 0.0` is needed to stay bitwise equal.
 
-    The backward pass keeps only the maxima and their slots. It gathers,
-    at the pixels with a nonzero d(value)/dw whose argmax slot is on the
-    raster, both pixels of the argmax pair, recomputes that pair's angular
-    gate, sigmoid and cosine factor there (each symmetric in the pair, so
-    bitwise the forward values), and sums every pixel's terms with one
-    `np.bincount` per output after a stable sort by slot and term. So each
-    pixel adds its terms in the order of a loop over its slots, term by
-    term, from +0, and the gradient is bitwise that of such a loop.
+    The backward pass gathers, at the pixels with a nonzero d(value)/dw
+    whose argmax slot is on the raster, both pixels of the argmax pair,
+    recomputes that pair's angular gate, sigmoid and cosine factor there
+    (each symmetric in the pair, so bitwise the forward values), and sums
+    every pixel's terms with one `np.bincount` per output after a stable
+    sort by slot and term. So each pixel adds its terms in the order of a
+    loop over its slots, term by term, from +0, and the gradient is bitwise
+    that of such a loop.
 
     Only patch cells that hold a boundary point enter the value, so the
     forward and backward passes run on the boundary-cell window alone (see
@@ -413,20 +469,18 @@ def soft_boundary_constraint(
     pixels in the same row-major order, and each pixel's gradient adds run in
     the same slot order.
 
-    `window` gives the rows and columns of the raster that `flow` covers;
-    None, the default, means the whole raster. With a window, the passes run
-    on all of `flow` and the gradient has its shape. Every boundary point
-    must lie in the window, and for the value and gradient to be bitwise the
-    whole raster's (cropped to the window) it must hold the boundary-cell
-    window, as the solver's solve box does: a larger window only adds
-    unscored cells, whose pixels get a gradient of +0.
+    `window`, if given, is the `SoftLayout` that `soft_layout` built from
+    `boundary` and `hp.scales` on the raster; `flow` then covers its window
+    alone, and the gradient has `flow`'s shape. A solver builds it once and
+    passes it at every evaluation. None, the default, builds it here, from
+    the raster of `flow`, and the gradient has the raster's shape.
     """
     if tau <= 0:
         raise ValidationError("tau must be positive")
     if window is None:
-        rows, cols = _checked_boundary_window(boundary, hp.scales, flow.height, flow.width)
-        value, backward = _soft_boundary(flow.vectors[rows, cols], rows.start, cols.start,
-                                         boundary.points, hp, tau)
+        layout = soft_layout(boundary, hp, flow.height, flow.width)
+        rows, cols = layout.window
+        value, backward = _soft_boundary(flow.vectors[rows, cols], layout, hp, tau)
 
         def pasted() -> np.ndarray:
             grad = np.zeros(flow.vectors.shape)
@@ -434,26 +488,55 @@ def soft_boundary_constraint(
             return grad
 
         return value, pasted
-    if len(boundary) == 0:
-        raise EmptyPointSet("boundary curve is empty")
-    y0, x0 = window[0].start, window[1].start
-    pts = boundary.points
-    if ((pts < (x0, y0)) | (pts >= (x0 + flow.width, y0 + flow.height))).any():
-        raise ValidationError("curve e has points outside the window of the flow")
-    return _soft_boundary(flow.vectors, y0, x0, pts, hp, tau)
+    rows, cols = window.window
+    if flow.vectors.shape[:2] != (rows.stop - rows.start, cols.stop - cols.start):
+        raise DimensionMismatch(f"flow of {flow.width}x{flow.height} does not fill the "
+                                f"{cols.stop - cols.start}x{rows.stop - rows.start} boundary-cell window")
+    return _soft_boundary(flow.vectors, window, hp, tau)
 
 
-def _soft_boundary(m: np.ndarray, y0: int, x0: int, points: np.ndarray, hp: Hyperparams, tau: float):
-    """`soft_boundary_constraint` of the flow `m`, which sits at row y0 and
-    column x0 of the raster, as (value, backward); `backward()` returns the
-    gradient on `m`.
+def _dvdw_plane(scored, ys, xs, n_scales: int, shape) -> np.ndarray:
+    """d(value)/dw at each pixel of the window, from the cell ids and the
+    per-cell arrays `coeff, cx, cy, ex, ey` of each scale in `scored` that
+    has an entered cell, summed over scales in order from +0."""
+    dvdw = np.zeros(shape)
+    for cid, (coeff, cx, cy, ex, ey) in scored:
+        dvdw += coeff[cid] * ((xs - cx[cid]) * ex[cid] + (ys - cy[cid]) * ey[cid]) / n_scales
+    return dvdw
 
-    Pixel coordinates stay global. Cell ids are row-major on the grid of
-    the raster's top-left (y0 + h) x (x0 + w) part, which holds every scored
-    cell and orders them as the whole raster's grid does, so every per-cell
-    sum and the mean over cells add in the same order. Pixels at the edge of
-    `m` miss some neighbor slots, so their weights are off, but the caller
-    keeps them out of every scored cell (the 1 px halo of `_boundary_window`).
+
+def _angular_terms(pa, qa, common, mf, rf, duf, wuf, hp: Hyperparams, tau: float, s2: float):
+    """The soft term's gradient terms through each angular argmax pair (p, q)
+    whose moving gate g = wu_p wu_q is > 0, given `common` = d(value)/d(a)
+    there, a = g siga, on the flattened flow `mf` and its flattened r, du and
+    wu: the terms of d(value)/d(r_p) and d(value)/d(r_q) through wu, and per
+    flow channel the terms at p, then at q, through the stabilized cosine.
+    A function of its own so that its temporaries are freed before the sort
+    and the sums, where the backward pass peaks."""
+    wui, wuj = wuf[pa], wuf[qa]
+    g = wui * wuj
+    xi, yi, xj, yj, dui, duj = mf[pa, 0], mf[pa, 1], mf[qa, 0], mf[qa, 1], duf[pa], duf[qa]
+    dot = xi * xj + yi * yj
+    dij = dui * duj
+    siga, cosfac = _soft_angle(dot / dij, hp.edge_theta_a, tau)
+    ri, rj = rf[pa], rf[qa]
+    ang_i = common * siga * wuj * (2.0 * ri * s2 / (ri * ri + s2) ** 2)
+    ang_j = common * siga * wui * (2.0 * rj * s2 / (rj * rj + s2) ** 2)
+    # factor d(cos)/d(m_p) and factor d(cos)/d(m_q), per channel, by `core._dcos`'s operations
+    factor = common * g * cosfac
+    ci, cj = dot / (dui ** 3 * duj), dot / (duj ** 3 * dui)
+    flow_terms = [np.concatenate([factor * (vj / dij - ci * vi), factor * (vi / dij - cj * vj)])
+                  for vi, vj in ((xi, xj), (yi, yj))]
+    return ang_i, ang_j, flow_terms
+
+
+def _soft_boundary(m: np.ndarray, layout: SoftLayout, hp: Hyperparams, tau: float):
+    """`soft_boundary_constraint` of the flow `m` on the window of `layout`,
+    as (value, backward); `backward()` returns the gradient on `m`.
+
+    Pixels at the edge of `m` miss some neighbor slots, so their weights are
+    off, but `_boundary_window`'s 1 px halo keeps them out of every scored
+    cell.
     """
     h, wd = m.shape[:2]
 
@@ -477,74 +560,61 @@ def _soft_boundary(m: np.ndarray, y0: int, x0: int, points: np.ndarray, hp: Hype
 
     # Every weight is >= +0, so the first slot equal to the max is the one a
     # running max with a strict > keeps: the lowest on ties, slot 0 if all are 0.
-    (wi, wa), (ni, na) = _first_max_slots(slots)
+    # The forward pass keeps only the tie masks; the backward pass reads the
+    # lowest slot at the pixels it needs.
+    top = slots.max(axis=1)
+    ties_i, ties_a = _tie_masks(slots, top)
     del slots
+    wi, wa = top
     w = 1.0 - (1.0 - wi) * (1.0 - wa)
 
-    dvdw_total = np.zeros((h, wd))
     value = 0.0
-    scales = hp.scales
-    ys, xs = np.arange(y0, y0 + h)[:, None], np.arange(x0, x0 + wd)
+    n_scales = len(layout.scales)
+    ys, xs = layout.ys, layout.xs
     wx, wy = (w * xs).ravel(), (w * ys).ravel()
-    for scale in map(int, scales):
-        gh, gw = -(-(y0 + h) // scale), -(-(x0 + wd) // scale)
-        e_counts, e_centroids = _bin_points(points, scale, gh, gw)
-        cid = (ys // scale) * gw + (xs // scale)
-        flat = cid.ravel()
-        sums = (np.bincount(flat, weights, gh * gw) for weights in (w.ravel(), wx, wy))
-        core = _soft_centroids(*sums, e_counts.ravel() > 0,
-                               e_centroids[..., 0].ravel(), e_centroids[..., 1].ravel(), _MASS_FLOOR)
+    scored = []  # per scale with an entered cell: its cell ids and per-cell arrays
+    for cells in layout.scales:
+        flat = cells.cid.ravel()
+        sums = (np.bincount(flat, weights, cells.n_cells) for weights in (w.ravel(), wx, wy))
+        core = _soft_centroids(*sums, cells.present, cells.tx, cells.ty, _MASS_FLOOR)
         if core is None:
-            continue  # its d(value)/dw is +0, and dvdw_total holds no -0 for it to flip
-        v_s, coeff, cx, cy, ex, ey = core
-        value += v_s / len(scales)
-        dvdw_total += coeff[cid] * ((xs - cx[cid]) * ex[cid] + (ys - cy[cid]) * ey[cid]) / len(scales)
+            continue  # its d(value)/dw is +0, and the dv/dw plane holds no -0 for it to flip
+        value += core[0] / n_scales
+        scored.append((cells.cid, core[1:]))
 
     def backward() -> np.ndarray:
         # Backward through w = 1 - (1 - wi)(1 - wa) and the argmax pair's
         # sigmoids, at the pixels p with dvdw != 0 (a term at dvdw == 0 is
         # +-0 and every sum starts at +0, so skipping it keeps every bit).
-        rf, duf, wuf, mxf, myf = r.ravel(), du.ravel(), wu.ravel(), mx.ravel(), my.ravel()
-        live = np.flatnonzero(dvdw_total)
-        dvdw = dvdw_total.ravel()[live]
+        rf, wuf = r.ravel(), wu.ravel()
+        dvdw = _dvdw_plane(scored, ys, xs, n_scales, (h, wd)).ravel()
+        live = np.flatnonzero(dvdw)
+        dvdw = dvdw[live]
         py, px = np.divmod(live, wd)
 
-        def argmax_pairs(slot_of):
+        def argmax_pairs(ties):
             """(sel, slot, q): the positions in `live` of the pixels whose argmax
-            slot is on the raster, that slot, and the flat index of the neighbor
-            q it names."""
-            slot = slot_of.ravel()[live]
+            slot, the lowest in their tie mask, is on the raster, that slot, and
+            the flat index of the neighbor q it names."""
+            slot = _LOWEST_SLOT[ties.ravel()[live]]
             qy, qx = py + _SLOT_DY[slot], px + _SLOT_DX[slot]
             on = np.flatnonzero((qy >= 0) & (qy < h) & (qx >= 0) & (qx < wd))
             return on, slot[on], qy[on] * wd + qx[on]
 
         # intensity path: b = wi(p), with d(b)/d(r_p) = -d(b)/d(r_q)
-        sel, slot_i, q = argmax_pairs(ni)
+        sel, slot_i, q = argmax_pairs(ties_i)
         p = live[sel]
         b = wi.ravel()[p]
         common_i = dvdw[sel] * (1.0 - wa.ravel()[p]) * b * (1.0 - b) / tau * np.sign(rf[p] - rf[q])
 
         # angular path, for the pairs whose moving gate g is > 0: a = g siga
         # through wu and the stabilized cosine
-        sel, slot_a, qa = argmax_pairs(na)
+        sel, slot_a, qa = argmax_pairs(ties_a)
         moving = wuf[live[sel]] * wuf[qa] > 0
         sel, slot_a, qa = sel[moving], slot_a[moving], qa[moving]
         pa = live[sel]
-        wui, wuj = wuf[pa], wuf[qa]
-        g = wui * wuj
-        common_a = dvdw[sel] * (1.0 - wi.ravel()[pa])
-        xi, yi, xj, yj, dui, duj = mxf[pa], myf[pa], mxf[qa], myf[qa], duf[pa], duf[qa]
-        dot = xi * xj + yi * yj
-        dij = dui * duj
-        siga, cosfac = _soft_angle(dot / dij, hp.edge_theta_a, tau)
-        ri, rj = rf[pa], rf[qa]
-        ang_i = common_a * siga * wuj * (2.0 * ri * s2 / (ri * ri + s2) ** 2)
-        ang_j = common_a * siga * wui * (2.0 * rj * s2 / (rj * rj + s2) ** 2)
-        # factor d(cos)/d(m_p) and factor d(cos)/d(m_q), per channel, by `core._dcos`'s operations
-        factor = common_a * g * cosfac
-        ci, cj = dot / (dui ** 3 * duj), dot / (duj ** 3 * dui)
-        flow_terms = [np.concatenate([factor * (vj / dij - ci * vi), factor * (vi / dij - cj * vj)])
-                      for vi, vj in ((xi, xj), (yi, yj))]
+        ang_i, ang_j, flow_terms = _angular_terms(pa, qa, dvdw[sel] * (1.0 - wi.ravel()[pa]),
+                                                  m.reshape(-1, 2), rf, du.ravel(), wuf, hp, tau, s2)
 
         # Terms in the order of a loop over slots: per slot, intensity at p,
         # intensity at q, angular at p, angular at q. uint8 keys sort by radix.

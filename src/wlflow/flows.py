@@ -11,6 +11,7 @@ residual local flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -119,6 +120,16 @@ class Priors:
         matches = skel.match_all({label: k_t for label, (k_t, _) in pairs.items()}, mask)
         return cls(matches, skel.concat_offsets(offsets_by_label), boundary, mask)
 
+    @cached_property
+    def _held_bounds(self) -> tuple[int, int, int, int]:
+        """First and last row, then first and last column, of the subject and
+        matched pixels, or (h, -1, w, -1) if there are none. Computed at the
+        first solve and kept, so a solve scans only its init (`_active_box`)."""
+        held = (self.mask.labels > 0) | (self.matches >= 0)
+        h, w = held.shape
+        ys, xs = np.flatnonzero(held.any(axis=1)), np.flatnonzero(held.any(axis=0))
+        return int(ys.min(initial=h)), int(ys.max(initial=-1)), int(xs.min(initial=w)), int(xs.max(initial=-1))
+
 
 def joint_objective(flow: FlowMap, priors: Priors, hp: Hyperparams) -> ObjectiveBreakdown:
     """Hard objective: skeleton constraint plus alpha times boundary constraint."""
@@ -167,23 +178,26 @@ def _active_box(init: np.ndarray, priors: Priors) -> tuple[slice, slice]:
     whole raster.
     """
     labels = priors.mask.labels
-    moving = (init != 0).any(axis=2)
-    active = (labels > 0) | (priors.matches >= 0) | moving
-    active |= (moving & (labels == 0)).any()
     h, w = labels.shape
-    ys, xs = np.flatnonzero(active.any(axis=1)), np.flatnonzero(active.any(axis=0))
+    moving = (init != 0).any(axis=2)
+    if (labels[moving] == 0).any():
+        return slice(0, h), slice(0, w)
+    y0, y1, x0, x1 = priors._held_bounds
+    ys, xs = np.flatnonzero(moving.any(axis=1)), np.flatnonzero(moving.any(axis=0))
+    y0, y1 = min(y0, int(ys.min(initial=h))), max(y1, int(ys.max(initial=-1)))
+    x0, x1 = min(x0, int(xs.min(initial=w))), max(x1, int(xs.max(initial=-1)))
     # With nothing active the bounds cross and the box is empty (or one row or column).
-    return (slice(max(int(ys.min(initial=h)) - 1, 0), min(int(ys.max(initial=-1)) + 2, h)),
-            slice(max(int(xs.min(initial=w)) - 1, 0), min(int(xs.max(initial=-1)) + 2, w)))
+    return slice(max(y0 - 1, 0), min(y1 + 2, h)), slice(max(x0 - 1, 0), min(x1 + 2, w))
 
 
 @dataclass(frozen=True)
 class _SolveBox:
     """The window of the raster a solve runs on, with what its terms need.
 
-    `index` selects the solve box from the raster. `window` is the
-    boundary-cell window (`boundary._boundary_window`) on the raster, and
-    `boundary` selects it from the solve box; the soft boundary term runs
+    `index` selects the solve box from the raster. `soft` is the soft
+    boundary term's layout (`boundary.soft_layout`), built once per solve;
+    its `window` is the boundary-cell window on the raster, and `boundary`
+    selects that window from the solve box; the soft boundary term runs
     there. `active` selects the active box (`_active_box`) from the solve
     box; smoothness is evaluated there, where `same_x` and `same_y` mark the
     neighbor pairs whose labels agree, and `pixels`, the h * w of the whole
@@ -191,7 +205,7 @@ class _SolveBox:
     """
 
     index: tuple[slice, slice]
-    window: tuple[slice, slice]
+    soft: bnd.SoftLayout
     boundary: tuple[slice, slice]
     active: tuple[slice, slice]
     same_x: np.ndarray
@@ -201,8 +215,8 @@ class _SolveBox:
 
 def _solve_box(init: np.ndarray, priors: Priors, hp: Hyperparams) -> _SolveBox:
     """The solve box of a solve from `init`: the smallest box that holds the
-    active box (`_active_box`) and the boundary-cell window
-    (`boundary._boundary_window`).
+    active box (`_active_box`) and the boundary-cell window of the soft
+    boundary term's layout (`boundary.soft_layout`).
 
     Outside it the flow stays `init` and the surrogate gradient is +0, and
     inside it each term's value and gradient are bitwise the whole raster's:
@@ -212,7 +226,8 @@ def _solve_box(init: np.ndarray, priors: Priors, hp: Hyperparams) -> _SolveBox:
     """
     h, w = priors.mask.labels.shape
     active = _active_box(init, priors)
-    window = bnd._checked_boundary_window(priors.boundary, hp.scales, h, w)
+    soft = bnd.soft_layout(priors.boundary, hp, h, w)
+    window = soft.window
     if active[0].start >= active[0].stop or active[1].start >= active[1].stop:
         active = window  # nothing can move; smoothness sums zeros either way
     index = tuple(slice(min(a.start, b.start), max(a.stop, b.stop)) for a, b in zip(active, window))
@@ -223,7 +238,7 @@ def _solve_box(init: np.ndarray, priors: Priors, hp: Hyperparams) -> _SolveBox:
     inner = priors.mask.labels[active]
     return _SolveBox(
         index=index,
-        window=window,
+        soft=soft,
         boundary=within(window),
         active=within(active),
         same_x=(inner[:, 1:] == inner[:, :-1])[..., None],
@@ -280,21 +295,22 @@ def _surrogate(arr: np.ndarray, priors: Priors, hp: Hyperparams, opts: SolverOpt
         flow, priors.offsets, priors.matches, priors.mask, hp, tau, window=box.index
     )
     g_val, g_backward = bnd.soft_boundary_constraint(FlowMap(arr[box.boundary]), priors.boundary, hp, tau,
-                                                     window=box.window)
+                                                     window=box.soft)
     s_val, s_gradient = _smoothness(arr[box.active], box)
     value = f_val + hp.alpha * g_val + opts.smoothness_weight * s_val
 
     def gradient() -> np.ndarray:
-        # Each deferred gradient is built only when the sum reaches it; the soft term's forward
-        # state is released before the others are built, and its gradient is scaled and added
-        # in place, so no third solve-box array is allocated. Outside the boundary-cell window
-        # the whole raster's soft gradient is +0 and adding it would only turn a -0 skeleton
-        # entry into +0; those entries are at matched pixels, where smoothness then adds a term.
+        # The soft term's gradient is built first, and its forward state, the largest, released
+        # before the others are built. The sum still adds skeleton, soft, smoothness in that
+        # order, and the soft gradient is scaled in place, so no third solve-box array is
+        # allocated. Outside the boundary-cell window the whole raster's soft gradient is +0
+        # and adding it would only turn a -0 skeleton entry into +0; those entries are at
+        # matched pixels, where smoothness then adds a term.
         nonlocal g_backward
-        total = f_grad()
         g = g_backward()
         g_backward = None
         g *= hp.alpha
+        total = f_grad()
         total[box.boundary] += g
         total[box.active] += opts.smoothness_weight * s_gradient()
         return total
@@ -352,8 +368,10 @@ def solve_world_flow(
         gmax = float(np.abs(grad).max())
         eta = 1.0 / gmax if gmax > 0 else 1.0
         x, converged = armijo_descent(surrogate, x, value, grad, eta, budget, opts.tolerance, record)
+    index = box.index
+    del box  # its layout and label masks are not needed for the whole-raster write
     solved = init.vectors.copy()
-    solved[box.index] = x
+    solved[index] = x
     flow = FlowMap(solved)
     return SolveResult(flow, tuple(trace), converged, joint_objective(flow, priors, hp))
 

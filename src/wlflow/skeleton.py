@@ -355,7 +355,7 @@ def _fit_homography(src: np.ndarray, dst: np.ndarray, w: np.ndarray):
     a[1::2, 7] = -xp * y * sw
     a[1::2, 8] = -xp * sw
     _require_finite_fit(a)
-    _, s, vt = np.linalg.svd(a)
+    _, s, vt = np.linalg.svd(a, full_matrices=False)
     cond = s[0] / max(s[-2], 1e-300)
     hn = vt[-1].reshape(3, 3)
     h = np.linalg.inv(t_dst) @ hn @ t_src

@@ -2,13 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wlflow import boundary as bnd
 from wlflow import synth
 from wlflow.core import EPS_VEC, FlowMap, Hyperparams, PointSet, Vec2, _sigmoid
-from wlflow.errors import EmptyPointSet, ValidationError
+from wlflow.errors import DimensionMismatch, EmptyPointSet, ValidationError
 
 from conftest import loop_bilinear_corners, make_circle, per_slot_soft_boundary, two_figure_spec
 
@@ -560,6 +560,72 @@ def test_soft_boundary_equals_per_slot_loop_bitwise(case, tau, scales):
     assert backward().tobytes() == ref_backward().tobytes()
 
 
+@settings(max_examples=25)
+@given(
+    data=st.data(),
+    h=st.integers(1, 20),
+    w=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+    scales=st.sampled_from([(2,), (2, 3), (8, 16, 32)]),
+    offset=st.sampled_from([0.0, 0.25, 0.5]),
+)
+def test_one_soft_layout_serves_every_evaluation(data, h, w, seed, scales, offset):
+    """One layout, built once for a boundary anywhere on the raster, serves
+    flows that change at every call and each tau of the default schedule:
+    value and gradient equal, bytes included, those of an evaluation that
+    builds its own layout and those of the per-slot loop, cropped to the
+    layout's window."""
+    y0, x0 = data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1))
+    box_h, box_w = data.draw(st.integers(1, h - y0)), data.draw(st.integers(1, w - x0))
+    points = data.draw(_integer_points(box_h, box_w, 8)) + (x0 + offset, y0 + offset)
+    boundary, hp = PointSet(points), Hyperparams(scales=scales)
+    layout = bnd.soft_layout(boundary, hp, h, w)
+    rows, cols = layout.window
+    rng = np.random.default_rng(seed)
+    for kind in ("integer", "static", "gaussian"):
+        if kind == "integer":
+            arr = rng.integers(-2, 3, (h, w, 2)).astype(np.float64)
+        else:
+            arr = rng.normal(0.0, 1.5, (h, w, 2))
+        if kind == "static":
+            still = rng.random((h, w)) < 0.5
+            arr[still] = np.copysign(0.0, rng.choice([-1.0, 1.0], (int(still.sum()), 2)))
+        flow = FlowMap(arr)
+        for tau in (0.5, 0.1, 0.02):
+            value, backward = bnd.soft_boundary_constraint(FlowMap(arr[rows, cols]), boundary, hp, tau,
+                                                           window=layout)
+            fresh_value, fresh_backward = bnd.soft_boundary_constraint(flow, boundary, hp, tau)
+            ref_value, ref_backward = per_slot_soft_boundary(flow, boundary, hp, tau)
+            assert float(value).hex() == float(fresh_value).hex() == float(ref_value).hex()
+            grad = backward()
+            assert grad.shape == (rows.stop - rows.start, cols.stop - cols.start, 2)
+            assert grad.tobytes() == fresh_backward()[rows, cols].tobytes() == ref_backward()[rows, cols].tobytes()
+
+
+def test_value_only_soft_call_builds_no_dvdw_plane(monkeypatch, hp):
+    """A value-only call, a rejected line-search trial's, never builds the
+    d(value)/dw plane; each `backward()` call builds it once and returns the
+    same gradient bytes."""
+    truth = synth.generate_scene(two_figure_spec())
+    gt = truth.gt_world.vectors
+    flow = FlowMap(gt + np.random.default_rng(1).normal(0.0, 0.5, gt.shape))
+    calls = []
+
+    def spy(*args, real=bnd._dvdw_plane):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(bnd, "_dvdw_plane", spy)
+    layout = bnd.soft_layout(truth.boundary_t, hp, flow.height, flow.width)
+    value, backward = bnd.soft_boundary_constraint(FlowMap(flow.vectors[layout.window]), truth.boundary_t, hp,
+                                                   0.1, window=layout)
+    assert value > 0 and calls == []
+    grad = backward()
+    assert calls == [grad.shape[:2]] and np.abs(grad).max() > 0
+    assert backward().tobytes() == grad.tobytes()
+    assert len(calls) == 2
+
+
 def test_first_max_slot_for_every_tie_pattern():
     """For each of the 255 nonempty sets of slots that tie at the max, and for
     the all-zero table, the chosen slot is the one `argmax` picks on the
@@ -570,9 +636,9 @@ def test_first_max_slot_for_every_tie_pattern():
     top = rng.uniform(0.5, 1.0, 256)
     table = np.where(on, top, rng.uniform(0.0, 1.0, (8, 256)) * top)
     table[:, 0] = 0.0  # pattern 0 has no slot at the max: the all-zero table
-    best, slot = bnd._first_max_slots(table[None, :, None, :])
+    tables = table[None, :, None, :]
+    slot = bnd._LOWEST_SLOT[bnd._tie_masks(tables, tables.max(axis=1))]
     assert slot.dtype == np.uint8
-    assert (best[0, 0] == table.max(axis=0)).all()
     expected = (table == table.max(axis=0)).argmax(axis=0)
     assert (slot[0, 0] == expected).all()
     assert slot[0, 0, 0] == 0
@@ -704,13 +770,17 @@ def test_boundary_outside_raster_raises(hp, point):
     for flow in (FlowMap.zeros(4, 3), FlowMap(np.arange(24.0).reshape(3, 4, 2))):
         with pytest.raises(ValidationError, match="curve e has points outside the 4x3 raster"):
             bnd.boundary_constraint(flow, outside, hp)
-    # a flow on a window of the raster takes only points inside that window
-    window = (slice(1, 3), slice(1, 4))
-    with pytest.raises(ValidationError, match="curve e has points outside the window of the flow"):
-        bnd.soft_boundary_constraint(FlowMap.zeros(3, 2), PointSet(np.array([[2.0, 1.5], point])), hp, 0.1,
-                                     window=window)
+    # the layout a solver passes as `window` checks its boundary when it is built,
+    # and each call checks that the flow fills the layout's window
+    with pytest.raises(ValidationError, match="curve e has points outside the 4x3 raster"):
+        bnd.soft_layout(outside, hp, 3, 4)
     with pytest.raises(EmptyPointSet):
-        bnd.soft_boundary_constraint(FlowMap.zeros(3, 2), PointSet(np.zeros((0, 2))), hp, 0.1, window=window)
+        bnd.soft_layout(PointSet(np.zeros((0, 2))), hp, 3, 4)
+    inside = PointSet(np.array([[1.0, 1.0], [2.5, 1.5]]))
+    layout = bnd.soft_layout(inside, Hyperparams(scales=(2,)), 30, 40)
+    assert layout.window == (slice(0, 3), slice(0, 5))
+    with pytest.raises(DimensionMismatch, match="does not fill the 5x3 boundary-cell window"):
+        bnd.soft_boundary_constraint(FlowMap.zeros(5, 4), inside, hp, 0.1, window=layout)
 
 
 @given(
