@@ -377,9 +377,10 @@ class _ScaleCells:
 @dataclass(frozen=True, eq=False)
 class SoftLayout:
     """What the soft boundary term reads of a boundary curve besides the
-    flow, built once by `soft_layout`: the boundary-cell `window` (rows,
-    columns) of the raster, the global rows `ys` (a column) and columns `xs`
-    of its pixels, and per patch scale a `_ScaleCells`.
+    flow, built once by `soft_layout` from `boundary` at the patch `scales`:
+    the boundary-cell `window` (rows, columns) of the raster, the global rows
+    `ys` (a column) and columns `xs` of its pixels, and per patch scale a
+    `_ScaleCells` in `cells`.
 
     Cell ids are row-major on the grid of the raster's top-left part that
     ends with the window, which holds every scored cell and orders them as
@@ -387,10 +388,12 @@ class SoftLayout:
     cells add in the same order. Its arrays are read-only.
     """
 
+    boundary: PointSet
+    scales: tuple
     window: tuple[slice, slice]
     ys: np.ndarray
     xs: np.ndarray
-    scales: tuple
+    cells: tuple
 
 
 def soft_layout(boundary: PointSet, hp: Hyperparams, height: int, width: int) -> SoftLayout:
@@ -399,15 +402,15 @@ def soft_layout(boundary: PointSet, hp: Hyperparams, height: int, width: int) ->
     boundary or one off the raster."""
     rows, cols = _checked_boundary_window(boundary, hp.scales, height, width)
     ys, xs = np.arange(rows.start, rows.stop)[:, None], np.arange(cols.start, cols.stop)
-    scales = []
+    cells = []
     for scale in map(int, hp.scales):
         gh, gw = -(-rows.stop // scale), -(-cols.stop // scale)
         counts, centroids = _bin_points(boundary.points, scale, gh, gw)
-        scales.append(_ScaleCells(gh * gw, (ys // scale) * gw + (xs // scale), counts.ravel() > 0,
-                                  centroids[..., 0].ravel(), centroids[..., 1].ravel()))
-    for arr in (ys, xs, *(a for cells in scales for a in (cells.cid, cells.present, cells.tx, cells.ty))):
+        cells.append(_ScaleCells(gh * gw, (ys // scale) * gw + (xs // scale), counts.ravel() > 0,
+                                 centroids[..., 0].ravel(), centroids[..., 1].ravel()))
+    for arr in (ys, xs, *(a for c in cells for a in (c.cid, c.present, c.tx, c.ty))):
         arr.setflags(write=False)
-    return SoftLayout((rows, cols), ys, xs, tuple(scales))
+    return SoftLayout(boundary, tuple(hp.scales), (rows, cols), ys, xs, tuple(cells))
 
 
 def soft_boundary_constraint(
@@ -470,8 +473,9 @@ def soft_boundary_constraint(
     the same slot order.
 
     `window`, if given, is the `SoftLayout` that `soft_layout` built from
-    `boundary` and `hp.scales` on the raster; `flow` then covers its window
-    alone, and the gradient has `flow`'s shape. A solver builds it once and
+    this `boundary` object and `hp.scales` on the raster (another curve or
+    scale set raises ValidationError); `flow` then covers its window alone,
+    and the gradient has `flow`'s shape. A solver builds it once and
     passes it at every evaluation. None, the default, builds it here, from
     the raster of `flow`, and the gradient has the raster's shape.
     """
@@ -488,6 +492,8 @@ def soft_boundary_constraint(
             return grad
 
         return value, pasted
+    if window.boundary is not boundary or window.scales != tuple(hp.scales):
+        raise ValidationError("the soft layout was built from another boundary or scale set")
     rows, cols = window.window
     if flow.vectors.shape[:2] != (rows.stop - rows.start, cols.stop - cols.start):
         raise DimensionMismatch(f"flow of {flow.width}x{flow.height} does not fill the "
@@ -569,11 +575,11 @@ def _soft_boundary(m: np.ndarray, layout: SoftLayout, hp: Hyperparams, tau: floa
     w = 1.0 - (1.0 - wi) * (1.0 - wa)
 
     value = 0.0
-    n_scales = len(layout.scales)
+    n_scales = len(layout.cells)
     ys, xs = layout.ys, layout.xs
     wx, wy = (w * xs).ravel(), (w * ys).ravel()
     scored = []  # per scale with an entered cell: its cell ids and per-cell arrays
-    for cells in layout.scales:
+    for cells in layout.cells:
         flat = cells.cid.ravel()
         sums = (np.bincount(flat, weights, cells.n_cells) for weights in (w.ravel(), wx, wy))
         core = _soft_centroids(*sums, cells.present, cells.tx, cells.ty, _MASS_FLOOR)

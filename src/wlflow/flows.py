@@ -26,6 +26,7 @@ from .core import (
     PointSet,
     SubjectMask,
     Vec2,
+    _as_readonly,
     _check_count,
     _check_number,
     armijo_descent,
@@ -91,6 +92,10 @@ class Priors:
     offsets: skel.SkeletonOffsets
     boundary: PointSet
     mask: SubjectMask
+
+    def __post_init__(self):
+        # read-only, so the bounds `_held_bounds` keeps cannot go stale
+        object.__setattr__(self, "matches", _as_readonly(self.matches))
 
     @classmethod
     def build(

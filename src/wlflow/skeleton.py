@@ -355,7 +355,9 @@ def _fit_homography(src: np.ndarray, dst: np.ndarray, w: np.ndarray):
     a[1::2, 7] = -xp * y * sw
     a[1::2, 8] = -xp * sw
     _require_finite_fit(a)
-    _, s, vt = np.linalg.svd(a, full_matrices=False)
+    # The null vector is the last row of the full V^T; the reduced one holds it
+    # only when the system has at least 9 rows (n >= 5), and skips the 2n x 2n U.
+    _, s, vt = np.linalg.svd(a, full_matrices=2 * n < 9)
     cond = s[0] / max(s[-2], 1e-300)
     hn = vt[-1].reshape(3, 3)
     h = np.linalg.inv(t_dst) @ hn @ t_src

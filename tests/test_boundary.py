@@ -776,11 +776,18 @@ def test_boundary_outside_raster_raises(hp, point):
         bnd.soft_layout(outside, hp, 3, 4)
     with pytest.raises(EmptyPointSet):
         bnd.soft_layout(PointSet(np.zeros((0, 2))), hp, 3, 4)
-    inside = PointSet(np.array([[1.0, 1.0], [2.5, 1.5]]))
-    layout = bnd.soft_layout(inside, Hyperparams(scales=(2,)), 30, 40)
+    inside, at_2 = PointSet(np.array([[1.0, 1.0], [2.5, 1.5]])), Hyperparams(scales=(2,))
+    layout = bnd.soft_layout(inside, at_2, 30, 40)
     assert layout.window == (slice(0, 3), slice(0, 5))
     with pytest.raises(DimensionMismatch, match="does not fill the 5x3 boundary-cell window"):
-        bnd.soft_boundary_constraint(FlowMap.zeros(5, 4), inside, hp, 0.1, window=layout)
+        bnd.soft_boundary_constraint(FlowMap.zeros(5, 4), inside, at_2, 0.1, window=layout)
+    # a layout serves only the boundary object and the scales it was built from
+    fits = FlowMap.zeros(5, 3)
+    for other, other_hp in ((PointSet(inside.points.copy()), at_2), (inside, Hyperparams(scales=(3,))),
+                            (inside, Hyperparams(scales=(2, 4)))):
+        with pytest.raises(ValidationError, match="built from another boundary or scale set"):
+            bnd.soft_boundary_constraint(fits, other, other_hp, 0.1, window=layout)
+    assert np.isfinite(bnd.soft_boundary_constraint(fits, inside, at_2, 0.1, window=layout)[0])
 
 
 @given(

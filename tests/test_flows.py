@@ -475,6 +475,14 @@ def _bits(rows):
     return [tuple(float(v).hex() for v in row) for row in rows]
 
 
+def test_priors_matches_are_read_only():
+    """A solve keeps the bounds of the subject and matched pixels per `Priors`,
+    so its matches cannot be edited in place."""
+    _, priors = _scene(None)
+    with pytest.raises(ValueError, match="read-only"):
+        priors.matches[0, 0] = 0
+
+
 @lru_cache(maxsize=None)
 def _sparse_scene():
     """The sparse benchmark's figure at its 128x128 reference position on a 512x512 raster."""

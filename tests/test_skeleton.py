@@ -278,6 +278,26 @@ def test_homography_recovery_max_reprojection():
     assert err.max() < 1e-3
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_homography_from_few_points_maps_them(n):
+    """Four point pairs give an 8 x 9 DLT system, whose null vector only the
+    full SVD holds; five give 10 x 9, where the reduced one does."""
+    h_true = np.array([
+        [1.1, 0.2, 3.0],
+        [-0.15, 0.9, -2.0],
+        [2e-3, -1e-3, 1.0],
+    ])
+    pts = np.ones((n, 3))
+    pts[:, :2] = [[10.0, 12.0], [70.0, 15.0], [65.0, 80.0], [12.0, 75.0], [40.0, 30.0]][:n]
+    warped = pts.copy()
+    warped[:, :2] = _warp(pts[:, :2], np.linalg.inv(h_true))
+    k_t, k_t1 = skel.SkeletonMap(pts), skel.SkeletonMap(warped)
+    t = skel.fit_alignment(k_t, k_t1, "full_body_homography")
+    assert t.kind == "homography"
+    assert np.hypot(*(t.apply(k_t1.xy) - k_t.xy).T).max() < 1e-9
+    np.testing.assert_allclose(t.matrix, h_true, rtol=1e-9, atol=1e-12)
+
+
 def test_homography_scale_invariance():
     rng = np.random.default_rng(9)
     k_t = skel.interpolate_skeleton(_joints(rng))
