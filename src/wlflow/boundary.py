@@ -22,6 +22,7 @@ from .core import (
     FlowMap,
     Hyperparams,
     PointSet,
+    _UNCONVERGED,
     _angle_gate,
     _check_count,
     _check_number,
@@ -678,7 +679,11 @@ class MorphResult:
     displacement: np.ndarray
     moved: PointSet
     objective_trace: tuple
-    converged: bool
+    stop: str  # why `armijo_descent` stopped
+
+    @property
+    def converged(self) -> bool:
+        return self.stop not in _UNCONVERGED
 
 
 # The (di, dj) node offset of each corner of a grid cell, one row per corner.
@@ -792,8 +797,8 @@ def morph_curve_fit(moving: PointSet, target: PointSet, opts: MorphOptions = Mor
 
     The control grid is bilinearly interpolated at the moving points and
     optimized by backtracking gradient descent on the multiscale
-    patch-centroid distance alone. Non-convergence is reported through the
-    `converged` flag; the best iterate is always returned.
+    patch-centroid distance alone. Non-convergence is reported through
+    `stop` and the `converged` flag; the best iterate is always returned.
     """
     if len(moving) == 0 or len(target) == 0:
         raise EmptyPointSet("morph_curve_fit requires two nonempty curves")
@@ -823,9 +828,9 @@ def morph_curve_fit(moving: PointSet, target: PointSet, opts: MorphOptions = Mor
     grad = gradient()
     del gradient  # its forward state is not needed during the descent
     trace = [value]
-    disp, converged = armijo_descent(
+    disp, stop = armijo_descent(
         loss, disp, value, grad, _MORPH_STEP_SIZE, opts.max_iters, opts.tolerance,
         lambda d, v, step: trace.append(v),
     )
     moved = PointSet(pts + field_at_points(disp))
-    return MorphResult(disp.reshape(gh, gw, 2), moved, tuple(trace), converged)
+    return MorphResult(disp.reshape(gh, gw, 2), moved, tuple(trace), stop)

@@ -265,6 +265,7 @@ def _cmd_solve(args) -> int:
         hyperparams=vars(hp) | {"scales": list(hp.scales)},
         metrics={
             "converged": result.converged,
+            "stops": list(result.stops),
             "iterations": len(result.trace),
             "final_total": result.objective.total,
             "out": str(args.out),

@@ -30,7 +30,9 @@ MAX_PIXELS = 2**24
 
 
 def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
+    # Bitwise np.clip(x, -500, 500), whose Python wrappers cost more than these two ufunc calls.
+    # Both ends are needed: past them e^-x would overflow or underflow.
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -500.0), 500.0)))
 
 
 def _angle_gate(cos, theta_lim_deg: float, tau: float):
@@ -50,6 +52,10 @@ def _dcos(u, v, du, dv, dot):
     return v / (du * dv)[:, None] - (dot / (du ** 3 * dv))[:, None] * u
 
 
+# The stop reasons of `armijo_descent` that are not convergence.
+_UNCONVERGED = frozenset({"overflow", "budget"})
+
+
 def armijo_descent(fn, x, value, grad, eta, max_steps, tolerance, on_step):
     """Backtracking gradient descent under the Armijo sufficient-decrease rule.
 
@@ -61,12 +67,12 @@ def armijo_descent(fn, x, value, grad, eta, max_steps, tolerance, on_step):
     the next trial. Results are bitwise those of calling it at every trial.
     A rejected step is halved, up to 40 times; an accepted step doubles into
     the next trial step, so accepted values never increase. `on_step(x,
-    value, step)` sees every accepted iterate. Stops after `max_steps`
-    accepted steps, or converged on a zero gradient, an exhausted line
-    search whose last trial value is finite, or a largest per-entry move
-    below `tolerance`. A line search exhausted on a non-finite value (the
-    objective overflows at every trial) stops without converging. Returns
-    (x, converged).
+    value, step)` sees every accepted iterate. Returns (x, stop), where
+    `stop` is "zero_gradient", "tolerance" (an accepted step's largest
+    per-entry move fell below `tolerance`), "line_search" (40 halvings
+    failed, the last on a finite value), "overflow" (they failed on a
+    non-finite one) or "budget" (`max_steps` accepted steps); the last two
+    are not convergence.
 
     Neither `x` nor `grad` is written to; each iterate is a new array. Per
     iteration, besides what `fn` allocates, it holds one x-sized temporary
@@ -81,7 +87,7 @@ def armijo_descent(fn, x, value, grad, eta, max_steps, tolerance, on_step):
     for _ in range(max_steps):
         gnorm2 = float((grad ** 2).sum())
         if gnorm2 == 0.0:
-            return x, True
+            return x, "zero_gradient"
         step = eta
         for _ in range(40):
             cand = step * grad
@@ -92,7 +98,7 @@ def armijo_descent(fn, x, value, grad, eta, max_steps, tolerance, on_step):
             gradient = None
             step *= 0.5
         else:
-            return x, math.isfinite(v_new)
+            return x, "line_search" if math.isfinite(v_new) else "overflow"
         move = cand - x
         delta = float(np.abs(move, out=move).max())
         x, value, grad = cand, v_new, None
@@ -101,8 +107,8 @@ def armijo_descent(fn, x, value, grad, eta, max_steps, tolerance, on_step):
         on_step(x, value, step)
         eta = step * 2.0
         if delta < tolerance:
-            return x, True
-    return x, False
+            return x, "tolerance"
+    return x, "budget"
 
 
 def _finite_number(v) -> bool:

@@ -11,7 +11,8 @@ residual local flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from typing import Mapping
 
 import numpy as np
@@ -26,6 +27,7 @@ from .core import (
     PointSet,
     SubjectMask,
     Vec2,
+    _UNCONVERGED,
     _as_readonly,
     _check_count,
     _check_number,
@@ -158,13 +160,20 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """The solved flow, one `TraceEntry` per accepted step, whether the last
-    phase converged, and `objective`, the hard `joint_objective` of `flow`."""
+    """The solved flow, one `TraceEntry` per accepted step, why each phase
+    stopped (`armijo_descent`'s reason, or "budget" for a phase skipped
+    because the budget ran out), and `objective`, the hard `joint_objective`
+    of `flow`."""
 
     flow: FlowMap
     trace: tuple
-    converged: bool
+    stops: tuple
     objective: ObjectiveBreakdown
+
+    @property
+    def converged(self) -> bool:
+        """Whether the last phase converged."""
+        return self.stops[-1] not in _UNCONVERGED
 
 
 def _active_box(init: np.ndarray, priors: Priors) -> tuple[slice, slice]:
@@ -195,39 +204,22 @@ def _active_box(init: np.ndarray, priors: Priors) -> tuple[slice, slice]:
     return slice(max(y0 - 1, 0), min(y1 + 2, h)), slice(max(x0 - 1, 0), min(x1 + 2, w))
 
 
-@dataclass(frozen=True)
-class _SolveBox:
-    """The window of the raster a solve runs on, with what its terms need.
+def _solve_terms(init: np.ndarray, priors: Priors, hp: Hyperparams, opts: SolverOptions):
+    """The solve box `index` of a solve from `init`, and the surrogate's terms
+    on it, each `(weight, crop, fn)`: `fn(arr[crop], tau)` gives the term's
+    value and gradient callable on its crop of the box. In order: the
+    skeleton term, weight 1, on the whole box; the soft boundary term,
+    weight alpha, on the boundary-cell window; smoothness, weight
+    `smoothness_weight`, on the active box (`_active_box`).
 
-    `index` selects the solve box from the raster. `soft` is the soft
-    boundary term's layout (`boundary.soft_layout`), built once per solve;
-    its `window` is the boundary-cell window on the raster, and `boundary`
-    selects that window from the solve box; the soft boundary term runs
-    there. `active` selects the active box (`_active_box`) from the solve
-    box; smoothness is evaluated there, where `same_x` and `same_y` mark the
-    neighbor pairs whose labels agree, and `pixels`, the h * w of the whole
-    raster, stays the normalizer.
-    """
-
-    index: tuple[slice, slice]
-    soft: bnd.SoftLayout
-    boundary: tuple[slice, slice]
-    active: tuple[slice, slice]
-    same_x: np.ndarray
-    same_y: np.ndarray
-    pixels: int
-
-
-def _solve_box(init: np.ndarray, priors: Priors, hp: Hyperparams) -> _SolveBox:
-    """The solve box of a solve from `init`: the smallest box that holds the
-    active box (`_active_box`) and the boundary-cell window of the soft
-    boundary term's layout (`boundary.soft_layout`).
-
-    Outside it the flow stays `init` and the surrogate gradient is +0, and
-    inside it each term's value and gradient are bitwise the whole raster's:
-    the skeleton term sees every matched pixel and the soft boundary term
-    every scored cell with its neighbors. Raises as the soft boundary term
-    does on an empty boundary or one off the raster.
+    The box is the smallest that holds the active box and the boundary-cell
+    window. Outside it the flow stays `init` and every gradient is +0;
+    inside it each term's value and gradient are bitwise the whole raster's,
+    cropped, but for the smoothness value (see `smoothness`). The soft
+    term's layout and smoothness's label masks are built here, once per
+    solve; the constraint terms are looked up in their modules at each call.
+    Raises as the soft boundary term does on an empty boundary or one off
+    the raster.
     """
     h, w = priors.mask.labels.shape
     active = _active_box(init, priors)
@@ -241,83 +233,64 @@ def _solve_box(init: np.ndarray, priors: Priors, hp: Hyperparams) -> _SolveBox:
         return tuple(slice(p.start - i.start, p.stop - i.start) for p, i in zip(part, index))
 
     inner = priors.mask.labels[active]
-    return _SolveBox(
-        index=index,
-        soft=soft,
-        boundary=within(window),
-        active=within(active),
-        same_x=(inner[:, 1:] == inner[:, :-1])[..., None],
-        same_y=(inner[1:, :] == inner[:-1, :])[..., None],
-        pixels=h * w,
-    )
+    same_x = (inner[:, 1:] == inner[:, :-1])[..., None]
+    same_y = (inner[1:, :] == inner[:-1, :])[..., None]
+
+    def skeleton(arr, tau):
+        return kin.smooth_skeleton_constraint(FlowMap(arr), priors.offsets, priors.matches, priors.mask, hp,
+                                              tau, window=index)
+
+    def soft_boundary(arr, tau):
+        return bnd.soft_boundary_constraint(FlowMap(arr), priors.boundary, hp, tau, window=soft)
+
+    def smoothness(arr, tau):
+        """Squared forward differences of the flow on the active box, summed
+        over the raster's pixel count, and a callable giving their gradient.
+        Pairs across a label change are dropped: motion is discontinuous at
+        the silhouette. Every pair outside the active box joins two zero
+        flows, so the gradient is bitwise the whole raster's; the value sums
+        fewer zeros and may differ in the last bits."""
+        dx = (arr[:, 1:, :] - arr[:, :-1, :]) * same_x
+        dy = (arr[1:, :, :] - arr[:-1, :, :]) * same_y
+        value = float((dx ** 2).sum() + (dy ** 2).sum()) / (h * w)
+
+        def gradient() -> np.ndarray:
+            grad = np.zeros_like(arr)
+            grad[:, 1:, :] += 2.0 * dx
+            grad[:, :-1, :] -= 2.0 * dx
+            grad[1:, :, :] += 2.0 * dy
+            grad[:-1, :, :] -= 2.0 * dy
+            return grad / (h * w)
+
+        return value, gradient
+
+    return index, ((1, within(index), skeleton),
+                   (hp.alpha, within(window), soft_boundary),
+                   (opts.smoothness_weight, within(active), smoothness))
 
 
-def _smoothness(arr: np.ndarray, box: _SolveBox):
-    """Squared forward differences of the field over the active box, summed
-    and divided by the pixel count of the whole raster, and a callable giving
-    their gradient on the active box.
-
-    Differences across region boundaries (label changes) are excluded:
-    motion is expected to be discontinuous at the silhouette, and smoothing
-    across it would drag subject flow toward the static background.
-    `arr` is the flow on the active box (see `_active_box`). Every pair
-    outside it joins two pixels of flow 0, so the gradient is bitwise that of
-    the whole raster; the value sums fewer zeros and may differ in the last
-    bits.
+def _surrogate(arr: np.ndarray, terms, tau: float):
+    """Surrogate objective at `arr`, the flow on the solve box, and a callable
+    giving its gradient there: the weighted `terms` of `_solve_terms`, values
+    and then gradients added in table order. Gradients wait for the
+    callable, which a rejected line-search trial never calls (see
+    `armijo_descent`). The first term covers the box, so its gradient,
+    scaled in place, holds the sum. Adding the +0 that a later term has
+    outside its crop on the whole raster would only turn some -0 entries
+    into +0, at matched pixels, where smoothness then adds its term.
     """
-    dx = (arr[:, 1:, :] - arr[:, :-1, :]) * box.same_x
-    dy = (arr[1:, :, :] - arr[:-1, :, :]) * box.same_y
-    value = float((dx ** 2).sum() + (dy ** 2).sum()) / box.pixels
+    parts = [(weight, crop, *fn(arr[crop], tau)) for weight, crop, fn in terms]
+    # a + b + c, from the first value: sum() starts from 0, and from Python 3.12 compensates
+    value = reduce(add, [weight * v for weight, _, v, _ in parts])
 
     def gradient() -> np.ndarray:
-        grad = np.zeros_like(arr)
-        grad[:, 1:, :] += 2.0 * dx
-        grad[:, :-1, :] -= 2.0 * dx
-        grad[1:, :, :] += 2.0 * dy
-        grad[:-1, :, :] -= 2.0 * dy
-        return grad / box.pixels
-
-    return value, gradient
-
-
-def _surrogate(arr: np.ndarray, priors: Priors, hp: Hyperparams, opts: SolverOptions, tau: float,
-               box: _SolveBox):
-    """Surrogate objective at `arr`, the flow on the solve box `box.index`,
-    and a callable giving its gradient there.
-
-    The skeleton term runs on the solve box, the soft boundary term on the
-    boundary-cell window within it (both through their `window` argument)
-    and smoothness on the active box within it, so each term's cost follows
-    the subject at any box size. Each value and each gradient is bitwise
-    the whole raster's, cropped, for a flow that equals the solve's init
-    outside the solve box (see `_solve_box`).
-    Every term's value is computed here; every term's gradient waits for
-    the callable, which a rejected line-search trial never calls (see
-    `armijo_descent`), so a value-only call builds no gradient array.
-    """
-    flow = FlowMap(arr)
-    f_val, f_grad = kin.smooth_skeleton_constraint(
-        flow, priors.offsets, priors.matches, priors.mask, hp, tau, window=box.index
-    )
-    g_val, g_backward = bnd.soft_boundary_constraint(FlowMap(arr[box.boundary]), priors.boundary, hp, tau,
-                                                     window=box.soft)
-    s_val, s_gradient = _smoothness(arr[box.active], box)
-    value = f_val + hp.alpha * g_val + opts.smoothness_weight * s_val
-
-    def gradient() -> np.ndarray:
-        # The soft term's gradient is built first, and its forward state, the largest, released
-        # before the others are built. The sum still adds skeleton, soft, smoothness in that
-        # order, and the soft gradient is scaled in place, so no third solve-box array is
-        # allocated. Outside the boundary-cell window the whole raster's soft gradient is +0
-        # and adding it would only turn a -0 skeleton entry into +0; those entries are at
-        # matched pixels, where smoothness then adds a term.
-        nonlocal g_backward
-        g = g_backward()
-        g_backward = None
-        g *= hp.alpha
-        total = f_grad()
-        total[box.boundary] += g
-        total[box.active] += opts.smoothness_weight * s_gradient()
+        (weight, _, _, first), *rest = parts
+        total = first()
+        total *= weight
+        for weight, crop, _, term_gradient in rest:
+            g = term_gradient()
+            g *= weight
+            total[crop] += g
         return total
 
     return value, gradient
@@ -338,31 +311,32 @@ def solve_world_flow(
     accepted step; the hard objective is scored once, on the returned flow
     (`SolveResult.objective`).
 
-    The descent runs on one solve box per solve (`_solve_box`): the bounding
-    box of the subject, the matched pixels, the nonzero init and the
-    boundary-cell window, plus a 1 px halo. It is the whole raster when the
-    init moves any background pixel. Outside it the result is `init`, and
-    the whole-raster result is written once, at the end. Surrogate values
-    and gradients are bitwise those of the terms on the whole raster (the
-    smoothness value sums the active box, see `_smoothness`). The line
-    search's squared gradient norm sums the box alone, so its last bits may
-    differ from a whole-raster sum, and with them, in principle, an Armijo
-    decision on a knife edge.
+    The descent runs on one solve box per solve (`_solve_terms`): the
+    bounding box of the subject, the matched pixels, the nonzero init and
+    the boundary-cell window, plus a 1 px halo. It is the whole raster when
+    the init moves any background pixel. Outside it the result is `init`,
+    and the whole-raster result is written once, at the end. Surrogate
+    values and gradients are bitwise those of the terms on the whole raster
+    (the smoothness value sums the active box). The line search's squared
+    gradient norm sums the box alone, so its last bits may differ from a
+    whole-raster sum, and with them, in principle, an Armijo decision on a
+    knife edge.
     Deterministic: same inputs and options give bitwise-identical output.
     """
     validate_pairing(init, priors.mask)
-    box = _solve_box(init.vectors, priors, hp)
-    x = init.vectors[box.index]
+    index, terms = _solve_terms(init.vectors, priors, hp, opts)
+    x = init.vectors[index]
     trace: list[TraceEntry] = []
+    stops: list[str] = []
     iters_per_phase = -(-opts.max_iters // len(opts.tau_schedule))
     for tau in opts.tau_schedule:
         budget = min(iters_per_phase, opts.max_iters - len(trace))
         if budget == 0:
-            converged = False
-            break
+            stops.append("budget")
+            continue
 
         def surrogate(arr, tau=tau):
-            return _surrogate(arr, priors, hp, opts, tau, box)
+            return _surrogate(arr, terms, tau)
 
         def record(arr, value, step, tau=tau):
             trace.append(TraceEntry(iteration=len(trace) + 1, tau=tau, step=step, surrogate=value))
@@ -372,13 +346,13 @@ def solve_world_flow(
         del gradient  # its forward state is not needed during the descent
         gmax = float(np.abs(grad).max())
         eta = 1.0 / gmax if gmax > 0 else 1.0
-        x, converged = armijo_descent(surrogate, x, value, grad, eta, budget, opts.tolerance, record)
-    index = box.index
-    del box  # its layout and label masks are not needed for the whole-raster write
+        x, stop = armijo_descent(surrogate, x, value, grad, eta, budget, opts.tolerance, record)
+        stops.append(stop)
+    del terms  # the layout and label masks are not needed for the whole-raster write
     solved = init.vectors.copy()
     solved[index] = x
     flow = FlowMap(solved)
-    return SolveResult(flow, tuple(trace), converged, joint_objective(flow, priors, hp))
+    return SolveResult(flow, tuple(trace), tuple(stops), joint_objective(flow, priors, hp))
 
 
 @dataclass(frozen=True)

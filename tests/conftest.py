@@ -80,11 +80,11 @@ def make_square(center=(48.0, 48.0), side=10.0, n=400):
 def eager_armijo_descent(fn, x, value, grad, eta, max_steps, tolerance, on_step):
     """Reference copy of `core.armijo_descent` as it ran before gradients were
     deferred: every trial builds its gradient, accepted or not. Its stopping
-    rules are `armijo_descent`'s."""
+    rules and stop reasons are `armijo_descent`'s."""
     for _ in range(max_steps):
         gnorm2 = float((grad ** 2).sum())
         if gnorm2 == 0.0:
-            return x, True
+            return x, "zero_gradient"
         step = eta
         for _ in range(40):
             cand = x - step * grad
@@ -94,14 +94,14 @@ def eager_armijo_descent(fn, x, value, grad, eta, max_steps, tolerance, on_step)
                 break
             step *= 0.5
         else:
-            return x, math.isfinite(v_new)
+            return x, "line_search" if math.isfinite(v_new) else "overflow"
         delta = float(np.abs(cand - x).max())
         x, value, grad = cand, v_new, g_new
         on_step(x, value, step)
         eta = step * 2.0
         if delta < tolerance:
-            return x, True
-    return x, False
+            return x, "tolerance"
+    return x, "budget"
 
 
 def full_raster_rasterize(spec):
@@ -181,17 +181,17 @@ def full_raster_descent(init, priors, hp, opts):
     whole raster: `armijo_descent` on `full_raster_surrogate` from the whole
     init, phase by phase, with smoothness values summed over the init's
     active box. Returns the flow, the trace as (iteration, tau, step,
-    surrogate) tuples, whether the last phase converged, every gradient
-    built, and the surrogate at each accepted iterate with smoothness summed
-    over the whole raster, which does not go through the active box."""
-    x, trace, grads, whole_values = init, [], [], []
+    surrogate) tuples, each phase's stop reason, every gradient built, and
+    the surrogate at each accepted iterate with smoothness summed over the
+    whole raster, which does not go through the active box."""
+    x, trace, stops, grads, whole_values = init, [], [], [], []
     active = flows._active_box(init, priors)
     iters_per_phase = -(-opts.max_iters // len(opts.tau_schedule))
     for tau in opts.tau_schedule:
         budget = min(iters_per_phase, opts.max_iters - len(trace))
         if budget == 0:
-            converged = False
-            break
+            stops.append("budget")
+            continue
 
         def surrogate(arr, tau=tau):
             value, gradient = full_raster_surrogate(arr, priors, hp, opts, tau, active)
@@ -210,8 +210,9 @@ def full_raster_descent(init, priors, hp, opts):
         grad = gradient()
         gmax = float(np.abs(grad).max())
         eta = 1.0 / gmax if gmax > 0 else 1.0
-        x, converged = armijo_descent(surrogate, x, value, grad, eta, budget, opts.tolerance, record)
-    return x, trace, converged, grads, whole_values
+        x, stop = armijo_descent(surrogate, x, value, grad, eta, budget, opts.tolerance, record)
+        stops.append(stop)
+    return x, trace, stops, grads, whole_values
 
 
 def loop_bilinear_corners(u, v, gw, gh, du=1.0):

@@ -478,6 +478,9 @@ def test_solve_without_accepted_steps_reports_the_written_flows_objective(scene_
     assert code == 0
     metrics = json.loads(out)["metrics"]
     assert metrics["iterations"] == 0
+    # Phases 1 and 2 exhaust their line searches on finite values, and phase 3
+    # starts where every term's gradient is 0.
+    assert metrics["stops"] == ["line_search", "line_search", "zero_gradient"]
     code, out, _ = _run(capsys, [
         "eval", "--flow", str(tmp_path / "solved.flo"),
         "--keypoints", str(scene_dir / "keypoints.json"),

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wlflow.core import (
     EPS_CONF,
@@ -9,6 +12,8 @@ from wlflow.core import (
     PointSet,
     SubjectMask,
     Vec2,
+    _UNCONVERGED,
+    _sigmoid,
     armijo_descent,
     validate_pairing,
 )
@@ -145,8 +150,9 @@ def test_confidence_floor_constant():
 @pytest.mark.parametrize("trial_value, converged", [(np.inf, False), (2.0, True)])
 def test_armijo_exhausted_line_search_converges_only_on_a_finite_value(trial_value, converged):
     """Every trial is rejected, so all 40 halvings run and the start point is
-    returned. A search exhausted on finite values has converged; one whose
-    trial values overflow to inf has not."""
+    returned. A search exhausted on finite values stops on "line_search" and
+    has converged; one whose trial values overflow to inf stops on
+    "overflow" and has not."""
     x = np.array([1.0, -2.0])
     trials = []
 
@@ -157,9 +163,22 @@ def test_armijo_exhausted_line_search_converges_only_on_a_finite_value(trial_val
     def on_step(*_):
         pytest.fail("a step was accepted")
 
-    out, done = armijo_descent(fn, x, 1.0, np.array([0.5, 0.5]), 1.0, 3, 1e-9, on_step)
-    assert out is x and done is converged
+    out, stop = armijo_descent(fn, x, 1.0, np.array([0.5, 0.5]), 1.0, 3, 1e-9, on_step)
+    assert out is x and stop == ("line_search" if converged else "overflow")
+    assert (stop not in _UNCONVERGED) is converged
     assert len(trials) == 40
+
+
+@given(hnp.arrays(np.float64, st.integers(1, 64), elements=st.floats(width=64)))
+def test_sigmoid_equals_the_two_sided_clip_bitwise(x):
+    """`_sigmoid` is bitwise the formula with `np.clip` for any float, NaN
+    and ±inf included, and raises no floating-point error on a number: the
+    clip keeps e^-x from overflowing and from underflowing."""
+    x = np.concatenate([x, [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308, 36.0, 38.0, 500.0, 501.0, 800.0]])
+    clipped = 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
+    assert _sigmoid(x).view(np.uint64).tolist() == clipped.view(np.uint64).tolist()
+    with np.errstate(all="raise"):
+        _sigmoid(x[~np.isnan(x)])
 
 
 def test_armijo_writes_neither_its_start_point_nor_its_gradient():
@@ -179,8 +198,8 @@ def test_armijo_writes_neither_its_start_point_nor_its_gradient():
     def on_step(it, value, step):
         seen.append((it, it.tobytes()))
 
-    out, done = armijo_descent(fn, x, float((x ** 2).sum()), grad, 0.125, 3, 1e-12, on_step)
+    out, stop = armijo_descent(fn, x, float((x ** 2).sum()), grad, 0.125, 3, 1e-12, on_step)
     assert (x.tobytes(), grad.tobytes()) == start
-    assert len(seen) == 3 and not done and out is seen[-1][0]
+    assert len(seen) == 3 and stop == "budget" and out is seen[-1][0]
     assert all(it.tobytes() == saved for it, saved in seen)
     assert seen[0][1] == (x - 0.125 * grad).tobytes()

@@ -283,7 +283,7 @@ def test_solver_equals_eager_line_search(small_truth, small_priors, hp, monkeypa
     res = flows.solve_world_flow(zero, small_priors, hp, opts)
     assert res.flow.vectors.tobytes() == eager.flow.vectors.tobytes()
     assert res.trace == eager.trace
-    assert res.converged == eager.converged
+    assert res.stops == eager.stops
     assert {t.tau for t in res.trace} == set(opts.tau_schedule) and ledger.descents == 3
     ledger.check()
 
@@ -335,7 +335,7 @@ def test_solver_skips_phase_without_budget(small_truth, small_priors, hp, monkey
     assert np.array_equal(res.flow.vectors, two.flow.vectors)
     assert res.trace == two.trace
     assert [t.tau for t in res.trace] == [0.5, 0.5, 0.1, 0.1]
-    assert not res.converged
+    assert res.stops == ("budget",) * 3 and not res.converged
 
 
 def test_solver_near_stationary_from_gt(reference_truth, reference_priors, hp):
@@ -414,10 +414,10 @@ def test_gradient_is_plus_zero_on_still_background(seed, tau, data):
     subject = truth.mask_t.labels > 0
     arr = np.zeros((truth.mask_t.height, truth.mask_t.width, 2))
     arr[subject] = rng.normal(0.0, scale, (int(subject.sum()), 2))
-    box = flows._solve_box(arr, priors, hp)
+    index, terms = flows._solve_terms(arr, priors, hp, opts)
     assert _is_plus_zero(full_raster_surrogate(arr, priors, hp, opts, tau)[1]()[~subject])
-    box_gradient = flows._surrogate(arr[box.index], priors, hp, opts, tau, box)[1]()
-    assert _is_plus_zero(box_gradient[~subject[box.index]])
+    box_gradient = flows._surrogate(arr[index], terms, tau)[1]()
+    assert _is_plus_zero(box_gradient[~subject[index]])
 
 
 @pytest.mark.parametrize("seed", [None, 5, 17])
@@ -450,12 +450,17 @@ def _corner_scene():
 
 
 def _solve_recording(monkeypatch, init, priors, hp, opts):
-    """Solve, and also return every gradient `flows._surrogate` built and the solve box it ran on."""
-    grads, boxes = [], []
+    """Solve, and also return every gradient `flows._surrogate` built and the
+    solve box it ran on, whose terms were built once."""
+    grads, built, seen = [], [], []
 
-    def recording(arr, priors, hp, opts, tau, box):
-        value, gradient = surrogate(arr, priors, hp, opts, tau, box)
-        boxes.append(box)
+    def building(*args):
+        built.append(solve_terms(*args))
+        return built[-1]
+
+    def recording(arr, terms, tau):
+        value, gradient = surrogate(arr, terms, tau)
+        seen.append(terms)
 
         def recorded():
             grads.append(gradient())
@@ -463,12 +468,14 @@ def _solve_recording(monkeypatch, init, priors, hp, opts):
 
         return value, recorded
 
-    surrogate = flows._surrogate
+    surrogate, solve_terms = flows._surrogate, flows._solve_terms
     with monkeypatch.context() as m:
+        m.setattr(flows, "_solve_terms", building)
         m.setattr(flows, "_surrogate", recording)
         res = flows.solve_world_flow(init, priors, hp, opts)
-    assert all(box is boxes[0] for box in boxes)
-    return res, grads, boxes[0]
+    (index, terms), = built
+    assert all(t is terms for t in seen)
+    return res, grads, index
 
 
 def _bits(rows):
@@ -514,8 +521,10 @@ def test_active_box_solve_equals_full_raster(case, monkeypatch):
     elif case == "background-patch":
         init[3:6, w - 6:w - 3] = (2.0, -1.0)
         assert (truth.mask_t.labels[3:6, w - 6:w - 3] == 0).all()
-    box = flows._solve_box(init, priors, hp)
-    rows, cols = box.index
+    opts = flows.SolverOptions(max_iters=12 if case in ("sparse-512", "refine-256") else 30)
+    index, terms = flows._solve_terms(init, priors, hp, opts)
+    soft_crop, active = terms[1][1], terms[2][1]  # the soft boundary term's and smoothness's crops
+    rows, cols = index
     covered = (rows.stop - rows.start) * (cols.stop - cols.start)
     signed_zeros = [(h - 1, 0), (rows.stop - 1, cols.start)]
     if case in ("refine", "refine-256", "background-patch"):
@@ -525,25 +534,24 @@ def test_active_box_solve_equals_full_raster(case, monkeypatch):
         for y, x in signed_zeros:
             assert truth.mask_t.labels[y, x] == 0 and priors.matches[y, x] < 0
             init[y, x, 1] = -0.0
-        assert box.active != (slice(0, rows.stop - rows.start), slice(0, cols.stop - cols.start))
+        assert active != (slice(0, rows.stop - rows.start), slice(0, cols.stop - cols.start))
 
     if case == "refine-256":
-        rows, cols = box.soft.window
+        rows, cols = soft_crop
         assert (rows.stop - rows.start) * (cols.stop - cols.start) <= h * w / 10
-    opts = flows.SolverOptions(max_iters=12 if case in ("sparse-512", "refine-256") else 30)
-    res, grads, solve_box = _solve_recording(monkeypatch, FlowMap(init), priors, hp, opts)
-    ref, ref_trace, ref_converged, ref_grads, whole_values = full_raster_descent(init, priors, hp, opts)
-    assert solve_box.index == box.index
+    res, grads, solve_index = _solve_recording(monkeypatch, FlowMap(init), priors, hp, opts)
+    ref, ref_trace, ref_stops, ref_grads, whole_values = full_raster_descent(init, priors, hp, opts)
+    assert solve_index == index
     assert res.flow.vectors.tobytes() == ref.tobytes()
     assert _bits((t.iteration, t.tau, t.step, t.surrogate) for t in res.trace) == _bits(ref_trace)
     assert [t.surrogate for t in res.trace] == pytest.approx(whole_values, rel=1e-12)
-    assert res.converged == ref_converged
+    assert res.stops == tuple(ref_stops)
     assert res.objective == flows.joint_objective(FlowMap(ref), priors, hp)
     outside = np.ones((h, w), dtype=bool)
-    outside[box.index] = False
+    outside[index] = False
     assert len(grads) == len(ref_grads) > 3
     for grad, ref_grad in zip(grads, ref_grads):
-        assert grad.tobytes() == ref_grad[box.index].tobytes()
+        assert grad.tobytes() == ref_grad[index].tobytes()
         assert _is_plus_zero(ref_grad[outside])
     if case not in ("refine", "refine-256", "background-patch"):
         for y, x in signed_zeros:
@@ -557,9 +565,10 @@ def test_soft_term_runs_on_the_boundary_window_when_the_box_is_the_whole_raster(
     truth, priors = _corner_scene()
     hp = Hyperparams()
     init = truth.gt_world.vectors + np.random.default_rng(5).normal(0.0, 0.5, truth.gt_world.vectors.shape)
-    box = flows._solve_box(init, priors, hp)
-    assert box.index == (slice(0, 256), slice(0, 256))
-    rows, cols = box.soft.window
+    index, terms = flows._solve_terms(init, priors, hp, flows.SolverOptions())
+    assert index == (slice(0, 256), slice(0, 256))
+    window = terms[1][1]  # the soft boundary term's crop, on the raster as the box is
+    rows, cols = window
     assert (rows.stop - rows.start) * (cols.stop - cols.start) <= 256 * 256 / 10
     seen = []
 
@@ -572,7 +581,7 @@ def test_soft_term_runs_on_the_boundary_window_when_the_box_is_the_whole_raster(
     res = flows.solve_world_flow(FlowMap(init), priors, hp, flows.SolverOptions(max_iters=4))
     assert len(seen) > len(res.trace) > 0
     layout = seen[0][1]  # built once per solve, passed at every evaluation
-    assert layout.window == box.soft.window
+    assert layout.window == window
     assert seen == [((rows.stop - rows.start, cols.stop - cols.start), layout)] * len(seen)
 
 
@@ -589,7 +598,7 @@ def test_constraint_terms_on_a_window_equal_the_whole_raster(seed, tau, scales, 
     truth, priors = _scene(seed)
     hp = Hyperparams(scales=scales)
     h, w = truth.mask_t.height, truth.mask_t.width
-    rows, cols = flows._solve_box(np.zeros((h, w, 2)), priors, hp).index
+    rows, cols = flows._solve_terms(np.zeros((h, w, 2)), priors, hp, flows.SolverOptions())[0]
     grow = data.draw(st.tuples(*[st.integers(0, 6)] * 4))
     window = (slice(max(rows.start - grow[0], 0), min(rows.stop + grow[1], h)),
               slice(max(cols.start - grow[2], 0), min(cols.stop + grow[3], w)))
