@@ -20,13 +20,6 @@ from . import flows, io, skeleton as skel, synth
 from .core import FlowMap, Hyperparams, SubjectMask, Vec2, _finite_number
 from .errors import FileFormatError, ValidationError, WlflowError
 
-_ALIGN_METHODS = {
-    "homography": "full_body_homography",
-    "head": "head_anchor_similarity",
-    "translation": "translation",
-}
-
-
 def _load_hp(path: str | None) -> Hyperparams:
     return io.hyperparams_from_json(path) if path else Hyperparams()
 
@@ -79,11 +72,17 @@ def _scene_spec_from_json(doc: dict, path: str) -> synth.SceneSpec:
             raise io.SchemaError(f"{path}: {loc} must be a list of {size}finite numbers")
         return tuple(float(v) for v in value)
 
+    def known_keys(loc: str, obj: dict, spec_type) -> None:
+        unknown = set(obj) - set(spec_type.__dataclass_fields__)
+        if unknown:
+            raise io.SchemaError(f"{path}: {loc} has unknown keys {sorted(unknown)}")
+
     def named_numbers(loc: str, value) -> dict:
         if not (isinstance(value, dict) and all(_finite_number(v) for v in value.values())):
             raise io.SchemaError(f"{path}: {loc} must map names to finite numbers")
         return {k: float(v) for k, v in value.items()}
 
+    known_keys("$", doc, synth.SceneSpec)
     subjects_doc = doc.get("subjects", [])
     if not isinstance(subjects_doc, list):
         raise io.SchemaError(f"{path}: $.subjects must be a list")
@@ -92,6 +91,7 @@ def _scene_spec_from_json(doc: dict, path: str) -> synth.SceneSpec:
         loc = f"$.subjects[{si}]"
         if not isinstance(sub, dict):
             raise io.SchemaError(f"{path}: {loc} must be an object")
+        known_keys(loc, sub, synth.SubjectSpec)
         sub_fields = {}
         for key, n in (("root_t", 2), ("root_t1", 2), ("capsule_radii", None)):
             if key in sub:
@@ -128,11 +128,10 @@ def _read_frame_pair(path):
     return frames[0], frames[1]
 
 
-def _build_priors(args, mask: SubjectMask, align_key: str | None):
+def _build_priors(args, mask: SubjectMask, align_method: str | None):
     frame_t, frame_t1 = _read_frame_pair(args.keypoints)
     boundary = io.read_points(args.boundary)
-    method = _ALIGN_METHODS[align_key] if align_key else None
-    return flows.Priors.build(frame_t, frame_t1, mask, boundary, align_method=method)
+    return flows.Priors.build(frame_t, frame_t1, mask, boundary, align_method=align_method)
 
 
 def _cmd_eval(args) -> int:
@@ -140,8 +139,7 @@ def _cmd_eval(args) -> int:
     hp = _load_hp(args.config)
     flow = io.read_flo(args.flow)
     mask = io.read_mask(args.mask)
-    align_key = args.align if args.local else None
-    priors = _build_priors(args, mask, align_key)
+    priors = _build_priors(args, mask, args.align if args.local else None)
     breakdown = flows.joint_objective(flow, priors, hp)
     metrics = {
         "total": breakdown.total,
@@ -280,24 +278,17 @@ def _cmd_decompose(args) -> int:
     start = time.perf_counter()
     world = io.read_flo(args.world)
     mask = io.read_mask(args.mask)
-    if args.method == "mask-mean":
-        motions = flows.estimate_subject_motion(world, mask, method="mask_mean")
-    else:
+    pairs = None
+    if args.method != "mask-mean":
         pairs = skel.subject_skeletons(*_read_frame_pair(args.keypoints), mask)
-        motions = flows.estimate_subject_motion(
-            world, mask, pairs, method="alignment_field", align=_ALIGN_METHODS[args.method],
-        )
+    motions = flows.estimate_subject_motion(world, mask, args.method, pairs)
     deco = flows.decompose_local(world, motions, mask)
     io.write_flo(args.out_local, deco.local)
-    v_s = {}
-    for label, motion in motions.items():
-        if motion.vector is not None:
-            v_s[str(label)] = {"kind": "vector", "value": [motion.vector.dx, motion.vector.dy]}
-        else:
-            v_s[str(label)] = {
-                "kind": motion.transform.kind,
-                "matrix": motion.transform.matrix.tolist(),
-            }
+    v_s = {
+        str(label): {"kind": "vector", "value": [m.dx, m.dy]} if isinstance(m, Vec2)
+        else {"kind": m.kind, "matrix": m.matrix.tolist()}
+        for label, m in motions.items()
+    }
     _emit(io.Report(
         command="decompose",
         inputs=_inputs_record(world=args.world, mask=args.mask, keypoints=args.keypoints),
@@ -349,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boundary", required=True)
     p.add_argument("--local", action="store_true",
                    help="evaluate the subject-relative constraint instead")
-    p.add_argument("--align", choices=sorted(_ALIGN_METHODS), default="homography")
+    p.add_argument("--align", choices=sorted(skel.ALIGN_METHODS), default="homography")
     p.add_argument("--config", help="hyperparameter JSON")
     p.set_defaults(func=_cmd_eval)
 
@@ -389,8 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--world", required=True)
     p.add_argument("--mask", required=True)
     p.add_argument("--keypoints", required=True)
-    p.add_argument("--method", choices=["mask-mean", "homography", "head", "translation"],
-                   default="mask-mean")
+    p.add_argument("--method", choices=flows.MOTION_METHODS, default="mask-mean")
     p.add_argument("--out-local", required=True)
     p.set_defaults(func=_cmd_decompose)
 

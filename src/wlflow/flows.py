@@ -110,9 +110,10 @@ class Priors:
     ) -> "Priors":
         """Assemble per-subject skeletons, matches, and offsets.
 
-        With align_method set, offsets are expressed in the subject frame
-        (the later skeleton is aligned onto the earlier one first), which
-        yields the subject-relative constraint used for local flow.
+        With align_method set (one of `skeleton.ALIGN_METHODS`), offsets are
+        expressed in the subject frame (the later skeleton is aligned onto
+        the earlier one first), which yields the subject-relative constraint
+        used for local flow.
         """
         if not mask.subject_ids:
             raise EmptySubject("mask contains no subjects")
@@ -355,71 +356,59 @@ def solve_world_flow(
     return SolveResult(flow, tuple(trace), tuple(stops), joint_objective(flow, priors, hp))
 
 
-@dataclass(frozen=True)
-class SubjectMotion:
-    """Overall motion of one subject: a single trend vector or a dense field."""
-
-    label: int
-    method: str
-    vector: Vec2 | None = None
-    transform: skel.AlignTransform | None = None
+# The ways `estimate_subject_motion` measures a subject's motion.
+MOTION_METHODS = ("mask-mean", *skel.ALIGN_METHODS)
 
 
 def estimate_subject_motion(
     flow: FlowMap,
     mask: SubjectMask,
+    method: str = "mask-mean",
     skeletons: Mapping[int, tuple[skel.SkeletonMap, skel.SkeletonMap]] | None = None,
-    method: str = "mask_mean",
-    align: str = "full_body_homography",
-) -> dict[int, SubjectMotion]:
-    """Estimate each subject's overall motion trend from the world flow.
+) -> dict[int, Vec2 | skel.AlignTransform]:
+    """Estimate each subject's overall motion from the world flow, as
+    {label: motion}.
 
-    "mask_mean" averages the flow over the subject's pixels into a single
-    vector. "alignment_field" fits a skeleton alignment transform and turns
-    its inverse into a dense displacement field evaluated per pixel; it needs
+    "mask-mean" averages the flow over the subject's pixels into one `Vec2`.
+    The alignment methods (`skeleton.ALIGN_METHODS`) fit the subject's
+    skeleton alignment transform with `fit_alignment`; they need
     `skeletons` as {label: (k_t, k_t1)}, the form subject_skeletons returns.
     """
     validate_pairing(flow, mask)
-    out: dict[int, SubjectMotion] = {}
     if not mask.subject_ids:
         raise EmptySubject("mask contains no subjects")
+    if method not in MOTION_METHODS:
+        raise ValidationError(f"unknown subject motion method {method!r}")
+    out: dict[int, Vec2 | skel.AlignTransform] = {}
     for label in mask.subject_ids:
-        sel = mask.labels == label
-        if not sel.any():
-            raise EmptySubject(f"subject {label} has no pixels")
-        if method == "mask_mean":
-            mean = flow.vectors[sel].mean(axis=0)
-            out[label] = SubjectMotion(label, method, vector=Vec2(mean[0], mean[1]))
-        elif method == "alignment_field":
-            if skeletons is None:
-                raise ValidationError("alignment_field needs skeleton maps for both frames")
-            t = skel.fit_alignment(*skeletons[label], align)
-            out[label] = SubjectMotion(label, method, transform=t)
+        if method == "mask-mean":
+            mean = flow.vectors[mask.labels == label].mean(axis=0)
+            out[label] = Vec2(mean[0], mean[1])
+        elif skeletons is None or label not in skeletons:
+            raise ValidationError(f"{method} needs skeleton maps of subject {label} in both frames")
         else:
-            raise ValidationError(f"unknown subject motion method {method!r}")
+            out[label] = skel.fit_alignment(*skeletons[label], method)
     return out
 
 
-def subject_motion_field(motions: Mapping[int, SubjectMotion], mask: SubjectMask) -> np.ndarray:
+def subject_motion_field(motions: Mapping[int, Vec2 | skel.AlignTransform], mask: SubjectMask) -> np.ndarray:
     """Dense per-pixel subject motion; zero on background.
 
-    For alignment-based motions the field at pixel x is T^-1(x) - x: the
-    displacement the fitted inter-frame transform induces at that pixel.
+    For a transform T the field at pixel x is T^-1(x) - x: the displacement
+    the fitted inter-frame transform induces at that pixel.
     """
     field = np.zeros((mask.height, mask.width, 2))
     for label, motion in motions.items():
         sel = mask.labels == label
-        if motion.vector is not None:
-            field[sel] = motion.vector.as_array()
-        elif motion.transform is not None:
-            ys, xs = np.nonzero(sel)
-            pts = np.stack([xs, ys], axis=1).astype(np.float64)
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                field[ys, xs] = motion.transform.inverse().apply(pts) - pts
-            if not np.isfinite(field[ys, xs]).all():
-                raise DegenerateConfiguration(f"subject {label} motion leaves the float range")
-        else:
-            raise ValidationError(f"subject {label} motion carries neither vector nor transform")
+        if isinstance(motion, Vec2):
+            field[sel] = motion.as_array()
+            continue
+        ys, xs = np.nonzero(sel)
+        pts = np.stack([xs, ys], axis=1).astype(np.float64)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            field[ys, xs] = motion.inverse().apply(pts) - pts
+        if not np.isfinite(field[ys, xs]).all():
+            raise DegenerateConfiguration(f"subject {label} motion leaves the float range")
     return field
 
 
@@ -431,37 +420,19 @@ class Decomposition:
     reconstruction world == local + subject holds bitwise on every pixel.
     """
 
-    world: FlowMap
     subject: FlowMap
     local: FlowMap
-    motions: dict
 
 
-def decompose_local(world: FlowMap, v_s, mask: SubjectMask) -> Decomposition:
-    """Split world flow into subject motion and local flow.
-
-    `v_s` is either a {label: SubjectMotion} mapping or a dense (h, w, 2)
-    field. Background keeps local == world (subject motion zero there).
+def decompose_local(world: FlowMap, motions: Mapping[int, Vec2 | skel.AlignTransform],
+                    mask: SubjectMask) -> Decomposition:
+    """Split world flow into subject motion and local flow, given each
+    subject's motion as `estimate_subject_motion` returns it. Background
+    keeps local == world (subject motion zero there).
     """
     validate_pairing(world, mask)
-    if isinstance(v_s, np.ndarray):
-        field = v_s
-        motions: dict[int, SubjectMotion] = {}
-    else:
-        motions = dict(v_s)
-        field = subject_motion_field(motions, mask)
-    if field.shape != world.vectors.shape:
-        raise DimensionMismatch(
-            f"subject field shape {field.shape} does not match flow {world.vectors.shape}"
-        )
-    local = world.vectors - field
-    exact_subject = world.vectors - local
-    return Decomposition(
-        world=world,
-        subject=FlowMap(exact_subject),
-        local=FlowMap(local),
-        motions=motions,
-    )
+    local = world.vectors - subject_motion_field(motions, mask)
+    return Decomposition(subject=FlowMap(world.vectors - local), local=FlowMap(local))
 
 
 def endpoint_error(pred: FlowMap, gt: FlowMap, mask: SubjectMask | None = None) -> tuple[float, float]:

@@ -44,6 +44,9 @@ _MATCH_CHUNK = 1024
 # offset magnitudes together, and 1e150 squared stays inside the float range.
 _MAX_OFFSET = 1e150
 
+# The alignment fits of `fit_alignment`, by name.
+ALIGN_METHODS = ("homography", "head", "translation")
+
 # Homography fits fall back to a similarity when the DLT system is this
 # ill-conditioned (near-collinear skeletons).
 _DLT_CONDITION_LIMIT = 1e8
@@ -374,9 +377,9 @@ def _require_finite_fit(*values) -> None:
 def fit_alignment(k_t: SkeletonMap, k_t1: SkeletonMap, method: str) -> AlignTransform:
     """Fit a transform mapping k_t1 coordinates onto k_t.
 
-    Methods: "full_body_homography" (confidence-weighted normalized DLT over
-    all skeleton points, similarity fallback on ill conditioning),
-    "head_anchor_similarity" (weighted Procrustes over head joints 0..4),
+    Methods (`ALIGN_METHODS`): "homography" (confidence-weighted normalized
+    DLT over all skeleton points, similarity fallback on ill conditioning),
+    "head" (weighted Procrustes similarity over head joints 0..4),
     "translation" (confidence-weighted mean offset, negated).
     Coordinates so large that the fit overflows raise DegenerateConfiguration
     without a floating-point warning.
@@ -400,7 +403,7 @@ def _fit_matrix(k_t: SkeletonMap, k_t1: SkeletonMap, method: str) -> tuple[str, 
         m[:2, 2] = shift
         return "translation", m
 
-    if method == "head_anchor_similarity":
+    if method == "head":
         if k_t.joints is None or k_t1.joints is None:
             raise InsufficientHeadPoints("skeleton maps carry no source joints")
         idx = np.array(HEAD_JOINTS)
@@ -414,7 +417,7 @@ def _fit_matrix(k_t: SkeletonMap, k_t1: SkeletonMap, method: str) -> tuple[str, 
         hd = k_t.joints[idx[usable], :2]
         return "similarity", _fit_similarity(hs, hd, c[usable])
 
-    if method == "full_body_homography":
+    if method == "homography":
         h, cond = _fit_homography(src, dst, w)
         if cond > _DLT_CONDITION_LIMIT or abs(np.linalg.det(h)) < 1e-12:
             return "similarity", _fit_similarity(src, dst, w)

@@ -184,6 +184,23 @@ def _bone_motion(j0: np.ndarray, j1: np.ndarray, bone: tuple) -> tuple:
     return a0, a1, rot
 
 
+def _rasterize(joints: np.ndarray, radii: np.ndarray, box: tuple, label: int,
+               labels: np.ndarray, frame: np.ndarray, when: str) -> tuple:
+    """Draw one subject's capsules at `joints` into `labels` and `frame` on
+    `box`. Returns the box's body pixels and each pixel's governing bone,
+    the nearest capsule holding it. Raises if the body overlaps an earlier
+    subject; `when` ends that message."""
+    dists = _segment_distances(joints, *box)
+    inside = dists <= radii[:, None, None]
+    body = inside.any(axis=0)
+    if (labels[box][body] != 0).any():
+        raise SpecOutOfBounds(f"subject {label} overlaps an earlier subject{when}")
+    labels[box][body] = label
+    governing = np.argmin(np.where(inside, dists, np.inf), axis=0)
+    frame[box][body] = (70 + 12 * governing[body]).astype(np.uint8)
+    return body, governing
+
+
 def generate_scene(spec: SceneSpec) -> SceneTruth:
     """Build frames, masks, keypoints, boundaries, and exact GT flow.
 
@@ -223,14 +240,8 @@ def generate_scene(spec: SceneSpec) -> SceneTruth:
         x1, y1 = np.ceil(both.max(axis=0) + reach).astype(int) + 2
         box = (slice(y0, y1), slice(x0, x1))
 
-        dists = _segment_distances(j0, *box)
-        inside = dists <= radii[:, None, None]
-        body = inside.any(axis=0)
-        if (labels[box][body] != 0).any():
-            raise SpecOutOfBounds(f"subject {label} overlaps an earlier subject")
-        labels[box][body] = label
-
-        governing = np.argmin(np.where(inside, dists, np.inf), axis=0)
+        body, governing = _rasterize(j0, radii, box, label, labels, frame0, "")
+        _rasterize(j1, radii, box, label, labels1, frame1, " at t+1")
         ys, xs = np.nonzero(body)
         p = np.stack([xs + x0, ys + y0], axis=1).astype(np.float64)
         motions = [_bone_motion(j0, j1, bone) for bone in DEFAULT_BONES]
@@ -240,16 +251,6 @@ def generate_scene(spec: SceneSpec) -> SceneTruth:
                 continue
             moved = (p[sel] - a0) @ rot.T + a1
             world[box][ys[sel], xs[sel]] = moved - p[sel]
-        frame0[box][body] = (70 + 12 * governing[body]).astype(np.uint8)
-
-        dists1 = _segment_distances(j1, *box)
-        inside1 = dists1 <= radii[:, None, None]
-        body1 = inside1.any(axis=0)
-        if (labels1[box][body1] != 0).any():
-            raise SpecOutOfBounds(f"subject {label} overlaps an earlier subject at t+1")
-        labels1[box][body1] = label
-        governing1 = np.argmin(np.where(inside1, dists1, np.inf), axis=0)
-        frame1[box][body1] = (70 + 12 * governing1[body1]).astype(np.uint8)
 
         root_delta = np.asarray(sub.root_t1) - np.asarray(sub.root_t)
         gt_subject[label] = Vec2(root_delta[0], root_delta[1])

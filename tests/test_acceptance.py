@@ -197,7 +197,7 @@ def test_criterion_6_alignment_recovery():
         warped = np.ones((210, 3))
         warped[:, :2] = hp_pts[:, :2] / hp_pts[:, 2:3]
         k_t1 = skel.SkeletonMap(warped)
-        t = skel.fit_alignment(k_t, k_t1, "full_body_homography")
+        t = skel.fit_alignment(k_t, k_t1, "homography")
         reproj = np.hypot(*(t.apply(k_t1.xy) - k_t.xy).T).max()
         assert reproj < 1e-3
 
@@ -206,7 +206,7 @@ def test_criterion_6_alignment_recovery():
         rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
         j2 = joints.copy()
         j2[:, :2] = (joints[:, :2] - head) @ rot.T + head
-        t2 = skel.fit_alignment(k_t, skel.interpolate_skeleton(j2), "head_anchor_similarity")
+        t2 = skel.fit_alignment(k_t, skel.interpolate_skeleton(j2), "head")
         m = t2.matrix[:2, :2]
         recovered = np.arctan2(m[1, 0], m[0, 0])
         assert abs(recovered + ang) < 1e-6

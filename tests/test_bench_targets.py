@@ -7,30 +7,47 @@ the file's source, without running it, and resolves each name the same way,
 so a deletion or rename fails here first. The traced bench wraps names by
 swapping module attributes and reads the solver's evaluation count from the
 calls to `kinematics.smooth_skeleton_constraint`, so the solver must reach
-both surrogate terms through those attributes, once per evaluation.
+both surrogate terms through those attributes, once per evaluation. The
+pipeline workload runs `wlflow decompose` once per name in
+perfbench/metrics.py's DECOMPOSE_METHODS, which must stay the library's and
+the CLI's list of subject motion methods.
 """
 
+import argparse
 import ast
 import importlib
 from collections import Counter
 from pathlib import Path
 
-from wlflow import boundary, flows, kinematics
+from wlflow import boundary, cli, flows, kinematics, skeleton
 from wlflow.core import FlowMap, Hyperparams
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
-def _targets() -> dict:
-    for node in ast.parse(TRACER.read_text()).body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"]:
+def _constant(path: Path, name: str):
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == [name]:
             return ast.literal_eval(node.value)
-    raise AssertionError(f"{TRACER} defines no TARGETS")
+    raise AssertionError(f"{path} defines no {name}")
+
+
+def _choices(command: str, dest: str):
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    return next(a.choices for a in commands[command]._actions if a.dest == dest)
+
+
+def test_benchmark_library_and_cli_share_the_motion_methods():
+    methods = _constant(PERFBENCH / "metrics.py", "DECOMPOSE_METHODS")
+    assert methods == flows.MOTION_METHODS == tuple(_choices("decompose", "method"))
+    assert sorted(_choices("eval", "align")) == sorted(skeleton.ALIGN_METHODS) == sorted(methods[1:])
 
 
 def test_every_traced_target_resolves():
     missing = []
-    for mod_name, names in _targets().items():
+    for mod_name, names in _constant(TRACER, "TARGETS").items():
         module = importlib.import_module(f"wlflow.{mod_name}")
         for dotted in names:
             owner_name, _, attr = dotted.rpartition(".")

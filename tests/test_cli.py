@@ -417,6 +417,10 @@ _TAU_RANGE_MESSAGE = "each tau_schedule entry must lie in [1e-100, 1e+50]"
                  "$.subjects[0].angles_t must map names to finite numbers", id="synth-angle"),
     pytest.param(_synth_argv, '{"seed": -1, "noise_sigma": 0.5}', 2, "seed must be non-negative",
                  id="synth-seed"),
+    pytest.param(_synth_argv, '{"widht": 64, "subjects": [{"root_t": [60, 60]}]}', 2,
+                 "$ has unknown keys ['widht']", id="synth-unknown-key"),
+    pytest.param(_synth_argv, '{"width": 128, "subjects": [{"root_t": [60, 60], "rooot": 3}]}', 2,
+                 "$.subjects[0] has unknown keys ['rooot']", id="synth-unknown-subject-key"),
     pytest.param(_synth_argv, f'{{"width": {_HUGE}}}', 2, "at most 16777216 pixels", id="synth-huge-width"),
     pytest.param(_synth_argv, '{"width": 100000000000}', 2, "at most 16777216 pixels", id="synth-wide"),
     pytest.param(_solve_argv, {"tolerance": True}, 1, "tolerance must be a finite number", id="bool-tolerance"),

@@ -5,7 +5,7 @@ import pytest
 
 from wlflow import boundary as bnd
 from wlflow import io, kinematics as kin, skeleton as skel
-from wlflow.core import FlowMap, Hyperparams, SubjectMask
+from wlflow.core import FlowMap, Hyperparams, SubjectMask, Vec2
 from wlflow.errors import FormatError
 
 
@@ -82,5 +82,4 @@ def test_mask_mean_respects_subject_partition():
     from wlflow import flows
 
     motions = flows.estimate_subject_motion(FlowMap(arr), SubjectMask(labels))
-    assert motions[1].vector.dx == 1.0 and motions[1].vector.dy == 0.0
-    assert motions[2].vector.dx == 0.0 and motions[2].vector.dy == -2.0
+    assert motions == {1: Vec2(1.0, 0.0), 2: Vec2(0.0, -2.0)}

@@ -49,12 +49,12 @@ def test_gt_objective_small_with_two_subjects(two_subject_truth, hp):
 
 def test_per_subject_motion_estimates(two_subject_truth):
     truth = two_subject_truth
-    motions = flows.estimate_subject_motion(truth.gt_world, truth.mask_t, method="mask_mean")
+    motions = flows.estimate_subject_motion(truth.gt_world, truth.mask_t, method="mask-mean")
     # subject 1 translates rigidly by (4, 0)
-    assert abs(motions[1].vector.dx - 4.0) < 1e-9
-    assert abs(motions[1].vector.dy) < 1e-9
+    assert abs(motions[1].dx - 4.0) < 1e-9
+    assert abs(motions[1].dy) < 1e-9
     # subject 2 drifts upward with some arm swing mixed into the mean
-    assert motions[2].vector.dy < -1.0
+    assert motions[2].dy < -1.0
     deco = flows.decompose_local(truth.gt_world, motions, truth.mask_t)
     sel1 = truth.mask_t.labels == 1
     assert np.abs(deco.local.vectors[sel1]).max() == 0.0
@@ -65,8 +65,7 @@ def test_homography_alignment_field_on_translation():
     truth = synth.generate_scene(synth.SceneSpec(subjects=(sub,)))
     frame_t, frame_t1 = truth.keypoints
     motions = flows.estimate_subject_motion(
-        truth.gt_world, truth.mask_t, skel.subject_skeletons(frame_t, frame_t1, truth.mask_t),
-        method="alignment_field", align="full_body_homography",
+        truth.gt_world, truth.mask_t, "homography", skel.subject_skeletons(frame_t, frame_t1, truth.mask_t),
     )
     deco = flows.decompose_local(truth.gt_world, motions, truth.mask_t)
     sel = truth.mask_t.labels == 1

@@ -238,7 +238,7 @@ def test_head_anchor_recovers_rotation():
     j2 = j.copy()
     j2[:, :2] = (j[:, :2] - head) @ rot.T + head
     t = skel.fit_alignment(
-        skel.interpolate_skeleton(j), skel.interpolate_skeleton(j2), "head_anchor_similarity"
+        skel.interpolate_skeleton(j), skel.interpolate_skeleton(j2), "head"
     )
     assert t.kind == "similarity"
     m = t.matrix[:2, :2]
@@ -254,7 +254,7 @@ def test_head_anchor_needs_head_points():
     k_t = skel.interpolate_skeleton(j)
     k_t1 = skel.interpolate_skeleton(j)
     with pytest.raises(InsufficientHeadPoints):
-        skel.fit_alignment(k_t, k_t1, "head_anchor_similarity")
+        skel.fit_alignment(k_t, k_t1, "head")
 
 
 def _warp(points, h):
@@ -272,7 +272,7 @@ def test_homography_recovery_max_reprojection():
     warped = np.ones((210, 3))
     warped[:, :2] = _warp(k_t.xy, np.linalg.inv(h_true))
     k_t1 = skel.SkeletonMap(warped)
-    t = skel.fit_alignment(k_t, k_t1, "full_body_homography")
+    t = skel.fit_alignment(k_t, k_t1, "homography")
     assert t.kind == "homography"
     err = np.hypot(*(t.apply(k_t1.xy) - k_t.xy).T)
     assert err.max() < 1e-3
@@ -292,7 +292,7 @@ def test_homography_from_few_points_maps_them(n):
     warped = pts.copy()
     warped[:, :2] = _warp(pts[:, :2], np.linalg.inv(h_true))
     k_t, k_t1 = skel.SkeletonMap(pts), skel.SkeletonMap(warped)
-    t = skel.fit_alignment(k_t, k_t1, "full_body_homography")
+    t = skel.fit_alignment(k_t, k_t1, "homography")
     assert t.kind == "homography"
     assert np.hypot(*(t.apply(k_t1.xy) - k_t.xy).T).max() < 1e-9
     np.testing.assert_allclose(t.matrix, h_true, rtol=1e-9, atol=1e-12)
@@ -311,7 +311,7 @@ def test_homography_scale_invariance():
     k_t1 = skel.SkeletonMap(warped)
 
     def reproj_error(k_a, k_b):
-        t = skel.fit_alignment(k_a, k_b, "full_body_homography")
+        t = skel.fit_alignment(k_a, k_b, "homography")
         return np.hypot(*(t.apply(k_b.xy) - k_a.xy).T).max()
 
     e1 = reproj_error(k_t, k_t1)
@@ -326,11 +326,11 @@ def test_homography_coincident_points_degenerate():
     pts[:, :2] = (10.0, 10.0)
     sk = skel.SkeletonMap(pts)
     with pytest.raises(DegenerateConfiguration):
-        skel.fit_alignment(sk, sk, "full_body_homography")
+        skel.fit_alignment(sk, sk, "homography")
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("method", ["full_body_homography", "head_anchor_similarity"])
+@pytest.mark.parametrize("method", ["homography", "head"])
 def test_fit_that_overflows_is_degenerate_without_warning(method):
     j = _joints()
     far = j.copy()
@@ -359,7 +359,7 @@ def test_homography_collinear_falls_back_to_similarity():
     moved = pts.copy()
     moved[:, 0] += 4.0
     sk_b = skel.SkeletonMap(moved)
-    t = skel.fit_alignment(sk_a, sk_b, "full_body_homography")
+    t = skel.fit_alignment(sk_a, sk_b, "homography")
     assert t.kind == "similarity"
 
 
@@ -392,7 +392,7 @@ def test_aligned_offsets_rotating_figure_closed_form():
 
     k_t = skel.interpolate_skeleton(j)
     k_t1 = skel.interpolate_skeleton(j_global)
-    t = skel.fit_alignment(k_t, k_t1, "head_anchor_similarity")
+    t = skel.fit_alignment(k_t, k_t1, "head")
     got = skel.aligned_offsets(k_t, k_t1, t)
     expected = skel.skeleton_offsets(k_t, skel.interpolate_skeleton(j_local))
     assert np.abs(got.vectors - expected.vectors).max() < 1e-9
