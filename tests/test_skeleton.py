@@ -330,7 +330,9 @@ def test_homography_coincident_points_degenerate():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("method", ["homography", "head"])
+@pytest.mark.parametrize(
+    "method", ["homography", "head"], ids=["full_body_homography", "head_anchor_similarity"]
+)
 def test_fit_that_overflows_is_degenerate_without_warning(method):
     j = _joints()
     far = j.copy()
