@@ -81,8 +81,11 @@ class BoundaryResult:
 
     value: float
     per_scale: tuple
-    cooccupied_fraction: tuple
     edges_empty: bool = False
+
+    @property
+    def cooccupied_fraction(self) -> tuple:
+        return tuple(r.cooccupied_fraction for r in self.per_scale)
 
 
 def _pair_slices(dy: int, dx: int, h: int, w: int):
@@ -246,14 +249,10 @@ def multiscale_patch_distance(
     Each scale's distance is the mean over cells where both curves are
     present.
     """
-    per_scale = []
-    fractions = []
-    for scale in scales:
-        res = patch_centroid_distance(build_patch_grid(s, e, int(scale), width, height))
-        per_scale.append(res)
-        fractions.append(res.cooccupied_fraction)
+    per_scale = tuple(patch_centroid_distance(build_patch_grid(s, e, int(scale), width, height))
+                      for scale in scales)
     value = float(np.mean([r.value for r in per_scale])) if per_scale else 0.0
-    return BoundaryResult(value, tuple(per_scale), tuple(fractions))
+    return BoundaryResult(value, per_scale)
 
 
 def _boundary_window(points: np.ndarray, scales, h: int, w: int) -> tuple[slice, slice]:
@@ -300,7 +299,7 @@ def boundary_constraint(
     # The public extractor, so that a per-layer trace of it still sees this work.
     edges = extract_flow_edges(FlowMap(flow.vectors[rows, cols]), hp).union
     if len(edges) == 0 and len(extract_flow_edges(flow, hp).union) == 0:
-        return BoundaryResult(0.0, (), (), edges_empty=True)
+        return BoundaryResult(0.0, (), edges_empty=True)
     edges = PointSet(edges.points + (cols.start, rows.start))
     return multiscale_patch_distance(edges, boundary, hp.scales, flow.width, flow.height)
 

@@ -283,6 +283,8 @@ def _cmd_decompose(args) -> int:
         pairs = skel.subject_skeletons(*_read_frame_pair(args.keypoints), mask)
     motions = flows.estimate_subject_motion(world, mask, args.method, pairs)
     deco = flows.decompose_local(world, motions, mask)
+    # Hashing reads the keypoints file, which mask-mean does not parse: fail before the write.
+    inputs = _inputs_record(world=args.world, mask=args.mask, keypoints=args.keypoints)
     io.write_flo(args.out_local, deco.local)
     v_s = {
         str(label): {"kind": "vector", "value": [m.dx, m.dy]} if isinstance(m, Vec2)
@@ -291,7 +293,7 @@ def _cmd_decompose(args) -> int:
     }
     _emit(io.Report(
         command="decompose",
-        inputs=_inputs_record(world=args.world, mask=args.mask, keypoints=args.keypoints),
+        inputs=inputs,
         hyperparams={},
         metrics={"method": args.method, "v_s": v_s, "out_local": str(args.out_local)},
         trace=[],

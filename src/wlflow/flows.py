@@ -11,7 +11,7 @@ residual local flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from operator import add
 from typing import Mapping
 
@@ -39,14 +39,21 @@ from .errors import DegenerateConfiguration, DimensionMismatch, EmptySubject, Va
 
 @dataclass(frozen=True)
 class ObjectiveBreakdown:
-    """Joint objective split into its skeleton and boundary parts."""
+    """Joint objective `total` = f + alpha * g, split into the skeleton
+    constraint `f` and the boundary constraint `g`, read from their reports."""
 
     total: float
-    f: float
-    g: float
     alpha: float
-    f_report: kin.ConstraintReport | None = None
-    g_result: bnd.BoundaryResult | None = None
+    f_report: kin.ConstraintReport
+    g_result: bnd.BoundaryResult
+
+    @property
+    def f(self) -> float:
+        return self.f_report.f_value
+
+    @property
+    def g(self) -> float:
+        return self.g_result.value
 
 
 # The tau values a schedule may hold. Within it the surrogates' arithmetic stays
@@ -86,6 +93,11 @@ class SolverOptions:
         object.__setattr__(self, "tau_schedule", schedule)
 
 
+def _require_subjects(mask: SubjectMask) -> None:
+    if not mask.labels.any():
+        raise EmptySubject("mask contains no subjects")
+
+
 @dataclass(frozen=True)
 class Priors:
     """Everything the objective needs besides the flow itself."""
@@ -96,7 +108,8 @@ class Priors:
     mask: SubjectMask
 
     def __post_init__(self):
-        # read-only, so the bounds `_held_bounds` keeps cannot go stale
+        _require_subjects(self.mask)  # so a solve box always holds a subject (`_active_box`)
+        # read-only, as every other frozen input type keeps its arrays
         object.__setattr__(self, "matches", _as_readonly(self.matches))
 
     @classmethod
@@ -115,8 +128,7 @@ class Priors:
         the earlier one first), which yields the subject-relative constraint
         used for local flow.
         """
-        if not mask.subject_ids:
-            raise EmptySubject("mask contains no subjects")
+        _require_subjects(mask)
         pairs = skel.subject_skeletons(frame_t, frame_t1, mask)
         offsets_by_label: dict[int, skel.SkeletonOffsets] = {}
         for label, (k_t, k_t1) in pairs.items():
@@ -128,16 +140,6 @@ class Priors:
         matches = skel.match_all({label: k_t for label, (k_t, _) in pairs.items()}, mask)
         return cls(matches, skel.concat_offsets(offsets_by_label), boundary, mask)
 
-    @cached_property
-    def _held_bounds(self) -> tuple[int, int, int, int]:
-        """First and last row, then first and last column, of the subject and
-        matched pixels, or (h, -1, w, -1) if there are none. Computed at the
-        first solve and kept, so a solve scans only its init (`_active_box`)."""
-        held = (self.mask.labels > 0) | (self.matches >= 0)
-        h, w = held.shape
-        ys, xs = np.flatnonzero(held.any(axis=1)), np.flatnonzero(held.any(axis=0))
-        return int(ys.min(initial=h)), int(ys.max(initial=-1)), int(xs.min(initial=w)), int(xs.max(initial=-1))
-
 
 def joint_objective(flow: FlowMap, priors: Priors, hp: Hyperparams) -> ObjectiveBreakdown:
     """Hard objective: skeleton constraint plus alpha times boundary constraint."""
@@ -145,7 +147,7 @@ def joint_objective(flow: FlowMap, priors: Priors, hp: Hyperparams) -> Objective
     f_rep = kin.skeleton_constraint(flow, priors.offsets, priors.matches, priors.mask, hp)
     g_res = bnd.boundary_constraint(flow, priors.boundary, hp)
     total = f_rep.f_value + hp.alpha * g_res.value
-    return ObjectiveBreakdown(total, f_rep.f_value, g_res.value, hp.alpha, f_rep, g_res)
+    return ObjectiveBreakdown(total, hp.alpha, f_rep, g_res)
 
 
 @dataclass(frozen=True)
@@ -186,23 +188,21 @@ def _active_box(init: np.ndarray, priors: Priors) -> tuple[slice, slice]:
     labels differ, the soft boundary term differentiates through |x| and the
     skeleton term writes matched pixels only. So from an init that is 0 on
     the background no iterate and no line-search trial moves a pixel outside
-    the subject, the matched pixels and the nonzero init, and the halo puts
-    every neighbor pair that touches them inside the box. Nonzero background
-    flow does spread: smoothness pulls its background neighbors along, one
-    pixel per step. So an init that moves any background pixel gets the
-    whole raster.
+    the subject and the matched pixels (the init then moves subject pixels
+    only), and the halo puts every neighbor pair that touches them inside
+    the box. Nonzero background flow does spread: smoothness pulls its
+    background neighbors along, one pixel per step. So an init that moves
+    any background pixel gets the whole raster.
     """
     labels = priors.mask.labels
     h, w = labels.shape
-    moving = (init != 0).any(axis=2)
+    moving = (init[..., 0] != 0) | (init[..., 1] != 0)
     if (labels[moving] == 0).any():
         return slice(0, h), slice(0, w)
-    y0, y1, x0, x1 = priors._held_bounds
-    ys, xs = np.flatnonzero(moving.any(axis=1)), np.flatnonzero(moving.any(axis=0))
-    y0, y1 = min(y0, int(ys.min(initial=h))), max(y1, int(ys.max(initial=-1)))
-    x0, x1 = min(x0, int(xs.min(initial=w))), max(x1, int(xs.max(initial=-1)))
-    # With nothing active the bounds cross and the box is empty (or one row or column).
-    return slice(max(y0 - 1, 0), min(y1 + 2, h)), slice(max(x0 - 1, 0), min(x1 + 2, w))
+    held = (labels > 0) | (priors.matches >= 0)  # nonempty: `Priors` holds a subject
+    ys, xs = np.flatnonzero(held.any(axis=1)), np.flatnonzero(held.any(axis=0))
+    return (slice(max(int(ys[0]) - 1, 0), min(int(ys[-1]) + 2, h)),
+            slice(max(int(xs[0]) - 1, 0), min(int(xs[-1]) + 2, w)))
 
 
 def _solve_terms(init: np.ndarray, priors: Priors, hp: Hyperparams, opts: SolverOptions):
@@ -226,8 +226,6 @@ def _solve_terms(init: np.ndarray, priors: Priors, hp: Hyperparams, opts: Solver
     active = _active_box(init, priors)
     soft = bnd.soft_layout(priors.boundary, hp, h, w)
     window = soft.window
-    if active[0].start >= active[0].stop or active[1].start >= active[1].stop:
-        active = window  # nothing can move; smoothness sums zeros either way
     index = tuple(slice(min(a.start, b.start), max(a.stop, b.stop)) for a, b in zip(active, window))
 
     def within(part):
@@ -313,8 +311,8 @@ def solve_world_flow(
     (`SolveResult.objective`).
 
     The descent runs on one solve box per solve (`_solve_terms`): the
-    bounding box of the subject, the matched pixels, the nonzero init and
-    the boundary-cell window, plus a 1 px halo. It is the whole raster when
+    bounding box of the subject, the matched pixels and the boundary-cell
+    window, plus a 1 px halo. It is the whole raster when
     the init moves any background pixel. Outside it the result is `init`,
     and the whole-raster result is written once, at the end. Surrogate
     values and gradients are bitwise those of the terms on the whole raster
@@ -375,8 +373,7 @@ def estimate_subject_motion(
     `skeletons` as {label: (k_t, k_t1)}, the form subject_skeletons returns.
     """
     validate_pairing(flow, mask)
-    if not mask.subject_ids:
-        raise EmptySubject("mask contains no subjects")
+    _require_subjects(mask)
     if method not in MOTION_METHODS:
         raise ValidationError(f"unknown subject motion method {method!r}")
     out: dict[int, Vec2 | skel.AlignTransform] = {}

@@ -679,48 +679,62 @@ _FLO_VALUES = st.sampled_from([3e38, -3e38, 3.4028235e38, 1e-45, -1e-45, 1e-40, 
 @st.composite
 def _file_inputs(draw):
     """Mask, flow, boundary and keypoints files for an 8-24 px raster, each
-    valid or broken in one of the ways a user's files can be."""
+    valid or broken in one of the ways a user's files can be; None for a
+    file that is absent."""
     h, w = draw(st.integers(8, 24)), draw(st.integers(8, 24))
     labels = {
         "ok": lambda: _rect_labels(h, w),
         "subjectless": lambda: np.zeros((h, w), dtype=np.int32),
         "1x1": lambda: np.full((1, 1), draw(st.sampled_from([0, 1])), dtype=np.int32),
         "mismatched": lambda: _rect_labels(h + draw(st.integers(1, 5)), w),
-    }[draw(st.sampled_from(["ok", "ok", "ok", "subjectless", "1x1", "mismatched"]))]()
+        "absent": lambda: None,
+    }[draw(st.sampled_from(["ok", "ok", "ok", "subjectless", "1x1", "mismatched", "absent"]))]()
     fh, fw = (h, w) if draw(st.integers(0, 3)) else (draw(st.integers(1, 24)), draw(st.integers(1, 24)))
     flow = {
         "small": lambda: np.random.default_rng(draw(st.integers(0, 9))).normal(0.0, 1.5, (fh, fw, 2)),
         "extreme": lambda: np.full((fh, fw, 2), draw(_FLO_VALUES)),
         "mixed": lambda: np.array(draw(st.lists(_FLO_VALUES, min_size=2 * fh * fw, max_size=2 * fh * fw)))
         .reshape(fh, fw, 2),
-    }[draw(st.sampled_from(["small", "extreme", "mixed"]))]()
+        "absent": lambda: None,
+    }[draw(st.sampled_from(["small", "extreme", "mixed", "absent"]))]()
     boundary = {
         "outline": [[w / 4, h / 4], [3 * w / 4, h / 4], [3 * w / 4, 3 * h / 4], [w / 4, 3 * h / 4]],
         "empty": [],
         "off-raster": [[w / 2, h / 2], [w + 3.0, -1.0]],
         "single": [[w / 2, h / 2]],
-    }[draw(st.sampled_from(["outline", "outline", "outline", "empty", "off-raster", "single"]))]
+        "absent": None,
+    }[draw(st.sampled_from(["outline", "outline", "outline", "empty", "off-raster", "single", "absent"]))]
     # One person whose joints lie along the subject's diagonal; frame t+1 shifted by 1 px.
     joints = np.stack([np.linspace(w / 4, 3 * w / 4, 17), np.linspace(h / 4, 3 * h / 4, 17), np.ones(17)],
                       axis=1)
     moved = joints + (1.0, 0.5, 0.0)
-    return labels, flow, boundary, [joints.tolist(), moved.tolist()]
+    keypoints = draw(st.sampled_from([[joints.tolist(), moved.tolist()]] * 3 + [None]))
+    return labels, flow, boundary, keypoints
 
 
 @settings(max_examples=100, deadline=None)
+@example(inputs=(_rect_labels(12, 16), np.zeros((12, 16, 2)), [], None), command="decompose",
+         method="mask-mean").via("mask-mean decomposition with an absent keypoints file")
 @given(inputs=_file_inputs(),
        command=st.sampled_from(["solve", "solve --init", "eval", "eval --local", "decompose"]),
        method=st.sampled_from(["mask-mean", "homography", "head", "translation"]))
 def test_fuzz_file_inputs_exit_cleanly(fuzz_files, inputs, command, method):
-    """Any mask, .flo and boundary file ends solve, eval and decompose in exit
-    0, 1 or 2 with at most one error line, no traceback and no warning."""
-    labels, flow, boundary, (person_t, person_t1) = inputs
+    """Any mask, .flo, boundary and keypoints file, or its absence, ends
+    solve, eval and decompose in exit 0, 1 or 2 with at most one error line,
+    no traceback and no warning; a command that fails leaves no output file."""
+    labels, flow, boundary, keypoints = inputs
     d = fuzz_files
-    io.write_mask(d / "mask.pgm", SubjectMask(labels))
-    io.write_flo(d / "flow.flo", FlowMap(flow))
-    (d / "boundary.json").write_text(json.dumps({"points": boundary}))
-    frames = [{"persons": [person_t]}, {"persons": [person_t1]}]
-    (d / "keypoints.json").write_text(json.dumps({"frames": frames}))
+    outputs = [d / "solved.flo", d / "local.flo"]
+    for path in [d / "mask.pgm", d / "flow.flo", d / "boundary.json", d / "keypoints.json", *outputs]:
+        path.unlink(missing_ok=True)  # the directory serves every example
+    if labels is not None:
+        io.write_mask(d / "mask.pgm", SubjectMask(labels))
+    if flow is not None:
+        io.write_flo(d / "flow.flo", FlowMap(flow))
+    if boundary is not None:
+        (d / "boundary.json").write_text(json.dumps({"points": boundary}))
+    if keypoints is not None:
+        (d / "keypoints.json").write_text(json.dumps({"frames": [{"persons": [p]} for p in keypoints]}))
     (d / "opts.json").write_text(json.dumps({"max_iters": 2}))
     common = ["--mask", str(d / "mask.pgm"), "--keypoints", str(d / "keypoints.json")]
     if command.startswith("solve"):
@@ -744,3 +758,5 @@ def test_fuzz_file_inputs_exit_cleanly(fuzz_files, inputs, command, method):
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     assert err.count("error: ") <= 1 and (code == 0) == (err == ""), err
+    if code:
+        assert not any(path.exists() for path in outputs)

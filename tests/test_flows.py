@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from wlflow import boundary as bnd
 from wlflow import flows, kinematics as kin, skeleton as skel, synth
-from wlflow.core import FlowMap, Hyperparams, SubjectMask, Vec2
-from wlflow.errors import DimensionMismatch, EmptySubject, ValidationError
+from wlflow.core import FlowMap, Hyperparams, PointSet, SubjectMask, Vec2
+from wlflow.errors import DegenerateConfiguration, DimensionMismatch, EmptySubject, ValidationError
 
 from conftest import GradientLedger, eager_armijo_descent, full_raster_descent, full_raster_surrogate
 
@@ -187,6 +187,20 @@ def test_decompose_reconstruction_bitwise():
     assert np.array_equal(diff, deco.subject.vectors)
     # background untouched
     assert np.array_equal(deco.local.vectors[labels == 0], world.vectors[labels == 0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_motion_that_sends_a_subject_pixel_to_infinity_is_degenerate():
+    """A homography whose inverse maps a subject pixel to w = 0 (x = 5 here)
+    gives no subject motion field and no decomposition, and warns of nothing."""
+    labels = np.zeros((8, 8), dtype=np.int32)
+    labels[2:6, 3:7] = 1
+    mask = SubjectMask(labels)
+    motions = {1: skel.AlignTransform("homography", np.linalg.inv([[1.0, 0, 0], [0, 1.0, 0], [1.0, 0, -5.0]]))}
+    for call in (lambda: flows.subject_motion_field(motions, mask),
+                 lambda: flows.decompose_local(FlowMap.zeros(8, 8), motions, mask)):
+        with pytest.raises(DegenerateConfiguration, match="subject 1 motion leaves the float range"):
+            call()
 
 
 # Per decompose method: the kinds its motions may take, then the subject-pixel
@@ -506,11 +520,92 @@ def _bits(rows):
 
 
 def test_priors_matches_are_read_only():
-    """A solve keeps the bounds of the subject and matched pixels per `Priors`,
-    so its matches cannot be edited in place."""
+    """`Priors` keeps its matches read-only, as every other frozen input type
+    keeps its arrays, so they cannot be edited in place."""
     _, priors = _scene(None)
     with pytest.raises(ValueError, match="read-only"):
         priors.matches[0, 0] = 0
+
+
+def _direct_priors(matches: np.ndarray, labels: np.ndarray) -> flows.Priors:
+    """`Priors` built from its fields, with one zero offset per match index."""
+    n = int(matches.max()) + 1
+    return flows.Priors(matches, skel.SkeletonOffsets(np.zeros((n, 2)), np.ones(n)), PointSet(np.zeros((0, 2))),
+                        SubjectMask(labels))
+
+
+@pytest.mark.parametrize("build", [True, False], ids=["build", "direct"])
+def test_priors_refuse_a_mask_without_subjects(small_truth, build, monkeypatch):
+    """Either way of making `Priors` refuses a subject-less mask; `build` does
+    so before it assembles any skeleton."""
+    labels = np.zeros((8, 8), dtype=np.int32)
+    monkeypatch.setattr(skel, "subject_skeletons", lambda *args: pytest.fail("skeletons assembled"))
+    with pytest.raises(EmptySubject, match="mask contains no subjects"):
+        if build:
+            flows.Priors.build(*small_truth.keypoints[:2], SubjectMask(labels), small_truth.boundary_t)
+        else:
+            _direct_priors(np.full((8, 8), -1), labels)
+
+
+def _loop_active_box(init: np.ndarray, labels: np.ndarray, matches: np.ndarray) -> tuple[slice, slice]:
+    """Reference for `flows._active_box`, pixel by pixel: the whole raster if
+    the init moves a background pixel, else the bounding box of the subject,
+    matched and moving pixels plus a 1 px halo, clipped to the raster."""
+    h, w = labels.shape
+    rows, cols = [], []
+    for y in range(h):
+        for x in range(w):
+            moves = init[y, x, 0] != 0 or init[y, x, 1] != 0
+            if moves and labels[y, x] == 0:
+                return slice(0, h), slice(0, w)
+            if moves or labels[y, x] > 0 or matches[y, x] >= 0:
+                rows.append(y)
+                cols.append(x)
+    return slice(max(min(rows) - 1, 0), min(max(rows) + 2, h)), slice(max(min(cols) - 1, 0), min(max(cols) + 2, w))
+
+
+@st.composite
+def _box_inputs(draw):
+    """Label masks of one to three rectangles, which may touch the raster's
+    edges, matched pixels on or off the subject, and an init that is zero
+    (signed zeros included), moves subject pixels only, or also moves one
+    background pixel."""
+    h, w = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    labels = np.zeros((h, w), dtype=np.int32)
+    for label in range(1, draw(st.integers(1, 3)) + 1):
+        y0, x0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        labels[y0:draw(st.integers(y0 + 1, h)), x0:draw(st.integers(x0 + 1, w))] = label
+    present = np.unique(labels[labels > 0])
+    lut = np.zeros(labels.max() + 1, dtype=np.int32)
+    lut[present] = np.arange(1, present.size + 1)
+    labels = lut[labels]  # contiguous labels 1..k, as a rectangle drawn later may cover an earlier one
+    pixels = st.tuples(st.integers(0, h - 1), st.integers(0, w - 1))
+    matches = np.full((h, w), -1)
+    for y, x in draw(st.lists(pixels, max_size=4)):
+        matches[y, x] = draw(st.integers(0, 5))
+    values = st.sampled_from([0.0, -0.0, 1.5, -2.0, 1e-300])
+    init = np.zeros((h, w, 2))
+    kind = draw(st.sampled_from(["zero", "subject", "background"]))
+    for y, x in draw(st.lists(pixels, max_size=6)):
+        if kind == "zero":
+            init[y, x] = (-0.0, draw(st.sampled_from([0.0, -0.0])))
+        elif labels[y, x] > 0:
+            init[y, x] = (draw(values), draw(values))
+    background = np.argwhere(labels == 0)
+    if kind == "background" and len(background):
+        y, x = background[draw(st.integers(0, len(background) - 1))]
+        init[y, x, draw(st.integers(0, 1))] = draw(st.sampled_from([1.5, -2.0, 1e-300]))
+    return init, labels, matches
+
+
+@settings(max_examples=150)
+@given(inputs=_box_inputs())
+def test_active_box_equals_the_pixel_loop(inputs):
+    """`_active_box` on any label mask, matches and init equals the pixel loop,
+    which also counts the moving pixels: a box that is not the whole raster
+    holds every pixel the init moves."""
+    init, labels, matches = inputs
+    assert flows._active_box(init, _direct_priors(matches, labels)) == _loop_active_box(init, labels, matches)
 
 
 @lru_cache(maxsize=None)
