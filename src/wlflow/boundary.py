@@ -26,6 +26,7 @@ from .core import (
     _angle_gate,
     _check_count,
     _check_number,
+    _plane_box,
     _sigmoid,
     _soft_angle,
     armijo_descent,
@@ -108,8 +109,23 @@ def extract_flow_edges(flow: FlowMap, hp: Hyperparams) -> EdgeMap:
     (both displacements non-static) differs in direction by at least
     hp.edge_theta_a degrees. Both tests are symmetric, so each neighbor
     pair is scored once and a hit marks both of its pixels.
+
+    Pairs are scored on the bounding box of the pixels with a nonzero
+    channel, widened by a 1 px halo and clipped to the raster, so the cost
+    follows the moving part of the flow, not the raster. A pair of two zero
+    vectors is never a hit (edge_theta_i > 0, and an angular hit needs both
+    pixels moving), and every pair that touches a nonzero pixel lies in the
+    widened box, so the points equal, in raster order, those of scoring the
+    whole raster. A flow with no nonzero pixel has no edges.
     """
-    m = flow.vectors
+    nonzero = flow.vectors[..., 0] != 0
+    np.logical_or(nonzero, flow.vectors[..., 1] != 0, out=nonzero)
+    box = _plane_box(nonzero, 1)
+    if box is None:
+        empty = PointSet(np.empty((0, 2)))
+        return EdgeMap(intensity_edges=empty, angular_edges=empty, union=empty)
+    rows, cols = box
+    m = flow.vectors[box]
     h, w = m.shape[:2]
     mx, my = m[..., 0], m[..., 1]
     r = np.hypot(mx, my)
@@ -130,7 +146,7 @@ def extract_flow_edges(flow: FlowMap, hp: Hyperparams) -> EdgeMap:
 
     def to_points(mask2d: np.ndarray) -> PointSet:
         ys, xs = np.nonzero(mask2d)
-        return PointSet(np.stack([xs, ys], axis=1).astype(np.float64))
+        return PointSet(np.stack([xs + cols.start, ys + rows.start], axis=1).astype(np.float64))
 
     return EdgeMap(
         intensity_edges=to_points(intensity),
@@ -293,7 +309,9 @@ def boundary_constraint(
     those cells has its full neighbor set inside the window, so the result
     equals the full-raster evaluation bitwise. Returns value 0 with
     edges_empty set when the flow has no edges at all, inside the window or
-    not.
+    not. That check extracts edges on the whole flow only when the window
+    holds none, and `extract_flow_edges` then scores only the box of the
+    nonzero flow, so its cost follows the moving pixels, not the raster.
     """
     rows, cols = _checked_boundary_window(boundary, hp.scales, flow.height, flow.width)
     # The public extractor, so that a per-layer trace of it still sees this work.

@@ -278,12 +278,11 @@ def _cmd_decompose(args) -> int:
     start = time.perf_counter()
     world = io.read_flo(args.world)
     mask = io.read_mask(args.mask)
-    pairs = None
-    if args.method != "mask-mean":
-        pairs = skel.subject_skeletons(*_read_frame_pair(args.keypoints), mask)
+    # Every method parses the keypoints, so a bad file fails before anything is written.
+    frames = _read_frame_pair(args.keypoints)
+    pairs = None if args.method == "mask-mean" else skel.subject_skeletons(*frames, mask)
     motions = flows.estimate_subject_motion(world, mask, args.method, pairs)
     deco = flows.decompose_local(world, motions, mask)
-    # Hashing reads the keypoints file, which mask-mean does not parse: fail before the write.
     inputs = _inputs_record(world=args.world, mask=args.mask, keypoints=args.keypoints)
     io.write_flo(args.out_local, deco.local)
     v_s = {

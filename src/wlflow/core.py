@@ -134,6 +134,19 @@ def _check_count(name: str, value) -> None:
         raise ValidationError(f"{name} must be >= 1")
 
 
+def _plane_box(plane: np.ndarray, halo: int) -> tuple[slice, slice] | None:
+    """Rows and columns of the bounding box of a boolean plane's True pixels,
+    widened by `halo` px and clipped to the plane; None when none is True."""
+    ys = np.flatnonzero(plane.any(axis=1))
+    if ys.size == 0:
+        return None
+    y0, y1 = int(ys[0]), int(ys[-1]) + 1
+    xs = np.flatnonzero(plane[y0:y1].any(axis=0))
+    h, w = plane.shape
+    return (slice(max(y0 - halo, 0), min(y1 + halo, h)),
+            slice(max(int(xs[0]) - halo, 0), min(int(xs[-1]) + 1 + halo, w)))
+
+
 def _as_readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)

@@ -31,6 +31,7 @@ from .core import (
     _as_readonly,
     _check_count,
     _check_number,
+    _plane_box,
     armijo_descent,
     validate_pairing,
 )
@@ -199,10 +200,7 @@ def _active_box(init: np.ndarray, priors: Priors) -> tuple[slice, slice]:
     moving = (init[..., 0] != 0) | (init[..., 1] != 0)
     if (labels[moving] == 0).any():
         return slice(0, h), slice(0, w)
-    held = (labels > 0) | (priors.matches >= 0)  # nonempty: `Priors` holds a subject
-    ys, xs = np.flatnonzero(held.any(axis=1)), np.flatnonzero(held.any(axis=0))
-    return (slice(max(int(ys[0]) - 1, 0), min(int(ys[-1]) + 2, h)),
-            slice(max(int(xs[0]) - 1, 0), min(int(xs[-1]) + 2, w)))
+    return _plane_box((labels > 0) | (priors.matches >= 0), 1)  # never None: `Priors` holds a subject
 
 
 def _solve_terms(init: np.ndarray, priors: Priors, hp: Hyperparams, opts: SolverOptions):
@@ -433,16 +431,30 @@ def decompose_local(world: FlowMap, motions: Mapping[int, Vec2 | skel.AlignTrans
 
 
 def endpoint_error(pred: FlowMap, gt: FlowMap, mask: SubjectMask | None = None) -> tuple[float, float]:
-    """Mean and max Euclidean error between two flows, optionally masked."""
+    """Mean and max Euclidean error between two flows, optionally masked.
+
+    With a mask, the errors are computed on the bounding box of the subject
+    pixels alone, so the cost follows the subjects' extent, not the raster.
+    Selecting the subject pixels inside that box gives the same errors in
+    the same row-major order as selecting them on the whole raster, so mean
+    and max are bitwise those of the whole-raster computation.
+    """
     if (pred.height, pred.width) != (gt.height, gt.width):
         raise DimensionMismatch(
             f"flows differ in size: {pred.width}x{pred.height} vs {gt.width}x{gt.height}"
         )
-    diff = pred.vectors - gt.vectors
-    err = np.hypot(diff[..., 0], diff[..., 1])
-    if mask is not None:
+
+    def errors(box):
+        diff = pred.vectors[box] - gt.vectors[box]
+        return np.hypot(diff[..., 0], diff[..., 1])
+
+    if mask is None:
+        err = errors(...)
+    else:
         validate_pairing(pred, mask)
-        err = err[mask.labels > 0]
-        if err.size == 0:
+        subject = mask.labels > 0
+        box = _plane_box(subject, 0)
+        if box is None:
             raise EmptySubject("mask selects no pixels")
+        err = errors(box)[subject[box]]
     return float(err.mean()), float(err.max())

@@ -1,12 +1,16 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from wlflow import boundary as bnd
 from wlflow import flows, synth
-from wlflow.core import EPS_VEC, FlowMap, Hyperparams, _dcos, _sigmoid, _soft_angle, armijo_descent
+from wlflow.core import (EPS_VEC, FlowMap, Hyperparams, PointSet, _dcos, _sigmoid, _soft_angle,
+                         armijo_descent, validate_pairing)
+from wlflow.errors import DimensionMismatch, EmptySubject
 
 # Property tests draw the same examples on every run and have no time limit.
 settings.register_profile("wlflow", derandomize=True, deadline=None)
@@ -75,6 +79,93 @@ def make_square(center=(48.0, 48.0), side=10.0, n=400):
             p = (-half, half - f * side)
         pts.append((center[0] + p[0], center[1] + p[1]))
     return np.asarray(pts)
+
+
+@lru_cache(maxsize=None)
+def sparse_scene():
+    """The sparse benchmark's figure at its 128x128 reference position on a 512x512 raster."""
+    truth = synth.generate_scene(synth.single_figure_scene(512, 512, root=(128 * 0.45, 128 * 0.55)))
+    return truth, flows.Priors.build(truth.keypoints[0], truth.keypoints[1], truth.mask_t, truth.boundary_t)
+
+
+@lru_cache(maxsize=None)
+def sparse_solved_flow():
+    """The 12-iteration zero-init solve of `sparse_scene`, as the benchmark runs it:
+    a 512x512 flow that moves on about 0.35 % of its pixels."""
+    truth, priors = sparse_scene()
+    zero = FlowMap.zeros(truth.mask_t.width, truth.mask_t.height)
+    return flows.solve_world_flow(zero, priors, Hyperparams(), flows.SolverOptions(max_iters=12)).flow
+
+
+# Entries of a drawn flow: signed zeros, magnitudes below EPS_VEC, and values
+# either side of the edge thresholds.
+_FLOW_ENTRIES = np.array([0.0, -0.0, 0.0, 4e-7, -3e-7, 0.3, -0.45, 1.0, -1.5, 2.25])
+
+
+@st.composite
+def sparse_flow_arrays(draw, max_side=14):
+    """An (h, w, 2) flow that is zero outside a random sub-box (1 x N and
+    N x 1 rasters included). Inside, entries come from `_FLOW_ENTRIES`, from
+    N(0, 1) or from both; a sub-box of zeros gives an all-zero flow."""
+    h, w = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    y0, x0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+    y1, x1 = draw(st.integers(y0 + 1, h)), draw(st.integers(x0 + 1, w))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (y1 - y0, x1 - x0, 2)
+    kind = draw(st.sampled_from(["entries", "normal", "mixed", "zero"]))
+    arr = np.zeros((h, w, 2))
+    if kind != "zero":
+        box = rng.choice(_FLOW_ENTRIES, shape) if kind != "normal" else rng.normal(0.0, 1.0, shape)
+        if kind == "mixed":
+            box = np.where(rng.random(shape) < 0.5, box, rng.normal(0.0, 1.0, shape))
+        arr[y0:y1, x0:x1] = box
+    return arr
+
+
+def full_raster_edges(arr, hp):
+    """Reference copy of `boundary.extract_flow_edges` as it ran on the whole
+    raster: every neighbor pair scored, whether its pixels move or not."""
+    h, w = arr.shape[:2]
+    mx, my = arr[..., 0], arr[..., 1]
+    r = np.hypot(mx, my)
+
+    intensity = np.zeros((h, w), dtype=bool)
+    angular = np.zeros((h, w), dtype=bool)
+    cos_lim = np.cos(np.deg2rad(hp.edge_theta_a))
+    moving = r >= EPS_VEC
+    for dy, dx in bnd._NEIGHBORS[:4]:
+        i, j = bnd._pair_slices(dy, dx, h, w)
+        hit_i = np.abs(r[i] - r[j]) >= hp.edge_theta_i
+        with np.errstate(invalid="ignore"):
+            cos = (mx[i] * mx[j] + my[i] * my[j]) / (r[i] * r[j])
+        hit_a = moving[i] & moving[j] & (cos <= cos_lim)
+        for at in (i, j):
+            intensity[at] |= hit_i
+            angular[at] |= hit_a
+
+    def to_points(mask2d):
+        ys, xs = np.nonzero(mask2d)
+        return PointSet(np.stack([xs, ys], axis=1).astype(np.float64))
+
+    return bnd.EdgeMap(intensity_edges=to_points(intensity), angular_edges=to_points(angular),
+                       union=to_points(intensity | angular))
+
+
+def full_raster_endpoint_error(pred, gt, mask=None):
+    """Reference copy of `flows.endpoint_error` as it ran on the whole raster,
+    masked or not."""
+    if (pred.height, pred.width) != (gt.height, gt.width):
+        raise DimensionMismatch(
+            f"flows differ in size: {pred.width}x{pred.height} vs {gt.width}x{gt.height}"
+        )
+    diff = pred.vectors - gt.vectors
+    err = np.hypot(diff[..., 0], diff[..., 1])
+    if mask is not None:
+        validate_pairing(pred, mask)
+        err = err[mask.labels > 0]
+        if err.size == 0:
+            raise EmptySubject("mask selects no pixels")
+    return float(err.mean()), float(err.max())
 
 
 def eager_armijo_descent(fn, x, value, grad, eta, max_steps, tolerance, on_step):

@@ -10,7 +10,8 @@ from wlflow import synth
 from wlflow.core import EPS_VEC, FlowMap, Hyperparams, PointSet, Vec2, _sigmoid
 from wlflow.errors import DimensionMismatch, EmptyPointSet, ValidationError
 
-from conftest import loop_bilinear_corners, make_circle, per_slot_soft_boundary, two_figure_spec
+from conftest import (full_raster_edges, loop_bilinear_corners, make_circle, per_slot_soft_boundary,
+                      sparse_flow_arrays, sparse_solved_flow, two_figure_spec)
 
 
 def test_uniform_flow_has_no_edges(hp):
@@ -715,7 +716,7 @@ def test_boundary_terms_read_only_the_halo_window(data, h, w, integer_flow, seed
             assert res.value == 0.0 and all(r.cooccupied_cells == 0 for r in res.per_scale)
     else:
         assert hard == hard_p
-    full_edges = bnd.extract_flow_edges(FlowMap(arr), hp).union
+    full_edges = full_raster_edges(arr, hp).union
     if len(full_edges):  # the hard term scores the full raster's edges
         assert hard == bnd.multiscale_patch_distance(full_edges, boundary, scales, w, h)
 
@@ -731,6 +732,47 @@ def test_boundary_constraint_edges_only_outside_the_window(hp):
     assert len(res.per_scale) == len(hp.scales)
     assert all(r.cooccupied_cells == 0 for r in res.per_scale)
     assert bnd.boundary_constraint(FlowMap.zeros(96, 96), boundary, hp).edges_empty
+
+
+def _one_pixel_flow(h, w, y, x, v):
+    arr = np.zeros((h, w, 2))
+    arr[y, x] = v
+    return arr
+
+
+@settings(max_examples=400)
+@given(arr=sparse_flow_arrays(), theta_i=st.sampled_from([1e-9, 0.1, 0.5, 2.0]),
+       theta_a=st.sampled_from([1.0, 30.0, 90.0, 180.0]))
+@example(arr=np.zeros((6, 5, 2)), theta_i=0.5, theta_a=30.0).via("all-zero flow")
+@example(arr=np.full((4, 4, 2), -0.0), theta_i=1e-9, theta_a=1.0).via("signed zeros only")
+@example(arr=_one_pixel_flow(5, 6, 0, 0, (1.5, 0.0)), theta_i=0.5, theta_a=30.0).via("top-left corner")
+@example(arr=_one_pixel_flow(5, 6, 4, 5, (-0.0, 2.0)), theta_i=0.5, theta_a=30.0).via("bottom-right corner")
+@example(arr=_one_pixel_flow(1, 9, 0, 8, (0.3, -0.45)), theta_i=0.1, theta_a=30.0).via("1 x N, right end")
+@example(arr=_one_pixel_flow(9, 1, 0, 0, (-1.5, 1.0)), theta_i=0.1, theta_a=30.0).via("N x 1, top end")
+@example(arr=_one_pixel_flow(5, 5, 2, 2, (4e-7, 0.0)), theta_i=1e-9, theta_a=30.0).via("below EPS_VEC")
+def test_edges_equal_the_full_raster_reference_bitwise(arr, theta_i, theta_a):
+    """Scoring pairs on the nonzero flow's box plus a 1 px halo gives the
+    bytes, shape and dtype of every point set of scoring the whole raster."""
+    hp = Hyperparams(edge_theta_i=theta_i, edge_theta_a=theta_a)
+    got, want = bnd.extract_flow_edges(FlowMap(arr), hp), full_raster_edges(arr, hp)
+    for name in ("intensity_edges", "angular_edges", "union"):
+        a, b = getattr(got, name).points, getattr(want, name).points
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def test_edge_extraction_peak_memory_follows_the_moving_pixels(hp):
+    """On the 512x512 sparse benchmark scene's solved flow (about 0.35 % of
+    the pixels move), edge extraction peaks under 1 MiB: it scores pairs on
+    the moving pixels' box, not on the raster."""
+    flow = sparse_solved_flow()
+    tracemalloc.start()
+    try:
+        edges = bnd.extract_flow_edges(flow, hp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(edges.union) > 0
+    assert peak < 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (4, 3)])

@@ -263,7 +263,7 @@ def test_report_metrics_reproducible(scene_dir, capsys):
 
 
 def test_decompose_without_persons(scene_dir, tmp_path, capsys):
-    """Alignment methods reject a keypoints file with no persons; mask-mean never reads it."""
+    """Alignment methods reject a keypoints file with no persons; mask-mean parses it but needs none."""
     empty = tmp_path / "empty_keypoints.json"
     empty.write_text(json.dumps({"frames": [{"persons": []}, {"persons": []}]}))
     argv = [
@@ -313,6 +313,17 @@ def _keypoints_argv(scene_dir, tmp_path, x):
         "decompose", "--world", str(scene_dir / "gt_world.flo"),
         "--mask", str(scene_dir / "mask_t.pgm"), "--keypoints", str(keypoints),
         "--method", "homography", "--out-local", str(tmp_path / "local.flo"),
+    ]
+
+
+def _mask_mean_keypoints_argv(scene_dir, tmp_path, keypoints_text):
+    """decompose --method mask-mean on the scene, reading `keypoints_text` as its keypoints file."""
+    keypoints = tmp_path / "keypoints.json"
+    keypoints.write_text(keypoints_text)
+    return [
+        "decompose", "--world", str(scene_dir / "gt_world.flo"),
+        "--mask", str(scene_dir / "mask_t.pgm"), "--keypoints", str(keypoints),
+        "--method", "mask-mean", "--out-local", str(tmp_path / "local.flo"),
     ]
 
 
@@ -433,6 +444,9 @@ _TAU_RANGE_MESSAGE = "each tau_schedule entry must lie in [1e-100, 1e+50]"
                  id="far-keypoints-head"),
     pytest.param(_far_keypoints_argv, ["decompose", "--method", "translation"], 2,
                  "flow contains values not representable in the file", id="far-keypoints-translation"),
+    pytest.param(_mask_mean_keypoints_argv, "not json", 2, "not valid JSON", id="mask-mean-keypoints-not-json"),
+    pytest.param(_mask_mean_keypoints_argv, '{"frames": [{"persons": []}]}', 1,
+                 "keypoints file must contain two frames", id="mask-mean-keypoints-one-frame"),
     pytest.param(_far_keypoints_argv, ["eval", "--local"], 1, "the fit overflows", id="far-keypoints-eval-local"),
     pytest.param(_far_keypoints_argv, ["eval", "--local", "--align", "translation"], 1,
                  "skeleton offsets must be finite and below 1e+150 px", id="far-keypoints-eval-local-translation"),

@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wlflow import boundary as bnd
@@ -13,7 +13,8 @@ from wlflow import flows, kinematics as kin, skeleton as skel, synth
 from wlflow.core import FlowMap, Hyperparams, PointSet, SubjectMask, Vec2
 from wlflow.errors import DegenerateConfiguration, DimensionMismatch, EmptySubject, ValidationError
 
-from conftest import GradientLedger, eager_armijo_descent, full_raster_descent, full_raster_surrogate
+from conftest import (GradientLedger, eager_armijo_descent, full_raster_descent, full_raster_endpoint_error,
+                      full_raster_surrogate, sparse_flow_arrays, sparse_scene, sparse_solved_flow)
 
 
 def test_objective_breakdown_identity(small_truth, small_priors, hp):
@@ -608,13 +609,6 @@ def test_active_box_equals_the_pixel_loop(inputs):
     assert flows._active_box(init, _direct_priors(matches, labels)) == _loop_active_box(init, labels, matches)
 
 
-@lru_cache(maxsize=None)
-def _sparse_scene():
-    """The sparse benchmark's figure at its 128x128 reference position on a 512x512 raster."""
-    truth = synth.generate_scene(synth.single_figure_scene(512, 512, root=(128 * 0.45, 128 * 0.55)))
-    return truth, flows.Priors.build(truth.keypoints[0], truth.keypoints[1], truth.mask_t, truth.boundary_t)
-
-
 @pytest.mark.parametrize("case", ["reference-zero", "corner-256", "refine", "refine-256", "background-patch",
                                   "sparse-512", "scales-5-12", "scales-64"])
 def test_active_box_solve_equals_full_raster(case, monkeypatch):
@@ -629,7 +623,7 @@ def test_active_box_solve_equals_full_raster(case, monkeypatch):
     if case in ("corner-256", "refine-256"):
         truth, priors = _corner_scene()
     elif case == "sparse-512":
-        truth, priors = _sparse_scene()
+        truth, priors = sparse_scene()
     else:
         truth, priors = _scene(7 if case in ("refine", "background-patch") else None)
     h, w = truth.mask_t.height, truth.mask_t.width
@@ -751,7 +745,7 @@ def test_sparse_solve_peaks_under_one_and_a_half_flows(hp):
     """A 12-iteration zero-init solve of the 512x512 sparse benchmark scene
     peaks at no more than 1.5 times one (512, 512, 2) flow: the descent runs
     on the solve box, and the only whole-raster array it writes is the result."""
-    truth, priors = _sparse_scene()
+    truth, priors = sparse_scene()
     zero = FlowMap.zeros(512, 512)
     opts = flows.SolverOptions(max_iters=12)
     flows.solve_world_flow(zero, priors, hp, opts)  # first call: lazy set-up outside the measure
@@ -763,3 +757,40 @@ def test_sparse_solve_peaks_under_one_and_a_half_flows(hp):
         tracemalloc.stop()
     assert len(res.trace) == 12
     assert peak <= 1.5 * zero.vectors.nbytes, f"{peak / 2**20:.2f} MB"
+
+
+@settings(max_examples=300)
+@given(arr=sparse_flow_arrays(), seed=st.integers(0, 2**32 - 1))
+@example(arr=np.zeros((3, 4, 2)), seed=0).via("empty mask")
+@example(arr=np.full((1, 6, 2), 1.0), seed=1).via("1 x N, the whole raster")
+@example(arr=np.full((6, 1, 2), -2.0), seed=2).via("N x 1, the whole raster")
+def test_endpoint_error_equals_the_full_raster_reference_bitwise(arr, seed):
+    """Masked EPE on the subject's bounding box gives bitwise the mean and max
+    of the whole raster's, and raises as it does on an empty mask; the
+    unmasked EPE is unchanged. The subject is the drawn flow's pixels with a
+    nonzero dx, so its box touches every border of some rasters."""
+    pred = FlowMap(np.random.default_rng(seed).normal(0.0, 1.0, arr.shape))
+    gt, mask = FlowMap(arr), SubjectMask((arr[..., 0] != 0).astype(np.int32))
+    assert flows.endpoint_error(pred, gt) == full_raster_endpoint_error(pred, gt)
+    if not mask.labels.any():
+        for fn in (flows.endpoint_error, full_raster_endpoint_error):
+            with pytest.raises(EmptySubject, match="mask selects no pixels"):
+                fn(pred, gt, mask)
+        return
+    got, want = flows.endpoint_error(pred, gt, mask), full_raster_endpoint_error(pred, gt, mask)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_masked_endpoint_error_peak_memory_follows_the_subject():
+    """On the 512x512 sparse benchmark scene (a subject on about 0.35 % of
+    the pixels), masked EPE of the solved flow peaks under 1 MiB: it works
+    on the subject's box, not on the raster."""
+    truth, priors = sparse_scene()
+    flow = sparse_solved_flow()
+    tracemalloc.start()
+    try:
+        flows.endpoint_error(flow, truth.gt_world, priors.mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"{peak / 2**20:.2f} MiB"
