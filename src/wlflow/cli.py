@@ -1,8 +1,11 @@
 """Command-line surface tying the library into reproducible pipelines.
 
 Exit codes: 0 success, 1 validation error (bad arguments, shapes, domain
-violations), 2 I/O error (missing or malformed files). Diagnostics go to
-stderr; reports go to stdout as JSON.
+violations), 2 I/O error (missing or malformed files). A config file
+(`solve --opts`, `eval`/`solve --config`, `synth --spec`) that its type
+refuses is a malformed file: every such refusal exits 2 with one error line
+naming the file and the JSON location. Diagnostics go to stderr; reports go
+to stdout as JSON.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from . import boundary as bnd
 from . import flows, io, skeleton as skel, synth
-from .core import FlowMap, Hyperparams, SubjectMask, Vec2, _finite_number
+from .core import FlowMap, Hyperparams, SubjectMask, Vec2
 from .errors import FileFormatError, ValidationError, WlflowError
 
 def _load_hp(path: str | None) -> Hyperparams:
@@ -33,13 +36,16 @@ def _inputs_record(**paths) -> dict:
     return out
 
 
-def _emit(report: io.Report) -> None:
-    print(report.to_json())
+def _emit(command: str, start: float, inputs: dict, metrics: dict, hyperparams: dict = {},
+          trace=()) -> None:
+    """Print the command's JSON report; its wall time runs from `start`."""
+    print(io.Report(command=command, inputs=inputs, hyperparams=hyperparams, metrics=metrics,
+                    trace=trace, wall_time_s=time.perf_counter() - start).to_json())
 
 
 def _cmd_synth(args) -> int:
     if args.spec:
-        spec = _scene_spec_from_json(io._load_json(args.spec), args.spec)
+        spec = _read_scene_spec(args.spec)
     else:
         spec = synth.single_figure_scene()
     truth = synth.generate_scene(spec)
@@ -60,65 +66,16 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _scene_spec_from_json(doc: dict, path: str) -> synth.SceneSpec:
-    if not isinstance(doc, dict):
-        raise io.SchemaError(f"{path}: expected a JSON object")
+def _read_scene_spec(path) -> synth.SceneSpec:
+    """A scene spec file: a SceneSpec object whose `subjects` is a list of
+    SubjectSpec objects and whose `camera_motion` is [dx, dy]."""
+    def subjects(docs) -> tuple:
+        if not isinstance(docs, list):
+            raise TypeError("expected a JSON list")
+        return tuple(io.config_object(doc, synth.SubjectSpec, f"$.subjects[{i}]")
+                     for i, doc in enumerate(docs))
 
-    def numbers(loc: str, value, n: int | None = None) -> tuple:
-        """A list of finite numbers (exactly n of them, if n is given), as floats."""
-        if not (isinstance(value, list) and n in (None, len(value))
-                and all(_finite_number(v) for v in value)):
-            size = f"{n} " if n else ""
-            raise io.SchemaError(f"{path}: {loc} must be a list of {size}finite numbers")
-        return tuple(float(v) for v in value)
-
-    def known_keys(loc: str, obj: dict, spec_type) -> None:
-        unknown = set(obj) - set(spec_type.__dataclass_fields__)
-        if unknown:
-            raise io.SchemaError(f"{path}: {loc} has unknown keys {sorted(unknown)}")
-
-    def named_numbers(loc: str, value) -> dict:
-        if not (isinstance(value, dict) and all(_finite_number(v) for v in value.values())):
-            raise io.SchemaError(f"{path}: {loc} must map names to finite numbers")
-        return {k: float(v) for k, v in value.items()}
-
-    known_keys("$", doc, synth.SceneSpec)
-    subjects_doc = doc.get("subjects", [])
-    if not isinstance(subjects_doc, list):
-        raise io.SchemaError(f"{path}: $.subjects must be a list")
-    subjects = []
-    for si, sub in enumerate(subjects_doc):
-        loc = f"$.subjects[{si}]"
-        if not isinstance(sub, dict):
-            raise io.SchemaError(f"{path}: {loc} must be an object")
-        known_keys(loc, sub, synth.SubjectSpec)
-        sub_fields = {}
-        for key, n in (("root_t", 2), ("root_t1", 2), ("capsule_radii", None)):
-            if key in sub:
-                sub_fields[key] = numbers(f"{loc}.{key}", sub[key], n)
-        for key in ("lengths", "angles_t", "angles_t1"):
-            if key in sub:
-                sub_fields[key] = named_numbers(f"{loc}.{key}", sub[key])
-        try:
-            subjects.append(synth.SubjectSpec(**sub_fields))
-        except ValidationError as exc:
-            raise io.SchemaError(f"{path}: {loc} invalid ({exc})") from exc
-    fields = {key: doc[key] for key in ("width", "height", "seed") if key in doc}
-    for key, value in fields.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise io.SchemaError(f"{path}: $.{key} must be an integer")
-    if "noise_sigma" in doc:
-        if not _finite_number(doc["noise_sigma"]):
-            raise io.SchemaError(f"{path}: $.noise_sigma must be a finite number")
-        fields["noise_sigma"] = float(doc["noise_sigma"])
-    if "camera_motion" in doc:
-        fields["camera_motion"] = Vec2(*numbers("$.camera_motion", doc["camera_motion"], 2))
-    if subjects:
-        fields["subjects"] = tuple(subjects)
-    try:
-        return synth.SceneSpec(**fields)
-    except ValidationError as exc:
-        raise io.SchemaError(f"{path}: {exc}") from exc
+    return io.read_config(path, synth.SceneSpec, subjects=subjects, camera_motion=lambda v: Vec2(*v))
 
 
 def _read_frame_pair(path):
@@ -154,15 +111,9 @@ def _cmd_eval(args) -> int:
         "boundary_edges_empty": breakdown.g_result.edges_empty,
         "boundary_cooccupied_fraction": list(breakdown.g_result.cooccupied_fraction),
     }
-    _emit(io.Report(
-        command="eval",
-        inputs=_inputs_record(flow=args.flow, keypoints=args.keypoints,
-                              mask=args.mask, boundary=args.boundary),
-        hyperparams=vars(hp) | {"scales": list(hp.scales)},
-        metrics=metrics,
-        trace=[],
-        wall_time_s=time.perf_counter() - start,
-    ))
+    _emit("eval", start, _inputs_record(flow=args.flow, keypoints=args.keypoints,
+                                        mask=args.mask, boundary=args.boundary),
+          metrics, vars(hp))
     return 0
 
 
@@ -228,49 +179,30 @@ def _cmd_chamfer(args) -> int:
 def _cmd_solve(args) -> int:
     start = time.perf_counter()
     hp = _load_hp(args.config)
+    opts = io.read_config(args.opts, flows.SolverOptions) if args.opts else flows.SolverOptions()
     mask = io.read_mask(args.mask)
     priors = _build_priors(args, mask, None)
     if args.init == "zero":
         init = FlowMap.zeros(mask.width, mask.height)
     else:
         init = io.read_flo(args.init)
-    opts = flows.SolverOptions()
-    if args.opts:
-        doc = io._load_json(args.opts)
-        if not isinstance(doc, dict):
-            raise io.SchemaError(f"{args.opts}: expected a JSON object")
-        allowed = set(flows.SolverOptions.__dataclass_fields__)
-        unknown = set(doc) - allowed
-        if unknown:
-            raise io.SchemaError(f"{args.opts}: unknown solver options {sorted(unknown)}")
-        try:
-            opts = flows.SolverOptions(**doc)
-        except ValidationError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise io.SchemaError(f"{args.opts}: {exc}") from exc
     result = flows.solve_world_flow(init, priors, hp, opts)
     io.write_flo(args.out, result.flow)
     trace = [
         {"iteration": t.iteration, "tau": t.tau, "step": t.step, "surrogate": t.surrogate}
         for t in result.trace
     ]
-    _emit(io.Report(
-        command="solve",
-        inputs=_inputs_record(keypoints=args.keypoints, mask=args.mask,
-                              boundary=args.boundary,
-                              init=None if args.init == "zero" else args.init),
-        hyperparams=vars(hp) | {"scales": list(hp.scales)},
-        metrics={
-            "converged": result.converged,
-            "stops": list(result.stops),
-            "iterations": len(result.trace),
-            "final_total": result.objective.total,
-            "out": str(args.out),
-        },
-        trace=trace,
-        wall_time_s=time.perf_counter() - start,
-    ))
+    _emit("solve", start,
+          _inputs_record(keypoints=args.keypoints, mask=args.mask, boundary=args.boundary,
+                         init=None if args.init == "zero" else args.init),
+          {
+              "converged": result.converged,
+              "stops": list(result.stops),
+              "iterations": len(result.trace),
+              "final_total": result.objective.total,
+              "out": str(args.out),
+          },
+          vars(hp), trace)
     return 0
 
 
@@ -290,14 +222,7 @@ def _cmd_decompose(args) -> int:
         else {"kind": m.kind, "matrix": m.matrix.tolist()}
         for label, m in motions.items()
     }
-    _emit(io.Report(
-        command="decompose",
-        inputs=inputs,
-        hyperparams={},
-        metrics={"method": args.method, "v_s": v_s, "out_local": str(args.out_local)},
-        trace=[],
-        wall_time_s=time.perf_counter() - start,
-    ))
+    _emit("decompose", start, inputs, {"method": args.method, "v_s": v_s, "out_local": str(args.out_local)})
     return 0
 
 
@@ -313,15 +238,8 @@ def _cmd_metrics(args) -> int:
     gt = io.read_flo(args.gt)
     mask = io.read_mask(args.mask) if args.mask else None
     mean_epe, max_epe = flows.endpoint_error(pred, gt, mask)
-    _emit(io.Report(
-        command="metrics",
-        inputs=_inputs_record(pred=args.pred, gt=args.gt, mask=args.mask),
-        hyperparams={},
-        metrics={"mean_epe": mean_epe, "max_epe": max_epe,
-                 "masked": mask is not None},
-        trace=[],
-        wall_time_s=time.perf_counter() - start,
-    ))
+    _emit("metrics", start, _inputs_record(pred=args.pred, gt=args.gt, mask=args.mask),
+          {"mean_epe": mean_epe, "max_epe": max_epe, "masked": mask is not None})
     return 0
 
 

@@ -112,26 +112,25 @@ def armijo_descent(fn, x, value, grad, eta, max_steps, tolerance, on_step):
 
 
 def _finite_number(v) -> bool:
-    """True for a number (not a bool) that is finite as a float."""
+    """True for a real number (not a bool), numpy scalars included, that is finite as a float."""
     try:
-        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+        return isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
     except OverflowError:  # an integer beyond the float range
         return False
 
 
 def _check_number(name: str, value) -> None:
-    """Refuse a bool or a non-finite number; other non-numbers are left to fail
-    the caller's comparisons with a TypeError or ValueError."""
-    if isinstance(value, (int, float)) and not _finite_number(value):
+    """Refuse anything but a finite real number (not a bool)."""
+    if not _finite_number(value):
         raise ValidationError(f"{name} must be a finite number")
 
 
-def _check_count(name: str, value) -> None:
-    """Refuse a bool, a non-integral number or one below 1; a non-number fails the `<`."""
-    if isinstance(value, bool) or (isinstance(value, Real) and not isinstance(value, Integral)):
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Refuse anything but an integer (not a bool) of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValidationError(f"{name} must be an integer")
-    if value < 1:
-        raise ValidationError(f"{name} must be >= 1")
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}")
 
 
 def _plane_box(plane: np.ndarray, halo: int) -> tuple[slice, slice] | None:
@@ -166,8 +165,8 @@ class Vec2:
     dy: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.dx) and np.isfinite(self.dy)):
-            raise ValidationError("Vec2 components must be finite")
+        if not (_finite_number(self.dx) and _finite_number(self.dy)):
+            raise ValidationError("Vec2 components must be finite numbers")
         object.__setattr__(self, "dx", float(self.dx))
         object.__setattr__(self, "dy", float(self.dy))
 

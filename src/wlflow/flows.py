@@ -10,6 +10,7 @@ residual local flow.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -31,6 +32,7 @@ from .core import (
     _as_readonly,
     _check_count,
     _check_number,
+    _finite_number,
     _plane_box,
     armijo_descent,
     validate_pairing,
@@ -67,7 +69,8 @@ TAU_RANGE = (1e-100, 1e50)
 class SolverOptions:
     """Budget, annealing schedule and regularizer weights of `solve_world_flow`.
 
-    Every `tau_schedule` entry must lie in `TAU_RANGE`.
+    Every `tau_schedule` entry must be a finite number, or a string that
+    `float` parses to one, and lie in `TAU_RANGE`.
     """
 
     max_iters: int = 500
@@ -83,9 +86,14 @@ class SolverOptions:
         _check_number("smoothness_weight", self.smoothness_weight)
         if self.smoothness_weight < 0:
             raise ValidationError("smoothness_weight must be >= 0")
+        schedule = []
         for t in self.tau_schedule:
-            _check_number("each tau_schedule entry", t)
-        schedule = tuple(float(t) for t in self.tau_schedule)
+            with contextlib.suppress(ValueError):  # a string float() parses counts as its number
+                t = float(t) if isinstance(t, str) else t
+            if not _finite_number(t):
+                raise ValidationError("each tau_schedule entry must be a finite number")
+            schedule.append(float(t))
+        schedule = tuple(schedule)
         if not schedule:
             raise ValidationError("tau_schedule must be nonempty")
         lo, hi = TAU_RANGE

@@ -2,8 +2,9 @@
 
 Flow fields use the Middlebury .flo layout, masks use binary PGM (P5),
 renders use binary PPM (P6), keypoints and boundaries use small JSON
-schemas. Readers raise typed errors for anything their writers cannot
-produce.
+schemas, and config files are JSON objects of a dataclass's field names
+(`read_config`). Readers raise typed errors for anything their writers
+cannot produce.
 """
 
 from __future__ import annotations
@@ -340,22 +341,43 @@ class Report:
         return json.dumps(doc, sort_keys=True, indent=2)
 
 
+def config_object(doc, cls, loc: str = "$", **convert):
+    """Build the dataclass `cls` from a JSON object of its field names.
+
+    JSON lists become tuples; the value of a key named in `convert` goes
+    through that function instead. `loc` is the object's JSON location,
+    which every SchemaError message starts with. A non-object, an unknown
+    key, or a value that a conversion or `cls` refuses (TypeError or
+    ValueError, ValidationError included) raises SchemaError.
+    """
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{loc} must be a JSON object")
+    unknown = set(doc) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise SchemaError(f"{loc} has unknown keys {sorted(unknown)}")
+    fields = {}
+    for key, value in doc.items():
+        to_field = convert.get(key, lambda v: tuple(v) if isinstance(v, list) else v)
+        try:
+            fields[key] = to_field(value)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{loc}.{key} invalid ({exc})") from exc
+    try:
+        return cls(**fields)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{loc} invalid ({exc})") from exc
+
+
+def read_config(path, cls, **convert):
+    """Read a config file, a JSON object of `cls`'s field names, with
+    `config_object`; a SchemaError names the file and the JSON location."""
+    doc = _load_json(path)
+    try:
+        return config_object(doc, cls, **convert)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
 def hyperparams_from_json(path) -> Hyperparams:
     """Config JSON mirrors the Hyperparams field names."""
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected a JSON object")
-    allowed = set(Hyperparams.__dataclass_fields__)
-    unknown = set(doc) - allowed
-    if unknown:
-        raise SchemaError(f"{path}: unknown hyperparameter fields {sorted(unknown)}")
-    for name, value in doc.items():
-        entries = value if name == "scales" and isinstance(value, list) else [value]
-        if not all(_finite_number(v) for v in entries):
-            raise SchemaError(f"{path}: {name} must hold finite numbers")
-    try:
-        if "scales" in doc:
-            doc["scales"] = tuple(doc["scales"])
-        return Hyperparams(**doc)
-    except (TypeError, ValidationError) as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    return read_config(path, Hyperparams)

@@ -32,40 +32,28 @@ class ConstraintReport:
     def __post_init__(self):
         if self.f_value < 0:
             raise ValidationError("constraint value must be non-negative")
-        for frac in (self.angular_violation_fraction,):
-            if not 0.0 <= frac <= 1.0:
-                raise ValidationError("violation fraction must lie in [0, 1]")
+        if not 0.0 <= self.angular_violation_fraction <= 1.0:
+            raise ValidationError("violation fraction must lie in [0, 1]")
 
 
 def angular_term(u, k, theta_a: float) -> float:
     """1 if the angle between u and k exceeds theta_a degrees, else 0.
 
     Both below EPS_VEC counts as jointly static (0); exactly one below
-    EPS_VEC is motion without skeletal support, or vice versa (1).
+    EPS_VEC is motion without skeletal support, or vice versa (1). This is
+    `skeleton_constraint`'s per-pixel term for one pair.
     """
-    if not 0 < theta_a < 90:
-        raise ValidationError("theta_a must lie in (0, 90) degrees")
-    u = np.asarray(u, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    ru = float(np.hypot(u[0], u[1]))
-    rk = float(np.hypot(k[0], k[1]))
-    if ru < EPS_VEC and rk < EPS_VEC:
-        return 0.0
-    if ru < EPS_VEC or rk < EPS_VEC:
-        return 1.0
-    cos = float(np.dot(u, k)) / (ru * rk)
-    return 1.0 if cos < np.cos(np.deg2rad(theta_a)) else 0.0
+    hp = Hyperparams(theta_a=theta_a)
+    fa, _ = _terms(np.array([u], dtype=np.float64), np.array([k], dtype=np.float64), hp)
+    return float(fa[0])
 
 
 def intensity_term(u, k, theta_il: float, theta_ih: float) -> float:
-    """ReLU[(|u| - theta_il |k|)(|u| - theta_ih |k|)]; zero inside the band."""
-    if not 0 < theta_il < theta_ih:
-        raise ValidationError("need 0 < theta_il < theta_ih")
-    u = np.asarray(u, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    ru = float(np.hypot(u[0], u[1]))
-    rk = float(np.hypot(k[0], k[1]))
-    return max((ru - theta_il * rk) * (ru - theta_ih * rk), 0.0)
+    """ReLU[(|u| - theta_il |k|)(|u| - theta_ih |k|)]; zero inside the band.
+    This is `skeleton_constraint`'s per-pixel term for one pair."""
+    hp = Hyperparams(theta_il=theta_il, theta_ih=theta_ih)
+    _, fi = _terms(np.array([u], dtype=np.float64), np.array([k], dtype=np.float64), hp)
+    return float(fi[0])
 
 
 def _gather(flow: FlowMap, offsets: SkeletonOffsets, matches: np.ndarray, mask: SubjectMask,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MAX_PIXELS, FlowMap, KeypointFrame, PointSet, SubjectMask, Vec2
+from .core import MAX_PIXELS, FlowMap, KeypointFrame, PointSet, SubjectMask, Vec2, _check_count, _finite_number
 from .errors import EmptySubject, SpecOutOfBounds, ValidationError
 from .skeleton import DEFAULT_BONES
 
@@ -53,6 +53,24 @@ DEFAULT_RADII = (2.5, 2.5, 2.5, 2.5, 2.5, 2.5, 2.5, 2.5, 3.0, 3.0, 4.0, 4.0, 2.5
 _MARGIN = 2.0
 
 
+def _finite_floats(name: str, values, count: int) -> tuple:
+    """`values`, a tuple or list of `count` finite numbers, as floats."""
+    if not (isinstance(values, (tuple, list)) and len(values) == count
+            and all(_finite_number(v) for v in values)):
+        raise ValidationError(f"{name} must hold {count} finite numbers")
+    return tuple(float(v) for v in values)
+
+
+def _named_floats(name: str, values) -> dict:
+    """`values`, a dict of bone parameter names to finite numbers, with float values."""
+    if not (isinstance(values, dict) and all(_finite_number(v) for v in values.values())):
+        raise ValidationError(f"{name} must map names to finite numbers")
+    for key in values:
+        if key not in DEFAULT_LENGTHS and key not in DEFAULT_ANGLES:
+            raise ValidationError(f"unknown bone parameter {key!r}")
+    return {key: float(v) for key, v in values.items()}
+
+
 @dataclass(frozen=True)
 class SubjectSpec:
     """One articulated figure: root path plus per-frame absolute bone angles."""
@@ -65,12 +83,13 @@ class SubjectSpec:
     capsule_radii: tuple = DEFAULT_RADII
 
     def __post_init__(self):
-        for name in list(self.lengths) + list(self.angles_t) + list(self.angles_t1):
-            if name not in DEFAULT_LENGTHS and name not in DEFAULT_ANGLES:
-                raise ValidationError(f"unknown bone parameter {name!r}")
-        radii = tuple(float(r) for r in self.capsule_radii)
-        if len(radii) != len(DEFAULT_BONES) or any(r <= 0 for r in radii):
-            raise ValidationError(f"capsule_radii needs {len(DEFAULT_BONES)} positive entries")
+        for name in ("root_t", "root_t1"):
+            object.__setattr__(self, name, _finite_floats(name, getattr(self, name), 2))
+        for name in ("lengths", "angles_t", "angles_t1"):
+            object.__setattr__(self, name, _named_floats(name, getattr(self, name)))
+        radii = _finite_floats("capsule_radii", self.capsule_radii, len(DEFAULT_BONES))
+        if any(r <= 0 for r in radii):
+            raise ValidationError("capsule_radii must be positive")
         object.__setattr__(self, "capsule_radii", radii)
 
 
@@ -84,15 +103,23 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.width < 32 or self.height < 32:
-            raise ValidationError("scene dimensions must be at least 32 pixels")
+        for name, least in (("width", 32), ("height", 32), ("seed", 0)):
+            _check_count(name, getattr(self, name), least)
         if self.width * self.height > MAX_PIXELS:
             raise ValidationError(f"scene width x height must be at most {MAX_PIXELS} pixels (4096x4096)")
-        if not self.subjects:
+        subjects = tuple(self.subjects)
+        if not subjects:
             raise ValidationError("scene needs at least one subject")
-        if self.seed < 0:
-            raise ValidationError("seed must be non-negative")
-        object.__setattr__(self, "subjects", tuple(self.subjects))
+        if not all(isinstance(s, SubjectSpec) for s in subjects):
+            raise ValidationError("each subject must be a SubjectSpec")
+        if not isinstance(self.camera_motion, Vec2):
+            raise ValidationError("camera_motion must be a Vec2")
+        if not _finite_number(self.noise_sigma):
+            raise ValidationError("noise_sigma must be a finite number")
+        if self.noise_sigma < 0:
+            raise ValidationError("noise_sigma must be >= 0")
+        object.__setattr__(self, "subjects", subjects)
+        object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
 
 
 @dataclass(frozen=True)

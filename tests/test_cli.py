@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 import wlflow
 from wlflow import boundary as bnd
-from wlflow import flows, io, synth
+from wlflow import cli, flows, io, synth
 from wlflow.cli import main
-from wlflow.core import FlowMap, PointSet, SubjectMask, Vec2
+from wlflow.core import FlowMap, Hyperparams, PointSet, SubjectMask, Vec2
 
 
 @pytest.fixture(scope="module")
@@ -396,37 +396,51 @@ def _empty_mask_argv(scene_dir, tmp_path, command):
 
 
 _HUGE = 10 ** 400  # a valid JSON integer beyond the float range
-_TAU_RANGE_MESSAGE = "each tau_schedule entry must lie in [1e-100, 1e+50]"
+_TAU_RANGE_MESSAGE = "$ invalid (each tau_schedule entry must lie in [1e-100, 1e+50])"
 
 
+# A config file (--opts, --config, --spec) that its type refuses exits 2; the
+# first cases keep the ids that pytest gave them before they had explicit ones.
 @pytest.mark.parametrize("build, arg, code, message", [
     (_chamfer_argv, "8,,16", 1, "--scales must be comma-separated integers"),
     (_chamfer_argv, "8,x", 1, "--scales must be comma-separated integers"),
-    (_solve_argv, {"tau_schedule": 5}, 2, "opts.json"),
-    (_solve_argv, {"tau_schedule": ["fast"]}, 2, "opts.json"),
-    (_solve_argv, {"max_iters": "many"}, 2, "opts.json"),
-    (_solve_argv, {"seed": 0}, 2, "unknown solver options ['seed']"),
-    (_solve_argv, {"max_iters": 0}, 1, "max_iters must be >= 1"),
-    (_solve_argv, {"max_iters": 2.5}, 1, "max_iters must be an integer"),
-    (_solve_argv, {"max_iters": True}, 1, "max_iters must be an integer"),
+    pytest.param(_solve_argv, {"tau_schedule": 5}, 2, "opts.json: $ invalid ('int' object is not iterable)",
+                 id="_solve_argv-arg2-2-opts.json"),
+    pytest.param(_solve_argv, {"tau_schedule": ["fast"]}, 2,
+                 "opts.json: $ invalid (each tau_schedule entry must be a finite number)",
+                 id="_solve_argv-arg3-2-opts.json"),
+    pytest.param(_solve_argv, {"max_iters": "many"}, 2, "opts.json: $ invalid (max_iters must be an integer)",
+                 id="_solve_argv-arg4-2-opts.json"),
+    pytest.param(_solve_argv, {"seed": 0}, 2, "opts.json: $ has unknown keys ['seed']",
+                 id="_solve_argv-arg5-2-unknown solver options ['seed']"),
+    pytest.param(_solve_argv, {"max_iters": 0}, 2, "$ invalid (max_iters must be >= 1)",
+                 id="_solve_argv-arg6-1-max_iters must be >= 1"),
+    pytest.param(_solve_argv, {"max_iters": 2.5}, 2, "$ invalid (max_iters must be an integer)",
+                 id="_solve_argv-arg7-1-max_iters must be an integer"),
+    pytest.param(_solve_argv, {"max_iters": True}, 2, "$ invalid (max_iters must be an integer)",
+                 id="_solve_argv-arg8-1-max_iters must be an integer"),
     pytest.param(_points_argv, _HUGE, 2, "$.points[0] has entries that are not finite numbers",
                  id="huge-point"),
     pytest.param(_keypoints_argv, _HUGE, 2,
                  "$.frames[1].persons[0][3] has entries that are not finite numbers", id="huge-keypoint"),
-    pytest.param(_config_argv, {"alpha": _HUGE}, 2, "alpha must hold finite numbers", id="huge-alpha"),
-    pytest.param(_config_argv, {"scales": [8, _HUGE]}, 2, "scales must hold finite numbers",
-                 id="huge-scale"),
-    pytest.param(_config_argv, {"scales": [2.5]}, 2, "scales must be integers", id="fractional-scale"),
-    pytest.param(_synth_argv, '{"width": 1e400}', 2, "$.width must be an integer", id="synth-inf-width"),
+    pytest.param(_config_argv, {"alpha": _HUGE}, 2, "config.json: $ invalid (alpha must be a finite number)",
+                 id="huge-alpha"),
+    pytest.param(_config_argv, {"scales": [8, _HUGE]}, 2,
+                 "$ invalid (each scales entry must be a finite number)", id="huge-scale"),
+    pytest.param(_config_argv, {"scales": [2.5]}, 2, "$ invalid (scales must be integers",
+                 id="fractional-scale"),
+    pytest.param(_synth_argv, '{"width": 1e400}', 2, "spec.json: $ invalid (width must be an integer)",
+                 id="synth-inf-width"),
     pytest.param(_synth_argv, '{"subjects": [{"root_t": "ab"}]}', 2,
-                 "$.subjects[0].root_t must be a list of 2 finite numbers", id="synth-root"),
-    pytest.param(_synth_argv, '{"camera_motion": [1]}', 2, "$.camera_motion must be a list of 2 finite numbers",
+                 "$.subjects[0] invalid (root_t must hold 2 finite numbers)", id="synth-root"),
+    pytest.param(_synth_argv, '{"camera_motion": [1]}', 2,
+                 "$.camera_motion invalid (Vec2.__init__() missing 1 required positional argument: 'dy')",
                  id="synth-camera"),
-    pytest.param(_synth_argv, '{"noise_sigma": "x"}', 2, "$.noise_sigma must be a finite number",
+    pytest.param(_synth_argv, '{"noise_sigma": "x"}', 2, "$ invalid (noise_sigma must be a finite number)",
                  id="synth-noise"),
     pytest.param(_synth_argv, '{"subjects": [{"angles_t": {"neck": "a"}}]}', 2,
-                 "$.subjects[0].angles_t must map names to finite numbers", id="synth-angle"),
-    pytest.param(_synth_argv, '{"seed": -1, "noise_sigma": 0.5}', 2, "seed must be non-negative",
+                 "$.subjects[0] invalid (angles_t must map names to finite numbers)", id="synth-angle"),
+    pytest.param(_synth_argv, '{"seed": -1, "noise_sigma": 0.5}', 2, "$ invalid (seed must be >= 0)",
                  id="synth-seed"),
     pytest.param(_synth_argv, '{"widht": 64, "subjects": [{"root_t": [60, 60]}]}', 2,
                  "$ has unknown keys ['widht']", id="synth-unknown-key"),
@@ -434,10 +448,11 @@ _TAU_RANGE_MESSAGE = "each tau_schedule entry must lie in [1e-100, 1e+50]"
                  "$.subjects[0] has unknown keys ['rooot']", id="synth-unknown-subject-key"),
     pytest.param(_synth_argv, f'{{"width": {_HUGE}}}', 2, "at most 16777216 pixels", id="synth-huge-width"),
     pytest.param(_synth_argv, '{"width": 100000000000}', 2, "at most 16777216 pixels", id="synth-wide"),
-    pytest.param(_solve_argv, {"tolerance": True}, 1, "tolerance must be a finite number", id="bool-tolerance"),
-    pytest.param(_solve_argv, {"tolerance": float("nan")}, 1, "tolerance must be a finite number",
+    pytest.param(_solve_argv, {"tolerance": True}, 2, "$ invalid (tolerance must be a finite number)",
+                 id="bool-tolerance"),
+    pytest.param(_solve_argv, {"tolerance": float("nan")}, 2, "$ invalid (tolerance must be a finite number)",
                  id="nan-tolerance"),
-    pytest.param(_solve_argv, {"step_size": 1.0}, 2, "unknown solver options ['step_size']", id="step-size"),
+    pytest.param(_solve_argv, {"step_size": 1.0}, 2, "$ has unknown keys ['step_size']", id="step-size"),
     pytest.param(_far_keypoints_argv, ["decompose", "--method", "homography"], 1, "the fit overflows",
                  id="far-keypoints-homography"),
     pytest.param(_far_keypoints_argv, ["decompose", "--method", "head"], 1, "the fit overflows",
@@ -452,12 +467,14 @@ _TAU_RANGE_MESSAGE = "each tau_schedule entry must lie in [1e-100, 1e+50]"
                  "skeleton offsets must be finite and below 1e+150 px", id="far-keypoints-eval-local-translation"),
     pytest.param(_far_keypoints_argv, ["eval"], 1, "skeleton offsets must be finite and below 1e+150 px",
                  id="far-keypoints-eval"),
-    pytest.param(_solve_argv, {"smoothness_weight": -0.1}, 1,
-                 "smoothness_weight must be >= 0", id="negative-weight"),
-    pytest.param(_solve_argv, {"background_weight": 0.05}, 2, "unknown solver options ['background_weight']",
+    pytest.param(_solve_argv, {"smoothness_weight": -0.1}, 2,
+                 "$ invalid (smoothness_weight must be >= 0)", id="negative-weight"),
+    pytest.param(_solve_argv, {"background_weight": 0.05}, 2, "$ has unknown keys ['background_weight']",
                  id="background-weight"),
-    pytest.param(_solve_argv, {"tau_schedule": [0.5, True]}, 1,
-                 "each tau_schedule entry must be a finite number", id="bool-tau"),
+    pytest.param(_solve_argv, {"tau_schedule": [0.5, True]}, 2,
+                 "$ invalid (each tau_schedule entry must be a finite number)", id="bool-tau"),
+    pytest.param(_solve_argv, {"tau_schedule": [0.5, None]}, 2,
+                 "$ invalid (each tau_schedule entry must be a finite number)", id="null-tau"),
     pytest.param(_render_argv, "nan", 1, "max_norm must be a finite number", id="nan-max-norm"),
     pytest.param(_render_argv, "-inf", 1, "max_norm must be a finite number", id="inf-max-norm"),
     pytest.param(_render_argv, "5e-324", 1, "the normalised flow overflows", id="subnormal-max-norm"),
@@ -476,9 +493,9 @@ _TAU_RANGE_MESSAGE = "each tau_schedule entry must lie in [1e-100, 1e+50]"
     pytest.param(_empty_mask_argv, ["eval"], 1, "mask contains no subjects", id="eval-empty-mask"),
     pytest.param(_empty_mask_argv, ["eval", "--local"], 1, "mask contains no subjects",
                  id="eval-local-empty-mask"),
-    pytest.param(_solve_argv, {"tau_schedule": [1e300]}, 1, _TAU_RANGE_MESSAGE, id="tau-1e300"),
-    pytest.param(_solve_argv, {"tau_schedule": [0.5, 1e100]}, 1, _TAU_RANGE_MESSAGE, id="tau-1e100"),
-    pytest.param(_solve_argv, {"tau_schedule": [5e-324]}, 1, _TAU_RANGE_MESSAGE, id="tau-subnormal"),
+    pytest.param(_solve_argv, {"tau_schedule": [1e300]}, 2, _TAU_RANGE_MESSAGE, id="tau-1e300"),
+    pytest.param(_solve_argv, {"tau_schedule": [0.5, 1e100]}, 2, _TAU_RANGE_MESSAGE, id="tau-1e100"),
+    pytest.param(_solve_argv, {"tau_schedule": [5e-324]}, 2, _TAU_RANGE_MESSAGE, id="tau-subnormal"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_bad_arguments_exit_with_one_line_error(scene_dir, tmp_path, capsys, build, arg, code, message):
@@ -487,6 +504,66 @@ def test_bad_arguments_exit_with_one_line_error(scene_dir, tmp_path, capsys, bui
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert "Traceback" not in err
+
+
+def _without_wall_time(report: str) -> list:
+    return [line for line in report.splitlines() if not line.lstrip().startswith('"wall_time_s"')]
+
+
+def test_reports_are_the_library_results_byte_for_byte(scene_dir, tmp_path, capsys):
+    """The eval, solve, metrics and decompose reports, but for wall_time_s, are
+    byte for byte the io.Report of the library's results for the same files.
+    The solve's `--opts` gives its tau as a string, which counts as its number."""
+    flo, keypoints, mask_path, boundary = (str(scene_dir / name) for name in
+                                           ("gt_world.flo", "keypoints.json", "mask_t.pgm", "boundary.json"))
+    flow, mask, frames = io.read_flo(flo), io.read_mask(mask_path), io.read_keypoints(keypoints)
+    priors = flows.Priors.build(frames[0], frames[1], mask, io.read_points(boundary))
+    hp = Hyperparams()
+    hp_record = vars(hp) | {"scales": list(hp.scales)}
+    scene = dict(keypoints=keypoints, mask=mask_path, boundary=boundary)
+
+    b = flows.joint_objective(flow, priors, hp)
+    eval_report = io.Report("eval", cli._inputs_record(flow=flo, **scene), hp_record, {
+        "total": b.total, "f": b.f, "g": b.g, "alpha": b.alpha, "constraint_kind": "world",
+        "angular_violation_fraction": b.f_report.angular_violation_fraction,
+        "intensity_mean_penalty": b.f_report.intensity_mean_penalty,
+        "matched_pixels": b.f_report.matched_pixels,
+        "f_matched_normalized": b.f_report.f_matched_normalized,
+        "boundary_edges_empty": b.g_result.edges_empty,
+        "boundary_cooccupied_fraction": list(b.g_result.cooccupied_fraction),
+    }, [], 0.0)
+
+    solve_argv = _solve_argv(scene_dir, tmp_path, {"max_iters": 2, "tau_schedule": ["0.5", "0.1"]})
+    solved = flows.solve_world_flow(FlowMap.zeros(mask.width, mask.height), priors, hp,
+                                    flows.SolverOptions(max_iters=2, tau_schedule=(0.5, 0.1)))
+    solve_report = io.Report("solve", cli._inputs_record(**scene), hp_record, {
+        "converged": solved.converged, "stops": list(solved.stops), "iterations": len(solved.trace),
+        "final_total": solved.objective.total, "out": solve_argv[-1],
+    }, [{"iteration": t.iteration, "tau": t.tau, "step": t.step, "surrogate": t.surrogate}
+        for t in solved.trace], 0.0)
+
+    mean_epe, max_epe = flows.endpoint_error(flow, flow, mask)
+    metrics_report = io.Report("metrics", cli._inputs_record(pred=flo, gt=flo, mask=mask_path), {},
+                               {"mean_epe": mean_epe, "max_epe": max_epe, "masked": True}, [], 0.0)
+
+    local = str(tmp_path / "local.flo")
+    (v,) = flows.estimate_subject_motion(flow, mask, "mask-mean").values()
+    decompose_report = io.Report(
+        "decompose", cli._inputs_record(world=flo, mask=mask_path, keypoints=keypoints), {},
+        {"method": "mask-mean", "v_s": {"1": {"kind": "vector", "value": [v.dx, v.dy]}}, "out_local": local},
+        [], 0.0)
+
+    for argv, report in [
+        (["eval", "--flow", flo, "--keypoints", keypoints, "--mask", mask_path, "--boundary", boundary],
+         eval_report),
+        (solve_argv, solve_report),
+        (["metrics", "--pred", flo, "--gt", flo, "--mask", mask_path], metrics_report),
+        (["decompose", "--world", flo, "--mask", mask_path, "--keypoints", keypoints, "--out-local", local],
+         decompose_report),
+    ]:
+        code, out, err = _run(capsys, argv)
+        assert code == 0, err
+        assert _without_wall_time(out) == _without_wall_time(report.to_json()), argv[0]
 
 
 def test_solve_without_accepted_steps_reports_the_written_flows_objective(scene_dir, tmp_path, capsys):
@@ -653,6 +730,44 @@ def test_fuzz_keypoint_files_exit_cleanly(scene_dir, fuzz_out, data, command):
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     assert err.count("error: ") <= 1 and (code == 0) == (err == ""), err
+
+
+# Values no config field accepts: JSON null, booleans, letter strings (no
+# number among them), and objects and lists of those letters.
+_LETTERS = st.text("abxyz", min_size=1, max_size=3)
+_WRONG_TYPED = st.one_of(st.none(), st.booleans(), _LETTERS, st.dictionaries(_LETTERS, st.integers(), max_size=2),
+                         st.lists(_LETTERS, min_size=1, max_size=2))
+_NON_OBJECTS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+                         st.text(max_size=4), st.lists(st.integers(), max_size=2))
+_CONFIG_FILES = {
+    "solve --opts": (flows.SolverOptions, _solve_argv, "opts.json"),
+    "eval --config": (Hyperparams, _config_argv, "config.json"),
+    "synth --spec": (synth.SceneSpec, lambda scene, out, doc: _synth_argv(scene, out, json.dumps(doc)),
+                     "spec.json"),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), flag=st.sampled_from(sorted(_CONFIG_FILES)),
+       kind=st.sampled_from(["non-object", "unknown key", "wrong type"]))
+def test_fuzz_config_files_exit_2(scene_dir, fuzz_out, data, flag, kind):
+    """A config file that is not an object, has an unknown key or a wrong-typed
+    value exits 2 with one error line naming the file and the JSON location."""
+    cls, build, name = _CONFIG_FILES[flag]
+    fields = sorted(cls.__dataclass_fields__)
+    if kind == "non-object":
+        doc = data.draw(_NON_OBJECTS)
+    elif kind == "unknown key":
+        doc = {data.draw(st.text(max_size=8).filter(lambda key: key not in fields)): data.draw(_WRONG_TYPED)}
+    else:
+        doc = {data.draw(st.sampled_from(fields)): data.draw(_WRONG_TYPED)}
+    out, err = StringIO(), StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(build(scene_dir, fuzz_out, doc))
+    err = err.getvalue()
+    assert code == 2, err
+    assert err.startswith(f"error: {fuzz_out / name}: $") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 def test_cli_entry_point_imports_no_scipy_until_exact_chamfer(tmp_path):

@@ -33,10 +33,19 @@ def test_validate_pairing_minimal():
     validate_pairing(FlowMap.zeros(1, 1), SubjectMask(np.zeros((1, 1), dtype=np.int32)))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, pytest.param(10 ** 400, id="huge-int"),
+                                 pytest.param("1.0", id="string"), pytest.param(None, id="none"),
+                                 pytest.param(True, id="bool")])
 def test_vec2_rejects_non_finite(bad):
     with pytest.raises(ValidationError):
         Vec2(bad, 0.0)
+    with pytest.raises(ValidationError):
+        Vec2(0.0, bad)
+
+
+def test_vec2_stores_floats():
+    v = Vec2(np.float64(1.5), np.float32(-2.0))
+    assert (v.dx, v.dy) == (1.5, -2.0) and type(v.dx) is float and type(v.dy) is float
 
 
 def test_flowmap_rejects_non_finite():

@@ -410,6 +410,13 @@ def test_solver_rejects_bad_options():
         flows.SolverOptions(tolerance=0.0)
 
 
+def test_solver_options_read_tau_entries_from_strings():
+    assert flows.SolverOptions(tau_schedule=["0.5", "0.1"]).tau_schedule == (0.5, 0.1)
+    for entry in ("fast", "nan", "1e400", None, True, [0.5]):
+        with pytest.raises(ValidationError, match="each tau_schedule entry must be a finite number"):
+            flows.SolverOptions(tau_schedule=(0.5, entry))
+
+
 def test_priors_build_with_alignment(small_truth):
     aligned = flows.Priors.build(
         small_truth.keypoints[0], small_truth.keypoints[1],

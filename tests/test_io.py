@@ -1,11 +1,15 @@
+import dataclasses
 import hashlib
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wlflow import io, synth
+from wlflow import flows, io, synth
+from wlflow.cli import _read_scene_spec
 from wlflow.core import FlowMap, Hyperparams, KeypointFrame, PointSet, SubjectMask, Vec2
 from wlflow.errors import (
     BadMagic,
@@ -241,3 +245,53 @@ def test_hyperparams_config_roundtrip(tmp_path):
     bad.write_text(json.dumps({"gamma": 1.0}))
     with pytest.raises(SchemaError):
         io.hyperparams_from_json(bad)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(1e-6, 1e6)
+
+_HYPERPARAMS = st.builds(
+    lambda theta_il, band, **fields: Hyperparams(theta_il=theta_il, theta_ih=theta_il + band, **fields),
+    theta_il=st.floats(0.01, 10.0), band=st.floats(0.01, 10.0), alpha=_POSITIVE, beta=_POSITIVE,
+    theta_a=st.floats(0.0, 90.0, exclude_min=True, exclude_max=True), edge_theta_i=_POSITIVE,
+    edge_theta_a=st.floats(0.0, 180.0, exclude_min=True),
+    scales=st.lists(st.integers(2, 64), min_size=1, max_size=4).map(tuple),
+)
+_SOLVER_OPTIONS = st.builds(
+    flows.SolverOptions, max_iters=st.integers(1, 10 ** 6),
+    tau_schedule=st.lists(st.floats(*flows.TAU_RANGE), min_size=1, max_size=4).map(tuple),
+    smoothness_weight=st.floats(0.0, 1e6), tolerance=_POSITIVE,
+)
+_SUBJECT_SPECS = st.builds(
+    synth.SubjectSpec, root_t=st.tuples(_FINITE, _FINITE), root_t1=st.tuples(_FINITE, _FINITE),
+    lengths=st.dictionaries(st.sampled_from(sorted(synth.DEFAULT_LENGTHS)), _FINITE, max_size=3),
+    angles_t=st.dictionaries(st.sampled_from(sorted(synth.DEFAULT_ANGLES)), _FINITE, max_size=3),
+    angles_t1=st.dictionaries(st.sampled_from(sorted(synth.DEFAULT_ANGLES)), _FINITE, max_size=3),
+    capsule_radii=st.tuples(*[_POSITIVE] * len(synth.DEFAULT_RADII)),
+)
+_SCENE_SPECS = st.builds(
+    synth.SceneSpec, width=st.integers(32, 4096), height=st.integers(32, 4096),
+    subjects=st.lists(_SUBJECT_SPECS, min_size=1, max_size=2).map(tuple),
+    camera_motion=st.builds(Vec2, _FINITE, _FINITE), noise_sigma=st.floats(0.0, 1e6), seed=st.integers(0, 2 ** 64),
+)
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config")
+
+
+@settings(max_examples=30)
+@given(value=st.one_of(_HYPERPARAMS, _SOLVER_OPTIONS, _SCENE_SPECS))
+def test_config_values_round_trip_through_json(config_dir, value):
+    """A valid Hyperparams, SolverOptions or SceneSpec, written as the JSON its
+    config file holds, reads back equal."""
+    doc = dataclasses.asdict(value)
+    path = config_dir / "config.json"
+    if isinstance(value, synth.SceneSpec):
+        doc["camera_motion"] = [value.camera_motion.dx, value.camera_motion.dy]
+        path.write_text(json.dumps(doc))
+        assert _read_scene_spec(path) == value
+    else:
+        path.write_text(json.dumps(doc))
+        assert io.read_config(path, type(value)) == value

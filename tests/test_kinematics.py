@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wlflow import kinematics as kin
 from wlflow.core import FlowMap, Hyperparams, SubjectMask
@@ -61,6 +63,39 @@ def test_intensity_quadratic_scaling():
         s = rng.uniform(0.2, 5.0)
         expect = s * s * kin.intensity_term(u, k, 0.8, 1.2)
         assert kin.intensity_term(s * u, s * k, 0.8, 1.2) == pytest.approx(expect, rel=1e-9)
+
+
+_MAGNITUDES = st.one_of(st.sampled_from([0.0, 5e-7, 1e-6, 1.0]), st.floats(0.0, 50.0))
+
+
+@st.composite
+def _term_pair(draw):
+    """(u, k, theta_a): k of any direction and magnitude, static ones included,
+    and u either any vector or rotated from k by exactly theta_a degrees."""
+    theta_a = draw(st.floats(0.5, 89.5))
+    phi = draw(st.floats(-np.pi, np.pi))
+    rk = draw(_MAGNITUDES)
+    k = (rk * np.cos(phi), rk * np.sin(phi))
+    if draw(st.booleans()):
+        angle = phi + draw(st.sampled_from([-1.0, 1.0])) * np.deg2rad(theta_a)
+        ru = draw(_MAGNITUDES)
+        return (ru * np.cos(angle), ru * np.sin(angle)), k, theta_a
+    return draw(st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))), k, theta_a
+
+
+@settings(max_examples=50)
+@given(pair=_term_pair(), theta_il=st.floats(0.1, 1.5), width=st.floats(1e-3, 1.0))
+def test_scalar_terms_equal_the_constraints_per_pixel_terms(pair, theta_il, width):
+    """On a one-pixel raster, `skeleton_constraint`'s angular violation fraction
+    and intensity penalty are that pixel's terms, which the scalar functions
+    must give exactly, on the edge of the angular cone too."""
+    u, k, theta_a = pair
+    hp = Hyperparams(theta_a=theta_a, theta_il=theta_il, theta_ih=theta_il + width)
+    report = kin.skeleton_constraint(FlowMap(np.array([[u]])), SkeletonOffsets(np.array([k]), np.ones(1)),
+                                     np.zeros((1, 1), dtype=np.int64), SubjectMask(np.ones((1, 1), dtype=np.int32)),
+                                     hp)
+    assert report.angular_violation_fraction == kin.angular_term(u, k, theta_a)
+    assert report.intensity_mean_penalty == kin.intensity_term(u, k, hp.theta_il, hp.theta_ih)
 
 
 def _instance(rng, n=16):

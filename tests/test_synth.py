@@ -181,6 +181,41 @@ def test_unknown_bone_parameter_rejected():
         synth.SubjectSpec(angles_t1={"tail": 0.3})
 
 
+@pytest.mark.parametrize("fields", [
+    pytest.param({"capsule_radii": (float("nan"),) * 14}, id="nan-radius"),
+    pytest.param({"capsule_radii": (2.5,) * 13 + (0.0,)}, id="zero-radius"),
+    pytest.param({"lengths": {"torso": float("nan")}}, id="nan-length"),
+    pytest.param({"angles_t": {"neck": "up"}}, id="string-angle"),
+    pytest.param({"root_t": "ab"}, id="string-root"),
+    pytest.param({"root_t1": (1.0, 2.0, 3.0)}, id="three-number-root"),
+])
+def test_subject_spec_refuses_bad_fields(fields):
+    with pytest.raises(ValidationError):
+        synth.SubjectSpec(**fields)
+
+
+@pytest.mark.parametrize("fields", [
+    pytest.param({"width": 96.0}, id="float-width"),
+    pytest.param({"height": True}, id="bool-height"),
+    pytest.param({"seed": 1.5, "noise_sigma": 0.5}, id="float-seed"),
+    pytest.param({"seed": -1}, id="negative-seed"),
+    pytest.param({"noise_sigma": float("nan")}, id="nan-noise"),
+    pytest.param({"noise_sigma": -0.5}, id="negative-noise"),
+    pytest.param({"camera_motion": (1.0, 0.0)}, id="tuple-camera"),
+    pytest.param({"subjects": ({"root_t": (60.0, 60.0)},)}, id="dict-subject"),
+])
+def test_scene_spec_refuses_bad_fields(fields):
+    with pytest.raises(ValidationError):
+        synth.SceneSpec(**fields)
+
+
+def test_specs_store_floats():
+    """Integer and numpy numbers are stored as floats, so equal specs compare equal."""
+    sub = synth.SubjectSpec(root_t=[60, np.float64(61.5)], lengths={"torso": 20}, capsule_radii=[3] * 14)
+    assert sub == synth.SubjectSpec(root_t=(60.0, 61.5), lengths={"torso": 20.0}, capsule_radii=(3.0,) * 14)
+    assert synth.SceneSpec(subjects=[sub], noise_sigma=1).noise_sigma == 1.0
+
+
 def test_scene_pixel_cap():
     assert synth.SceneSpec(width=4096, height=4096).width == 4096
     for width, height in ((4097, 4096), (32, 2**19 + 1), (10**400, 32)):
