@@ -48,9 +48,6 @@ class EdgeMap:
 class PatchGrid:
     """Per-cell point counts and centroids for two curves on a tiled raster."""
 
-    scale: int
-    width: int
-    height: int
     counts_s: np.ndarray
     centroids_s: np.ndarray
     counts_e: np.ndarray
@@ -240,7 +237,7 @@ def build_patch_grid(s: PointSet, e: PointSet, scale: int, width: int, height: i
     counts_e, centroids_e = _bin_points(e.points, scale, gh, gw)
     for arr in (counts_s, centroids_s, counts_e, centroids_e):
         arr.setflags(write=False)
-    return PatchGrid(scale, width, height, counts_s, centroids_s, counts_e, centroids_e)
+    return PatchGrid(counts_s, centroids_s, counts_e, centroids_e)
 
 
 def patch_centroid_distance(grid: PatchGrid) -> PatchDistanceResult:

@@ -75,7 +75,8 @@ def _read_scene_spec(path) -> synth.SceneSpec:
         return tuple(io.config_object(doc, synth.SubjectSpec, f"$.subjects[{i}]")
                      for i, doc in enumerate(docs))
 
-    return io.read_config(path, synth.SceneSpec, subjects=subjects, camera_motion=lambda v: Vec2(*v))
+    return io.read_config(path, synth.SceneSpec, subjects=subjects,
+                          camera_motion=lambda v: Vec2(*synth._finite_floats("camera_motion", v, 2)))
 
 
 def _read_frame_pair(path):

@@ -173,10 +173,6 @@ class Vec2:
     def as_array(self) -> np.ndarray:
         return np.array([self.dx, self.dy], dtype=np.float64)
 
-    @property
-    def norm(self) -> float:
-        return float(np.hypot(self.dx, self.dy))
-
 
 @dataclass(frozen=True)
 class FlowMap:
@@ -292,9 +288,6 @@ class PointSet:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def translated(self, v: Vec2) -> "PointSet":
-        return PointSet(self.points + v.as_array())
-
 
 @dataclass(frozen=True)
 class Hyperparams:
@@ -327,6 +320,8 @@ class Hyperparams:
             raise ValidationError("edge thresholds must be positive")
         if self.edge_theta_a > 180:
             raise ValidationError("edge_theta_a must be at most 180 degrees")
+        if not isinstance(self.scales, (list, tuple)):
+            raise ValidationError("scales must be a list of integers")
         given = tuple(self.scales)
         for s in given:
             _check_number("each scales entry", s)

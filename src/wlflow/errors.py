@@ -59,7 +59,3 @@ class FormatError(FileFormatError):
 
 class SchemaError(FileFormatError):
     """JSON document does not match the expected schema."""
-
-
-class IoError(FileFormatError):
-    """Generic I/O failure while writing an output file."""

@@ -86,6 +86,8 @@ class SolverOptions:
         _check_number("smoothness_weight", self.smoothness_weight)
         if self.smoothness_weight < 0:
             raise ValidationError("smoothness_weight must be >= 0")
+        if not isinstance(self.tau_schedule, (list, tuple)):
+            raise ValidationError("tau_schedule must be a list of numbers")
         schedule = []
         for t in self.tau_schedule:
             with contextlib.suppress(ValueError):  # a string float() parses counts as its number
@@ -109,7 +111,12 @@ def _require_subjects(mask: SubjectMask) -> None:
 
 @dataclass(frozen=True)
 class Priors:
-    """Everything the objective needs besides the flow itself."""
+    """Everything the objective needs besides the flow itself.
+
+    `matches` must be an integer table shaped like the mask whose every
+    entry is -1 (unmatched) or an index into `offsets`, as `match_all`
+    builds it.
+    """
 
     matches: np.ndarray
     offsets: skel.SkeletonOffsets
@@ -118,6 +125,7 @@ class Priors:
 
     def __post_init__(self):
         _require_subjects(self.mask)  # so a solve box always holds a subject (`_active_box`)
+        kin._check_matches(self.matches, self.offsets, self.mask)
         # read-only, as every other frozen input type keeps its arrays
         object.__setattr__(self, "matches", _as_readonly(self.matches))
 

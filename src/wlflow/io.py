@@ -20,7 +20,6 @@ from .core import FlowMap, Hyperparams, KeypointFrame, PointSet, SubjectMask, N_
 from .errors import (
     BadMagic,
     FormatError,
-    IoError,
     NonFiniteValue,
     SchemaError,
     TruncatedFile,
@@ -280,12 +279,9 @@ def render_flow(flow: FlowMap, path, max_norm: float | None = None) -> None:
 
 def write_rgb(path, img: np.ndarray) -> None:
     """Binary PPM (P6) for an (h, w, 3) uint8 image."""
-    try:
-        with open(path, "wb") as f:
-            f.write(f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
-            f.write(img.tobytes())
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with open(path, "wb") as f:
+        f.write(f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
+        f.write(img.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +305,6 @@ def _format_floats(obj):
         return {k: _format_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_format_floats(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _format_floats(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return _format_floats(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     return obj
 
 

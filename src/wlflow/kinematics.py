@@ -26,14 +26,7 @@ class ConstraintReport:
     angular_violation_fraction: float
     intensity_mean_penalty: float
     matched_pixels: int
-    total_pixels: int
     f_matched_normalized: float
-
-    def __post_init__(self):
-        if self.f_value < 0:
-            raise ValidationError("constraint value must be non-negative")
-        if not 0.0 <= self.angular_violation_fraction <= 1.0:
-            raise ValidationError("violation fraction must lie in [0, 1]")
 
 
 def angular_term(u, k, theta_a: float) -> float:
@@ -76,8 +69,28 @@ def _gather(flow: FlowMap, offsets: SkeletonOffsets, matches: np.ndarray, mask: 
         matches = matches[window]
     valid = matches >= 0
     u = flow.vectors[valid]
-    k = offsets.vectors[matches[valid]]
+    try:
+        k = offsets.vectors[matches[valid]]
+    except IndexError as exc:  # a float table, or an index past the offsets
+        raise DimensionMismatch(
+            f"match table does not index the {offsets.vectors.shape[0]} skeleton offsets ({exc})"
+        ) from exc
     return valid, u, k
+
+
+def _check_matches(matches, offsets: SkeletonOffsets, mask: SubjectMask) -> None:
+    """Refuse `matches` unless it is an integer table shaped like the mask
+    (DimensionMismatch) whose every entry is -1 (unmatched) or an index into
+    `offsets` (ValidationError)."""
+    matches = np.asarray(matches)
+    if matches.shape != mask.labels.shape or not np.issubdtype(matches.dtype, np.integer):
+        raise DimensionMismatch(
+            f"match table must be an integer {mask.height}x{mask.width} array, "
+            f"got {matches.dtype} of shape {matches.shape}"
+        )
+    n = offsets.vectors.shape[0]
+    if matches.min() < -1 or matches.max() >= n:
+        raise ValidationError(f"match table entries must be -1 or an index below {n}")
 
 
 def _terms(u: np.ndarray, k: np.ndarray, hp: Hyperparams):
@@ -107,8 +120,10 @@ def skeleton_constraint(
     """Evaluate the hard constraint: mean over the raster of F_A + beta * F_I.
 
     Background (unmatched) pixels contribute zero; the normalizer is the
-    total pixel count of the raster.
+    total pixel count of the raster. A match table that `Priors` would
+    refuse raises as it does there.
     """
+    _check_matches(matches, offsets, mask)
     _, u, k = _gather(flow, offsets, matches, mask)
     fa, fi = _terms(u, k, hp)
     total = flow.height * flow.width
@@ -119,7 +134,6 @@ def skeleton_constraint(
         angular_violation_fraction=float(fa.mean()) if n else 0.0,
         intensity_mean_penalty=float(fi.mean()) if n else 0.0,
         matched_pixels=n,
-        total_pixels=total,
         f_matched_normalized=float((fa.sum() + hp.beta * fi.sum()) / n) if n else 0.0,
     )
 

@@ -87,25 +87,18 @@ class SkeletonMap:
 
 @dataclass(frozen=True)
 class SkeletonOffsets:
-    """Per-point displacement between two skeleton maps of the same length."""
+    """Per-point displacement vectors, (n, 2), between two skeleton maps of the same length."""
 
     vectors: np.ndarray
-    confidences: np.ndarray
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.vectors, dtype=np.float64))
-        c = np.ascontiguousarray(np.asarray(self.confidences, dtype=np.float64))
-        if v.ndim != 2 or v.shape[1] != 2 or c.shape != (v.shape[0],):
-            raise ValidationError("offsets need (n, 2) vectors and (n,) confidences")
+        if v.ndim != 2 or v.shape[1] != 2:
+            raise ValidationError(f"offsets need (n, 2) vectors, got shape {v.shape}")
         if not (np.abs(v) < _MAX_OFFSET).all():  # NaN fails too
             raise ValidationError(f"skeleton offsets must be finite and below {_MAX_OFFSET:g} px")
         v.setflags(write=False)
-        c.setflags(write=False)
         object.__setattr__(self, "vectors", v)
-        object.__setattr__(self, "confidences", c)
-
-    def __len__(self) -> int:
-        return self.vectors.shape[0]
 
 
 @dataclass(frozen=True)
@@ -176,11 +169,11 @@ def _check_same_length(k_t: SkeletonMap, k_t1: SkeletonMap) -> None:
 
 
 def skeleton_offsets(k_t: SkeletonMap, k_t1: SkeletonMap) -> SkeletonOffsets:
-    """Per-point offsets later-minus-earlier, confidences min of the pair."""
+    """Per-point offsets, later minus earlier: k_t1.xy - k_t.xy."""
     _check_same_length(k_t, k_t1)
     with np.errstate(over="ignore", invalid="ignore"):  # SkeletonOffsets refuses what overflows
         vectors = k_t1.xy - k_t.xy
-    return SkeletonOffsets(vectors, np.minimum(k_t.confidences, k_t1.confidences))
+    return SkeletonOffsets(vectors)
 
 
 def match_body_point(p, skeleton: SkeletonMap, mask: SubjectMask) -> int:
@@ -233,12 +226,9 @@ def concat_points(skeletons: Mapping[int, SkeletonMap]) -> np.ndarray:
 
 
 def concat_offsets(offsets: Mapping[int, SkeletonOffsets]) -> SkeletonOffsets:
-    """Offsets concatenated in the same label order match_all uses."""
-    labs = sorted(offsets)
-    return SkeletonOffsets(
-        np.concatenate([offsets[lab].vectors for lab in labs], axis=0),
-        np.concatenate([offsets[lab].confidences for lab in labs], axis=0),
-    )
+    """Offset vectors concatenated in the same label order match_all uses, so
+    that a match table's index picks its point's offset."""
+    return SkeletonOffsets(np.concatenate([offsets[lab].vectors for lab in sorted(offsets)], axis=0))
 
 
 def assign_subjects(frame: KeypointFrame, mask: SubjectMask) -> dict[int, int]:
@@ -427,8 +417,8 @@ def _fit_matrix(k_t: SkeletonMap, k_t1: SkeletonMap, method: str) -> tuple[str, 
 
 
 def aligned_offsets(k_t: SkeletonMap, k_t1: SkeletonMap, t: AlignTransform) -> SkeletonOffsets:
-    """Offsets after mapping k_t1 into k_t's frame: apply(t, k_t1) - k_t."""
+    """Offsets after mapping k_t1 into k_t's frame: t.apply(k_t1.xy) - k_t.xy."""
     _check_same_length(k_t, k_t1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused below
         vectors = t.apply(k_t1.xy) - k_t.xy
-    return SkeletonOffsets(vectors, np.minimum(k_t.confidences, k_t1.confidences))
+    return SkeletonOffsets(vectors)

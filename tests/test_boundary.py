@@ -195,7 +195,7 @@ def test_exact_chamfer_translation_invariance():
     e = PointSet(rng.uniform(0, 40, (25, 2)))
     base = bnd.exact_chamfer(s, e)
     v = Vec2(13.25, -7.5)
-    moved = bnd.exact_chamfer(s.translated(v), e.translated(v))
+    moved = bnd.exact_chamfer(PointSet(s.points + v.as_array()), PointSet(e.points + v.as_array()))
     assert moved == pytest.approx(base, rel=1e-9)
 
 

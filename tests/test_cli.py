@@ -404,7 +404,7 @@ _TAU_RANGE_MESSAGE = "$ invalid (each tau_schedule entry must lie in [1e-100, 1e
 @pytest.mark.parametrize("build, arg, code, message", [
     (_chamfer_argv, "8,,16", 1, "--scales must be comma-separated integers"),
     (_chamfer_argv, "8,x", 1, "--scales must be comma-separated integers"),
-    pytest.param(_solve_argv, {"tau_schedule": 5}, 2, "opts.json: $ invalid ('int' object is not iterable)",
+    pytest.param(_solve_argv, {"tau_schedule": 5}, 2, "opts.json: $ invalid (tau_schedule must be a list of numbers)",
                  id="_solve_argv-arg2-2-opts.json"),
     pytest.param(_solve_argv, {"tau_schedule": ["fast"]}, 2,
                  "opts.json: $ invalid (each tau_schedule entry must be a finite number)",
@@ -429,13 +429,17 @@ _TAU_RANGE_MESSAGE = "$ invalid (each tau_schedule entry must lie in [1e-100, 1e
                  "$ invalid (each scales entry must be a finite number)", id="huge-scale"),
     pytest.param(_config_argv, {"scales": [2.5]}, 2, "$ invalid (scales must be integers",
                  id="fractional-scale"),
+    pytest.param(_config_argv, {"scales": 5}, 2, "config.json: $ invalid (scales must be a list of integers)",
+                 id="int-scales"),
     pytest.param(_synth_argv, '{"width": 1e400}', 2, "spec.json: $ invalid (width must be an integer)",
                  id="synth-inf-width"),
     pytest.param(_synth_argv, '{"subjects": [{"root_t": "ab"}]}', 2,
                  "$.subjects[0] invalid (root_t must hold 2 finite numbers)", id="synth-root"),
     pytest.param(_synth_argv, '{"camera_motion": [1]}', 2,
-                 "$.camera_motion invalid (Vec2.__init__() missing 1 required positional argument: 'dy')",
-                 id="synth-camera"),
+                 "spec.json: $.camera_motion invalid (camera_motion must hold 2 finite numbers)", id="synth-camera"),
+    pytest.param(_synth_argv, '{"camera_motion": 5}', 2,
+                 "spec.json: $.camera_motion invalid (camera_motion must hold 2 finite numbers)",
+                 id="synth-camera-int"),
     pytest.param(_synth_argv, '{"noise_sigma": "x"}', 2, "$ invalid (noise_sigma must be a finite number)",
                  id="synth-noise"),
     pytest.param(_synth_argv, '{"subjects": [{"angles_t": {"neck": "a"}}]}', 2,
@@ -503,6 +507,18 @@ def test_bad_arguments_exit_with_one_line_error(scene_dir, tmp_path, capsys, bui
     assert got == code
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag", [(["render"], "--out"), (["edges"], "--overlay")])
+def test_unwritable_output_exits_2_naming_the_path(scene_dir, tmp_path, capsys, command, flag):
+    """An output file that cannot be opened (its directory is missing) is an
+    I/O error: exit 2 with one error line that names the path."""
+    out = tmp_path / "missing" / "flow.ppm"
+    got, _, err = _run(capsys, command + ["--flow", str(scene_dir / "gt_world.flo"), flag, str(out)])
+    assert got == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out) in err
     assert "Traceback" not in err
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wlflow import boundary as bnd
 from wlflow import flows, kinematics as kin, skeleton as skel, synth
@@ -538,7 +539,7 @@ def test_priors_matches_are_read_only():
 def _direct_priors(matches: np.ndarray, labels: np.ndarray) -> flows.Priors:
     """`Priors` built from its fields, with one zero offset per match index."""
     n = int(matches.max()) + 1
-    return flows.Priors(matches, skel.SkeletonOffsets(np.zeros((n, 2)), np.ones(n)), PointSet(np.zeros((0, 2))),
+    return flows.Priors(matches, skel.SkeletonOffsets(np.zeros((n, 2))), PointSet(np.zeros((0, 2))),
                         SubjectMask(labels))
 
 
@@ -553,6 +554,47 @@ def test_priors_refuse_a_mask_without_subjects(small_truth, build, monkeypatch):
             flows.Priors.build(*small_truth.keypoints[:2], SubjectMask(labels), small_truth.boundary_t)
         else:
             _direct_priors(np.full((8, 8), -1), labels)
+
+
+@st.composite
+def _bad_match_tables(draw):
+    """(n, table, defect): a match table for `n` offsets on a 6x6 mask that
+    is valid but for one defect: another shape, a float dtype, or one entry
+    at or past `n` ("high") or below -1 ("low")."""
+    n = draw(st.integers(1, 4))
+    defect = draw(st.sampled_from(["shape", "float", "high", "low"]))
+    shape = (6, 6) if defect != "shape" else draw(st.sampled_from([(6, 5), (5, 6), (6,), (6, 6, 1), (1, 36)]))
+    table = draw(hnp.arrays(np.int64, shape, elements=st.integers(-1, n - 1)))
+    if defect == "float":
+        table = table.astype(draw(st.sampled_from([np.float64, np.float32])))
+    elif defect in ("high", "low"):
+        bad = st.integers(n, 2 ** 40) if defect == "high" else st.integers(-2 ** 40, -2)
+        table[draw(st.integers(0, 5)), draw(st.integers(0, 5))] = draw(bad)
+    return n, table, defect
+
+
+@given(case=_bad_match_tables())
+@settings(max_examples=60, deadline=None)
+def test_bad_match_tables_are_refused_with_a_typed_error(case):
+    """`Priors` and the hard skeleton constraint refuse a match table of the
+    wrong shape or dtype (DimensionMismatch) or with an entry that is neither
+    -1 nor an offset index (ValidationError). The surrogate refuses every
+    table it cannot index with, never with an IndexError; it reads an entry
+    below -1 as unmatched, as it checks nothing per evaluation."""
+    n, table, defect = case
+    mask = SubjectMask(np.pad(np.ones((2, 2), dtype=np.int32), 2))
+    offsets = skel.SkeletonOffsets(np.ones((n, 2)))
+    expected = DimensionMismatch if defect in ("shape", "float") else ValidationError
+    with pytest.raises(expected):
+        flows.Priors(table, offsets, PointSet(np.zeros((0, 2))), mask)
+    flow = FlowMap.zeros(6, 6)
+    with pytest.raises(expected):
+        kin.skeleton_constraint(flow, offsets, table, mask, Hyperparams())
+    if defect == "low":
+        kin.smooth_skeleton_constraint(flow, offsets, table, mask, Hyperparams(), 0.5)
+    else:
+        with pytest.raises(DimensionMismatch):
+            kin.smooth_skeleton_constraint(flow, offsets, table, mask, Hyperparams(), 0.5)
 
 
 def _loop_active_box(init: np.ndarray, labels: np.ndarray, matches: np.ndarray) -> tuple[slice, slice]:

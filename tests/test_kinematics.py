@@ -91,7 +91,7 @@ def test_scalar_terms_equal_the_constraints_per_pixel_terms(pair, theta_il, widt
     must give exactly, on the edge of the angular cone too."""
     u, k, theta_a = pair
     hp = Hyperparams(theta_a=theta_a, theta_il=theta_il, theta_ih=theta_il + width)
-    report = kin.skeleton_constraint(FlowMap(np.array([[u]])), SkeletonOffsets(np.array([k]), np.ones(1)),
+    report = kin.skeleton_constraint(FlowMap(np.array([[u]])), SkeletonOffsets(np.array([k])),
                                      np.zeros((1, 1), dtype=np.int64), SubjectMask(np.ones((1, 1), dtype=np.int32)),
                                      hp)
     assert report.angular_violation_fraction == kin.angular_term(u, k, theta_a)
@@ -110,7 +110,7 @@ def _instance(rng, n=16):
     ])
     sk = SkeletonMap(pts)
     matches = match_all({1: sk}, mask)
-    offsets = SkeletonOffsets(rng.normal(0, 2, (16, 2)), pts[:, 2])
+    offsets = SkeletonOffsets(rng.normal(0, 2, (16, 2)))
     flow = FlowMap(rng.normal(0, 2, (n, n, 2)))
     return flow, offsets, matches, mask
 
@@ -164,7 +164,7 @@ def test_smooth_deep_satisfaction_is_tiny(hp):
     labels[1, 1] = 1
     mask = SubjectMask(labels)
     matches = match_all({1: sk}, mask)
-    offsets = SkeletonOffsets(np.array([[2.0, 0.0], [2.0, 0.0]]), np.ones(2))
+    offsets = SkeletonOffsets(np.array([[2.0, 0.0], [2.0, 0.0]]))
     arr = np.zeros((4, 4, 2))
     arr[1, 1] = (2.0, 0.0)  # same direction/magnitude as the offset
     value, _ = kin.smooth_skeleton_constraint(FlowMap(arr), offsets, matches, mask, hp, tau=0.01)
@@ -222,7 +222,7 @@ def test_smooth_surrogate_monotone_in_angle(hp):
     labels[1, 1] = 1
     mask = SubjectMask(labels)
     matches = match_all({1: sk}, mask)
-    offsets = SkeletonOffsets(np.array([[3.0, 0.0], [3.0, 0.0]]), np.ones(2))
+    offsets = SkeletonOffsets(np.array([[3.0, 0.0], [3.0, 0.0]]))
     values = []
     for ang in np.linspace(0, np.pi, 37):
         arr = np.zeros((3, 3, 2))

@@ -350,7 +350,7 @@ def test_offsets_beyond_the_float_range_refused_without_warning():
     with pytest.raises(ValidationError):
         skel.skeleton_offsets(skel.interpolate_skeleton(near), skel.interpolate_skeleton(far))
     with pytest.raises(ValidationError):
-        skel.SkeletonOffsets(np.array([[1e150, 0.0]]), np.ones(1))
+        skel.SkeletonOffsets(np.array([[1e150, 0.0]]))
 
 
 def test_homography_collinear_falls_back_to_similarity():
