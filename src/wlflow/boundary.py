@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -332,18 +333,18 @@ _SLOT_DY, _SLOT_DX = np.array(_NEIGHBORS).T
 # Per 8-bit set of slots, its lowest slot; 0 for the empty set, as argmax gives.
 _LOWEST_SLOT = np.array([(b & -b).bit_length() - 1 if b else 0 for b in range(256)], dtype=np.uint8)
 
-# Bit n of a tie mask, per slot n, against the slot axis of an (8, h, w) table.
-_SLOT_BITS = (1 << np.arange(8, dtype=np.uint8))[:, None, None]
+# Bit n of a tie mask, per slot n.
+_SLOT_BITS = 1 << np.arange(8, dtype=np.uint8)
 
 
 def _tie_masks(slots: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """Per pixel of each (8, h, w) table in `slots`, whose largest slot is
-    `top`: a uint8 mask whose bit n marks slot n as equal to the max. Its
-    `_LOWEST_SLOT` entry is the lowest such slot, as `(table ==
-    max).argmax(axis=0)` picks. The bits are distinct, so their uint8 sum is
-    their union."""
+    """Per pixel of each table in `slots`, shaped (8, *pixels) along axis 1,
+    whose largest slot is `top`: a uint8 mask whose bit n marks slot n as
+    equal to the max. Its `_LOWEST_SLOT` entry is the lowest such slot, as
+    `(table == max).argmax(axis=0)` picks. The bits are distinct, so their
+    uint8 sum is their union."""
     bits = (slots == top[:, None]).view(np.uint8)
-    bits *= _SLOT_BITS
+    bits *= _SLOT_BITS.reshape((8,) + (1,) * (slots.ndim - 2))
     return bits.sum(axis=1, dtype=np.uint8)
 
 
@@ -389,13 +390,88 @@ class _ScaleCells:
     ty: np.ndarray
 
 
+# A partly free window takes the dense plan when it would score more than this
+# share of its pairs: from about there on, gathering the planned pairs costs
+# as much as scoring every pair through slices (the README has the measurement).
+_DENSE_PAIR_SHARE = 0.5
+
+
+@dataclass(frozen=True, eq=False)
+class _PairPlan:
+    """Which neighbor pairs of a window the soft term scores, and the pixels
+    of its slot table.
+
+    `pairs` holds groups `(i, j, put_i, put_j)`: `i` and `j` pick the first
+    and second pixels of the group's pairs from the table's pixels, and
+    `put_i` and `put_j` their slots in a table of weights reshaped to
+    `table`. The dense plan scores every pair, one group per forward offset
+    k of `_NEIGHBORS[:4]`: its table's pixels are the window's, `shape` and
+    `table` are (h, w) and (8, h, w), `i` and `j` are `_pair_slices` slices,
+    and `put_i` and `put_j` add slots k and 7 - k. A sparse plan scores the
+    pairs with a free endpoint in one group: its table's pixels are the
+    `ring`, the flat window indices, ascending, of the free pixels and their
+    8-neighbors, `shape` is (len(ring),) and `table` (-1,), `i` and `j` are
+    positions in the ring and `put_i` and `put_j` flat positions in the
+    (8, len(ring)) table; `on` marks, per slot and ring pixel, a slot on the
+    raster. `ring` and `on` are None in the dense plan. `pinned` holds the
+    flat window indices of the pixels the solve cannot move, None when there
+    are none. `ys`, `xs` and `cids` (one per scale) are the global rows,
+    columns and cell ids of the table's pixels.
+    """
+
+    shape: tuple
+    table: tuple
+    pairs: tuple
+    ring: np.ndarray | None
+    on: np.ndarray | None
+    pinned: np.ndarray | None
+    ys: np.ndarray
+    xs: np.ndarray
+    cids: tuple
+
+
+def _pair_plan(free: np.ndarray | None, ys: np.ndarray, xs: np.ndarray, cids: tuple) -> _PairPlan:
+    """The `_PairPlan` of a window whose pixels have global rows `ys` (a
+    column), columns `xs` and per-scale cell ids `cids`, given its `free`
+    pixels; None frees them all. The plan is dense when every pixel is free
+    or when the pairs with a free endpoint are more than `_DENSE_PAIR_SHARE`
+    of all pairs."""
+    h, wd = ys.shape[0], xs.shape[0]
+    slices = [_pair_slices(dy, dx, h, wd) for dy, dx in _NEIGHBORS[:4]]
+    pinned = None if free is None or free.all() else np.flatnonzero(~free)
+    dense = _PairPlan((h, wd), (8, h, wd), tuple((i, j, (k, *i), (7 - k, *j)) for k, (i, j) in enumerate(slices)),
+                      None, None, pinned, ys, xs, cids)
+    if pinned is None:
+        return dense
+    index = np.arange(h * wd).reshape(h, wd)
+    ring = free.copy()
+    planned = []
+    for i, j in slices:
+        touch = free[i] | free[j]
+        ring[i] |= touch
+        ring[j] |= touch
+        planned.append((index[i][touch], index[j][touch]))
+    if sum(pi.size for pi, _ in planned) > _DENSE_PAIR_SHARE * sum(index[i].size for i, _ in slices):
+        return dense
+    ring = np.flatnonzero(ring)
+    at = np.empty(h * wd, dtype=np.intp)
+    at[ring] = np.arange(ring.size)
+    pi, pj = (np.concatenate([at[p[end]] for p in planned]) for end in (0, 1))
+    slot = np.repeat(np.arange(4), [p.size for p, _ in planned]) * ring.size
+    ry, rx = np.divmod(ring, wd)
+    on = np.array([(ry + dy >= 0) & (ry + dy < h) & (rx + dx >= 0) & (rx + dx < wd) for dy, dx in _NEIGHBORS])
+    return _PairPlan((ring.size,), (-1,), ((pi, pj, slot + pi, 7 * ring.size - slot + pj),), ring, on, pinned,
+                     ys.ravel()[ry], xs[rx], tuple(cid.ravel()[ring] for cid in cids))
+
+
 @dataclass(frozen=True, eq=False)
 class SoftLayout:
     """What the soft boundary term reads of a boundary curve besides the
     flow, built once by `soft_layout` from `boundary` at the patch `scales`:
     the boundary-cell `window` (rows, columns) of the raster, the global rows
-    `ys` (a column) and columns `xs` of its pixels, and per patch scale a
-    `_ScaleCells` in `cells`.
+    `ys` (a column) and columns `xs` of its pixels, per patch scale a
+    `_ScaleCells` in `cells`, and the `_PairPlan` `plan` of the pairs it
+    scores, which knows the window's free pixels.
 
     Cell ids are row-major on the grid of the raster's top-left part that
     ends with the window, which holds every scored cell and orders them as
@@ -409,13 +485,28 @@ class SoftLayout:
     ys: np.ndarray
     xs: np.ndarray
     cells: tuple
+    plan: _PairPlan
 
 
-def soft_layout(boundary: PointSet, hp: Hyperparams, height: int, width: int) -> SoftLayout:
+def soft_layout(boundary: PointSet, hp: Hyperparams, height: int, width: int,
+                free: np.ndarray | None = None) -> SoftLayout:
     """The `SoftLayout` of `boundary` at the patch scales `hp.scales` on a
     height x width raster. Raises as the soft boundary term does on an empty
-    boundary or one off the raster."""
+    boundary or one off the raster.
+
+    `free`, a boolean height x width plane, marks the pixels a solve can
+    move; every other pixel is pinned: its flow is +-0 at every call, and the
+    soft term refuses a flow that moves one. The layout then plans to score
+    only the neighbor pairs of its window with a free endpoint (see
+    `soft_boundary_constraint`). None, the default, frees every pixel, and
+    every pair is scored.
+    """
     rows, cols = _checked_boundary_window(boundary, hp.scales, height, width)
+    if free is not None:
+        free = np.asarray(free, dtype=bool)
+        if free.shape != (height, width):
+            raise DimensionMismatch(f"free mask of shape {free.shape} does not cover {height}x{width}")
+        free = free[rows, cols]
     ys, xs = np.arange(rows.start, rows.stop)[:, None], np.arange(cols.start, cols.stop)
     cells = []
     for scale in map(int, hp.scales):
@@ -423,9 +514,12 @@ def soft_layout(boundary: PointSet, hp: Hyperparams, height: int, width: int) ->
         counts, centroids = _bin_points(boundary.points, scale, gh, gw)
         cells.append(_ScaleCells(gh * gw, (ys // scale) * gw + (xs // scale), counts.ravel() > 0,
                                  centroids[..., 0].ravel(), centroids[..., 1].ravel()))
-    for arr in (ys, xs, *(a for c in cells for a in (c.cid, c.present, c.tx, c.ty))):
+    plan = _pair_plan(free, ys, xs, tuple(c.cid for c in cells))
+    plan_arrays = (plan.ring, plan.on, plan.pinned, plan.ys, plan.xs, *plan.cids, *chain(*plan.pairs))
+    for arr in (ys, xs, *(a for c in cells for a in (c.cid, c.present, c.tx, c.ty)),
+                *(a for a in plan_arrays if isinstance(a, np.ndarray))):
         arr.setflags(write=False)
-    return SoftLayout(boundary, tuple(hp.scales), (rows, cols), ys, xs, tuple(cells))
+    return SoftLayout(boundary, tuple(hp.scales), (rows, cols), ys, xs, tuple(cells), plan)
 
 
 def soft_boundary_constraint(
@@ -487,12 +581,30 @@ def soft_boundary_constraint(
     pixels in the same row-major order, and each pixel's gradient adds run in
     the same slot order.
 
+    A layout built with free pixels scores only the pairs that touch one
+    (its `_PairPlan`). A pinned pixel holds +-0, so a pair of two pinned
+    pixels has b = sigmoid(-theta_i / tau) and a = +0 exactly. A pinned
+    pixel off the ring (the free pixels and their 8-neighbors) has only
+    such pairs, so its weights take that closed form; a ring pixel fills its
+    8 slots from it and from the scored pairs, and takes the max and tie
+    mask as above. The cell sums still add every window pixel in row-major
+    order, so the value is bitwise that of scoring every pair. The backward
+    pass runs at the live ring pixels alone: off the ring the argmax pair is
+    two pinned pixels, whose intensity term carries sign(0 - 0) = 0 and whose
+    moving gate is 0, and adding a +-0 to a sum from +0 leaves its bytes, so
+    the gradient keeps every byte, signed zeros on pinned pixels included.
+    A flow that is nonzero on a pinned pixel raises ValidationError. When
+    every window pixel is free, or the pairs with a free endpoint are more
+    than `_DENSE_PAIR_SHARE` of all, the layout takes the dense plan, which
+    scores every pair through slices.
+
     `window`, if given, is the `SoftLayout` that `soft_layout` built from
     this `boundary` object and `hp.scales` on the raster (another curve or
     scale set raises ValidationError); `flow` then covers its window alone,
-    and the gradient has `flow`'s shape. A solver builds it once and
-    passes it at every evaluation. None, the default, builds it here, from
-    the raster of `flow`, and the gradient has the raster's shape.
+    and the gradient has `flow`'s shape. A solver builds it once, with the
+    pixels it can move, and passes it at every evaluation. None, the
+    default, builds it here, from the raster of `flow`, with every pixel
+    free, and the gradient has the raster's shape.
     """
     if tau <= 0:
         raise ValidationError("tau must be positive")
@@ -517,7 +629,8 @@ def soft_boundary_constraint(
 
 
 def _dvdw_plane(scored, ys, xs, n_scales: int, shape) -> np.ndarray:
-    """d(value)/dw at each pixel of the window, from the cell ids and the
+    """d(value)/dw at each pixel of a slot table of the given shape, with
+    global rows `ys` and columns `xs`, from the pixels' cell ids and the
     per-cell arrays `coeff, cx, cy, ex, ey` of each scale in `scored` that
     has an entered cell, summed over scales in order from +0."""
     dvdw = np.zeros(shape)
@@ -551,6 +664,15 @@ def _angular_terms(pa, qa, common, mf, rf, duf, wuf, hp: Hyperparams, tau: float
     return ang_i, ang_j, flow_terms
 
 
+def _pair_weights(r, mx, my, du, wu, i, j, hp: Hyperparams, tau: float):
+    """The intensity weight b and the angular weight a = g siga, with moving
+    gate g, of the pairs (i, j) of pixels with norm r, flow (mx, my),
+    stabilized norm du and gate factor wu."""
+    b = _sigmoid((np.abs(r[i] - r[j]) - hp.edge_theta_i) / tau)
+    dot = mx[i] * mx[j] + my[i] * my[j]
+    return b, wu[i] * wu[j] * _angle_gate(dot / (du[i] * du[j]), hp.edge_theta_a, tau)
+
+
 def _soft_boundary(m: np.ndarray, layout: SoftLayout, hp: Hyperparams, tau: float):
     """`soft_boundary_constraint` of the flow `m` on the window of `layout`,
     as (value, backward); `backward()` returns the gradient on `m`.
@@ -560,24 +682,35 @@ def _soft_boundary(m: np.ndarray, layout: SoftLayout, hp: Hyperparams, tau: floa
     cell.
     """
     h, wd = m.shape[:2]
+    plan = layout.plan
 
-    # Forward: per pair, the intensity weight b and the angular weight
-    # a = g siga with moving gate g, into the slot table of both pixels.
-    mx, my = m[..., 0], m[..., 1]
+    if plan.pinned is not None:  # always so in a sparse plan, which reads `mf`
+        mf = m.reshape(-1, 2)
+        if mf[plan.pinned].any():
+            raise ValidationError("the flow moves a pixel that the soft layout pins")
+
+    # Forward: per planned pair, b and a into the slot table of both pixels,
+    # which are the window's or, in a sparse plan, the ring's.
+    if plan.ring is None:
+        mx, my = m[..., 0], m[..., 1]
+        slots = np.zeros((2, 8, h, wd))
+    else:
+        mx, my = mf[plan.ring].T
+        # A pair of pinned pixels (r = +0, wu = +0) has b = sigmoid(-theta_i / tau)
+        # and a = +0: each ring slot starts there, or at 0 off the raster.
+        b0 = _sigmoid(np.array([-hp.edge_theta_i / tau]))[0]
+        slots = np.zeros((2, 8, plan.ring.size))
+        np.multiply(plan.on, b0, out=slots[0])
     r = np.hypot(mx, my)
     s = EPS_VEC + tau
     s2 = s * s
     du = np.sqrt(r * r + s2)
     wu = (r * r) / (r * r + s2)
-    slots = np.zeros((2, 8, h, wd))
-    for k, (dy, dx) in enumerate(_NEIGHBORS[:4]):
-        i, j = _pair_slices(dy, dx, h, wd)
-        b = _sigmoid((np.abs(r[i] - r[j]) - hp.edge_theta_i) / tau)
-        dot = mx[i] * mx[j] + my[i] * my[j]
-        a = wu[i] * wu[j] * _angle_gate(dot / (du[i] * du[j]), hp.edge_theta_a, tau)
-        for n, at in ((k, i), (7 - k, j)):
-            slots[0, n][at] = b
-            slots[1, n][at] = a
+    tables = slots.reshape((2,) + plan.table)
+    for i, j, put_i, put_j in plan.pairs:
+        for table, weight in zip(tables, _pair_weights(r, mx, my, du, wu, i, j, hp, tau)):
+            table[put_i] = weight
+            table[put_j] = weight
 
     # Every weight is >= +0, so the first slot equal to the max is the one a
     # running max with a strict > keeps: the lowest on ties, slot 0 if all are 0.
@@ -585,39 +718,53 @@ def _soft_boundary(m: np.ndarray, layout: SoftLayout, hp: Hyperparams, tau: floa
     # lowest slot at the pixels it needs.
     top = slots.max(axis=1)
     ties_i, ties_a = _tie_masks(slots, top)
-    del slots
-    wi, wa = top
+    del slots, tables
+    if plan.ring is None:
+        wi, wa = top
+    else:
+        # A pinned pixel off the ring has b0 in each slot on the raster: its
+        # weights are (b0, +0), or (0, 0) in a 1 x 1 window.
+        wi, wa = np.full(h * wd, b0 if h * wd > 1 else 0.0), np.zeros(h * wd)
+        wi[plan.ring], wa[plan.ring] = top
+        wi, wa = wi.reshape(h, wd), wa.reshape(h, wd)
     w = 1.0 - (1.0 - wi) * (1.0 - wa)
 
     value = 0.0
     n_scales = len(layout.cells)
-    ys, xs = layout.ys, layout.xs
-    wx, wy = (w * xs).ravel(), (w * ys).ravel()
-    scored = []  # per scale with an entered cell: its cell ids and per-cell arrays
-    for cells in layout.cells:
+    wx, wy = (w * layout.xs).ravel(), (w * layout.ys).ravel()
+    scored = []  # per scale with an entered cell: its cell ids on the plan's pixels and per-cell arrays
+    for cells, cid in zip(layout.cells, plan.cids):
         flat = cells.cid.ravel()
         sums = (np.bincount(flat, weights, cells.n_cells) for weights in (w.ravel(), wx, wy))
         core = _soft_centroids(*sums, cells.present, cells.tx, cells.ty, _MASS_FLOOR)
         if core is None:
             continue  # its d(value)/dw is +0, and the dv/dw plane holds no -0 for it to flip
         value += core[0] / n_scales
-        scored.append((cells.cid, core[1:]))
+        scored.append((cid, core[1:]))
 
     def backward() -> np.ndarray:
         # Backward through w = 1 - (1 - wi)(1 - wa) and the argmax pair's
         # sigmoids, at the pixels p with dvdw != 0 (a term at dvdw == 0 is
         # +-0 and every sum starts at +0, so skipping it keeps every bit).
-        rf, wuf = r.ravel(), wu.ravel()
-        dvdw = _dvdw_plane(scored, ys, xs, n_scales, (h, wd)).ravel()
-        live = np.flatnonzero(dvdw)
-        dvdw = dvdw[live]
+        # Off the ring p and its argmax neighbor q are pinned: the intensity
+        # term carries sign(0 - 0) = 0 and the moving gate drops the angular
+        # one, so d(value)/dw is built on the ring alone.
+        if plan.ring is None:
+            rf, duf, wuf = r.ravel(), du.ravel(), wu.ravel()
+        else:  # window planes, at +0, s and +0 on pinned pixels
+            rf, duf, wuf = np.zeros(h * wd), np.full(h * wd, np.sqrt(s2)), np.zeros(h * wd)
+            rf[plan.ring], duf[plan.ring], wuf[plan.ring] = r, du, wu
+        dvdw = _dvdw_plane(scored, plan.ys, plan.xs, n_scales, plan.shape).ravel()
+        pos = np.flatnonzero(dvdw)  # on the slot table's pixels
+        dvdw = dvdw[pos]
+        live = pos if plan.ring is None else plan.ring[pos]
         py, px = np.divmod(live, wd)
 
         def argmax_pairs(ties):
             """(sel, slot, q): the positions in `live` of the pixels whose argmax
             slot, the lowest in their tie mask, is on the raster, that slot, and
             the flat index of the neighbor q it names."""
-            slot = _LOWEST_SLOT[ties.ravel()[live]]
+            slot = _LOWEST_SLOT[ties.ravel()[pos]]
             qy, qx = py + _SLOT_DY[slot], px + _SLOT_DX[slot]
             on = np.flatnonzero((qy >= 0) & (qy < h) & (qx >= 0) & (qx < wd))
             return on, slot[on], qy[on] * wd + qx[on]
@@ -635,7 +782,7 @@ def _soft_boundary(m: np.ndarray, layout: SoftLayout, hp: Hyperparams, tau: floa
         sel, slot_a, qa = sel[moving], slot_a[moving], qa[moving]
         pa = live[sel]
         ang_i, ang_j, flow_terms = _angular_terms(pa, qa, dvdw[sel] * (1.0 - wi.ravel()[pa]),
-                                                  m.reshape(-1, 2), rf, du.ravel(), wuf, hp, tau, s2)
+                                                  m.reshape(-1, 2), rf, duf, wuf, hp, tau, s2)
 
         # Terms in the order of a loop over slots: per slot, intensity at p,
         # intensity at q, angular at p, angular at q. uint8 keys sort by radix.
@@ -650,7 +797,7 @@ def _soft_boundary(m: np.ndarray, layout: SoftLayout, hp: Hyperparams, tau: floa
         for c, terms in enumerate(flow_terms):
             grad[..., c] = _ordered_sum(to, terms[at], n_px).reshape(h, wd)
 
-        safe_r = np.where(r > 0, r, 1.0)
+        safe_r = np.where(rf > 0, rf, 1.0).reshape(h, wd)
         grad += (grad_r.reshape(h, wd) / safe_r)[..., None] * m
         return grad
 

@@ -36,8 +36,9 @@ def _sigmoid(x):
 
 
 def _angle_gate(cos, theta_lim_deg: float, tau: float):
-    """sigmoid((arccos(cos) - theta_lim) / tau)."""
-    return _sigmoid((np.arccos(np.clip(cos, -1.0, 1.0)) - np.deg2rad(theta_lim_deg)) / tau)
+    """sigmoid((arccos(cos) - theta_lim) / tau), with cos clipped to [-1, 1]
+    by two ufunc calls, as `_sigmoid` clips, bitwise np.clip's result."""
+    return _sigmoid((np.arccos(np.minimum(np.maximum(cos, -1.0), 1.0)) - np.deg2rad(theta_lim_deg)) / tau)
 
 
 def _soft_angle(cos, theta_lim_deg: float, tau: float):

@@ -124,7 +124,7 @@ class Priors:
     mask: SubjectMask
 
     def __post_init__(self):
-        _require_subjects(self.mask)  # so a solve box always holds a subject (`_active_box`)
+        _require_subjects(self.mask)  # so a solve's free pixels are never empty (`_free_pixels`)
         kin._check_matches(self.matches, self.offsets, self.mask)
         # read-only, as every other frozen input type keeps its arrays
         object.__setattr__(self, "matches", _as_readonly(self.matches))
@@ -196,27 +196,28 @@ class SolveResult:
         return self.stops[-1] not in _UNCONVERGED
 
 
-def _active_box(init: np.ndarray, priors: Priors) -> tuple[slice, slice]:
-    """Rows and columns of the bounding box of the pixels a solve from `init`
-    can move, plus a 1 px halo, clipped to the raster.
+def _free_pixels(init: np.ndarray, priors: Priors) -> np.ndarray:
+    """The pixels a solve from `init` can move, as a boolean plane of the
+    raster; every other pixel is pinned at its init, +-0, for the whole solve.
 
     Off the subject, at a pixel that no skeleton point matches, a flow of 0
     gets a surrogate gradient of exactly +0: smoothness drops pairs whose
     labels differ, the soft boundary term differentiates through |x| and the
     skeleton term writes matched pixels only. So from an init that is 0 on
-    the background no iterate and no line-search trial moves a pixel outside
-    the subject and the matched pixels (the init then moves subject pixels
-    only), and the halo puts every neighbor pair that touches them inside
-    the box. Nonzero background flow does spread: smoothness pulls its
-    background neighbors along, one pixel per step. So an init that moves
-    any background pixel gets the whole raster.
+    the background, with every matched pixel on a subject (as `match_all`
+    builds them), no iterate and no line-search trial moves a pixel off the
+    subject, and the subject pixels are the free ones. Background motion
+    spreads: smoothness pulls a moving background pixel's background
+    neighbors along, one pixel per step. So an init that moves a background
+    pixel, or a match on the background, which the skeleton term moves,
+    frees the whole raster.
     """
     labels = priors.mask.labels
-    h, w = labels.shape
-    moving = (init[..., 0] != 0) | (init[..., 1] != 0)
-    if (labels[moving] == 0).any():
-        return slice(0, h), slice(0, w)
-    return _plane_box((labels > 0) | (priors.matches >= 0), 1)  # never None: `Priors` holds a subject
+    driven = (init[..., 0] != 0) | (init[..., 1] != 0)  # moved by the init or matched
+    driven |= priors.matches >= 0
+    if (labels[driven] == 0).any():
+        return np.ones(labels.shape, dtype=bool)
+    return labels > 0
 
 
 def _solve_terms(init: np.ndarray, priors: Priors, hp: Hyperparams, opts: SolverOptions):
@@ -225,20 +226,24 @@ def _solve_terms(init: np.ndarray, priors: Priors, hp: Hyperparams, opts: Solver
     value and gradient callable on its crop of the box. In order: the
     skeleton term, weight 1, on the whole box; the soft boundary term,
     weight alpha, on the boundary-cell window; smoothness, weight
-    `smoothness_weight`, on the active box (`_active_box`).
+    `smoothness_weight`, on the active box: the bounding box of the free
+    pixels (`_free_pixels`) plus a 1 px halo, clipped to the raster, which
+    puts every neighbor pair that touches a free pixel inside it.
 
     The box is the smallest that holds the active box and the boundary-cell
     window. Outside it the flow stays `init` and every gradient is +0;
     inside it each term's value and gradient are bitwise the whole raster's,
     cropped, but for the smoothness value (see `smoothness`). The soft
-    term's layout and smoothness's label masks are built here, once per
-    solve; the constraint terms are looked up in their modules at each call.
-    Raises as the soft boundary term does on an empty boundary or one off
-    the raster.
+    term's layout, which is told the free pixels so that it scores only the
+    neighbor pairs that touch one, and smoothness's label masks are built
+    here, once per solve; the constraint terms are looked up in their
+    modules at each call. Raises as the soft boundary term does on an empty
+    boundary or one off the raster.
     """
     h, w = priors.mask.labels.shape
-    active = _active_box(init, priors)
-    soft = bnd.soft_layout(priors.boundary, hp, h, w)
+    free = _free_pixels(init, priors)
+    active = _plane_box(free, 1)  # never None: `Priors` holds a subject
+    soft = bnd.soft_layout(priors.boundary, hp, h, w, free)
     window = soft.window
     index = tuple(slice(min(a.start, b.start), max(a.stop, b.stop)) for a, b in zip(active, window))
 

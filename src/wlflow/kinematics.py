@@ -53,7 +53,9 @@ def _gather(flow: FlowMap, offsets: SkeletonOffsets, matches: np.ndarray, mask: 
             window: tuple[slice, slice] | None = None):
     """The matched pixels of `flow` (a mask of its shape), their flow vectors
     and their skeleton offsets. `flow` covers the `window` of the mask's
-    raster, or all of it when `window` is None."""
+    raster, or all of it when `window` is None. Refuses a table it cannot
+    index `offsets` with (DimensionMismatch) and, as `Priors` does, an entry
+    below -1 in the part it reads (ValidationError)."""
     if window is None:
         validate_pairing(flow, mask)
     elif mask.labels[window].shape != flow.vectors.shape[:2]:
@@ -75,6 +77,8 @@ def _gather(flow: FlowMap, offsets: SkeletonOffsets, matches: np.ndarray, mask: 
         raise DimensionMismatch(
             f"match table does not index the {offsets.vectors.shape[0]} skeleton offsets ({exc})"
         ) from exc
+    if matches.min() < -1:
+        raise ValidationError("match table entries must be -1 or an offset index, got one below -1")
     return valid, u, k
 
 
@@ -165,7 +169,10 @@ def smooth_skeleton_constraint(
     gradient has `flow`'s shape, the normalizer is still the pixel count of
     the whole raster, and pixels outside the window count as unmatched: if
     the window holds every matched pixel, as the solver's solve box does,
-    value and gradient are bitwise the whole raster's, cropped.
+    value and gradient are bitwise the whole raster's, cropped. A match
+    table entry below -1 inside the window raises ValidationError, as the
+    hard term and `Priors` refuse it; the check is one `min` over the
+    window's table per call.
     """
     if tau <= 0:
         raise ValidationError("tau must be positive")

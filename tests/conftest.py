@@ -276,7 +276,7 @@ def full_raster_descent(init, priors, hp, opts):
     the surrogate at each accepted iterate with smoothness summed over the
     whole raster, which does not go through the active box."""
     x, trace, stops, grads, whole_values = init, [], [], [], []
-    active = flows._active_box(init, priors)
+    active = flows._plane_box(flows._free_pixels(init, priors), 1)
     iters_per_phase = -(-opts.max_iters // len(opts.tau_schedule))
     for tau in opts.tau_schedule:
         budget = min(iters_per_phase, opts.max_iters - len(trace))

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -601,6 +602,90 @@ def test_one_soft_layout_serves_every_evaluation(data, h, w, seed, scales, offse
             grad = backward()
             assert grad.shape == (rows.stop - rows.start, cols.stop - cols.start, 2)
             assert grad.tobytes() == fresh_backward()[rows, cols].tobytes() == ref_backward()[rows, cols].tobytes()
+
+
+@st.composite
+def _planned_cases(draw):
+    """A flow on a 1x1 to 14x14 raster that moves free pixels only, its free
+    mask, and 1-6 boundary points. The mask is empty, full, scattered, or a
+    box touching a raster edge. Free pixels hold integers (tied slots),
+    tiny values or Gaussian values, zeros included; pinned ones hold +0 or
+    -0."""
+    h, w = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["empty", "full", "scattered", "edge-box"]))
+    if kind == "scattered":
+        free = rng.random((h, w)) < draw(st.sampled_from([0.05, 0.2, 0.5]))
+    elif kind == "edge-box":
+        y0, x0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        y1, x1 = draw(st.integers(y0 + 1, h)), draw(st.integers(x0 + 1, w))
+        edge = draw(st.sampled_from(["top", "bottom", "left", "right"]))
+        y0, y1 = (0 if edge == "top" else y0), (h if edge == "bottom" else y1)
+        x0, x1 = (0 if edge == "left" else x0), (w if edge == "right" else x1)
+        free = np.zeros((h, w), dtype=bool)
+        free[y0:y1, x0:x1] = True
+    else:
+        free = np.full((h, w), kind == "full")
+    values = draw(st.sampled_from(["integer", "tiny", "gaussian"]))
+    if values == "integer":
+        moving = rng.integers(-2, 3, (h, w, 2)).astype(np.float64)
+    elif values == "tiny":  # norm gaps too small to move an intensity weight off its floor
+        moving = rng.choice([0.0, -0.0, 1e-20, -3e-20, 2e-18, 1.0], (h, w, 2))
+    else:
+        moving = rng.normal(0.0, 1.5, (h, w, 2)) * (rng.random((h, w, 1)) < 0.8)
+    pinned = np.copysign(0.0, rng.choice([-1.0, 1.0], (h, w, 2)))
+    arr = np.where(free[..., None], moving, pinned)
+    points = draw(_integer_points(h, w, 6)) + draw(st.sampled_from([0.0, 0.25, 0.5]))
+    return arr, free, points
+
+
+@given(
+    case=_planned_cases(),
+    tau=st.sampled_from([0.5, 0.1, 0.02, 1e-3]),
+    scales=st.sampled_from([(2,), (2, 3), (8, 16, 32)]),
+    sparse=st.booleans(),
+    poke=st.tuples(st.integers(0, 195), st.integers(0, 1), st.sampled_from([5e-324, -2.0, 0.75])),
+)
+# The free pixel (0, 2) has one pair on the raster, whose intensity weight is
+# the floor sigmoid(-theta_i / tau) though its norm gap is not 0: its argmax
+# is that pair only if its off-raster slots stay below the floor, at 0.
+@example(case=(np.array([[[-0.0, 0.0], [-0.0, -0.0], [1e-20, -3e-20]]]), np.array([[False, False, True]]),
+               np.array([[0.0, 0.0]])), tau=0.5, scales=(2, 3), sparse=True, poke=(0, 0, 0.75))
+def test_planned_soft_boundary_equals_per_slot_loop_bitwise(case, tau, scales, sparse, poke):
+    """A layout told the free pixels scores only the pairs that touch one,
+    and gives the per-slot loop's value (`float.hex`) and gradient bytes,
+    cropped to its window, signed zeros on pinned pixels included. With the
+    dense share at 1 every partly free window takes the sparse plan; at the
+    default it may take the dense one. A flow that is nonzero on one pinned
+    pixel is refused."""
+    arr, free, points = case
+    h, w = free.shape
+    flow, boundary, hp = FlowMap(arr), PointSet(points), Hyperparams(scales=scales)
+    with mock.patch.object(bnd, "_DENSE_PAIR_SHARE", 1.0 if sparse else bnd._DENSE_PAIR_SHARE):
+        layout = bnd.soft_layout(boundary, hp, h, w, free)
+    rows, cols = layout.window
+    if sparse:
+        assert (layout.plan.ring is None) == bool(free[rows, cols].all())
+    window_flow = arr[rows, cols]
+    value, backward = bnd.soft_boundary_constraint(FlowMap(window_flow), boundary, hp, tau, window=layout)
+    ref_value, ref_backward = per_slot_soft_boundary(flow, boundary, hp, tau)
+    assert float(value).hex() == float(ref_value).hex()
+    assert backward().tobytes() == ref_backward()[rows, cols].tobytes()
+
+    pinned = np.argwhere(~free[rows, cols])
+    if len(pinned):
+        k, channel, moved_to = poke
+        y, x = pinned[k % len(pinned)]
+        moved = window_flow.copy()
+        moved[y, x, channel] = moved_to
+        with pytest.raises(ValidationError, match="pins"):
+            bnd.soft_boundary_constraint(FlowMap(moved), boundary, hp, tau, window=layout)
+
+
+def test_soft_layout_refuses_a_free_mask_of_another_shape(hp):
+    boundary = PointSet(np.array([[3.0, 4.0]]))
+    with pytest.raises(DimensionMismatch):
+        bnd.soft_layout(boundary, hp, 8, 8, np.ones((8, 7), dtype=bool))
 
 
 def test_value_only_soft_call_builds_no_dvdw_plane(monkeypatch, hp):

@@ -579,8 +579,8 @@ def test_bad_match_tables_are_refused_with_a_typed_error(case):
     """`Priors` and the hard skeleton constraint refuse a match table of the
     wrong shape or dtype (DimensionMismatch) or with an entry that is neither
     -1 nor an offset index (ValidationError). The surrogate refuses every
-    table it cannot index with, never with an IndexError; it reads an entry
-    below -1 as unmatched, as it checks nothing per evaluation."""
+    table it cannot index with, never with an IndexError, and an entry below
+    -1 as they do."""
     n, table, defect = case
     mask = SubjectMask(np.pad(np.ones((2, 2), dtype=np.int32), 2))
     offsets = skel.SkeletonOffsets(np.ones((n, 2)))
@@ -590,23 +590,21 @@ def test_bad_match_tables_are_refused_with_a_typed_error(case):
     flow = FlowMap.zeros(6, 6)
     with pytest.raises(expected):
         kin.skeleton_constraint(flow, offsets, table, mask, Hyperparams())
-    if defect == "low":
+    with pytest.raises(ValidationError if defect == "low" else DimensionMismatch):
         kin.smooth_skeleton_constraint(flow, offsets, table, mask, Hyperparams(), 0.5)
-    else:
-        with pytest.raises(DimensionMismatch):
-            kin.smooth_skeleton_constraint(flow, offsets, table, mask, Hyperparams(), 0.5)
 
 
 def _loop_active_box(init: np.ndarray, labels: np.ndarray, matches: np.ndarray) -> tuple[slice, slice]:
-    """Reference for `flows._active_box`, pixel by pixel: the whole raster if
-    the init moves a background pixel, else the bounding box of the subject,
-    matched and moving pixels plus a 1 px halo, clipped to the raster."""
+    """Reference for the solve's active box, pixel by pixel: the whole raster
+    if the init moves a background pixel or a background pixel is matched,
+    else the bounding box of the subject, matched and moving pixels plus a
+    1 px halo, clipped to the raster."""
     h, w = labels.shape
     rows, cols = [], []
     for y in range(h):
         for x in range(w):
             moves = init[y, x, 0] != 0 or init[y, x, 1] != 0
-            if moves and labels[y, x] == 0:
+            if (moves or matches[y, x] >= 0) and labels[y, x] == 0:
                 return slice(0, h), slice(0, w)
             if moves or labels[y, x] > 0 or matches[y, x] >= 0:
                 rows.append(y)
@@ -651,11 +649,13 @@ def _box_inputs(draw):
 @settings(max_examples=150)
 @given(inputs=_box_inputs())
 def test_active_box_equals_the_pixel_loop(inputs):
-    """`_active_box` on any label mask, matches and init equals the pixel loop,
-    which also counts the moving pixels: a box that is not the whole raster
-    holds every pixel the init moves."""
+    """The active box, the bounding box of `_free_pixels` plus a 1 px halo,
+    on any label mask, matches and init equals the pixel loop, which also
+    counts the moving pixels: a box that is not the whole raster holds every
+    pixel the init moves."""
     init, labels, matches = inputs
-    assert flows._active_box(init, _direct_priors(matches, labels)) == _loop_active_box(init, labels, matches)
+    free = flows._free_pixels(init, _direct_priors(matches, labels))
+    assert flows._plane_box(free, 1) == _loop_active_box(init, labels, matches)
 
 
 @pytest.mark.parametrize("case", ["reference-zero", "corner-256", "refine", "refine-256", "background-patch",
@@ -717,6 +717,78 @@ def test_active_box_solve_equals_full_raster(case, monkeypatch):
     if case not in ("refine", "refine-256", "background-patch"):
         for y, x in signed_zeros:
             assert np.signbit(res.flow.vectors[y, x, 1])
+
+
+def _pairs_touching(free: np.ndarray) -> int:
+    """Unordered 8-neighbor pixel pairs of a plane with at least one free
+    pixel, counted pixel by pixel."""
+    h, w = free.shape
+    count = 0
+    for y in range(h):
+        for x in range(w):
+            for dy, dx in ((0, 1), (1, -1), (1, 0), (1, 1)):
+                qy, qx = y + dy, x + dx
+                if 0 <= qy < h and 0 <= qx < w and (free[y, x] or free[qy, qx]):
+                    count += 1
+    return count
+
+
+@pytest.mark.parametrize("init", ["zero", "refine"])
+def test_soft_term_scores_the_pairs_that_touch_a_free_pixel(small_truth, small_priors, init, monkeypatch):
+    """At every evaluation of a zero-init solve of the 64x64 scene, the soft
+    term's forward pass scores exactly the in-window neighbor pairs with a
+    subject pixel, a small share of them, on a ring of pixels; a refinement
+    init moves the background, frees every pixel and has every in-window
+    pair scored by the dense plan."""
+    hp = Hyperparams()
+    labels = small_truth.mask_t.labels
+    rows, cols = bnd._boundary_window(small_priors.boundary.points, hp.scales, *labels.shape)
+    every = _pairs_touching(np.ones(labels[rows, cols].shape, dtype=bool))
+    if init == "zero":
+        start = np.zeros(labels.shape + (2,))
+        expected = _pairs_touching(labels[rows, cols] > 0)
+        assert expected < every / 4
+    else:
+        gt = small_truth.gt_world.vectors
+        start = gt + np.random.default_rng(2).normal(0.0, 0.5, gt.shape)
+        expected = every
+    scored, dense = [], set()  # per soft-term call, the sizes of its angle gate calls
+
+    def spy(cos, *args, real=bnd._angle_gate):
+        scored[-1].append(cos.size)
+        return real(cos, *args)
+
+    def soft(*args, window, real=bnd.soft_boundary_constraint):
+        scored.append([])
+        dense.add(window.plan.ring is None)
+        return real(*args, window=window)
+
+    monkeypatch.setattr(bnd, "_angle_gate", spy)
+    monkeypatch.setattr(bnd, "soft_boundary_constraint", soft)
+    res = flows.solve_world_flow(FlowMap(start), small_priors, hp, flows.SolverOptions(max_iters=6))
+    assert len(res.trace) == 6 and len(scored) > 6
+    assert {sum(sizes) for sizes in scored} == {expected}
+    assert dense == {init == "refine"}
+
+
+def test_a_match_on_the_background_frees_the_whole_raster(small_truth, small_priors, monkeypatch):
+    """A match table that `Priors` accepts may match a background pixel; the
+    skeleton term moves it and smoothness spreads that motion over the
+    background, so the solve frees the whole raster and still equals the
+    descent on it bitwise."""
+    labels = small_truth.mask_t.labels
+    matches = np.array(small_priors.matches)
+    y, x = np.argwhere(labels == 0)[labels.size // 3]
+    matches[y, x] = 0
+    priors = flows.Priors(matches, small_priors.offsets, small_priors.boundary, small_priors.mask)
+    hp, opts = Hyperparams(), flows.SolverOptions(max_iters=9)
+    init = np.zeros(labels.shape + (2,))
+    assert flows._free_pixels(init, priors).all()
+    res, _, index = _solve_recording(monkeypatch, FlowMap(init), priors, hp, opts)
+    ref, ref_trace, ref_stops, _, _ = full_raster_descent(init, priors, hp, opts)
+    assert index == (slice(0, labels.shape[0]), slice(0, labels.shape[1]))
+    assert res.flow.vectors.tobytes() == ref.tobytes() and res.flow.vectors[y, x].any()
+    assert _bits((t.iteration, t.tau, t.step, t.surrogate) for t in res.trace) == _bits(ref_trace)
 
 
 def test_soft_term_runs_on_the_boundary_window_when_the_box_is_the_whole_raster(monkeypatch):
