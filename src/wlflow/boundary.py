@@ -390,77 +390,73 @@ class _ScaleCells:
     ty: np.ndarray
 
 
-# A partly free window takes the dense plan when it would score more than this
-# share of its pairs: from about there on, gathering the planned pairs costs
-# as much as scoring every pair through slices (the README has the measurement).
-_DENSE_PAIR_SHARE = 0.5
-
-
 @dataclass(frozen=True, eq=False)
 class _PairPlan:
     """Which neighbor pairs of a window the soft term scores, and the pixels
-    of its slot table.
+    of its slot table: the `ring`, the free pixels and their 8-neighbors.
 
-    `pairs` holds groups `(i, j, put_i, put_j)`: `i` and `j` pick the first
-    and second pixels of the group's pairs from the table's pixels, and
-    `put_i` and `put_j` their slots in a table of weights reshaped to
-    `table`. The dense plan scores every pair, one group per forward offset
-    k of `_NEIGHBORS[:4]`: its table's pixels are the window's, `shape` and
-    `table` are (h, w) and (8, h, w), `i` and `j` are `_pair_slices` slices,
-    and `put_i` and `put_j` add slots k and 7 - k. A sparse plan scores the
-    pairs with a free endpoint in one group: its table's pixels are the
-    `ring`, the flat window indices, ascending, of the free pixels and their
-    8-neighbors, `shape` is (len(ring),) and `table` (-1,), `i` and `j` are
-    positions in the ring and `put_i` and `put_j` flat positions in the
-    (8, len(ring)) table; `on` marks, per slot and ring pixel, a slot on the
-    raster. `ring` and `on` are None in the dense plan. `pinned` holds the
-    flat window indices of the pixels the solve cannot move, None when there
-    are none. `ys`, `xs` and `cids` (one per scale) are the global rows,
-    columns and cell ids of the table's pixels.
+    `ring` picks the ring from the window's pixels, flattened: `slice(None)`
+    when the ring fills the window, else their flat indices, ascending. A
+    ring pixel's position is its index in the ring. `nbr` is the (8,
+    len(ring)) int32 table of the ring position of each slot's neighbor,
+    -1 off the raster and -2 at a pinned pixel off the ring. `pairs` holds
+    groups `(i, j, put_i, put_j)`: `i` and `j` pick the first and second
+    pixels of the group's pairs from the ring's arrays reshaped to `shape`,
+    and `put_i` and `put_j` their slots in a table of weights reshaped to
+    `table`. A ring that fills the window scores every pair, one group per
+    forward offset k of `_NEIGHBORS[:4]`: `shape` and `table` are (h, w)
+    and (8, h, w), `i` and `j` are `_pair_slices` slices, and `put_i` and
+    `put_j` add slots k and 7 - k. Otherwise one group scores the pairs
+    with a free endpoint: `shape` is (len(ring),) and `table` (-1,), `i` and
+    `j` are ring positions and `put_i` and `put_j` flat positions in the (8,
+    len(ring)) table. `pinned` holds the flat indices, in the window's flow
+    flattened, of both channels of the pixels the solve cannot move. `ys`
+    and `xs`, which broadcast to `shape`, and `cids` (one per scale) are the
+    global rows, columns and cell ids of the ring.
     """
 
     shape: tuple
     table: tuple
     pairs: tuple
-    ring: np.ndarray | None
-    on: np.ndarray | None
-    pinned: np.ndarray | None
+    ring: slice | np.ndarray
+    nbr: np.ndarray
+    pinned: np.ndarray
     ys: np.ndarray
     xs: np.ndarray
     cids: tuple
 
 
-def _pair_plan(free: np.ndarray | None, ys: np.ndarray, xs: np.ndarray, cids: tuple) -> _PairPlan:
+def _pair_plan(free: np.ndarray, ys: np.ndarray, xs: np.ndarray, cids: tuple) -> _PairPlan:
     """The `_PairPlan` of a window whose pixels have global rows `ys` (a
     column), columns `xs` and per-scale cell ids `cids`, given its `free`
-    pixels; None frees them all. The plan is dense when every pixel is free
-    or when the pairs with a free endpoint are more than `_DENSE_PAIR_SHARE`
-    of all pairs."""
-    h, wd = ys.shape[0], xs.shape[0]
+    pixels."""
+    h, wd = free.shape
     slices = [_pair_slices(dy, dx, h, wd) for dy, dx in _NEIGHBORS[:4]]
-    pinned = None if free is None or free.all() else np.flatnonzero(~free)
-    dense = _PairPlan((h, wd), (8, h, wd), tuple((i, j, (k, *i), (7 - k, *j)) for k, (i, j) in enumerate(slices)),
-                      None, None, pinned, ys, xs, cids)
-    if pinned is None:
-        return dense
-    index = np.arange(h * wd).reshape(h, wd)
-    ring = free.copy()
-    planned = []
+    on_ring = free.copy()
+    touches = []
     for i, j in slices:
         touch = free[i] | free[j]
-        ring[i] |= touch
-        ring[j] |= touch
-        planned.append((index[i][touch], index[j][touch]))
-    if sum(pi.size for pi, _ in planned) > _DENSE_PAIR_SHARE * sum(index[i].size for i, _ in slices):
-        return dense
-    ring = np.flatnonzero(ring)
-    at = np.empty(h * wd, dtype=np.intp)
-    at[ring] = np.arange(ring.size)
-    pi, pj = (np.concatenate([at[p[end]] for p in planned]) for end in (0, 1))
-    slot = np.repeat(np.arange(4), [p.size for p, _ in planned]) * ring.size
+        on_ring[i] |= touch
+        on_ring[j] |= touch
+        touches.append(touch)
+    n = int(on_ring.sum())
+    ring = slice(None) if n == h * wd else np.flatnonzero(on_ring)
+    at = np.full(h * wd, -2)  # intp: numpy casts an int32 index array at every gather
+    at[ring] = np.arange(n)
+    at = at.reshape(h, wd)
+    pad = np.full((h + 2, wd + 2), -1, dtype=np.int32)
+    pad[1:-1, 1:-1] = at
+    nbr = np.empty((8, n), dtype=np.int32)
+    for k, (dy, dx) in enumerate(_NEIGHBORS):
+        nbr[k] = pad[1 + dy:1 + dy + h, 1 + dx:1 + dx + wd].ravel()[ring]
+    pinned = np.flatnonzero(np.repeat(~free.ravel(), 2))
+    if isinstance(ring, slice):
+        return _PairPlan((h, wd), (8, h, wd), tuple((i, j, (k, *i), (7 - k, *j)) for k, (i, j) in enumerate(slices)),
+                         ring, nbr, pinned, ys, xs, cids)
+    pi, pj = (np.concatenate([at[ij[end]][touch] for ij, touch in zip(slices, touches)]) for end in (0, 1))
+    slot = np.repeat(np.arange(4), [touch.sum() for touch in touches]) * n
     ry, rx = np.divmod(ring, wd)
-    on = np.array([(ry + dy >= 0) & (ry + dy < h) & (rx + dx >= 0) & (rx + dx < wd) for dy, dx in _NEIGHBORS])
-    return _PairPlan((ring.size,), (-1,), ((pi, pj, slot + pi, 7 * ring.size - slot + pj),), ring, on, pinned,
+    return _PairPlan((n,), (-1,), ((pi, pj, slot + pi, 7 * n - slot + pj),), ring, nbr, pinned,
                      ys.ravel()[ry], xs[rx], tuple(cid.ravel()[ring] for cid in cids))
 
 
@@ -497,9 +493,9 @@ def soft_layout(boundary: PointSet, hp: Hyperparams, height: int, width: int,
     `free`, a boolean height x width plane, marks the pixels a solve can
     move; every other pixel is pinned: its flow is +-0 at every call, and the
     soft term refuses a flow that moves one. The layout then plans to score
-    only the neighbor pairs of its window with a free endpoint (see
-    `soft_boundary_constraint`). None, the default, frees every pixel, and
-    every pair is scored.
+    only the neighbor pairs of its window with a free endpoint, or every
+    pair when the free pixels and their 8-neighbors fill the window (see
+    `soft_boundary_constraint`). None, the default, frees every pixel.
     """
     rows, cols = _checked_boundary_window(boundary, hp.scales, height, width)
     if free is not None:
@@ -507,6 +503,8 @@ def soft_layout(boundary: PointSet, hp: Hyperparams, height: int, width: int,
         if free.shape != (height, width):
             raise DimensionMismatch(f"free mask of shape {free.shape} does not cover {height}x{width}")
         free = free[rows, cols]
+    else:
+        free = np.ones((rows.stop - rows.start, cols.stop - cols.start), dtype=bool)
     ys, xs = np.arange(rows.start, rows.stop)[:, None], np.arange(cols.start, cols.stop)
     cells = []
     for scale in map(int, hp.scales):
@@ -515,7 +513,7 @@ def soft_layout(boundary: PointSet, hp: Hyperparams, height: int, width: int,
         cells.append(_ScaleCells(gh * gw, (ys // scale) * gw + (xs // scale), counts.ravel() > 0,
                                  centroids[..., 0].ravel(), centroids[..., 1].ravel()))
     plan = _pair_plan(free, ys, xs, tuple(c.cid for c in cells))
-    plan_arrays = (plan.ring, plan.on, plan.pinned, plan.ys, plan.xs, *plan.cids, *chain(*plan.pairs))
+    plan_arrays = (plan.ring, plan.nbr, plan.pinned, plan.ys, plan.xs, *plan.cids, *chain(*plan.pairs))
     for arr in (ys, xs, *(a for c in cells for a in (c.cid, c.present, c.tx, c.ty)),
                 *(a for a in plan_arrays if isinstance(a, np.ndarray))):
         arr.setflags(write=False)
@@ -593,10 +591,11 @@ def soft_boundary_constraint(
     two pinned pixels, whose intensity term carries sign(0 - 0) = 0 and whose
     moving gate is 0, and adding a +-0 to a sum from +0 leaves its bytes, so
     the gradient keeps every byte, signed zeros on pinned pixels included.
-    A flow that is nonzero on a pinned pixel raises ValidationError. When
-    every window pixel is free, or the pairs with a free endpoint are more
-    than `_DENSE_PAIR_SHARE` of all, the layout takes the dense plan, which
-    scores every pair through slices.
+    The ring's neighbor table names each argmax neighbor, so the backward
+    pass works on the ring alone and pastes its gradient into zeros. A flow
+    that is nonzero on a pinned pixel raises ValidationError. When the ring
+    fills the window, as it does when every pixel is free, every pair is
+    scored, through slices.
 
     `window`, if given, is the `SoftLayout` that `soft_layout` built from
     this `boundary` object and `hp.scales` on the raster (another curve or
@@ -639,21 +638,21 @@ def _dvdw_plane(scored, ys, xs, n_scales: int, shape) -> np.ndarray:
     return dvdw
 
 
-def _angular_terms(pa, qa, common, mf, rf, duf, wuf, hp: Hyperparams, tau: float, s2: float):
+def _angular_terms(pa, qa, common, mx, my, r, du, wu, hp: Hyperparams, tau: float, s2: float):
     """The soft term's gradient terms through each angular argmax pair (p, q)
     whose moving gate g = wu_p wu_q is > 0, given `common` = d(value)/d(a)
-    there, a = g siga, on the flattened flow `mf` and its flattened r, du and
-    wu: the terms of d(value)/d(r_p) and d(value)/d(r_q) through wu, and per
-    flow channel the terms at p, then at q, through the stabilized cosine.
-    A function of its own so that its temporaries are freed before the sort
-    and the sums, where the backward pass peaks."""
-    wui, wuj = wuf[pa], wuf[qa]
+    there, a = g siga, on the ring's flow (mx, my), r, du and wu: the terms
+    of d(value)/d(r_p) and d(value)/d(r_q) through wu, and per flow channel
+    the terms at p, then at q, through the stabilized cosine. A function of
+    its own so that its temporaries are freed before the sort and the sums,
+    where the backward pass peaks."""
+    wui, wuj = wu[pa], wu[qa]
     g = wui * wuj
-    xi, yi, xj, yj, dui, duj = mf[pa, 0], mf[pa, 1], mf[qa, 0], mf[qa, 1], duf[pa], duf[qa]
+    xi, yi, xj, yj, dui, duj = mx[pa], my[pa], mx[qa], my[qa], du[pa], du[qa]
     dot = xi * xj + yi * yj
     dij = dui * duj
     siga, cosfac = _soft_angle(dot / dij, hp.edge_theta_a, tau)
-    ri, rj = rf[pa], rf[qa]
+    ri, rj = r[pa], r[qa]
     ang_i = common * siga * wuj * (2.0 * ri * s2 / (ri * ri + s2) ** 2)
     ang_j = common * siga * wui * (2.0 * rj * s2 / (rj * rj + s2) ** 2)
     # factor d(cos)/d(m_p) and factor d(cos)/d(m_q), per channel, by `core._dcos`'s operations
@@ -683,32 +682,29 @@ def _soft_boundary(m: np.ndarray, layout: SoftLayout, hp: Hyperparams, tau: floa
     """
     h, wd = m.shape[:2]
     plan = layout.plan
-
-    if plan.pinned is not None:  # always so in a sparse plan, which reads `mf`
-        mf = m.reshape(-1, 2)
-        if mf[plan.pinned].any():
-            raise ValidationError("the flow moves a pixel that the soft layout pins")
+    mf = m.reshape(-1)
+    if mf[plan.pinned].any():
+        raise ValidationError("the flow moves a pixel that the soft layout pins")
 
     # Forward: per planned pair, b and a into the slot table of both pixels,
-    # which are the window's or, in a sparse plan, the ring's.
-    if plan.ring is None:
-        mx, my = m[..., 0], m[..., 1]
-        slots = np.zeros((2, 8, h, wd))
-    else:
-        mx, my = mf[plan.ring].T
-        # A pair of pinned pixels (r = +0, wu = +0) has b = sigmoid(-theta_i / tau)
-        # and a = +0: each ring slot starts there, or at 0 off the raster.
-        b0 = _sigmoid(np.array([-hp.edge_theta_i / tau]))[0]
-        slots = np.zeros((2, 8, plan.ring.size))
-        np.multiply(plan.on, b0, out=slots[0])
+    # on the ring.
+    mx, my = mf[0::2][plan.ring], mf[1::2][plan.ring]
     r = np.hypot(mx, my)
     s = EPS_VEC + tau
     s2 = s * s
     du = np.sqrt(r * r + s2)
     wu = (r * r) / (r * r + s2)
+    # A pair of pinned pixels (r = +0, wu = +0) has b = sigmoid(-theta_i / tau)
+    # and a = +0: each slot starts there, or at 0 off the raster.
+    b0 = _sigmoid(np.array([-hp.edge_theta_i / tau]))[0]
+    slots = np.empty((2,) + plan.nbr.shape)
+    slots[0].fill(b0)
+    slots[0][plan.nbr == -1] = 0.0
+    slots[1].fill(0.0)
     tables = slots.reshape((2,) + plan.table)
+    planes = [a.reshape(plan.shape) for a in (r, mx, my, du, wu)]
     for i, j, put_i, put_j in plan.pairs:
-        for table, weight in zip(tables, _pair_weights(r, mx, my, du, wu, i, j, hp, tau)):
+        for table, weight in zip(tables, _pair_weights(*planes, i, j, hp, tau)):
             table[put_i] = weight
             table[put_j] = weight
 
@@ -718,21 +714,18 @@ def _soft_boundary(m: np.ndarray, layout: SoftLayout, hp: Hyperparams, tau: floa
     # lowest slot at the pixels it needs.
     top = slots.max(axis=1)
     ties_i, ties_a = _tie_masks(slots, top)
+    wi, wa = top
     del slots, tables
-    if plan.ring is None:
-        wi, wa = top
-    else:
-        # A pinned pixel off the ring has b0 in each slot on the raster: its
-        # weights are (b0, +0), or (0, 0) in a 1 x 1 window.
-        wi, wa = np.full(h * wd, b0 if h * wd > 1 else 0.0), np.zeros(h * wd)
-        wi[plan.ring], wa[plan.ring] = top
-        wi, wa = wi.reshape(h, wd), wa.reshape(h, wd)
-    w = 1.0 - (1.0 - wi) * (1.0 - wa)
+    # A pinned pixel off the ring has b0 in each slot on the raster: its
+    # weights are (b0, +0), so w = 1 - (1 - b0), or (0, 0) in a 1 x 1 window.
+    w = np.full(h * wd, 1.0 - (1.0 - b0) if h * wd > 1 else 0.0)
+    w[plan.ring] = 1.0 - (1.0 - wi) * (1.0 - wa)
+    w = w.reshape(h, wd)
 
     value = 0.0
     n_scales = len(layout.cells)
     wx, wy = (w * layout.xs).ravel(), (w * layout.ys).ravel()
-    scored = []  # per scale with an entered cell: its cell ids on the plan's pixels and per-cell arrays
+    scored = []  # per scale with an entered cell: its cell ids on the ring and per-cell arrays
     for cells, cid in zip(layout.cells, plan.cids):
         flat = cells.cid.ravel()
         sums = (np.bincount(flat, weights, cells.n_cells) for weights in (w.ravel(), wx, wy))
@@ -744,62 +737,61 @@ def _soft_boundary(m: np.ndarray, layout: SoftLayout, hp: Hyperparams, tau: floa
 
     def backward() -> np.ndarray:
         # Backward through w = 1 - (1 - wi)(1 - wa) and the argmax pair's
-        # sigmoids, at the pixels p with dvdw != 0 (a term at dvdw == 0 is
-        # +-0 and every sum starts at +0, so skipping it keeps every bit).
-        # Off the ring p and its argmax neighbor q are pinned: the intensity
-        # term carries sign(0 - 0) = 0 and the moving gate drops the angular
-        # one, so d(value)/dw is built on the ring alone.
-        if plan.ring is None:
-            rf, duf, wuf = r.ravel(), du.ravel(), wu.ravel()
-        else:  # window planes, at +0, s and +0 on pinned pixels
-            rf, duf, wuf = np.zeros(h * wd), np.full(h * wd, np.sqrt(s2)), np.zeros(h * wd)
-            rf[plan.ring], duf[plan.ring], wuf[plan.ring] = r, du, wu
+        # sigmoids, at the ring pixels p with dvdw != 0 (a term at dvdw == 0
+        # is +-0 and every sum starts at +0, so skipping it keeps every bit).
+        # Off the ring p and its argmax neighbor q are pinned, and so are the
+        # pixels of a pair that leaves the ring: the intensity term carries
+        # sign(0 - 0) = 0 and the moving gate drops the angular one. So the
+        # gradient is built on the ring alone and pasted into zeros.
         dvdw = _dvdw_plane(scored, plan.ys, plan.xs, n_scales, plan.shape).ravel()
-        pos = np.flatnonzero(dvdw)  # on the slot table's pixels
-        dvdw = dvdw[pos]
-        live = pos if plan.ring is None else plan.ring[pos]
-        py, px = np.divmod(live, wd)
+        live = np.flatnonzero(dvdw)
+        dvdw = dvdw[live]
 
         def argmax_pairs(ties):
             """(sel, slot, q): the positions in `live` of the pixels whose argmax
-            slot, the lowest in their tie mask, is on the raster, that slot, and
-            the flat index of the neighbor q it names."""
-            slot = _LOWEST_SLOT[ties.ravel()[pos]]
-            qy, qx = py + _SLOT_DY[slot], px + _SLOT_DX[slot]
-            on = np.flatnonzero((qy >= 0) & (qy < h) & (qx >= 0) & (qx < wd))
-            return on, slot[on], qy[on] * wd + qx[on]
+            slot, the lowest in their tie mask, holds a ring pixel, that slot,
+            and the ring position of that pixel q."""
+            slot = _LOWEST_SLOT[ties[live]]
+            q = plan.nbr[slot, live]
+            on = np.flatnonzero(q >= 0)
+            return on, slot[on], q[on].astype(np.intp)  # cast once, not at every gather
 
         # intensity path: b = wi(p), with d(b)/d(r_p) = -d(b)/d(r_q)
         sel, slot_i, q = argmax_pairs(ties_i)
         p = live[sel]
-        b = wi.ravel()[p]
-        common_i = dvdw[sel] * (1.0 - wa.ravel()[p]) * b * (1.0 - b) / tau * np.sign(rf[p] - rf[q])
+        b = wi[p]
+        common_i = dvdw[sel] * (1.0 - wa[p]) * b * (1.0 - b) / tau * np.sign(r[p] - r[q])
 
         # angular path, for the pairs whose moving gate g is > 0: a = g siga
         # through wu and the stabilized cosine
         sel, slot_a, qa = argmax_pairs(ties_a)
-        moving = wuf[live[sel]] * wuf[qa] > 0
+        moving = wu[live[sel]] * wu[qa] > 0
         sel, slot_a, qa = sel[moving], slot_a[moving], qa[moving]
         pa = live[sel]
-        ang_i, ang_j, flow_terms = _angular_terms(pa, qa, dvdw[sel] * (1.0 - wi.ravel()[pa]),
-                                                  m.reshape(-1, 2), rf, duf, wuf, hp, tau, s2)
+        ang_i, ang_j, flow_terms = _angular_terms(pa, qa, dvdw[sel] * (1.0 - wi[pa]),
+                                                  mx, my, r, du, wu, hp, tau, s2)
 
         # Terms in the order of a loop over slots: per slot, intensity at p,
         # intensity at q, angular at p, angular at q. uint8 keys sort by radix.
         key = np.concatenate([slot_i * 4, slot_i * 4 + 1, slot_a * 4 + 2, slot_a * 4 + 3])
         order = np.argsort(key, kind="stable")
         to = np.concatenate([p, q, pa, qa])[order]
-        n_px = h * wd
-        grad_r = _ordered_sum(to, np.concatenate([common_i, -common_i, ang_i, ang_j])[order], n_px)
+        grad_r = _ordered_sum(to, np.concatenate([common_i, -common_i, ang_i, ang_j])[order], r.size)
         angular = order >= 2 * p.size
         to, at = to[angular], order[angular] - 2 * p.size
-        grad = np.empty(m.shape)
-        for c, terms in enumerate(flow_terms):
-            grad[..., c] = _ordered_sum(to, terms[at], n_px).reshape(h, wd)
 
-        safe_r = np.where(rf > 0, rf, 1.0).reshape(h, wd)
-        grad += (grad_r.reshape(h, wd) / safe_r)[..., None] * m
-        return grad
+        # d(value)/d(m) = d(value)/d(m) through the cosine + grad_r m / r. Where
+        # r is subnormal, grad_r / r may overflow; m / r, at most 1, does not.
+        with np.errstate(over="ignore"):
+            per_r = grad_r / np.where(r > 0, r, 1.0)
+        tiny = np.flatnonzero(~np.isfinite(per_r))
+        per_r[tiny] = 0.0
+        grad = np.zeros((h * wd, 2))
+        for c, (terms, mc) in enumerate(zip(flow_terms, (mx, my))):
+            radial = per_r * mc
+            radial[tiny] = grad_r[tiny] * (mc[tiny] / r[tiny])
+            grad[plan.ring, c] = _ordered_sum(to, terms[at], r.size) + radial
+        return grad.reshape(m.shape)
 
     return value, backward
 

@@ -330,12 +330,14 @@ def solve_world_flow(
     (`SolveResult.objective`).
 
     The descent runs on one solve box per solve (`_solve_terms`): the
-    bounding box of the subject, the matched pixels and the boundary-cell
-    window, plus a 1 px halo. It is the whole raster when
-    the init moves any background pixel. Outside it the result is `init`,
-    and the whole-raster result is written once, at the end. Surrogate
-    values and gradients are bitwise those of the terms on the whole raster
-    (the smoothness value sums the active box). The line search's squared
+    smallest box that holds the boundary-cell window and the bounding box
+    of the free pixels (`_free_pixels`) widened by a 1 px halo; the halo
+    does not widen the window. The free pixels are the subject's, or the
+    whole raster when the init moves a background pixel or a match lies on
+    the background. Outside the box the result is `init`, and the
+    whole-raster result is written once, at the end. Surrogate values and
+    gradients are bitwise those of the terms on the whole raster (the
+    smoothness value sums the active box). The line search's squared
     gradient norm sums the box alone, so its last bits may differ from a
     whole-raster sum, and with them, in principle, an Armijo decision on a
     knife edge.

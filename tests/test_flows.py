@@ -738,8 +738,8 @@ def test_soft_term_scores_the_pairs_that_touch_a_free_pixel(small_truth, small_p
     """At every evaluation of a zero-init solve of the 64x64 scene, the soft
     term's forward pass scores exactly the in-window neighbor pairs with a
     subject pixel, a small share of them, on a ring of pixels; a refinement
-    init moves the background, frees every pixel and has every in-window
-    pair scored by the dense plan."""
+    init moves the background, frees every pixel, so the ring fills the
+    window, and has every in-window pair scored through slices."""
     hp = Hyperparams()
     labels = small_truth.mask_t.labels
     rows, cols = bnd._boundary_window(small_priors.boundary.points, hp.scales, *labels.shape)
@@ -752,7 +752,7 @@ def test_soft_term_scores_the_pairs_that_touch_a_free_pixel(small_truth, small_p
         gt = small_truth.gt_world.vectors
         start = gt + np.random.default_rng(2).normal(0.0, 0.5, gt.shape)
         expected = every
-    scored, dense = [], set()  # per soft-term call, the sizes of its angle gate calls
+    scored, filled = [], set()  # per soft-term call, the sizes of its angle gate calls
 
     def spy(cos, *args, real=bnd._angle_gate):
         scored[-1].append(cos.size)
@@ -760,7 +760,7 @@ def test_soft_term_scores_the_pairs_that_touch_a_free_pixel(small_truth, small_p
 
     def soft(*args, window, real=bnd.soft_boundary_constraint):
         scored.append([])
-        dense.add(window.plan.ring is None)
+        filled.add(isinstance(window.plan.ring, slice))
         return real(*args, window=window)
 
     monkeypatch.setattr(bnd, "_angle_gate", spy)
@@ -768,7 +768,7 @@ def test_soft_term_scores_the_pairs_that_touch_a_free_pixel(small_truth, small_p
     res = flows.solve_world_flow(FlowMap(start), small_priors, hp, flows.SolverOptions(max_iters=6))
     assert len(res.trace) == 6 and len(scored) > 6
     assert {sum(sizes) for sizes in scored} == {expected}
-    assert dense == {init == "refine"}
+    assert filled == {init == "refine"}
 
 
 def test_a_match_on_the_background_frees_the_whole_raster(small_truth, small_priors, monkeypatch):
