@@ -153,8 +153,9 @@ def extract_flow_edges(flow: FlowMap, hp: Hyperparams) -> EdgeMap:
     )
 
 
-def auto_intensity_threshold(flow: FlowMap, percentile: float = 90.0) -> float:
-    """Adaptive intensity-edge threshold: percentile of neighbor norm differences.
+def auto_intensity_threshold(flow: FlowMap) -> float:
+    """Adaptive intensity-edge threshold: the 90th percentile of neighbor
+    norm differences, floored at EPS_VEC.
 
     Each in-raster neighbor pair is counted twice, once from each of its
     pixels, as the per-pixel 8-neighbor definition does.
@@ -169,7 +170,7 @@ def auto_intensity_threshold(flow: FlowMap, percentile: float = 90.0) -> float:
     alldiff = np.concatenate(diffs * 2)
     if alldiff.size == 0:
         return EPS_VEC
-    return float(max(np.percentile(alldiff, percentile), EPS_VEC))
+    return float(max(np.percentile(alldiff, 90.0), EPS_VEC))
 
 
 def exact_chamfer(s: PointSet, e: PointSet) -> float:
@@ -326,9 +327,6 @@ def boundary_constraint(
 # ---------------------------------------------------------------------------
 
 _MASS_FLOOR = 0.5  # cells with less soft edge mass than this are skipped
-
-# (dy, dx) of each neighbor slot, indexed by slot.
-_SLOT_DY, _SLOT_DX = np.array(_NEIGHBORS).T
 
 # Per 8-bit set of slots, its lowest slot; 0 for the empty set, as argmax gives.
 _LOWEST_SLOT = np.array([(b & -b).bit_length() - 1 if b else 0 for b in range(256)], dtype=np.uint8)

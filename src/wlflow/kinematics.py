@@ -53,48 +53,37 @@ def _gather(flow: FlowMap, offsets: SkeletonOffsets, matches: np.ndarray, mask: 
             window: tuple[slice, slice] | None = None):
     """The matched pixels of `flow` (a mask of its shape), their flow vectors
     and their skeleton offsets. `flow` covers the `window` of the mask's
-    raster, or all of it when `window` is None. Refuses a table it cannot
-    index `offsets` with (DimensionMismatch) and, as `Priors` does, an entry
-    below -1 in the part it reads (ValidationError)."""
+    raster, or all of it when `window` is None. Refuses the match table as
+    `_check_matches` does, reading the part inside the window alone."""
     if window is None:
         validate_pairing(flow, mask)
     elif mask.labels[window].shape != flow.vectors.shape[:2]:
         raise DimensionMismatch(
             f"flow {flow.width}x{flow.height} does not fill its window of the {mask.width}x{mask.height} mask"
         )
-    matches = np.asarray(matches)
-    if matches.shape != mask.labels.shape:
-        raise DimensionMismatch(
-            f"match table shape {matches.shape} does not cover {mask.height}x{mask.width}"
-        )
-    if window is not None:
-        matches = matches[window]
+    matches = _check_matches(matches, offsets, mask, window)
     valid = matches >= 0
-    u = flow.vectors[valid]
-    try:
-        k = offsets.vectors[matches[valid]]
-    except IndexError as exc:  # a float table, or an index past the offsets
-        raise DimensionMismatch(
-            f"match table does not index the {offsets.vectors.shape[0]} skeleton offsets ({exc})"
-        ) from exc
-    if matches.min() < -1:
-        raise ValidationError("match table entries must be -1 or an offset index, got one below -1")
-    return valid, u, k
+    return valid, flow.vectors[valid], offsets.vectors[matches[valid]]
 
 
-def _check_matches(matches, offsets: SkeletonOffsets, mask: SubjectMask) -> None:
-    """Refuse `matches` unless it is an integer table shaped like the mask
-    (DimensionMismatch) whose every entry is -1 (unmatched) or an index into
-    `offsets` (ValidationError)."""
+def _check_matches(matches, offsets: SkeletonOffsets, mask: SubjectMask,
+                   window: tuple[slice, slice] | None = None) -> np.ndarray:
+    """The `window` of `matches` (all of it when None), refused unless the
+    table is an integer array shaped like the mask (DimensionMismatch) whose
+    every entry in the window is -1 (unmatched) or an index into `offsets`
+    (ValidationError)."""
     matches = np.asarray(matches)
     if matches.shape != mask.labels.shape or not np.issubdtype(matches.dtype, np.integer):
         raise DimensionMismatch(
             f"match table must be an integer {mask.height}x{mask.width} array, "
             f"got {matches.dtype} of shape {matches.shape}"
         )
+    if window is not None:
+        matches = matches[window]
     n = offsets.vectors.shape[0]
     if matches.min() < -1 or matches.max() >= n:
         raise ValidationError(f"match table entries must be -1 or an index below {n}")
+    return matches
 
 
 def _terms(u: np.ndarray, k: np.ndarray, hp: Hyperparams):
@@ -127,7 +116,6 @@ def skeleton_constraint(
     total pixel count of the raster. A match table that `Priors` would
     refuse raises as it does there.
     """
-    _check_matches(matches, offsets, mask)
     _, u, k = _gather(flow, offsets, matches, mask)
     fa, fi = _terms(u, k, hp)
     total = flow.height * flow.width
@@ -169,10 +157,10 @@ def smooth_skeleton_constraint(
     gradient has `flow`'s shape, the normalizer is still the pixel count of
     the whole raster, and pixels outside the window count as unmatched: if
     the window holds every matched pixel, as the solver's solve box does,
-    value and gradient are bitwise the whole raster's, cropped. A match
-    table entry below -1 inside the window raises ValidationError, as the
-    hard term and `Priors` refuse it; the check is one `min` over the
-    window's table per call.
+    value and gradient are bitwise the whole raster's, cropped. The match
+    table is refused as the hard term and `Priors` refuse it, but for its
+    entries outside the window, which are not read; the check is one `min`
+    and one `max` over the window's table per call.
     """
     if tau <= 0:
         raise ValidationError("tau must be positive")

@@ -576,22 +576,21 @@ def _bad_match_tables(draw):
 @given(case=_bad_match_tables())
 @settings(max_examples=60, deadline=None)
 def test_bad_match_tables_are_refused_with_a_typed_error(case):
-    """`Priors` and the hard skeleton constraint refuse a match table of the
-    wrong shape or dtype (DimensionMismatch) or with an entry that is neither
-    -1 nor an offset index (ValidationError). The surrogate refuses every
-    table it cannot index with, never with an IndexError, and an entry below
-    -1 as they do."""
+    """`Priors`, the hard skeleton constraint and its surrogate refuse a
+    match table of the wrong shape or dtype (DimensionMismatch) or with an
+    entry that is neither -1 nor an offset index (ValidationError, not its
+    subclass DimensionMismatch), never with an IndexError."""
     n, table, defect = case
     mask = SubjectMask(np.pad(np.ones((2, 2), dtype=np.int32), 2))
     offsets = skel.SkeletonOffsets(np.ones((n, 2)))
     expected = DimensionMismatch if defect in ("shape", "float") else ValidationError
-    with pytest.raises(expected):
-        flows.Priors(table, offsets, PointSet(np.zeros((0, 2))), mask)
     flow = FlowMap.zeros(6, 6)
-    with pytest.raises(expected):
-        kin.skeleton_constraint(flow, offsets, table, mask, Hyperparams())
-    with pytest.raises(ValidationError if defect == "low" else DimensionMismatch):
-        kin.smooth_skeleton_constraint(flow, offsets, table, mask, Hyperparams(), 0.5)
+    for refuse in (lambda: flows.Priors(table, offsets, PointSet(np.zeros((0, 2))), mask),
+                   lambda: kin.skeleton_constraint(flow, offsets, table, mask, Hyperparams()),
+                   lambda: kin.smooth_skeleton_constraint(flow, offsets, table, mask, Hyperparams(), 0.5)):
+        with pytest.raises(ValidationError) as refused:
+            refuse()
+        assert type(refused.value) is expected
 
 
 def _loop_active_box(init: np.ndarray, labels: np.ndarray, matches: np.ndarray) -> tuple[slice, slice]:
