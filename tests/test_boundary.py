@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from wlflow import boundary as bnd
 from wlflow import synth
 from wlflow.core import EPS_VEC, FlowMap, Hyperparams, PointSet, Vec2, _sigmoid
-from wlflow.errors import DimensionMismatch, EmptyPointSet, ValidationError
+from wlflow.errors import DegenerateConfiguration, DimensionMismatch, EmptyPointSet, ValidationError
 
 from conftest import (full_raster_edges, loop_bilinear_corners, make_circle, per_slot_soft_boundary,
                       sparse_flow_arrays, sparse_solved_flow, two_figure_spec)
@@ -186,7 +186,61 @@ def test_exact_chamfer_equals_double_loop_oracle():
         got = bnd.exact_chamfer(PointSet(s), PointSet(e))
         dists = np.sqrt(((s[:, None, :] - e[None, :, :]) ** 2).sum(axis=2))
         expect = dists.min(axis=1).mean()
-        assert got == pytest.approx(expect, rel=1e-12)
+        assert got == expect
+
+
+_LEAF = bnd._KD_LEAF
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_e=st.sampled_from([1, 2, _LEAF, _LEAF + 1, 2 * _LEAF + 1, 100]),
+    n_s=st.integers(1, 40),
+    scale=st.sampled_from([1e-3, 1.0, 1e2, 1e4, 1e6]),
+    kind=st.sampled_from(["uniform", "grid", "duplicates", "diagonal", "vertical", "circle"]),
+    far=st.booleans(),
+)
+@example(seed=0, n_e=16 * _LEAF + 1, n_s=bnd._KD_PAIRS // 4 + 1, scale=1.0, kind="circle", far=False)
+@settings(max_examples=100, deadline=None)
+def test_exact_chamfer_equals_ckdtree_bitwise(seed, n_e, n_s, scale, kind, far):
+    """The k-d tree search gives bitwise scipy's cKDTree mean, on sets made to
+    defeat pruning: ties on a grid, repeated points, lines with a zero-width
+    side, queries far outside e's box, and queries at the centre of a circle,
+    where each leaf's box is nearer than its points, so few leaves are pruned.
+    The example's centre queries span two query chunks of the search and
+    overflow one batch of (query, node) pairs."""
+    cKDTree = pytest.importorskip("scipy.spatial").cKDTree
+    rng = np.random.default_rng(seed)
+    e = rng.uniform(0, scale, (n_e, 2))
+    s = rng.uniform(-scale, 2 * scale, (n_s, 2))
+    if kind == "grid":
+        e, s = (np.round(p * 8 / scale) * scale / 8 for p in (e, s))
+    elif kind == "duplicates":
+        e = e[rng.integers(0, 3, n_e) % n_e]
+        s[::2] = e[rng.integers(0, n_e, len(s[::2]))]
+    elif kind == "diagonal":
+        e[:, 1] = 0.5 * e[:, 0] + scale
+    elif kind == "vertical":
+        e[:, 0] = scale / 2
+    elif kind == "circle":
+        angle = rng.uniform(0, 2 * np.pi, n_e)
+        e = scale / 2 + scale * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        s = scale / 2 + rng.normal(0, scale * 1e-9, (n_s, 2))
+    if far:
+        s = s + 1e3 * scale
+    got = bnd.exact_chamfer(PointSet(s), PointSet(e))
+    assert got == np.mean(cKDTree(e).query(s)[0])
+
+
+def test_exact_chamfer_refuses_an_overflowing_distance():
+    """A nearest squared distance beyond the float range raises, without a
+    floating-point warning, where cKDTree's mean would be inf."""
+    far, origin = PointSet(np.array([[1e200, 0.0]])), PointSet(np.array([[-1e200, 0.0]]))
+    with pytest.raises(DegenerateConfiguration, match="leaves the float range"):
+        bnd.exact_chamfer(far, origin)
+    with pytest.raises(DegenerateConfiguration, match="leaves the float range"):
+        bnd.exact_chamfer(PointSet(np.array([[1e160, 0.0]])), PointSet(np.zeros((40, 2))))
+    assert bnd.exact_chamfer(PointSet(np.array([[1e150, 0.0]])), PointSet(np.zeros((40, 2)))) == 1e150
 
 
 def test_exact_chamfer_translation_invariance():

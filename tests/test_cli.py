@@ -493,6 +493,7 @@ _TAU_RANGE_MESSAGE = "$ invalid (each tau_schedule entry must lie in [1e-100, 1e
                  id="patch-zero-height"),
     pytest.param(_patch_raster_argv, "0", 1, "raster dimensions must be positive", id="patch-zero-raster"),
     pytest.param(_chamfer_argv, str(_HUGE), 1, "patch scale must be a finite number", id="patch-huge-scale"),
+    pytest.param(_points_argv, 1e200, 1, "a nearest distance leaves the float range", id="exact-chamfer-overflow"),
     pytest.param(_empty_mask_argv, ["solve"], 1, "mask contains no subjects", id="solve-empty-mask"),
     pytest.param(_empty_mask_argv, ["eval"], 1, "mask contains no subjects", id="eval-empty-mask"),
     pytest.param(_empty_mask_argv, ["eval", "--local"], 1, "mask contains no subjects",
@@ -786,23 +787,23 @@ def test_fuzz_config_files_exit_2(scene_dir, fuzz_out, data, flag, kind):
     assert "Traceback" not in err
 
 
-def test_cli_entry_point_imports_no_scipy_until_exact_chamfer(tmp_path):
-    """`import wlflow.cli` loads no scipy module; `chamfer --exact` still runs the k-d tree."""
+def test_cli_entry_point_imports_no_scipy(tmp_path):
+    """`chamfer --exact`, the one command that used scipy, runs without loading any scipy module."""
     env = dict(os.environ, PYTHONPATH=str(Path(wlflow.__file__).resolve().parents[1]))
-    probe = "import sys, wlflow.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
-
+    probe = ("import sys; from wlflow.cli import main; code = main(sys.argv[1:]); "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr); "
+             "sys.exit(code)")
     rng = np.random.default_rng(7)
     s, e = PointSet(rng.uniform(0, 50, (40, 2))), PointSet(rng.uniform(0, 50, (30, 2)))
     io.write_points(tmp_path / "s.json", s)
     io.write_points(tmp_path / "e.json", e)
     done = subprocess.run(
-        [sys.executable, "-m", "wlflow.cli", "chamfer", "--exact",
+        [sys.executable, "-c", probe, "chamfer", "--exact",
          "--s", str(tmp_path / "s.json"), "--e", str(tmp_path / "e.json")],
         env=env, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
+    assert done.stderr.strip() == "[]"
     assert json.loads(done.stdout)["exact"] == io._format_floats(bnd.exact_chamfer(s, e))
 
 
