@@ -8,7 +8,7 @@ indexed ``[y, x]``; displacement channels are ordered ``(dx, dy)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral, Real
 
 import numpy as np
@@ -236,9 +236,14 @@ class KeypointFrame:
 
 @dataclass(frozen=True)
 class SubjectMask:
-    """Per-pixel instance labels: 0 is background, subjects are 1..k contiguous."""
+    """Per-pixel instance labels: 0 is background, subjects are 1..k contiguous.
+
+    The labels are checked and the subjects listed once, when the mask is
+    built; `subject_ids` is then a stored tuple.
+    """
 
     labels: np.ndarray
+    subject_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.labels)
@@ -246,16 +251,22 @@ class SubjectMask:
             raise ValidationError(f"mask must be a (h, w) array, got shape {arr.shape}")
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValidationError(f"mask labels must be integers, got dtype {arr.dtype}")
-        arr = arr.astype(np.int32, copy=True)
-        if (arr < 0).any():
+        # Range checks on the input dtype, before the int32 cast could wrap a label.
+        if int(arr.min()) < 0:
             raise ValidationError("mask labels must be non-negative")
-        present = np.unique(arr)
-        subjects = present[present > 0]
-        if subjects.size and not np.array_equal(subjects, np.arange(1, subjects.size + 1)):
+        k = int(arr.max())
+        if k > np.iinfo(np.int32).max:
+            raise ValidationError(f"mask label {k} exceeds the int32 range")
+        arr = arr.astype(np.int32, copy=True)
+        # Labels 1..k need k labelled pixels; the guard keeps `bincount` within one
+        # count per labelled pixel. It counts only those, not the background.
+        labelled = arr[arr > 0]
+        if k > labelled.size or not np.bincount(labelled)[1:].all():
             raise ValidationError(
-                f"subject labels must form a contiguous range 1..k, got {subjects.tolist()}"
+                f"subject labels must form a contiguous range 1..k, got {np.unique(labelled).tolist()}"
             )
         object.__setattr__(self, "labels", _as_readonly(arr))
+        object.__setattr__(self, "subject_ids", tuple(range(1, k + 1)))
 
     @property
     def height(self) -> int:
@@ -264,11 +275,6 @@ class SubjectMask:
     @property
     def width(self) -> int:
         return self.labels.shape[1]
-
-    @property
-    def subject_ids(self) -> tuple[int, ...]:
-        present = np.unique(self.labels)
-        return tuple(int(v) for v in present[present > 0])
 
 
 @dataclass(frozen=True)

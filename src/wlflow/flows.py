@@ -105,7 +105,7 @@ class SolverOptions:
 
 
 def _require_subjects(mask: SubjectMask) -> None:
-    if not mask.labels.any():
+    if not mask.subject_ids:
         raise EmptySubject("mask contains no subjects")
 
 

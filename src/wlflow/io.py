@@ -118,7 +118,7 @@ def read_keypoints(path) -> list:
 
 def write_mask(path, mask: SubjectMask) -> None:
     """8-bit binary PGM; pixel value is the subject label."""
-    if mask.labels.max(initial=0) > 255:
+    if len(mask.subject_ids) > 255:
         raise FormatError("PGM masks support at most 255 subject labels")
     write_grayscale(path, mask.labels)
 
@@ -167,7 +167,7 @@ def read_mask(path) -> SubjectMask:
         raise TruncatedFile(f"{path}: expected {need} pixels, got {len(payload)}")
     arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
     try:
-        return SubjectMask(arr.astype(np.int32))
+        return SubjectMask(arr)
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

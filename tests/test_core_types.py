@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -102,15 +104,69 @@ def test_keypoint_frame_rejects_bad_confidence():
         KeypointFrame((arr,))
 
 
-def test_mask_labels_must_be_contiguous():
-    bad = np.zeros((4, 4), dtype=np.int32)
-    bad[0, 0] = 2
-    with pytest.raises(ValidationError):
-        SubjectMask(bad)
-    good = np.zeros((4, 4), dtype=np.int32)
-    good[0, 0] = 1
-    good[1, 1] = 2
-    assert SubjectMask(good).subject_ids == (1, 2)
+_INT_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+def reference_mask_rule(arr):
+    """Reference copy of `SubjectMask`'s label rule as it ran with `np.unique`,
+    plus the int32 range check. Returns (subject ids, None) or (None, error text)."""
+    if arr.min() < 0:
+        return None, "mask labels must be non-negative"
+    if arr.max() > np.iinfo(np.int32).max:
+        return None, f"mask label {arr.max()} exceeds the int32 range"
+    present = np.unique(arr)
+    subjects = present[present > 0]
+    if subjects.size and not np.array_equal(subjects, np.arange(1, subjects.size + 1)):
+        return None, f"subject labels must form a contiguous range 1..k, got {subjects.tolist()}"
+    return tuple(int(v) for v in subjects), None
+
+
+@st.composite
+def label_planes(draw):
+    """An integer label plane up to 8x8 of any dtype int8..uint64: labels 0..k
+    (all zero when k is 0, with gaps where a label is not drawn), and at times
+    one pixel set to a large label, to the dtype's extreme or to -1."""
+    dtype = np.dtype(draw(st.sampled_from(_INT_DTYPES)))
+    k = draw(st.integers(0, 4))
+    arr = draw(hnp.arrays(dtype, (draw(st.integers(1, 8)), draw(st.integers(1, 8))),
+                          elements=st.integers(0, k)))
+    info = np.iinfo(dtype)
+    special = draw(st.sampled_from([None, 2**30, 2**31 - 1, 2**31, 2**32 + 1, info.max, info.min, -1]))
+    if special is not None and info.min <= special <= info.max:
+        arr[draw(st.integers(0, arr.shape[0] - 1)), draw(st.integers(0, arr.shape[1] - 1))] = special
+    return arr
+
+
+@settings(max_examples=150)
+@given(label_planes())
+def test_mask_labels_must_be_contiguous(arr):
+    ids, error = reference_mask_rule(arr)
+    if error is None:
+        mask = SubjectMask(arr)
+        assert mask.subject_ids == ids
+        assert mask.labels.dtype == np.int32 and np.array_equal(mask.labels, arr)
+    else:
+        with pytest.raises(ValidationError) as info:
+            SubjectMask(arr)
+        assert str(info.value) == error
+
+
+@pytest.mark.parametrize("dtype, label", [(np.int64, 2**32 + 1), (np.uint32, 2**31), (np.uint64, 2**63)])
+def test_mask_refuses_labels_past_int32(dtype, label):
+    with pytest.raises(ValidationError, match=f"mask label {label} exceeds the int32 range"):
+        SubjectMask(np.array([[0, label]], dtype=dtype))
+
+
+def test_mask_refuses_a_huge_label_without_counting_up_to_it():
+    arr = np.full((2, 2), 2**30, dtype=np.int32)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=r"contiguous range 1\.\.k, got \[1073741824\]"):
+            SubjectMask(arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_hyperparams_defaults():

@@ -556,6 +556,17 @@ def test_priors_refuse_a_mask_without_subjects(small_truth, build, monkeypatch):
             _direct_priors(np.full((8, 8), -1), labels)
 
 
+def test_scene_and_priors_never_sort_the_mask(reference_truth, reference_priors, monkeypatch):
+    """An accepted mask lists its subjects once, when it is built, without
+    `np.unique`; the scene and its priors read that list and sort nothing."""
+    monkeypatch.setattr(np, "unique", lambda *args, **kwargs: pytest.fail("np.unique called"))
+    t = synth.generate_scene(synth.single_figure_scene())
+    priors = flows.Priors.build(t.keypoints[0], t.keypoints[1], t.mask_t, t.boundary_t)
+    assert t.mask_t.subject_ids == (1,)
+    assert np.array_equal(t.mask_t.labels, reference_truth.mask_t.labels)
+    assert np.array_equal(priors.matches, reference_priors.matches)
+
+
 @st.composite
 def _bad_match_tables(draw):
     """(n, table, defect): a match table for `n` offsets on a 6x6 mask that
