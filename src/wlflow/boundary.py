@@ -1039,12 +1039,16 @@ def morph_curve_fit(moving: PointSet, target: PointSet, opts: MorphOptions = Mor
     optimized by backtracking gradient descent on the multiscale
     patch-centroid distance alone. Non-convergence is reported through
     `stop` and the `converged` flag; the best iterate is always returned.
+    Both curves must lie on the raster, from 0 to below `width` and
+    `height`; a curve with a point off it is refused (ValidationError).
     """
     if len(moving) == 0 or len(target) == 0:
         raise EmptyPointSet("morph_curve_fit requires two nonempty curves")
     pts = moving.points
     width = opts.width or int(np.ceil(max(pts[:, 0].max(), target.points[:, 0].max()) + 2))
     height = opts.height or int(np.ceil(max(pts[:, 1].max(), target.points[:, 1].max()) + 2))
+    _check_in_raster("moving", pts, width, height)
+    _check_in_raster("target", target.points, width, height)
     gh, gw = _MORPH_GRID_SHAPE
     # a whole-raster cell supplies the global centroid pull (translation mode)
     scales = _MORPH_SCALES + (max(width, height),)

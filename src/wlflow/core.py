@@ -175,9 +175,12 @@ class Vec2:
         return np.array([self.dx, self.dy], dtype=np.float64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowMap:
-    """Dense per-pixel displacement field, stored as (height, width, 2) float64."""
+    """Dense per-pixel displacement field, stored as (height, width, 2) float64.
+
+    Like every type here that holds an array, it compares and hashes by identity.
+    """
 
     vectors: np.ndarray
 
@@ -210,7 +213,7 @@ class FlowMap:
         return cls(arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KeypointFrame:
     """Per-person arrays of exactly 17 COCO-ordered keypoints, rows (x, y, c)."""
 
@@ -234,16 +237,19 @@ class KeypointFrame:
         return len(self.persons)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubjectMask:
     """Per-pixel instance labels: 0 is background, subjects are 1..k contiguous.
 
     The labels are checked and the subjects listed once, when the mask is
-    built; `subject_ids` is then a stored tuple.
+    built; `subject_ids` is then a stored tuple, and `box` the rows and
+    columns of the bounding box of the labelled pixels (None when there are
+    none), so that a reader of the subjects can scan that box alone.
     """
 
     labels: np.ndarray
-    subject_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    subject_ids: tuple[int, ...] = field(init=False, repr=False)
+    box: tuple[slice, slice] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.labels)
@@ -260,13 +266,15 @@ class SubjectMask:
         arr = arr.astype(np.int32, copy=True)
         # Labels 1..k need k labelled pixels; the guard keeps `bincount` within one
         # count per labelled pixel. It counts only those, not the background.
-        labelled = arr[arr > 0]
+        subject = arr > 0
+        labelled = arr[subject]
         if k > labelled.size or not np.bincount(labelled)[1:].all():
             raise ValidationError(
                 f"subject labels must form a contiguous range 1..k, got {np.unique(labelled).tolist()}"
             )
         object.__setattr__(self, "labels", _as_readonly(arr))
         object.__setattr__(self, "subject_ids", tuple(range(1, k + 1)))
+        object.__setattr__(self, "box", _plane_box(subject, 0))
 
     @property
     def height(self) -> int:
@@ -277,7 +285,7 @@ class SubjectMask:
         return self.labels.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
     """Discrete (x, y) points on the pixel grid; may be empty."""
 

@@ -38,7 +38,15 @@ HEAD_JOINTS = (0, 1, 2, 3, 4)
 
 # match_all scores subject pixels in chunks of this many, which bounds its
 # temporaries at _MATCH_CHUNK x (skeleton points) floats.
-_MATCH_CHUNK = 1024
+_MATCH_CHUNK = 256
+
+# match_all's prefilter keeps a pixel's candidates whose squared score lies
+# within this relative and this absolute slack of the least one. Both scores
+# carry a few roundings each (a relative error of some 1e-15), and underflow
+# shifts a squared score by under 1e-317 once c >= EPS_CONF, so the slack
+# keeps every candidate whose exact score can tie or beat the least one's.
+_PREFILTER_REL = 1e-12
+_PREFILTER_ABS = 1e-300
 
 # Skeleton offsets must stay below this many pixels: the skeleton terms multiply
 # offset magnitudes together, and 1e150 squared stays inside the float range.
@@ -198,24 +206,45 @@ def match_all(skeletons: Mapping[int, SkeletonMap], mask: SubjectMask) -> np.nda
     Returns an (h, w) int32 array of indices into the concatenation of
     `skeletons[label].points` in ascending label order; background pixels
     hold -1. Each subject pixel gets the match_body_point index against its
-    own subject's skeleton.
+    own subject's skeleton, bitwise: a prefilter on the squared score
+    (dx^2 + dy^2) / c^2 keeps the candidates that can reach the least
+    score, and the exact score hypot(dx, dy) / c is taken on those alone.
+    Only the mask's subject box is read.
     """
     out = np.full((mask.height, mask.width), -1, dtype=np.int32)
     for lab in mask.subject_ids:
         if lab not in skeletons:
             raise NoCandidates(f"no skeleton supplied for subject {lab}")
+    if mask.box is None:
+        return out
 
+    rows, cols = mask.box
+    labels = mask.labels[mask.box]
     base = 0
     for lab in sorted(skeletons):
         sk = skeletons[lab]
-        ys, xs = np.nonzero(mask.labels == lab)
-        qx, qy = sk.xy[:, 0][None, :], sk.xy[:, 1][None, :]
-        conf = np.maximum(sk.confidences, EPS_CONF)[None, :]
-        for lo in range(0, ys.size, _MATCH_CHUNK):
-            py = ys[lo:lo + _MATCH_CHUNK]
-            px = xs[lo:lo + _MATCH_CHUNK]
-            score = np.hypot(qx - px[:, None], qy - py[:, None]) / conf
-            out[py, px] = base + np.argmin(score, axis=1)
+        ys, xs = np.nonzero(labels == lab)
+        ys += rows.start
+        xs += cols.start
+        qx, qy = sk.xy[:, 0], sk.xy[:, 1]
+        conf = np.maximum(sk.confidences, EPS_CONF)
+        with np.errstate(over="ignore", invalid="ignore"):  # far points square to inf
+            conf2 = conf * conf
+            # Where c^2 leaves the float range the squared score means nothing,
+            # and an infinite slack keeps every candidate.
+            slack = 1.0 + _PREFILTER_REL if np.isfinite(conf2).all() else np.inf
+            for lo in range(0, ys.size, _MATCH_CHUNK):
+                py = ys[lo:lo + _MATCH_CHUNK]
+                px = xs[lo:lo + _MATCH_CHUNK]
+                score = np.square(qx - px[:, None])
+                score += np.square(qy - py[:, None])
+                score /= conf2
+                least = score.min(axis=1, keepdims=True)
+                # `~(a > b)`, not `a <= b`: an infinite slack times a least score of 0 is NaN.
+                i, j = np.nonzero(~(score > least * slack + _PREFILTER_ABS))
+                score.fill(np.inf)
+                score[i, j] = np.hypot(qx[j] - px[i], qy[j] - py[i]) / conf[j]
+                out[py, px] = base + np.argmin(score, axis=1)
         base += sk.points.shape[0]
     return out
 
@@ -237,10 +266,13 @@ def assign_subjects(frame: KeypointFrame, mask: SubjectMask) -> dict[int, int]:
     Returns {label: person_index}. Every subject present in the mask must
     win exactly one person.
     """
-    ys, xs = np.nonzero(mask.labels)
-    if ys.size == 0:
+    if mask.box is None:
         return {}
-    labels_flat = mask.labels[ys, xs]
+    labels = mask.labels[mask.box]
+    ys, xs = np.nonzero(labels)
+    labels_flat = labels[ys, xs]
+    ys += mask.box[0].start
+    xs += mask.box[1].start
     assignment: dict[int, int] = {}
     for pi, person in enumerate(frame.persons):
         with np.errstate(over="ignore", invalid="ignore"):

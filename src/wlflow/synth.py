@@ -173,26 +173,6 @@ def _figure_joints(spec: SubjectSpec, frame: int) -> np.ndarray:
     return j
 
 
-def _segment_distances(joints: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
-    """Distance of every pixel of a box to each bone segment; shape (n_bones, rows, cols)."""
-    ys, xs = np.mgrid[rows, cols]
-    p = np.stack([xs, ys], axis=-1).astype(np.float64)
-    out = np.empty((len(DEFAULT_BONES),) + ys.shape)
-    for bi, (a_idx, b_idx) in enumerate(DEFAULT_BONES):
-        a = joints[a_idx]
-        b = joints[b_idx]
-        ab = b - a
-        denom = float(ab @ ab)
-        if denom < 1e-12:
-            closest = a[None, None, :]
-        else:
-            t = np.clip(((p - a) @ ab) / denom, 0.0, 1.0)
-            closest = a + t[..., None] * ab
-        d = p - closest
-        out[bi] = np.hypot(d[..., 0], d[..., 1])
-    return out
-
-
 def _bone_motion(j0: np.ndarray, j1: np.ndarray, bone: tuple) -> tuple:
     """Segment-to-segment map (rotation, scale, translation anchor pair)."""
     a0, b0 = j0[bone[0]], j0[bone[1]]
@@ -215,15 +195,44 @@ def _rasterize(joints: np.ndarray, radii: np.ndarray, box: tuple, label: int,
                labels: np.ndarray, frame: np.ndarray, when: str) -> tuple:
     """Draw one subject's capsules at `joints` into `labels` and `frame` on
     `box`. Returns the box's body pixels and each pixel's governing bone,
-    the nearest capsule holding it. Raises if the body overlaps an earlier
-    subject; `when` ends that message."""
-    dists = _segment_distances(joints, *box)
-    inside = dists <= radii[:, None, None]
-    body = inside.any(axis=0)
+    the nearest capsule holding it, the lowest bone on ties. Raises if the
+    body overlaps an earlier subject; `when` ends that message.
+
+    Each bone is scored on its own capsule window: its segment's box widened
+    by its radius and 1 px against rounding, clipped to `box`. A pixel's
+    distance to a bone does not depend on the window it is scored in, and
+    no pixel outside the window lies within the radius, so the result is
+    bitwise that of scoring every bone on the whole raster.
+    """
+    rows, cols = box
+    best = np.full((rows.stop - rows.start, cols.stop - cols.start), np.inf)
+    governing = np.zeros(best.shape, dtype=np.intp)
+    for bi, (a_idx, b_idx) in enumerate(DEFAULT_BONES):
+        a, b, r = joints[a_idx], joints[b_idx], radii[bi]
+        lo = np.floor(np.minimum(a, b) - r).astype(int) - 1
+        hi = np.ceil(np.maximum(a, b) + r).astype(int) + 2
+        y0, y1 = max(lo[1], rows.start), min(hi[1], rows.stop)
+        x0, x1 = max(lo[0], cols.start), min(hi[0], cols.stop)
+        px = np.arange(x0, x1, dtype=np.float64)[None, :]
+        py = np.arange(y0, y1, dtype=np.float64)[:, None]
+        ab = b - a
+        denom = float(ab @ ab)
+        if denom < 1e-12:
+            cx, cy = a[0], a[1]
+        else:
+            # Elementwise, not `(p - a) @ ab`: a BLAS product's rounding can
+            # depend on the shape of the array it runs on.
+            t = np.clip(((px - a[0]) * ab[0] + (py - a[1]) * ab[1]) / denom, 0.0, 1.0)
+            cx, cy = a[0] + t * ab[0], a[1] + t * ab[1]
+        d = np.hypot(px - cx, py - cy)
+        window = (slice(y0 - rows.start, y1 - rows.start), slice(x0 - cols.start, x1 - cols.start))
+        nearer = (d <= r) & (d < best[window])  # strict: a tie keeps the lower bone
+        best[window][nearer] = d[nearer]
+        governing[window][nearer] = bi
+    body = best != np.inf
     if (labels[box][body] != 0).any():
         raise SpecOutOfBounds(f"subject {label} overlaps an earlier subject{when}")
     labels[box][body] = label
-    governing = np.argmin(np.where(inside, dists, np.inf), axis=0)
     frame[box][body] = (70 + 12 * governing[body]).astype(np.uint8)
     return body, governing
 
@@ -239,7 +248,10 @@ def generate_scene(spec: SceneSpec) -> SceneTruth:
     world = np.zeros((h, w, 2))
     world[..., 0] = spec.camera_motion.dx
     world[..., 1] = spec.camera_motion.dy
-    subject_field = np.zeros((h, w, 2))
+    # Off every body, local flow is world - 0 = world and the subject flow is
+    # world - local = +0, so both are written on the bodies alone.
+    local = world.copy()
+    exact_subject = np.zeros((h, w, 2))
     frame0 = np.zeros((h, w), dtype=np.uint8)
     frame1 = np.zeros((h, w), dtype=np.uint8)
     persons_t = []
@@ -281,7 +293,9 @@ def generate_scene(spec: SceneSpec) -> SceneTruth:
 
         root_delta = np.asarray(sub.root_t1) - np.asarray(sub.root_t)
         gt_subject[label] = Vec2(root_delta[0], root_delta[1])
-        subject_field[box][body] = root_delta
+        on_body = world[box][body]
+        local[box][body] = on_body - root_delta
+        exact_subject[box][body] = on_body - local[box][body]
 
         for joints, plist in ((j0, persons_t), (j1, persons_t1)):
             arr = np.ones((17, 3))
@@ -300,8 +314,6 @@ def generate_scene(spec: SceneSpec) -> SceneTruth:
     boundaries = [trace_boundary(mask, lab).points for lab in mask.subject_ids]
     union = np.concatenate(boundaries) if boundaries else np.zeros((0, 2))
 
-    local = world - subject_field
-    exact_subject = world - local
     frame0.setflags(write=False)
     frame1.setflags(write=False)
 
@@ -320,9 +332,10 @@ def generate_scene(spec: SceneSpec) -> SceneTruth:
 def trace_boundary(mask: SubjectMask, subject_id: int) -> PointSet:
     """Boundary pixels of one subject, in raster order (row by row, then by
     column): every subject-labeled pixel that is 8-adjacent to a non-subject
-    pixel or to the raster edge."""
-    sel = mask.labels == subject_id
-    if not sel.any():
+    pixel or to the raster edge. Only the mask's subject box is read: every
+    pixel just outside it is off the subject, as the raster edge is."""
+    sel = None if mask.box is None else mask.labels[mask.box] == subject_id
+    if sel is None or not sel.any():
         raise EmptySubject(f"subject {subject_id} not present in mask")
 
     padded = np.pad(sel, 1)
@@ -332,7 +345,8 @@ def trace_boundary(mask: SubjectMask, subject_id: int) -> PointSet:
         & padded[2:, :-2] & padded[2:, 1:-1] & padded[2:, 2:]
     )
     ys, xs = np.nonzero(sel & ~interior)
-    return PointSet(np.stack([xs, ys], axis=1).astype(np.float64))
+    rows, cols = mask.box
+    return PointSet(np.stack([xs + cols.start, ys + rows.start], axis=1).astype(np.float64))
 
 
 def scaled_lengths(factor: float) -> dict:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from wlflow import boundary as bnd
 from wlflow import flows, synth
+from wlflow import skeleton as skel
 from wlflow.core import (EPS_VEC, FlowMap, Hyperparams, PointSet, _dcos, _sigmoid, _soft_angle,
                          armijo_descent, validate_pairing)
 from wlflow.errors import DimensionMismatch, EmptySubject
@@ -195,21 +196,45 @@ def eager_armijo_descent(fn, x, value, grad, eta, max_steps, tolerance, on_step)
     return x, "budget"
 
 
+def full_raster_distances(joints, h, w):
+    """Distance of every pixel of an h x w raster to each bone segment of
+    `joints`, shape (n_bones, h, w): the distance stack that `synth` once
+    built, with the projection on the segment written elementwise, as
+    `synth._rasterize` writes it."""
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    out = np.empty((len(synth.DEFAULT_BONES), h, w))
+    for bi, (a_idx, b_idx) in enumerate(synth.DEFAULT_BONES):
+        a, b = joints[a_idx], joints[b_idx]
+        ab = b - a
+        denom = float(ab @ ab)
+        if denom < 1e-12:
+            cx, cy = a[0], a[1]
+        else:
+            t = np.clip(((xs - a[0]) * ab[0] + (ys - a[1]) * ab[1]) / denom, 0.0, 1.0)
+            cx, cy = a[0] + t * ab[0], a[1] + t * ab[1]
+        out[bi] = np.hypot(xs - cx, ys - cy)
+    return out
+
+
 def full_raster_rasterize(spec):
     """Reference copy of `synth.generate_scene`'s per-subject rasterization as
-    it ran on the whole raster. Returns the labels at t, both frames and the
-    ground-truth world flow."""
+    it ran on the whole raster: every bone scored on every pixel, the nearest
+    capsule holding a pixel governing it (`argmin`, the lowest bone on ties).
+    Returns the labels at t, both frames, and the ground-truth world, local
+    and subject flows, the last two taken over the whole raster from a
+    subject-motion plane as `generate_scene` once took them."""
     w, h = spec.width, spec.height
     labels = np.zeros((h, w), dtype=np.int32)
     frames = np.zeros((2, h, w), dtype=np.uint8)
     world = np.zeros((h, w, 2))
     world[..., 0] = spec.camera_motion.dx
     world[..., 1] = spec.camera_motion.dy
+    subject_field = np.zeros((h, w, 2))
     for label, sub in enumerate(spec.subjects, start=1):
         j0, j1 = synth._figure_joints(sub, 0), synth._figure_joints(sub, 1)
         radii = np.asarray(sub.capsule_radii)
         for frame, joints in enumerate((j0, j1)):
-            dists = synth._segment_distances(joints, slice(0, h), slice(0, w))
+            dists = full_raster_distances(joints, h, w)
             inside = dists <= radii[:, None, None]
             body = inside.any(axis=0)
             governing = np.argmin(np.where(inside, dists, np.inf), axis=0)
@@ -217,13 +242,30 @@ def full_raster_rasterize(spec):
             if frame == 1:
                 continue
             labels[body] = label
+            subject_field[body] = np.asarray(sub.root_t1) - np.asarray(sub.root_t)
             ys, xs = np.nonzero(body)
             p = np.stack([xs, ys], axis=1).astype(np.float64)
             for bi, bone in enumerate(synth.DEFAULT_BONES):
                 a0, a1, rot = synth._bone_motion(j0, j1, bone)
                 sel = governing[ys, xs] == bi
                 world[ys[sel], xs[sel]] = (p[sel] - a0) @ rot.T + a1 - p[sel]
-    return labels, frames, world
+    local = world - subject_field
+    return labels, frames, world, local, world - local
+
+
+def loop_match_all(skeletons, mask):
+    """Reference copy of `skeleton.match_all` as a loop: `match_body_point`
+    at every subject pixel against its subject's skeleton, offset by the
+    points of the skeletons of lower labels."""
+    out = np.full(mask.labels.shape, -1, dtype=np.int32)
+    base, n = {}, 0
+    for lab in sorted(skeletons):
+        base[lab] = n
+        n += skeletons[lab].points.shape[0]
+    for y, x in zip(*np.nonzero(mask.labels)):
+        lab = int(mask.labels[y, x])
+        out[y, x] = base[lab] + skel.match_body_point((float(x), float(y)), skeletons[lab], mask)
+    return out
 
 
 def full_raster_surrogate(arr, priors, hp, opts, tau, active=None):

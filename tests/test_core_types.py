@@ -15,6 +15,7 @@ from wlflow.core import (
     SubjectMask,
     Vec2,
     _UNCONVERGED,
+    _plane_box,
     _sigmoid,
     armijo_descent,
     validate_pairing,
@@ -149,6 +150,41 @@ def test_mask_labels_must_be_contiguous(arr):
         with pytest.raises(ValidationError) as info:
             SubjectMask(arr)
         assert str(info.value) == error
+
+
+@settings(max_examples=150)
+@given(label_planes())
+def test_mask_box_bounds_the_labelled_pixels(arr):
+    """`box` is the bounding box of the labelled pixels: none lies outside it,
+    and one lies on each of its four sides."""
+    if reference_mask_rule(arr)[1] is not None:
+        return
+    mask = SubjectMask(arr)
+    assert mask.box == _plane_box(arr > 0, 0)
+    if mask.box is None:
+        assert not arr.any()
+        return
+    inside = np.zeros(arr.shape, dtype=bool)
+    inside[mask.box] = True
+    assert not arr[~inside].any()
+    part = arr[mask.box] > 0
+    assert part[0].any() and part[-1].any() and part[:, 0].any() and part[:, -1].any()
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: FlowMap.zeros(3, 2), id="FlowMap"),
+    pytest.param(lambda: SubjectMask(np.zeros((2, 3), np.int32)), id="SubjectMask"),
+    pytest.param(lambda: PointSet(np.zeros((3, 2))), id="PointSet"),
+    pytest.param(lambda: KeypointFrame((np.ones((17, 3)),)), id="KeypointFrame"),
+])
+def test_array_types_compare_and_hash_by_identity(make):
+    """`==` and `hash` work on the types that hold arrays, by identity: two
+    objects built from equal arrays are different objects."""
+    a, b = make(), make()
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
 
 
 @pytest.mark.parametrize("dtype, label", [(np.int64, 2**32 + 1), (np.uint32, 2**31), (np.uint64, 2**63)])

@@ -139,3 +139,31 @@ def test_morph_reports_best_iterate_when_budget_exhausted():
     )
     assert not res.converged
     assert res.objective_trace[-1] <= res.objective_trace[0]
+
+
+@pytest.mark.parametrize("moving, target, opts, message", [
+    pytest.param(make_circle((50.0, 50.0), 10.0), make_circle((53.0, 53.0), 10.0),
+                 bnd.MorphOptions(width=40, height=40), "curve moving has points outside the 40x40 raster",
+                 id="past-a-given-raster"),
+    pytest.param(make_circle((20.0, 20.0), 10.0), make_circle((20.0, 50.0), 10.0),
+                 bnd.MorphOptions(width=40, height=40), "curve target has points outside the 40x40 raster",
+                 id="target-past-a-given-raster"),
+    pytest.param(make_circle((5.0, 30.0), 10.0), make_circle((8.0, 33.0), 10.0),
+                 bnd.MorphOptions(), "curve moving has points outside the 20x45 raster",
+                 id="negative-x-on-a-fitted-raster"),
+    pytest.param(make_circle((30.0, 30.0), 10.0), make_circle((33.0, 5.0), 10.0),
+                 bnd.MorphOptions(), "curve target has points outside the 45x42 raster",
+                 id="negative-y-on-a-fitted-raster"),
+])
+def test_morph_refuses_curves_off_the_raster(moving, target, opts, message):
+    """A point off the raster would never enter a cell, and the fit would
+    "converge" without it; such a curve is refused, naming it and the raster."""
+    with pytest.raises(ValidationError, match=message):
+        bnd.morph_curve_fit(PointSet(moving), PointSet(target), opts)
+
+
+def test_morph_accepts_curves_on_the_raster_edges():
+    """Points at 0 and just below the width and height are on the raster."""
+    square = np.array([[0.0, 0.0], [39.5, 0.0], [39.5, 39.5], [0.0, 39.5]])
+    res = bnd.morph_curve_fit(PointSet(square), PointSet(square), bnd.MorphOptions(width=40, height=40))
+    assert res.objective_trace[0] == 0.0

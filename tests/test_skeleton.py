@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wlflow import skeleton as skel
 from wlflow.core import EPS_CONF, KeypointFrame, SubjectMask
@@ -10,6 +12,8 @@ from wlflow.errors import (
     NoCandidates,
     ValidationError,
 )
+
+from conftest import loop_match_all
 
 
 def _joints(rng=None, conf=1.0):
@@ -204,6 +208,62 @@ def test_match_all_across_chunks_equals_oracle_everywhere():
         expect = skel.match_body_point((float(x), float(y)), skeletons[lab], mask)
         assert table[y, x] == expect + (n1 if lab == 2 else 0)
     assert np.all(table[labels == 0] == -1)
+
+
+@st.composite
+def match_cases(draw):
+    """A label plane up to 20x20 with one or two subjects, and a skeleton per
+    subject from 17 joints. Joint confidences lie in [0, 1], 0 and values
+    below EPS_CONF included, so bones differ in confidence and the floor is
+    reached. Some joints sit on one of their subject's pixels, so skeleton
+    points lie exactly on pixels; some coincide with another joint, so
+    skeleton points repeat and scores tie."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h, w = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    k = draw(st.integers(1, min(2, h * w)))
+    labels = rng.integers(0, k + 1, (h, w)).astype(np.int32)
+    spots = rng.choice(h * w, k, replace=False)
+    labels.flat[spots] = np.arange(1, k + 1)
+    mask = SubjectMask(labels)
+    conf_choices = np.array([0.0, 0.5 * EPS_CONF, EPS_CONF, 0.25, 1.0])
+    skeletons = {}
+    for lab in range(1, k + 1):
+        joints = np.empty((17, 3))
+        joints[:, 0] = rng.uniform(-3.0, w + 2.0, 17)
+        joints[:, 1] = rng.uniform(-3.0, h + 2.0, 17)
+        joints[:, 2] = np.where(rng.random(17) < 0.5, rng.choice(conf_choices, 17), rng.random(17))
+        ys, xs = np.nonzero(labels == lab)
+        on_pixel = rng.random(17) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+        pick = rng.integers(0, ys.size, 17)
+        joints[on_pixel, 0], joints[on_pixel, 1] = xs[pick[on_pixel]], ys[pick[on_pixel]]
+        twins = rng.random(17) < draw(st.sampled_from([0.0, 0.3]))
+        joints[twins, :2] = joints[rng.integers(0, 17, 17)[twins], :2]
+        skeletons[lab] = skel.interpolate_skeleton(joints)
+    return skeletons, mask
+
+
+@settings(max_examples=150)
+@given(match_cases())
+def test_match_all_equals_the_per_pixel_loop_bitwise(case):
+    """The squared-score prefilter never changes a match: the table is the
+    per-pixel `match_body_point` loop's, ties to the lowest index included."""
+    skeletons, mask = case
+    assert skel.match_all(skeletons, mask).tobytes() == loop_match_all(skeletons, mask).tobytes()
+
+
+@pytest.mark.parametrize("conf", [1.0, 1e154, 1e200])
+def test_match_all_equals_the_loop_where_squares_overflow(conf):
+    """Far points, whose squared distance overflows, and confidences whose
+    square overflows, which makes squared scores meaningless, leave the
+    table the loop's, without a floating-point warning."""
+    labels = np.zeros((6, 7), dtype=np.int32)
+    labels[1:5, 1:6] = 1
+    # The point at 1e154 scores about 0.67, but its squared score is 1e308 / inf = 0.
+    pts = np.array([[2.0, 2.0, 1.0], [4.0, 3.0, conf], [4.0, 3.0, conf], [1e150, 0.0, conf],
+                    [1e200, -1e250, 1.0], [3.0, 2.0, 0.5], [2.5, 4.0, 1.0], [1e154, 0.0, 1.5e154]])
+    skeletons = {1: skel.SkeletonMap(pts)}
+    mask = SubjectMask(labels)
+    assert skel.match_all(skeletons, mask).tobytes() == loop_match_all(skeletons, mask).tobytes()
 
 
 def test_fit_translation_exact():

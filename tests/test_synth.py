@@ -1,7 +1,10 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wlflow import flows, synth
 from wlflow.core import SubjectMask, Vec2
@@ -239,18 +242,72 @@ def _touching(side: str) -> synth.SceneSpec:
     return synth.SceneSpec(width=w, height=h, subjects=(moved,))
 
 
-@pytest.mark.parametrize("spec", [
-    *(pytest.param(_touching(side), id=side) for side in ("left", "top", "right", "bottom")),
-    pytest.param(two_figure_spec(), id="two-figures"),
-    pytest.param(replace(synth.single_figure_scene(), camera_motion=Vec2(-3.0, 2.0)), id="camera-motion"),
-])
-def test_scene_rasterizes_on_the_subject_box_as_on_the_raster(spec):
-    """Each subject is rasterized on its joints' box widened by the largest
-    capsule radius; labels, frames and world flow equal a whole-raster
-    rasterization bitwise, for figures at the margin on each side too."""
+def _assert_rasterized_as_on_the_raster(spec):
     truth = synth.generate_scene(spec)
-    labels, frames, world = full_raster_rasterize(spec)
+    labels, frames, world, local, subject = full_raster_rasterize(spec)
     assert truth.mask_t.labels.tobytes() == labels.tobytes()
     assert truth.frames[0].tobytes() == frames[0].tobytes()
     assert truth.frames[1].tobytes() == frames[1].tobytes()
     assert truth.gt_world.vectors.tobytes() == world.tobytes()
+    assert truth.gt_local.vectors.tobytes() == local.tobytes()
+    assert truth.gt_subject_field.vectors.tobytes() == subject.tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    *(pytest.param(_touching(side), id=side) for side in ("left", "top", "right", "bottom")),
+    pytest.param(two_figure_spec(), id="two-figures"),
+    pytest.param(replace(synth.single_figure_scene(), camera_motion=Vec2(-3.0, 2.0)), id="camera-motion"),
+    pytest.param(replace(synth.single_figure_scene(), camera_motion=Vec2(-0.0, 0.5)), id="camera-minus-zero"),
+])
+def test_scene_rasterizes_on_the_subject_box_as_on_the_raster(spec):
+    """Each bone is rasterized on its own capsule window inside the subject's
+    box; labels, frames and the world, local and subject flows equal a
+    whole-raster rasterization bitwise, for figures at the margin on each
+    side too."""
+    _assert_rasterized_as_on_the_raster(spec)
+
+
+@st.composite
+def figure_specs(draw):
+    """A one-figure 80x80 scene: every bone length drawn as 0 (a zero-length
+    bone) or up to 0.6 of its default, every limb angle and the hip axis
+    swung by up to 1 rad per frame, capsule radii from 0.05 (thin) to 4 px,
+    a root step of up to 3 px and a camera motion with signed zeros."""
+    lengths = {name: draw(st.sampled_from([0.0, 0.6 * length]) | st.floats(0.0, 0.6 * length))
+               for name, length in synth.DEFAULT_LENGTHS.items()}
+    swing = st.floats(-1.0, 1.0)
+    angles_t = {name: synth.DEFAULT_ANGLES[name] + draw(swing) for name in synth.DEFAULT_ANGLES}
+    angles_t1 = {name: angle + draw(swing) for name, angle in angles_t.items()}
+    radii = tuple(draw(st.sampled_from([0.05, 0.5, 1.0, 2.5]) | st.floats(0.05, 4.0))
+                  for _ in synth.DEFAULT_BONES)
+    root = (draw(st.floats(38.0, 42.0)), draw(st.floats(38.0, 42.0)))
+    step = (draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
+    sub = synth.SubjectSpec(root_t=root, root_t1=tuple(np.add(root, step)), lengths=lengths,
+                            angles_t=angles_t, angles_t1=angles_t1, capsule_radii=radii)
+    camera = Vec2(*(draw(st.sampled_from([0.0, -0.0, 1.5])) for _ in range(2)))
+    return synth.SceneSpec(width=80, height=80, subjects=(sub,), camera_motion=camera)
+
+
+@settings(max_examples=60)
+@given(figure_specs())
+def test_drawn_figures_rasterize_as_on_the_raster(spec):
+    """The same on drawn figures, zero-length bones and thin capsules included."""
+    _assert_rasterized_as_on_the_raster(spec)
+
+
+@pytest.mark.parametrize("spec, limit_mib", [
+    pytest.param(synth.single_figure_scene(512, 512, root=(128 * 0.45, 128 * 0.55)), 20.1, id="sparse-512"),
+    pytest.param(synth.single_figure_scene(), 5.3, id="reference-128"),
+])
+def test_scene_set_up_peak_memory(spec, limit_mib):
+    """The traced peak of a scene and its priors stays at or below what it was
+    when whole-raster planes were built, so that none comes back unnoticed."""
+    synth.generate_scene(spec)  # first calls allocate once per process
+    tracemalloc.start()
+    try:
+        truth = synth.generate_scene(spec)
+        flows.Priors.build(truth.keypoints[0], truth.keypoints[1], truth.mask_t, truth.boundary_t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2**20
