@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Integral
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .core import (
     _angle_gate,
     _check_count,
     _check_number,
+    _finite_number,
     _plane_box,
     _sigmoid,
     _soft_angle,
@@ -311,15 +313,30 @@ def _check_in_raster(name: str, pts: np.ndarray, width: int, height: int) -> Non
         raise ValidationError(f"curve {name} has points outside the {width}x{height} raster")
 
 
+def _check_pixel_count(width: int, height: int) -> None:
+    if width * height > MAX_PIXELS:
+        raise ValidationError(f"raster width x height must be at most {MAX_PIXELS} pixels (4096x4096)")
+
+
 def build_patch_grid(s: PointSet, e: PointSet, scale: int, width: int, height: int) -> PatchGrid:
-    """Tile the raster into scale-sized cells and bin both curves into them."""
+    """Tile the raster into scale-sized cells and bin both curves into them.
+
+    As in `Hyperparams`, the scale is a finite integral number >= 2, and the
+    raster sides are integral numbers >= 1; each is used as an int.
+    """
     _check_number("patch scale", scale)
+    if scale != int(scale):
+        raise ValidationError(f"patch scale must be an integer, got {scale}")
     if scale < 2:
         raise ValidationError("patch scale must be >= 2")
+    for side in (width, height):
+        integral = isinstance(side, Integral) or _finite_number(side) and side == int(side)
+        if isinstance(side, bool) or not integral:
+            raise ValidationError(f"raster dimensions must be integers, got {width}x{height}")
+    scale, width, height = int(scale), int(width), int(height)
     if width < 1 or height < 1:
         raise ValidationError("raster dimensions must be positive")
-    if int(width) * int(height) > MAX_PIXELS:
-        raise ValidationError(f"raster width x height must be at most {MAX_PIXELS} pixels (4096x4096)")
+    _check_pixel_count(width, height)
     _check_in_raster("s", s.points, width, height)
     _check_in_raster("e", e.points, width, height)
     gw = -(-width // scale)
@@ -353,7 +370,7 @@ def multiscale_patch_distance(
     Each scale's distance is the mean over cells where both curves are
     present.
     """
-    per_scale = tuple(patch_centroid_distance(build_patch_grid(s, e, int(scale), width, height))
+    per_scale = tuple(patch_centroid_distance(build_patch_grid(s, e, scale, width, height))
                       for scale in scales)
     value = float(np.mean([r.value for r in per_scale])) if per_scale else 0.0
     return BoundaryResult(value, per_scale)
@@ -594,7 +611,7 @@ def soft_layout(boundary: PointSet, hp: Hyperparams, height: int, width: int,
         free = np.ones((rows.stop - rows.start, cols.stop - cols.start), dtype=bool)
     ys, xs = np.arange(rows.start, rows.stop)[:, None], np.arange(cols.start, cols.stop)
     cells = []
-    for scale in map(int, hp.scales):
+    for scale in hp.scales:
         gh, gw = -(-rows.stop // scale), -(-cols.stop // scale)
         counts, centroids = _bin_points(boundary.points, scale, gh, gw)
         cells.append(_ScaleCells(gh * gw, (ys // scale) * gw + (xs // scale), counts.ravel() > 0,
@@ -604,7 +621,7 @@ def soft_layout(boundary: PointSet, hp: Hyperparams, height: int, width: int,
     for arr in (ys, xs, *(a for c in cells for a in (c.cid, c.present, c.tx, c.ty)),
                 *(a for a in plan_arrays if isinstance(a, np.ndarray))):
         arr.setflags(write=False)
-    return SoftLayout(boundary, tuple(hp.scales), (rows, cols), ys, xs, tuple(cells), plan)
+    return SoftLayout(boundary, hp.scales, (rows, cols), ys, xs, tuple(cells), plan)
 
 
 def soft_boundary_constraint(
@@ -705,7 +722,7 @@ def soft_boundary_constraint(
             return grad
 
         return value, pasted
-    if window.boundary is not boundary or window.scales != tuple(hp.scales):
+    if window.boundary is not boundary or window.scales != hp.scales:
         raise ValidationError("the soft layout was built from another boundary or scale set")
     rows, cols = window.window
     if flow.vectors.shape[:2] != (rows.stop - rows.start, cols.stop - cols.start):
@@ -1009,7 +1026,7 @@ def _morph_loss(moved: np.ndarray, target_grids, scales):
     value = 0.0
     kept = []  # per scale with an included cell, what its gradient needs
     for scale, (me, ce_x, ce_y, gw, gh) in zip(scales, target_grids):
-        cells, w, slopes = _soft_bin(moved, int(scale), gw, gh)
+        cells, w, slopes = _soft_bin(moved, scale, gw, gh)
         m, sx, sy = _cell_sums(cells, moved[:, 0:1], moved[:, 1:2], gh * gw, w)
         core = _soft_centroids(m, sx, sy, me > _MORPH_MASS_FLOOR, ce_x, ce_y, _MORPH_MASS_FLOOR)
         if core is None:
@@ -1040,13 +1057,15 @@ def morph_curve_fit(moving: PointSet, target: PointSet, opts: MorphOptions = Mor
     patch-centroid distance alone. Non-convergence is reported through
     `stop` and the `converged` flag; the best iterate is always returned.
     Both curves must lie on the raster, from 0 to below `width` and
-    `height`; a curve with a point off it is refused (ValidationError).
+    `height`; a curve with a point off it, or a raster, given or fitted, of
+    more than MAX_PIXELS pixels is refused (ValidationError).
     """
     if len(moving) == 0 or len(target) == 0:
         raise EmptyPointSet("morph_curve_fit requires two nonempty curves")
     pts = moving.points
     width = opts.width or int(np.ceil(max(pts[:, 0].max(), target.points[:, 0].max()) + 2))
     height = opts.height or int(np.ceil(max(pts[:, 1].max(), target.points[:, 1].max()) + 2))
+    _check_pixel_count(width, height)
     _check_in_raster("moving", pts, width, height)
     _check_in_raster("target", target.points, width, height)
     gh, gw = _MORPH_GRID_SHAPE

@@ -121,9 +121,7 @@ def _cmd_eval(args) -> int:
 def _cmd_edges(args) -> int:
     flow = io.read_flo(args.flow)
     hp = Hyperparams()
-    theta_i = args.theta_i
-    if args.auto:
-        theta_i = bnd.auto_intensity_threshold(flow)
+    theta_i = bnd.auto_intensity_threshold(flow) if args.auto else args.theta_i
     if theta_i is not None or args.theta_a is not None:
         hp = Hyperparams(
             edge_theta_i=theta_i if theta_i is not None else hp.edge_theta_i,
@@ -266,10 +264,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("edges", help="extract flow edges")
     p.add_argument("--flow", required=True)
-    p.add_argument("--theta-i", type=float, dest="theta_i")
     p.add_argument("--theta-a", type=float, dest="theta_a")
-    p.add_argument("--auto", action="store_true",
-                   help="set theta-i to the 90th percentile of neighbor differences")
+    intensity = p.add_mutually_exclusive_group()
+    intensity.add_argument("--theta-i", type=float, dest="theta_i")
+    intensity.add_argument("--auto", action="store_true",
+                           help="set theta-i to the 90th percentile of neighbor differences")
     p.add_argument("--overlay", help="optional PPM overlay output")
     p.set_defaults(func=_cmd_edges)
 

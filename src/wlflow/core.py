@@ -345,6 +345,9 @@ class Hyperparams:
             raise ValidationError(f"scales must be integers, got {list(given)}")
         if not scales or any(s < 2 for s in scales):
             raise ValidationError("scales must be nonempty with every entry >= 2")
+        # No raster side exceeds MAX_PIXELS, so a larger cell would still be one cell.
+        if any(s > MAX_PIXELS for s in scales):
+            raise ValidationError(f"each scales entry must be at most {MAX_PIXELS}")
         object.__setattr__(self, "scales", scales)
 
 

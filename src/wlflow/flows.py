@@ -457,7 +457,8 @@ def endpoint_error(pred: FlowMap, gt: FlowMap, mask: SubjectMask | None = None) 
     """Mean and max Euclidean error between two flows, optionally masked.
 
     With a mask, the errors are computed on the bounding box of the subject
-    pixels alone, so the cost follows the subjects' extent, not the raster.
+    pixels (`SubjectMask.box`) alone, so the cost follows the subjects'
+    extent, not the raster.
     Selecting the subject pixels inside that box gives the same errors in
     the same row-major order as selecting them on the whole raster, so mean
     and max are bitwise those of the whole-raster computation.
@@ -475,9 +476,7 @@ def endpoint_error(pred: FlowMap, gt: FlowMap, mask: SubjectMask | None = None) 
         err = errors(...)
     else:
         validate_pairing(pred, mask)
-        subject = mask.labels > 0
-        box = _plane_box(subject, 0)
-        if box is None:
+        if mask.box is None:
             raise EmptySubject("mask selects no pixels")
-        err = errors(box)[subject[box]]
+        err = errors(mask.box)[mask.labels[mask.box] > 0]
     return float(err.mean()), float(err.max())

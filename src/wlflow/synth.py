@@ -130,7 +130,6 @@ class SceneTruth:
     gt_world: FlowMap
     gt_local: FlowMap
     gt_subject: dict
-    gt_subject_field: FlowMap
     frames: tuple
 
 
@@ -192,11 +191,12 @@ def _bone_motion(j0: np.ndarray, j1: np.ndarray, bone: tuple) -> tuple:
 
 
 def _rasterize(joints: np.ndarray, radii: np.ndarray, box: tuple, label: int,
-               labels: np.ndarray, frame: np.ndarray, when: str) -> tuple:
-    """Draw one subject's capsules at `joints` into `labels` and `frame` on
-    `box`. Returns the box's body pixels and each pixel's governing bone,
-    the nearest capsule holding it, the lowest bone on ties. Raises if the
-    body overlaps an earlier subject; `when` ends that message.
+               frame: np.ndarray, when: str) -> tuple:
+    """Draw one subject's capsules at `joints` into `frame` on `box`. Returns
+    the box's body pixels and each pixel's governing bone, the nearest
+    capsule holding it, the lowest bone on ties. Raises if the body overlaps
+    an earlier subject, which the frame marks: every body pixel is drawn at
+    70 + 12 * bone > 0. `when` ends that message.
 
     Each bone is scored on its own capsule window: its segment's box widened
     by its radius and 1 px against rounding, clipped to `box`. A pixel's
@@ -230,9 +230,8 @@ def _rasterize(joints: np.ndarray, radii: np.ndarray, box: tuple, label: int,
         best[window][nearer] = d[nearer]
         governing[window][nearer] = bi
     body = best != np.inf
-    if (labels[box][body] != 0).any():
+    if (frame[box][body] != 0).any():
         raise SpecOutOfBounds(f"subject {label} overlaps an earlier subject{when}")
-    labels[box][body] = label
     frame[box][body] = (70 + 12 * governing[body]).astype(np.uint8)
     return body, governing
 
@@ -244,14 +243,12 @@ def generate_scene(spec: SceneSpec) -> SceneTruth:
     """
     w, h = spec.width, spec.height
     labels = np.zeros((h, w), dtype=np.int32)
-    labels1 = np.zeros((h, w), dtype=np.int32)
     world = np.zeros((h, w, 2))
     world[..., 0] = spec.camera_motion.dx
     world[..., 1] = spec.camera_motion.dy
-    # Off every body, local flow is world - 0 = world and the subject flow is
-    # world - local = +0, so both are written on the bodies alone.
+    # Off every body, local flow is world - 0 = world, so it is written on the
+    # bodies alone.
     local = world.copy()
-    exact_subject = np.zeros((h, w, 2))
     frame0 = np.zeros((h, w), dtype=np.uint8)
     frame1 = np.zeros((h, w), dtype=np.uint8)
     persons_t = []
@@ -279,8 +276,9 @@ def generate_scene(spec: SceneSpec) -> SceneTruth:
         x1, y1 = np.ceil(both.max(axis=0) + reach).astype(int) + 2
         box = (slice(y0, y1), slice(x0, x1))
 
-        body, governing = _rasterize(j0, radii, box, label, labels, frame0, "")
-        _rasterize(j1, radii, box, label, labels1, frame1, " at t+1")
+        body, governing = _rasterize(j0, radii, box, label, frame0, "")
+        _rasterize(j1, radii, box, label, frame1, " at t+1")
+        labels[box][body] = label
         ys, xs = np.nonzero(body)
         p = np.stack([xs + x0, ys + y0], axis=1).astype(np.float64)
         motions = [_bone_motion(j0, j1, bone) for bone in DEFAULT_BONES]
@@ -293,9 +291,7 @@ def generate_scene(spec: SceneSpec) -> SceneTruth:
 
         root_delta = np.asarray(sub.root_t1) - np.asarray(sub.root_t)
         gt_subject[label] = Vec2(root_delta[0], root_delta[1])
-        on_body = world[box][body]
-        local[box][body] = on_body - root_delta
-        exact_subject[box][body] = on_body - local[box][body]
+        local[box][body] = world[box][body] - root_delta
 
         for joints, plist in ((j0, persons_t), (j1, persons_t1)):
             arr = np.ones((17, 3))
@@ -324,7 +320,6 @@ def generate_scene(spec: SceneSpec) -> SceneTruth:
         gt_world=FlowMap(world),
         gt_local=FlowMap(local),
         gt_subject=gt_subject,
-        gt_subject_field=FlowMap(exact_subject),
         frames=(frame0, frame1),
     )
 

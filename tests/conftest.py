@@ -220,9 +220,9 @@ def full_raster_rasterize(spec):
     """Reference copy of `synth.generate_scene`'s per-subject rasterization as
     it ran on the whole raster: every bone scored on every pixel, the nearest
     capsule holding a pixel governing it (`argmin`, the lowest bone on ties).
-    Returns the labels at t, both frames, and the ground-truth world, local
-    and subject flows, the last two taken over the whole raster from a
-    subject-motion plane as `generate_scene` once took them."""
+    Returns the labels at t, both frames, and the ground-truth world and
+    local flows, the last taken over the whole raster from a subject-motion
+    plane as `generate_scene` once took it."""
     w, h = spec.width, spec.height
     labels = np.zeros((h, w), dtype=np.int32)
     frames = np.zeros((2, h, w), dtype=np.uint8)
@@ -249,8 +249,7 @@ def full_raster_rasterize(spec):
                 a0, a1, rot = synth._bone_motion(j0, j1, bone)
                 sel = governing[ys, xs] == bi
                 world[ys[sel], xs[sel]] = (p[sel] - a0) @ rot.T + a1 - p[sel]
-    local = world - subject_field
-    return labels, frames, world, local, world - local
+    return labels, frames, world, world - subject_field
 
 
 def loop_match_all(skeletons, mask):

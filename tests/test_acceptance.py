@@ -152,8 +152,6 @@ def test_criterion_4_ground_truth_consistency():
             ob = flows.joint_objective(truth.gt_world, priors, hp)
             assert ob.f <= 0.02
             assert ob.g <= 1.5
-            diff = truth.gt_world.vectors - truth.gt_local.vectors
-            assert np.array_equal(diff, truth.gt_subject_field.vectors)
             worst_f = max(worst_f, ob.f)
             worst_g = max(worst_g, ob.g)
     print(f"\n[acceptance 4] GT consistency on 10 scenes (F<={worst_f:.4f}, G<={worst_g:.2f}), {b.elapsed:.1f}s")

@@ -291,6 +291,35 @@ def test_patch_grid_pixel_cap():
         bnd.build_patch_grid(s, s, 10**400, 32, 32)
 
 
+@pytest.mark.parametrize("scale, width, height, message", [
+    pytest.param(8.5, 32, 32, "patch scale must be an integer", id="fractional-scale"),
+    pytest.param("8", 32, 32, "patch scale must be a finite number", id="string-scale"),
+    pytest.param(float("nan"), 32, 32, "patch scale must be a finite number", id="nan-scale"),
+    pytest.param(1, 32, 32, "patch scale must be >= 2", id="scale-1"),
+    pytest.param(8, 10.5, 32, "raster dimensions must be integers", id="fractional-width"),
+    pytest.param(8, float("nan"), 32, "raster dimensions must be integers", id="nan-width"),
+    pytest.param(8, 32, True, "raster dimensions must be integers", id="bool-height"),
+    pytest.param(8, 0, 32, "raster dimensions must be positive", id="zero-width"),
+])
+def test_patch_scale_and_sides_follow_one_rule(scale, width, height, message):
+    """A scale is a finite integral number >= 2 and a raster side an
+    integral number >= 1, for the grid and the multiscale distance alike;
+    anything else is refused, not rounded."""
+    s = PointSet(np.array([[3.0, 4.0]]))
+    with pytest.raises(ValidationError, match=message):
+        bnd.build_patch_grid(s, s, scale, width, height)
+    with pytest.raises(ValidationError, match=message):
+        bnd.multiscale_patch_distance(s, s, (scale,), width, height)
+
+
+def test_patch_grid_takes_integral_floats_as_ints():
+    s = PointSet(np.array([[3.0, 4.0], [20.0, 9.0]]))
+    as_floats = bnd.build_patch_grid(s, s, 8.0, 32.0, 16.0)
+    as_ints = bnd.build_patch_grid(s, s, 8, 32, 16)
+    assert as_floats.grid_shape == as_ints.grid_shape == (2, 4)
+    assert as_floats.centroids_s.tobytes() == as_ints.centroids_s.tobytes()
+
+
 def test_patch_grid_membership_floor_division_oracle():
     rng = np.random.default_rng(2)
     s = rng.uniform(0, 64, (200, 2))

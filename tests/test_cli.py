@@ -118,6 +118,17 @@ def test_edges_command(scene_dir, tmp_path, capsys):
     assert json.loads(out)["theta_i"] > 0
 
 
+@pytest.mark.parametrize("flags", [["--auto", "--theta-i", "3"], ["--theta-i", "3", "--auto"]])
+def test_edges_auto_and_theta_i_are_exclusive(scene_dir, capsys, flags):
+    """`--auto` sets theta-i, so a theta-i given with it is refused, not ignored."""
+    with pytest.raises(SystemExit) as exc:
+        main(["edges", "--flow", str(scene_dir / "gt_world.flo"), *flags])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
 def test_chamfer_command(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -429,6 +440,10 @@ _TAU_RANGE_MESSAGE = "$ invalid (each tau_schedule entry must lie in [1e-100, 1e
                  "$ invalid (each scales entry must be a finite number)", id="huge-scale"),
     pytest.param(_config_argv, {"scales": [2.5]}, 2, "$ invalid (scales must be integers",
                  id="fractional-scale"),
+    pytest.param(_config_argv, {"scales": [8, 1e300]}, 2,
+                 "config.json: $ invalid (each scales entry must be at most 16777216)", id="scale-1e300"),
+    pytest.param(_config_argv, {"scales": [2**63]}, 2,
+                 "config.json: $ invalid (each scales entry must be at most 16777216)", id="scale-2-63"),
     pytest.param(_config_argv, {"scales": 5}, 2, "config.json: $ invalid (scales must be a list of integers)",
                  id="int-scales"),
     pytest.param(_synth_argv, '{"width": 1e400}', 2, "spec.json: $ invalid (width must be an integer)",

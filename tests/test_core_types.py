@@ -244,6 +244,15 @@ def test_hyperparams_integral_float_scales_become_ints():
     assert all(type(s) is int for s in scales)
 
 
+def test_hyperparams_scale_cap():
+    """A scale up to MAX_PIXELS (2^24), the longest raster side, is kept;
+    a larger one, which would still be one cell, is refused."""
+    assert Hyperparams(scales=(2**24,)).scales == (2**24,)
+    for scale in (2**24 + 1, 2**63, 1e300):
+        with pytest.raises(ValidationError, match="each scales entry must be at most 16777216"):
+            Hyperparams(scales=(8, scale))
+
+
 def test_confidence_floor_constant():
     assert EPS_CONF == 1e-3
 

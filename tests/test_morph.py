@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,23 @@ def test_morph_refuses_curves_off_the_raster(moving, target, opts, message):
     "converge" without it; such a curve is refused, naming it and the raster."""
     with pytest.raises(ValidationError, match=message):
         bnd.morph_curve_fit(PointSet(moving), PointSet(target), opts)
+
+
+@pytest.mark.parametrize("moving, opts", [
+    pytest.param(make_circle(), bnd.MorphOptions(width=8192, height=8192, max_iters=1), id="given"),
+    pytest.param(np.vstack([make_circle(), [[8000.0, 8000.0]]]), bnd.MorphOptions(max_iters=1), id="fitted"),
+])
+def test_morph_refuses_a_raster_past_the_pixel_cap(moving, opts):
+    """A raster of more than 2^24 pixels, given or fitted to the curves, is
+    refused before its cell grids are allocated."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="at most 16777216 pixels"):
+            bnd.morph_curve_fit(PointSet(moving), PointSet(make_circle()), opts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_morph_accepts_curves_on_the_raster_edges():
