@@ -158,6 +158,23 @@ def _require_finite(arr: np.ndarray, name: str) -> None:
         raise ValidationError(f"{name} contains non-finite values")
 
 
+def _check_confidences(conf: np.ndarray, name: str) -> None:
+    """Refuse a keypoint confidence outside [0, 1]: it is a detector's probability."""
+    if not ((conf >= 0.0) & (conf <= 1.0)).all():
+        raise ValidationError(f"{name} has a confidence outside [0, 1]")
+
+
+def _check_person(person, name: str) -> np.ndarray:
+    """One person's 17 COCO-ordered keypoints, rows (x, y, c), as a read-only
+    (17, 3) float64 array: finite, with every confidence in [0, 1]."""
+    arr = np.asarray(person, dtype=np.float64)
+    if arr.shape != (N_JOINTS, 3):
+        raise ValidationError(f"{name} must have shape ({N_JOINTS}, 3), got {arr.shape}")
+    _require_finite(arr, name)
+    _check_confidences(arr[:, 2], name)
+    return _as_readonly(arr)
+
+
 @dataclass(frozen=True)
 class Vec2:
     """Displacement in pixels."""
@@ -215,23 +232,13 @@ class FlowMap:
 
 @dataclass(frozen=True, eq=False)
 class KeypointFrame:
-    """Per-person arrays of exactly 17 COCO-ordered keypoints, rows (x, y, c)."""
+    """Per-person arrays of exactly 17 COCO-ordered keypoints, rows (x, y, c) (`_check_person`)."""
 
     persons: tuple
 
     def __post_init__(self):
-        checked = []
-        for i, person in enumerate(self.persons):
-            arr = np.asarray(person, dtype=np.float64)
-            if arr.shape != (N_JOINTS, 3):
-                raise ValidationError(
-                    f"person {i} must have shape ({N_JOINTS}, 3), got {arr.shape}"
-                )
-            _require_finite(arr, f"person {i}")
-            if (arr[:, 2] < 0.0).any() or (arr[:, 2] > 1.0).any():
-                raise ValidationError(f"person {i} has confidence outside [0, 1]")
-            checked.append(_as_readonly(arr))
-        object.__setattr__(self, "persons", tuple(checked))
+        persons = tuple(_check_person(person, f"person {i}") for i, person in enumerate(self.persons))
+        object.__setattr__(self, "persons", persons)
 
     def __len__(self) -> int:
         return len(self.persons)

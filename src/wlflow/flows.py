@@ -10,7 +10,6 @@ residual local flow.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -32,7 +31,6 @@ from .core import (
     _as_readonly,
     _check_count,
     _check_number,
-    _finite_number,
     _plane_box,
     armijo_descent,
     validate_pairing,
@@ -64,13 +62,15 @@ class ObjectiveBreakdown:
 # x / tau below 1e139.
 TAU_RANGE = (1e-100, 1e50)
 
+# The largest init entry a solve takes: the float32 range, which TAU_RANGE assumes and a .flo file holds.
+_MAX_INIT = float(np.finfo(np.float32).max)
+
 
 @dataclass(frozen=True)
 class SolverOptions:
     """Budget, annealing schedule and regularizer weights of `solve_world_flow`.
 
-    Every `tau_schedule` entry must be a finite number, or a string that
-    `float` parses to one, and lie in `TAU_RANGE`.
+    Every `tau_schedule` entry must be a finite number in `TAU_RANGE`.
     """
 
     max_iters: int = 500
@@ -88,14 +88,9 @@ class SolverOptions:
             raise ValidationError("smoothness_weight must be >= 0")
         if not isinstance(self.tau_schedule, (list, tuple)):
             raise ValidationError("tau_schedule must be a list of numbers")
-        schedule = []
         for t in self.tau_schedule:
-            with contextlib.suppress(ValueError):  # a string float() parses counts as its number
-                t = float(t) if isinstance(t, str) else t
-            if not _finite_number(t):
-                raise ValidationError("each tau_schedule entry must be a finite number")
-            schedule.append(float(t))
-        schedule = tuple(schedule)
+            _check_number("each tau_schedule entry", t)
+        schedule = tuple(float(t) for t in self.tau_schedule)
         if not schedule:
             raise ValidationError("tau_schedule must be nonempty")
         lo, hi = TAU_RANGE
@@ -342,8 +337,11 @@ def solve_world_flow(
     whole-raster sum, and with them, in principle, an Armijo decision on a
     knife edge.
     Deterministic: same inputs and options give bitwise-identical output.
+    An init with an entry beyond the float32 range raises ValidationError.
     """
     validate_pairing(init, priors.mask)
+    if init.vectors.max() > _MAX_INIT or init.vectors.min() < -_MAX_INIT:
+        raise ValidationError(f"init flow entries must lie within +-{_MAX_INIT:g}, the float32 range")
     index, terms = _solve_terms(init.vectors, priors, hp, opts)
     x = init.vectors[index]
     trace: list[TraceEntry] = []

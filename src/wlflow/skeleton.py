@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import EPS_CONF, KeypointFrame, SubjectMask
+from .core import EPS_CONF, KeypointFrame, SubjectMask, _check_confidences, _check_person
 from .errors import (
     DegenerateConfiguration,
     DimensionMismatch,
@@ -43,7 +43,7 @@ _MATCH_CHUNK = 256
 # match_all's prefilter keeps a pixel's candidates whose squared score lies
 # within this relative and this absolute slack of the least one. Both scores
 # carry a few roundings each (a relative error of some 1e-15), and underflow
-# shifts a squared score by under 1e-317 once c >= EPS_CONF, so the slack
+# shifts a squared score by under 1e-317 once EPS_CONF <= c <= 1, so the slack
 # keeps every candidate whose exact score can tie or beat the least one's.
 _PREFILTER_REL = 1e-12
 _PREFILTER_ABS = 1e-300
@@ -62,10 +62,10 @@ _DLT_CONDITION_LIMIT = 1e8
 
 @dataclass(frozen=True)
 class SkeletonMap:
-    """Skeleton points, rows (x, y, c): any nonempty, finite (n, 3) array.
+    """Skeleton points, rows (x, y, c): any nonempty, finite (n, 3) array with c in [0, 1].
 
     interpolate_skeleton fills it bone by bone over DEFAULT_BONES and keeps
-    the source 17x3 joint array in `joints`; head-anchor alignment needs it.
+    the source person (`core._check_person`) in `joints`; head-anchor alignment needs it.
     """
 
     points: np.ndarray
@@ -77,12 +77,11 @@ class SkeletonMap:
             raise ValidationError(f"skeleton points must have shape (n, 3) with n >= 1, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValidationError("skeleton points contain non-finite values")
+        _check_confidences(arr[:, 2], "skeleton map")
         arr.setflags(write=False)
         object.__setattr__(self, "points", arr)
         if self.joints is not None:
-            j = np.ascontiguousarray(np.asarray(self.joints, dtype=np.float64))
-            j.setflags(write=False)
-            object.__setattr__(self, "joints", j)
+            object.__setattr__(self, "joints", _check_person(self.joints, "joint array"))
 
     @property
     def xy(self) -> np.ndarray:
@@ -148,13 +147,11 @@ def _apply_homogeneous(matrix: np.ndarray, pts: np.ndarray) -> np.ndarray:
 def interpolate_skeleton(frame: np.ndarray) -> SkeletonMap:
     """Sample each of the DEFAULT_BONES uniformly into DEFAULT_SAMPLES_PER_BONE points.
 
-    `frame` is a (17, 3) array of (x, y, c). A sampled point's confidence is
-    the smaller endpoint confidence, floored at EPS_CONF. The t=0 and t=1
-    samples reproduce the joint coordinates bit-exactly.
+    `frame` is one person's (17, 3) array of (x, y, c) (`core._check_person`).
+    A sampled point's confidence is the smaller endpoint confidence, floored
+    at EPS_CONF. The t=0 and t=1 samples reproduce the joint coordinates bit-exactly.
     """
-    joints = np.asarray(frame, dtype=np.float64)
-    if joints.shape != (17, 3):
-        raise ValidationError(f"expected a (17, 3) joint array, got {joints.shape}")
+    joints = _check_person(frame, "joint array")
     m = DEFAULT_SAMPLES_PER_BONE
     t = np.linspace(0.0, 1.0, m)[:, None]
     out = np.empty((len(DEFAULT_BONES) * m, 3), dtype=np.float64)
@@ -228,11 +225,8 @@ def match_all(skeletons: Mapping[int, SkeletonMap], mask: SubjectMask) -> np.nda
         xs += cols.start
         qx, qy = sk.xy[:, 0], sk.xy[:, 1]
         conf = np.maximum(sk.confidences, EPS_CONF)
-        with np.errstate(over="ignore", invalid="ignore"):  # far points square to inf
-            conf2 = conf * conf
-            # Where c^2 leaves the float range the squared score means nothing,
-            # and an infinite slack keeps every candidate.
-            slack = 1.0 + _PREFILTER_REL if np.isfinite(conf2).all() else np.inf
+        conf2 = conf * conf
+        with np.errstate(over="ignore"):  # far points square to inf
             for lo in range(0, ys.size, _MATCH_CHUNK):
                 py = ys[lo:lo + _MATCH_CHUNK]
                 px = xs[lo:lo + _MATCH_CHUNK]
@@ -240,8 +234,7 @@ def match_all(skeletons: Mapping[int, SkeletonMap], mask: SubjectMask) -> np.nda
                 score += np.square(qy - py[:, None])
                 score /= conf2
                 least = score.min(axis=1, keepdims=True)
-                # `~(a > b)`, not `a <= b`: an infinite slack times a least score of 0 is NaN.
-                i, j = np.nonzero(~(score > least * slack + _PREFILTER_ABS))
+                i, j = np.nonzero(score <= least * (1.0 + _PREFILTER_REL) + _PREFILTER_ABS)
                 score.fill(np.inf)
                 score[i, j] = np.hypot(qx[j] - px[i], qy[j] - py[i]) / conf[j]
                 out[py, px] = base + np.argmin(score, axis=1)
@@ -325,11 +318,8 @@ def _hartley_normalization(pts: np.ndarray) -> np.ndarray:
 
 
 def _fit_similarity(src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted least-squares similarity (scale, rotation, translation) src -> dst."""
-    wsum = w.sum()
-    if wsum <= 0:
-        raise DegenerateConfiguration("all weights vanish")
-    wn = w / wsum
+    """Weighted least-squares similarity (scale, rotation, translation) src -> dst; weights > 0."""
+    wn = w / w.sum()
     mu_s = wn @ src
     mu_d = wn @ dst
     cs = src - mu_s
@@ -340,9 +330,7 @@ def _fit_similarity(src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> np.ndarr
     if var_s < 1e-12:
         raise DegenerateConfiguration("source points are coincident")
     u, d, vt = np.linalg.svd(cov)
-    sign = np.sign(np.linalg.det(u @ vt))
-    if sign == 0:
-        sign = 1.0
+    sign = np.sign(np.linalg.det(u @ vt))  # +-1: u and vt are orthogonal
     rot = u @ np.diag([1.0, sign]) @ vt
     scale = float(d[0] + sign * d[1]) / var_s
     if abs(scale) < 1e-12:

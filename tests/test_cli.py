@@ -494,6 +494,8 @@ _TAU_RANGE_MESSAGE = "$ invalid (each tau_schedule entry must lie in [1e-100, 1e
                  "$ invalid (each tau_schedule entry must be a finite number)", id="bool-tau"),
     pytest.param(_solve_argv, {"tau_schedule": [0.5, None]}, 2,
                  "$ invalid (each tau_schedule entry must be a finite number)", id="null-tau"),
+    pytest.param(_solve_argv, {"tau_schedule": ["0.5"]}, 2,
+                 "$ invalid (each tau_schedule entry must be a finite number)", id="string-tau"),
     pytest.param(_render_argv, "nan", 1, "max_norm must be a finite number", id="nan-max-norm"),
     pytest.param(_render_argv, "-inf", 1, "max_norm must be a finite number", id="inf-max-norm"),
     pytest.param(_render_argv, "5e-324", 1, "the normalised flow overflows", id="subnormal-max-norm"),
@@ -544,8 +546,7 @@ def _without_wall_time(report: str) -> list:
 
 def test_reports_are_the_library_results_byte_for_byte(scene_dir, tmp_path, capsys):
     """The eval, solve, metrics and decompose reports, but for wall_time_s, are
-    byte for byte the io.Report of the library's results for the same files.
-    The solve's `--opts` gives its tau as a string, which counts as its number."""
+    byte for byte the io.Report of the library's results for the same files."""
     flo, keypoints, mask_path, boundary = (str(scene_dir / name) for name in
                                            ("gt_world.flo", "keypoints.json", "mask_t.pgm", "boundary.json"))
     flow, mask, frames = io.read_flo(flo), io.read_mask(mask_path), io.read_keypoints(keypoints)
@@ -565,7 +566,7 @@ def test_reports_are_the_library_results_byte_for_byte(scene_dir, tmp_path, caps
         "boundary_cooccupied_fraction": list(b.g_result.cooccupied_fraction),
     }, [], 0.0)
 
-    solve_argv = _solve_argv(scene_dir, tmp_path, {"max_iters": 2, "tau_schedule": ["0.5", "0.1"]})
+    solve_argv = _solve_argv(scene_dir, tmp_path, {"max_iters": 2, "tau_schedule": [0.5, 0.1]})
     solved = flows.solve_world_flow(FlowMap.zeros(mask.width, mask.height), priors, hp,
                                     flows.SolverOptions(max_iters=2, tau_schedule=(0.5, 0.1)))
     solve_report = io.Report("solve", cli._inputs_record(**scene), hp_record, {

@@ -411,11 +411,28 @@ def test_solver_rejects_bad_options():
         flows.SolverOptions(tolerance=0.0)
 
 
-def test_solver_options_read_tau_entries_from_strings():
-    assert flows.SolverOptions(tau_schedule=["0.5", "0.1"]).tau_schedule == (0.5, 0.1)
-    for entry in ("fast", "nan", "1e400", None, True, [0.5]):
+def test_solver_options_refuse_tau_entries_that_are_not_numbers():
+    for entry in ("0.5", "fast", "nan", "1e400", None, True, [0.5]):
         with pytest.raises(ValidationError, match="each tau_schedule entry must be a finite number"):
             flows.SolverOptions(tau_schedule=(0.5, entry))
+
+
+def test_solver_takes_an_init_within_the_float32_range(small_truth, small_priors, hp):
+    """The range `TAU_RANGE` assumes: an init scaled by 1e100 on the subject,
+    which overflowed in the surrogates, is refused, and one whose largest
+    entry is 3.4e38 solves without a floating-point warning."""
+    subject = small_truth.mask_t.labels > 0
+    gt = small_truth.gt_world.vectors[subject]
+    opts = flows.SolverOptions(max_iters=6)
+    for sign in (1.0, -1.0):
+        far = np.zeros_like(small_truth.gt_world.vectors)
+        far[subject] = sign * 1e100 * gt
+        with pytest.raises(ValidationError, match="float32 range"):
+            flows.solve_world_flow(FlowMap(far), small_priors, hp, opts)
+        edge = np.zeros_like(far)
+        edge[subject] = sign * 3.4e38 / np.abs(gt).max() * gt
+        assert np.abs(edge).max() == 3.4e38
+        flows.solve_world_flow(FlowMap(edge), small_priors, hp, opts)
 
 
 def test_priors_build_with_alignment(small_truth):

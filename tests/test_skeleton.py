@@ -251,19 +251,69 @@ def test_match_all_equals_the_per_pixel_loop_bitwise(case):
     assert skel.match_all(skeletons, mask).tobytes() == loop_match_all(skeletons, mask).tobytes()
 
 
-@pytest.mark.parametrize("conf", [1.0, 1e154, 1e200])
+@pytest.mark.parametrize("conf", [1.0, 0.5 * EPS_CONF])
 def test_match_all_equals_the_loop_where_squares_overflow(conf):
-    """Far points, whose squared distance overflows, and confidences whose
-    square overflows, which makes squared scores meaningless, leave the
-    table the loop's, without a floating-point warning."""
+    """Far points, whose squared distance or squared score overflows, leave
+    the table the loop's, without a floating-point warning."""
     labels = np.zeros((6, 7), dtype=np.int32)
     labels[1:5, 1:6] = 1
-    # The point at 1e154 scores about 0.67, but its squared score is 1e308 / inf = 0.
     pts = np.array([[2.0, 2.0, 1.0], [4.0, 3.0, conf], [4.0, 3.0, conf], [1e150, 0.0, conf],
-                    [1e200, -1e250, 1.0], [3.0, 2.0, 0.5], [2.5, 4.0, 1.0], [1e154, 0.0, 1.5e154]])
+                    [1e200, -1e250, 1.0], [3.0, 2.0, 0.5], [2.5, 4.0, 1.0], [1e154, 0.0, conf]])
     skeletons = {1: skel.SkeletonMap(pts)}
     mask = SubjectMask(labels)
     assert skel.match_all(skeletons, mask).tobytes() == loop_match_all(skeletons, mask).tobytes()
+
+
+@pytest.mark.parametrize("conf", [-1.0, 5.0, 1e154, 1e200])
+def test_skeleton_map_refuses_confidences_outside_0_1(conf):
+    pts = np.array([[2.0, 2.0, 1.0], [4.0, 3.0, conf]])
+    with pytest.raises(ValidationError, match=r"skeleton map has a confidence outside \[0, 1\]"):
+        skel.SkeletonMap(pts)
+
+
+@pytest.mark.parametrize("joints", [np.zeros(3), np.ones((4, 3))], ids=["flat", "four-joints"])
+def test_skeleton_map_refuses_joints_that_are_not_a_person(joints):
+    """Head alignment indexes the 17 joints, so a map carries 17 or none."""
+    pts = skel.interpolate_skeleton(_joints()).points
+    with pytest.raises(ValidationError, match=r"joint array must have shape \(17, 3\)"):
+        skel.SkeletonMap(pts, joints=joints)
+
+
+def test_skeleton_map_joints_take_the_keypoint_rule():
+    pts = skel.interpolate_skeleton(_joints()).points
+    for value, message in ((np.nan, "non-finite"), (1.5, "confidence outside"), (-0.5, "confidence outside")):
+        joints = _joints()
+        joints[3, 2] = value
+        with pytest.raises(ValidationError, match=message):
+            skel.SkeletonMap(pts, joints=joints)
+        with pytest.raises(ValidationError, match=message):
+            skel.interpolate_skeleton(joints)
+
+
+# Confidences in [0, 1]: 0, below the EPS_CONF floor, subnormal, 1, and any other.
+_UNIT_CONFIDENCES = st.one_of(st.sampled_from([0.0, 0.5 * EPS_CONF, 5e-324, 2.2250738585072014e-308, 1.0]),
+                              st.floats(0.0, 1.0))
+_OUTSIDE_CONFIDENCES = st.one_of(st.floats(max_value=-5e-324, allow_infinity=False),
+                                 st.floats(min_value=1.0, exclude_min=True, allow_infinity=False))
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.lists(_UNIT_CONFIDENCES, min_size=1, max_size=12), st.data())
+def test_skeleton_maps_take_every_confidence_in_0_1_and_no_other(seed, confs, data):
+    """A finite (n, 3) map is accepted when its confidences lie in [0, 1],
+    and then `match_all` is the per-pixel loop's; one confidence outside
+    [0, 1] is refused."""
+    rng = np.random.default_rng(seed)
+    labels = (rng.random((6, 7)) < 0.6).astype(np.int32)
+    labels[2, 3] = 1
+    pts = np.column_stack([rng.uniform(-2.0, 8.0, len(confs)), rng.uniform(-2.0, 7.0, len(confs)), confs])
+    skeletons = {1: skel.SkeletonMap(pts)}
+    mask = SubjectMask(labels)
+    assert skel.match_all(skeletons, mask).tobytes() == loop_match_all(skeletons, mask).tobytes()
+    bad = pts.copy()  # the map made `pts` read-only
+    bad[data.draw(st.integers(0, len(confs) - 1)), 2] = data.draw(_OUTSIDE_CONFIDENCES)
+    with pytest.raises(ValidationError, match=r"skeleton map has a confidence outside \[0, 1\]"):
+        skel.SkeletonMap(bad)
 
 
 def test_fit_translation_exact():
