@@ -30,6 +30,7 @@ from .core import (
     _check_number,
     _finite_number,
     _plane_box,
+    _readonly,
     _sigmoid,
     _soft_angle,
     armijo_descent,
@@ -122,7 +123,7 @@ def extract_flow_edges(flow: FlowMap, hp: Hyperparams) -> EdgeMap:
     np.logical_or(nonzero, flow.vectors[..., 1] != 0, out=nonzero)
     box = _plane_box(nonzero, 1)
     if box is None:
-        empty = PointSet(np.empty((0, 2)))
+        empty = PointSet(_readonly(np.empty((0, 2))))
         return EdgeMap(intensity_edges=empty, angular_edges=empty, union=empty)
     rows, cols = box
     m = flow.vectors[box]
@@ -146,7 +147,7 @@ def extract_flow_edges(flow: FlowMap, hp: Hyperparams) -> EdgeMap:
 
     def to_points(mask2d: np.ndarray) -> PointSet:
         ys, xs = np.nonzero(mask2d)
-        return PointSet(np.stack([xs + cols.start, ys + rows.start], axis=1).astype(np.float64))
+        return PointSet(_readonly(np.stack([xs + cols.start, ys + rows.start], axis=1).astype(np.float64)))
 
     return EdgeMap(
         intensity_edges=to_points(intensity),
@@ -318,22 +319,28 @@ def _check_pixel_count(width: int, height: int) -> None:
         raise ValidationError(f"raster width x height must be at most {MAX_PIXELS} pixels (4096x4096)")
 
 
+def _patch_scale(scale) -> int:
+    """A patch scale as an int; as in `Hyperparams`, a finite integral number >= 2."""
+    _check_number("patch scale", scale)
+    if scale != int(scale):
+        raise ValidationError(f"patch scale must be an integer, got {scale}")
+    if scale < 2:
+        raise ValidationError("patch scale must be >= 2")
+    return int(scale)
+
+
 def build_patch_grid(s: PointSet, e: PointSet, scale: int, width: int, height: int) -> PatchGrid:
     """Tile the raster into scale-sized cells and bin both curves into them.
 
     As in `Hyperparams`, the scale is a finite integral number >= 2, and the
     raster sides are integral numbers >= 1; each is used as an int.
     """
-    _check_number("patch scale", scale)
-    if scale != int(scale):
-        raise ValidationError(f"patch scale must be an integer, got {scale}")
-    if scale < 2:
-        raise ValidationError("patch scale must be >= 2")
+    scale = _patch_scale(scale)
     for side in (width, height):
         integral = isinstance(side, Integral) or _finite_number(side) and side == int(side)
         if isinstance(side, bool) or not integral:
             raise ValidationError(f"raster dimensions must be integers, got {width}x{height}")
-    scale, width, height = int(scale), int(width), int(height)
+    width, height = int(width), int(height)
     if width < 1 or height < 1:
         raise ValidationError("raster dimensions must be positive")
     _check_pixel_count(width, height)
@@ -368,8 +375,12 @@ def multiscale_patch_distance(
     """Average the per-scale patch-centroid distances.
 
     Each scale's distance is the mean over cells where both curves are
-    present.
+    present. The scales must be distinct, as in `Hyperparams`: a repeated
+    one raises ValidationError.
     """
+    scales = [_patch_scale(scale) for scale in scales]
+    if len(set(scales)) < len(scales):
+        raise ValidationError(f"patch scales must not repeat an entry, got {scales}")
     per_scale = tuple(patch_centroid_distance(build_patch_grid(s, e, scale, width, height))
                       for scale in scales)
     value = float(np.mean([r.value for r in per_scale])) if per_scale else 0.0
@@ -424,7 +435,7 @@ def boundary_constraint(
     edges = extract_flow_edges(FlowMap(flow.vectors[rows, cols]), hp).union
     if len(edges) == 0 and len(extract_flow_edges(flow, hp).union) == 0:
         return BoundaryResult(0.0, (), edges_empty=True)
-    edges = PointSet(edges.points + (cols.start, rows.start))
+    edges = PointSet(_readonly(edges.points + (cols.start, rows.start)))
     return multiscale_patch_distance(edges, boundary, hp.scales, flow.width, flow.height)
 
 
@@ -459,41 +470,37 @@ def _ordered_sum(at: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(at, terms, n).astype(np.float64, copy=False)  # int64 when empty
 
 
-def _soft_centroids(mass, sx, sy, present, tx, ty, floor: float):
-    """Soft patch-centroid distance of one scale from the per-cell sums
-    `(mass, sx, sy)` and the target's `present` cells and centroids `(tx, ty)`.
+def _soft_centroids(mass, sx, sy, tx, ty, bounds, floor: float):
+    """Soft patch-centroid distances of one or more scales at once, from the
+    per-cell sums `(mass, sx, sy)` and the target's centroids `(tx, ty)`;
+    scale n owns the cells `bounds[n]` to `bounds[n + 1]`. A cell of no
+    scale, such as a `SoftLayout`'s sentinel, must have mass 0.
 
-    Cells with mass above `floor` where the target is present enter. Returns
-    None if none does, else the mean distance and per-cell arrays `coeff, cx,
-    cy, ex, ey` (0 off the entered cells): centroid c, offset e = c - t and
-    1 / (n_inc |e| m), so d(value)/d(w_i) = coeff ((x_i - cx) ex + (y_i - cy) ey).
+    Cells with mass above `floor` enter. Returns per scale the mean distance
+    over its entered cells (None if none enters) and the per-cell arrays
+    `coeff, cx, cy, ex, ey` (0 off the entered cells): centroid c, offset
+    e = c - t and 1 / (n_inc |e| m), with n_inc the count of entered cells of
+    the cell's scale, so d(mean)/d(w_i) = coeff ((x_i - cx) ex + (y_i - cy) ey).
+    Each scale's mean averages its entered cells in cell order, as the
+    scale's own grid does.
     """
-    include = (mass > floor) & present
-    n_inc = int(include.sum())
-    if n_inc == 0:
-        return None
+    include = mass > floor
     safe_m = np.where(include, mass, 1.0)
     cx = np.where(include, sx / safe_m, 0.0)
     cy = np.where(include, sy / safe_m, 0.0)
     ex = np.where(include, cx - tx, 0.0)
     ey = np.where(include, cy - ty, 0.0)
     d = np.hypot(ex, ey)
+    # 1 where no cell enters, whose coefficients are 0: n_inc = 0 would divide by zero
+    n_inc = np.ones(mass.size, dtype=np.intp)
+    means = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        entered = d[lo:hi][include[lo:hi]]
+        means.append(float(entered.mean()) if entered.size else None)
+        n_inc[lo:hi] = max(entered.size, 1)
     safe_d = np.where(d > 1e-12, d, 1.0)
     coeff = np.where(include & (d > 1e-12), 1.0 / (n_inc * safe_d * safe_m), 0.0)
-    return float(d[include].mean()), coeff, cx, cy, ex, ey
-
-
-@dataclass(frozen=True)
-class _ScaleCells:
-    """One patch scale of a `SoftLayout`: the cell count of its grid, the flat
-    cell id of each pixel of the window, and per cell whether the boundary
-    is present there and its centroid (NaN where it is not)."""
-
-    n_cells: int
-    cid: np.ndarray
-    present: np.ndarray
-    tx: np.ndarray
-    ty: np.ndarray
+    return means, (coeff, cx, cy, ex, ey)
 
 
 @dataclass(frozen=True, eq=False)
@@ -516,9 +523,10 @@ class _PairPlan:
     with a free endpoint: `shape` is (len(ring),) and `table` (-1,), `i` and
     `j` are ring positions and `put_i` and `put_j` flat positions in the (8,
     len(ring)) table. `pinned` holds the flat indices, in the window's flow
-    flattened, of both channels of the pixels the solve cannot move. `ys`
-    and `xs`, which broadcast to `shape`, and `cids` (one per scale) are the
-    global rows, columns and cell ids of the ring.
+    flattened, of both channels of the pixels the solve cannot move.
+    `on_raster`, shaped like `nbr`, marks the slots whose neighbor is on the
+    raster. `ys` and `xs`, which broadcast to `shape`, are the global rows
+    and columns of the ring.
     """
 
     shape: tuple
@@ -526,16 +534,15 @@ class _PairPlan:
     pairs: tuple
     ring: slice | np.ndarray
     nbr: np.ndarray
+    on_raster: np.ndarray
     pinned: np.ndarray
     ys: np.ndarray
     xs: np.ndarray
-    cids: tuple
 
 
-def _pair_plan(free: np.ndarray, ys: np.ndarray, xs: np.ndarray, cids: tuple) -> _PairPlan:
+def _pair_plan(free: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> _PairPlan:
     """The `_PairPlan` of a window whose pixels have global rows `ys` (a
-    column), columns `xs` and per-scale cell ids `cids`, given its `free`
-    pixels."""
+    column) and columns `xs`, given its `free` pixels."""
     h, wd = free.shape
     slices = [_pair_slices(dy, dx, h, wd) for dy, dx in _NEIGHBORS[:4]]
     on_ring = free.copy()
@@ -559,36 +566,50 @@ def _pair_plan(free: np.ndarray, ys: np.ndarray, xs: np.ndarray, cids: tuple) ->
     pinned = np.flatnonzero(np.repeat(~free.ravel(), 2))
     if isinstance(ring, slice):  # pays: gathering every pair made the refine2 solve 1.41-1.64x slower
         return _PairPlan((h, wd), (8, h, wd), tuple((i, j, (k, *i), (7 - k, *j)) for k, (i, j) in enumerate(slices)),
-                         ring, nbr, pinned, ys, xs, cids)
+                         ring, nbr, nbr != -1, pinned, ys, xs)
     pi, pj = (np.concatenate([at[ij[end]][touch] for ij, touch in zip(slices, touches)]) for end in (0, 1))
     slot = np.repeat(np.arange(4), [touch.sum() for touch in touches]) * n
     ry, rx = np.divmod(ring, wd)
-    return _PairPlan((n,), (-1,), ((pi, pj, slot + pi, 7 * n - slot + pj),), ring, nbr, pinned,
-                     ys.ravel()[ry], xs[rx], tuple(cid.ravel()[ring] for cid in cids))
+    return _PairPlan((n,), (-1,), ((pi, pj, slot + pi, 7 * n - slot + pj),), ring, nbr, nbr != -1, pinned,
+                     ys.ravel()[ry], xs[rx])
 
 
 @dataclass(frozen=True, eq=False)
 class SoftLayout:
     """What the soft boundary term reads of a boundary curve besides the
     flow, built once by `soft_layout` from `boundary` at the patch `scales`:
-    the boundary-cell `window` (rows, columns) of the raster, the global rows
-    `ys` (a column) and columns `xs` of its pixels, per patch scale a
-    `_ScaleCells` in `cells`, and the `_PairPlan` `plan` of the pairs it
-    scores, which knows the window's free pixels.
+    the boundary-cell `window` (rows, columns) of the raster, the `_PairPlan`
+    `plan` of the pairs it scores, which knows the window's free pixels, and
+    the cells of every scale at once.
 
-    Cell ids are row-major on the grid of the raster's top-left part that
-    ends with the window, which holds every scored cell and orders them as
-    the whole raster's grid does, so every per-cell sum and the mean over
-    cells add in the same order. Its arrays are read-only.
+    Only a cell that holds a boundary point (a present cell) can enter the
+    value, so the cells of all scales are numbered in one batch: scale n's
+    present cells are `bounds[n]` to `bounds[n + 1]`, in row-major order on
+    the grid of the raster's top-left part that ends with the window (which
+    holds every present cell and orders them as the whole raster's grid
+    does), and cell 0 is a sentinel that no pixel enters. `tx` and `ty` hold
+    each cell's boundary centroid (0 at the sentinel). The pixels of the
+    present cells are listed once per scale, scale by scale and row-major
+    within a scale: `at` holds their flat indices in the window, `cell`
+    their batched cell ids, and `x` and `y` their global columns and rows.
+    So every per-cell sum adds its pixels in the order of the whole raster's
+    grid, from +0. `ring_cells` holds per scale the batched cell id of each
+    pixel of the plan's ring, shaped like the ring's arrays, or 0 (the
+    sentinel) off the present cells. Its arrays are read-only.
     """
 
     boundary: PointSet
     scales: tuple
     window: tuple[slice, slice]
-    ys: np.ndarray
-    xs: np.ndarray
-    cells: tuple
     plan: _PairPlan
+    at: np.ndarray
+    cell: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    tx: np.ndarray
+    ty: np.ndarray
+    bounds: tuple
+    ring_cells: tuple
 
 
 def soft_layout(boundary: PointSet, hp: Hyperparams, height: int, width: int,
@@ -605,26 +626,41 @@ def soft_layout(boundary: PointSet, hp: Hyperparams, height: int, width: int,
     `soft_boundary_constraint`). None, the default, frees every pixel.
     """
     rows, cols = _checked_boundary_window(boundary, hp.scales, height, width)
+    wd = cols.stop - cols.start
     if free is not None:
         free = np.asarray(free, dtype=bool)
         if free.shape != (height, width):
             raise DimensionMismatch(f"free mask of shape {free.shape} does not cover {height}x{width}")
         free = free[rows, cols]
     else:
-        free = np.ones((rows.stop - rows.start, cols.stop - cols.start), dtype=bool)
+        free = np.ones((rows.stop - rows.start, wd), dtype=bool)
     ys, xs = np.arange(rows.start, rows.stop)[:, None], np.arange(cols.start, cols.stop)
-    cells = []
+    plan = _pair_plan(free, ys, xs)
+    at, cell, tx, ty, ring_cells, bounds = [], [], [np.zeros(1)], [np.zeros(1)], [], [1]
     for scale in hp.scales:
         gh, gw = -(-rows.stop // scale), -(-cols.stop // scale)
         counts, centroids = _bin_points(boundary.points, scale, gh, gw)
-        cells.append(_ScaleCells(gh * gw, (ys // scale) * gw + (xs // scale), counts.ravel() > 0,
-                                 centroids[..., 0].ravel(), centroids[..., 1].ravel()))
-    plan = _pair_plan(free, ys, xs, tuple(c.cid for c in cells))
-    plan_arrays = (plan.ring, plan.nbr, plan.pinned, plan.ys, plan.xs, *plan.cids, *chain(*plan.pairs))
-    for arr in (ys, xs, *(a for c in cells for a in (c.cid, c.present, c.tx, c.ty)),
+        present = np.flatnonzero(counts)
+        batched = np.zeros(gh * gw, dtype=np.intp)
+        batched[present] = np.arange(bounds[-1], bounds[-1] + present.size)
+        plane = batched[(ys // scale) * gw + (xs // scale)]
+        inside = np.flatnonzero(plane)
+        at.append(inside)
+        cell.append(plane.ravel()[inside])
+        ring_cells.append(plane if isinstance(plan.ring, slice) else plane.ravel()[plan.ring])
+        tx.append(centroids[..., 0].ravel()[present])
+        ty.append(centroids[..., 1].ravel()[present])
+        bounds.append(bounds[-1] + present.size)
+    at = np.concatenate(at)
+    y, x = np.divmod(at, wd)
+    layout = SoftLayout(boundary, hp.scales, (rows, cols), plan, at, np.concatenate(cell),
+                        (x + cols.start).astype(np.float64), (y + rows.start).astype(np.float64),
+                        np.concatenate(tx), np.concatenate(ty), tuple(bounds), tuple(ring_cells))
+    plan_arrays = (plan.ring, plan.nbr, plan.on_raster, plan.pinned, plan.ys, plan.xs, *chain(*plan.pairs))
+    for arr in (layout.at, layout.cell, layout.x, layout.y, layout.tx, layout.ty, *layout.ring_cells,
                 *(a for a in plan_arrays if isinstance(a, np.ndarray))):
         arr.setflags(write=False)
-    return SoftLayout(boundary, hp.scales, (rows, cols), ys, xs, tuple(cells), plan)
+    return layout
 
 
 def soft_boundary_constraint(
@@ -647,10 +683,13 @@ def soft_boundary_constraint(
     the value (a line-search trial that is rejected) skips that work. The
     forward pass computes what the value needs and no more: the pair
     weights, each pixel's largest weights and the mask of the slots that
-    attain them, and per scale the cell sums and the per-cell arrays of
-    `_soft_centroids`. The backward pass builds the per-pixel d(value)/dw
-    plane and reads the argmax slots where it is nonzero. Value and gradient
-    are bitwise those of a single combined pass.
+    attain them, and the cell sums and per-cell arrays of every scale at
+    once: one gather of the pixel weights at the layout's present-cell
+    pixels, three `np.bincount`s over the batched cells and one
+    `_soft_centroids`, whose per-scale means are added in scale order. The
+    backward pass builds the per-pixel d(value)/dw plane from the same
+    per-cell arrays and reads the argmax slots where it is nonzero. Value
+    and gradient are bitwise those of a single combined pass.
 
     Each neighbor pair (i, j) is scored once, over the 4 forward offsets,
     and its intensity weight b and angular weight a are written into a slot
@@ -684,7 +723,10 @@ def soft_boundary_constraint(
     gradient equal the full-raster evaluation bitwise: the scored cells lie
     inside the window with their full neighbor sets, each cell sums its
     pixels in the same row-major order, and each pixel's gradient adds run in
-    the same slot order.
+    the same slot order. Of the window's pixels, only those of cells that
+    hold a boundary point are summed (see `SoftLayout`): a cell without one
+    never enters the value, and its d(value)/dw term is +0, which leaves a
+    sum from +0 as it is.
 
     A layout built with free pixels scores only the pairs that touch one
     (its `_PairPlan`). A pinned pixel holds +-0, so a pair of two pinned
@@ -692,12 +734,13 @@ def soft_boundary_constraint(
     pixel off the ring (the free pixels and their 8-neighbors) has only
     such pairs, so its weights take that closed form; a ring pixel fills its
     8 slots from it and from the scored pairs, and takes the max and tie
-    mask as above. The cell sums still add every window pixel in row-major
-    order, so the value is bitwise that of scoring every pair. The backward
-    pass runs at the live ring pixels alone: off the ring the argmax pair is
-    two pinned pixels, whose intensity term carries sign(0 - 0) = 0 and whose
-    moving gate is 0, and adding a +-0 to a sum from +0 leaves its bytes, so
-    the gradient keeps every byte, signed zeros on pinned pixels included.
+    mask as above. The cell sums still add the pixels of each present cell
+    in row-major order, so the value is bitwise that of scoring every pair.
+    The backward pass runs at the live ring pixels alone: off the ring the
+    argmax pair is two pinned pixels, whose intensity term carries
+    sign(0 - 0) = 0 and whose moving gate is 0, and adding a +-0 to a sum
+    from +0 leaves its bytes, so the gradient keeps every byte, signed zeros
+    on pinned pixels included.
     The ring's neighbor table names each argmax neighbor, so the backward
     pass works on the ring alone and pastes its gradient into zeros. A flow
     that is nonzero on a pinned pixel raises ValidationError. When the ring
@@ -734,13 +777,16 @@ def soft_boundary_constraint(
     return _soft_boundary(flow.vectors, window, hp, tau)
 
 
-def _dvdw_plane(scored, ys, xs, n_scales: int, shape) -> np.ndarray:
+def _dvdw_plane(scored, per_cell, ys, xs, n_scales: int, shape) -> np.ndarray:
     """d(value)/dw at each pixel of a slot table of the given shape, with
-    global rows `ys` and columns `xs`, from the pixels' cell ids and the
-    per-cell arrays `coeff, cx, cy, ex, ey` of each scale in `scored` that
-    has an entered cell, summed over scales in order from +0."""
+    global rows `ys` and columns `xs`, from the batched per-cell arrays
+    `coeff, cx, cy, ex, ey` of `_soft_centroids` and the pixels' batched
+    cell ids at each scale in `scored` (those with an entered cell), summed
+    over scales in order from +0. At the sentinel every array is 0, so a
+    pixel off the present cells adds +0, which leaves a sum from +0 as it is."""
+    coeff, cx, cy, ex, ey = per_cell
     dvdw = np.zeros(shape)
-    for cid, (coeff, cx, cy, ex, ey) in scored:
+    for cid in scored:
         dvdw += coeff[cid] * ((xs - cx[cid]) * ex[cid] + (ys - cy[cid]) * ey[cid]) / n_scales
     return dvdw
 
@@ -805,8 +851,7 @@ def _soft_boundary(m: np.ndarray, layout: SoftLayout, hp: Hyperparams, tau: floa
     # and a = +0: each slot starts there, or at 0 off the raster.
     b0 = _sigmoid(np.array([-hp.edge_theta_i / tau]))[0]
     slots = np.empty((2,) + plan.nbr.shape)
-    slots[0].fill(b0)
-    slots[0][plan.nbr == -1] = 0.0
+    np.multiply(plan.on_raster, b0, out=slots[0])
     slots[1].fill(0.0)
     tables = slots.reshape((2,) + plan.table)
     planes = [a.reshape(plan.shape) for a in (r, mx, my, du, wu)]
@@ -827,20 +872,20 @@ def _soft_boundary(m: np.ndarray, layout: SoftLayout, hp: Hyperparams, tau: floa
     # weights are (b0, +0), so w = 1 - (1 - b0), or (0, 0) in a 1 x 1 window.
     w = np.full(h * wd, 1.0 - (1.0 - b0) if h * wd > 1 else 0.0)
     w[plan.ring] = 1.0 - (1.0 - wi) * (1.0 - wa)
-    w = w.reshape(h, wd)
 
+    # Per batched cell, the sums of w, w x and w y over the pixels of the present cells.
+    w = w[layout.at]
+    n_cells = layout.tx.size
+    sums = (np.bincount(layout.cell, weights, n_cells) for weights in (w, w * layout.x, w * layout.y))
+    means, per_cell = _soft_centroids(*sums, layout.tx, layout.ty, layout.bounds, _MASS_FLOOR)
     value = 0.0
-    n_scales = len(layout.cells)
-    wx, wy = (w * layout.xs).ravel(), (w * layout.ys).ravel()
-    scored = []  # per scale with an entered cell: its cell ids on the ring and per-cell arrays
-    for cells, cid in zip(layout.cells, plan.cids):
-        flat = cells.cid.ravel()
-        sums = (np.bincount(flat, weights, cells.n_cells) for weights in (w.ravel(), wx, wy))
-        core = _soft_centroids(*sums, cells.present, cells.tx, cells.ty, _MASS_FLOOR)
-        if core is None:
+    n_scales = len(means)
+    scored = []  # the ring's cell ids at each scale with an entered cell
+    for mean, cid in zip(means, layout.ring_cells):
+        if mean is None:
             continue  # its d(value)/dw is +0, and the dv/dw plane holds no -0 for it to flip
-        value += core[0] / n_scales
-        scored.append((cid, core[1:]))
+        value += mean / n_scales
+        scored.append(cid)
 
     def backward() -> np.ndarray:
         # Backward through w = 1 - (1 - wi)(1 - wa) and the argmax pair's
@@ -850,7 +895,7 @@ def _soft_boundary(m: np.ndarray, layout: SoftLayout, hp: Hyperparams, tau: floa
         # pixels of a pair that leaves the ring: the intensity term carries
         # sign(0 - 0) = 0 and the moving gate drops the angular one. So the
         # gradient is built on the ring alone and pasted into zeros.
-        dvdw = _dvdw_plane(scored, plan.ys, plan.xs, n_scales, plan.shape).ravel()
+        dvdw = _dvdw_plane(scored, per_cell, plan.ys, plan.xs, n_scales, plan.shape).ravel()
         live = np.flatnonzero(dvdw)
         dvdw = dvdw[live]
 
@@ -1032,11 +1077,13 @@ def _morph_loss(moved: np.ndarray, target_grids, scales):
     for scale, (me, ce_x, ce_y, gw, gh) in zip(scales, target_grids):
         cells, w, slopes = _soft_bin(moved, scale, gw, gh)
         m, sx, sy = _cell_sums(cells, moved[:, 0:1], moved[:, 1:2], gh * gw, w)
-        core = _soft_centroids(m, sx, sy, me > _MORPH_MASS_FLOOR, ce_x, ce_y, _MORPH_MASS_FLOOR)
-        if core is None:
+        # A cell enters only where the target's mass passes the floor too: 0 mass elsewhere keeps it out.
+        (mean,), per_cell = _soft_centroids(np.where(me > _MORPH_MASS_FLOOR, m, 0.0), sx, sy, ce_x, ce_y,
+                                            (0, gh * gw), _MORPH_MASS_FLOOR)
+        if mean is None:
             continue
-        value += core[0] / len(scales)
-        kept.append(((cells, w, slopes), core[1:]))
+        value += mean / len(scales)
+        kept.append(((cells, w, slopes), per_cell))
 
     def gradient() -> np.ndarray:
         # Point i reaches cell c through its weight w and through the centroid's
@@ -1099,5 +1146,5 @@ def morph_curve_fit(moving: PointSet, target: PointSet, opts: MorphOptions = Mor
         loss, disp, value, grad, _MORPH_STEP_SIZE, opts.max_iters, opts.tolerance,
         lambda d, v, step: trace.append(v),
     )
-    moved = PointSet(pts + field_at_points(disp))
+    moved = PointSet(_readonly(pts + field_at_points(disp)))
     return MorphResult(disp.reshape(gh, gw, 2), moved, tuple(trace), stop)

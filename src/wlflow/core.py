@@ -75,7 +75,9 @@ def armijo_descent(fn, x, value, grad, eta, max_steps, tolerance, on_step):
     non-finite one) or "budget" (`max_steps` accepted steps); the last two
     are not convergence.
 
-    Neither `x` nor `grad` is written to; each iterate is a new array. Per
+    Neither `x` nor `grad` is written to; each iterate is a new array,
+    read-only from the moment `fn` sees it, so that a `FlowMap` takes it
+    without a copy. Per
     iteration, besides what `fn` allocates, it holds one x-sized temporary
     for `grad ** 2`, one per trial (`x - step * grad`, built in place in
     the trial array) and one for the largest move at the accepted step. It
@@ -93,6 +95,7 @@ def armijo_descent(fn, x, value, grad, eta, max_steps, tolerance, on_step):
         for _ in range(40):
             cand = step * grad
             np.subtract(x, cand, out=cand)
+            cand.setflags(write=False)
             v_new, gradient = fn(cand)
             if v_new <= value - 1e-4 * step * gnorm2:
                 break
@@ -147,8 +150,22 @@ def _plane_box(plane: np.ndarray, halo: int) -> tuple[slice, slice] | None:
             slice(max(int(xs[0]) - halo, 0), min(int(xs[-1]) + 1 + halo, w)))
 
 
-def _as_readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
+def _owned(given, dtype=None) -> np.ndarray:
+    """`given` as a read-only C-contiguous array (of `dtype`, if given) that
+    its caller cannot change: `given` itself when it is such an array and
+    read-only, the array that converting it made when that is fresh, else a
+    copy. The caller's own array keeps its bytes and its flags; the
+    library's producers mark their fresh arrays read-only, so they pay no
+    copy."""
+    arr = np.asarray(given, dtype=dtype)
+    if not arr.flags.c_contiguous or arr.flags.writeable and (arr is given or arr.base is not None):
+        arr = np.array(arr, order="C")
+    arr.setflags(write=False)
+    return arr
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    """`arr`, a fresh array, marked read-only, so that a type built on it takes it without a copy."""
     arr.setflags(write=False)
     return arr
 
@@ -167,12 +184,12 @@ def _check_confidences(conf: np.ndarray, name: str) -> None:
 def _check_person(person, name: str) -> np.ndarray:
     """One person's 17 COCO-ordered keypoints, rows (x, y, c), as a read-only
     (17, 3) float64 array: finite, with every confidence in [0, 1]."""
-    arr = np.asarray(person, dtype=np.float64)
+    arr = _owned(person, np.float64)
     if arr.shape != (N_JOINTS, 3):
         raise ValidationError(f"{name} must have shape ({N_JOINTS}, 3), got {arr.shape}")
     _require_finite(arr, name)
     _check_confidences(arr[:, 2], name)
-    return _as_readonly(arr)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -202,13 +219,13 @@ class FlowMap:
     vectors: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.vectors, dtype=np.float64)
+        arr = _owned(self.vectors, np.float64)
         if arr.ndim != 3 or arr.shape[2] != 2:
             raise ValidationError(f"flow must have shape (h, w, 2), got {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValidationError(f"flow dimensions must be >= 1, got {arr.shape[:2]}")
         _require_finite(arr, "flow")
-        object.__setattr__(self, "vectors", _as_readonly(arr))
+        object.__setattr__(self, "vectors", arr)
 
     @property
     def height(self) -> int:
@@ -220,14 +237,14 @@ class FlowMap:
 
     @classmethod
     def zeros(cls, width: int, height: int) -> "FlowMap":
-        return cls(np.zeros((height, width, 2), dtype=np.float64))
+        return cls(_readonly(np.zeros((height, width, 2), dtype=np.float64)))
 
     @classmethod
     def constant(cls, width: int, height: int, v: Vec2) -> "FlowMap":
         arr = np.empty((height, width, 2), dtype=np.float64)
         arr[..., 0] = v.dx
         arr[..., 1] = v.dy
-        return cls(arr)
+        return cls(_readonly(arr))
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,7 +287,7 @@ class SubjectMask:
         k = int(arr.max())
         if k > np.iinfo(np.int32).max:
             raise ValidationError(f"mask label {k} exceeds the int32 range")
-        arr = arr.astype(np.int32, copy=True)
+        arr = arr.astype(np.int32, order="C")
         # Labels 1..k need k labelled pixels; the guard keeps `bincount` within one
         # count per labelled pixel. It counts only those, not the background.
         subject = arr > 0
@@ -279,7 +296,7 @@ class SubjectMask:
             raise ValidationError(
                 f"subject labels must form a contiguous range 1..k, got {np.unique(labelled).tolist()}"
             )
-        object.__setattr__(self, "labels", _as_readonly(arr))
+        object.__setattr__(self, "labels", _readonly(arr))
         object.__setattr__(self, "subject_ids", tuple(range(1, k + 1)))
         object.__setattr__(self, "box", _plane_box(subject, 0))
 
@@ -299,13 +316,13 @@ class PointSet:
     points: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.points, dtype=np.float64)
+        arr = _owned(self.points, np.float64)
         if arr.size == 0:
-            arr = arr.reshape(0, 2)
+            arr = _readonly(np.empty((0, 2)))
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValidationError(f"points must have shape (n, 2), got {arr.shape}")
         _require_finite(arr, "points")
-        object.__setattr__(self, "points", _as_readonly(arr))
+        object.__setattr__(self, "points", arr)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -317,7 +334,7 @@ class Hyperparams:
 
     Defaults: alpha 0.1, beta 0.01, angle threshold 15 degrees, magnitude
     band [0.8, 1.2], edge thresholds 0.5 px / 30 degrees, patch scales
-    {8, 16, 32}.
+    {8, 16, 32}. The scales are distinct: each is one term of the mean.
     """
 
     alpha: float = 0.1
@@ -352,6 +369,8 @@ class Hyperparams:
             raise ValidationError(f"scales must be integers, got {list(given)}")
         if not scales or any(s < 2 for s in scales):
             raise ValidationError("scales must be nonempty with every entry >= 2")
+        if len(set(scales)) < len(scales):
+            raise ValidationError(f"scales must not repeat an entry, got {list(scales)}")
         # No raster side exceeds MAX_PIXELS, so a larger cell would still be one cell.
         if any(s > MAX_PIXELS for s in scales):
             raise ValidationError(f"each scales entry must be at most {MAX_PIXELS}")

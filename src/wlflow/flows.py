@@ -28,7 +28,8 @@ from .core import (
     SubjectMask,
     Vec2,
     _UNCONVERGED,
-    _as_readonly,
+    _owned,
+    _readonly,
     _check_count,
     _check_number,
     _plane_box,
@@ -122,7 +123,7 @@ class Priors:
         _require_subjects(self.mask)  # so a solve's free pixels are never empty (`_free_pixels`)
         kin._check_matches(self.matches, self.offsets, self.mask)
         # read-only, as every other frozen input type keeps its arrays
-        object.__setattr__(self, "matches", _as_readonly(self.matches))
+        object.__setattr__(self, "matches", _owned(self.matches))
 
     @classmethod
     def build(
@@ -230,10 +231,11 @@ def _solve_terms(init: np.ndarray, priors: Priors, hp: Hyperparams, opts: Solver
     inside it each term's value and gradient are bitwise the whole raster's,
     cropped, but for the smoothness value (see `smoothness`). The soft
     term's layout, which is told the free pixels so that it scores only the
-    neighbor pairs that touch one, and smoothness's label masks are built
-    here, once per solve; the constraint terms are looked up in their
-    modules at each call. Raises as the soft boundary term does on an empty
-    boundary or one off the raster.
+    neighbor pairs that touch one, the skeleton term's layout on the box
+    (its checked match table, matched pixels and their offsets) and
+    smoothness's label masks are built here, once per solve; the constraint
+    terms are looked up in their modules at each call. Raises as the soft
+    boundary term does on an empty boundary or one off the raster.
     """
     h, w = priors.mask.labels.shape
     free = _free_pixels(init, priors)
@@ -241,6 +243,7 @@ def _solve_terms(init: np.ndarray, priors: Priors, hp: Hyperparams, opts: Solver
     soft = bnd.soft_layout(priors.boundary, hp, h, w, free)
     window = soft.window
     index = tuple(slice(min(a.start, b.start), max(a.stop, b.stop)) for a, b in zip(active, window))
+    matched = kin.skeleton_layout(priors.offsets, priors.matches, priors.mask, index)
 
     def within(part):
         return tuple(slice(p.start - i.start, p.stop - i.start) for p, i in zip(part, index))
@@ -251,7 +254,7 @@ def _solve_terms(init: np.ndarray, priors: Priors, hp: Hyperparams, opts: Solver
 
     def skeleton(arr, tau):
         return kin.smooth_skeleton_constraint(FlowMap(arr), priors.offsets, priors.matches, priors.mask, hp,
-                                              tau, window=index)
+                                              tau, window=matched)
 
     def soft_boundary(arr, tau):
         return bnd.soft_boundary_constraint(FlowMap(arr), priors.boundary, hp, tau, window=soft)
@@ -369,7 +372,7 @@ def solve_world_flow(
     del terms  # the layout and label masks are not needed for the whole-raster write
     solved = init.vectors.copy()
     solved[index] = x
-    flow = FlowMap(solved)
+    flow = FlowMap(_readonly(solved))
     return SolveResult(flow, tuple(trace), tuple(stops), joint_objective(flow, priors, hp))
 
 
@@ -448,7 +451,7 @@ def decompose_local(world: FlowMap, motions: Mapping[int, Vec2 | skel.AlignTrans
     """
     validate_pairing(world, mask)
     local = world.vectors - subject_motion_field(motions, mask)
-    return Decomposition(subject=FlowMap(world.vectors - local), local=FlowMap(local))
+    return Decomposition(subject=FlowMap(_readonly(world.vectors - local)), local=FlowMap(_readonly(local)))
 
 
 def endpoint_error(pred: FlowMap, gt: FlowMap, mask: SubjectMask | None = None) -> tuple[float, float]:

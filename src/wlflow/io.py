@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FlowMap, Hyperparams, KeypointFrame, PointSet, SubjectMask, N_JOINTS, _finite_number
+from .core import FlowMap, Hyperparams, KeypointFrame, PointSet, SubjectMask, N_JOINTS, _finite_number, _readonly
 from .errors import (
     BadMagic,
     FormatError,
@@ -58,7 +58,7 @@ def read_flo(path) -> FlowMap:
     data = np.frombuffer(raw, dtype="<f4", count=2 * width * height, offset=12)
     if not np.isfinite(data).all():
         raise NonFiniteValue(f"{path}: payload contains NaN or infinity")
-    return FlowMap(data.reshape(height, width, 2).astype(np.float64))
+    return FlowMap(_readonly(data.reshape(height, width, 2).astype(np.float64)))
 
 
 def write_keypoints(path, frames) -> None:
@@ -108,7 +108,7 @@ def read_keypoints(path) -> list:
                     raise SchemaError(f"{path}: {loc}[{ki}] has entries that are not finite numbers")
                 if not 0.0 <= kp[2] <= 1.0:
                     raise SchemaError(f"{path}: {loc}[{ki}] confidence {kp[2]} outside [0, 1]")
-            persons.append(np.asarray(person, dtype=np.float64))
+            persons.append(_readonly(np.asarray(person, dtype=np.float64)))
         frames.append(KeypointFrame(tuple(persons)))  # the checks above are the ones it makes
     return frames
 
@@ -194,7 +194,7 @@ def read_points(path) -> PointSet:
         if not all(_finite_number(v) for v in item):
             raise SchemaError(f"{path}: $.points[{i}] has entries that are not finite numbers")
         pts.append(item)
-    return PointSet(np.asarray(pts, dtype=np.float64).reshape(-1, 2))
+    return PointSet(_readonly(np.asarray(pts, dtype=np.float64).reshape(-1, 2)))
 
 
 # ---------------------------------------------------------------------------

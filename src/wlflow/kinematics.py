@@ -49,21 +49,61 @@ def intensity_term(u, k, theta_il: float, theta_ih: float) -> float:
     return float(fi[0])
 
 
-def _gather(flow: FlowMap, offsets: SkeletonOffsets, matches: np.ndarray, mask: SubjectMask,
-            window: tuple[slice, slice] | None = None):
-    """The matched pixels of `flow` (a mask of its shape), their flow vectors
-    and their skeleton offsets. `flow` covers the `window` of the mask's
+@dataclass(frozen=True, eq=False)
+class SkeletonLayout:
+    """What the skeleton terms read of their priors besides the flow, built
+    once by `skeleton_layout` from `offsets`, `matches` and `mask`: the
+    `window` (rows, columns) of the mask's raster that a flow covers (None
+    for all of it), the flat indices `at` in that window of the matched
+    pixels, row-major, and their skeleton offsets `k` (n, 2) with the
+    squared norms `rk2` and norms `rk` of those. Its arrays are read-only."""
+
+    offsets: SkeletonOffsets
+    matches: np.ndarray
+    mask: SubjectMask
+    window: tuple[slice, slice] | None
+    at: np.ndarray
+    k: np.ndarray
+    rk2: np.ndarray
+    rk: np.ndarray
+
+
+def skeleton_layout(offsets: SkeletonOffsets, matches: np.ndarray, mask: SubjectMask,
+                    window: tuple[slice, slice] | None = None) -> SkeletonLayout:
+    """The `SkeletonLayout` of a flow that covers the `window` of the mask's
     raster, or all of it when `window` is None. Refuses the match table as
     `_check_matches` does, reading the part inside the window alone."""
+    table = _check_matches(matches, offsets, mask, window).ravel()
+    at = np.flatnonzero(table >= 0)
+    k = offsets.vectors[table[at]]
+    kx, ky = k.T
+    rk2 = kx ** 2 + ky ** 2
+    rk = np.sqrt(rk2)
+    for arr in (at, k, rk2, rk):
+        arr.setflags(write=False)
+    return SkeletonLayout(offsets, matches, mask, window, at, k, rk2, rk)
+
+
+def _matched_flow(flow: FlowMap, offsets: SkeletonOffsets, matches: np.ndarray, mask: SubjectMask,
+                  window: tuple[slice, slice] | SkeletonLayout | None) -> tuple[SkeletonLayout, np.ndarray]:
+    """The `SkeletonLayout` of `window` (built here unless it is one) and
+    the flow vectors `u` (n, 2) of `flow` at its matched pixels. Refuses a
+    layout built from other priors (ValidationError) and a flow that does
+    not fill its window (DimensionMismatch)."""
+    layout = window if isinstance(window, SkeletonLayout) else None
+    if layout is not None:
+        if layout.offsets is not offsets or layout.matches is not matches or layout.mask is not mask:
+            raise ValidationError("the skeleton layout was built from other offsets, matches or mask")
+        window = layout.window
     if window is None:
         validate_pairing(flow, mask)
     elif mask.labels[window].shape != flow.vectors.shape[:2]:
         raise DimensionMismatch(
             f"flow {flow.width}x{flow.height} does not fill its window of the {mask.width}x{mask.height} mask"
         )
-    matches = _check_matches(matches, offsets, mask, window)
-    valid = matches >= 0
-    return valid, flow.vectors[valid], offsets.vectors[matches[valid]]
+    if layout is None:
+        layout = skeleton_layout(offsets, matches, mask, window)
+    return layout, flow.vectors.reshape(-1, 2)[layout.at]
 
 
 def _check_matches(matches, offsets: SkeletonOffsets, mask: SubjectMask,
@@ -116,8 +156,8 @@ def skeleton_constraint(
     total pixel count of the raster. A match table that `Priors` would
     refuse raises as it does there.
     """
-    _, u, k = _gather(flow, offsets, matches, mask)
-    fa, fi = _terms(u, k, hp)
+    layout, u = _matched_flow(flow, offsets, matches, mask, None)
+    fa, fi = _terms(u, layout.k, hp)
     total = flow.height * flow.width
     n = len(u)
     f = float((fa.sum() + hp.beta * fi.sum()) / total)
@@ -138,7 +178,7 @@ def smooth_skeleton_constraint(
     hp: Hyperparams,
     tau: float,
     *,
-    window: tuple[slice, slice] | None = None,
+    window: tuple[slice, slice] | SkeletonLayout | None = None,
 ) -> tuple[float, Callable[[], np.ndarray]]:
     """Differentiable surrogate of the constraint and a callable giving its
     flow gradient.
@@ -159,12 +199,19 @@ def smooth_skeleton_constraint(
     the window holds every matched pixel, as the solver's solve box does,
     value and gradient are bitwise the whole raster's, cropped. The match
     table is refused as the hard term and `Priors` refuse it, but for its
-    entries outside the window, which are not read; the check is one `min`
-    and one `max` over the window's table per call.
+    entries outside the window, which are not read.
+
+    What depends on the priors alone (the match check, the matched pixels
+    and their offsets with the offsets' norms) is a `SkeletonLayout`.
+    `window` may be one, built by `skeleton_layout` from these `offsets`,
+    `matches` and `mask` objects (others raise ValidationError) for the
+    window `flow` covers: a solver builds it once and passes it at every
+    evaluation, which then reads only the flow. Otherwise the layout is
+    built here, at each call.
     """
     if tau <= 0:
         raise ValidationError("tau must be positive")
-    valid, u, k = _gather(flow, offsets, matches, mask, window)
+    layout, u = _matched_flow(flow, offsets, matches, mask, window)
     total = mask.height * mask.width
     shape = flow.vectors.shape
     if len(u) == 0:
@@ -177,9 +224,9 @@ def smooth_skeleton_constraint(
     # byte of value or gradient: the cosine enters only arccos and cos^2, and the sign of a
     # zero d(cos)/du_c shows only beside a -0 d(q)/du_c sig, which takes a sign bit on u_c and
     # k_c / (du dk) = -0, so u_c k_c = +0 and the dot product is not -0.
+    k, rk2, rk = layout.k, layout.rk2, layout.rk
     (ux, uy), (kx, ky) = u.T, k.T
     ru2 = ux ** 2 + uy ** 2
-    rk2 = kx ** 2 + ky ** 2
     du = np.sqrt(ru2 + s2)
     dk = np.sqrt(rk2 + s2)
     dot = ux * kx + uy * ky
@@ -190,7 +237,6 @@ def smooth_skeleton_constraint(
     ang = q * sig
 
     ru = np.sqrt(ru2)
-    rk = np.sqrt(rk2)
     g = (ru - hp.theta_il * rk) * (ru - hp.theta_ih * rk)
     fi = np.maximum(g, 0.0)
     value = float((ang.sum() + hp.beta * fi.sum()) / total)
@@ -209,7 +255,7 @@ def smooth_skeleton_constraint(
         dfi_du = np.where(active[:, None], (2.0 * ru - (hp.theta_il + hp.theta_ih) * rk)[:, None] * u_hat, 0.0)
 
         grad = np.zeros(shape)
-        grad[valid] = (dang_du + hp.beta * dfi_du) / total
+        grad.reshape(-1, 2)[layout.at] = (dang_du + hp.beta * dfi_du) / total
         return grad
 
     return value, gradient

@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import EPS_CONF, KeypointFrame, SubjectMask, _check_confidences, _check_person
+from .core import EPS_CONF, KeypointFrame, SubjectMask, _check_confidences, _check_person, _owned, _readonly
 from .errors import (
     DegenerateConfiguration,
     DimensionMismatch,
@@ -72,13 +72,12 @@ class SkeletonMap:
     joints: np.ndarray | None = None
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
+        arr = _owned(self.points, np.float64)
         if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] == 0:
             raise ValidationError(f"skeleton points must have shape (n, 3) with n >= 1, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValidationError("skeleton points contain non-finite values")
         _check_confidences(arr[:, 2], "skeleton map")
-        arr.setflags(write=False)
         object.__setattr__(self, "points", arr)
         if self.joints is not None:
             object.__setattr__(self, "joints", _check_person(self.joints, "joint array"))
@@ -99,12 +98,11 @@ class SkeletonOffsets:
     vectors: np.ndarray
 
     def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.vectors, dtype=np.float64))
+        v = _owned(self.vectors, np.float64)
         if v.ndim != 2 or v.shape[1] != 2:
             raise ValidationError(f"offsets need (n, 2) vectors, got shape {v.shape}")
         if not (np.abs(v) < _MAX_OFFSET).all():  # NaN fails too
             raise ValidationError(f"skeleton offsets must be finite and below {_MAX_OFFSET:g} px")
-        v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
 
 
@@ -118,7 +116,7 @@ class AlignTransform:
     def __post_init__(self):
         if self.kind not in ("homography", "similarity", "translation"):
             raise ValidationError(f"unknown transform kind {self.kind!r}")
-        m = np.ascontiguousarray(np.asarray(self.matrix, dtype=np.float64))
+        m = _owned(self.matrix, np.float64)
         if m.shape != (3, 3):
             raise ValidationError(f"transform matrix must be 3x3, got {m.shape}")
         if abs(np.linalg.det(m)) < 1e-12:
@@ -127,7 +125,6 @@ class AlignTransform:
             raise ValidationError(f"{self.kind} transform must have affine bottom row")
         if abs(np.linalg.det(m[:2, :2])) < 1e-12:
             raise ValidationError("upper-left 2x2 block is singular")
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     def apply(self, xy: np.ndarray) -> np.ndarray:
@@ -135,7 +132,7 @@ class AlignTransform:
         return _apply_homogeneous(self.matrix, np.asarray(xy, dtype=np.float64))
 
     def inverse(self) -> "AlignTransform":
-        return AlignTransform(self.kind, np.linalg.inv(self.matrix))
+        return AlignTransform(self.kind, _readonly(np.linalg.inv(self.matrix)))
 
 
 def _apply_homogeneous(matrix: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -163,7 +160,7 @@ def interpolate_skeleton(frame: np.ndarray) -> SkeletonMap:
         conf = max(min(joints[a, 2], joints[b, 2]), EPS_CONF)
         out[i * m:(i + 1) * m, :2] = seg
         out[i * m:(i + 1) * m, 2] = conf
-    return SkeletonMap(out, joints=joints)
+    return SkeletonMap(_readonly(out), joints=joints)
 
 
 def _check_same_length(k_t: SkeletonMap, k_t1: SkeletonMap) -> None:
@@ -178,7 +175,7 @@ def skeleton_offsets(k_t: SkeletonMap, k_t1: SkeletonMap) -> SkeletonOffsets:
     _check_same_length(k_t, k_t1)
     with np.errstate(over="ignore", invalid="ignore"):  # SkeletonOffsets refuses what overflows
         vectors = k_t1.xy - k_t.xy
-    return SkeletonOffsets(vectors)
+    return SkeletonOffsets(_readonly(vectors))
 
 
 def match_body_point(p, skeleton: SkeletonMap, mask: SubjectMask) -> int:
@@ -213,7 +210,7 @@ def match_all(skeletons: Mapping[int, SkeletonMap], mask: SubjectMask) -> np.nda
         if lab not in skeletons:
             raise NoCandidates(f"no skeleton supplied for subject {lab}")
     if mask.box is None:
-        return out
+        return _readonly(out)
 
     rows, cols = mask.box
     labels = mask.labels[mask.box]
@@ -239,7 +236,7 @@ def match_all(skeletons: Mapping[int, SkeletonMap], mask: SubjectMask) -> np.nda
                 score[i, j] = np.hypot(qx[j] - px[i], qy[j] - py[i]) / conf[j]
                 out[py, px] = base + np.argmin(score, axis=1)
         base += sk.points.shape[0]
-    return out
+    return _readonly(out)
 
 
 def concat_points(skeletons: Mapping[int, SkeletonMap]) -> np.ndarray:
@@ -250,7 +247,7 @@ def concat_points(skeletons: Mapping[int, SkeletonMap]) -> np.ndarray:
 def concat_offsets(offsets: Mapping[int, SkeletonOffsets]) -> SkeletonOffsets:
     """Offset vectors concatenated in the same label order match_all uses, so
     that a match table's index picks its point's offset."""
-    return SkeletonOffsets(np.concatenate([offsets[lab].vectors for lab in sorted(offsets)], axis=0))
+    return SkeletonOffsets(_readonly(np.concatenate([offsets[lab].vectors for lab in sorted(offsets)], axis=0)))
 
 
 def assign_subjects(frame: KeypointFrame, mask: SubjectMask) -> dict[int, int]:
@@ -398,7 +395,7 @@ def fit_alignment(k_t: SkeletonMap, k_t1: SkeletonMap, method: str) -> AlignTran
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         kind, m = _fit_matrix(k_t, k_t1, method)
         _require_finite_fit(m)
-        return AlignTransform(kind, m)
+        return AlignTransform(kind, _readonly(m))
 
 
 def _fit_matrix(k_t: SkeletonMap, k_t1: SkeletonMap, method: str) -> tuple[str, np.ndarray]:
@@ -441,4 +438,4 @@ def aligned_offsets(k_t: SkeletonMap, k_t1: SkeletonMap, t: AlignTransform) -> S
     _check_same_length(k_t, k_t1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused below
         vectors = t.apply(k_t1.xy) - k_t.xy
-    return SkeletonOffsets(vectors)
+    return SkeletonOffsets(_readonly(vectors))

@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MAX_PIXELS, FlowMap, KeypointFrame, PointSet, SubjectMask, Vec2, _check_count, _finite_number
+from .core import (
+    MAX_PIXELS, FlowMap, KeypointFrame, PointSet, SubjectMask, Vec2, _check_count, _finite_number, _readonly,
+)
 from .errors import EmptySubject, SpecOutOfBounds, ValidationError
 from .skeleton import DEFAULT_BONES
 
@@ -310,8 +312,9 @@ def generate_scene(spec: SceneSpec) -> SceneTruth:
     boundaries = [trace_boundary(mask, lab).points for lab in mask.subject_ids]
     union = np.concatenate(boundaries) if boundaries else np.zeros((0, 2))
 
-    frame0.setflags(write=False)
-    frame1.setflags(write=False)
+    # Every array is fresh: marked read-only, the types below take it without a copy.
+    for arr in (frame0, frame1, union, world, local, *persons_t, *persons_t1):
+        arr.setflags(write=False)
 
     return SceneTruth(
         keypoints=(KeypointFrame(tuple(persons_t)), KeypointFrame(tuple(persons_t1))),
@@ -341,7 +344,7 @@ def trace_boundary(mask: SubjectMask, subject_id: int) -> PointSet:
     )
     ys, xs = np.nonzero(sel & ~interior)
     rows, cols = mask.box
-    return PointSet(np.stack([xs + cols.start, ys + rows.start], axis=1).astype(np.float64))
+    return PointSet(_readonly(np.stack([xs + cols.start, ys + rows.start], axis=1).astype(np.float64)))
 
 
 def scaled_lengths(factor: float) -> dict:

@@ -365,6 +365,26 @@ def loop_bilinear_corners(u, v, gw, gh, du=1.0):
     return tuple(np.stack(column, axis=1) for column in zip(*corners))
 
 
+def per_scale_soft_centroids(mass, sx, sy, present, tx, ty, floor):
+    """Reference copy of `boundary._soft_centroids` as it ran once per scale,
+    on every cell of the scale's grid: from the per-cell sums and the
+    target's `present` cells and centroids, None if no cell enters, else the
+    mean distance and the per-cell arrays `coeff, cx, cy, ex, ey`."""
+    include = (mass > floor) & present
+    n_inc = int(include.sum())
+    if n_inc == 0:
+        return None
+    safe_m = np.where(include, mass, 1.0)
+    cx = np.where(include, sx / safe_m, 0.0)
+    cy = np.where(include, sy / safe_m, 0.0)
+    ex = np.where(include, cx - tx, 0.0)
+    ey = np.where(include, cy - ty, 0.0)
+    d = np.hypot(ex, ey)
+    safe_d = np.where(d > 1e-12, d, 1.0)
+    coeff = np.where(include & (d > 1e-12), 1.0 / (n_inc * safe_d * safe_m), 0.0)
+    return float(d[include].mean()), coeff, cx, cy, ex, ey
+
+
 def per_slot_soft_boundary(flow, boundary, hp, tau):
     """Reference copy of `boundary.soft_boundary_constraint` as it ran with a
     loop over the 8 neighbor slots: a running max with a strict > picks each
@@ -408,8 +428,8 @@ def per_slot_soft_boundary(flow, boundary, hp, tau):
         gh, gw = -(-flow.height // scale), -(-flow.width // scale)
         e_counts, e_centroids = bnd._bin_points(boundary.points, scale, gh, gw)
         cid = (ys // scale) * gw + (xs // scale)
-        core = bnd._soft_centroids(*bnd._cell_sums(cid, xs, ys, gh * gw, w), e_counts.ravel() > 0,
-                                   e_centroids[..., 0].ravel(), e_centroids[..., 1].ravel(), bnd._MASS_FLOOR)
+        core = per_scale_soft_centroids(*bnd._cell_sums(cid, xs, ys, gh * gw, w), e_counts.ravel() > 0,
+                                        e_centroids[..., 0].ravel(), e_centroids[..., 1].ravel(), bnd._MASS_FLOOR)
         if core is None:
             continue
         v_s, coeff, cx, cy, ex, ey = core

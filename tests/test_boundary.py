@@ -312,6 +312,18 @@ def test_patch_scale_and_sides_follow_one_rule(scale, width, height, message):
         bnd.multiscale_patch_distance(s, s, (scale,), width, height)
 
 
+@pytest.mark.parametrize("scales", [(8, 8), (8, 16, 8.0)])
+def test_multiscale_distance_refuses_a_repeated_scale(scales):
+    """Each scale is one term of the mean and one entry of a report's
+    per-scale map, so a repeated scale, integral floats included, is
+    refused, as `Hyperparams` refuses it."""
+    s = PointSet(np.array([[3.0, 4.0]]))
+    with pytest.raises(ValidationError, match="must not repeat"):
+        bnd.multiscale_patch_distance(s, s, scales, 32, 32)
+    with pytest.raises(ValidationError, match="must not repeat"):
+        Hyperparams(scales=scales)
+
+
 def test_patch_grid_takes_integral_floats_as_ints():
     s = PointSet(np.array([[3.0, 4.0], [20.0, 9.0]]))
     as_floats = bnd.build_patch_grid(s, s, 8.0, 32.0, 16.0)
@@ -770,6 +782,84 @@ def test_soft_layout_refuses_a_free_mask_of_another_shape(hp):
     boundary = PointSet(np.array([[3.0, 4.0]]))
     with pytest.raises(DimensionMismatch):
         bnd.soft_layout(boundary, hp, 8, 8, np.ones((8, 7), dtype=bool))
+
+
+@st.composite
+def _cell_stage_cases(draw):
+    """A flow on a 1x1 to 40x40 raster, a free mask (None, or scattered
+    free pixels, on which alone the flow moves) and 1-6 boundary points. The
+    flow is static (+-0 everywhere), sparse or Gaussian."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["static", "sparse", "gaussian"]))
+    if kind == "static":
+        arr = np.copysign(0.0, rng.choice([-1.0, 1.0], (h, w, 2)))
+    else:
+        arr = rng.normal(0.0, 1.5, (h, w, 2)) * (rng.random((h, w, 1)) < (0.1 if kind == "sparse" else 1.0))
+    free = None
+    if draw(st.booleans()):
+        free = rng.random((h, w)) < draw(st.sampled_from([0.1, 0.5, 0.9]))
+        arr = np.where(free[..., None], arr, 0.0)
+    points = draw(_integer_points(h, w, 6)) + draw(st.sampled_from([0.0, 0.5]))
+    return arr, free, points
+
+
+# Static 32x32 flow at tau 0.1: each pixel's w is sigmoid(-5), so no 2 px cell
+# passes the mass floor while the one 32 px cell does.
+_NO_ENTERED_CELL = (np.zeros((32, 32, 2)), None, np.array([[5.0, 7.0], [20.0, 3.0]]))
+
+
+@settings(max_examples=60)
+@given(case=_cell_stage_cases(), tau=st.sampled_from([0.5, 0.1, 0.02]),
+       scales=st.sampled_from([(2,), (2, 32), (3, 5, 48), (8, 16, 32), (4, 128)]))
+@example(case=_NO_ENTERED_CELL, tau=0.1, scales=(2, 32))
+@example(case=(np.zeros((5, 6, 2)), np.eye(5, 6, dtype=bool), np.array([[2.0, 2.0]])), tau=0.5, scales=(4, 128))
+def test_batched_cell_stage_equals_per_scale_reference_bitwise(case, tau, scales):
+    """The cells of every scale, summed in one batch over the pixels of the
+    present cells, give the per-scale reference's value (`float.hex`) and
+    gradient bytes, cropped to the window: at a scale where no cell enters,
+    at a scale coarser than the window, for ring pixels off every present
+    cell (the sentinel) and for a layout built with a free mask. The layout
+    lists each scale's present-cell pixels row-major, scale after scale."""
+    arr, free, points = case
+    h, w = arr.shape[:2]
+    boundary, hp = PointSet(points), Hyperparams(scales=scales)
+    layout = bnd.soft_layout(boundary, hp, h, w, free)
+    rows, cols = layout.window
+    value, backward = bnd.soft_boundary_constraint(FlowMap(arr[rows, cols]), boundary, hp, tau, window=layout)
+    ref_value, ref_backward = per_slot_soft_boundary(FlowMap(arr), boundary, hp, tau)
+    assert float(value).hex() == float(ref_value).hex()
+    assert backward().tobytes() == ref_backward()[rows, cols].tobytes()
+
+    assert layout.bounds[0] == 1 and layout.tx[0] == layout.ty[0] == 0.0
+    starts = np.searchsorted(layout.cell, layout.bounds[1:-1], side="left")
+    for lo, hi, at, cells in zip(layout.bounds, layout.bounds[1:], np.split(layout.at, starts),
+                                 np.split(layout.cell, starts)):
+        assert (np.diff(at) > 0).all() and ((cells >= lo) & (cells < hi)).all()
+        assert set(cells.tolist()) == set(range(lo, hi))  # every present cell holds a pixel
+    assert (layout.x == cols.start + layout.at % (cols.stop - cols.start)).all()
+    assert (layout.y == rows.start + layout.at // (cols.stop - cols.start)).all()
+
+
+def test_cell_stage_cases_reach_their_paths(monkeypatch):
+    """The explicit examples above reach the paths they are named for: a
+    scale with no entered cell beside one with, and a scale coarser than a
+    window whose ring has pixels off every present cell."""
+    seen = []
+
+    def spy(*args, real=bnd._soft_centroids):
+        seen.append(real(*args)[0])
+        return real(*args)
+
+    monkeypatch.setattr(bnd, "_soft_centroids", spy)
+    arr, free, points = _NO_ENTERED_CELL
+    bnd.soft_boundary_constraint(FlowMap(arr), PointSet(points), Hyperparams(scales=(2, 32)), 0.1)
+    assert seen[-1][0] is None and seen[-1][1] is not None
+    layout = bnd.soft_layout(PointSet(np.array([[2.0, 2.0]])), Hyperparams(scales=(4, 128)), 5, 6,
+                             np.eye(5, 6, dtype=bool))
+    rows, cols = layout.window
+    assert 128 > max(rows.stop - rows.start, cols.stop - cols.start)
+    assert (layout.ring_cells[0] == 0).any()
 
 
 def test_soft_gradient_at_a_subnormal_norm_is_finite():

@@ -415,6 +415,8 @@ _TAU_RANGE_MESSAGE = "$ invalid (each tau_schedule entry must lie in [1e-100, 1e
 @pytest.mark.parametrize("build, arg, code, message", [
     (_chamfer_argv, "8,,16", 1, "--scales must be comma-separated integers"),
     (_chamfer_argv, "8,x", 1, "--scales must be comma-separated integers"),
+    pytest.param(_chamfer_argv, "8,16,8", 1, "patch scales must not repeat an entry, got [8, 16, 8]",
+                 id="repeated-scale"),
     pytest.param(_solve_argv, {"tau_schedule": 5}, 2, "opts.json: $ invalid (tau_schedule must be a list of numbers)",
                  id="_solve_argv-arg2-2-opts.json"),
     pytest.param(_solve_argv, {"tau_schedule": ["fast"]}, 2,

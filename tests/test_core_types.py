@@ -21,6 +21,8 @@ from wlflow.core import (
     validate_pairing,
 )
 from wlflow.errors import DimensionMismatch, ValidationError
+from wlflow.flows import Priors
+from wlflow.skeleton import AlignTransform, SkeletonMap, SkeletonOffsets, interpolate_skeleton
 
 
 def test_validate_pairing_matching_shapes():
@@ -232,6 +234,8 @@ def test_hyperparams_defaults():
     {"alpha": True},
     {"scales": (8, float("inf"))},
     {"scales": (float("nan"),)},
+    {"scales": (8, 8)},
+    {"scales": (8, 16, 8.0)},
 ])
 def test_hyperparams_invariants(kwargs):
     with pytest.raises(ValidationError):
@@ -313,3 +317,69 @@ def test_armijo_writes_neither_its_start_point_nor_its_gradient():
     assert len(seen) == 3 and stop == "budget" and out is seen[-1][0]
     assert all(it.tobytes() == saved for it, saved in seen)
     assert seen[0][1] == (x - 0.125 * grad).tobytes()
+
+
+def _person(rng):
+    return np.column_stack([rng.uniform(0.0, 30.0, (17, 2)), rng.uniform(0.0, 1.0, 17)])
+
+
+_OWNER_LABELS = np.array([[0, 1, 1, 0], [0, 1, 2, 2], [0, 0, 2, 0]], dtype=np.int32)
+
+
+def _owner_priors(matches):
+    offsets = SkeletonOffsets(np.zeros((5, 2)))
+    return Priors(matches, offsets, PointSet(np.zeros((0, 2))), SubjectMask(_OWNER_LABELS))
+
+
+# Per public constructor: a valid input array of its kind from a generator,
+# and the array that the built object keeps of it.
+_OWNERS = {
+    "FlowMap": (lambda rng: rng.normal(0.0, 2.0, (3, 4, 2)), lambda a: FlowMap(a).vectors),
+    "PointSet": (lambda rng: rng.uniform(0.0, 9.0, (5, 2)), lambda a: PointSet(a).points),
+    "KeypointFrame": (_person, lambda a: KeypointFrame((a,)).persons[0]),
+    "SkeletonMap": (_person, lambda a: SkeletonMap(a).points),
+    "SkeletonMap joints": (_person, lambda a: SkeletonMap(np.full((2, 3), 0.5), joints=a).joints),
+    "interpolate_skeleton": (_person, lambda a: interpolate_skeleton(a).joints),
+    "SkeletonOffsets": (lambda rng: rng.normal(0.0, 3.0, (4, 2)), lambda a: SkeletonOffsets(a).vectors),
+    "AlignTransform": (lambda rng: np.array([[1.0, 0.0, rng.normal()], [0.0, 1.0, rng.normal()], [0.0, 0.0, 1.0]]),
+                       lambda a: AlignTransform("translation", a).matrix),
+    "SubjectMask": (lambda rng: _OWNER_LABELS * (rng.random() < 2.0), lambda a: SubjectMask(a).labels),
+    "Priors": (lambda rng: np.where(_OWNER_LABELS > 0, rng.integers(0, 5, _OWNER_LABELS.shape), -1),
+               lambda a: _owner_priors(a).matches),
+}
+
+
+def _flags(arr):
+    return {name: arr.flags[name] for name in ("WRITEABLE", "C_CONTIGUOUS", "F_CONTIGUOUS", "OWNDATA", "ALIGNED")}
+
+
+@settings(max_examples=120)
+@given(owner=st.sampled_from(sorted(_OWNERS)), seed=st.integers(0, 2**32 - 1), writeable=st.booleans(),
+       layout=st.sampled_from(["contiguous", "strided", "fortran", "other-dtype"]))
+def test_no_public_constructor_changes_its_input(owner, seed, writeable, layout):
+    """A public type takes a read-only array as it is and copies a writeable
+    one: the caller's array keeps its bytes and its flags, the object's
+    array is read-only and holds the same values, and a later write to the
+    caller's array does not reach it. A read-only C-contiguous array of the
+    type's dtype is kept without a copy."""
+    make, kept = _OWNERS[owner]
+    arr = make(np.random.default_rng(seed))
+    if layout == "strided":
+        arr = np.repeat(arr, 2, axis=0)[::2]
+    elif layout == "fortran":
+        arr = np.asfortranarray(arr)
+    elif layout == "other-dtype":
+        arr = arr.astype(np.float32 if arr.dtype.kind == "f" else np.int16)
+    arr.setflags(write=writeable)
+    before, flags = arr.tobytes(), _flags(arr)
+    stored = kept(arr)
+    assert arr.tobytes() == before and _flags(arr) == flags
+    assert not stored.flags.writeable and stored.flags.c_contiguous
+    assert np.array_equal(stored, arr)
+    if writeable:
+        assert not np.shares_memory(stored, arr)
+        snapshot = stored.copy()
+        arr[...] = 0
+        assert np.array_equal(stored, snapshot)
+    elif layout == "contiguous" and owner != "SubjectMask":  # a mask always casts its labels to a fresh int32 plane
+        assert stored is arr

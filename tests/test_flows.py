@@ -1,4 +1,5 @@
 import tracemalloc
+import dataclasses
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
@@ -849,9 +850,9 @@ def test_soft_term_runs_on_the_boundary_window_when_the_box_is_the_whole_raster(
 @given(seed=st.one_of(st.none(), st.integers(0, 40)), tau=st.sampled_from([0.5, 0.1, 0.02]),
        scales=st.sampled_from([(8, 16, 32), (5, 12), (64,)]), data=st.data())
 def test_constraint_terms_on_a_window_equal_the_whole_raster(seed, tau, scales, data):
-    """Called with a window that holds the solve box of a zero init (the
-    skeleton term) or with its layout (the soft boundary term, on the
-    boundary-cell window inside it), each surrogate term returns the whole
+    """Called with a window that holds the solve box of a zero init or that
+    window's layout (the skeleton term), or with its layout (the soft
+    boundary term, on the boundary-cell window inside it), each surrogate term returns the whole
     raster's value bitwise and the whole raster's gradient cropped to its
     window bitwise, for any flow on the window, and that whole-raster
     gradient is +0 outside the window."""
@@ -871,8 +872,10 @@ def test_constraint_terms_on_a_window_equal_the_whole_raster(seed, tau, scales, 
     outside = np.ones((h, w), dtype=bool)
     outside[window] = False
     layout = bnd.soft_layout(priors.boundary, hp, h, w)
+    matched = kin.skeleton_layout(priors.offsets, priors.matches, priors.mask, window)
     skeleton_args = (priors.offsets, priors.matches, priors.mask, hp, tau)
     for term, args, crop, at in ((kin.smooth_skeleton_constraint, skeleton_args, window, window),
+                                 (kin.smooth_skeleton_constraint, skeleton_args, window, matched),
                                  (bnd.soft_boundary_constraint, (priors.boundary, hp, tau), layout.window, layout)):
         value, gradient = term(FlowMap(arr), *args)
         box_value, box_gradient = term(FlowMap(arr[crop]), *args, window=at)
@@ -884,9 +887,56 @@ def test_constraint_terms_on_a_window_equal_the_whole_raster(seed, tau, scales, 
 
 def test_skeleton_term_refuses_a_flow_that_does_not_fill_its_window(small_priors, hp):
     p = small_priors
-    with pytest.raises(DimensionMismatch, match="does not fill its window"):
-        kin.smooth_skeleton_constraint(FlowMap.zeros(5, 4), p.offsets, p.matches, p.mask, hp, 0.1,
-                                       window=(slice(0, 4), slice(2, 6)))
+    window = (slice(0, 4), slice(2, 6))
+    for at in (window, kin.skeleton_layout(p.offsets, p.matches, p.mask, window)):
+        with pytest.raises(DimensionMismatch, match="does not fill its window"):
+            kin.smooth_skeleton_constraint(FlowMap.zeros(5, 4), p.offsets, p.matches, p.mask, hp, 0.1, window=at)
+
+
+def test_skeleton_term_refuses_a_layout_of_other_priors(small_priors, hp):
+    """A `SkeletonLayout` serves the offsets, match table and mask objects it
+    was built from, and no others, equal ones included."""
+    p = small_priors
+    layout = kin.skeleton_layout(p.offsets, p.matches, p.mask)
+    flow = FlowMap.zeros(p.mask.width, p.mask.height)
+    for args in ((skel.SkeletonOffsets(p.offsets.vectors), p.matches, p.mask),
+                 (p.offsets, p.matches.copy(), p.mask), (p.offsets, p.matches, SubjectMask(p.mask.labels))):
+        with pytest.raises(ValidationError, match="skeleton layout was built from other"):
+            kin.smooth_skeleton_constraint(flow, *args, hp, 0.1, window=layout)
+
+
+def _arrays(obj):
+    """Every numpy array among the fields of a layout, its plan's and its priors' included."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+
+
+def test_a_solve_does_its_per_solve_work_once(small_truth, small_priors, hp, monkeypatch):
+    """A 30-iteration solve (64 evaluations) checks its match table once for
+    its skeleton layout and once for its hard objective, not once per
+    evaluation, and every array of the layouts it builds is read-only."""
+    checks, layouts = [], []
+    for module, name, seen in ((kin, "_check_matches", checks), (kin, "skeleton_layout", layouts),
+                               (bnd, "soft_layout", layouts)):
+        def spy(*args, real=getattr(module, name), seen=seen):
+            seen.append(real(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(module, name, spy)
+    zero = FlowMap.zeros(small_truth.mask_t.width, small_truth.mask_t.height)
+    res = flows.solve_world_flow(zero, small_priors, hp, flows.SolverOptions(max_iters=30))
+    assert len(res.trace) == 30
+    assert len(checks) == 2
+    # the solve's two layouts, then the hard skeleton term's own
+    assert [type(layout) for layout in layouts] == [bnd.SoftLayout, kin.SkeletonLayout, kin.SkeletonLayout]
+    arrays = list(_arrays(layouts))
+    assert len(arrays) > 10 and not any(arr.flags.writeable for arr in arrays)
 
 
 def test_sparse_solve_peaks_under_one_and_a_half_flows(hp):

@@ -255,7 +255,7 @@ _HYPERPARAMS = st.builds(
     theta_il=st.floats(0.01, 10.0), band=st.floats(0.01, 10.0), alpha=_POSITIVE, beta=_POSITIVE,
     theta_a=st.floats(0.0, 90.0, exclude_min=True, exclude_max=True), edge_theta_i=_POSITIVE,
     edge_theta_a=st.floats(0.0, 180.0, exclude_min=True),
-    scales=st.lists(st.integers(2, 64), min_size=1, max_size=4).map(tuple),
+    scales=st.lists(st.integers(2, 64), min_size=1, max_size=4, unique=True).map(tuple),
 )
 _SOLVER_OPTIONS = st.builds(
     flows.SolverOptions, max_iters=st.integers(1, 10 ** 6),

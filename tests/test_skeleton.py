@@ -310,7 +310,7 @@ def test_skeleton_maps_take_every_confidence_in_0_1_and_no_other(seed, confs, da
     skeletons = {1: skel.SkeletonMap(pts)}
     mask = SubjectMask(labels)
     assert skel.match_all(skeletons, mask).tobytes() == loop_match_all(skeletons, mask).tobytes()
-    bad = pts.copy()  # the map made `pts` read-only
+    bad = pts.copy()
     bad[data.draw(st.integers(0, len(confs) - 1)), 2] = data.draw(_OUTSIDE_CONFIDENCES)
     with pytest.raises(ValidationError, match=r"skeleton map has a confidence outside \[0, 1\]"):
         skel.SkeletonMap(bad)
