@@ -28,6 +28,9 @@ from .core import (
     _angle_gate,
     _check_count,
     _check_number,
+    _check_scale,
+    _check_scales,
+    _check_tau,
     _finite_number,
     _plane_box,
     _readonly,
@@ -319,23 +322,13 @@ def _check_pixel_count(width: int, height: int) -> None:
         raise ValidationError(f"raster width x height must be at most {MAX_PIXELS} pixels (4096x4096)")
 
 
-def _patch_scale(scale) -> int:
-    """A patch scale as an int; as in `Hyperparams`, a finite integral number >= 2."""
-    _check_number("patch scale", scale)
-    if scale != int(scale):
-        raise ValidationError(f"patch scale must be an integer, got {scale}")
-    if scale < 2:
-        raise ValidationError("patch scale must be >= 2")
-    return int(scale)
-
-
 def build_patch_grid(s: PointSet, e: PointSet, scale: int, width: int, height: int) -> PatchGrid:
     """Tile the raster into scale-sized cells and bin both curves into them.
 
-    As in `Hyperparams`, the scale is a finite integral number >= 2, and the
+    The scale follows `Hyperparams`' rule (`core._check_scale`), and the
     raster sides are integral numbers >= 1; each is used as an int.
     """
-    scale = _patch_scale(scale)
+    scale = _check_scale("patch scale", scale)
     for side in (width, height):
         integral = isinstance(side, Integral) or _finite_number(side) and side == int(side)
         if isinstance(side, bool) or not integral:
@@ -375,16 +368,12 @@ def multiscale_patch_distance(
     """Average the per-scale patch-centroid distances.
 
     Each scale's distance is the mean over cells where both curves are
-    present. The scales must be distinct, as in `Hyperparams`: a repeated
-    one raises ValidationError.
+    present. The scales follow `Hyperparams`' rule (`core._check_scales`):
+    at least one, none repeated.
     """
-    scales = [_patch_scale(scale) for scale in scales]
-    if len(set(scales)) < len(scales):
-        raise ValidationError(f"patch scales must not repeat an entry, got {scales}")
     per_scale = tuple(patch_centroid_distance(build_patch_grid(s, e, scale, width, height))
-                      for scale in scales)
-    value = float(np.mean([r.value for r in per_scale])) if per_scale else 0.0
-    return BoundaryResult(value, per_scale)
+                      for scale in _check_scales("patch scales", scales))
+    return BoundaryResult(float(np.mean([r.value for r in per_scale])), per_scale)
 
 
 def _boundary_window(points: np.ndarray, scales, h: int, w: int) -> tuple[slice, slice]:
@@ -669,7 +658,7 @@ def soft_boundary_constraint(
     hp: Hyperparams,
     tau: float,
     *,
-    window: SoftLayout | None = None,
+    layout: SoftLayout | None = None,
 ) -> tuple[float, Callable[[], np.ndarray]]:
     """Differentiable relaxation of the boundary constraint.
 
@@ -685,7 +674,7 @@ def soft_boundary_constraint(
     weights, each pixel's largest weights and the mask of the slots that
     attain them, and the cell sums and per-cell arrays of every scale at
     once: one gather of the pixel weights at the layout's present-cell
-    pixels, three `np.bincount`s over the batched cells and one
+    pixels, one `_cell_sums` over the batched cells and one
     `_soft_centroids`, whose per-scale means are added in scale order. The
     backward pass builds the per-pixel d(value)/dw plane from the same
     per-cell arrays and reads the argmax slots where it is nonzero. Value
@@ -747,17 +736,20 @@ def soft_boundary_constraint(
     fills the window, as it does when every pixel is free, every pair is
     scored, through slices.
 
-    `window`, if given, is the `SoftLayout` that `soft_layout` built from
-    this `boundary` object and `hp.scales` on the raster (another curve or
-    scale set raises ValidationError); `flow` then covers its window alone,
-    and the gradient has `flow`'s shape. A solver builds it once, with the
-    pixels it can move, and passes it at every evaluation. None, the
-    default, builds it here, from the raster of `flow`, with every pixel
-    free, and the gradient has the raster's shape.
+    `tau` follows the solver's rule (`core._check_tau`): a finite number,
+    not a bool, in `TAU_RANGE`; anything else raises ValidationError.
+
+    `layout`, if given, is a `SoftLayout` that `soft_layout` built from this
+    `boundary` object and `hp.scales` on the raster; anything else, another
+    term's layout or one of another curve or scale set included, raises
+    ValidationError. `flow` then covers its window alone, and the gradient
+    has `flow`'s shape. A solver builds it once, with the pixels it can
+    move, and passes it at every evaluation. None, the default, builds it
+    here, from the raster of `flow`, with every pixel free, and the gradient
+    has the raster's shape.
     """
-    if tau <= 0:
-        raise ValidationError("tau must be positive")
-    if window is None:
+    tau = _check_tau("tau", tau)
+    if layout is None:
         layout = soft_layout(boundary, hp, flow.height, flow.width)
         rows, cols = layout.window
         value, backward = _soft_boundary(flow.vectors[rows, cols], layout, hp, tau)
@@ -768,13 +760,15 @@ def soft_boundary_constraint(
             return grad
 
         return value, pasted
-    if window.boundary is not boundary or window.scales != hp.scales:
+    if not isinstance(layout, SoftLayout):
+        raise ValidationError(f"layout must be a SoftLayout or None, got {type(layout).__name__}")
+    if layout.boundary is not boundary or layout.scales != hp.scales:
         raise ValidationError("the soft layout was built from another boundary or scale set")
-    rows, cols = window.window
+    rows, cols = layout.window
     if flow.vectors.shape[:2] != (rows.stop - rows.start, cols.stop - cols.start):
         raise DimensionMismatch(f"flow of {flow.width}x{flow.height} does not fill the "
                                 f"{cols.stop - cols.start}x{rows.stop - rows.start} boundary-cell window")
-    return _soft_boundary(flow.vectors, window, hp, tau)
+    return _soft_boundary(flow.vectors, layout, hp, tau)
 
 
 def _dvdw_plane(scored, per_cell, ys, xs, n_scales: int, shape) -> np.ndarray:
@@ -874,9 +868,7 @@ def _soft_boundary(m: np.ndarray, layout: SoftLayout, hp: Hyperparams, tau: floa
     w[plan.ring] = 1.0 - (1.0 - wi) * (1.0 - wa)
 
     # Per batched cell, the sums of w, w x and w y over the pixels of the present cells.
-    w = w[layout.at]
-    n_cells = layout.tx.size
-    sums = (np.bincount(layout.cell, weights, n_cells) for weights in (w, w * layout.x, w * layout.y))
+    sums = _cell_sums(layout.cell, layout.x, layout.y, layout.tx.size, w[layout.at])
     means, per_cell = _soft_centroids(*sums, layout.tx, layout.ty, layout.bounds, _MASS_FLOOR)
     value = 0.0
     n_scales = len(means)

@@ -129,6 +129,45 @@ def _check_number(name: str, value) -> None:
         raise ValidationError(f"{name} must be a finite number")
 
 
+# The tau values a surrogate term or a solve schedule takes. Within it the surrogates'
+# arithmetic stays finite for flows within the float32 range: (tau + 1e-6)^4 below 1e200
+# and x / tau below 1e139.
+TAU_RANGE = (1e-100, 1e50)
+
+
+def _check_tau(name: str, tau) -> float:
+    """`tau` as a float, refused unless it is a finite real number (not a bool) in `TAU_RANGE`."""
+    _check_number(name, tau)
+    lo, hi = TAU_RANGE
+    if not lo <= tau <= hi:
+        raise ValidationError(f"{name} must lie in [{lo:g}, {hi:g}]")
+    return float(tau)
+
+
+def _check_scale(name: str, scale) -> int:
+    """A patch scale as an int, refused unless it is a finite integral number
+    from 2 to MAX_PIXELS: no raster side is longer, so a larger cell would
+    still be one cell."""
+    _check_number(name, scale)
+    if scale != int(scale):
+        raise ValidationError(f"{name} must be an integer, got {scale}")
+    if not 2 <= scale <= MAX_PIXELS:
+        raise ValidationError(f"{name} must lie in [2, {MAX_PIXELS}]")
+    return int(scale)
+
+
+def _check_scales(name: str, scales) -> tuple[int, ...]:
+    """Patch scales as a tuple of ints, refused unless they are a nonempty
+    list or tuple of distinct `_check_scale` entries: each is one term of a
+    multiscale mean."""
+    if not isinstance(scales, (list, tuple)) or not scales:
+        raise ValidationError(f"{name} must be a nonempty list of integers")
+    checked = tuple(_check_scale(f"each {name} entry", s) for s in scales)
+    if len(set(checked)) < len(checked):
+        raise ValidationError(f"{name} must not repeat an entry, got {list(checked)}")
+    return checked
+
+
 def _check_count(name: str, value, least: int = 1) -> None:
     """Refuse anything but an integer (not a bool) of at least `least`."""
     if isinstance(value, bool) or not isinstance(value, Integral):
@@ -207,6 +246,16 @@ class Vec2:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.dx, self.dy], dtype=np.float64)
+
+
+def _pair(name: str, v) -> Vec2:
+    """`v`, a pair such as a tuple or a (2,) array, as a `Vec2`, which refuses
+    anything but two finite numbers."""
+    try:
+        x, y = v
+    except (TypeError, ValueError):  # a scalar, or a sequence of another length
+        raise ValidationError(f"{name} must hold 2 finite numbers") from None
+    return Vec2(x, y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,22 +408,7 @@ class Hyperparams:
             raise ValidationError("edge thresholds must be positive")
         if self.edge_theta_a > 180:
             raise ValidationError("edge_theta_a must be at most 180 degrees")
-        if not isinstance(self.scales, (list, tuple)):
-            raise ValidationError("scales must be a list of integers")
-        given = tuple(self.scales)
-        for s in given:
-            _check_number("each scales entry", s)
-        scales = tuple(int(s) for s in given)
-        if scales != given:
-            raise ValidationError(f"scales must be integers, got {list(given)}")
-        if not scales or any(s < 2 for s in scales):
-            raise ValidationError("scales must be nonempty with every entry >= 2")
-        if len(set(scales)) < len(scales):
-            raise ValidationError(f"scales must not repeat an entry, got {list(scales)}")
-        # No raster side exceeds MAX_PIXELS, so a larger cell would still be one cell.
-        if any(s > MAX_PIXELS for s in scales):
-            raise ValidationError(f"each scales entry must be at most {MAX_PIXELS}")
-        object.__setattr__(self, "scales", scales)
+        object.__setattr__(self, "scales", _check_scales("scales", self.scales))
 
 
 def validate_pairing(flow: FlowMap, mask: SubjectMask) -> None:

@@ -21,6 +21,7 @@ from . import boundary as bnd
 from . import kinematics as kin
 from . import skeleton as skel
 from .core import (
+    TAU_RANGE,  # public here too, as `flows.TAU_RANGE`
     FlowMap,
     Hyperparams,
     KeypointFrame,
@@ -32,6 +33,7 @@ from .core import (
     _readonly,
     _check_count,
     _check_number,
+    _check_tau,
     _plane_box,
     armijo_descent,
     validate_pairing,
@@ -58,11 +60,6 @@ class ObjectiveBreakdown:
         return self.g_result.value
 
 
-# The tau values a schedule may hold. Within it the surrogates' arithmetic stays
-# finite for flows within the float32 range: (tau + 1e-6)^4 below 1e200 and
-# x / tau below 1e139.
-TAU_RANGE = (1e-100, 1e50)
-
 # The largest init entry a solve takes: the float32 range, which TAU_RANGE assumes and a .flo file holds.
 _MAX_INIT = float(np.finfo(np.float32).max)
 
@@ -71,7 +68,8 @@ _MAX_INIT = float(np.finfo(np.float32).max)
 class SolverOptions:
     """Budget, annealing schedule and regularizer weights of `solve_world_flow`.
 
-    Every `tau_schedule` entry must be a finite number in `TAU_RANGE`.
+    Every `tau_schedule` entry follows the surrogate terms' tau rule
+    (`core._check_tau`): a finite number, not a bool, in `TAU_RANGE`.
     """
 
     max_iters: int = 500
@@ -89,14 +87,9 @@ class SolverOptions:
             raise ValidationError("smoothness_weight must be >= 0")
         if not isinstance(self.tau_schedule, (list, tuple)):
             raise ValidationError("tau_schedule must be a list of numbers")
-        for t in self.tau_schedule:
-            _check_number("each tau_schedule entry", t)
-        schedule = tuple(float(t) for t in self.tau_schedule)
+        schedule = tuple(_check_tau("each tau_schedule entry", t) for t in self.tau_schedule)
         if not schedule:
             raise ValidationError("tau_schedule must be nonempty")
-        lo, hi = TAU_RANGE
-        if any(not lo <= t <= hi for t in schedule):
-            raise ValidationError(f"each tau_schedule entry must lie in [{lo:g}, {hi:g}]")
         object.__setattr__(self, "tau_schedule", schedule)
 
 
@@ -233,8 +226,10 @@ def _solve_terms(init: np.ndarray, priors: Priors, hp: Hyperparams, opts: Solver
     term's layout, which is told the free pixels so that it scores only the
     neighbor pairs that touch one, the skeleton term's layout on the box
     (its checked match table, matched pixels and their offsets) and
-    smoothness's label masks are built here, once per solve; the constraint
-    terms are looked up in their modules at each call. Raises as the soft
+    smoothness's label masks are built here, once per solve. The constraint
+    terms are looked up in their modules at each call and take their layouts
+    as their `layout` keyword; each checks the tau it is given by the rule
+    that `SolverOptions` applies to the schedule. Raises as the soft
     boundary term does on an empty boundary or one off the raster.
     """
     h, w = priors.mask.labels.shape
@@ -254,10 +249,10 @@ def _solve_terms(init: np.ndarray, priors: Priors, hp: Hyperparams, opts: Solver
 
     def skeleton(arr, tau):
         return kin.smooth_skeleton_constraint(FlowMap(arr), priors.offsets, priors.matches, priors.mask, hp,
-                                              tau, window=matched)
+                                              tau, layout=matched)
 
     def soft_boundary(arr, tau):
-        return bnd.soft_boundary_constraint(FlowMap(arr), priors.boundary, hp, tau, window=soft)
+        return bnd.soft_boundary_constraint(FlowMap(arr), priors.boundary, hp, tau, layout=soft)
 
     def smoothness(arr, tau):
         """Squared forward differences of the flow on the active box, summed

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_VEC, FlowMap, Hyperparams, SubjectMask, _dcos, _soft_angle, validate_pairing
+from .core import EPS_VEC, FlowMap, Hyperparams, SubjectMask, _check_tau, _dcos, _pair, _soft_angle, validate_pairing
 from .errors import DimensionMismatch, ValidationError
 from .skeleton import SkeletonOffsets
 
@@ -34,18 +34,19 @@ def angular_term(u, k, theta_a: float) -> float:
 
     Both below EPS_VEC counts as jointly static (0); exactly one below
     EPS_VEC is motion without skeletal support, or vice versa (1). This is
-    `skeleton_constraint`'s per-pixel term for one pair.
+    `skeleton_constraint`'s per-pixel term for one pair. u and k are pairs
+    of finite numbers (`core._pair`; ValidationError otherwise).
     """
-    hp = Hyperparams(theta_a=theta_a)
-    fa, _ = _terms(np.array([u], dtype=np.float64), np.array([k], dtype=np.float64), hp)
+    fa, _ = _terms(_pair("u", u).as_array()[None], _pair("k", k).as_array()[None], Hyperparams(theta_a=theta_a))
     return float(fa[0])
 
 
 def intensity_term(u, k, theta_il: float, theta_ih: float) -> float:
     """ReLU[(|u| - theta_il |k|)(|u| - theta_ih |k|)]; zero inside the band.
-    This is `skeleton_constraint`'s per-pixel term for one pair."""
+    This is `skeleton_constraint`'s per-pixel term for one pair, on pairs
+    of finite numbers as `angular_term` takes them."""
     hp = Hyperparams(theta_il=theta_il, theta_ih=theta_ih)
-    _, fi = _terms(np.array([u], dtype=np.float64), np.array([k], dtype=np.float64), hp)
+    _, fi = _terms(_pair("u", u).as_array()[None], _pair("k", k).as_array()[None], hp)
     return float(fi[0])
 
 
@@ -71,8 +72,9 @@ class SkeletonLayout:
 def skeleton_layout(offsets: SkeletonOffsets, matches: np.ndarray, mask: SubjectMask,
                     window: tuple[slice, slice] | None = None) -> SkeletonLayout:
     """The `SkeletonLayout` of a flow that covers the `window` of the mask's
-    raster, or all of it when `window` is None. Refuses the match table as
-    `_check_matches` does, reading the part inside the window alone."""
+    raster, or all of it when `window` is None, which the skeleton term
+    takes as its `layout`. Refuses the match table as `_check_matches`
+    does, reading the part inside the window alone."""
     table = _check_matches(matches, offsets, mask, window).ravel()
     at = np.flatnonzero(table >= 0)
     k = offsets.vectors[table[at]]
@@ -85,24 +87,23 @@ def skeleton_layout(offsets: SkeletonOffsets, matches: np.ndarray, mask: Subject
 
 
 def _matched_flow(flow: FlowMap, offsets: SkeletonOffsets, matches: np.ndarray, mask: SubjectMask,
-                  window: tuple[slice, slice] | SkeletonLayout | None) -> tuple[SkeletonLayout, np.ndarray]:
-    """The `SkeletonLayout` of `window` (built here unless it is one) and
-    the flow vectors `u` (n, 2) of `flow` at its matched pixels. Refuses a
-    layout built from other priors (ValidationError) and a flow that does
-    not fill its window (DimensionMismatch)."""
-    layout = window if isinstance(window, SkeletonLayout) else None
-    if layout is not None:
-        if layout.offsets is not offsets or layout.matches is not matches or layout.mask is not mask:
-            raise ValidationError("the skeleton layout was built from other offsets, matches or mask")
-        window = layout.window
-    if window is None:
+                  layout: SkeletonLayout | None) -> tuple[SkeletonLayout, np.ndarray]:
+    """`layout`, or the whole raster's `SkeletonLayout` when it is None, and
+    the flow vectors `u` (n, 2) of `flow` at its matched pixels. Refuses
+    anything else than a `SkeletonLayout` built from these priors
+    (ValidationError) and a flow that does not fill the layout's window
+    (DimensionMismatch)."""
+    if layout is None:
         validate_pairing(flow, mask)
-    elif mask.labels[window].shape != flow.vectors.shape[:2]:
+        layout = skeleton_layout(offsets, matches, mask)
+    elif not isinstance(layout, SkeletonLayout):
+        raise ValidationError(f"layout must be a SkeletonLayout or None, got {type(layout).__name__}")
+    elif layout.offsets is not offsets or layout.matches is not matches or layout.mask is not mask:
+        raise ValidationError("the skeleton layout was built from other offsets, matches or mask")
+    elif mask.labels[layout.window or ...].shape != flow.vectors.shape[:2]:
         raise DimensionMismatch(
             f"flow {flow.width}x{flow.height} does not fill its window of the {mask.width}x{mask.height} mask"
         )
-    if layout is None:
-        layout = skeleton_layout(offsets, matches, mask, window)
     return layout, flow.vectors.reshape(-1, 2)[layout.at]
 
 
@@ -178,7 +179,7 @@ def smooth_skeleton_constraint(
     hp: Hyperparams,
     tau: float,
     *,
-    window: tuple[slice, slice] | SkeletonLayout | None = None,
+    layout: SkeletonLayout | None = None,
 ) -> tuple[float, Callable[[], np.ndarray]]:
     """Differentiable surrogate of the constraint and a callable giving its
     flow gradient.
@@ -192,26 +193,27 @@ def smooth_skeleton_constraint(
     backward pass does, so a caller that needs the value alone never
     allocates it.
 
-    `window` gives the rows and columns of the mask's raster that `flow`
-    covers; None, the default, means the whole raster. With a window the
-    gradient has `flow`'s shape, the normalizer is still the pixel count of
-    the whole raster, and pixels outside the window count as unmatched: if
-    the window holds every matched pixel, as the solver's solve box does,
-    value and gradient are bitwise the whole raster's, cropped. The match
-    table is refused as the hard term and `Priors` refuse it, but for its
-    entries outside the window, which are not read.
+    `tau` follows the solver's rule (`core._check_tau`): a finite number,
+    not a bool, in `TAU_RANGE`; anything else raises ValidationError.
 
     What depends on the priors alone (the match check, the matched pixels
     and their offsets with the offsets' norms) is a `SkeletonLayout`.
-    `window` may be one, built by `skeleton_layout` from these `offsets`,
-    `matches` and `mask` objects (others raise ValidationError) for the
-    window `flow` covers: a solver builds it once and passes it at every
-    evaluation, which then reads only the flow. Otherwise the layout is
-    built here, at each call.
+    `layout`, if given, is one that `skeleton_layout` built from these
+    `offsets`, `matches` and `mask` objects; anything else, another term's
+    layout or a layout of other priors included, raises ValidationError.
+    `flow` then covers the layout's window of the mask's raster, and the
+    gradient has `flow`'s shape; the normalizer is still the pixel count of
+    the whole raster, and pixels outside the window count as unmatched. If
+    the window holds every matched pixel, as the solver's solve box does,
+    value and gradient are bitwise the whole raster's, cropped. The match
+    table is refused as the hard term and `Priors` refuse it, but for its
+    entries outside the window, which are not read. A solver builds the
+    layout once and passes it at every evaluation, which then reads only the
+    flow. None, the default, builds the whole raster's layout here, at each
+    call.
     """
-    if tau <= 0:
-        raise ValidationError("tau must be positive")
-    layout, u = _matched_flow(flow, offsets, matches, mask, window)
+    tau = _check_tau("tau", tau)
+    layout, u = _matched_flow(flow, offsets, matches, mask, layout)
     total = mask.height * mask.width
     shape = flow.vectors.shape
     if len(u) == 0:

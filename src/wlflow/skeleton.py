@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import EPS_CONF, KeypointFrame, SubjectMask, _check_confidences, _check_person, _owned, _readonly
+from .core import EPS_CONF, KeypointFrame, SubjectMask, _check_confidences, _check_person, _owned, _pair, _readonly
 from .errors import (
     DegenerateConfiguration,
     DimensionMismatch,
@@ -181,10 +181,12 @@ def skeleton_offsets(k_t: SkeletonMap, k_t1: SkeletonMap) -> SkeletonOffsets:
 def match_body_point(p, skeleton: SkeletonMap, mask: SubjectMask) -> int:
     """Index of the skeleton point minimizing ||p - q|| / max(c_q, EPS_CONF).
 
-    `p` must lie on a subject; the skeleton is assumed pre-filtered to that
-    subject. Ties break toward the lowest index.
+    `p`, its (x, y), is a pair of finite numbers (`core._pair`) and must
+    lie on a subject; the skeleton is assumed pre-filtered to that subject.
+    Ties break toward the lowest index.
     """
-    x, y = float(p[0]), float(p[1])
+    point = _pair("point", p)
+    x, y = point.dx, point.dy
     ix, iy = int(round(x)), int(round(y))
     if not (0 <= iy < mask.height and 0 <= ix < mask.width) or mask.labels[iy, ix] == 0:
         raise ValidationError(f"point ({x}, {y}) is not on a subject")

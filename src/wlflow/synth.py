@@ -380,7 +380,9 @@ def single_figure_scene(
 
 
 def random_scene(seed: int, width: int = 96, height: int = 96, length_scale: float = 1.0) -> SceneSpec:
-    """Randomized single-figure scene with modest articulation, reproducible by seed."""
+    """Randomized single-figure scene with modest articulation, reproducible
+    by seed, an integer >= 0 as `SceneSpec` takes it."""
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     translation = rng.uniform(-3.5, 3.5, size=2)
     angles_t1 = {}

@@ -292,19 +292,20 @@ def test_patch_grid_pixel_cap():
 
 
 @pytest.mark.parametrize("scale, width, height, message", [
-    pytest.param(8.5, 32, 32, "patch scale must be an integer", id="fractional-scale"),
-    pytest.param("8", 32, 32, "patch scale must be a finite number", id="string-scale"),
-    pytest.param(float("nan"), 32, 32, "patch scale must be a finite number", id="nan-scale"),
-    pytest.param(1, 32, 32, "patch scale must be >= 2", id="scale-1"),
+    pytest.param(8.5, 32, 32, "must be an integer, got 8.5", id="fractional-scale"),
+    pytest.param("8", 32, 32, "must be a finite number", id="string-scale"),
+    pytest.param(float("nan"), 32, 32, "must be a finite number", id="nan-scale"),
+    pytest.param(1, 32, 32, r"must lie in \[2, 16777216\]", id="scale-1"),
+    pytest.param(2**24 + 1, 32, 32, r"must lie in \[2, 16777216\]", id="scale-2-24-plus-1"),
     pytest.param(8, 10.5, 32, "raster dimensions must be integers", id="fractional-width"),
     pytest.param(8, float("nan"), 32, "raster dimensions must be integers", id="nan-width"),
     pytest.param(8, 32, True, "raster dimensions must be integers", id="bool-height"),
     pytest.param(8, 0, 32, "raster dimensions must be positive", id="zero-width"),
 ])
 def test_patch_scale_and_sides_follow_one_rule(scale, width, height, message):
-    """A scale is a finite integral number >= 2 and a raster side an
-    integral number >= 1, for the grid and the multiscale distance alike;
-    anything else is refused, not rounded."""
+    """A scale is a finite integral number in [2, 2^24], as `Hyperparams`
+    takes it, and a raster side an integral number >= 1, for the grid and
+    the multiscale distance alike; anything else is refused, not rounded."""
     s = PointSet(np.array([[3.0, 4.0]]))
     with pytest.raises(ValidationError, match=message):
         bnd.build_patch_grid(s, s, scale, width, height)
@@ -322,6 +323,17 @@ def test_multiscale_distance_refuses_a_repeated_scale(scales):
         bnd.multiscale_patch_distance(s, s, scales, 32, 32)
     with pytest.raises(ValidationError, match="must not repeat"):
         Hyperparams(scales=scales)
+
+
+def test_multiscale_distance_refuses_no_scales():
+    """A mean over no scales is not a distance: an empty scale set is
+    refused, as `Hyperparams` refuses it, not scored 0."""
+    s = PointSet(np.array([[3.0, 4.0]]))
+    for scales in ((), []):
+        with pytest.raises(ValidationError, match="patch scales must be a nonempty list of integers"):
+            bnd.multiscale_patch_distance(s, s, scales, 32, 32)
+        with pytest.raises(ValidationError, match="scales must be a nonempty list of integers"):
+            Hyperparams(scales=scales)
 
 
 def test_patch_grid_takes_integral_floats_as_ints():
@@ -689,7 +701,7 @@ def test_one_soft_layout_serves_every_evaluation(data, h, w, seed, scales, offse
         flow = FlowMap(arr)
         for tau in (0.5, 0.1, 0.02):
             value, backward = bnd.soft_boundary_constraint(FlowMap(arr[rows, cols]), boundary, hp, tau,
-                                                           window=layout)
+                                                           layout=layout)
             fresh_value, fresh_backward = bnd.soft_boundary_constraint(flow, boundary, hp, tau)
             ref_value, ref_backward = per_slot_soft_boundary(flow, boundary, hp, tau)
             assert float(value).hex() == float(fresh_value).hex() == float(ref_value).hex()
@@ -763,7 +775,7 @@ def test_planned_soft_boundary_equals_per_slot_loop_bitwise(case, tau, scales, p
         ring |= padded[dy:dy + wh, dx:dx + ww]
     assert all(isinstance(i, tuple) == ring.all() for i, *_ in layout.plan.pairs)
     window_flow = arr[rows, cols]
-    value, backward = bnd.soft_boundary_constraint(FlowMap(window_flow), boundary, hp, tau, window=layout)
+    value, backward = bnd.soft_boundary_constraint(FlowMap(window_flow), boundary, hp, tau, layout=layout)
     ref_value, ref_backward = per_slot_soft_boundary(flow, boundary, hp, tau)
     assert float(value).hex() == float(ref_value).hex()
     assert backward().tobytes() == ref_backward()[rows, cols].tobytes()
@@ -775,7 +787,7 @@ def test_planned_soft_boundary_equals_per_slot_loop_bitwise(case, tau, scales, p
         moved = window_flow.copy()
         moved[y, x, channel] = moved_to
         with pytest.raises(ValidationError, match="pins"):
-            bnd.soft_boundary_constraint(FlowMap(moved), boundary, hp, tau, window=layout)
+            bnd.soft_boundary_constraint(FlowMap(moved), boundary, hp, tau, layout=layout)
 
 
 def test_soft_layout_refuses_a_free_mask_of_another_shape(hp):
@@ -826,7 +838,7 @@ def test_batched_cell_stage_equals_per_scale_reference_bitwise(case, tau, scales
     boundary, hp = PointSet(points), Hyperparams(scales=scales)
     layout = bnd.soft_layout(boundary, hp, h, w, free)
     rows, cols = layout.window
-    value, backward = bnd.soft_boundary_constraint(FlowMap(arr[rows, cols]), boundary, hp, tau, window=layout)
+    value, backward = bnd.soft_boundary_constraint(FlowMap(arr[rows, cols]), boundary, hp, tau, layout=layout)
     ref_value, ref_backward = per_slot_soft_boundary(FlowMap(arr), boundary, hp, tau)
     assert float(value).hex() == float(ref_value).hex()
     assert backward().tobytes() == ref_backward()[rows, cols].tobytes()
@@ -893,7 +905,7 @@ def test_value_only_soft_call_builds_no_dvdw_plane(monkeypatch, hp):
     monkeypatch.setattr(bnd, "_dvdw_plane", spy)
     layout = bnd.soft_layout(truth.boundary_t, hp, flow.height, flow.width)
     value, backward = bnd.soft_boundary_constraint(FlowMap(flow.vectors[layout.window]), truth.boundary_t, hp,
-                                                   0.1, window=layout)
+                                                   0.1, layout=layout)
     assert value > 0 and calls == []
     grad = backward()
     assert len(calls) == 1 and np.abs(grad).max() > 0
@@ -1086,7 +1098,7 @@ def test_boundary_outside_raster_raises(hp, point):
     for flow in (FlowMap.zeros(4, 3), FlowMap(np.arange(24.0).reshape(3, 4, 2))):
         with pytest.raises(ValidationError, match="curve e has points outside the 4x3 raster"):
             bnd.boundary_constraint(flow, outside, hp)
-    # the layout a solver passes as `window` checks its boundary when it is built,
+    # the layout a solver passes as `layout` checks its boundary when it is built,
     # and each call checks that the flow fills the layout's window
     with pytest.raises(ValidationError, match="curve e has points outside the 4x3 raster"):
         bnd.soft_layout(outside, hp, 3, 4)
@@ -1096,14 +1108,14 @@ def test_boundary_outside_raster_raises(hp, point):
     layout = bnd.soft_layout(inside, at_2, 30, 40)
     assert layout.window == (slice(0, 3), slice(0, 5))
     with pytest.raises(DimensionMismatch, match="does not fill the 5x3 boundary-cell window"):
-        bnd.soft_boundary_constraint(FlowMap.zeros(5, 4), inside, at_2, 0.1, window=layout)
+        bnd.soft_boundary_constraint(FlowMap.zeros(5, 4), inside, at_2, 0.1, layout=layout)
     # a layout serves only the boundary object and the scales it was built from
     fits = FlowMap.zeros(5, 3)
     for other, other_hp in ((PointSet(inside.points.copy()), at_2), (inside, Hyperparams(scales=(3,))),
                             (inside, Hyperparams(scales=(2, 4)))):
         with pytest.raises(ValidationError, match="built from another boundary or scale set"):
-            bnd.soft_boundary_constraint(fits, other, other_hp, 0.1, window=layout)
-    assert np.isfinite(bnd.soft_boundary_constraint(fits, inside, at_2, 0.1, window=layout)[0])
+            bnd.soft_boundary_constraint(fits, other, other_hp, 0.1, layout=layout)
+    assert np.isfinite(bnd.soft_boundary_constraint(fits, inside, at_2, 0.1, layout=layout)[0])
 
 
 @given(

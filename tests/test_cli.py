@@ -440,14 +440,16 @@ _TAU_RANGE_MESSAGE = "$ invalid (each tau_schedule entry must lie in [1e-100, 1e
                  id="huge-alpha"),
     pytest.param(_config_argv, {"scales": [8, _HUGE]}, 2,
                  "$ invalid (each scales entry must be a finite number)", id="huge-scale"),
-    pytest.param(_config_argv, {"scales": [2.5]}, 2, "$ invalid (scales must be integers",
+    pytest.param(_config_argv, {"scales": [2.5]}, 2, "$ invalid (each scales entry must be an integer, got 2.5)",
                  id="fractional-scale"),
     pytest.param(_config_argv, {"scales": [8, 1e300]}, 2,
-                 "config.json: $ invalid (each scales entry must be at most 16777216)", id="scale-1e300"),
+                 "config.json: $ invalid (each scales entry must lie in [2, 16777216])", id="scale-1e300"),
     pytest.param(_config_argv, {"scales": [2**63]}, 2,
-                 "config.json: $ invalid (each scales entry must be at most 16777216)", id="scale-2-63"),
-    pytest.param(_config_argv, {"scales": 5}, 2, "config.json: $ invalid (scales must be a list of integers)",
-                 id="int-scales"),
+                 "config.json: $ invalid (each scales entry must lie in [2, 16777216])", id="scale-2-63"),
+    pytest.param(_config_argv, {"scales": [2**24 + 1]}, 2,
+                 "config.json: $ invalid (each scales entry must lie in [2, 16777216])", id="scale-2-24-plus-1"),
+    pytest.param(_config_argv, {"scales": 5}, 2,
+                 "config.json: $ invalid (scales must be a nonempty list of integers)", id="int-scales"),
     pytest.param(_synth_argv, '{"width": 1e400}', 2, "spec.json: $ invalid (width must be an integer)",
                  id="synth-inf-width"),
     pytest.param(_synth_argv, '{"subjects": [{"root_t": "ab"}]}', 2,
@@ -511,7 +513,10 @@ _TAU_RANGE_MESSAGE = "$ invalid (each tau_schedule entry must lie in [1e-100, 1e
     pytest.param(_patch_side_argv, ["--height", "0"], 1, "raster dimensions must be positive",
                  id="patch-zero-height"),
     pytest.param(_patch_raster_argv, "0", 1, "raster dimensions must be positive", id="patch-zero-raster"),
-    pytest.param(_chamfer_argv, str(_HUGE), 1, "patch scale must be a finite number", id="patch-huge-scale"),
+    pytest.param(_chamfer_argv, str(_HUGE), 1, "each patch scales entry must be a finite number",
+                 id="patch-huge-scale"),
+    pytest.param(_chamfer_argv, str(2**24 + 1), 1, "each patch scales entry must lie in [2, 16777216]",
+                 id="patch-scale-2-24-plus-1"),
     pytest.param(_points_argv, 1e200, 1, "a nearest distance leaves the float range", id="exact-chamfer-overflow"),
     pytest.param(_empty_mask_argv, ["solve"], 1, "mask contains no subjects", id="solve-empty-mask"),
     pytest.param(_empty_mask_argv, ["eval"], 1, "mask contains no subjects", id="eval-empty-mask"),

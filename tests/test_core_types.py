@@ -253,7 +253,7 @@ def test_hyperparams_scale_cap():
     a larger one, which would still be one cell, is refused."""
     assert Hyperparams(scales=(2**24,)).scales == (2**24,)
     for scale in (2**24 + 1, 2**63, 1e300):
-        with pytest.raises(ValidationError, match="each scales entry must be at most 16777216"):
+        with pytest.raises(ValidationError, match=r"each scales entry must lie in \[2, 16777216\]"):
             Hyperparams(scales=(8, scale))
 
 

@@ -360,9 +360,9 @@ def test_solver_skips_phase_without_budget(small_truth, small_priors, hp, monkey
     calls = Counter()
     soft = flows.bnd.soft_boundary_constraint
 
-    def counting(flow, boundary, hp, tau, **window):
+    def counting(flow, boundary, hp, tau, **layout):
         calls[tau] += 1
-        return soft(flow, boundary, hp, tau, **window)
+        return soft(flow, boundary, hp, tau, **layout)
 
     monkeypatch.setattr(flows.bnd, "soft_boundary_constraint", counting)
     zero = FlowMap.zeros(small_truth.mask_t.width, small_truth.mask_t.height)
@@ -786,10 +786,10 @@ def test_soft_term_scores_the_pairs_that_touch_a_free_pixel(small_truth, small_p
         scored[-1].append(cos.size)
         return real(cos, *args)
 
-    def soft(*args, window, real=bnd.soft_boundary_constraint):
+    def soft(*args, layout, real=bnd.soft_boundary_constraint):
         scored.append([])
-        filled.add(isinstance(window.plan.ring, slice))
-        return real(*args, window=window)
+        filled.add(isinstance(layout.plan.ring, slice))
+        return real(*args, layout=layout)
 
     monkeypatch.setattr(bnd, "_angle_gate", spy)
     monkeypatch.setattr(bnd, "soft_boundary_constraint", soft)
@@ -833,9 +833,9 @@ def test_soft_term_runs_on_the_boundary_window_when_the_box_is_the_whole_raster(
     assert (rows.stop - rows.start) * (cols.stop - cols.start) <= 256 * 256 / 10
     seen = []
 
-    def recording(flow, *args, window=None):
-        seen.append((flow.vectors.shape[:2], window))
-        return soft(flow, *args, window=window)
+    def recording(flow, *args, layout=None):
+        seen.append((flow.vectors.shape[:2], layout))
+        return soft(flow, *args, layout=layout)
 
     soft = bnd.soft_boundary_constraint
     monkeypatch.setattr(bnd, "soft_boundary_constraint", recording)
@@ -850,9 +850,9 @@ def test_soft_term_runs_on_the_boundary_window_when_the_box_is_the_whole_raster(
 @given(seed=st.one_of(st.none(), st.integers(0, 40)), tau=st.sampled_from([0.5, 0.1, 0.02]),
        scales=st.sampled_from([(8, 16, 32), (5, 12), (64,)]), data=st.data())
 def test_constraint_terms_on_a_window_equal_the_whole_raster(seed, tau, scales, data):
-    """Called with a window that holds the solve box of a zero init or that
-    window's layout (the skeleton term), or with its layout (the soft
-    boundary term, on the boundary-cell window inside it), each surrogate term returns the whole
+    """Called with its layout, the skeleton term's on a window that holds
+    the solve box of a zero init and the soft boundary term's on the
+    boundary-cell window inside it, each surrogate term returns the whole
     raster's value bitwise and the whole raster's gradient cropped to its
     window bitwise, for any flow on the window, and that whole-raster
     gradient is +0 outside the window."""
@@ -874,11 +874,10 @@ def test_constraint_terms_on_a_window_equal_the_whole_raster(seed, tau, scales, 
     layout = bnd.soft_layout(priors.boundary, hp, h, w)
     matched = kin.skeleton_layout(priors.offsets, priors.matches, priors.mask, window)
     skeleton_args = (priors.offsets, priors.matches, priors.mask, hp, tau)
-    for term, args, crop, at in ((kin.smooth_skeleton_constraint, skeleton_args, window, window),
-                                 (kin.smooth_skeleton_constraint, skeleton_args, window, matched),
+    for term, args, crop, at in ((kin.smooth_skeleton_constraint, skeleton_args, window, matched),
                                  (bnd.soft_boundary_constraint, (priors.boundary, hp, tau), layout.window, layout)):
         value, gradient = term(FlowMap(arr), *args)
-        box_value, box_gradient = term(FlowMap(arr[crop]), *args, window=at)
+        box_value, box_gradient = term(FlowMap(arr[crop]), *args, layout=at)
         assert float(box_value).hex() == float(value).hex()
         whole = gradient()
         assert box_gradient().tobytes() == whole[crop].tobytes()
@@ -887,10 +886,9 @@ def test_constraint_terms_on_a_window_equal_the_whole_raster(seed, tau, scales, 
 
 def test_skeleton_term_refuses_a_flow_that_does_not_fill_its_window(small_priors, hp):
     p = small_priors
-    window = (slice(0, 4), slice(2, 6))
-    for at in (window, kin.skeleton_layout(p.offsets, p.matches, p.mask, window)):
-        with pytest.raises(DimensionMismatch, match="does not fill its window"):
-            kin.smooth_skeleton_constraint(FlowMap.zeros(5, 4), p.offsets, p.matches, p.mask, hp, 0.1, window=at)
+    layout = kin.skeleton_layout(p.offsets, p.matches, p.mask, (slice(0, 4), slice(2, 6)))
+    with pytest.raises(DimensionMismatch, match="does not fill its window"):
+        kin.smooth_skeleton_constraint(FlowMap.zeros(5, 4), p.offsets, p.matches, p.mask, hp, 0.1, layout=layout)
 
 
 def test_skeleton_term_refuses_a_layout_of_other_priors(small_priors, hp):
@@ -902,7 +900,77 @@ def test_skeleton_term_refuses_a_layout_of_other_priors(small_priors, hp):
     for args in ((skel.SkeletonOffsets(p.offsets.vectors), p.matches, p.mask),
                  (p.offsets, p.matches.copy(), p.mask), (p.offsets, p.matches, SubjectMask(p.mask.labels))):
         with pytest.raises(ValidationError, match="skeleton layout was built from other"):
-            kin.smooth_skeleton_constraint(flow, *args, hp, 0.1, window=layout)
+            kin.smooth_skeleton_constraint(flow, *args, hp, 0.1, layout=layout)
+
+
+def test_surrogate_terms_take_only_their_own_layout(small_truth, small_priors, hp):
+    """Each surrogate term takes as `layout` None or a layout of its own type,
+    and gives the same value either way; a bare window or the other term's
+    layout raises ValidationError. (A layout of other priors is refused by
+    `test_skeleton_term_refuses_a_layout_of_other_priors` and
+    `test_boundary.test_boundary_outside_raster_raises`.)"""
+    p, flow = small_priors, small_truth.gt_world
+    h, w = p.mask.labels.shape
+    skeleton_layout = kin.skeleton_layout(p.offsets, p.matches, p.mask)
+    soft_layout = bnd.soft_layout(p.boundary, hp, h, w)
+    rows, cols = soft_layout.window
+
+    def skeleton(layout, arr=flow.vectors):
+        return kin.smooth_skeleton_constraint(FlowMap(arr), p.offsets, p.matches, p.mask, hp, 0.1, layout=layout)
+
+    def soft(layout, arr=flow.vectors):
+        return bnd.soft_boundary_constraint(FlowMap(arr), p.boundary, hp, 0.1, layout=layout)
+
+    assert skeleton(skeleton_layout)[0] == skeleton(None)[0]
+    assert soft(soft_layout, flow.vectors[rows, cols])[0] == soft(None)[0]
+    for term, other in ((skeleton, soft_layout), (soft, skeleton_layout)):
+        for layout in (other, (slice(0, h), slice(0, w))):
+            with pytest.raises(ValidationError, match="layout must be a"):
+                term(layout)
+
+
+_TAU_LO, _TAU_HI = flows.TAU_RANGE
+
+
+@settings(max_examples=80)
+@given(tau=st.one_of(
+    st.sampled_from([np.inf, -np.inf, True, False, "0.5", None, 0, 0.0, -0.0, -0.5, -3, 5e-324, 2e-308,
+                     np.nextafter(_TAU_LO, 0.0), np.nextafter(_TAU_HI, np.inf), 10 ** 60, 10 ** 400,
+                     _TAU_LO, _TAU_HI, 1, 0.02, np.float64(0.5)]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(_TAU_LO, _TAU_HI),
+))
+@example(tau=np.nan)
+def test_surrogate_terms_and_the_solver_take_tau_by_one_rule(small_truth, small_priors, tau):
+    """Both surrogate terms and `SolverOptions` accept exactly the same tau:
+    a finite number, not a bool, in `TAU_RANGE`. Every other value is
+    refused with ValidationError, and an accepted one evaluates on the
+    ground-truth flow without a floating-point warning."""
+    p, hp, flow = small_priors, Hyperparams(), small_truth.gt_world
+
+    def accepts(call) -> bool:
+        try:
+            call()
+        except ValidationError:
+            return False
+        return True
+
+    accepted = [accepts(lambda: flows.SolverOptions(tau_schedule=(tau,))),
+                accepts(lambda: kin.smooth_skeleton_constraint(flow, p.offsets, p.matches, p.mask, hp, tau)[1]()),
+                accepts(lambda: bnd.soft_boundary_constraint(flow, p.boundary, hp, tau)[1]())]
+    rule = not isinstance(tau, (bool, str, type(None))) and _TAU_LO <= tau <= _TAU_HI
+    assert accepted == [rule] * 3
+
+
+@pytest.mark.parametrize("tau", flows.TAU_RANGE)
+@pytest.mark.filterwarnings("error")
+def test_surrogate_terms_evaluate_at_both_ends_of_the_tau_range(small_truth, small_priors, hp, tau):
+    """At either end of `TAU_RANGE` both terms give a finite value and
+    gradient on the ground-truth flow, without a floating-point warning."""
+    p, flow = small_priors, small_truth.gt_world
+    for value, gradient in (kin.smooth_skeleton_constraint(flow, p.offsets, p.matches, p.mask, hp, tau),
+                            bnd.soft_boundary_constraint(flow, p.boundary, hp, tau)):
+        assert np.isfinite(value) and np.isfinite(gradient()).all()
 
 
 def _arrays(obj):

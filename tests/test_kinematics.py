@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from wlflow import kinematics as kin
 from wlflow.core import FlowMap, Hyperparams, SubjectMask
+from wlflow.errors import ValidationError
 from wlflow.skeleton import SkeletonMap, SkeletonOffsets, match_all
 
 
@@ -39,6 +40,27 @@ def test_angular_scale_covariance():
         k = rng.normal(size=2)
         s = rng.uniform(0.1, 10.0)
         assert kin.angular_term(u, k, 15.0) == kin.angular_term(s * u, s * k, 15.0)
+
+
+@pytest.mark.parametrize("u, k", [
+    pytest.param((np.nan, 0.0), (1.0, 0.0), id="nan-u"),
+    pytest.param((1.0, 0.0), (np.inf, 0.0), id="inf-k"),
+    pytest.param((1.0, 0.0, 0.0), (1.0, 0.0), id="three-vector-u"),
+    pytest.param((1.0, 0.0), (1.0, 0.0, 2.0), id="three-vector-k"),
+    pytest.param(1.0, (1.0, 0.0), id="scalar-u"),
+    pytest.param([1.0, [2.0, 3.0]], (1.0, 0.0), id="ragged-u"),
+    pytest.param(np.array(1.0), (1.0, 0.0), id="0d-array-u"),
+    pytest.param((1.0, 0.0), np.eye(2), id="matrix-k"),
+    pytest.param((True, 0.0), (1.0, 0.0), id="bool-u"),
+])
+def test_scalar_terms_refuse_what_is_not_two_finite_numbers(u, k):
+    """Each scalar term scores one pair of 2-vectors of finite numbers, as a
+    `Vec2` holds them; anything else raises ValidationError, not a numpy
+    error or a score."""
+    with pytest.raises(ValidationError):
+        kin.angular_term(u, k, 15.0)
+    with pytest.raises(ValidationError):
+        kin.intensity_term(u, k, 0.8, 1.2)
 
 
 def test_intensity_band_values():

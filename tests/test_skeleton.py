@@ -129,6 +129,17 @@ def test_match_requires_subject_pixel():
         skel.match_body_point((10.0, 10.0), sk, empty)
 
 
+@pytest.mark.parametrize("point", [(np.nan, 10.0), (10.0, np.inf), (-np.inf, 10.0), ("10", 10.0), (True, 10.0),
+                                   (10.0,), (10.0, 10.0, 1.0), 10.0])
+def test_match_refuses_a_point_that_is_not_two_finite_numbers(point):
+    """A point is a pair of finite numbers, as a `Vec2` takes them; NaN
+    and infinities are refused as such, not rounded to a pixel, and so is
+    a point of another length."""
+    sk = skel.interpolate_skeleton(_joints())
+    with pytest.raises(ValidationError, match="finite numbers"):
+        skel.match_body_point(point, sk, _mask_all_subject())
+
+
 def test_match_against_bruteforce_oracle():
     rng = np.random.default_rng(42)
     pts = np.column_stack([

@@ -226,6 +226,18 @@ def test_scene_spec_refuses_bad_fields(fields):
         synth.SceneSpec(**fields)
 
 
+@pytest.mark.parametrize("seed, message", [
+    pytest.param(-1, "seed must be >= 0", id="negative-seed"),
+    pytest.param(1.5, "seed must be an integer", id="float-seed"),
+    pytest.param(True, "seed must be an integer", id="bool-seed"),
+])
+def test_random_scene_takes_the_seed_rule_of_scene_spec(seed, message):
+    """`random_scene` seeds its generator with the seed its `SceneSpec`
+    stores, so it refuses what the spec refuses, before numpy sees it."""
+    with pytest.raises(ValidationError, match=message):
+        synth.random_scene(seed)
+
+
 def test_specs_store_floats():
     """Integer and numpy numbers are stored as floats, so equal specs compare equal."""
     sub = synth.SubjectSpec(root_t=[60, np.float64(61.5)], lengths={"torso": 20}, capsule_radii=[3] * 14)
