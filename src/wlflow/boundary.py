@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import chain
-from numbers import Integral
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .core import (
     _check_scale,
     _check_scales,
     _check_tau,
-    _finite_number,
     _plane_box,
     _readonly,
     _sigmoid,
@@ -326,16 +324,12 @@ def build_patch_grid(s: PointSet, e: PointSet, scale: int, width: int, height: i
     """Tile the raster into scale-sized cells and bin both curves into them.
 
     The scale follows `Hyperparams`' rule (`core._check_scale`), and the
-    raster sides are integral numbers >= 1; each is used as an int.
+    raster sides the rule of every other raster size (`core._check_count`):
+    integers, not bools, of at least 1.
     """
     scale = _check_scale("patch scale", scale)
-    for side in (width, height):
-        integral = isinstance(side, Integral) or _finite_number(side) and side == int(side)
-        if isinstance(side, bool) or not integral:
-            raise ValidationError(f"raster dimensions must be integers, got {width}x{height}")
-    width, height = int(width), int(height)
-    if width < 1 or height < 1:
-        raise ValidationError("raster dimensions must be positive")
+    _check_count("width", width)
+    _check_count("height", height)
     _check_pixel_count(width, height)
     _check_in_raster("s", s.points, width, height)
     _check_in_raster("e", e.points, width, height)
@@ -501,37 +495,31 @@ class _PairPlan:
     when the ring fills the window, else their flat indices, ascending. A
     ring pixel's position is its index in the ring. `nbr` is the (8,
     len(ring)) int32 table of the ring position of each slot's neighbor,
-    -1 off the raster and -2 at a pinned pixel off the ring. `pairs` holds
-    groups `(i, j, put_i, put_j)`: `i` and `j` pick the first and second
-    pixels of the group's pairs from the ring's arrays reshaped to `shape`,
-    and `put_i` and `put_j` their slots in a table of weights reshaped to
-    `table`. A ring that fills the window scores every pair, one group per
-    forward offset k of `_NEIGHBORS[:4]`: `shape` and `table` are (h, w)
-    and (8, h, w), `i` and `j` are `_pair_slices` slices, and `put_i` and
-    `put_j` add slots k and 7 - k. Otherwise one group scores the pairs
-    with a free endpoint: `shape` is (len(ring),) and `table` (-1,), `i` and
-    `j` are ring positions and `put_i` and `put_j` flat positions in the (8,
-    len(ring)) table. `pinned` holds the flat indices, in the window's flow
-    flattened, of both channels of the pixels the solve cannot move.
-    `on_raster`, shaped like `nbr`, marks the slots whose neighbor is on the
-    raster. `ys` and `xs`, which broadcast to `shape`, are the global rows
-    and columns of the ring.
+    -1 off the raster and -2 at a pinned pixel off the ring, and
+    `off_raster` the flat positions in that table of the -1 slots. `pairs`
+    holds groups `(i, j, put_i, put_j)`: `i` and `j` pick the first and
+    second pixels of the group's pairs from the ring's arrays, and `put_i`
+    and `put_j` their slots in the (8, len(ring)) table of weights,
+    flattened. A ring that fills the window scores every pair, one group per
+    forward offset k of `_NEIGHBORS[:4]`, flat offset -o: `i` and `j` are
+    the contiguous slices from o and to n - o of the n window pixels, and
+    `put_i` and `put_j` the matching slices of slots k and 7 - k. A pair
+    that wraps onto the other side of the window lands in an off-raster
+    slot. Otherwise one group scores the pairs with a free endpoint, as
+    arrays of ring positions and flat table positions. `pinned` holds the
+    flat indices, in the window's flow flattened, of both channels of the
+    pixels the solve cannot move.
     """
 
-    shape: tuple
-    table: tuple
     pairs: tuple
     ring: slice | np.ndarray
     nbr: np.ndarray
-    on_raster: np.ndarray
+    off_raster: np.ndarray
     pinned: np.ndarray
-    ys: np.ndarray
-    xs: np.ndarray
 
 
-def _pair_plan(free: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> _PairPlan:
-    """The `_PairPlan` of a window whose pixels have global rows `ys` (a
-    column) and columns `xs`, given its `free` pixels."""
+def _pair_plan(free: np.ndarray) -> _PairPlan:
+    """The `_PairPlan` of a window given its `free` pixels."""
     h, wd = free.shape
     slices = [_pair_slices(dy, dx, h, wd) for dy, dx in _NEIGHBORS[:4]]
     on_ring = free.copy()
@@ -553,14 +541,17 @@ def _pair_plan(free: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> _PairPlan:
     for k, (dy, dx) in enumerate(_NEIGHBORS):
         nbr[k] = pad[1 + dy:1 + dy + h, 1 + dx:1 + dx + wd].ravel()[ring]
     pinned = np.flatnonzero(np.repeat(~free.ravel(), 2))
-    if isinstance(ring, slice):  # pays: gathering every pair made the refine2 solve 1.41-1.64x slower
-        return _PairPlan((h, wd), (8, h, wd), tuple((i, j, (k, *i), (7 - k, *j)) for k, (i, j) in enumerate(slices)),
-                         ring, nbr, nbr != -1, pinned, ys, xs)
+    off_raster = np.flatnonzero(nbr == -1)
+    if isinstance(ring, slice):
+        # Pays: flat contiguous pairs made refine2's soft forward pass 1.2x faster than 2-D strided slices
+        # (2.14-2.22 -> 1.80-1.85 ms per call); gathering every pair made the refine2 solve 1.41-1.64x slower.
+        offsets = [min(-(dy * wd + dx), n) for dy, dx in _NEIGHBORS[:4]]
+        pairs = tuple((slice(o, n), slice(0, n - o), slice(k * n + o, (k + 1) * n), slice((7 - k) * n, (8 - k) * n - o))
+                      for k, o in enumerate(offsets))
+        return _PairPlan(pairs, ring, nbr, off_raster, pinned)
     pi, pj = (np.concatenate([at[ij[end]][touch] for ij, touch in zip(slices, touches)]) for end in (0, 1))
     slot = np.repeat(np.arange(4), [touch.sum() for touch in touches]) * n
-    ry, rx = np.divmod(ring, wd)
-    return _PairPlan((n,), (-1,), ((pi, pj, slot + pi, 7 * n - slot + pj),), ring, nbr, nbr != -1, pinned,
-                     ys.ravel()[ry], xs[rx])
+    return _PairPlan(((pi, pj, slot + pi, 7 * n - slot + pj),), ring, nbr, off_raster, pinned)
 
 
 @dataclass(frozen=True, eq=False)
@@ -582,9 +573,10 @@ class SoftLayout:
     within a scale: `at` holds their flat indices in the window, `cell`
     their batched cell ids, and `x` and `y` their global columns and rows.
     So every per-cell sum adds its pixels in the order of the whole raster's
-    grid, from +0. `ring_cells` holds per scale the batched cell id of each
-    pixel of the plan's ring, shaped like the ring's arrays, or 0 (the
-    sentinel) off the present cells. Its arrays are read-only.
+    grid, from +0. `ring_entries` holds, as `(at, cell, x, y)` in the same
+    scale-major order, the entries whose pixel lies on the plan's ring, with
+    `at` their ring positions: when the ring fills the window, the entries
+    themselves. Its arrays are read-only.
     """
 
     boundary: PointSet
@@ -598,7 +590,7 @@ class SoftLayout:
     tx: np.ndarray
     ty: np.ndarray
     bounds: tuple
-    ring_cells: tuple
+    ring_entries: tuple
 
 
 def soft_layout(boundary: PointSet, hp: Hyperparams, height: int, width: int,
@@ -624,29 +616,36 @@ def soft_layout(boundary: PointSet, hp: Hyperparams, height: int, width: int,
     else:
         free = np.ones((rows.stop - rows.start, wd), dtype=bool)
     ys, xs = np.arange(rows.start, rows.stop)[:, None], np.arange(cols.start, cols.stop)
-    plan = _pair_plan(free, ys, xs)
-    at, cell, tx, ty, ring_cells, bounds = [], [], [np.zeros(1)], [np.zeros(1)], [], [1]
+    plan = _pair_plan(free)
+    at, cell, tx, ty, bounds = [], [], [np.zeros(1)], [np.zeros(1)], [1]
     for scale in hp.scales:
         gh, gw = -(-rows.stop // scale), -(-cols.stop // scale)
         counts, centroids = _bin_points(boundary.points, scale, gh, gw)
         present = np.flatnonzero(counts)
         batched = np.zeros(gh * gw, dtype=np.intp)
         batched[present] = np.arange(bounds[-1], bounds[-1] + present.size)
-        plane = batched[(ys // scale) * gw + (xs // scale)]
+        plane = batched[(ys // scale) * gw + (xs // scale)].ravel()
         inside = np.flatnonzero(plane)
         at.append(inside)
-        cell.append(plane.ravel()[inside])
-        ring_cells.append(plane if isinstance(plan.ring, slice) else plane.ravel()[plan.ring])
+        cell.append(plane[inside])
         tx.append(centroids[..., 0].ravel()[present])
         ty.append(centroids[..., 1].ravel()[present])
         bounds.append(bounds[-1] + present.size)
-    at = np.concatenate(at)
+    at, cell = np.concatenate(at), np.concatenate(cell)
     y, x = np.divmod(at, wd)
-    layout = SoftLayout(boundary, hp.scales, (rows, cols), plan, at, np.concatenate(cell),
-                        (x + cols.start).astype(np.float64), (y + rows.start).astype(np.float64),
-                        np.concatenate(tx), np.concatenate(ty), tuple(bounds), tuple(ring_cells))
-    plan_arrays = (plan.ring, plan.nbr, plan.on_raster, plan.pinned, plan.ys, plan.xs, *chain(*plan.pairs))
-    for arr in (layout.at, layout.cell, layout.x, layout.y, layout.tx, layout.ty, *layout.ring_cells,
+    x, y = (x + cols.start).astype(np.float64), (y + rows.start).astype(np.float64)
+    if isinstance(plan.ring, slice):  # every entry is on the ring, at its own window position
+        ring_entries = (at, cell, x, y)
+    else:
+        position = np.full(free.size, -1)
+        position[plan.ring] = np.arange(plan.ring.size)
+        position = position[at]
+        on = position >= 0
+        ring_entries = (position[on], cell[on], x[on], y[on])
+    layout = SoftLayout(boundary, hp.scales, (rows, cols), plan, at, cell, x, y,
+                        np.concatenate(tx), np.concatenate(ty), tuple(bounds), ring_entries)
+    plan_arrays = (plan.ring, plan.nbr, plan.off_raster, plan.pinned, *chain(*plan.pairs))
+    for arr in (layout.at, layout.cell, layout.x, layout.y, layout.tx, layout.ty, *layout.ring_entries,
                 *(a for a in plan_arrays if isinstance(a, np.ndarray))):
         arr.setflags(write=False)
     return layout
@@ -676,9 +675,11 @@ def soft_boundary_constraint(
     once: one gather of the pixel weights at the layout's present-cell
     pixels, one `_cell_sums` over the batched cells and one
     `_soft_centroids`, whose per-scale means are added in scale order. The
-    backward pass builds the per-pixel d(value)/dw plane from the same
-    per-cell arrays and reads the argmax slots where it is nonzero. Value
-    and gradient are bitwise those of a single combined pass.
+    backward pass builds each ring pixel's d(value)/dw from the same
+    per-cell arrays, one term per present-cell entry on the ring, added in
+    scale order by one `np.bincount`, and reads the argmax slots where it
+    is nonzero. Value and gradient are bitwise those of a single combined
+    pass.
 
     Each neighbor pair (i, j) is scored once, over the 4 forward offsets,
     and its intensity weight b and angular weight a are written into a slot
@@ -734,7 +735,11 @@ def soft_boundary_constraint(
     pass works on the ring alone and pastes its gradient into zeros. A flow
     that is nonzero on a pinned pixel raises ValidationError. When the ring
     fills the window, as it does when every pixel is free, every pair is
-    scored, through slices.
+    scored through contiguous slices of the flattened window, one per
+    forward offset. The slices also pair pixels on opposite sides of the
+    window, whose slots are off the raster and are reset to 0 with the
+    others off the raster, so every slot holds what it would hold without
+    them.
 
     `tau` follows the solver's rule (`core._check_tau`): a finite number,
     not a bool, in `TAU_RANGE`; anything else raises ValidationError.
@@ -771,18 +776,17 @@ def soft_boundary_constraint(
     return _soft_boundary(flow.vectors, layout, hp, tau)
 
 
-def _dvdw_plane(scored, per_cell, ys, xs, n_scales: int, shape) -> np.ndarray:
-    """d(value)/dw at each pixel of a slot table of the given shape, with
-    global rows `ys` and columns `xs`, from the batched per-cell arrays
-    `coeff, cx, cy, ex, ey` of `_soft_centroids` and the pixels' batched
-    cell ids at each scale in `scored` (those with an entered cell), summed
-    over scales in order from +0. At the sentinel every array is 0, so a
-    pixel off the present cells adds +0, which leaves a sum from +0 as it is."""
+def _ring_dvdw(layout: SoftLayout, per_cell, n_scales: int) -> np.ndarray:
+    """d(value)/dw at each pixel of the ring of `layout`, from the batched
+    per-cell arrays `coeff, cx, cy, ex, ey` of `_soft_centroids`: one term per
+    entry on the ring, summed per pixel from +0 in the entries' scale-major
+    order, so in scale order. A cell that did not enter has every array 0,
+    so its term is +-0, which leaves a sum from +0 as it is; a pixel without
+    an entry gets +0."""
+    at, cid, x, y = layout.ring_entries
     coeff, cx, cy, ex, ey = per_cell
-    dvdw = np.zeros(shape)
-    for cid in scored:
-        dvdw += coeff[cid] * ((xs - cx[cid]) * ex[cid] + (ys - cy[cid]) * ey[cid]) / n_scales
-    return dvdw
+    terms = coeff[cid] * ((x - cx[cid]) * ex[cid] + (y - cy[cid]) * ey[cid]) / n_scales
+    return _ordered_sum(at, terms, layout.plan.nbr.shape[1])
 
 
 def _angular_terms(pa, qa, common, mx, my, r, du, wu, hp: Hyperparams, tau: float, s2: float):
@@ -813,10 +817,24 @@ def _angular_terms(pa, qa, common, mx, my, r, du, wu, hp: Hyperparams, tau: floa
 def _pair_weights(r, mx, my, du, wu, i, j, hp: Hyperparams, tau: float):
     """The intensity weight b and the angular weight a = g siga, with moving
     gate g, of the pairs (i, j) of pixels with norm r, flow (mx, my),
-    stabilized norm du and gate factor wu."""
-    b = _sigmoid((np.abs(r[i] - r[j]) - hp.edge_theta_i) / tau)
-    dot = mx[i] * mx[j] + my[i] * my[j]
-    return b, wu[i] * wu[j] * _angle_gate(dot / (du[i] * du[j]), hp.edge_theta_a, tau)
+    stabilized norm du and gate factor wu: b = sigmoid((|r_i - r_j| -
+    theta_i) / tau) and a = wu_i wu_j angle_gate((x_i x_j + y_i y_j) / (du_i
+    du_j)). Each step writes into one of three buffers, with the operations
+    of those expressions in their order."""
+    # Pays: the buffers made refine2's soft forward pass 1.08x faster than a temporary per step
+    # (1.84 -> 1.71 ms per call).
+    b = np.subtract(r[i], r[j])
+    np.abs(b, out=b)
+    np.subtract(b, hp.edge_theta_i, out=b)
+    np.divide(b, tau, out=b)
+    _sigmoid(b, out=b)
+    a = np.multiply(mx[i], mx[j])
+    t = np.multiply(my[i], my[j])
+    np.add(a, t, out=a)
+    np.divide(a, np.multiply(du[i], du[j], out=t), out=a)
+    _angle_gate(a, hp.edge_theta_a, tau, out=a)
+    np.multiply(np.multiply(wu[i], wu[j], out=t), a, out=a)
+    return b, a
 
 
 def _soft_boundary(m: np.ndarray, layout: SoftLayout, hp: Hyperparams, tau: float):
@@ -839,20 +857,23 @@ def _soft_boundary(m: np.ndarray, layout: SoftLayout, hp: Hyperparams, tau: floa
     r = np.hypot(mx, my)
     s = EPS_VEC + tau
     s2 = s * s
-    du = np.sqrt(r * r + s2)
-    wu = (r * r) / (r * r + s2)
+    r2 = r * r
+    du = np.sqrt(r2 + s2)
+    wu = r2 / (r2 + s2)
     # A pair of pinned pixels (r = +0, wu = +0) has b = sigmoid(-theta_i / tau)
-    # and a = +0: each slot starts there, or at 0 off the raster.
+    # and a = +0: a gathered ring's slots start there, and every slot off the
+    # raster holds 0. A full ring's pairs write all its other slots.
     b0 = _sigmoid(np.array([-hp.edge_theta_i / tau]))[0]
     slots = np.empty((2,) + plan.nbr.shape)
-    np.multiply(plan.on_raster, b0, out=slots[0])
-    slots[1].fill(0.0)
-    tables = slots.reshape((2,) + plan.table)
-    planes = [a.reshape(plan.shape) for a in (r, mx, my, du, wu)]
+    if not isinstance(plan.ring, slice):
+        slots[0].fill(b0)
+        slots[1].fill(0.0)
+    tables = slots.reshape(2, -1)
     for i, j, put_i, put_j in plan.pairs:
-        for table, weight in zip(tables, _pair_weights(*planes, i, j, hp, tau)):
+        for table, weight in zip(tables, _pair_weights(r, mx, my, du, wu, i, j, hp, tau)):
             table[put_i] = weight
             table[put_j] = weight
+    tables[:, plan.off_raster] = 0.0
 
     # Every weight is >= +0, so the first slot equal to the max is the one a
     # running max with a strict > keeps: the lowest on ties, slot 0 if all are 0.
@@ -870,14 +891,11 @@ def _soft_boundary(m: np.ndarray, layout: SoftLayout, hp: Hyperparams, tau: floa
     # Per batched cell, the sums of w, w x and w y over the pixels of the present cells.
     sums = _cell_sums(layout.cell, layout.x, layout.y, layout.tx.size, w[layout.at])
     means, per_cell = _soft_centroids(*sums, layout.tx, layout.ty, layout.bounds, _MASS_FLOOR)
-    value = 0.0
     n_scales = len(means)
-    scored = []  # the ring's cell ids at each scale with an entered cell
-    for mean, cid in zip(means, layout.ring_cells):
-        if mean is None:
-            continue  # its d(value)/dw is +0, and the dv/dw plane holds no -0 for it to flip
-        value += mean / n_scales
-        scored.append(cid)
+    value = 0.0
+    for mean in means:
+        if mean is not None:  # no cell of the scale entered
+            value += mean / n_scales
 
     def backward() -> np.ndarray:
         # Backward through w = 1 - (1 - wi)(1 - wa) and the argmax pair's
@@ -887,7 +905,7 @@ def _soft_boundary(m: np.ndarray, layout: SoftLayout, hp: Hyperparams, tau: floa
         # pixels of a pair that leaves the ring: the intensity term carries
         # sign(0 - 0) = 0 and the moving gate drops the angular one. So the
         # gradient is built on the ring alone and pasted into zeros.
-        dvdw = _dvdw_plane(scored, per_cell, plan.ys, plan.xs, n_scales, plan.shape).ravel()
+        dvdw = _ring_dvdw(layout, per_cell, n_scales)
         live = np.flatnonzero(dvdw)
         dvdw = dvdw[live]
 

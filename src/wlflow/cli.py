@@ -20,7 +20,7 @@ import numpy as np
 
 from . import boundary as bnd
 from . import flows, io, skeleton as skel, synth
-from .core import FlowMap, Hyperparams, SubjectMask, Vec2
+from .core import FlowMap, Hyperparams, SubjectMask, Vec2, _check_scales
 from .errors import FileFormatError, ValidationError, WlflowError
 
 def _load_hp(path: str | None) -> Hyperparams:
@@ -150,11 +150,12 @@ def _cmd_chamfer(args) -> int:
     doc: dict = {}
     if args.patch:
         try:
-            scales = tuple(int(x) for x in args.scales.split(","))
+            scales = [float(x) for x in args.scales.split(",")]
         except ValueError as exc:
             raise ValidationError(
                 f"--scales must be comma-separated integers, got {args.scales!r}"
             ) from exc
+        scales = _check_scales("patch scales", scales)  # a config's "scales" rule; ints from here on
         all_pts = np.vstack([s.points, e.points])
 
         def fitted(axis: int) -> int:

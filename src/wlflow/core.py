@@ -29,16 +29,23 @@ N_JOINTS = 17
 MAX_PIXELS = 2**24
 
 
-def _sigmoid(x):
+def _sigmoid(x, out=None):
+    """1 / (1 + e^-x), x clipped to [-500, 500]; `out`, an array shaped like
+    x (x itself included), receives every step, so no temporary is made."""
     # Bitwise np.clip(x, -500, 500), whose Python wrappers cost more than these two ufunc calls.
     # Both ends are needed: past them e^-x would overflow or underflow.
-    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -500.0), 500.0)))
+    y = np.minimum(np.maximum(x, -500.0, out=out), 500.0, out=out)
+    y = np.exp(np.negative(y, out=out), out=out)
+    return np.divide(1.0, np.add(1.0, y, out=out), out=out)
 
 
-def _angle_gate(cos, theta_lim_deg: float, tau: float):
+def _angle_gate(cos, theta_lim_deg: float, tau: float, out=None):
     """sigmoid((arccos(cos) - theta_lim) / tau), with cos clipped to [-1, 1]
-    by two ufunc calls, as `_sigmoid` clips, bitwise np.clip's result."""
-    return _sigmoid((np.arccos(np.minimum(np.maximum(cos, -1.0), 1.0)) - np.deg2rad(theta_lim_deg)) / tau)
+    by two ufunc calls, as `_sigmoid` clips, bitwise np.clip's result; `out`
+    as `_sigmoid` takes it."""
+    theta = np.arccos(np.minimum(np.maximum(cos, -1.0, out=out), 1.0, out=out), out=out)
+    theta = np.subtract(theta, np.deg2rad(theta_lim_deg), out=out)
+    return _sigmoid(np.divide(theta, tau, out=out), out=out)
 
 
 def _soft_angle(cos, theta_lim_deg: float, tau: float):

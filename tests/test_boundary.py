@@ -297,15 +297,18 @@ def test_patch_grid_pixel_cap():
     pytest.param(float("nan"), 32, 32, "must be a finite number", id="nan-scale"),
     pytest.param(1, 32, 32, r"must lie in \[2, 16777216\]", id="scale-1"),
     pytest.param(2**24 + 1, 32, 32, r"must lie in \[2, 16777216\]", id="scale-2-24-plus-1"),
-    pytest.param(8, 10.5, 32, "raster dimensions must be integers", id="fractional-width"),
-    pytest.param(8, float("nan"), 32, "raster dimensions must be integers", id="nan-width"),
-    pytest.param(8, 32, True, "raster dimensions must be integers", id="bool-height"),
-    pytest.param(8, 0, 32, "raster dimensions must be positive", id="zero-width"),
+    pytest.param(8, 10.5, 32, "width must be an integer", id="fractional-width"),
+    pytest.param(8, float("nan"), 32, "width must be an integer", id="nan-width"),
+    pytest.param(8, 32, True, "height must be an integer", id="bool-height"),
+    pytest.param(8, 0, 32, "width must be >= 1", id="zero-width"),
+    pytest.param(8, 32.0, 16.0, "width must be an integer", id="integral-float-sides"),
+    pytest.param(8, 32, np.int64(0), "height must be >= 1", id="zero-numpy-height"),
 ])
 def test_patch_scale_and_sides_follow_one_rule(scale, width, height, message):
     """A scale is a finite integral number in [2, 2^24], as `Hyperparams`
-    takes it, and a raster side an integral number >= 1, for the grid and
-    the multiscale distance alike; anything else is refused, not rounded."""
+    takes it, and a raster side an integer >= 1, not a bool, as every other
+    raster size (`core._check_count`), for the grid and the multiscale
+    distance alike; anything else is refused, not rounded."""
     s = PointSet(np.array([[3.0, 4.0]]))
     with pytest.raises(ValidationError, match=message):
         bnd.build_patch_grid(s, s, scale, width, height)
@@ -336,9 +339,12 @@ def test_multiscale_distance_refuses_no_scales():
             Hyperparams(scales=scales)
 
 
-def test_patch_grid_takes_integral_floats_as_ints():
+def test_patch_grid_takes_an_integral_float_scale_as_an_int():
+    """A scale follows `Hyperparams`' rule, which takes an integral float;
+    the raster sides follow `core._check_count`, which refuses one (see
+    `test_patch_scale_and_sides_follow_one_rule`)."""
     s = PointSet(np.array([[3.0, 4.0], [20.0, 9.0]]))
-    as_floats = bnd.build_patch_grid(s, s, 8.0, 32.0, 16.0)
+    as_floats = bnd.build_patch_grid(s, s, 8.0, 32, 16)
     as_ints = bnd.build_patch_grid(s, s, 8, 32, 16)
     assert as_floats.grid_shape == as_ints.grid_shape == (2, 4)
     assert as_floats.centroids_s.tobytes() == as_ints.centroids_s.tobytes()
@@ -745,6 +751,14 @@ def _planned_cases(draw):
     return arr, free, points
 
 
+def _all_free(h, w):
+    """A `_planned_cases` case with every pixel of an h x w raster free:
+    flow entries from -2 to 2, ties included, and boundary points at two
+    corners, so that the window is the raster."""
+    arr = (np.arange(h * w * 2.0).reshape(h, w, 2) * 7) % 5 - 2.0
+    return arr, np.ones((h, w), dtype=bool), np.array([[0.0, 0.0], [w - 1.0, h - 1.0]])
+
+
 @given(
     case=_planned_cases(),
     tau=st.sampled_from([0.5, 0.1, 0.02, 1e-3]),
@@ -756,13 +770,22 @@ def _planned_cases(draw):
 # is that pair only if its off-raster slots stay below the floor, at 0.
 @example(case=(np.array([[[-0.0, 0.0], [-0.0, -0.0], [1e-20, -3e-20]]]), np.array([[False, False, True]]),
                np.array([[0.0, 0.0]])), tau=0.5, scales=(2, 3), poke=(0, 0, 0.75))
+# Every pixel free, on windows where the flat pairs of some offset wrap onto
+# the other side of the window, start past its end, or pair a pixel with
+# itself (width 1).
+@example(case=_all_free(1, 9), tau=0.5, scales=(8, 16, 32), poke=(0, 0, 0.75))
+@example(case=_all_free(9, 1), tau=0.1, scales=(8, 16, 32), poke=(0, 0, 0.75))
+@example(case=_all_free(2, 2), tau=0.5, scales=(8, 16, 32), poke=(0, 0, 0.75))
+@example(case=_all_free(7, 2), tau=0.02, scales=(8, 16, 32), poke=(0, 0, 0.75))
+@example(case=_all_free(1, 2), tau=0.5, scales=(8, 16, 32), poke=(0, 0, 0.75))
+@example(case=_all_free(1, 1), tau=0.5, scales=(8, 16, 32), poke=(0, 0, 0.75))
 def test_planned_soft_boundary_equals_per_slot_loop_bitwise(case, tau, scales, poke):
     """A layout told the free pixels scores only the pairs that touch one,
     and gives the per-slot loop's value (`float.hex`) and gradient bytes,
     cropped to its window, signed zeros on pinned pixels included. Its
-    pairs are the `_pair_slices` groups exactly when the ring, the free
-    pixels and their 8-neighbors, fills the window. A flow that is nonzero
-    on one pinned pixel is refused."""
+    pairs are flat slices exactly when the ring, the free pixels and their
+    8-neighbors, fills the window. A flow that is nonzero on one pinned
+    pixel is refused."""
     arr, free, points = case
     h, w = free.shape
     flow, boundary, hp = FlowMap(arr), PointSet(points), Hyperparams(scales=scales)
@@ -773,7 +796,7 @@ def test_planned_soft_boundary_equals_per_slot_loop_bitwise(case, tau, scales, p
     ring = np.zeros((wh, ww), dtype=bool)
     for dy, dx in np.ndindex(3, 3):
         ring |= padded[dy:dy + wh, dx:dx + ww]
-    assert all(isinstance(i, tuple) == ring.all() for i, *_ in layout.plan.pairs)
+    assert all(isinstance(i, slice) == ring.all() for i, *_ in layout.plan.pairs)
     window_flow = arr[rows, cols]
     value, backward = bnd.soft_boundary_constraint(FlowMap(window_flow), boundary, hp, tau, layout=layout)
     ref_value, ref_backward = per_slot_soft_boundary(flow, boundary, hp, tau)
@@ -851,6 +874,12 @@ def test_batched_cell_stage_equals_per_scale_reference_bitwise(case, tau, scales
         assert set(cells.tolist()) == set(range(lo, hi))  # every present cell holds a pixel
     assert (layout.x == cols.start + layout.at % (cols.stop - cols.start)).all()
     assert (layout.y == rows.start + layout.at // (cols.stop - cols.start)).all()
+    ring = np.arange((rows.stop - rows.start) * (cols.stop - cols.start))[layout.plan.ring]
+    on = np.isin(layout.at, ring)
+    position, *entries = layout.ring_entries
+    assert (ring[position] == layout.at[on]).all()
+    for got, every in zip(entries, (layout.cell, layout.x, layout.y)):
+        assert got.tobytes() == every[on].tobytes()
 
 
 def test_cell_stage_cases_reach_their_paths(monkeypatch):
@@ -871,7 +900,8 @@ def test_cell_stage_cases_reach_their_paths(monkeypatch):
                              np.eye(5, 6, dtype=bool))
     rows, cols = layout.window
     assert 128 > max(rows.stop - rows.start, cols.stop - cols.start)
-    assert (layout.ring_cells[0] == 0).any()
+    at, cell = layout.ring_entries[:2]
+    assert np.setdiff1d(np.arange(layout.plan.nbr.shape[1]), at[cell < layout.bounds[1]]).size > 0
 
 
 def test_soft_gradient_at_a_subnormal_norm_is_finite():
@@ -889,20 +919,20 @@ def test_soft_gradient_at_a_subnormal_norm_is_finite():
     assert grad[:, :3].tobytes() == ref[:, :3].tobytes()
 
 
-def test_value_only_soft_call_builds_no_dvdw_plane(monkeypatch, hp):
+def test_value_only_soft_call_builds_no_dvdw(monkeypatch, hp):
     """A value-only call, a rejected line-search trial's, never builds the
-    d(value)/dw plane; each `backward()` call builds it once and returns the
+    ring's d(value)/dw; each `backward()` call builds it once and returns the
     same gradient bytes."""
     truth = synth.generate_scene(two_figure_spec())
     gt = truth.gt_world.vectors
     flow = FlowMap(gt + np.random.default_rng(1).normal(0.0, 0.5, gt.shape))
     calls = []
 
-    def spy(*args, real=bnd._dvdw_plane):
+    def spy(*args, real=bnd._ring_dvdw):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(bnd, "_dvdw_plane", spy)
+    monkeypatch.setattr(bnd, "_ring_dvdw", spy)
     layout = bnd.soft_layout(truth.boundary_t, hp, flow.height, flow.width)
     value, backward = bnd.soft_boundary_constraint(FlowMap(flow.vectors[layout.window]), truth.boundary_t, hp,
                                                    0.1, layout=layout)

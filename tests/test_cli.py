@@ -143,6 +143,12 @@ def test_chamfer_command(tmp_path, capsys):
     ])
     assert code == 0
     assert "patch_centroid" in json.loads(out)
+    # A scale is judged as a config's "scales" entry is: an integral float is that integer.
+    code, integral, _ = _run(capsys, [
+        "chamfer", "--s", str(a), "--e", str(b), "--patch", "--scales", "8.0,16",
+        "--width", "32", "--height", "32",
+    ])
+    assert code == 0 and integral == out
 
 
 def test_render_command(scene_dir, tmp_path, capsys):
@@ -508,11 +514,13 @@ _TAU_RANGE_MESSAGE = "$ invalid (each tau_schedule entry must lie in [1e-100, 1e
     pytest.param(_edges_argv, ["--theta-a", "inf"], 1, "edge_theta_a must be a finite number",
                  id="inf-theta-a"),
     pytest.param(_patch_raster_argv, "99999999999", 1, "at most 16777216 pixels", id="patch-huge-raster"),
-    pytest.param(_patch_side_argv, ["--width", "0"], 1, "raster dimensions must be positive",
+    pytest.param(_patch_side_argv, ["--width", "0"], 1, "width must be >= 1",
                  id="patch-zero-width"),
-    pytest.param(_patch_side_argv, ["--height", "0"], 1, "raster dimensions must be positive",
+    pytest.param(_patch_side_argv, ["--height", "0"], 1, "height must be >= 1",
                  id="patch-zero-height"),
-    pytest.param(_patch_raster_argv, "0", 1, "raster dimensions must be positive", id="patch-zero-raster"),
+    pytest.param(_patch_raster_argv, "0", 1, "width must be >= 1", id="patch-zero-raster"),
+    pytest.param(_chamfer_argv, "8.5", 1, "each patch scales entry must be an integer, got 8.5",
+                 id="patch-fractional-scale"),
     pytest.param(_chamfer_argv, str(_HUGE), 1, "each patch scales entry must be a finite number",
                  id="patch-huge-scale"),
     pytest.param(_chamfer_argv, str(2**24 + 1), 1, "each patch scales entry must lie in [2, 16777216]",

@@ -286,11 +286,14 @@ def test_armijo_exhausted_line_search_converges_only_on_a_finite_value(trial_val
 @given(hnp.arrays(np.float64, st.integers(1, 64), elements=st.floats(width=64)))
 def test_sigmoid_equals_the_two_sided_clip_bitwise(x):
     """`_sigmoid` is bitwise the formula with `np.clip` for any float, NaN
-    and ±inf included, and raises no floating-point error on a number: the
-    clip keeps e^-x from overflowing and from underflowing."""
+    and ±inf included, also when it writes in place (`out` x), and raises
+    no floating-point error on a number: the clip keeps e^-x from
+    overflowing and from underflowing."""
     x = np.concatenate([x, [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308, 36.0, 38.0, 500.0, 501.0, 800.0]])
     clipped = 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
     assert _sigmoid(x).view(np.uint64).tolist() == clipped.view(np.uint64).tolist()
+    y = x.copy()
+    assert _sigmoid(y, out=y) is y and y.view(np.uint64).tolist() == clipped.view(np.uint64).tolist()
     with np.errstate(all="raise"):
         _sigmoid(x[~np.isnan(x)])
 

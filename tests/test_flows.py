@@ -16,7 +16,8 @@ from wlflow.core import FlowMap, Hyperparams, PointSet, SubjectMask, Vec2
 from wlflow.errors import DegenerateConfiguration, DimensionMismatch, EmptySubject, ValidationError
 
 from conftest import (GradientLedger, eager_armijo_descent, full_raster_descent, full_raster_endpoint_error,
-                      full_raster_surrogate, sparse_flow_arrays, sparse_scene, sparse_solved_flow)
+                      full_raster_surrogate, per_slot_soft_boundary, sparse_flow_arrays, sparse_scene,
+                      sparse_solved_flow, two_figure_spec)
 
 
 def test_objective_breakdown_identity(small_truth, small_priors, hp):
@@ -767,7 +768,9 @@ def test_soft_term_scores_the_pairs_that_touch_a_free_pixel(small_truth, small_p
     term's forward pass scores exactly the in-window neighbor pairs with a
     subject pixel, a small share of them, on a ring of pixels; a refinement
     init moves the background, frees every pixel, so the ring fills the
-    window, and has every in-window pair scored through slices."""
+    window, and has every in-window pair scored through flat slices, with the
+    3h - 3 pairs of an h-row window that wrap across its left and right
+    sides, whose slots are off the raster."""
     hp = Hyperparams()
     labels = small_truth.mask_t.labels
     rows, cols = bnd._boundary_window(small_priors.boundary.points, hp.scales, *labels.shape)
@@ -779,12 +782,12 @@ def test_soft_term_scores_the_pairs_that_touch_a_free_pixel(small_truth, small_p
     else:
         gt = small_truth.gt_world.vectors
         start = gt + np.random.default_rng(2).normal(0.0, 0.5, gt.shape)
-        expected = every
+        expected = every + 3 * (rows.stop - rows.start) - 3
     scored, filled = [], set()  # per soft-term call, the sizes of its angle gate calls
 
-    def spy(cos, *args, real=bnd._angle_gate):
+    def spy(cos, *args, real=bnd._angle_gate, **kwargs):
         scored[-1].append(cos.size)
-        return real(cos, *args)
+        return real(cos, *args, **kwargs)
 
     def soft(*args, layout, real=bnd.soft_boundary_constraint):
         scored.append([])
@@ -817,6 +820,39 @@ def test_a_match_on_the_background_frees_the_whole_raster(small_truth, small_pri
     assert index == (slice(0, labels.shape[0]), slice(0, labels.shape[1]))
     assert res.flow.vectors.tobytes() == ref.tobytes() and res.flow.vectors[y, x].any()
     assert _bits((t.iteration, t.tau, t.step, t.surrogate) for t in res.trace) == _bits(ref_trace)
+
+
+def test_two_figure_refinement_equals_the_whole_raster_descent(monkeypatch):
+    """A refinement of the two-figure scene from noisy ground truth frees
+    every pixel, so the soft term's ring fills its window and every pair is
+    scored through flat slices. The solve still equals the descent on the
+    whole raster bitwise, every gradient included, and on the solved flow
+    the soft term gives the per-slot loop's value and gradient bytes at
+    each tau of the schedule."""
+    truth = synth.generate_scene(two_figure_spec())
+    priors = flows.Priors.build(truth.keypoints[0], truth.keypoints[1], truth.mask_t, truth.boundary_t)
+    hp, opts = Hyperparams(), flows.SolverOptions(max_iters=6)
+    gt = truth.gt_world.vectors
+    h, w = gt.shape[:2]
+    init = gt + np.random.default_rng(4).normal(0.0, 0.5, gt.shape)
+    res, grads, index = _solve_recording(monkeypatch, FlowMap(init), priors, hp, opts)
+    ref, ref_trace, ref_stops, ref_grads, _ = full_raster_descent(init, priors, hp, opts)
+    assert index == (slice(0, h), slice(0, w))
+    assert res.flow.vectors.tobytes() == ref.tobytes()
+    assert _bits((t.iteration, t.tau, t.step, t.surrogate) for t in res.trace) == _bits(ref_trace)
+    assert len(res.trace) == 6 and res.stops == tuple(ref_stops)
+    assert len(grads) == len(ref_grads) > 3
+    assert all(grad.tobytes() == ref_grad.tobytes() for grad, ref_grad in zip(grads, ref_grads))
+
+    layout = bnd.soft_layout(priors.boundary, hp, h, w, flows._free_pixels(init, priors))
+    assert isinstance(layout.plan.ring, slice)
+    rows, cols = layout.window
+    for tau in opts.tau_schedule:
+        value, backward = bnd.soft_boundary_constraint(FlowMap(res.flow.vectors[rows, cols]), priors.boundary,
+                                                       hp, tau, layout=layout)
+        ref_value, ref_backward = per_slot_soft_boundary(res.flow, priors.boundary, hp, tau)
+        assert float(value).hex() == float(ref_value).hex()
+        assert backward().tobytes() == ref_backward()[rows, cols].tobytes()
 
 
 def test_soft_term_runs_on_the_boundary_window_when_the_box_is_the_whole_raster(monkeypatch):
