@@ -19,14 +19,14 @@ import numpy as np
 
 from .core import (
     EPS_VEC,
-    MAX_PIXELS,
     FlowMap,
     Hyperparams,
     PointSet,
     _UNCONVERGED,
     _angle_gate,
     _check_count,
-    _check_number,
+    _check_positive,
+    _check_raster,
     _check_scale,
     _check_scales,
     _check_tau,
@@ -315,22 +315,19 @@ def _check_in_raster(name: str, pts: np.ndarray, width: int, height: int) -> Non
         raise ValidationError(f"curve {name} has points outside the {width}x{height} raster")
 
 
-def _check_pixel_count(width: int, height: int) -> None:
-    if width * height > MAX_PIXELS:
-        raise ValidationError(f"raster width x height must be at most {MAX_PIXELS} pixels (4096x4096)")
-
-
 def build_patch_grid(s: PointSet, e: PointSet, scale: int, width: int, height: int) -> PatchGrid:
     """Tile the raster into scale-sized cells and bin both curves into them.
 
     The scale follows `Hyperparams`' rule (`core._check_scale`), and the
     raster sides the rule of every other raster size (`core._check_count`):
-    integers, not bools, of at least 1.
+    integers, not bools, of at least 1, on a raster of at most
+    `core.MAX_PIXELS` pixels (`core._check_raster`), refused before any
+    allocation.
     """
     scale = _check_scale("patch scale", scale)
     _check_count("width", width)
     _check_count("height", height)
-    _check_pixel_count(width, height)
+    _check_raster(width, height)
     _check_in_raster("s", s.points, width, height)
     _check_in_raster("e", e.points, width, height)
     gw = -(-width // scale)
@@ -982,9 +979,7 @@ class MorphOptions:
 
     def __post_init__(self):
         _check_count("max_iters", self.max_iters)
-        _check_number("tolerance", self.tolerance)
-        if not self.tolerance > 0:
-            raise ValidationError("tolerance must be positive")
+        _check_positive("tolerance", self.tolerance)
         for name in ("width", "height"):
             if getattr(self, name) is not None:
                 _check_count(name, getattr(self, name))
@@ -1119,14 +1114,15 @@ def morph_curve_fit(moving: PointSet, target: PointSet, opts: MorphOptions = Mor
     `stop` and the `converged` flag; the best iterate is always returned.
     Both curves must lie on the raster, from 0 to below `width` and
     `height`; a curve with a point off it, or a raster, given or fitted, of
-    more than MAX_PIXELS pixels is refused (ValidationError).
+    more than `core.MAX_PIXELS` pixels (`core._check_raster`) is refused
+    (ValidationError) before any allocation.
     """
     if len(moving) == 0 or len(target) == 0:
         raise EmptyPointSet("morph_curve_fit requires two nonempty curves")
     pts = moving.points
     width = opts.width or int(np.ceil(max(pts[:, 0].max(), target.points[:, 0].max()) + 2))
     height = opts.height or int(np.ceil(max(pts[:, 1].max(), target.points[:, 1].max()) + 2))
-    _check_pixel_count(width, height)
+    _check_raster(width, height)
     _check_in_raster("moving", pts, width, height)
     _check_in_raster("target", target.points, width, height)
     gh, gw = _MORPH_GRID_SHAPE

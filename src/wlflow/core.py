@@ -24,8 +24,10 @@ EPS_VEC = 1e-6
 
 N_JOINTS = 17
 
-# Largest raster, in pixels (4096 x 4096), that a scene or a patch grid may
-# cover; both allocate several float64 arrays of this size.
+# Largest raster, in pixels (4096 x 4096), that `_check_raster` admits: a scene,
+# a patch grid, a morph raster and the priors of a solve or an eval each allocate
+# several float64 arrays of this size. The readers of flows and masks, decomposition,
+# metrics, rendering and edge extraction take larger rasters.
 MAX_PIXELS = 2**24
 
 
@@ -142,6 +144,13 @@ def _check_number(name: str, value) -> None:
 TAU_RANGE = (1e-100, 1e50)
 
 
+def _check_positive(name: str, value) -> None:
+    """Refuse anything but a positive finite real number (not a bool)."""
+    _check_number(name, value)
+    if not value > 0:
+        raise ValidationError(f"{name} must be positive")
+
+
 def _check_tau(name: str, tau) -> float:
     """`tau` as a float, refused unless it is a finite real number (not a bool) in `TAU_RANGE`."""
     _check_number(name, tau)
@@ -181,6 +190,12 @@ def _check_count(name: str, value, least: int = 1) -> None:
         raise ValidationError(f"{name} must be an integer")
     if value < least:
         raise ValidationError(f"{name} must be >= {least}")
+
+
+def _check_raster(width: int, height: int) -> None:
+    """Refuse a raster of more than MAX_PIXELS pixels; its sides are counts, checked first (`_check_count`)."""
+    if width * height > MAX_PIXELS:
+        raise ValidationError(f"raster width x height must be at most {MAX_PIXELS} pixels (4096x4096)")
 
 
 def _plane_box(plane: np.ndarray, halo: int) -> tuple[slice, slice] | None:
@@ -390,7 +405,9 @@ class Hyperparams:
 
     Defaults: alpha 0.1, beta 0.01, angle threshold 15 degrees, magnitude
     band [0.8, 1.2], edge thresholds 0.5 px / 30 degrees, patch scales
-    {8, 16, 32}. The scales are distinct: each is one term of the mean.
+    {8, 16, 32}. alpha, beta and both edge thresholds follow the positive
+    rule (`_check_positive`). The scales are distinct: each is one term of
+    the mean.
     """
 
     alpha: float = 0.1
@@ -403,16 +420,14 @@ class Hyperparams:
     scales: tuple = (8, 16, 32)
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "theta_a", "theta_il", "theta_ih", "edge_theta_i", "edge_theta_a"):
+        for name in ("alpha", "beta", "edge_theta_i", "edge_theta_a"):
+            _check_positive(name, getattr(self, name))
+        for name in ("theta_a", "theta_il", "theta_ih"):
             _check_number(name, getattr(self, name))
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValidationError("alpha and beta must be positive")
         if not 0 < self.theta_il < self.theta_ih:
             raise ValidationError("need 0 < theta_il < theta_ih")
         if not 0 < self.theta_a < 90:
             raise ValidationError("theta_a must lie in (0, 90) degrees")
-        if not (self.edge_theta_i > 0 and self.edge_theta_a > 0):
-            raise ValidationError("edge thresholds must be positive")
         if self.edge_theta_a > 180:
             raise ValidationError("edge_theta_a must be at most 180 degrees")
         object.__setattr__(self, "scales", _check_scales("scales", self.scales))

@@ -21,7 +21,6 @@ from . import boundary as bnd
 from . import kinematics as kin
 from . import skeleton as skel
 from .core import (
-    TAU_RANGE,  # public here too, as `flows.TAU_RANGE`
     FlowMap,
     Hyperparams,
     KeypointFrame,
@@ -33,6 +32,8 @@ from .core import (
     _readonly,
     _check_count,
     _check_number,
+    _check_positive,
+    _check_raster,
     _check_tau,
     _plane_box,
     armijo_descent,
@@ -60,7 +61,7 @@ class ObjectiveBreakdown:
         return self.g_result.value
 
 
-# The largest init entry a solve takes: the float32 range, which TAU_RANGE assumes and a .flo file holds.
+# The largest init entry a solve takes: the float32 range, which `core.TAU_RANGE` assumes and a .flo file holds.
 _MAX_INIT = float(np.finfo(np.float32).max)
 
 
@@ -69,7 +70,7 @@ class SolverOptions:
     """Budget, annealing schedule and regularizer weights of `solve_world_flow`.
 
     Every `tau_schedule` entry follows the surrogate terms' tau rule
-    (`core._check_tau`): a finite number, not a bool, in `TAU_RANGE`.
+    (`core._check_tau`): a finite number, not a bool, in `core.TAU_RANGE`.
     """
 
     max_iters: int = 500
@@ -79,9 +80,7 @@ class SolverOptions:
 
     def __post_init__(self):
         _check_count("max_iters", self.max_iters)
-        _check_number("tolerance", self.tolerance)
-        if not self.tolerance > 0:
-            raise ValidationError("tolerance must be positive")
+        _check_positive("tolerance", self.tolerance)
         _check_number("smoothness_weight", self.smoothness_weight)
         if self.smoothness_weight < 0:
             raise ValidationError("smoothness_weight must be >= 0")
@@ -104,7 +103,10 @@ class Priors:
 
     `matches` must be an integer table shaped like the mask whose every
     entry is -1 (unmatched) or an index into `offsets`, as `match_all`
-    builds it.
+    builds it. The mask's raster holds at most `core.MAX_PIXELS` pixels
+    (`core._check_raster`), the cap of the patch grids that the hard
+    objective builds on it, so that a solve or an eval on a larger raster
+    is refused here, before any descent.
     """
 
     matches: np.ndarray
@@ -113,6 +115,7 @@ class Priors:
     mask: SubjectMask
 
     def __post_init__(self):
+        _check_raster(self.mask.width, self.mask.height)
         _require_subjects(self.mask)  # so a solve's free pixels are never empty (`_free_pixels`)
         kin._check_matches(self.matches, self.offsets, self.mask)
         # read-only, as every other frozen input type keeps its arrays
@@ -132,8 +135,11 @@ class Priors:
         With align_method set (one of `skeleton.ALIGN_METHODS`), offsets are
         expressed in the subject frame (the later skeleton is aligned onto
         the earlier one first), which yields the subject-relative constraint
-        used for local flow.
+        used for local flow. A mask that `Priors` refuses, for its raster
+        or for holding no subject, is refused before any skeleton is
+        assembled.
         """
+        _check_raster(mask.width, mask.height)
         _require_subjects(mask)
         pairs = skel.subject_skeletons(frame_t, frame_t1, mask)
         offsets_by_label: dict[int, skel.SkeletonOffsets] = {}
@@ -148,8 +154,9 @@ class Priors:
 
 
 def joint_objective(flow: FlowMap, priors: Priors, hp: Hyperparams) -> ObjectiveBreakdown:
-    """Hard objective: skeleton constraint plus alpha times boundary constraint."""
-    validate_pairing(flow, priors.mask)
+    """Hard objective: skeleton constraint plus alpha times boundary constraint.
+    A flow off the priors' raster raises DimensionMismatch, by the skeleton
+    constraint's check, which comes first."""
     f_rep = kin.skeleton_constraint(flow, priors.offsets, priors.matches, priors.mask, hp)
     g_res = bnd.boundary_constraint(flow, priors.boundary, hp)
     total = f_rep.f_value + hp.alpha * g_res.value

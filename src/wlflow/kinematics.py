@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -73,8 +74,8 @@ def skeleton_layout(offsets: SkeletonOffsets, matches: np.ndarray, mask: Subject
                     window: tuple[slice, slice] | None = None) -> SkeletonLayout:
     """The `SkeletonLayout` of a flow that covers the `window` of the mask's
     raster, or all of it when `window` is None, which the skeleton term
-    takes as its `layout`. Refuses the match table as `_check_matches`
-    does, reading the part inside the window alone."""
+    takes as its `layout`. Refuses the window and the match table as
+    `_check_matches` does, reading the part inside the window alone."""
     table = _check_matches(matches, offsets, mask, window).ravel()
     at = np.flatnonzero(table >= 0)
     k = offsets.vectors[table[at]]
@@ -107,12 +108,20 @@ def _matched_flow(flow: FlowMap, offsets: SkeletonOffsets, matches: np.ndarray, 
     return layout, flow.vectors.reshape(-1, 2)[layout.at]
 
 
+def _within(part, side: int) -> bool:
+    """Whether `part` is a step-1 slice with integer ends, 0 <= start < stop <= side."""
+    return (isinstance(part, slice) and part.step in (None, 1)
+            and all(isinstance(v, Integral) and not isinstance(v, bool) for v in (part.start, part.stop))
+            and 0 <= part.start < part.stop <= side)
+
+
 def _check_matches(matches, offsets: SkeletonOffsets, mask: SubjectMask,
                    window: tuple[slice, slice] | None = None) -> np.ndarray:
     """The `window` of `matches` (all of it when None), refused unless the
-    table is an integer array shaped like the mask (DimensionMismatch) whose
-    every entry in the window is -1 (unmatched) or an index into `offsets`
-    (ValidationError)."""
+    table is an integer array shaped like the mask (DimensionMismatch), the
+    window is (rows, columns), two step-1 slices with integer ends and
+    0 <= start < stop <= side, and every entry in the window is -1
+    (unmatched) or an index into `offsets` (ValidationError)."""
     matches = np.asarray(matches)
     if matches.shape != mask.labels.shape or not np.issubdtype(matches.dtype, np.integer):
         raise DimensionMismatch(
@@ -120,6 +129,9 @@ def _check_matches(matches, offsets: SkeletonOffsets, mask: SubjectMask,
             f"got {matches.dtype} of shape {matches.shape}"
         )
     if window is not None:
+        if not (isinstance(window, tuple) and len(window) == 2 and all(map(_within, window, matches.shape))):
+            raise ValidationError(f"window must be two step-1 slices with 0 <= start < stop <= side "
+                                  f"on the {mask.width}x{mask.height} raster, got {window!r}")
         matches = matches[window]
     n = offsets.vectors.shape[0]
     if matches.min() < -1 or matches.max() >= n:
@@ -136,10 +148,9 @@ def _terms(u: np.ndarray, k: np.ndarray, hp: Hyperparams):
     one_static = u_static ^ k_static
     fa[one_static] = 1.0
     moving = ~(u_static | k_static)
-    if moving.any():
-        dot = (u[moving] * k[moving]).sum(axis=1)
-        cos = dot / (ru[moving] * rk[moving])
-        fa[moving] = (cos < np.cos(np.deg2rad(hp.theta_a))).astype(np.float64)
+    dot = (u[moving] * k[moving]).sum(axis=1)
+    cos = dot / (ru[moving] * rk[moving])
+    fa[moving] = (cos < np.cos(np.deg2rad(hp.theta_a))).astype(np.float64)
     fi = np.maximum((ru - hp.theta_il * rk) * (ru - hp.theta_ih * rk), 0.0)
     return fa, fi
 
@@ -216,8 +227,6 @@ def smooth_skeleton_constraint(
     layout, u = _matched_flow(flow, offsets, matches, mask, layout)
     total = mask.height * mask.width
     shape = flow.vectors.shape
-    if len(u) == 0:
-        return 0.0, lambda: np.zeros(shape)
 
     s = EPS_VEC + tau  # stabilizer; shrinks with tau so the hard terms are recovered
     s2 = s * s

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    MAX_PIXELS, FlowMap, KeypointFrame, PointSet, SubjectMask, Vec2, _check_count, _finite_number, _readonly,
+    FlowMap, KeypointFrame, PointSet, SubjectMask, Vec2, _check_count, _check_number, _check_positive, _check_raster,
+    _finite_number, _readonly,
 )
 from .errors import EmptySubject, SpecOutOfBounds, ValidationError
 from .skeleton import DEFAULT_BONES
@@ -90,13 +91,20 @@ class SubjectSpec:
         for name in ("lengths", "angles_t", "angles_t1"):
             object.__setattr__(self, name, _named_floats(name, getattr(self, name)))
         radii = _finite_floats("capsule_radii", self.capsule_radii, len(DEFAULT_BONES))
-        if any(r <= 0 for r in radii):
-            raise ValidationError("capsule_radii must be positive")
+        for r in radii:
+            _check_positive("each capsule_radii entry", r)
         object.__setattr__(self, "capsule_radii", radii)
 
 
 @dataclass(frozen=True)
 class SceneSpec:
+    """A scene: its raster, figures, camera motion, keypoint noise and seed.
+
+    `width` and `height` are integers of at least 32 whose raster holds at
+    most `core.MAX_PIXELS` pixels (`core._check_raster`); `noise_sigma` is a
+    finite number of at least 0 and `seed` an integer of at least 0.
+    """
+
     width: int = 128
     height: int = 128
     subjects: tuple = (SubjectSpec(),)
@@ -107,8 +115,7 @@ class SceneSpec:
     def __post_init__(self):
         for name, least in (("width", 32), ("height", 32), ("seed", 0)):
             _check_count(name, getattr(self, name), least)
-        if self.width * self.height > MAX_PIXELS:
-            raise ValidationError(f"scene width x height must be at most {MAX_PIXELS} pixels (4096x4096)")
+        _check_raster(self.width, self.height)
         subjects = tuple(self.subjects)
         if not subjects:
             raise ValidationError("scene needs at least one subject")
@@ -116,8 +123,7 @@ class SceneSpec:
             raise ValidationError("each subject must be a SubjectSpec")
         if not isinstance(self.camera_motion, Vec2):
             raise ValidationError("camera_motion must be a Vec2")
-        if not _finite_number(self.noise_sigma):
-            raise ValidationError("noise_sigma must be a finite number")
+        _check_number("noise_sigma", self.noise_sigma)
         if self.noise_sigma < 0:
             raise ValidationError("noise_sigma must be >= 0")
         object.__setattr__(self, "subjects", subjects)

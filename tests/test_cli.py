@@ -16,7 +16,7 @@ import wlflow
 from wlflow import boundary as bnd
 from wlflow import cli, flows, io, synth
 from wlflow.cli import main
-from wlflow.core import FlowMap, Hyperparams, PointSet, SubjectMask, Vec2
+from wlflow.core import TAU_RANGE, FlowMap, Hyperparams, PointSet, SubjectMask, Vec2
 
 
 @pytest.fixture(scope="module")
@@ -642,7 +642,7 @@ def test_solve_without_accepted_steps_reports_the_written_flows_objective(scene_
 def test_solve_accepts_every_tau_in_range_without_warning(scene_dir, fuzz_out, where, init):
     """Any tau in the documented range, drawn log-uniform, solves from zero or
     from the true flow with exit 0 and no floating-point warning."""
-    lo, hi = flows.TAU_RANGE
+    lo, hi = TAU_RANGE
     exponent = np.log10(lo) + where * (np.log10(hi) - np.log10(lo))
     tau = min(max(10.0 ** float(exponent), lo), hi)
     argv = _solve_argv(scene_dir, fuzz_out, {"tau_schedule": [tau], "max_iters": 3})

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from wlflow import boundary as bnd
+from wlflow import core, synth
 from wlflow.core import (
     EPS_CONF,
     FlowMap,
@@ -255,6 +257,37 @@ def test_hyperparams_scale_cap():
     for scale in (2**24 + 1, 2**63, 1e300):
         with pytest.raises(ValidationError, match=r"each scales entry must lie in \[2, 16777216\]"):
             Hyperparams(scales=(8, scale))
+
+
+def _padded_priors(truth, width: int, height: int) -> Priors:
+    """`Priors.build` of a scene of at most `width` x `height` pixels, its mask
+    padded with background on the right and at the bottom to that raster."""
+    labels = truth.mask_t.labels
+    pad = ((0, height - labels.shape[0]), (0, width - labels.shape[1]))
+    return Priors.build(*truth.keypoints[:2], SubjectMask(np.pad(labels, pad)), truth.boundary_t)
+
+
+# Each entry point of the raster rule (`core._check_raster`), called on a width x height raster.
+_RASTER_ENTRIES = {
+    "scene": lambda truth, w, h: synth.SceneSpec(width=w, height=h),
+    "patch-grid": lambda truth, w, h: bnd.build_patch_grid(truth.boundary_t, truth.boundary_t, 8, w, h),
+    "morph": lambda truth, w, h: bnd.morph_curve_fit(
+        truth.boundary_t, truth.boundary_t, bnd.MorphOptions(max_iters=1, width=w, height=h)),
+    "priors": _padded_priors,
+}
+
+
+@pytest.mark.parametrize("entry", list(_RASTER_ENTRIES))
+def test_raster_rule_holds_at_every_entry_point(small_truth, entry, monkeypatch):
+    """Scenes, patch grids, morph rasters and priors take a raster of exactly
+    `core.MAX_PIXELS` pixels and refuse one pixel more, with one message. The
+    cap is lowered to 66 x 64 so that no test allocates 2^24 pixels; 65 x 65
+    is one pixel more, and both rasters hold the 64 x 64 scene."""
+    monkeypatch.setattr(core, "MAX_PIXELS", 66 * 64)
+    build = _RASTER_ENTRIES[entry]
+    build(small_truth, 66, 64)
+    with pytest.raises(ValidationError, match=r"^raster width x height must be at most 4224 pixels \("):
+        build(small_truth, 65, 65)
 
 
 def test_confidence_floor_constant():

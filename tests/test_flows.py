@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from wlflow import boundary as bnd
-from wlflow import flows, kinematics as kin, skeleton as skel, synth
-from wlflow.core import FlowMap, Hyperparams, PointSet, SubjectMask, Vec2
+from wlflow import core, flows, kinematics as kin, skeleton as skel, synth
+from wlflow.core import TAU_RANGE, FlowMap, Hyperparams, PointSet, SubjectMask, Vec2
 from wlflow.errors import DegenerateConfiguration, DimensionMismatch, EmptySubject, ValidationError
 
 from conftest import (GradientLedger, eager_armijo_descent, full_raster_descent, full_raster_endpoint_error,
@@ -404,7 +404,7 @@ def test_solver_rejects_bad_options():
         flows.SolverOptions(max_iters=0)
     with pytest.raises(ValidationError):
         flows.SolverOptions(tau_schedule=())
-    lo, hi = flows.TAU_RANGE
+    lo, hi = TAU_RANGE
     flows.SolverOptions(tau_schedule=(lo, hi))
     for tau in (0.0, -0.5, lo / 2, hi * 2):
         with pytest.raises(ValidationError, match="tau_schedule entry must lie in"):
@@ -573,6 +573,23 @@ def test_priors_refuse_a_mask_without_subjects(small_truth, build, monkeypatch):
             flows.Priors.build(*small_truth.keypoints[:2], SubjectMask(labels), small_truth.boundary_t)
         else:
             _direct_priors(np.full((8, 8), -1), labels)
+
+
+def test_a_solve_refuses_an_oversized_raster_before_it_descends(small_truth, hp, monkeypatch):
+    """`Priors` takes the raster rule of the hard objective's patch grids, so a
+    solve on a raster past `core.MAX_PIXELS` is refused before `_solve_terms`
+    builds its terms, not by the hard objective after the descent; `build`
+    refuses it before it assembles any skeleton."""
+    built = []
+    solve_terms = flows._solve_terms
+    monkeypatch.setattr(flows, "_solve_terms", lambda *args: built.append(args) or solve_terms(*args))
+    monkeypatch.setattr(skel, "subject_skeletons", lambda *args: pytest.fail("skeletons assembled"))
+    monkeypatch.setattr(core, "MAX_PIXELS", 64 * 64 - 1)
+    t = small_truth
+    with pytest.raises(ValidationError, match="raster width x height must be at most 4095 pixels"):
+        priors = flows.Priors.build(t.keypoints[0], t.keypoints[1], t.mask_t, t.boundary_t)
+        flows.solve_world_flow(FlowMap.zeros(64, 64), priors, hp, flows.SolverOptions(max_iters=40))
+    assert built == []
 
 
 def test_scene_and_priors_never_sort_the_mask(reference_truth, reference_priors, monkeypatch):
@@ -927,6 +944,41 @@ def test_skeleton_term_refuses_a_flow_that_does_not_fill_its_window(small_priors
         kin.smooth_skeleton_constraint(FlowMap.zeros(5, 4), p.offsets, p.matches, p.mask, hp, 0.1, layout=layout)
 
 
+def test_skeleton_term_on_a_window_without_a_match_is_plus_zero(small_priors, hp):
+    """A window that holds no matched pixel takes the general path: a value of
+    +0.0 and a zero gradient of the flow's shape, with no warning."""
+    p = small_priors
+    layout = kin.skeleton_layout(p.offsets, p.matches, p.mask, (slice(0, 4), slice(2, 6)))
+    assert layout.at.size == 0
+    value, gradient = kin.smooth_skeleton_constraint(FlowMap(np.ones((4, 4, 2))), p.offsets, p.matches, p.mask,
+                                                     hp, 0.1, layout=layout)
+    assert float(value).hex() == (0.0).hex()
+    assert gradient().tobytes() == np.zeros((4, 4, 2)).tobytes()
+
+
+@pytest.mark.parametrize("window", [
+    pytest.param((slice(0, 0), slice(0, 0)), id="empty"),
+    pytest.param((slice(10, 5), slice(0, 64)), id="reversed-rows"),
+    pytest.param((slice(0, 200), slice(0, 64)), id="rows-past-the-raster"),
+    pytest.param((slice(0, 64), slice(0, 65)), id="columns-past-the-raster"),
+    pytest.param((slice(-1, 64), slice(0, 64)), id="negative-start"),
+    pytest.param((slice(None), slice(0, 64)), id="open-start"),
+    pytest.param((slice(0, 64, 2), slice(0, 64)), id="step-2"),
+    pytest.param((slice(0.0, 64), slice(0, 64)), id="float-start"),
+    pytest.param((slice(0, 64),), id="one-slice"),
+    pytest.param([slice(0, 64), slice(0, 64)], id="list"),
+])
+def test_skeleton_layout_takes_windows_by_one_rule(small_priors, window):
+    """A window is two step-1 slices with 0 <= start < stop <= side; anything
+    else, empty, reversed or past the raster included, is refused, not
+    clipped. The whole raster, given as such a window, is taken."""
+    p = small_priors
+    with pytest.raises(ValidationError, match="window must be two step-1 slices with 0 <= start < stop <= side"):
+        kin.skeleton_layout(p.offsets, p.matches, p.mask, window)
+    whole = kin.skeleton_layout(p.offsets, p.matches, p.mask, (slice(0, 64), slice(np.int64(0), 64, 1)))
+    assert whole.at.tobytes() == kin.skeleton_layout(p.offsets, p.matches, p.mask).at.tobytes()
+
+
 def test_skeleton_term_refuses_a_layout_of_other_priors(small_priors, hp):
     """A `SkeletonLayout` serves the offsets, match table and mask objects it
     was built from, and no others, equal ones included."""
@@ -965,7 +1017,7 @@ def test_surrogate_terms_take_only_their_own_layout(small_truth, small_priors, h
                 term(layout)
 
 
-_TAU_LO, _TAU_HI = flows.TAU_RANGE
+_TAU_LO, _TAU_HI = TAU_RANGE
 
 
 @settings(max_examples=80)
@@ -998,7 +1050,7 @@ def test_surrogate_terms_and_the_solver_take_tau_by_one_rule(small_truth, small_
     assert accepted == [rule] * 3
 
 
-@pytest.mark.parametrize("tau", flows.TAU_RANGE)
+@pytest.mark.parametrize("tau", TAU_RANGE)
 @pytest.mark.filterwarnings("error")
 def test_surrogate_terms_evaluate_at_both_ends_of_the_tau_range(small_truth, small_priors, hp, tau):
     """At either end of `TAU_RANGE` both terms give a finite value and

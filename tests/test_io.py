@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from wlflow import flows, io, synth
 from wlflow.cli import _read_scene_spec
-from wlflow.core import FlowMap, Hyperparams, KeypointFrame, PointSet, SubjectMask, Vec2
+from wlflow.core import TAU_RANGE, FlowMap, Hyperparams, KeypointFrame, PointSet, SubjectMask, Vec2
 from wlflow.errors import (
     BadMagic,
     FileFormatError,
@@ -259,7 +259,7 @@ _HYPERPARAMS = st.builds(
 )
 _SOLVER_OPTIONS = st.builds(
     flows.SolverOptions, max_iters=st.integers(1, 10 ** 6),
-    tau_schedule=st.lists(st.floats(*flows.TAU_RANGE), min_size=1, max_size=4).map(tuple),
+    tau_schedule=st.lists(st.floats(*TAU_RANGE), min_size=1, max_size=4).map(tuple),
     smoothness_weight=st.floats(0.0, 1e6), tolerance=_POSITIVE,
 )
 _SUBJECT_SPECS = st.builds(

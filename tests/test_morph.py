@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from wlflow import boundary as bnd
-from wlflow import flows
-from wlflow.core import PointSet
+from wlflow import flows, synth
+from wlflow.core import Hyperparams, PointSet
 from wlflow.errors import EmptyPointSet, ValidationError
 
 from conftest import GradientLedger, eager_armijo_descent, make_circle, make_square
@@ -117,6 +117,14 @@ def test_morph_options_refuse_bad_values(kwargs, message):
         bnd.MorphOptions(**kwargs)
 
 
+# The positive fields besides the two tolerances, each with a builder of an object that holds a value there.
+_POSITIVE_FIELDS = {
+    **{name: lambda v, name=name: Hyperparams(**{name: v})
+       for name in ("alpha", "beta", "edge_theta_i", "edge_theta_a")},
+    "each capsule_radii entry": lambda v: synth.SubjectSpec(capsule_radii=synth.DEFAULT_RADII[:-1] + (v,)),
+}
+
+
 @pytest.mark.parametrize("cls", [bnd.MorphOptions, flows.SolverOptions])
 @pytest.mark.parametrize("kwargs, message", [
     ({"max_iters": np.float32(2.5)}, "max_iters must be an integer"),
@@ -124,13 +132,20 @@ def test_morph_options_refuse_bad_values(kwargs, message):
     ({"max_iters": np.int64(0)}, "max_iters must be >= 1"),
     ({"tolerance": np.float64("nan")}, "tolerance must be a finite number"),
     ({"tolerance": -1}, "tolerance must be positive"),
+    ({"tolerance": np.float64(0.0)}, "tolerance must be positive"),
 ])
 def test_morph_and_solver_options_share_budget_rules(cls, kwargs, message):
     """Both option classes refuse a bad budget or tolerance with the same message,
-    numpy scalars included; a numpy integer budget is accepted."""
+    numpy scalars included; a numpy integer budget is accepted. A tolerance
+    that is not positive is refused, by the same rule, in every other positive
+    field: `Hyperparams`' alpha, beta and edge thresholds and each capsule radius."""
     with pytest.raises(ValidationError, match=message):
         cls(**kwargs)
     assert cls(max_iters=np.int64(3)).max_iters == 3
+    if message.endswith("must be positive"):
+        for name, build in _POSITIVE_FIELDS.items():
+            with pytest.raises(ValidationError, match=f"^{name} must be positive$"):
+                build(kwargs["tolerance"])
 
 
 def test_morph_reports_best_iterate_when_budget_exhausted():
