@@ -602,7 +602,10 @@ def soft_layout(boundary: PointSet, hp: Hyperparams, height: int, width: int,
     only the neighbor pairs of its window with a free endpoint, or every
     pair when the free pixels and their 8-neighbors fill the window (see
     `soft_boundary_constraint`). None, the default, frees every pixel.
+    The raster sides follow `core._check_count`.
     """
+    _check_count("width", width)
+    _check_count("height", height)
     rows, cols = _checked_boundary_window(boundary, hp.scales, height, width)
     wd = cols.stop - cols.start
     if free is not None:

@@ -308,10 +308,15 @@ class FlowMap:
 
     @classmethod
     def zeros(cls, width: int, height: int) -> "FlowMap":
+        # np.zeros, not `constant`: a zero plane that is only read takes no resident memory.
+        _check_count("width", width)
+        _check_count("height", height)
         return cls(_readonly(np.zeros((height, width, 2), dtype=np.float64)))
 
     @classmethod
     def constant(cls, width: int, height: int, v: Vec2) -> "FlowMap":
+        _check_count("width", width)
+        _check_count("height", height)
         arr = np.empty((height, width, 2), dtype=np.float64)
         arr[..., 0] = v.dx
         arr[..., 1] = v.dy

@@ -73,6 +73,15 @@ def write_keypoints(path, frames) -> None:
         json.dump(doc, f, sort_keys=True)
 
 
+def _check_row(path, loc: str, row, names: str) -> None:
+    """Refuse the JSON value at `loc` unless it is a list of one finite number per
+    letter of `names`, which the message spells as the row's form ("xy": [x, y])."""
+    if not isinstance(row, list) or len(row) != len(names):
+        raise SchemaError(f"{path}: {loc} must be [{', '.join(names)}]")
+    if not all(_finite_number(v) for v in row):
+        raise SchemaError(f"{path}: {loc} has entries that are not finite numbers")
+
+
 def _load_json(path):
     with open(path, "rb") as f:
         raw = f.read()
@@ -102,10 +111,7 @@ def read_keypoints(path) -> list:
             if not isinstance(person, list) or len(person) != N_JOINTS:
                 raise SchemaError(f"{path}: {loc} must list exactly {N_JOINTS} keypoints")
             for ki, kp in enumerate(person):
-                if not isinstance(kp, list) or len(kp) != 3:
-                    raise SchemaError(f"{path}: {loc}[{ki}] must be [x, y, c]")
-                if not all(_finite_number(v) for v in kp):
-                    raise SchemaError(f"{path}: {loc}[{ki}] has entries that are not finite numbers")
+                _check_row(path, f"{loc}[{ki}]", kp, "xyc")
                 if not 0.0 <= kp[2] <= 1.0:
                     raise SchemaError(f"{path}: {loc}[{ki}] confidence {kp[2]} outside [0, 1]")
             persons.append(_readonly(np.asarray(person, dtype=np.float64)))
@@ -169,12 +175,16 @@ def read_mask(path) -> SubjectMask:
         raise FormatError(f"{path}: {exc}") from exc
 
 
+def _write_netpbm(path, magic: str, pixels: np.ndarray) -> None:
+    """Binary netpbm file: `magic`, width, height, maxval 255, then the pixel bytes."""
+    with open(path, "wb") as f:
+        f.write(f"{magic}\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode())
+        f.write(pixels.tobytes())
+
+
 def write_grayscale(path, image: np.ndarray) -> None:
     """Binary 8-bit PGM (P5) of an (h, w) raster: synthetic frames and label masks."""
-    arr = np.asarray(image, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode())
-        f.write(arr.tobytes())
+    _write_netpbm(path, "P5", np.asarray(image, dtype=np.uint8))
 
 
 def write_points(path, points: PointSet) -> None:
@@ -187,14 +197,9 @@ def read_points(path) -> PointSet:
     doc = _load_json(path)
     if not isinstance(doc, dict) or "points" not in doc or not isinstance(doc["points"], list):
         raise SchemaError(f"{path}: $.points must be a list")
-    pts = []
     for i, item in enumerate(doc["points"]):
-        if not isinstance(item, list) or len(item) != 2:
-            raise SchemaError(f"{path}: $.points[{i}] must be [x, y]")
-        if not all(_finite_number(v) for v in item):
-            raise SchemaError(f"{path}: $.points[{i}] has entries that are not finite numbers")
-        pts.append(item)
-    return PointSet(_readonly(np.asarray(pts, dtype=np.float64).reshape(-1, 2)))
+        _check_row(path, f"$.points[{i}]", item, "xy")
+    return PointSet(_readonly(np.asarray(doc["points"], dtype=np.float64).reshape(-1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -202,29 +207,21 @@ def read_points(path) -> PointSet:
 # ---------------------------------------------------------------------------
 
 
+# The wheel's segments RY, YG, GC, CB, BM, MR: (entries, channel held at 255,
+# channel that ramps); the ramp rises in segments 0, 2, 4 and falls in 1, 3, 5.
+_WHEEL_SEGMENTS = ((15, 0, 1), (6, 1, 0), (4, 1, 2), (11, 2, 1), (13, 2, 0), (6, 0, 2))
+
+
 def _make_colorwheel() -> np.ndarray:
     """55-entry RY/YG/GC/CB/BM/MR color wheel used by flow visualizations."""
-    ry, yg, gc, cb, bm, mr = 15, 6, 4, 11, 13, 6
-    wheel = np.zeros((ry + yg + gc + cb + bm + mr, 3))
-    col = 0
-    wheel[0:ry, 0] = 255
-    wheel[0:ry, 1] = np.floor(255 * np.arange(ry) / ry)
-    col += ry
-    wheel[col:col + yg, 0] = 255 - np.floor(255 * np.arange(yg) / yg)
-    wheel[col:col + yg, 1] = 255
-    col += yg
-    wheel[col:col + gc, 1] = 255
-    wheel[col:col + gc, 2] = np.floor(255 * np.arange(gc) / gc)
-    col += gc
-    wheel[col:col + cb, 1] = 255 - np.floor(255 * np.arange(cb) / cb)
-    wheel[col:col + cb, 2] = 255
-    col += cb
-    wheel[col:col + bm, 2] = 255
-    wheel[col:col + bm, 0] = np.floor(255 * np.arange(bm) / bm)
-    col += bm
-    wheel[col:col + mr, 2] = 255 - np.floor(255 * np.arange(mr) / mr)
-    wheel[col:col + mr, 0] = 255
-    return wheel
+    segments = []
+    for i, (n, held, ramp) in enumerate(_WHEEL_SEGMENTS):
+        segment = np.zeros((n, 3))
+        rise = np.floor(255 * np.arange(n) / n)
+        segment[:, held] = 255
+        segment[:, ramp] = rise if i % 2 == 0 else 255 - rise
+        segments.append(segment)
+    return np.concatenate(segments)
 
 
 def flow_to_rgb(flow: FlowMap, max_norm: float | None = None) -> np.ndarray:
@@ -276,9 +273,7 @@ def render_flow(flow: FlowMap, path, max_norm: float | None = None) -> None:
 
 def write_rgb(path, img: np.ndarray) -> None:
     """Binary PPM (P6) for an (h, w, 3) uint8 image."""
-    with open(path, "wb") as f:
-        f.write(f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
-        f.write(img.tobytes())
+    _write_netpbm(path, "P6", img)
 
 
 # ---------------------------------------------------------------------------

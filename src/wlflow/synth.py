@@ -57,7 +57,9 @@ _MARGIN = 2.0
 
 
 def _finite_floats(name: str, values, count: int) -> tuple:
-    """`values`, a tuple or list of `count` finite numbers, as floats."""
+    """`values`, a tuple, list or 1-D numpy array of `count` finite numbers, as floats."""
+    if isinstance(values, np.ndarray) and values.ndim == 1:
+        values = values.tolist()
     if not (isinstance(values, (tuple, list)) and len(values) == count
             and all(_finite_number(v) for v in values)):
         raise ValidationError(f"{name} must hold {count} finite numbers")

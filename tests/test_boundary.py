@@ -291,18 +291,24 @@ def test_patch_grid_pixel_cap():
         bnd.build_patch_grid(s, s, 10**400, 32, 32)
 
 
+_SIDE_ROWS = [
+    pytest.param(10.5, 32, "width must be an integer", id="fractional-width"),
+    pytest.param(float("nan"), 32, "width must be an integer", id="nan-width"),
+    pytest.param(32, True, "height must be an integer", id="bool-height"),
+    pytest.param(0, 32, "width must be >= 1", id="zero-width"),
+    pytest.param(32.0, 16.0, "width must be an integer", id="integral-float-sides"),
+    pytest.param(32, np.int64(0), "height must be >= 1", id="zero-numpy-height"),
+    pytest.param(-1, 32, "width must be >= 1", id="negative-width"),
+]
+
+
 @pytest.mark.parametrize("scale, width, height, message", [
     pytest.param(8.5, 32, 32, "must be an integer, got 8.5", id="fractional-scale"),
     pytest.param("8", 32, 32, "must be a finite number", id="string-scale"),
     pytest.param(float("nan"), 32, 32, "must be a finite number", id="nan-scale"),
     pytest.param(1, 32, 32, r"must lie in \[2, 16777216\]", id="scale-1"),
     pytest.param(2**24 + 1, 32, 32, r"must lie in \[2, 16777216\]", id="scale-2-24-plus-1"),
-    pytest.param(8, 10.5, 32, "width must be an integer", id="fractional-width"),
-    pytest.param(8, float("nan"), 32, "width must be an integer", id="nan-width"),
-    pytest.param(8, 32, True, "height must be an integer", id="bool-height"),
-    pytest.param(8, 0, 32, "width must be >= 1", id="zero-width"),
-    pytest.param(8, 32.0, 16.0, "width must be an integer", id="integral-float-sides"),
-    pytest.param(8, 32, np.int64(0), "height must be >= 1", id="zero-numpy-height"),
+    *[pytest.param(8, *row.values, id=row.id) for row in _SIDE_ROWS],
 ])
 def test_patch_scale_and_sides_follow_one_rule(scale, width, height, message):
     """A scale is a finite integral number in [2, 2^24], as `Hyperparams`
@@ -314,6 +320,22 @@ def test_patch_scale_and_sides_follow_one_rule(scale, width, height, message):
         bnd.build_patch_grid(s, s, scale, width, height)
     with pytest.raises(ValidationError, match=message):
         bnd.multiscale_patch_distance(s, s, (scale,), width, height)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda w, h: bnd.soft_layout(PointSet(np.array([[3.0, 4.0]])), Hyperparams(), h, w),
+                 id="soft-layout"),
+    pytest.param(lambda w, h: FlowMap.zeros(w, h), id="flow-zeros"),
+    pytest.param(lambda w, h: FlowMap.constant(w, h, Vec2(1.0, 0.0)), id="flow-constant"),
+])
+@pytest.mark.parametrize("width, height, message", _SIDE_ROWS)
+def test_raster_sides_follow_one_rule_everywhere(build, width, height, message):
+    """The soft term's layout and the flow constructors take raster sides by
+    the rule of the patch grid (`core._check_count`), before any other check
+    or allocation; the same builders take a valid raster."""
+    with pytest.raises(ValidationError, match=message):
+        build(width, height)
+    build(32, 16)
 
 
 @pytest.mark.parametrize("scales", [(8, 8), (8, 16, 8.0)])

@@ -321,6 +321,13 @@ def _points_argv(scene_dir, tmp_path, x):
     return ["chamfer", "--s", str(pts), "--e", str(scene_dir / "boundary.json")]
 
 
+def _points_text_argv(scene_dir, tmp_path, points_text):
+    """Exact chamfer of the scene's boundary against a points file reading `points_text`."""
+    pts = tmp_path / "pts.json"
+    pts.write_text(points_text)
+    return ["chamfer", "--s", str(scene_dir / "boundary.json"), "--e", str(pts)]
+
+
 def _keypoints_argv(scene_dir, tmp_path, x):
     doc = json.loads((scene_dir / "keypoints.json").read_text())
     doc["frames"][1]["persons"][0][3][0] = x
@@ -530,6 +537,21 @@ _TAU_RANGE_MESSAGE = "$ invalid (each tau_schedule entry must lie in [1e-100, 1e
     pytest.param(_empty_mask_argv, ["eval"], 1, "mask contains no subjects", id="eval-empty-mask"),
     pytest.param(_empty_mask_argv, ["eval", "--local"], 1, "mask contains no subjects",
                  id="eval-local-empty-mask"),
+    pytest.param(_empty_mask_argv, ["decompose", "--method", "homography"], 1, "mask contains no subjects",
+                 id="decompose-homography-empty-mask"),
+    pytest.param(_synth_argv, '{"subjects": {"root_t": [60, 60]}}', 2,
+                 "spec.json: $.subjects invalid (expected a JSON list)", id="synth-subjects-object"),
+    pytest.param(_mask_mean_keypoints_argv, '{"frames": {}}', 2, "keypoints.json: $.frames must be a list",
+                 id="keypoints-frames-object"),
+    pytest.param(_mask_mean_keypoints_argv, '{"frames": [{"persons": [[[1, 2]]]}]}', 2,
+                 "keypoints.json: $.frames[0].persons[0] must list exactly 17 keypoints", id="keypoints-one-joint"),
+    pytest.param(_mask_mean_keypoints_argv, json.dumps({"frames": [{"persons": [[[1, 2]] * 17]}]}), 2,
+                 "keypoints.json: $.frames[0].persons[0][0] must be [x, y, c]", id="keypoints-xy-rows"),
+    pytest.param(_points_text_argv, '{"points": {}}', 2, "pts.json: $.points must be a list", id="points-object"),
+    pytest.param(_points_text_argv, '{"points": [[1, 2], [1, 2, 3]]}', 2, "pts.json: $.points[1] must be [x, y]",
+                 id="points-xyz-row"),
+    pytest.param(_points_text_argv, '{"points": [[1, NaN]]}', 2,
+                 "pts.json: $.points[0] has entries that are not finite numbers", id="points-nan"),
     pytest.param(_solve_argv, {"tau_schedule": [1e300]}, 2, _TAU_RANGE_MESSAGE, id="tau-1e300"),
     pytest.param(_solve_argv, {"tau_schedule": [0.5, 1e100]}, 2, _TAU_RANGE_MESSAGE, id="tau-1e100"),
     pytest.param(_solve_argv, {"tau_schedule": [5e-324]}, 2, _TAU_RANGE_MESSAGE, id="tau-subnormal"),

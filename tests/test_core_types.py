@@ -191,6 +191,27 @@ def test_array_types_compare_and_hash_by_identity(make):
     assert len({a, b}) == 2
 
 
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: SubjectMask(np.zeros(4, np.int32)), "mask must be a (h, w) array, got shape (4,)",
+                 id="mask-1d"),
+    pytest.param(lambda: SubjectMask(np.zeros((0, 3), np.int32)), "mask must be a (h, w) array, got shape (0, 3)",
+                 id="mask-no-rows"),
+    pytest.param(lambda: SubjectMask(np.zeros((2, 2, 1), np.int32)),
+                 "mask must be a (h, w) array, got shape (2, 2, 1)", id="mask-3d"),
+    pytest.param(lambda: SubjectMask(np.zeros((2, 2))), "mask labels must be integers, got dtype float64",
+                 id="mask-float"),
+    pytest.param(lambda: SubjectMask(np.zeros((2, 2), bool)), "mask labels must be integers, got dtype bool",
+                 id="mask-bool"),
+    pytest.param(lambda: PointSet(np.zeros((2, 3))), "points must have shape (n, 2), got (2, 3)",
+                 id="points-three-columns"),
+    pytest.param(lambda: PointSet(np.zeros(4)), "points must have shape (n, 2), got (4,)", id="points-1d"),
+])
+def test_mask_and_point_set_refuse_shapes_and_dtypes(make, message):
+    with pytest.raises(ValidationError) as info:
+        make()
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("dtype, label", [(np.int64, 2**32 + 1), (np.uint32, 2**31), (np.uint64, 2**63)])
 def test_mask_refuses_labels_past_int32(dtype, label):
     with pytest.raises(ValidationError, match=f"mask label {label} exceeds the int32 range"):

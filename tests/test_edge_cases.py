@@ -5,7 +5,7 @@ import pytest
 
 from wlflow import boundary as bnd
 from wlflow import io, kinematics as kin, skeleton as skel
-from wlflow.core import FlowMap, Hyperparams, SubjectMask, Vec2
+from wlflow.core import FlowMap, SubjectMask, Vec2
 from wlflow.errors import FormatError
 
 

@@ -13,7 +13,6 @@ from wlflow.cli import _read_scene_spec
 from wlflow.core import TAU_RANGE, FlowMap, Hyperparams, KeypointFrame, PointSet, SubjectMask, Vec2
 from wlflow.errors import (
     BadMagic,
-    FileFormatError,
     FormatError,
     NonFiniteValue,
     SchemaError,
@@ -79,22 +78,6 @@ def test_keypoints_roundtrip(tmp_path):
     assert np.array_equal(back[0].persons[0], arr)
 
 
-def test_keypoints_wrong_count_rejected(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"frames": [{"persons": [[[0, 0, 1]] * 16]}]}))
-    with pytest.raises(SchemaError):
-        io.read_keypoints(path)
-
-
-def test_keypoints_confidence_out_of_range(tmp_path):
-    person = [[0.0, 0.0, 1.0]] * 17
-    person[3] = [0.0, 0.0, 1.5]
-    path = tmp_path / "badc.json"
-    path.write_text(json.dumps({"frames": [{"persons": [person]}]}))
-    with pytest.raises(SchemaError):
-        io.read_keypoints(path)
-
-
 def test_mask_all_zero(tmp_path):
     path = tmp_path / "zero.pgm"
     io.write_mask(path, SubjectMask(np.zeros((6, 8), dtype=np.int32)))
@@ -131,11 +114,90 @@ def test_points_roundtrip(tmp_path):
     assert np.array_equal(back.points, pts.points)
 
 
-def test_points_schema_error(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"points": [[1.0, 2.0, 3.0]]}))
-    with pytest.raises(SchemaError):
-        io.read_points(path)
+_PERSON = [[1.0, 2.0, 0.5]] * 17
+
+
+def _person_with(index, keypoint):
+    person = list(_PERSON)
+    person[index] = keypoint
+    return {"frames": [{"persons": [person]}]}
+
+
+@pytest.mark.parametrize("read, text, message", [
+    pytest.param(io.read_keypoints, "[]", "$.frames missing", id="keypoints-not-an-object"),
+    pytest.param(io.read_keypoints, '{"persons": []}', "$.frames missing", id="keypoints-no-frames"),
+    pytest.param(io.read_keypoints, '{"frames": {}}', "$.frames must be a list", id="frames-object"),
+    pytest.param(io.read_keypoints, '{"frames": [[]]}', "$.frames[0].persons missing", id="frame-list"),
+    pytest.param(io.read_keypoints, '{"frames": [{"persons": []}, {}]}', "$.frames[1].persons missing",
+                 id="frame-no-persons"),
+    pytest.param(io.read_keypoints, '{"frames": [{"persons": 3}]}', "$.frames[0].persons must be a list",
+                 id="persons-number"),
+    pytest.param(io.read_keypoints, json.dumps({"frames": [{"persons": [_PERSON[:16]]}]}),
+                 "$.frames[0].persons[0] must list exactly 17 keypoints", id="sixteen-keypoints"),
+    pytest.param(io.read_keypoints, '{"frames": [{"persons": [{}]}]}',
+                 "$.frames[0].persons[0] must list exactly 17 keypoints", id="person-object"),
+    pytest.param(io.read_keypoints, json.dumps(_person_with(3, [1.0, 2.0])),
+                 "$.frames[0].persons[0][3] must be [x, y, c]", id="keypoint-two-numbers"),
+    pytest.param(io.read_keypoints, json.dumps(_person_with(16, 5.0)),
+                 "$.frames[0].persons[0][16] must be [x, y, c]", id="keypoint-number"),
+    pytest.param(io.read_keypoints, json.dumps(_person_with(0, [1.0, None, 0.5])),
+                 "$.frames[0].persons[0][0] has entries that are not finite numbers", id="keypoint-null"),
+    pytest.param(io.read_keypoints, json.dumps(_person_with(2, [1.0, 2.0, True])),
+                 "$.frames[0].persons[0][2] has entries that are not finite numbers", id="keypoint-bool"),
+    pytest.param(io.read_keypoints, json.dumps(_person_with(4, [float("nan"), 2.0, 0.5])),
+                 "$.frames[0].persons[0][4] has entries that are not finite numbers", id="keypoint-nan"),
+    pytest.param(io.read_keypoints, json.dumps(_person_with(5, [1.0, 2.0, 1.5])),
+                 "$.frames[0].persons[0][5] confidence 1.5 outside [0, 1]", id="keypoint-confidence"),
+    pytest.param(io.read_points, "[]", "$.points must be a list", id="points-not-an-object"),
+    pytest.param(io.read_points, "{}", "$.points must be a list", id="points-missing"),
+    pytest.param(io.read_points, '{"points": {}}', "$.points must be a list", id="points-object"),
+    pytest.param(io.read_points, '{"points": [[1, 2], [3]]}', "$.points[1] must be [x, y]", id="point-one-number"),
+    pytest.param(io.read_points, '{"points": [[1, 2, 3]]}', "$.points[0] must be [x, y]", id="point-three-numbers"),
+    pytest.param(io.read_points, '{"points": ["xy"]}', "$.points[0] must be [x, y]", id="point-string"),
+    pytest.param(io.read_points, '{"points": [[1, "2"]]}', "$.points[0] has entries that are not finite numbers",
+                 id="point-string-entry"),
+    pytest.param(io.read_points, '{"points": [[Infinity, 2]]}',
+                 "$.points[0] has entries that are not finite numbers", id="point-infinity"),
+    pytest.param(io.read_points, '{"points": [[1e400, 2]]}',
+                 "$.points[0] has entries that are not finite numbers", id="point-overflow"),
+])
+def test_json_readers_refuse_each_fault_with_its_message(tmp_path, read, text, message):
+    """A keypoints or points file with one fault raises SchemaError whose
+    message is the file's path and the fault's JSON location and rule."""
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError) as info:
+        read(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("raw, error, message", [
+    pytest.param(b"P2\n2 2\n255\n\0\0\0\0", FormatError, "ASCII PGM (P2) not accepted, use binary P5", id="ascii"),
+    pytest.param(b"P6\n2 2\n255\n", FormatError, "not a PGM file (magic b'P6')", id="ppm"),
+    pytest.param(b"P", TruncatedFile, "too short for a PGM header", id="one-byte"),
+    pytest.param(b"P5\n2 # w\n", TruncatedFile, "header ended early", id="no-height"),
+    pytest.param(b"P5\n2 -2\n255\n", FormatError, "non-numeric header token b'-2'", id="negative-height"),
+    pytest.param(b"P5\n0 2\n255\n", FormatError, "bad dimensions 0x2", id="zero-width"),
+    pytest.param(b"P5\n2 0\n255\n", FormatError, "bad dimensions 2x0", id="zero-height"),
+    pytest.param(b"P5\n1 1\n65535\n\0\0", FormatError, "only 8-bit PGM accepted (maxval 65535)", id="16-bit"),
+    pytest.param(b"P5\n2 2\n255\n\0\0\0", TruncatedFile, "expected 4 pixels, got 3", id="short-payload"),
+    pytest.param(b"P5\n2 1\n255\n\0\2", FormatError, "subject labels must form a contiguous range 1..k, got [2]",
+                 id="label-gap"),
+])
+def test_mask_reader_refuses_each_fault_with_its_message(tmp_path, raw, error, message):
+    path = tmp_path / "mask.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(error) as info:
+        io.read_mask(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_mask_writer_refuses_more_than_255_labels(tmp_path):
+    labels = np.arange(257, dtype=np.int32).reshape(1, 257)
+    with pytest.raises(FormatError) as info:
+        io.write_mask(tmp_path / "mask.pgm", SubjectMask(labels))
+    assert str(info.value) == "PGM masks support at most 255 subject labels"
+    assert not (tmp_path / "mask.pgm").exists()
 
 
 def test_render_zero_flow_is_white(tmp_path):

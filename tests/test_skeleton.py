@@ -533,3 +533,48 @@ def test_assign_subjects_by_hip_midpoint():
     frame = KeypointFrame((p1, p2))
     assignment = skel.assign_subjects(frame, mask)
     assert assignment == {2: 0, 1: 1}
+
+
+def _square_mask():
+    labels = np.zeros((40, 40), dtype=np.int32)
+    labels[5:15, 5:15] = 1
+    return SubjectMask(labels)
+
+
+def _person_at(x, y):
+    person = np.ones((17, 3))
+    person[:, :2] = (x, y)
+    return person
+
+
+_THREE_POINTS = skel.SkeletonMap(np.array([[0.0, 0.0, 1.0], [4.0, 0.0, 1.0], [0.0, 4.0, 1.0]]))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: skel.SkeletonMap(np.array([[0.0, np.nan, 1.0]])), ValidationError,
+                 "skeleton points contain non-finite values", id="map-nan"),
+    pytest.param(lambda: skel.SkeletonOffsets(np.zeros((3, 3))), ValidationError,
+                 "offsets need (n, 2) vectors, got shape (3, 3)", id="offsets-three-columns"),
+    pytest.param(lambda: skel.SkeletonOffsets(np.zeros(2)), ValidationError,
+                 "offsets need (n, 2) vectors, got shape (2,)", id="offsets-1d"),
+    pytest.param(lambda: skel.AlignTransform("affine", np.eye(3)), ValidationError,
+                 "unknown transform kind 'affine'", id="transform-kind"),
+    pytest.param(lambda: skel.AlignTransform("translation", np.eye(2)), ValidationError,
+                 "transform matrix must be 3x3, got (2, 2)", id="transform-2x2"),
+    pytest.param(lambda: skel.AlignTransform("similarity", [[1, 0, 0], [0, 1, 0], [0.1, 0, 1]]), ValidationError,
+                 "similarity transform must have affine bottom row", id="transform-projective-similarity"),
+    pytest.param(lambda: skel.AlignTransform("homography", [[1, 1, 0], [1, 1, 1], [1, 0, 1]]), ValidationError,
+                 "upper-left 2x2 block is singular", id="transform-singular-block"),
+    pytest.param(lambda: skel.assign_subjects(KeypointFrame((_person_at(10, 10),) * 2), _square_mask()),
+                 ValidationError, "persons 0 and 1 both map to subject 1", id="assign-two-persons"),
+    pytest.param(lambda: skel.fit_alignment(_THREE_POINTS, _THREE_POINTS, "homography"), DegenerateConfiguration,
+                 "homography needs at least 4 point pairs", id="homography-three-points"),
+    pytest.param(lambda: skel.fit_alignment(_THREE_POINTS, _THREE_POINTS, "head"), InsufficientHeadPoints,
+                 "skeleton maps carry no source joints", id="head-without-joints"),
+    pytest.param(lambda: skel.fit_alignment(_THREE_POINTS, _THREE_POINTS, "affine"), ValidationError,
+                 "unknown alignment method 'affine'", id="unknown-method"),
+])
+def test_skeleton_types_and_fits_refuse_with_their_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

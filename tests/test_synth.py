@@ -205,25 +205,33 @@ def test_unknown_bone_parameter_rejected():
     pytest.param({"angles_t": {"neck": "up"}}, id="string-angle"),
     pytest.param({"root_t": "ab"}, id="string-root"),
     pytest.param({"root_t1": (1.0, 2.0, 3.0)}, id="three-number-root"),
+    pytest.param({"root_t": np.array([[1.0, 2.0]])}, id="2d-array-root"),
+    pytest.param({"root_t": np.array([1.0, 2.0, 3.0])}, id="three-number-array-root"),
+    pytest.param({"root_t": np.array([True, False])}, id="bool-array-root"),
+    pytest.param({"capsule_radii": np.full(13, 2.5)}, id="13-entry-array-radii"),
+    pytest.param({"capsule_radii": np.array([2.5] * 13 + [np.nan])}, id="nan-array-radius"),
 ])
 def test_subject_spec_refuses_bad_fields(fields):
     with pytest.raises(ValidationError):
         synth.SubjectSpec(**fields)
 
 
-@pytest.mark.parametrize("fields", [
-    pytest.param({"width": 96.0}, id="float-width"),
-    pytest.param({"height": True}, id="bool-height"),
-    pytest.param({"seed": 1.5, "noise_sigma": 0.5}, id="float-seed"),
-    pytest.param({"seed": -1}, id="negative-seed"),
-    pytest.param({"noise_sigma": float("nan")}, id="nan-noise"),
-    pytest.param({"noise_sigma": -0.5}, id="negative-noise"),
-    pytest.param({"camera_motion": (1.0, 0.0)}, id="tuple-camera"),
-    pytest.param({"subjects": ({"root_t": (60.0, 60.0)},)}, id="dict-subject"),
+@pytest.mark.parametrize("fields, message", [
+    pytest.param({"width": 96.0}, "width must be an integer", id="float-width"),
+    pytest.param({"height": True}, "height must be an integer", id="bool-height"),
+    pytest.param({"seed": 1.5, "noise_sigma": 0.5}, "seed must be an integer", id="float-seed"),
+    pytest.param({"seed": -1}, "seed must be >= 0", id="negative-seed"),
+    pytest.param({"noise_sigma": float("nan")}, "noise_sigma must be a finite number", id="nan-noise"),
+    pytest.param({"noise_sigma": -0.5}, "noise_sigma must be >= 0", id="negative-noise"),
+    pytest.param({"camera_motion": (1.0, 0.0)}, "camera_motion must be a Vec2", id="tuple-camera"),
+    pytest.param({"subjects": ({"root_t": (60.0, 60.0)},)}, "each subject must be a SubjectSpec",
+                 id="dict-subject"),
+    pytest.param({"subjects": ()}, "scene needs at least one subject", id="no-subjects"),
 ])
-def test_scene_spec_refuses_bad_fields(fields):
-    with pytest.raises(ValidationError):
+def test_scene_spec_refuses_bad_fields(fields, message):
+    with pytest.raises(ValidationError) as info:
         synth.SceneSpec(**fields)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("seed, message", [
@@ -243,6 +251,11 @@ def test_specs_store_floats():
     sub = synth.SubjectSpec(root_t=[60, np.float64(61.5)], lengths={"torso": 20}, capsule_radii=[3] * 14)
     assert sub == synth.SubjectSpec(root_t=(60.0, 61.5), lengths={"torso": 20.0}, capsule_radii=(3.0,) * 14)
     assert synth.SceneSpec(subjects=[sub], noise_sigma=1).noise_sigma == 1.0
+    from_arrays = synth.SubjectSpec(root_t=np.array([60, 61.5]), capsule_radii=np.full(14, 3, dtype=np.int64))
+    assert from_arrays == synth.SubjectSpec(root_t=(60.0, 61.5), capsule_radii=(3.0,) * 14)
+    assert all(type(v) is float for v in from_arrays.root_t + from_arrays.capsule_radii)
+    scene = synth.single_figure_scene(root=np.array([50.0, 60.0]))
+    assert scene == synth.single_figure_scene(root=(50.0, 60.0))
 
 
 def test_scene_pixel_cap():
